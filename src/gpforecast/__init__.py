@@ -43,8 +43,6 @@ from .gp import (
     IllConditionedModelError,
     PredictiveDistribution,
     fit,
-    grad_log_marginal_likelihood,
-    log_marginal_likelihood,
     log_marginal_likelihood_and_grad,
     predict,
 )
@@ -70,6 +68,6 @@ from .priors import (
     median_hyperparams,
     save_priors,
 )
-from .training import TrainConfig, TrainResult, map_objective, map_objective_grad, train
+from .training import TrainConfig, TrainResult, map_objective, train
 
 __version__ = "0.1.0"

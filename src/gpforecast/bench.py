@@ -12,7 +12,7 @@ configured length, standardized on the training part, forecast with the
 GP pipeline, and scored in standardized units (original units optional).
 Per-series failures (constant series, too-short series, numerical
 breakdown) are recorded and reported; they never abort the batch and are
-never silently dropped.
+never silently dropped.  Any other exception is a bug and propagates.
 
 Scores, medians, and failure lists are bit-stable across parallelism
 degrees; wall-clock timing fields are measurements and naturally vary.
@@ -28,13 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecasting import (
-    MONTHLY,
-    QUARTERLY,
-    Forecast,
-    TimeSeries,
-    standardized_posterior,
-)
+from .forecasting import DEFAULT_HORIZONS, MONTHLY, Forecast, TimeSeries, standardized_posterior
+from .gp import IllConditionedModelError
 from .metrics import ScoreReport, score
 from .priors import PriorSpec
 from .training import TrainConfig
@@ -65,7 +60,8 @@ class CsvLayout:
     """How to read a dataset file.
 
     ``test_length=None`` picks the conventional split for the frequency
-    (18 monthly steps, 8 quarterly); other frequencies must set it.
+    (18 monthly steps, 8 quarterly, 42 six-hourly); other frequencies must
+    set it.
     """
 
     layout: str = "long"
@@ -86,10 +82,8 @@ class CsvLayout:
     def resolved_test_length(self) -> int:
         if self.test_length is not None:
             return self.test_length
-        if self.steps_per_year == MONTHLY:
-            return 18
-        if self.steps_per_year == QUARTERLY:
-            return 8
+        if self.steps_per_year in DEFAULT_HORIZONS:
+            return DEFAULT_HORIZONS[self.steps_per_year]
         raise ValueError(f"no default test length for {self.steps_per_year} steps/year; set test_length")
 
 
@@ -323,7 +317,7 @@ def _score_one(
         return SeriesScore(
             name=entry.name, report=report, train_seconds=result.seconds, converged=result.converged
         )
-    except Exception as exc:  # per-series robustness: record, never abort the batch
+    except (ValueError, IllConditionedModelError) as exc:  # bad data or numerics: record, never abort the batch
         return SeriesFailure(name=entry.name, reason=f"{type(exc).__name__}: {exc}")
 
 

@@ -42,6 +42,10 @@ MONTHLY = 12.0
 QUARTERLY = 4.0
 SIX_HOURLY = 1461.0  # 4 steps/day * 365.25 days/year
 
+# Conventional test horizons by steps per year; the benchmark's default
+# test lengths are the same numbers.
+DEFAULT_HORIZONS = {MONTHLY: 18, QUARTERLY: 8, SIX_HOURLY: 42}
+
 # Fixed seasonal periods, in years.
 YEARLY_PERIOD = 1.0
 WEEKLY_PERIOD = 1.0 / 52.18
@@ -194,13 +198,9 @@ def default_spec(mode: str = "single-seasonal") -> KernelSpec:
 
 def default_horizon(ts: TimeSeries) -> int:
     """Conventional test horizons: 18 monthly steps, 8 quarterly, 42 six-hourly."""
-    if ts.steps_per_year == MONTHLY:
-        return 18
-    if ts.steps_per_year == QUARTERLY:
-        return 8
-    if ts.steps_per_year == SIX_HOURLY:
-        return 42
-    raise ValueError(f"no default horizon for {ts.steps_per_year} steps/year; pass one explicitly")
+    if ts.steps_per_year not in DEFAULT_HORIZONS:
+        raise ValueError(f"no default horizon for {ts.steps_per_year} steps/year; pass one explicitly")
+    return DEFAULT_HORIZONS[ts.steps_per_year]
 
 
 def forecast(
@@ -209,7 +209,6 @@ def forecast(
     config: TrainConfig | None = None,
     mode: str = "single-seasonal",
     priors: PriorSpec | None = None,
-    spec: KernelSpec | None = None,
 ) -> tuple[Forecast, TrainResult]:
     """Train on the whole series and forecast the next ``horizon`` steps.
 
@@ -218,9 +217,7 @@ def forecast(
     training run that hits the iteration budget proceeds with a warning
     (the result carries ``converged=False``).
     """
-    posterior, standardizer, result = standardized_posterior(
-        ts, horizon, config=config, mode=mode, priors=priors, spec=spec
-    )
+    posterior, standardizer, result = standardized_posterior(ts, horizon, config=config, mode=mode, priors=priors)
     if not result.converged:
         warnings.warn(f"training did not converge within the iteration budget for series of length {len(ts)}")
     return (
@@ -239,7 +236,6 @@ def standardized_posterior(
     config: TrainConfig | None = None,
     mode: str = "single-seasonal",
     priors: PriorSpec | None = None,
-    spec: KernelSpec | None = None,
 ) -> tuple[PredictiveDistribution, Standardizer, TrainResult]:
     """Same pipeline as :func:`forecast` but stopping in standardized space.
 
@@ -249,7 +245,7 @@ def standardized_posterior(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if len(ts) < MIN_SERIES_LENGTH:
         raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {len(ts)}")
-    spec = spec if spec is not None else default_spec(mode)
+    spec = default_spec(mode)
     priors = priors if priors is not None else default_priors()
     standardizer = Standardizer.fit(ts.values)
     z = standardizer.transform(ts.values)

@@ -2,9 +2,11 @@
 
 The observed series is modelled as jointly Gaussian with zero mean and
 covariance ``K(X, X)`` assembled from the kernel composition (the noise
-term lives inside the kernel).  This module provides the log marginal
-likelihood, its gradient with respect to the log-space hyperparameters,
-and the exact predictive posterior:
+term lives inside the kernel).  The log marginal likelihood has two entry
+points: :func:`fit` caches it as ``log_marginal`` next to the factorization,
+and :func:`log_marginal_likelihood_and_grad` adds its gradient with respect
+to the log-space hyperparameters.  :func:`predict` gives the exact
+predictive posterior:
 
     mean(X*)       = K(X*, X) K(X, X)^-1 y
     latent var(x*) = k(x*, x*) - k(x*, X) K(X, X)^-1 k(X, x*)
@@ -34,9 +36,7 @@ __all__ = [
     "PredictiveDistribution",
     "fit",
     "predict",
-    "log_marginal_likelihood",
     "log_marginal_likelihood_and_grad",
-    "grad_log_marginal_likelihood",
 ]
 
 JITTER_START = 1e-8
@@ -96,7 +96,10 @@ def _cholesky_with_jitter(gram: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> FitState:
-    """Factorize the training covariance and cache everything prediction needs."""
+    """Factorize the training covariance and cache everything prediction needs.
+
+    ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
@@ -117,11 +120,6 @@ def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> F
         log_marginal=lml,
         jitter=jitter,
     )
-
-
-def log_marginal_likelihood(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> float:
-    """log N(y; 0, K(X, X) + jitter I)."""
-    return fit(spec, theta, x, y).log_marginal
 
 
 def log_marginal_likelihood_and_grad(
@@ -146,13 +144,6 @@ def log_marginal_likelihood_and_grad(
     jitter_sensitivity = state.jitter / mean_diag * np.mean(np.diagonal(grads, axis1=1, axis2=2), axis=1)
     grad += 0.5 * float(np.trace(outer)) * jitter_sensitivity
     return state.log_marginal, grad
-
-
-def grad_log_marginal_likelihood(
-    spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Gradient of the log marginal likelihood over the log-space trainables."""
-    return log_marginal_likelihood_and_grad(spec, theta, x, y)[1]
 
 
 def predict(

@@ -78,27 +78,27 @@ def crps_gaussian(y, mu, sigma):
     return out if out.ndim else float(out)
 
 
-def log_likelihood(y, mu, sigma2) -> float:
-    """Average per-step Gaussian log-density of the actuals.
-
-    (1/T) sum_t [ -0.5 log(2 pi sigma2_t) - (y_t - mu_t)^2 / (2 sigma2_t) ].
-    """
-    y, mu = _paired(y, mu)
+def _log_density_per_step(y: np.ndarray, mu: np.ndarray, sigma2) -> np.ndarray:
+    """-0.5 log(2 pi sigma2_t) - (y_t - mu_t)^2 / (2 sigma2_t) for each step t."""
     sigma2 = np.asarray(sigma2, dtype=float)
     if sigma2.shape != y.shape:
         raise ValueError(f"length mismatch: actuals {y.shape} vs variances {sigma2.shape}")
     if np.any(sigma2 <= 0) or not np.all(np.isfinite(sigma2)):
         raise ValueError("variances must be finite and > 0")
-    return float(np.mean(-0.5 * (_LOG_2PI + np.log(sigma2)) - (y - mu) ** 2 / (2.0 * sigma2)))
+    return -0.5 * (_LOG_2PI + np.log(sigma2)) - (y - mu) ** 2 / (2.0 * sigma2)
+
+
+def log_likelihood(y, mu, sigma2) -> float:
+    """Average per-step Gaussian log-density of the actuals."""
+    return float(np.mean(_log_density_per_step(*_paired(y, mu), sigma2)))
 
 
 def score(y, mu, sigma2) -> ScoreReport:
     """All three indicators for one forecast, with per-step detail."""
     y, mu = _paired(y, mu)
-    sigma2 = np.asarray(sigma2, dtype=float)
+    ll_steps = _log_density_per_step(y, mu, sigma2)
     abs_errors = np.abs(y - mu)
     crps_steps = np.asarray(crps_gaussian(y, mu, np.sqrt(sigma2)))
-    ll_steps = -0.5 * (_LOG_2PI + np.log(sigma2)) - (y - mu) ** 2 / (2.0 * sigma2)
     return ScoreReport(
         mae=float(np.mean(abs_errors)),
         crps=float(np.mean(crps_steps)),

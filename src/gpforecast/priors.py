@@ -25,7 +25,6 @@ dropped in.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -124,38 +123,15 @@ def default_priors() -> PriorSpec:
     return PriorSpec(entries=entries)
 
 
-def _names_for(priors: PriorSpec, theta: HyperParams, spec: KernelSpec | None) -> tuple[str, ...]:
-    if spec is not None:
-        return spec.trainable_names()
-    return tuple(n for n in priors.names() if getattr(theta, n) is not None)
+def log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> float:
+    """Sum of lognormal log-densities over the spec's trainable parameters."""
+    return sum(priors[name].logpdf(theta.get(name)) for name in spec.trainable_names())
 
 
-def log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec | None = None) -> float:
-    """Sum of lognormal log-densities over the trainable parameters.
-
-    With ``spec`` given, the sum runs over exactly the spec's trainables;
-    otherwise over every parameter set on ``theta`` that has a prior.
-    """
-    return sum(priors[name].logpdf(theta.get(name)) for name in _names_for(priors, theta, spec))
-
-
-def grad_log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec | None = None) -> np.ndarray:
+def grad_log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> np.ndarray:
     """Gradient of the log-prior w.r.t. the log-space trainable vector."""
-    names = _names_for(priors, theta, spec)
+    names = spec.trainable_names()
     u = np.log([theta.get(name) for name in names])
-    return np.array([priors[name].dlogpdf_dlog(u_k) for name, u_k in zip(names, u)])
-
-
-def log_prior_vector(priors: PriorSpec, names: tuple[str, ...], u: np.ndarray) -> float:
-    """Log-prior evaluated directly on a log-space vector."""
-    total = 0.0
-    for name, u_k in zip(names, u):
-        p = priors[name]
-        total += -u_k - 0.5 * math.log(p.lam) - 0.5 * _LOG_2PI - (u_k - p.nu) ** 2 / (2.0 * p.lam)
-    return total
-
-
-def grad_log_prior_vector(priors: PriorSpec, names: tuple[str, ...], u: np.ndarray) -> np.ndarray:
     return np.array([priors[name].dlogpdf_dlog(u_k) for name, u_k in zip(names, u)])
 
 
@@ -174,22 +150,17 @@ def median_hyperparams(spec: KernelSpec, priors: PriorSpec | None = None) -> Hyp
     return HyperParams(**values)
 
 
-def save_priors(priors: PriorSpec, path) -> None:
-    """Write priors as ``name = nu lam`` lines (parse back with load_priors)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# lognormal hyperparameter priors: name = nu lam\n")
-        for name in priors.names():
-            p = priors[name]
-            fh.write(f"{name} = {p.nu!r} {p.lam!r}\n")
-
-
 def format_priors(priors: PriorSpec) -> str:
-    buf = io.StringIO()
-    buf.write("# lognormal hyperparameter priors: name = nu lam\n")
-    for name in priors.names():
-        p = priors[name]
-        buf.write(f"{name} = {p.nu!r} {p.lam!r}\n")
-    return buf.getvalue()
+    """Priors as ``name = nu lam`` lines (parse back with load_priors)."""
+    lines = ["# lognormal hyperparameter priors: name = nu lam"]
+    lines += [f"{name} = {priors[name].nu!r} {priors[name].lam!r}" for name in priors.names()]
+    return "\n".join(lines) + "\n"
+
+
+def save_priors(priors: PriorSpec, path) -> None:
+    """Write :func:`format_priors` text to ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_priors(priors))
 
 
 def load_priors(path) -> PriorSpec:

@@ -1,10 +1,11 @@
 """MAP estimation of the kernel hyperparameters.
 
 The objective is the log of prior times marginal likelihood, maximized
-over ``u = log(theta)`` so positivity is structural.  Optimization is
-quasi-Newton (L-BFGS-B with its built-in line search); a Cholesky failure
-during a line search is treated as objective minus infinity rather than
-an error, so the search simply backs off.
+over ``u = log(theta)`` so positivity is structural.  :func:`map_objective`
+computes it and its gradient from one factorization; :func:`train` hands
+its negation to a quasi-Newton optimizer (L-BFGS-B with its built-in line
+search).  A trial point whose covariance cannot be factorized gets a large
+finite penalty instead of an error, so the line search simply backs off.
 
 Training starts at the prior medians (the prior means in log space),
 which makes a single start deterministic.  Optional extra restarts
@@ -20,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .gp import (
-    IllConditionedModelError,
-    grad_log_marginal_likelihood,
-    log_marginal_likelihood,
-    log_marginal_likelihood_and_grad,
-)
+from .gp import IllConditionedModelError, log_marginal_likelihood_and_grad
 from .kernels import HyperParams, InvalidHyperparameterError, KernelSpec
 from .priors import (
     PriorSpec,
@@ -35,7 +31,7 @@ from .priors import (
     median_hyperparams,
 )
 
-__all__ = ["TrainConfig", "TrainResult", "map_objective", "map_objective_grad", "train"]
+__all__ = ["TrainConfig", "TrainResult", "map_objective", "train"]
 
 # Finite stand-in for -inf handed to the minimizer when a trial point is
 # ill-conditioned; L-BFGS-B copes with a large value better than with inf.
@@ -79,20 +75,14 @@ class TrainResult:
 
 def map_objective(
     spec: KernelSpec, priors: PriorSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray
-) -> float:
-    """log marginal likelihood plus log prior; -inf if the model cannot be factorized."""
-    try:
-        lml = log_marginal_likelihood(spec, theta, x, y)
-    except IllConditionedModelError:
-        return float("-inf")
-    return lml + log_prior(priors, theta, spec)
+) -> tuple[float, np.ndarray]:
+    """Log marginal likelihood plus log prior, and its gradient over the log-space trainables.
 
-
-def map_objective_grad(
-    spec: KernelSpec, priors: PriorSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Gradient of :func:`map_objective` over the log-space trainables."""
-    return grad_log_marginal_likelihood(spec, theta, x, y) + grad_log_prior(priors, theta, spec)
+    Both come from one factorization.  Raises :class:`IllConditionedModelError`
+    if the covariance cannot be factorized.
+    """
+    lml, lml_grad = log_marginal_likelihood_and_grad(spec, theta, x, y)
+    return lml + log_prior(priors, theta, spec), lml_grad + grad_log_prior(priors, theta, spec)
 
 
 def train(
@@ -105,8 +95,9 @@ def train(
     """Maximize the MAP objective and return the best hyperparameters found.
 
     Deterministic for ``restarts == 1``: same input bits give the same
-    result bits.  If the iteration budget runs out the best iterate is
-    still returned, flagged via ``converged=False``.
+    result bits.  ``converged`` is the optimizer status of the restart that
+    produced the returned point; if its iteration budget ran out, that
+    point is still returned, flagged via ``converged=False``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -127,17 +118,16 @@ def train(
         nonlocal best_u, best_value
         theta = template.with_log_vector(spec, u)
         try:
-            lml, lml_grad = log_marginal_likelihood_and_grad(spec, theta, x, y)
-            value = -(lml + log_prior(priors, theta, spec))
-            grad = -(lml_grad + grad_log_prior(priors, theta, spec))
+            objective, grad = map_objective(spec, priors, theta, x, y)
         except (IllConditionedModelError, InvalidHyperparameterError):
             return _PENALTY, np.zeros(len(names))
+        value = -objective
         if not np.isfinite(value):
             return _PENALTY, np.zeros(len(names))
         if value < best_value:
             best_value = value
             best_u = u.copy()
-        return value, grad
+        return value, -grad
 
     u0 = np.array([priors[name].nu for name in names])
     starts = [u0]
@@ -150,6 +140,7 @@ def train(
     iterations = 0
     converged = False
     for u_start in starts:
+        value_before = best_value
         result = minimize(
             negative_objective,
             u_start,
@@ -162,7 +153,8 @@ def train(
             },
         )
         iterations += int(result.nit)
-        converged = converged or (result.status == 0)
+        if best_value < value_before:  # this restart now holds the best point
+            converged = result.status == 0
 
     seconds = time.perf_counter() - start
     if best_u is None:

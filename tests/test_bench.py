@@ -3,7 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gpforecast.bench
 from gpforecast import (
+    SIX_HOURLY,
     BenchReport,
     CsvFormatError,
     CsvLayout,
@@ -76,6 +78,10 @@ class TestLoadCsv:
             load_csv(f"{DATA}/long_two_series.csv", CsvLayout(steps_per_year=52.0))
         ds = load_csv(f"{DATA}/long_two_series.csv", CsvLayout(steps_per_year=52.0, test_length=2))
         assert ds.entries[0].test_length == 2
+
+    def test_six_hourly_defaults_to_42_test_steps(self):
+        ds = load_csv(f"{DATA}/long_two_series.csv", CsvLayout(steps_per_year=SIX_HOURLY))
+        assert [e.test_length for e in ds.entries] == [42, 42]
 
     def test_round_trip_through_write_csv(self, tmp_path):
         layout = CsvLayout(layout="long", steps_per_year=12.0)
@@ -192,6 +198,19 @@ class TestRunBenchmark:
         assert len(report.scores) + len(report.failures) == 3
         assert [f.name for f in report.failures] == ["flat", "tiny"]
         assert "ConstantSeriesError" in report.failures[0].reason
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_programming_errors_propagate(self, monkeypatch, parallelism):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a series failure")
+
+        monkeypatch.setattr(gpforecast.bench, "standardized_posterior", broken)
+        entries = tuple(
+            SeriesEntry(name=name, series=TimeSeries(values=np.arange(30.0), steps_per_year=12.0), test_length=8)
+            for name in ("a", "b")
+        )
+        with pytest.raises(TypeError, match="a bug"):
+            run_benchmark(Dataset(entries=entries), parallelism=parallelism)
 
     def test_all_failures_leaves_none_medians(self):
         entries = (

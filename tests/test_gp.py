@@ -13,8 +13,6 @@ from gpforecast import (
     default_priors,
     default_spec,
     fit,
-    grad_log_marginal_likelihood,
-    log_marginal_likelihood,
     log_marginal_likelihood_and_grad,
     median_hyperparams,
     predict,
@@ -38,13 +36,11 @@ def jittered_gram(spec, theta, x):
 class TestLogMarginalLikelihood:
     def test_single_point_standard_normal(self):
         # unit noise, observation 0: log density of a standard normal at 0
-        value = log_marginal_likelihood(WN_SPEC, HyperParams(s2_noise=1.0), np.array([0.0]), np.array([0.0]))
+        value = fit(WN_SPEC, HyperParams(s2_noise=1.0), np.array([0.0]), np.array([0.0])).log_marginal
         assert value == pytest.approx(-0.9189385332046727, abs=1e-6)
 
     def test_two_points_identity_covariance(self):
-        value = log_marginal_likelihood(
-            WN_SPEC, HyperParams(s2_noise=1.0), np.array([0.0, 1.0]), np.array([1.0, -1.0])
-        )
+        value = fit(WN_SPEC, HyperParams(s2_noise=1.0), np.array([0.0, 1.0]), np.array([1.0, -1.0])).log_marginal
         assert value == pytest.approx(-2.8378770664093453, abs=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -53,7 +49,7 @@ class TestLogMarginalLikelihood:
         x = np.sort(rng.uniform(0.0, 4.0, size=5))
         y = rng.standard_normal(5)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
-        value = log_marginal_likelihood(FULL_SPEC, theta, x, y)
+        value = fit(FULL_SPEC, theta, x, y).log_marginal
         expected = oracles.dense_log_mvn(jittered_gram(FULL_SPEC, theta, x), y)
         assert value == pytest.approx(expected, abs=1e-8)
 
@@ -61,16 +57,16 @@ class TestLogMarginalLikelihood:
         rng = np.random.default_rng(5)
         x = np.sort(rng.uniform(0.0, 5.0, size=7))
         y = rng.standard_normal(7)
-        base = log_marginal_likelihood(FULL_SPEC, MEDIANS, x, y)
+        base = fit(FULL_SPEC, MEDIANS, x, y).log_marginal
         perm = rng.permutation(7)
-        permuted = log_marginal_likelihood(FULL_SPEC, MEDIANS, x[perm], y[perm])
+        permuted = fit(FULL_SPEC, MEDIANS, x[perm], y[perm]).log_marginal
         assert abs(base - permuted) <= 1e-10
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            log_marginal_likelihood(WN_SPEC, HyperParams(s2_noise=1.0), np.array([0.0, 1.0]), np.array([0.0]))
+            fit(WN_SPEC, HyperParams(s2_noise=1.0), np.array([0.0, 1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
-            log_marginal_likelihood(WN_SPEC, HyperParams(s2_noise=1.0), np.empty(0), np.empty(0))
+            fit(WN_SPEC, HyperParams(s2_noise=1.0), np.empty(0), np.empty(0))
 
 
 class TestGradient:
@@ -80,7 +76,7 @@ class TestGradient:
         y = rng.standard_normal(6)
         x = np.arange(6.0)
         s2 = 0.7
-        grad = grad_log_marginal_likelihood(WN_SPEC, HyperParams(s2_noise=s2), x, y)
+        _, grad = log_marginal_likelihood_and_grad(WN_SPEC, HyperParams(s2_noise=s2), x, y)
         expected = -3.0 + float(y @ y) / (2.0 * s2)
         assert grad[0] == pytest.approx(expected, rel=1e-6)
 
@@ -89,7 +85,7 @@ class TestGradient:
         y = rng.standard_normal(6)
         x = np.arange(6.0)
         s2_hat = float(np.mean(y * y))
-        grad = grad_log_marginal_likelihood(WN_SPEC, HyperParams(s2_noise=s2_hat), x, y)
+        _, grad = log_marginal_likelihood_and_grad(WN_SPEC, HyperParams(s2_noise=s2_hat), x, y)
         assert abs(grad[0]) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -101,10 +97,10 @@ class TestGradient:
         u = theta.to_log_vector(FULL_SPEC)
 
         def f(u_vec):
-            return log_marginal_likelihood(FULL_SPEC, theta.with_log_vector(FULL_SPEC, u_vec), x, y)
+            return fit(FULL_SPEC, theta.with_log_vector(FULL_SPEC, u_vec), x, y).log_marginal
 
         fd = oracles.central_difference(f, u, h=1e-5)
-        analytic = grad_log_marginal_likelihood(FULL_SPEC, theta, x, y)
+        _, analytic = log_marginal_likelihood_and_grad(FULL_SPEC, theta, x, y)
         rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
         assert float(rel.max()) <= 1e-5
 
@@ -113,8 +109,8 @@ class TestGradient:
         x = np.sort(rng.uniform(0.0, 3.0, size=5))
         y = rng.standard_normal(5)
         value, grad = log_marginal_likelihood_and_grad(FULL_SPEC, MEDIANS, x, y)
-        assert value == log_marginal_likelihood(FULL_SPEC, MEDIANS, x, y)
-        np.testing.assert_array_equal(grad, grad_log_marginal_likelihood(FULL_SPEC, MEDIANS, x, y))
+        assert value == fit(FULL_SPEC, MEDIANS, x, y).log_marginal
+        np.testing.assert_array_equal(grad, log_marginal_likelihood_and_grad(FULL_SPEC, MEDIANS, x, y)[1])
 
 
 class TestFitState:

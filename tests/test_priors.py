@@ -112,10 +112,11 @@ class TestLogPrior:
         )
         assert log_prior(PRIORS, theta, FULL_SPEC) == pytest.approx(expected, abs=1e-12)
 
-    def test_without_spec_sums_over_set_fields(self):
-        theta = HyperParams(s2_rbf=0.5, ell_rbf=2.0)
+    def test_sums_over_the_spec_trainables_only(self):
+        theta = HyperParams(s2_rbf=0.5, ell_rbf=2.0, s2_noise=0.3)
+        spec = KernelSpec(terms=(Term("RBF"),))
         expected = oracles.lognormal_logpdf(0.5, -1.5, 1.0) + oracles.lognormal_logpdf(2.0, 1.1, 1.0)
-        assert log_prior(PRIORS, theta) == pytest.approx(expected, abs=1e-12)
+        assert log_prior(PRIORS, theta, spec) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_nonpositive_theta(self):
         spec = KernelSpec(terms=(Term("WN"),))

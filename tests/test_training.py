@@ -14,10 +14,10 @@ from gpforecast import (
     fit,
     log_prior,
     map_objective,
-    map_objective_grad,
     median_hyperparams,
     train,
 )
+from gpforecast import training
 from gpforecast.gp import JITTER_START
 
 FULL_SPEC = default_spec("single-seasonal")
@@ -36,7 +36,7 @@ class TestMapObjective:
         s2 = 0.8
         theta = HyperParams(s2_noise=s2)
         x, y = np.array([0.0]), np.array([0.0])
-        value = map_objective(WN_SPEC, PRIORS, theta, x, y)
+        value, _ = map_objective(WN_SPEC, PRIORS, theta, x, y)
         from scipy.stats import norm
 
         gauss = float(norm.logpdf(0.0, scale=math.sqrt(s2 * (1.0 + JITTER_START))))
@@ -54,7 +54,7 @@ class TestMapObjective:
             oracles.lognormal_logpdf(theta.get(name), PRIORS[name].nu, PRIORS[name].lam)
             for name in FULL_SPEC.trainable_names()
         )
-        assert map_objective(FULL_SPEC, PRIORS, theta, x, y) == pytest.approx(expected, abs=1e-8)
+        assert map_objective(FULL_SPEC, PRIORS, theta, x, y)[0] == pytest.approx(expected, abs=1e-8)
 
     def test_objective_grad_composes_likelihood_and_prior(self):
         rng = np.random.default_rng(2)
@@ -64,10 +64,10 @@ class TestMapObjective:
         u = theta.to_log_vector(FULL_SPEC)
 
         def f(u_vec):
-            return map_objective(FULL_SPEC, PRIORS, theta.with_log_vector(FULL_SPEC, u_vec), x, y)
+            return map_objective(FULL_SPEC, PRIORS, theta.with_log_vector(FULL_SPEC, u_vec), x, y)[0]
 
         fd = oracles.central_difference(f, u, h=1e-5)
-        analytic = map_objective_grad(FULL_SPEC, PRIORS, theta, x, y)
+        _, analytic = map_objective(FULL_SPEC, PRIORS, theta, x, y)
         rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
         assert float(rel.max()) <= 1e-5
 
@@ -79,7 +79,7 @@ class TestTrain:
             x = np.arange(36) / 12.0
             y = oracles.standardize(np.cumsum(rng.standard_normal(36)))
             result = train(FULL_SPEC, PRIORS, x, y)
-            start = map_objective(FULL_SPEC, PRIORS, median_hyperparams(FULL_SPEC, PRIORS), x, y)
+            start, _ = map_objective(FULL_SPEC, PRIORS, median_hyperparams(FULL_SPEC, PRIORS), x, y)
             assert result.objective >= start - 1e-12
 
     def test_deterministic_for_single_restart(self):
@@ -98,7 +98,7 @@ class TestTrain:
         config = TrainConfig(max_iters=2)
         result = train(FULL_SPEC, PRIORS, x, y, config)
         assert not result.converged
-        start = map_objective(FULL_SPEC, PRIORS, median_hyperparams(FULL_SPEC, PRIORS), x, y)
+        start, _ = map_objective(FULL_SPEC, PRIORS, median_hyperparams(FULL_SPEC, PRIORS), x, y)
         assert result.objective >= start - 1e-12
 
     def test_restarts_never_hurt_and_stay_deterministic(self):
@@ -110,6 +110,39 @@ class TestTrain:
         multi_b = train(FULL_SPEC, PRIORS, x, y, TrainConfig(restarts=3, seed=5))
         assert multi_a.theta == multi_b.theta
         assert multi_a.objective >= single.objective - 1e-9
+
+    def test_converged_is_the_status_of_the_restart_holding_the_best_point(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        x = np.arange(36) / 12.0
+        y = oracles.standardize(rng.standard_normal(36))
+        config = TrainConfig(restarts=3, seed=5)
+        real_minimize = training.minimize
+        finals = []
+
+        def recording(*args, **kwargs):
+            result = real_minimize(*args, **kwargs)
+            finals.append(result.fun)
+            return result
+
+        monkeypatch.setattr(training, "minimize", recording)
+        reference = train(FULL_SPEC, PRIORS, x, y, config)
+        best = int(np.argmin(finals))
+
+        def rigged(best_succeeds):
+            calls = iter(range(len(finals)))
+
+            def minimize(*args, **kwargs):
+                result = real_minimize(*args, **kwargs)
+                result.status = 0 if (next(calls) == best) == best_succeeds else 1
+                return result
+
+            return minimize
+
+        for best_succeeds in (False, True):
+            monkeypatch.setattr(training, "minimize", rigged(best_succeeds))
+            result = train(FULL_SPEC, PRIORS, x, y, config)
+            assert result.theta == reference.theta
+            assert result.converged is best_succeeds
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
