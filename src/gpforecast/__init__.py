@@ -54,7 +54,6 @@ from .kernels import (
     build_cross,
     build_gram,
     eval_kernel,
-    grad_gram,
     zero_lag_variance,
 )
 from .metrics import ScoreReport, crps_gaussian, log_likelihood, mae, score

@@ -18,6 +18,13 @@ Long lengthscales routinely drive the Gram matrix to the edge of positive
 definiteness, so factorization uses an adaptive diagonal jitter: starting
 at 1e-8 times the mean diagonal and escalating tenfold up to 1e-2 before
 giving up with :class:`IllConditionedModelError`.
+
+The gradient needs K^-1, which LAPACK ``dpotri`` forms from the Cholesky
+factor.  It never builds an n-by-n matrix per hyperparameter: each
+stationary partial is the dot product of its values on the differences
+(from :func:`grad_gram`) with the matching sums of W = a a^T - K^-1, on a
+regular time grid W's diagonal sums, one per lag.  LIN, being rank 2,
+contributes two quadratic forms in W.
 """
 
 from __future__ import annotations
@@ -27,8 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 
-from .kernels import HyperParams, KernelSpec, build_cross, build_gram, grad_gram, zero_lag_variance
+from .kernels import TERM_PARAMS, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
+from .kernels import regular_lags, zero_lag_variance
 
 __all__ = [
     "IllConditionedModelError",
@@ -77,15 +86,20 @@ class PredictiveDistribution:
 
 
 def _cholesky_with_jitter(gram: np.ndarray) -> tuple[np.ndarray, float]:
-    n = gram.shape[0]
-    scale = float(np.mean(np.diag(gram)))
+    diagonal = np.diag(gram).copy()
+    scale = float(np.mean(diagonal))
     if not np.isfinite(scale) or scale <= 0:
         raise IllConditionedModelError(f"Gram diagonal is invalid (mean {scale!r})")
+    # One Fortran-ordered work array, refilled on each try: LAPACK factorizes
+    # it in place.  build_gram has already checked that gram is finite.
+    work = np.empty_like(gram, order="F")
     mult = JITTER_START
     while True:
         jitter = mult * scale
+        work.T[...] = gram  # gram is symmetric; this copy keeps memory order
+        np.fill_diagonal(work, diagonal + jitter)
         try:
-            lower = cholesky(gram + jitter * np.eye(n), lower=True)
+            lower = cholesky(work, lower=True, overwrite_a=True, check_finite=False)
             return lower, jitter
         except LinAlgError:
             mult *= 10.0
@@ -128,22 +142,62 @@ def log_marginal_likelihood_and_grad(
     """Log marginal likelihood and its gradient from one factorization.
 
     The gradient over the log-space trainables uses the standard identity
-    d lml / d u_k = 0.5 tr[(a a^T - K^-1) dK/du_k] with a = K^-1 y.
+    d lml / d u_k = 0.5 tr[W dK/du_k] with W = a a^T - K^-1 and a = K^-1 y.
+    On a regular grid a stationary term's dK/du_k is Toeplitz, so the trace
+    is the dot product of its per-lag partial with W's diagonal sums; on an
+    irregular grid it is a sum over the pairs i >= j of W_ij times the partial
+    at x_i - x_j, off-diagonal pairs counted twice.
+    LIN is rank 2, so its traces are the quadratic forms 1'W1 and x'Wx.
     The jitter tracks the mean Gram diagonal, so its dependence on the
     hyperparameters is included: the result is the exact gradient of the
     value actually computed.
     """
     state = fit(spec, theta, x, y)
-    n = state.x_train.size
-    k_inv = cho_solve((state.chol_lower, True), np.eye(n))
-    outer = np.outer(state.alpha, state.alpha) - k_inv
-    grads = grad_gram(spec, theta, state.x_train)
-    # both factors are symmetric, so the trace is an elementwise sum
-    grad = 0.5 * np.einsum("kij,ij->k", grads, outer)
-    mean_diag = float(np.mean(zero_lag_variance(spec, theta, state.x_train, include_noise=True)))
-    jitter_sensitivity = state.jitter / mean_diag * np.mean(np.diagonal(grads, axis1=1, axis2=2), axis=1)
-    grad += 0.5 * float(np.trace(outer)) * jitter_sensitivity
+    x, a = state.x_train, state.alpha
+    # dpotri writes the lower triangle of K^-1 over a copy of the factor and
+    # leaves its upper triangle, which scipy's cholesky returns zeroed
+    inv_lower, info = dpotri(state.chol_lower, lower=1)
+    if info != 0:
+        raise IllConditionedModelError(f"inverting the covariance failed (LAPACK dpotri info {info})")
+    lags = regular_lags(x)
+    if lags is None:  # every pair i >= j once, off-diagonal pairs counted twice
+        i, j = np.tril_indices(x.size)
+        d, s = x[i] - x[j], np.where(i == j, 1.0, 2.0) * (a[i] * a[j] - inv_lower[i, j])
+    else:  # W's diagonal sums: a's autocorrelation minus K^-1's, off-diagonals counted twice
+        d, s = lags, 2.0 * (np.correlate(a, a, "full")[x.size - 1 :] - _diagonal_sums(inv_lower))
+        s[0] *= 0.5
+    names = spec.trainable_names()
+    stationary = np.array([name not in TERM_PARAMS["LIN"] for name in names])
+    partials = grad_gram(spec, theta, d)
+    traces = np.empty(len(names))  # tr(W dK/du_k)
+    zero_lag = np.empty(len(names))  # mean diagonal of dK/du_k
+    traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]  # d[0] is lag 0
+    if spec.has("LIN"):  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
+        bias, slope = theta.get("s2_bias"), theta.get("s2_lin")
+        x_w_x = float((x @ a) ** 2 - x @ cho_solve((state.chol_lower, True), x))
+        traces[~stationary] = [bias * float(np.sum(s)), slope * x_w_x]
+        zero_lag[~stationary] = [bias, slope * float(np.mean(x * x))]
+    # dk/dlog s2 = k and every other partial vanishes at lag 0, so the
+    # zero-lag partials add up to the mean Gram diagonal the jitter tracks
+    jitter_sensitivity = state.jitter / math.fsum(zero_lag) * zero_lag
+    trace_w = float(a @ a - np.trace(inv_lower))
+    grad = 0.5 * traces + 0.5 * trace_w * jitter_sensitivity
     return state.log_marginal, grad
+
+
+def _diagonal_sums(lower: np.ndarray) -> np.ndarray:
+    """Sum of each subdiagonal l = 0 .. n-1 of a lower-triangular matrix.
+
+    ``lower``'s strict upper triangle must hold zeros.  The transpose's
+    first n*n - 1 entries, read row-major as an (n - 1, n + 1) array, hold
+    superdiagonal l in column l and those zeros elsewhere, all but the last
+    diagonal entry.  For LAPACK's column-major output that is a view.
+    """
+    n = lower.shape[0]
+    upper = np.ascontiguousarray(lower.T)
+    sums = upper.ravel()[: n * n - 1].reshape(n - 1, n + 1).sum(axis=0)[:n]
+    sums[0] += upper[n - 1, n - 1]
+    return sums
 
 
 def predict(

@@ -14,8 +14,17 @@ A second periodic term (PER2) can be enabled for series with two seasonal
 patterns.  All operations here are pure functions: they never mutate their
 inputs and are safe to call concurrently.
 
+Each term's formula is written once, in :func:`term_parts`, which returns
+its value and its partials on an array of any shape: of time differences
+for the stationary terms (everything but LIN), of products x1 * x2 for LIN.
+On a regular grid (:func:`regular_lags`) :func:`build_gram` evaluates the
+stationary terms on the n lags only and lays them out as a Toeplitz
+matrix; other inputs take the same formulas on the n-by-n differences.
+:func:`grad_gram` stacks the stationary terms' partials on a vector of
+differences: the n lags of a regular grid, or each pair of points once.
+
 Hyperparameters are always positive; optimization happens in log space, so
-every gradient in this module is taken with respect to ``log(parameter)``.
+every partial in this module is taken with respect to ``log(parameter)``.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 __all__ = [
     "InvalidHyperparameterError",
@@ -33,8 +43,10 @@ __all__ = [
     "eval_kernel",
     "build_gram",
     "build_cross",
-    "grad_gram",
     "zero_lag_variance",
+    "term_parts",
+    "grad_gram",
+    "regular_lags",
 ]
 
 
@@ -213,66 +225,93 @@ def validate_hyperparams(spec: KernelSpec, theta: HyperParams) -> None:
                 raise InvalidHyperparameterError(f"{field} must be finite and > 0, got {value!r}")
 
 
-def _term_cov(term: Term, theta: HyperParams, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Covariance of one term, broadcasting x1 against x2."""
-    kind = term.kind
-    d = x1 - x2
-    if kind == "RBF":
-        ell = theta.get("ell_rbf")
-        return theta.get("s2_rbf") * np.exp(-(d * d) / (2.0 * ell * ell))
-    if kind in ("PER", "PER2"):
-        suffix = "" if kind == "PER" else "2"
-        s2 = theta.get("s2_per" + suffix)
-        ell = theta.get("ell_per" + suffix)
-        p = theta.get("period" + suffix)
-        s = np.sin(np.pi * np.abs(d) / p)
-        return s2 * np.exp(-2.0 * s * s / (ell * ell))
-    if kind == "LIN":
-        return theta.get("s2_bias") + theta.get("s2_lin") * (x1 * x2)
-    if kind in ("SM1", "SM2"):
-        idx = kind[-1]
-        s2 = theta.get("s2_sm" + idx)
-        ell = theta.get("ell_sm" + idx)
-        tau = theta.get("tau_sm" + idx)
-        return s2 * np.exp(-(d * d) / (2.0 * ell * ell)) * np.cos(d / tau)
-    if kind == "WN":
-        return np.where(x1 == x2, theta.get("s2_noise"), 0.0)
-    raise AssertionError(kind)
+def term_parts(
+    term: Term, theta: HyperParams, d: np.ndarray | float | None, xx: np.ndarray | float | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Value of one term and its partials w.r.t. the log of each of its parameters.
 
-
-def _term_grads(term: Term, theta: HyperParams, x1: np.ndarray, x2: np.ndarray) -> list[np.ndarray]:
-    """Partials of one term w.r.t. log of each of its parameters.
-
-    Returned in the same order as ``TERM_PARAMS[term.kind]``.
+    Works elementwise on arrays of any shape.  Stationary terms read ``d``,
+    the time differences x1 - x2 (only |d| matters); LIN reads ``xx``, the
+    matching products x1 * x2.  The partials follow ``TERM_PARAMS[term.kind]``;
+    the first is the value itself, since dk/dlog s2 = k for every variance.
     """
     kind = term.kind
-    d = x1 - x2
+    if kind == "LIN":
+        s2_bias = theta.get("s2_bias")
+        slope = theta.get("s2_lin") * xx
+        k = s2_bias + slope
+        return k, [np.broadcast_to(s2_bias, np.shape(k)), slope]
+    d = np.abs(d)
     if kind == "RBF":
         ell = theta.get("ell_rbf")
         k = theta.get("s2_rbf") * np.exp(-(d * d) / (2.0 * ell * ell))
-        return [k, k * (d * d) / (ell * ell)]
+        return k, [k, k * (d * d) / (ell * ell)]
     if kind in ("PER", "PER2"):
         suffix = "" if kind == "PER" else "2"
-        s2 = theta.get("s2_per" + suffix)
         ell = theta.get("ell_per" + suffix)
-        p = theta.get("period" + suffix)
-        sin2 = np.sin(np.pi * np.abs(d) / p) ** 2
-        k = s2 * np.exp(-2.0 * sin2 / (ell * ell))
-        return [k, 4.0 * k * sin2 / (ell * ell)]
-    if kind == "LIN":
-        ones = np.ones(np.broadcast_shapes(x1.shape, x2.shape))
-        return [theta.get("s2_bias") * ones, theta.get("s2_lin") * (x1 * x2)]
+        sin2 = np.sin(np.pi * d / theta.get("period" + suffix)) ** 2
+        k = theta.get("s2_per" + suffix) * np.exp(-2.0 * sin2 / (ell * ell))
+        return k, [k, 4.0 * k * sin2 / (ell * ell)]
     if kind in ("SM1", "SM2"):
         idx = kind[-1]
-        s2 = theta.get("s2_sm" + idx)
         ell = theta.get("ell_sm" + idx)
         tau = theta.get("tau_sm" + idx)
-        env = s2 * np.exp(-(d * d) / (2.0 * ell * ell))
+        env = theta.get("s2_sm" + idx) * np.exp(-(d * d) / (2.0 * ell * ell))
         k = env * np.cos(d / tau)
-        return [k, k * (d * d) / (ell * ell), env * np.sin(d / tau) * d / tau]
+        return k, [k, k * (d * d) / (ell * ell), env * np.sin(d / tau) * d / tau]
     if kind == "WN":
-        return [np.where(x1 == x2, theta.get("s2_noise"), 0.0)]
+        k = np.where(d == 0, theta.get("s2_noise"), 0.0)
+        return k, [k]
     raise AssertionError(kind)
+
+
+def grad_gram(spec: KernelSpec, theta: HyperParams, d: np.ndarray) -> np.ndarray:
+    """Partials of the stationary terms w.r.t. the log of each of their trainables.
+
+    ``d`` is a 1-D array of time differences.  Returns shape ``(q, d.size)``:
+    one row per trainable of ``spec.trainable_names()`` that is not LIN's,
+    in that order.  Row k holds dK/du_k at each difference, so on a regular
+    grid, with d the lags, dK/du_k is the symmetric Toeplitz matrix of row k.
+    """
+    validate_hyperparams(spec, theta)
+    rows = [g for t in spec.terms if t.kind != "LIN" for g in term_parts(t, theta, d)[1]]
+    out = np.array(rows).reshape(len(rows), np.size(d))
+    _check_finite(out, "grad_gram")
+    return out
+
+
+def regular_lags(x: np.ndarray) -> np.ndarray | None:
+    """The lags ``x - x[0]`` if x is a regular grid x_i = x_0 + i h with h > 0, else None.
+
+    The grid test allows a few ulps of the grid's extent, the rounding that
+    ``arange(n) / steps_per_year`` leaves, and needs n >= 2.
+    """
+    n = x.size
+    if n < 2:
+        return None
+    lags = x - x[0]
+    h = lags[-1] / (n - 1)
+    tol = 8.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
+    # h > 2 tol keeps the points strictly increasing, so no two coincide
+    if not h > 2.0 * tol or np.max(np.abs(lags - h * np.arange(n))) > tol:
+        return None
+    return lags
+
+
+def _composition(
+    spec: KernelSpec,
+    theta: HyperParams,
+    d: np.ndarray | float,
+    xx: np.ndarray | float | None,
+    include_noise: bool = True,
+) -> np.ndarray:
+    """Sum of the enabled terms' values; ``xx=None`` leaves LIN out."""
+    out = np.zeros(np.shape(d))
+    for t in spec.terms:
+        if (t.kind == "WN" and not include_noise) or (t.kind == "LIN" and xx is None):
+            continue
+        out = out + term_parts(t, theta, d, xx)[0]
+    return out
 
 
 def _check_finite(out: np.ndarray, what: str) -> None:
@@ -287,10 +326,9 @@ def eval_kernel(spec: KernelSpec, theta: HyperParams, x1: float, x2: float) -> f
     built from integer steps so equality of repeated points is well defined.
     """
     validate_hyperparams(spec, theta)
-    a = np.asarray(float(x1))
-    b = np.asarray(float(x2))
-    total = sum(_term_cov(t, theta, a, b) for t in spec.terms)
-    out = float(total)
+    a = float(x1)
+    b = float(x2)
+    out = float(_composition(spec, theta, a - b, a * b))
     if not np.isfinite(out):
         raise InvalidHyperparameterError("kernel evaluated to a non-finite value")
     return out
@@ -299,16 +337,22 @@ def eval_kernel(spec: KernelSpec, theta: HyperParams, x1: float, x2: float) -> f
 def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
     """n-by-n covariance matrix K[i, j] = k(x[i], x[j]).
 
-    Symmetric by construction.  The WN term lands on the diagonal and on any
+    On a regular grid (see :func:`regular_lags`) the stationary terms are
+    evaluated once per lag and laid out as a symmetric Toeplitz matrix, to
+    which LIN adds its rank-2 part s2_bias 11^T + s2_lin xx^T.  Otherwise
+    every term is evaluated on the n-by-n differences.  Symmetric by
+    construction either way.  The WN term lands on the diagonal and on any
     exact duplicate time points.
     """
     validate_hyperparams(spec, theta)
     x = _as_points(x, "x")
-    col = x[:, None]
-    row = x[None, :]
-    gram = np.zeros((x.size, x.size))
-    for t in spec.terms:
-        gram = gram + _term_cov(t, theta, col, row)
+    lags = regular_lags(x)
+    if lags is None:
+        gram = _composition(spec, theta, x[:, None] - x[None, :], x[:, None] * x[None, :])
+    else:
+        gram = toeplitz(_composition(spec, theta, lags, None))
+        if spec.has("LIN"):
+            gram += term_parts(spec.term("LIN"), theta, None, np.multiply.outer(x, x))[0]
     _check_finite(gram, "build_gram")
     return gram
 
@@ -326,32 +370,9 @@ def build_cross(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray, x: np.
     x = _as_points(x, "x")
     col = x_star[:, None]
     row = x[None, :]
-    cross = np.zeros((x_star.size, x.size))
-    for t in spec.terms:
-        if t.kind == "WN":
-            continue
-        cross = cross + _term_cov(t, theta, col, row)
+    cross = _composition(spec, theta, col - row, col * row, include_noise=False)
     _check_finite(cross, "build_cross")
     return cross
-
-
-def grad_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
-    """Partials of the Gram matrix w.r.t. each log-space trainable.
-
-    Returns an array of shape ``(p, n, n)`` whose first axis follows
-    ``spec.trainable_names()``.
-    """
-    validate_hyperparams(spec, theta)
-    x = _as_points(x, "x")
-    col = x[:, None]
-    row = x[None, :]
-    mats: list[np.ndarray] = []
-    for t in spec.terms:
-        for g in _term_grads(t, theta, col, row):
-            mats.append(np.broadcast_to(g, (x.size, x.size)))
-    out = np.stack(mats)
-    _check_finite(out, "grad_gram")
-    return out
 
 
 def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x: np.ndarray, include_noise: bool = False) -> np.ndarray:
@@ -362,11 +383,7 @@ def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x: np.ndarray, inclu
     """
     validate_hyperparams(spec, theta)
     x = _as_points(x, "x", allow_empty=True)
-    out = np.zeros(x.size)
-    for t in spec.terms:
-        if t.kind == "WN" and not include_noise:
-            continue
-        out = out + _term_cov(t, theta, x, x)
+    out = _composition(spec, theta, np.zeros(x.size), x * x, include_noise)
     _check_finite(out, "zero_lag_variance")
     return out
 

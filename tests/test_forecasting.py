@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,14 +13,21 @@ from gpforecast import (
     Term,
     TimeSeries,
     default_horizon,
+    default_priors,
     default_spec,
     fit,
     forecast,
     future_time_index,
     make_time_index,
+    map_objective,
+    median_hyperparams,
     parse_frequency,
     predict,
+    zero_lag_variance,
 )
+from gpforecast.forecasting import DAILY_PERIOD, MIN_SERIES_LENGTH, SIX_HOURLY
+from gpforecast.gp import JITTER_START
+from gpforecast.kernels import regular_lags
 
 
 class TestTimeIndex:
@@ -174,6 +182,68 @@ class TestDoubleSeasonal:
         # the daily cycle extrapolates: the forecast must track its phase
         future_daily = np.sin(2.0 * np.pi * np.arange(n, n + 8) / 4.0)
         assert float(np.mean(np.abs(fc.mean - 3.0 - future_daily))) < 0.75
+
+
+class TestExactlyPeriodicSixHourly:
+    """An exactly repeating 6-hourly series under the double-seasonal model.
+
+    Such series drive the noise variance toward zero, the regime where the
+    covariance sits closest to singular.
+    """
+
+    DAY = np.array([0.2, 1.5, -0.4, -1.1])  # one day of four 6-hourly steps
+
+    def series(self, n):
+        week = np.tile(self.DAY, 7) + np.repeat(np.linspace(-1.0, 1.0, 7), 4)
+        return TimeSeries(values=np.resize(week, n), steps_per_year=SIX_HOURLY)
+
+    @pytest.mark.parametrize("n", [MIN_SERIES_LENGTH, 224])
+    def test_long_horizon_forecast_is_finite_with_positive_variance(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fc, _ = forecast(self.series(n), 4 * n, mode="double-seasonal")
+        assert np.all(np.isfinite(fc.mean))
+        assert np.all(np.isfinite(fc.variance))
+        assert np.all(fc.variance > 0)
+
+    @pytest.mark.parametrize(("n", "period_scale"), [(MIN_SERIES_LENGTH, 1e-14), (224, 1e-13)])
+    def test_gradient_at_escalated_jitter_matches_finite_differences(self, n, period_scale):
+        # Hyperparameters near the prior never escalate the jitter on this
+        # grid: the Gram is computed positive semi-definite to rounding.  A
+        # daily period shrunk by period_scale puts PER2's phase at 1e14 to
+        # 1e16 radians, where its rounding is 0.01 rad or more, so the
+        # computed Gram is indefinite at about the level of s2_per2.  y is
+        # drawn from that model so the objective stays well scaled for
+        # central differences.
+        spec = default_spec("double-seasonal")
+        priors = default_priors()
+        x = make_time_index(self.series(n))
+        assert regular_lags(x) is not None
+        theta = dataclasses.replace(
+            median_hyperparams(spec, priors), period2=DAILY_PERIOD * period_scale, s2_per2=1e-2, s2_noise=1e-12
+        )
+        y = fit(spec, theta, x, np.zeros(n)).chol_lower @ np.random.default_rng(0).standard_normal(n)
+        u = theta.to_log_vector(spec)
+
+        def jitter_multiple(u_vec):
+            moved = theta.with_log_vector(spec, u_vec)
+            mean_diag = float(np.mean(zero_lag_variance(spec, moved, x, include_noise=True)))
+            return fit(spec, moved, x, y).jitter / (JITTER_START * mean_diag)
+
+        multiple = jitter_multiple(u)
+        assert multiple > 10.0
+        # every finite-difference point factorizes at the same jitter level
+        h = 1e-5
+        for k in range(u.size):
+            for step in (h, -h):
+                assert jitter_multiple(u + step * np.eye(u.size)[k]) == pytest.approx(multiple, rel=1e-9)
+
+        def objective(u_vec):
+            return map_objective(spec, priors, theta.with_log_vector(spec, u_vec), x, y)[0]
+
+        fd = oracles.central_difference(objective, u, h=h)
+        _, analytic = map_objective(spec, priors, theta, x, y)
+        assert float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))) <= 1e-4
 
 
 class TestHorizonMonotonicity:

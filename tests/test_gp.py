@@ -14,11 +14,13 @@ from gpforecast import (
     default_spec,
     fit,
     log_marginal_likelihood_and_grad,
+    map_objective,
     median_hyperparams,
     predict,
     zero_lag_variance,
 )
 from gpforecast.gp import JITTER_START
+from gpforecast.kernels import regular_lags
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -113,6 +115,52 @@ class TestGradient:
         np.testing.assert_array_equal(grad, log_marginal_likelihood_and_grad(FULL_SPEC, MEDIANS, x, y)[1])
 
 
+class TestRegularGrid:
+    """LML and MAP gradient on the time-index grids, where the Gram is Toeplitz.
+
+    Acceptance criteria 1 and 2 draw irregular points; these checks use
+    their tolerances on ``arange(n) / steps_per_year``.
+    """
+
+    GRIDS = [("single-seasonal", 12.0), ("double-seasonal", 1461.0)]
+
+    @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
+    def test_log_marginal_matches_dense_oracle(self, mode, steps_per_year):
+        spec = default_spec(mode)
+        rng = np.random.default_rng(int(steps_per_year))
+        for _ in range(30):
+            n = int(rng.integers(4, 61))
+            x = np.arange(n) / steps_per_year
+            assert regular_lags(x) is not None
+            y = rng.standard_normal(n)
+            theta = oracles.random_hyperparams(spec, PRIORS, rng)
+            cov = np.array([[oracles.composition_value(spec, theta, a, b) for b in x] for a in x])
+            jitter = JITTER_START * float(np.mean(np.diag(cov)))
+            state = fit(spec, theta, x, y)
+            assert state.jitter == pytest.approx(jitter, rel=1e-12)
+            assert abs(state.log_marginal - oracles.dense_log_mvn(cov + jitter * np.eye(n), y)) <= 1e-8
+
+    @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
+    def test_map_gradient_matches_finite_differences(self, mode, steps_per_year):
+        spec = default_spec(mode)
+        template = median_hyperparams(spec, PRIORS)
+        rng = np.random.default_rng(int(steps_per_year) + 1)
+        for _ in range(30):
+            n = int(rng.integers(4, 61))
+            x = np.arange(n) / steps_per_year
+            assert regular_lags(x) is not None
+            y = rng.standard_normal(n)
+            theta = oracles.random_hyperparams(spec, PRIORS, rng)
+
+            def objective(u_vec, spec=spec, x=x, y=y):
+                return map_objective(spec, PRIORS, template.with_log_vector(spec, u_vec), x, y)[0]
+
+            fd = oracles.central_difference(objective, theta.to_log_vector(spec), h=1e-5)
+            _, analytic = map_objective(spec, PRIORS, theta, x, y)
+            rel = float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
+            assert rel <= 1e-4
+
+
 class TestFitState:
     def test_factor_solves_back_to_y(self):
         rng = np.random.default_rng(6)
@@ -124,6 +172,13 @@ class TestFitState:
         assert np.all(np.diag(lower) > 0)
         reconstructed = lower @ (lower.T @ state.alpha)
         np.testing.assert_allclose(reconstructed, y, rtol=1e-8, atol=1e-10)
+
+    def test_factor_upper_triangle_is_zero(self):
+        # the gradient's dpotri and diagonal sums read the factor's upper triangle as zeros
+        x = np.arange(30) / 12.0
+        y = np.random.default_rng(4).standard_normal(30)
+        state = fit(FULL_SPEC, MEDIANS, x, y)
+        assert not np.any(np.triu(state.chol_lower, 1))
 
     def test_fit_is_idempotent(self):
         x = np.arange(5.0) / 4.0

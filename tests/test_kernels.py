@@ -16,10 +16,12 @@ from gpforecast import (
     default_priors,
     default_spec,
     eval_kernel,
-    grad_gram,
     median_hyperparams,
     zero_lag_variance,
 )
+from scipy.linalg import toeplitz
+
+from gpforecast.kernels import grad_gram, regular_lags, term_parts
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -197,19 +199,70 @@ class TestBuildCross:
         assert cross[0, 0] == pytest.approx(1.0)
 
 
+class TestRegularGrid:
+    """build_gram's Toeplitz path, taken whenever x is a regular grid."""
+
+    @pytest.mark.parametrize("steps_per_year", [4.0, 12.0, 1461.0])
+    @pytest.mark.parametrize("n", [2, 3, 115, 500])
+    def test_time_index_grids_are_detected(self, steps_per_year, n):
+        x = np.arange(n) / steps_per_year
+        np.testing.assert_array_equal(regular_lags(x), x - x[0])
+        assert regular_lags(x + 7.25) is not None
+
+    def test_irregular_grids_take_the_dense_path(self):
+        rng = np.random.default_rng(0)
+        grid = np.arange(10) / 12.0
+        assert regular_lags(np.array([0.5])) is None
+        assert regular_lags(np.sort(rng.uniform(0.0, 6.0, size=10))) is None
+        assert regular_lags(grid[::-1]) is None  # h < 0
+        assert regular_lags(np.zeros(4)) is None  # h = 0
+        assert regular_lags(np.array([0.0, 1.0, 1.0, 2.0])) is None  # a duplicate
+        assert regular_lags(rng.permutation(grid)) is None
+        nudged = grid.copy()
+        nudged[5] += 1e-9
+        assert regular_lags(nudged) is None
+
+    @pytest.mark.parametrize(
+        ("mode", "steps_per_year", "n"),
+        [
+            ("single-seasonal", 12.0, 2),
+            ("single-seasonal", 12.0, 61),
+            ("single-seasonal", 12.0, 500),
+            ("double-seasonal", 1461.0, 2),
+            ("double-seasonal", 1461.0, 61),
+            ("double-seasonal", 1461.0, 500),
+        ],
+    )
+    def test_gram_matches_scalar_oracle(self, mode, steps_per_year, n):
+        spec = default_spec(mode)
+        theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(n))
+        x = np.arange(n) / steps_per_year
+        gram = build_gram(spec, theta, x)
+        expected = np.array([[oracles.composition_value(spec, theta, a, b) for b in x] for a in x])
+        assert np.max(np.abs(gram - expected)) <= 1e-12
+
+
+def pairwise(x):
+    """Differences and products of every pair of points, as n-by-n arrays."""
+    return x[:, None] - x[None, :], x[:, None] * x[None, :]
+
+
 class TestGradGram:
+    """Partials of the Gram matrix w.r.t. the log-space trainables, term by term from term_parts."""
+
     def test_noise_gradient_is_scaled_identity(self):
         x = np.array([0.0, 0.3, 0.9])
-        names = FULL_SPEC.trainable_names()
-        grads = grad_gram(FULL_SPEC, MEDIANS, x)
-        np.testing.assert_allclose(grads[names.index("s2_noise")], MEDIANS.s2_noise * np.eye(3))
+        _, partials = term_parts(Term("WN"), MEDIANS, *pairwise(x))
+        assert len(partials) == 1
+        np.testing.assert_allclose(partials[0], MEDIANS.s2_noise * np.eye(3))
 
     def test_log_variance_gradient_equals_term(self):
         spec = single_term_spec("RBF")
         theta = HyperParams(s2_rbf=1.7, ell_rbf=0.6)
         x = np.linspace(0.0, 2.0, 5)
-        grads = grad_gram(spec, theta, x)
-        np.testing.assert_allclose(grads[0], build_gram(spec, theta, x))
+        value, partials = term_parts(spec.terms[0], theta, *pairwise(x))
+        np.testing.assert_allclose(partials[0], build_gram(spec, theta, x))
+        np.testing.assert_array_equal(partials[0], value)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_partials_match_finite_differences(self, seed):
@@ -218,7 +271,7 @@ class TestGradGram:
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         names = FULL_SPEC.trainable_names()
         u = theta.to_log_vector(FULL_SPEC)
-        analytic = grad_gram(FULL_SPEC, theta, x)
+        analytic = [g for t in FULL_SPEC.terms for g in term_parts(t, theta, *pairwise(x))[1]]
         h = 1e-5
         for k in range(len(names)):
             up, down = u.copy(), u.copy()
@@ -247,8 +300,22 @@ class TestGradGram:
             "tau_sm2",
             "s2_noise",
         )
-        grads = grad_gram(FULL_SPEC, MEDIANS, np.array([0.0, 1.0]))
-        assert grads.shape == (len(names), 2, 2)
+        x = np.array([0.0, 1.0])
+        partials = [g for t in FULL_SPEC.terms for g in term_parts(t, MEDIANS, *pairwise(x))[1]]
+        assert len(partials) == len(names)
+        assert all(g.shape == (2, 2) for g in partials)
+
+
+    @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
+    def test_grad_gram_on_lags_lays_out_the_stationary_partials(self, mode):
+        spec = default_spec(mode)
+        theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(3))
+        x = np.arange(40) / 12.0
+        rows = grad_gram(spec, theta, regular_lags(x))
+        dense = [g for t in spec.terms if t.kind != "LIN" for g in term_parts(t, theta, *pairwise(x))[1]]
+        assert rows.shape == (len(spec.trainable_names()) - 2, x.size)
+        for row, g in zip(rows, dense):
+            np.testing.assert_allclose(toeplitz(row), g, rtol=1e-12, atol=1e-12)
 
 
 class TestSpecAndHyperparams:
