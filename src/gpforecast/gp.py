@@ -19,12 +19,16 @@ definiteness, so factorization uses an adaptive diagonal jitter: starting
 at 1e-8 times the mean diagonal and escalating tenfold up to 1e-2 before
 giving up with :class:`IllConditionedModelError`.
 
-The gradient needs K^-1, which LAPACK ``dpotri`` forms from the Cholesky
-factor.  It never builds an n-by-n matrix per hyperparameter: each
-stationary partial is the dot product of its values on the differences
-(from :func:`grad_gram`) with the matching sums of W = a a^T - K^-1, on a
-regular time grid W's diagonal sums, one per lag.  LIN, being rank 2,
-contributes two quadratic forms in W.
+On a regular grid :func:`build_gram` returns one Fortran-ordered array,
+LAPACK's layout; the Cholesky factorization overwrites it (a failed try
+rebuilds it), and the gradient overwrites the factor with K^-1 (LAPACK
+``dpotri``), so one evaluation owns one n-by-n array from assembly to
+inverse.  The gradient never builds an n-by-n matrix per hyperparameter:
+each stationary partial is the dot product of its values on the
+differences (from :func:`grad_gram`) with the matching sums of
+W = a a^T - K^-1, on a regular time grid W's diagonal sums, one per lag.
+LIN, being rank 2, contributes two quadratic forms in W; x^T K^-1 x is
+read from K^-1's lower triangle (BLAS ``dsymv``).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
 from .kernels import TERM_PARAMS, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
@@ -85,28 +90,28 @@ class PredictiveDistribution:
     observation_variance: np.ndarray
 
 
-def _cholesky_with_jitter(gram: np.ndarray) -> tuple[np.ndarray, float]:
+def _cholesky_with_jitter(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K(x, x) + jitter I, factorized where the Gram was built."""
+    gram = build_gram(spec, theta, x)
     diagonal = np.diag(gram).copy()
     scale = float(np.mean(diagonal))
     if not np.isfinite(scale) or scale <= 0:
         raise IllConditionedModelError(f"Gram diagonal is invalid (mean {scale!r})")
-    # One Fortran-ordered work array, refilled on each try: LAPACK factorizes
-    # it in place.  build_gram has already checked that gram is finite.
-    work = np.empty_like(gram, order="F")
     mult = JITTER_START
     while True:
         jitter = mult * scale
-        work.T[...] = gram  # gram is symmetric; this copy keeps memory order
-        np.fill_diagonal(work, diagonal + jitter)
+        np.fill_diagonal(gram, diagonal + jitter)
         try:
-            lower = cholesky(work, lower=True, overwrite_a=True, check_finite=False)
-            return lower, jitter
+            # build_gram has checked that gram is finite; on a regular grid it is
+            # Fortran-ordered, so LAPACK factorizes it in place
+            return cholesky(gram, lower=True, overwrite_a=True, check_finite=False), jitter
         except LinAlgError:
             mult *= 10.0
             if mult > JITTER_MAX * 1.0001:
                 raise IllConditionedModelError(
                     f"covariance not positive definite even with jitter {JITTER_MAX:g} * mean(diag)"
                 ) from None
+            gram = build_gram(spec, theta, x)  # the failed try overwrote part of it
 
 
 def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> FitState:
@@ -122,9 +127,8 @@ def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> F
         raise ValueError("need at least one observation")
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
-    gram = build_gram(spec, theta, x)
-    lower, jitter = _cholesky_with_jitter(gram)
-    alpha = cho_solve((lower, True), y)
+    lower, jitter = _cholesky_with_jitter(spec, theta, x)
+    alpha = cho_solve((lower, True), y, check_finite=False)
     n = x.size
     lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(lower)))) - 0.5 * n * _LOG_2PI
     return FitState(
@@ -154,9 +158,10 @@ def log_marginal_likelihood_and_grad(
     """
     state = fit(spec, theta, x, y)
     x, a = state.x_train, state.alpha
-    # dpotri writes the lower triangle of K^-1 over a copy of the factor and
-    # leaves its upper triangle, which scipy's cholesky returns zeroed
-    inv_lower, info = dpotri(state.chol_lower, lower=1)
+    # dpotri writes the lower triangle of K^-1 over the factor, which this
+    # state no longer needs, and leaves its upper triangle, which scipy's
+    # cholesky returns zeroed
+    inv_lower, info = dpotri(state.chol_lower, lower=1, overwrite_c=1)
     if info != 0:
         raise IllConditionedModelError(f"inverting the covariance failed (LAPACK dpotri info {info})")
     lags = regular_lags(x)
@@ -174,7 +179,7 @@ def log_marginal_likelihood_and_grad(
     traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]  # d[0] is lag 0
     if spec.has("LIN"):  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
         bias, slope = theta.get("s2_bias"), theta.get("s2_lin")
-        x_w_x = float((x @ a) ** 2 - x @ cho_solve((state.chol_lower, True), x))
+        x_w_x = float((x @ a) ** 2 - x @ dsymv(1.0, inv_lower, x, lower=1))
         traces[~stationary] = [bias * float(np.sum(s)), slope * x_w_x]
         zero_lag[~stationary] = [bias, slope * float(np.mean(x * x))]
     # dk/dlog s2 = k and every other partial vanishes at lag 0, so the
@@ -218,7 +223,7 @@ def predict(
         return PredictiveDistribution(mean=empty, latent_variance=empty.copy(), observation_variance=empty.copy())
     cross = build_cross(spec, theta, x_star, state.x_train)
     mean = cross @ state.alpha
-    v = solve_triangular(state.chol_lower, cross.T, lower=True)
+    v = solve_triangular(state.chol_lower, cross.T, lower=True, check_finite=False)
     latent = zero_lag_variance(spec, theta, x_star) - np.sum(v * v, axis=0)
     if np.any(latent < -1e-10):
         raise IllConditionedModelError(

@@ -18,8 +18,9 @@ Each term's formula is written once, in :func:`term_parts`, which returns
 its value and its partials on an array of any shape: of time differences
 for the stationary terms (everything but LIN), of products x1 * x2 for LIN.
 On a regular grid (:func:`regular_lags`) :func:`build_gram` evaluates the
-stationary terms on the n lags only and lays them out as a Toeplitz
-matrix; other inputs take the same formulas on the n-by-n differences.
+stationary terms and LIN's constant bias on the n lags only, lays them out
+as a Toeplitz matrix and adds LIN's slope as a rank-1 update in place;
+other inputs take the same formulas on the n-by-n differences.
 :func:`grad_gram` stacks the stationary terms' partials on a vector of
 differences: the n lags of a regular grid, or each pair of points once.
 
@@ -33,7 +34,8 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dger
 
 __all__ = [
     "InvalidHyperparameterError",
@@ -337,9 +339,11 @@ def eval_kernel(spec: KernelSpec, theta: HyperParams, x1: float, x2: float) -> f
 def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
     """n-by-n covariance matrix K[i, j] = k(x[i], x[j]).
 
-    On a regular grid (see :func:`regular_lags`) the stationary terms are
-    evaluated once per lag and laid out as a symmetric Toeplitz matrix, to
-    which LIN adds its rank-2 part s2_bias 11^T + s2_lin xx^T.  Otherwise
+    On a regular grid (see :func:`regular_lags`) the stationary terms and
+    LIN's bias, constant in the lag, are evaluated once per lag and laid
+    out as a symmetric Toeplitz matrix in one Fortran-ordered array, to
+    which LIN's slope s2_lin xx^T is added in place as the rank-1 update
+    v v^T, v = sqrt(s2_lin) x, which keeps it exactly symmetric.  Otherwise
     every term is evaluated on the n-by-n differences.  Symmetric by
     construction either way.  The WN term lands on the diagonal and on any
     exact duplicate time points.
@@ -350,9 +354,13 @@ def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarra
     if lags is None:
         gram = _composition(spec, theta, x[:, None] - x[None, :], x[:, None] * x[None, :])
     else:
-        gram = toeplitz(_composition(spec, theta, lags, None))
+        column = _composition(spec, theta, lags, 0.0)  # xx = 0 leaves LIN's bias
+        # row i of the reversed windows of (c[n-1], ..., c[1], c[0], ..., c[n-1]) is c[|i - j|]
+        windows = sliding_window_view(np.concatenate((column[:0:-1], column)), x.size)[::-1]
+        gram = np.ascontiguousarray(windows).T  # symmetric, so its transpose is itself
         if spec.has("LIN"):
-            gram += term_parts(spec.term("LIN"), theta, None, np.multiply.outer(x, x))[0]
+            v = np.sqrt(theta.get("s2_lin")) * x
+            gram = dger(1.0, v, v, a=gram, overwrite_a=1)
     _check_finite(gram, "build_gram")
     return gram
 

@@ -66,11 +66,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """``iterations`` and ``nfev`` are L-BFGS-B's iterations and objective evaluations, summed over restarts."""
+
     theta: HyperParams
     objective: float
     iterations: int
     converged: bool
     seconds: float
+    nfev: int
 
 
 def map_objective(
@@ -137,7 +140,7 @@ def train(
         for _ in range(config.restarts - 1):
             starts.append(u0 + rng.normal(0.0, 1.0, size=len(names)) * scales)
 
-    iterations = 0
+    iterations = nfev = 0
     converged = False
     for u_start in starts:
         value_before = best_value
@@ -153,6 +156,7 @@ def train(
             },
         )
         iterations += int(result.nit)
+        nfev += int(result.nfev)
         if best_value < value_before:  # this restart now holds the best point
             converged = result.status == 0
 
@@ -166,6 +170,7 @@ def train(
             iterations=iterations,
             converged=False,
             seconds=seconds,
+            nfev=nfev,
         )
     theta_map = template.with_log_vector(spec, best_u)
     return TrainResult(
@@ -174,4 +179,5 @@ def train(
         iterations=iterations,
         converged=converged,
         seconds=seconds,
+        nfev=nfev,
     )

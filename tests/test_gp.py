@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,24 @@ class TestRegularGrid:
             rel = float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
             assert rel <= 1e-4
 
+    @pytest.mark.parametrize(
+        ("mode", "steps_per_year", "n"), [("double-seasonal", 1461.0, 336), ("single-seasonal", 12.0, 132)]
+    )
+    def test_objective_evaluation_holds_one_n_by_n_array(self, mode, steps_per_year, n):
+        # the Gram is built, factorized and inverted in one buffer
+        spec = default_spec(mode)
+        theta = median_hyperparams(spec, PRIORS)
+        x = np.arange(n) / steps_per_year
+        y = np.random.default_rng(n).standard_normal(n)
+        map_objective(spec, PRIORS, theta, x, y)  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            map_objective(spec, PRIORS, theta, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
 
 class TestFitState:
     def test_factor_solves_back_to_y(self):
@@ -174,7 +193,7 @@ class TestFitState:
         np.testing.assert_allclose(reconstructed, y, rtol=1e-8, atol=1e-10)
 
     def test_factor_upper_triangle_is_zero(self):
-        # the gradient's dpotri and diagonal sums read the factor's upper triangle as zeros
+        # the gradient's in-place dpotri leaves the upper triangle, which its diagonal sums read as zeros
         x = np.arange(30) / 12.0
         y = np.random.default_rng(4).standard_normal(30)
         state = fit(FULL_SPEC, MEDIANS, x, y)

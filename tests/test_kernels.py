@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -240,6 +241,23 @@ class TestRegularGrid:
         gram = build_gram(spec, theta, x)
         expected = np.array([[oracles.composition_value(spec, theta, a, b) for b in x] for a in x])
         assert np.max(np.abs(gram - expected)) <= 1e-12
+
+    @pytest.mark.parametrize(("mode", "steps_per_year"), [("single-seasonal", 12.0), ("double-seasonal", 1461.0)])
+    @pytest.mark.parametrize("x0", [7.25, -3.5])
+    @pytest.mark.parametrize("lin", [False, True])
+    def test_offset_grid_gram_is_exactly_symmetric(self, mode, steps_per_year, x0, lin):
+        # LIN's slope enters as a rank-1 update in place; scaling both vectors by
+        # sqrt(s2_lin) keeps it symmetric, scaling the product by s2_lin does not
+        spec = default_spec(mode)
+        theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(61))
+        if lin:  # LIN-dominated
+            theta = dataclasses.replace(theta, s2_lin=37.0, s2_bias=23.0)
+        x = x0 + np.arange(61) / steps_per_year
+        assert regular_lags(x) is not None
+        gram = build_gram(spec, theta, x)
+        assert np.array_equal(gram, gram.T)
+        expected = np.array([[oracles.composition_value(spec, theta, a, b) for b in x] for a in x])
+        assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def pairwise(x):

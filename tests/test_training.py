@@ -144,6 +144,22 @@ class TestTrain:
             assert result.theta == reference.theta
             assert result.converged is best_succeeds
 
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_nfev_counts_every_objective_evaluation(self, monkeypatch, restarts):
+        rng = np.random.default_rng(23)
+        x = np.arange(36) / 12.0
+        y = oracles.standardize(rng.standard_normal(36))
+        real_objective = training.map_objective
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real_objective(*args, **kwargs)
+
+        monkeypatch.setattr(training, "map_objective", counting)
+        result = train(FULL_SPEC, PRIORS, x, y, TrainConfig(restarts=restarts, seed=5))
+        assert result.nfev == len(calls) >= result.iterations > 0
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
             train(FULL_SPEC, PRIORS, np.arange(3.0), np.zeros(3))
