@@ -20,15 +20,17 @@ at 1e-8 times the mean diagonal and escalating tenfold up to 1e-2 before
 giving up with :class:`IllConditionedModelError`.
 
 On a regular grid :func:`build_gram` returns one Fortran-ordered array,
-LAPACK's layout; the Cholesky factorization overwrites it (a failed try
-rebuilds it), and the gradient overwrites the factor with K^-1 (LAPACK
-``dpotri``), so one evaluation owns one n-by-n array from assembly to
-inverse.  The gradient never builds an n-by-n matrix per hyperparameter:
-each stationary partial is the dot product of its values on the
-differences (from :func:`grad_gram`) with the matching sums of
-W = a a^T - K^-1, on a regular time grid W's diagonal sums, one per lag.
-LIN, being rank 2, contributes two quadratic forms in W; x^T K^-1 x is
-read from K^-1's lower triangle (BLAS ``dsymv``).
+LAPACK's layout, and the Cholesky factorization overwrites it (a failed
+try rebuilds it), so one evaluation owns one n-by-n array.  The gradient
+never builds an n-by-n matrix per hyperparameter: each stationary partial
+is the dot product of its values on the differences (from
+:func:`grad_gram`) with the matching sums of W = a a^T - K^-1.  On a
+regular time grid those are W's diagonal sums, one per lag, and K is a
+symmetric Toeplitz matrix plus LIN's rank-1 slope, so K^-1's diagonal
+sums come in O(n^2) from two triangular solves with the factor
+(Gohberg-Semencul plus Sherman-Morrison) and K^-1 is never formed.  On
+other inputs LAPACK ``dpotri`` overwrites the factor with K^-1.  LIN,
+being rank 2, contributes two quadratic forms in W.
 """
 
 from __future__ import annotations
@@ -148,9 +150,11 @@ def log_marginal_likelihood_and_grad(
     The gradient over the log-space trainables uses the standard identity
     d lml / d u_k = 0.5 tr[W dK/du_k] with W = a a^T - K^-1 and a = K^-1 y.
     On a regular grid a stationary term's dK/du_k is Toeplitz, so the trace
-    is the dot product of its per-lag partial with W's diagonal sums; on an
-    irregular grid it is a sum over the pairs i >= j of W_ij times the partial
-    at x_i - x_j, off-diagonal pairs counted twice.
+    is the dot product of its per-lag partial with W's diagonal sums, and
+    K^-1's share of them comes from the factor in O(n^2) without inverting
+    it; on an irregular grid it is a sum over the pairs i >= j of W_ij times
+    the partial at x_i - x_j, off-diagonal pairs counted twice, with K^-1
+    from LAPACK ``dpotri``.
     LIN is rank 2, so its traces are the quadratic forms 1'W1 and x'Wx.
     The jitter tracks the mean Gram diagonal, so its dependence on the
     hyperparameters is included: the result is the exact gradient of the
@@ -158,19 +162,24 @@ def log_marginal_likelihood_and_grad(
     """
     state = fit(spec, theta, x, y)
     x, a = state.x_train, state.alpha
-    # dpotri writes the lower triangle of K^-1 over the factor, which this
-    # state no longer needs, and leaves its upper triangle, which scipy's
-    # cholesky returns zeroed
-    inv_lower, info = dpotri(state.chol_lower, lower=1, overwrite_c=1)
-    if info != 0:
-        raise IllConditionedModelError(f"inverting the covariance failed (LAPACK dpotri info {info})")
+    slope = theta.get("s2_lin") if spec.has("LIN") else 0.0
     lags = regular_lags(x)
     if lags is None:  # every pair i >= j once, off-diagonal pairs counted twice
+        # dpotri writes the lower triangle of K^-1 over the factor, which this
+        # state no longer needs
+        inv_lower, info = dpotri(state.chol_lower, lower=1, overwrite_c=1)
+        if info != 0:
+            raise IllConditionedModelError(f"inverting the covariance failed (LAPACK dpotri info {info})")
         i, j = np.tril_indices(x.size)
         d, s = x[i] - x[j], np.where(i == j, 1.0, 2.0) * (a[i] * a[j] - inv_lower[i, j])
+        trace_inv = float(np.trace(inv_lower))
+        x_inv_x = float(x @ dsymv(1.0, inv_lower, x, lower=1)) if slope else 0.0
     else:  # W's diagonal sums: a's autocorrelation minus K^-1's, off-diagonals counted twice
-        d, s = lags, 2.0 * (np.correlate(a, a, "full")[x.size - 1 :] - _diagonal_sums(inv_lower))
+        inv_sums, v_inv_v = _toeplitz_plus_rank1_inverse_sums(state.chol_lower, math.sqrt(slope) * x)
+        d, s = lags, 2.0 * (_correlation(a, a) - inv_sums)
         s[0] *= 0.5
+        trace_inv = float(inv_sums[0])
+        x_inv_x = v_inv_v / slope if slope else 0.0
     names = spec.trainable_names()
     stationary = np.array([name not in TERM_PARAMS["LIN"] for name in names])
     partials = grad_gram(spec, theta, d)
@@ -178,31 +187,58 @@ def log_marginal_likelihood_and_grad(
     zero_lag = np.empty(len(names))  # mean diagonal of dK/du_k
     traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]  # d[0] is lag 0
     if spec.has("LIN"):  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
-        bias, slope = theta.get("s2_bias"), theta.get("s2_lin")
-        x_w_x = float((x @ a) ** 2 - x @ dsymv(1.0, inv_lower, x, lower=1))
+        bias = theta.get("s2_bias")
+        x_w_x = float((x @ a) ** 2 - x_inv_x)
         traces[~stationary] = [bias * float(np.sum(s)), slope * x_w_x]
         zero_lag[~stationary] = [bias, slope * float(np.mean(x * x))]
     # dk/dlog s2 = k and every other partial vanishes at lag 0, so the
     # zero-lag partials add up to the mean Gram diagonal the jitter tracks
     jitter_sensitivity = state.jitter / math.fsum(zero_lag) * zero_lag
-    trace_w = float(a @ a - np.trace(inv_lower))
+    trace_w = float(a @ a - trace_inv)
     grad = 0.5 * traces + 0.5 * trace_w * jitter_sensitivity
     return state.log_marginal, grad
 
 
-def _diagonal_sums(lower: np.ndarray) -> np.ndarray:
-    """Sum of each subdiagonal l = 0 .. n-1 of a lower-triangular matrix.
+def _correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_m a[m + l] b[m]`` for l = 0 .. n-1."""
+    return np.correlate(a, b, "full")[a.size - 1 :]
 
-    ``lower``'s strict upper triangle must hold zeros.  The transpose's
-    first n*n - 1 entries, read row-major as an (n - 1, n + 1) array, hold
-    superdiagonal l in column l and those zeros elsewhere, all but the last
-    diagonal entry.  For LAPACK's column-major output that is a view.
+
+def _triangular_toeplitz_gram_sums(c: np.ndarray) -> np.ndarray:
+    """Subdiagonal sums of C C^T, C lower-triangular Toeplitz with first column c.
+
+    Subdiagonal l sums to ``sum_m (n - l - m) c[m] c[m + l]``.
     """
-    n = lower.shape[0]
-    upper = np.ascontiguousarray(lower.T)
-    sums = upper.ravel()[: n * n - 1].reshape(n - 1, n + 1).sum(axis=0)[:n]
-    sums[0] += upper[n - 1, n - 1]
-    return sums
+    n = c.size
+    return np.arange(n, 0, -1) * _correlation(c, c) - _correlation(c, np.arange(n) * c)
+
+
+def _toeplitz_plus_rank1_inverse_sums(lower: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Subdiagonal sums l = 0 .. n-1 of K^-1 and v^T K^-1 v, for K = T + v v^T = lower lower^T.
+
+    T is symmetric Toeplitz (with the jitter); v may be zero.  Two triangular
+    solves with the factor replace the O(n^3) inverse.  With p = K^-1 v and
+    beta = 1 - v^T p, Sherman-Morrison gives K^-1 = T^-1 - p p^T / beta, so
+    g = T^-1 e_0 = K^-1 e_0 + p p_0 / beta.  Gohberg-Semencul gives
+    T^-1 = (G G^T - Z Z^T) / g_0, G and Z lower-triangular Toeplitz with
+    first columns g and z = (0, g_{n-1}, ..., g_1), so each O(n^2) sum is a
+    correlation of two vectors.  T and K positive definite mean g_0 > 0 and
+    beta > 0; either failing means rounding has swamped the solve.
+    """
+    n = v.size
+    rhs = np.zeros((n, 2), order="F")
+    rhs[0, 0], rhs[:, 1] = 1.0, v
+    q, p = cho_solve((lower, True), rhs, check_finite=False).T
+    v_inv_v = float(v @ p)
+    beta = 1.0 - v_inv_v
+    if not (np.isfinite(beta) and beta > 0.0):
+        raise IllConditionedModelError(f"rank-1 update of the Toeplitz part is not positive (beta {beta!r})")
+    g = q + (p[0] / beta) * p
+    if not (np.isfinite(g[0]) and g[0] > 0.0):
+        raise IllConditionedModelError(f"inverse of the Toeplitz part is not positive (g0 {g[0]!r})")
+    z = np.concatenate(([0.0], g[:0:-1]))
+    sums = (_triangular_toeplitz_gram_sums(g) - _triangular_toeplitz_gram_sums(z)) / g[0]
+    return sums - _correlation(p, p) / beta, v_inv_v
 
 
 def predict(

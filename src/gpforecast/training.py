@@ -66,7 +66,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """``iterations`` and ``nfev`` are L-BFGS-B's iterations and objective evaluations, summed over restarts."""
+    """``iterations`` and ``nfev`` are L-BFGS-B's iterations and objective evaluations, summed over restarts.
+
+    ``termination`` is L-BFGS-B's message for the restart that produced
+    ``theta``, e.g. an ``ABNORMAL`` line-search stop behind ``converged=False``.
+    """
 
     theta: HyperParams
     objective: float
@@ -74,6 +78,7 @@ class TrainResult:
     converged: bool
     seconds: float
     nfev: int
+    termination: str
 
 
 def map_objective(
@@ -98,9 +103,10 @@ def train(
     """Maximize the MAP objective and return the best hyperparameters found.
 
     Deterministic for ``restarts == 1``: same input bits give the same
-    result bits.  ``converged`` is the optimizer status of the restart that
-    produced the returned point; if its iteration budget ran out, that
-    point is still returned, flagged via ``converged=False``.
+    result bits.  ``converged`` and ``termination`` are the optimizer status
+    and message of the restart that produced the returned point; if its
+    iteration budget ran out, that point is still returned, flagged via
+    ``converged=False``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -142,6 +148,7 @@ def train(
 
     iterations = nfev = 0
     converged = False
+    termination = "no trial point could be evaluated"
     for u_start in starts:
         value_before = best_value
         result = minimize(
@@ -159,6 +166,7 @@ def train(
         nfev += int(result.nfev)
         if best_value < value_before:  # this restart now holds the best point
             converged = result.status == 0
+            termination = str(result.message)
 
     seconds = time.perf_counter() - start
     if best_u is None:
@@ -171,6 +179,7 @@ def train(
             converged=False,
             seconds=seconds,
             nfev=nfev,
+            termination=termination,
         )
     theta_map = template.with_log_vector(spec, best_u)
     return TrainResult(
@@ -180,4 +189,5 @@ def train(
         converged=converged,
         seconds=seconds,
         nfev=nfev,
+        termination=termination,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -20,6 +21,7 @@ from gpforecast import (
     predict,
     zero_lag_variance,
 )
+from gpforecast import gp
 from gpforecast.gp import JITTER_START
 from gpforecast.kernels import regular_lags
 
@@ -161,11 +163,56 @@ class TestRegularGrid:
             rel = float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
             assert rel <= 1e-4
 
+    @pytest.mark.parametrize("n", [8, 48, 132, 224, 336])
+    @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
+    def test_regular_path_matches_pairwise_path_on_permuted_points(self, mode, steps_per_year, n):
+        # LML and gradient do not depend on the order of the points, and a
+        # permuted grid is not regular, so it takes the pairwise dpotri path.
+        # Tolerances are relative to max(1, |value|) and max(1, max |grad|):
+        # 1e-9 for both, 2e-6 and 5e-6 at the near-noiseless point, whose
+        # Gram (condition number ~1e9) amplifies the different rounding of
+        # the two Grams: with dpotri on both paths they differ by up to
+        # 2e-7 and 8e-7 there.
+        full = default_spec(mode)
+        without_lin = KernelSpec(terms=tuple(t for t in full.terms if t.kind != "LIN"))
+        medians = median_hyperparams(full, PRIORS)
+        points = [
+            (full, medians, 1e-9, 1e-9),
+            (full, dataclasses.replace(medians, s2_lin=37.0, s2_bias=23.0), 1e-9, 1e-9),
+            (without_lin, medians, 1e-9, 1e-9),
+            (full, dataclasses.replace(medians, s2_noise=5e-8), 2e-6, 5e-6),
+        ]
+        rng = np.random.default_rng(n)
+        for x0 in (0.0, 7.25):
+            x = x0 + np.arange(n) / steps_per_year
+            y = rng.standard_normal(n)
+            perm = rng.permutation(n)
+            assert regular_lags(x) is not None and regular_lags(x[perm]) is None
+            for spec, theta, value_tol, grad_tol in points:
+                value, grad = log_marginal_likelihood_and_grad(spec, theta, x, y)
+                value_perm, grad_perm = log_marginal_likelihood_and_grad(spec, theta, x[perm], y[perm])
+                assert abs(value - value_perm) <= value_tol * max(1.0, abs(value_perm))
+                assert np.max(np.abs(grad - grad_perm)) <= grad_tol * max(1.0, np.max(np.abs(grad_perm)))
+
+    def test_regular_grid_gradient_never_inverts_the_factor(self, monkeypatch):
+        def no_dpotri(*args, **kwargs):
+            raise AssertionError("dpotri called")
+
+        monkeypatch.setattr(gp, "dpotri", no_dpotri)
+        spec = default_spec("double-seasonal")
+        theta = median_hyperparams(spec, PRIORS)
+        x = np.arange(48) / 1461.0
+        y = np.random.default_rng(48).standard_normal(48)
+        map_objective(spec, PRIORS, theta, x, y)
+        perm = np.random.default_rng(0).permutation(48)
+        with pytest.raises(AssertionError, match="dpotri called"):
+            map_objective(spec, PRIORS, theta, x[perm], y[perm])
+
     @pytest.mark.parametrize(
         ("mode", "steps_per_year", "n"), [("double-seasonal", 1461.0, 336), ("single-seasonal", 12.0, 132)]
     )
     def test_objective_evaluation_holds_one_n_by_n_array(self, mode, steps_per_year, n):
-        # the Gram is built, factorized and inverted in one buffer
+        # the Gram is built and factorized in one buffer
         spec = default_spec(mode)
         theta = median_hyperparams(spec, PRIORS)
         x = np.arange(n) / steps_per_year
@@ -193,7 +240,7 @@ class TestFitState:
         np.testing.assert_allclose(reconstructed, y, rtol=1e-8, atol=1e-10)
 
     def test_factor_upper_triangle_is_zero(self):
-        # the gradient's in-place dpotri leaves the upper triangle, which its diagonal sums read as zeros
+        # chol_lower is a true lower-triangular matrix, not LAPACK's factor over the Gram's upper triangle
         x = np.arange(30) / 12.0
         y = np.random.default_rng(4).standard_normal(30)
         state = fit(FULL_SPEC, MEDIANS, x, y)

@@ -133,7 +133,9 @@ class TestTrain:
 
             def minimize(*args, **kwargs):
                 result = real_minimize(*args, **kwargs)
-                result.status = 0 if (next(calls) == best) == best_succeeds else 1
+                restart = next(calls)
+                result.status = 0 if (restart == best) == best_succeeds else 1
+                result.message = f"restart {restart}"
                 return result
 
             return minimize
@@ -143,6 +145,16 @@ class TestTrain:
             result = train(FULL_SPEC, PRIORS, x, y, config)
             assert result.theta == reference.theta
             assert result.converged is best_succeeds
+            assert result.termination == f"restart {best}"
+
+    def test_termination_is_the_optimizer_message(self):
+        x, y = sine_series(48)
+        stopped = train(FULL_SPEC, PRIORS, x, y, TrainConfig(max_iters=1))
+        assert not stopped.converged
+        assert "ITERATIONS REACHED LIMIT" in stopped.termination
+        finished = train(FULL_SPEC, PRIORS, x, y)
+        assert finished.converged
+        assert finished.termination.startswith("CONVERGENCE")
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_nfev_counts_every_objective_evaluation(self, monkeypatch, restarts):
