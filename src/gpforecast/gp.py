@@ -162,7 +162,7 @@ def log_marginal_likelihood_and_grad(
     """
     state = fit(spec, theta, x, y)
     x, a = state.x_train, state.alpha
-    slope = theta.get("s2_lin") if spec.has("LIN") else 0.0
+    slope = theta.s2_lin if spec.has("LIN") else 0.0
     lags = regular_lags(x)
     if lags is None:  # every pair i >= j once, off-diagonal pairs counted twice
         # dpotri writes the lower triangle of K^-1 over the factor, which this
@@ -187,7 +187,7 @@ def log_marginal_likelihood_and_grad(
     zero_lag = np.empty(len(names))  # mean diagonal of dK/du_k
     traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]  # d[0] is lag 0
     if spec.has("LIN"):  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
-        bias = theta.get("s2_bias")
+        bias = theta.s2_bias
         x_w_x = float((x @ a) ** 2 - x_inv_x)
         traces[~stationary] = [bias * float(np.sum(s)), slope * x_w_x]
         zero_lag[~stationary] = [bias, slope * float(np.mean(x * x))]
@@ -266,5 +266,5 @@ def predict(
             f"predictive variance went negative ({float(latent.min()):g}); model is ill-conditioned"
         )
     latent = np.maximum(latent, 0.0)
-    noise = theta.get("s2_noise") if spec.has("WN") else 0.0
+    noise = theta.s2_noise if spec.has("WN") else 0.0
     return PredictiveDistribution(mean=mean, latent_variance=latent, observation_variance=latent + noise)

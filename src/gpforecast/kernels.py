@@ -17,6 +17,10 @@ inputs and are safe to call concurrently.
 Each term's formula is written once, in :func:`term_parts`, which returns
 its value and its partials on an array of any shape: of time differences
 for the stationary terms (everything but LIN), of products x1 * x2 for LIN.
+A term reads its parameter values from a sequence in ``TERM_PARAMS`` order
+and a periodic term its fixed period from the :class:`Term` itself; every
+entry point checks the hyperparameters once, through
+:meth:`HyperParams.values`.
 On a regular grid (:func:`regular_lags`) :func:`build_gram` evaluates the
 stationary terms and LIN's constant bias on the n lags only, lays them out
 as a Toeplitz matrix and adds LIN's slope as a rank-1 update in place;
@@ -31,6 +35,7 @@ every partial in this module is taken with respect to ``log(parameter)``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,35 +73,17 @@ TERM_PARAMS: dict[str, tuple[str, ...]] = {
     "WN": ("s2_noise",),
 }
 
-VARIANCE_PARAMS = (
-    "s2_per",
-    "s2_per2",
-    "s2_bias",
-    "s2_lin",
-    "s2_rbf",
-    "s2_sm1",
-    "s2_sm2",
-    "s2_noise",
-)
-
-LENGTHSCALE_PARAMS = (
-    "ell_per",
-    "ell_per2",
-    "ell_rbf",
-    "ell_sm1",
-    "tau_sm1",
-    "ell_sm2",
-    "tau_sm2",
-)
+_ALL_PARAMS = tuple(name for names in TERM_PARAMS.values() for name in names)
+VARIANCE_PARAMS = tuple(name for name in _ALL_PARAMS if name.startswith("s2_"))
+LENGTHSCALE_PARAMS = tuple(name for name in _ALL_PARAMS if not name.startswith("s2_"))
 
 
 @dataclass(frozen=True)
 class Term:
     """One enabled component of the composition.
 
-    ``period`` is required for PER/PER2 and forbidden otherwise.  It seeds
-    the ``period``/``period2`` fields when hyperparameters are constructed
-    from a spec; evaluation reads the copy stored on the hyperparameters.
+    ``period`` is required for PER/PER2 and forbidden otherwise.  It is
+    fixed, never trained, and evaluation reads it from here.
     """
 
     kind: str
@@ -162,8 +149,8 @@ class HyperParams:
     """Full set of kernel hyperparameters.
 
     Every variance (``s2_*``), lengthscale (``ell_*``) and cosine-period
-    parameter (``tau_*``) must be strictly positive.  ``period`` and
-    ``period2`` are fixed constants, excluded from the trainable vector.
+    parameter (``tau_*``) must be strictly positive.  The fixed periods
+    live on the spec's terms (:class:`Term`), not here.
 
     The SM cosine is ``cos((x1 - x2) / tau)``: ``tau`` equals the cycle
     length divided by 2*pi, not the cycle length itself.
@@ -171,10 +158,8 @@ class HyperParams:
 
     s2_per: float | None = None
     ell_per: float | None = None
-    period: float | None = None
     s2_per2: float | None = None
     ell_per2: float | None = None
-    period2: float | None = None
     s2_bias: float | None = None
     s2_lin: float | None = None
     s2_rbf: float | None = None
@@ -187,21 +172,30 @@ class HyperParams:
     tau_sm2: float | None = None
     s2_noise: float | None = None
 
-    def get(self, name: str) -> float:
-        value = getattr(self, name)
-        if value is None:
-            raise InvalidHyperparameterError(f"hyperparameter {name!r} is not set")
-        return value
+    def values(self, spec: KernelSpec) -> list[float]:
+        """The trainable parameters in ``spec.trainable_names()`` order.
+
+        Raises :class:`InvalidHyperparameterError` unless each is set,
+        finite and > 0.
+        """
+        out = []
+        for name in spec.trainable_names():
+            value = getattr(self, name)
+            if value is None:
+                raise InvalidHyperparameterError(f"spec enables {name!r} but it is not set")
+            if not math.isfinite(value) or value <= 0:
+                raise InvalidHyperparameterError(f"{name} must be finite and > 0, got {value!r}")
+            out.append(value)
+        return out
 
     def to_log_vector(self, spec: KernelSpec) -> np.ndarray:
         """Log of the trainable parameters, in ``spec.trainable_names()`` order."""
-        validate_hyperparams(spec, self)
-        return np.log([self.get(name) for name in spec.trainable_names()])
+        return np.log(self.values(spec))
 
     def with_log_vector(self, spec: KernelSpec, u: np.ndarray) -> "HyperParams":
         """Copy of self with the trainables replaced by ``exp(u)``.
 
-        Fixed periods and any fields outside the spec are left untouched.
+        Fields outside the spec are left untouched.
         """
         names = spec.trainable_names()
         u = np.asarray(u, dtype=float)
@@ -212,59 +206,50 @@ class HyperParams:
         return dataclasses.replace(self, **dict(zip(names, values.tolist())))
 
 
-def validate_hyperparams(spec: KernelSpec, theta: HyperParams) -> None:
-    """Check positivity and finiteness of every parameter the spec uses."""
-    for name in spec.trainable_names():
-        value = getattr(theta, name)
-        if value is None:
-            raise InvalidHyperparameterError(f"spec enables {name!r} but it is not set")
-        if not np.isfinite(value) or value <= 0:
-            raise InvalidHyperparameterError(f"{name} must be finite and > 0, got {value!r}")
-    for kind, field in (("PER", "period"), ("PER2", "period2")):
-        if spec.has(kind):
-            value = getattr(theta, field)
-            if value is None or not np.isfinite(value) or value <= 0:
-                raise InvalidHyperparameterError(f"{field} must be finite and > 0, got {value!r}")
-
-
 def term_parts(
-    term: Term, theta: HyperParams, d: np.ndarray | float | None, xx: np.ndarray | float | None = None
+    term: Term, p: list[float], d: np.ndarray | float | None, xx: np.ndarray | float | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Value of one term and its partials w.r.t. the log of each of its parameters.
 
-    Works elementwise on arrays of any shape.  Stationary terms read ``d``,
-    the time differences x1 - x2 (only |d| matters); LIN reads ``xx``, the
-    matching products x1 * x2.  The partials follow ``TERM_PARAMS[term.kind]``;
-    the first is the value itself, since dk/dlog s2 = k for every variance.
+    ``p`` holds the term's parameter values in ``TERM_PARAMS[term.kind]``
+    order; a periodic term's period is ``term.period``.  Works elementwise
+    on arrays of any shape.  Stationary terms read ``d``, the time
+    differences x1 - x2 (only |d| matters); LIN reads ``xx``, the matching
+    products x1 * x2.  The partials follow ``p``; the first is the value
+    itself, since dk/dlog s2 = k for every variance.
     """
     kind = term.kind
     if kind == "LIN":
-        s2_bias = theta.get("s2_bias")
-        slope = theta.get("s2_lin") * xx
+        s2_bias, s2_lin = p
+        slope = s2_lin * xx
         k = s2_bias + slope
         return k, [np.broadcast_to(s2_bias, np.shape(k)), slope]
     d = np.abs(d)
     if kind == "RBF":
-        ell = theta.get("ell_rbf")
-        k = theta.get("s2_rbf") * np.exp(-(d * d) / (2.0 * ell * ell))
+        s2, ell = p
+        k = s2 * np.exp(-(d * d) / (2.0 * ell * ell))
         return k, [k, k * (d * d) / (ell * ell)]
     if kind in ("PER", "PER2"):
-        suffix = "" if kind == "PER" else "2"
-        ell = theta.get("ell_per" + suffix)
-        sin2 = np.sin(np.pi * d / theta.get("period" + suffix)) ** 2
-        k = theta.get("s2_per" + suffix) * np.exp(-2.0 * sin2 / (ell * ell))
+        s2, ell = p
+        sin2 = np.sin(np.pi * d / term.period) ** 2
+        k = s2 * np.exp(-2.0 * sin2 / (ell * ell))
         return k, [k, 4.0 * k * sin2 / (ell * ell)]
     if kind in ("SM1", "SM2"):
-        idx = kind[-1]
-        ell = theta.get("ell_sm" + idx)
-        tau = theta.get("tau_sm" + idx)
-        env = theta.get("s2_sm" + idx) * np.exp(-(d * d) / (2.0 * ell * ell))
+        s2, ell, tau = p
+        env = s2 * np.exp(-(d * d) / (2.0 * ell * ell))
         k = env * np.cos(d / tau)
         return k, [k, k * (d * d) / (ell * ell), env * np.sin(d / tau) * d / tau]
     if kind == "WN":
-        k = np.where(d == 0, theta.get("s2_noise"), 0.0)
+        (s2,) = p
+        k = np.where(d == 0, s2, 0.0)
         return k, [k]
     raise AssertionError(kind)
+
+
+def _term_values(spec: KernelSpec, theta: HyperParams) -> list[tuple[Term, list[float]]]:
+    """Each term of the spec with its parameter values, after one check of theta."""
+    values = iter(theta.values(spec))
+    return [(t, [next(values) for _ in TERM_PARAMS[t.kind]]) for t in spec.terms]
 
 
 def grad_gram(spec: KernelSpec, theta: HyperParams, d: np.ndarray) -> np.ndarray:
@@ -275,8 +260,7 @@ def grad_gram(spec: KernelSpec, theta: HyperParams, d: np.ndarray) -> np.ndarray
     in that order.  Row k holds dK/du_k at each difference, so on a regular
     grid, with d the lags, dK/du_k is the symmetric Toeplitz matrix of row k.
     """
-    validate_hyperparams(spec, theta)
-    rows = [g for t in spec.terms if t.kind != "LIN" for g in term_parts(t, theta, d)[1]]
+    rows = [g for t, p in _term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, d)[1]]
     out = np.array(rows).reshape(len(rows), np.size(d))
     _check_finite(out, "grad_gram")
     return out
@@ -301,18 +285,16 @@ def regular_lags(x: np.ndarray) -> np.ndarray | None:
 
 
 def _composition(
-    spec: KernelSpec,
-    theta: HyperParams,
+    terms: list[tuple[Term, list[float]]],
     d: np.ndarray | float,
-    xx: np.ndarray | float | None,
+    xx: np.ndarray | float,
     include_noise: bool = True,
 ) -> np.ndarray:
-    """Sum of the enabled terms' values; ``xx=None`` leaves LIN out."""
+    """Sum of the values of ``terms``, as from :func:`_term_values`."""
     out = np.zeros(np.shape(d))
-    for t in spec.terms:
-        if (t.kind == "WN" and not include_noise) or (t.kind == "LIN" and xx is None):
-            continue
-        out = out + term_parts(t, theta, d, xx)[0]
+    for t, p in terms:
+        if t.kind != "WN" or include_noise:
+            out = out + term_parts(t, p, d, xx)[0]
     return out
 
 
@@ -327,10 +309,10 @@ def eval_kernel(spec: KernelSpec, theta: HyperParams, x1: float, x2: float) -> f
     The WN term contributes only when ``x1 == x2`` exactly; time indices are
     built from integer steps so equality of repeated points is well defined.
     """
-    validate_hyperparams(spec, theta)
+    terms = _term_values(spec, theta)
     a = float(x1)
     b = float(x2)
-    out = float(_composition(spec, theta, a - b, a * b))
+    out = float(_composition(terms, a - b, a * b))
     if not np.isfinite(out):
         raise InvalidHyperparameterError("kernel evaluated to a non-finite value")
     return out
@@ -348,18 +330,18 @@ def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarra
     construction either way.  The WN term lands on the diagonal and on any
     exact duplicate time points.
     """
-    validate_hyperparams(spec, theta)
+    terms = _term_values(spec, theta)
     x = _as_points(x, "x")
     lags = regular_lags(x)
     if lags is None:
-        gram = _composition(spec, theta, x[:, None] - x[None, :], x[:, None] * x[None, :])
+        gram = _composition(terms, x[:, None] - x[None, :], x[:, None] * x[None, :])
     else:
-        column = _composition(spec, theta, lags, 0.0)  # xx = 0 leaves LIN's bias
+        column = _composition(terms, lags, 0.0)  # xx = 0 leaves LIN's bias
         # row i of the reversed windows of (c[n-1], ..., c[1], c[0], ..., c[n-1]) is c[|i - j|]
         windows = sliding_window_view(np.concatenate((column[:0:-1], column)), x.size)[::-1]
         gram = np.ascontiguousarray(windows).T  # symmetric, so its transpose is itself
         if spec.has("LIN"):
-            v = np.sqrt(theta.get("s2_lin")) * x
+            v = np.sqrt(theta.s2_lin) * x
             gram = dger(1.0, v, v, a=gram, overwrite_a=1)
     _check_finite(gram, "build_gram")
     return gram
@@ -373,25 +355,25 @@ def build_cross(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray, x: np.
     test point that exactly duplicates a training point only sees the
     signal covariance (its prediction shrinks toward the latent mean).
     """
-    validate_hyperparams(spec, theta)
+    terms = _term_values(spec, theta)
     x_star = _as_points(x_star, "x_star", allow_empty=True)
     x = _as_points(x, "x")
     col = x_star[:, None]
     row = x[None, :]
-    cross = _composition(spec, theta, col - row, col * row, include_noise=False)
+    cross = _composition(terms, col - row, col * row, include_noise=False)
     _check_finite(cross, "build_cross")
     return cross
 
 
-def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x: np.ndarray, include_noise: bool = False) -> np.ndarray:
-    """Per-point prior variance k(x_i, x_i), excluding noise by default.
+def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
+    """Per-point prior variance k(x_i, x_i) of the latent function, without the noise.
 
     Used for predictive variances: the latent-function variance at a test
     point never includes the white-noise term.
     """
-    validate_hyperparams(spec, theta)
+    terms = _term_values(spec, theta)
     x = _as_points(x, "x", allow_empty=True)
-    out = _composition(spec, theta, np.zeros(x.size), x * x, include_noise)
+    out = _composition(terms, np.zeros(x.size), x * x, include_noise=False)
     _check_finite(out, "zero_lag_variance")
     return out
 

@@ -16,7 +16,12 @@ parameter within a plausible order of magnitude while leaving fat tails:
 with ``lam = 1.0`` everywhere.  All variances share a single prior (each
 component gets the same prior chance of being switched off), and all
 lengthscale-type parameters share the same log-variance.  A second periodic
-term reuses the ``ell_per`` entry and the shared variance prior.
+term has its own ``ell_per2`` entry, by default equal to ``ell_per``'s, and
+the shared variance prior.  The fixed periods live on the kernel spec's
+terms and carry no prior.
+
+:func:`log_prior` and :func:`grad_log_prior` are one array expression each
+over ``u = log(theta)`` and the spec's ``nu`` and ``lam`` arrays.
 
 Priors can be saved to and loaded from a plain-text file (one
 ``name = nu lam`` line per parameter) so alternative calibrations can be
@@ -31,13 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .kernels import (
-    LENGTHSCALE_PARAMS,
-    VARIANCE_PARAMS,
-    HyperParams,
-    InvalidHyperparameterError,
-    KernelSpec,
-)
+from .kernels import LENGTHSCALE_PARAMS, VARIANCE_PARAMS, HyperParams, KernelSpec
 
 __all__ = [
     "LogNormalPrior",
@@ -70,17 +69,6 @@ class LogNormalPrior:
     def quantile(self, q: float) -> float:
         return math.exp(self.nu + math.sqrt(self.lam) * float(ndtri(q)))
 
-    def logpdf(self, theta: float) -> float:
-        """Lognormal density of theta itself (includes the 1/theta Jacobian)."""
-        if not np.isfinite(theta) or theta <= 0:
-            raise InvalidHyperparameterError(f"lognormal prior needs theta > 0, got {theta!r}")
-        u = math.log(theta)
-        return -u - 0.5 * math.log(self.lam) - 0.5 * _LOG_2PI - (u - self.nu) ** 2 / (2.0 * self.lam)
-
-    def dlogpdf_dlog(self, u: float) -> float:
-        """Derivative of ``logpdf(exp(u))`` with respect to ``u``."""
-        return -1.0 - (u - self.nu) / self.lam
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -102,9 +90,6 @@ class PriorSpec:
         except KeyError:
             raise KeyError(f"no prior defined for hyperparameter {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
     def names(self) -> tuple[str, ...]:
         return tuple(self.entries)
 
@@ -123,31 +108,35 @@ def default_priors() -> PriorSpec:
     return PriorSpec(entries=entries)
 
 
+def _nu_lam(priors: PriorSpec, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The priors' ``nu`` and ``lam`` in ``spec.trainable_names()`` order."""
+    entries = [priors[name] for name in spec.trainable_names()]
+    return np.array([e.nu for e in entries]), np.array([e.lam for e in entries])
+
+
 def log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> float:
-    """Sum of lognormal log-densities over the spec's trainable parameters."""
-    return sum(priors[name].logpdf(theta.get(name)) for name in spec.trainable_names())
+    """Sum over the spec's trainables of the lognormal log-density of theta (with its 1/theta Jacobian)."""
+    u = theta.to_log_vector(spec)
+    nu, lam = _nu_lam(priors, spec)
+    terms = -u - 0.5 * np.log(lam) - 0.5 * _LOG_2PI - (u - nu) ** 2 / (2.0 * lam)
+    return sum(terms.tolist())  # left to right in spec order, unlike np.sum's pairwise order
 
 
 def grad_log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> np.ndarray:
     """Gradient of the log-prior w.r.t. the log-space trainable vector."""
-    names = spec.trainable_names()
-    u = np.log([theta.get(name) for name in names])
-    return np.array([priors[name].dlogpdf_dlog(u_k) for name, u_k in zip(names, u)])
+    u = theta.to_log_vector(spec)
+    nu, lam = _nu_lam(priors, spec)
+    return -1.0 - (u - nu) / lam
 
 
 def median_hyperparams(spec: KernelSpec, priors: PriorSpec | None = None) -> HyperParams:
-    """Hyperparameters at the prior medians, periods copied from the spec.
+    """Hyperparameters at the prior medians.
 
     This is the training start point: in log space the medians are the
     prior means, which makes a single optimizer start reproducible.
     """
     priors = priors if priors is not None else default_priors()
-    values: dict[str, float] = {name: priors[name].median() for name in spec.trainable_names()}
-    if spec.has("PER"):
-        values["period"] = spec.term("PER").period
-    if spec.has("PER2"):
-        values["period2"] = spec.term("PER2").period
-    return HyperParams(**values)
+    return HyperParams(**{name: priors[name].median() for name in spec.trainable_names()})
 
 
 def format_priors(priors: PriorSpec) -> str:

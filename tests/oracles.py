@@ -48,9 +48,9 @@ def composition_value(spec, theta, x1: float, x2: float, include_noise: bool = T
         if term.kind == "RBF":
             total += rbf_value(theta.s2_rbf, theta.ell_rbf, x1, x2)
         elif term.kind == "PER":
-            total += periodic_value(theta.s2_per, theta.ell_per, theta.period, x1, x2)
+            total += periodic_value(theta.s2_per, theta.ell_per, term.period, x1, x2)
         elif term.kind == "PER2":
-            total += periodic_value(theta.s2_per2, theta.ell_per2, theta.period2, x1, x2)
+            total += periodic_value(theta.s2_per2, theta.ell_per2, term.period, x1, x2)
         elif term.kind == "LIN":
             total += linear_value(theta.s2_bias, theta.s2_lin, x1, x2)
         elif term.kind == "SM1":

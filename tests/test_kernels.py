@@ -17,12 +17,14 @@ from gpforecast import (
     default_priors,
     default_spec,
     eval_kernel,
+    grad_log_prior,
+    log_prior,
     median_hyperparams,
     zero_lag_variance,
 )
 from scipy.linalg import toeplitz
 
-from gpforecast.kernels import grad_gram, regular_lags, term_parts
+from gpforecast.kernels import TERM_PARAMS, grad_gram, regular_lags, term_parts
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -43,7 +45,7 @@ class TestEvalKernel:
 
     def test_periodic_exact_periodicity(self):
         spec = single_term_spec("PER")
-        theta = HyperParams(s2_per=0.8, ell_per=1.5, period=1.0)
+        theta = HyperParams(s2_per=0.8, ell_per=1.5)
         for x in (0.0, 0.3, 2.7):
             assert abs(eval_kernel(spec, theta, x, x + 1.0) - eval_kernel(spec, theta, x, x)) <= 1e-12
 
@@ -69,7 +71,7 @@ class TestZeroLag:
         x = 1.7
         cases = [
             ("RBF", HyperParams(s2_rbf=0.9, ell_rbf=2.0), 0.9),
-            ("PER", HyperParams(s2_per=1.4, ell_per=0.7, period=1.0), 1.4),
+            ("PER", HyperParams(s2_per=1.4, ell_per=0.7), 1.4),
             ("SM1", HyperParams(s2_sm1=0.6, ell_sm1=0.5, tau_sm1=2.0), 0.6),
             ("SM2", HyperParams(s2_sm2=2.2, ell_sm2=3.0, tau_sm2=5.0), 2.2),
             ("WN", HyperParams(s2_noise=0.31), 0.31),
@@ -85,10 +87,8 @@ class TestZeroLag:
     def test_zero_lag_variance_excludes_noise(self):
         x = np.array([0.0, 1.25])
         sig = zero_lag_variance(FULL_SPEC, MEDIANS, x)
-        full = zero_lag_variance(FULL_SPEC, MEDIANS, x, include_noise=True)
-        np.testing.assert_allclose(full - sig, MEDIANS.s2_noise)
         for i, xi in enumerate(x):
-            assert full[i] == pytest.approx(eval_kernel(FULL_SPEC, MEDIANS, xi, xi), abs=1e-14)
+            assert sig[i] + MEDIANS.s2_noise == pytest.approx(eval_kernel(FULL_SPEC, MEDIANS, xi, xi), abs=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,7 +113,7 @@ def test_gram_with_jitter_is_positive_definite(seed):
 
 def test_periodicity_holds_for_integer_multiples():
     spec = single_term_spec("PER")
-    theta = HyperParams(s2_per=1.1, ell_per=0.9, period=1.0)
+    theta = HyperParams(s2_per=1.1, ell_per=0.9)
     for x in (0.0, 0.37, 5.2):
         base = eval_kernel(spec, theta, x, x)
         for j in (1, 2, 3, 7):
@@ -265,12 +265,17 @@ def pairwise(x):
     return x[:, None] - x[None, :], x[:, None] * x[None, :]
 
 
+def term_values(spec, theta):
+    """Each term with its parameter values in TERM_PARAMS order, read field by field."""
+    return [(t, [getattr(theta, name) for name in TERM_PARAMS[t.kind]]) for t in spec.terms]
+
+
 class TestGradGram:
     """Partials of the Gram matrix w.r.t. the log-space trainables, term by term from term_parts."""
 
     def test_noise_gradient_is_scaled_identity(self):
         x = np.array([0.0, 0.3, 0.9])
-        _, partials = term_parts(Term("WN"), MEDIANS, *pairwise(x))
+        _, partials = term_parts(Term("WN"), [MEDIANS.s2_noise], *pairwise(x))
         assert len(partials) == 1
         np.testing.assert_allclose(partials[0], MEDIANS.s2_noise * np.eye(3))
 
@@ -278,7 +283,7 @@ class TestGradGram:
         spec = single_term_spec("RBF")
         theta = HyperParams(s2_rbf=1.7, ell_rbf=0.6)
         x = np.linspace(0.0, 2.0, 5)
-        value, partials = term_parts(spec.terms[0], theta, *pairwise(x))
+        value, partials = term_parts(spec.terms[0], theta.values(spec), *pairwise(x))
         np.testing.assert_allclose(partials[0], build_gram(spec, theta, x))
         np.testing.assert_array_equal(partials[0], value)
 
@@ -289,7 +294,7 @@ class TestGradGram:
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         names = FULL_SPEC.trainable_names()
         u = theta.to_log_vector(FULL_SPEC)
-        analytic = [g for t in FULL_SPEC.terms for g in term_parts(t, theta, *pairwise(x))[1]]
+        analytic = [g for t, p in term_values(FULL_SPEC, theta) for g in term_parts(t, p, *pairwise(x))[1]]
         h = 1e-5
         for k in range(len(names)):
             up, down = u.copy(), u.copy()
@@ -319,7 +324,7 @@ class TestGradGram:
             "s2_noise",
         )
         x = np.array([0.0, 1.0])
-        partials = [g for t in FULL_SPEC.terms for g in term_parts(t, MEDIANS, *pairwise(x))[1]]
+        partials = [g for t, p in term_values(FULL_SPEC, MEDIANS) for g in term_parts(t, p, *pairwise(x))[1]]
         assert len(partials) == len(names)
         assert all(g.shape == (2, 2) for g in partials)
 
@@ -330,7 +335,9 @@ class TestGradGram:
         theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(3))
         x = np.arange(40) / 12.0
         rows = grad_gram(spec, theta, regular_lags(x))
-        dense = [g for t in spec.terms if t.kind != "LIN" for g in term_parts(t, theta, *pairwise(x))[1]]
+        dense = [
+            g for t, p in term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, *pairwise(x))[1]
+        ]
         assert rows.shape == (len(spec.trainable_names()) - 2, x.size)
         for row, g in zip(rows, dense):
             np.testing.assert_allclose(toeplitz(row), g, rtol=1e-12, atol=1e-12)
@@ -356,8 +363,35 @@ class TestSpecAndHyperparams:
         again = MEDIANS.with_log_vector(FULL_SPEC, u)
         assert again == MEDIANS
 
-    def test_with_log_vector_keeps_periods(self):
-        u = MEDIANS.to_log_vector(FULL_SPEC) + 0.5
-        moved = MEDIANS.with_log_vector(FULL_SPEC, u)
-        assert moved.period == MEDIANS.period
-        assert moved.s2_rbf == pytest.approx(MEDIANS.s2_rbf * math.exp(0.5))
+    def test_with_log_vector_keeps_fields_outside_the_spec(self):
+        spec = single_term_spec("RBF")
+        theta = HyperParams(s2_rbf=0.4, ell_rbf=2.0, s2_noise=0.3)
+        moved = theta.with_log_vector(spec, theta.to_log_vector(spec) + 0.5)
+        assert moved.s2_noise == 0.3
+        assert moved.s2_rbf == pytest.approx(0.4 * math.exp(0.5))
+
+
+DOUBLE_SPEC = default_spec("double-seasonal")  # every term kind, PER2 included
+GRID = np.arange(6) / 1461.0
+
+ENTRY_POINTS = {
+    "eval_kernel": lambda theta: eval_kernel(DOUBLE_SPEC, theta, 0.0, 0.5),
+    "build_gram": lambda theta: build_gram(DOUBLE_SPEC, theta, GRID),
+    "build_cross": lambda theta: build_cross(DOUBLE_SPEC, theta, np.array([0.5]), GRID),
+    "zero_lag_variance": lambda theta: zero_lag_variance(DOUBLE_SPEC, theta, GRID),
+    "grad_gram": lambda theta: grad_gram(DOUBLE_SPEC, theta, GRID),
+    "log_prior": lambda theta: log_prior(PRIORS, theta, DOUBLE_SPEC),
+    "grad_log_prior": lambda theta: grad_log_prior(PRIORS, theta, DOUBLE_SPEC),
+    "to_log_vector": lambda theta: theta.to_log_vector(DOUBLE_SPEC),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 0.0, -1.0, math.inf, math.nan], ids=["unset", "zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_rejects_each_invalid_trainable(entry, bad):
+    call = ENTRY_POINTS[entry]
+    medians = median_hyperparams(DOUBLE_SPEC, PRIORS)
+    call(medians)  # valid at the medians, so only the bad value can raise below
+    for name in DOUBLE_SPEC.trainable_names():
+        with pytest.raises(InvalidHyperparameterError, match=name):
+            call(dataclasses.replace(medians, **{name: bad}))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -107,7 +108,7 @@ class TestLogPrior:
         rng = np.random.default_rng(seed)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng, clip_sigmas=3.0)
         expected = sum(
-            oracles.lognormal_logpdf(theta.get(name), PRIORS[name].nu, PRIORS[name].lam)
+            oracles.lognormal_logpdf(getattr(theta, name), PRIORS[name].nu, PRIORS[name].lam)
             for name in FULL_SPEC.trainable_names()
         )
         assert log_prior(PRIORS, theta, FULL_SPEC) == pytest.approx(expected, abs=1e-12)
@@ -166,18 +167,17 @@ class TestGradLogPrior:
 
 
 class TestMedianHyperparams:
-    def test_values_and_periods(self):
+    def test_values_at_the_prior_medians(self):
         theta = median_hyperparams(FULL_SPEC, PRIORS)
         for name in FULL_SPEC.trainable_names():
-            assert theta.get(name) == pytest.approx(math.exp(PRIORS[name].nu), rel=1e-15)
-        assert theta.period == 1.0
-        assert theta.period2 is None
+            assert getattr(theta, name) == pytest.approx(math.exp(PRIORS[name].nu), rel=1e-15)
 
-    def test_double_seasonal_periods(self):
+    def test_sets_the_spec_trainables_only(self):
+        # the fixed periods stay on the spec's terms
         spec = default_spec("double-seasonal")
         theta = median_hyperparams(spec, PRIORS)
-        assert theta.period == pytest.approx(1.0 / 52.18)
-        assert theta.period2 == pytest.approx(1.0 / 365.25)
+        set_fields = {f.name for f in dataclasses.fields(theta) if getattr(theta, f.name) is not None}
+        assert set_fields == set(spec.trainable_names())
 
 
 class TestSerialization:

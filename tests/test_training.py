@@ -51,7 +51,7 @@ class TestMapObjective:
 
         cov = build_gram(FULL_SPEC, theta, x) + state.jitter * np.eye(24)
         expected = oracles.dense_log_mvn(cov, y) + sum(
-            oracles.lognormal_logpdf(theta.get(name), PRIORS[name].nu, PRIORS[name].lam)
+            oracles.lognormal_logpdf(getattr(theta, name), PRIORS[name].nu, PRIORS[name].lam)
             for name in FULL_SPEC.trainable_names()
         )
         assert map_objective(FULL_SPEC, PRIORS, theta, x, y)[0] == pytest.approx(expected, abs=1e-8)
