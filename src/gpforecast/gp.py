@@ -1,4 +1,4 @@
-"""Exact Gaussian-process inference via Cholesky factorization.
+"""Exact Gaussian-process inference: Cholesky factorization, Levinson on a regular grid.
 
 The observed series is modelled as jointly Gaussian with zero mean and
 covariance ``K(X, X)`` assembled from the kernel composition (the noise
@@ -19,18 +19,28 @@ definiteness, so factorization uses an adaptive diagonal jitter: starting
 at 1e-8 times the mean diagonal and escalating tenfold up to 1e-2 before
 giving up with :class:`IllConditionedModelError`.
 
-On a regular grid :func:`build_gram` returns one Fortran-ordered array,
-LAPACK's layout, and the Cholesky factorization overwrites it (a failed
-try rebuilds it), so one evaluation owns one n-by-n array.  The gradient
-never builds an n-by-n matrix per hyperparameter: each stationary partial
-is the dot product of its values on the differences (from
-:func:`grad_gram`) with the matching sums of W = a a^T - K^-1.  On a
-regular time grid those are W's diagonal sums, one per lag, and K is a
-symmetric Toeplitz matrix plus LIN's rank-1 slope, so K^-1's diagonal
-sums come in O(n^2) from two triangular solves with the factor
-(Gohberg-Semencul plus Sherman-Morrison) and K^-1 is never formed.  On
-other inputs LAPACK ``dpotri`` overwrites the factor with K^-1.  LIN,
-being rank 2, contributes two quadratic forms in W.
+On a regular grid K is a symmetric Toeplitz matrix T (with the jitter)
+plus LIN's rank-1 slope v v^T, and the objective
+(:func:`log_marginal_likelihood_and_grad`) works from T's first column
+alone: one Levinson-Durbin recursion gives log det T and g = T^-1 e_0,
+Gohberg-Semencul products with g give T^-1 y and T^-1 v, and
+Sherman-Morrison adds the slope, so an evaluation holds O(n) floats and
+makes no Cholesky factorization.  Levinson is only weakly stable, so
+below a conditioning bound (:data:`LEVINSON_MIN_ERROR_RATIO` on its
+prediction errors) the evaluation takes :func:`fit`'s Cholesky path
+instead.  :func:`fit` builds the Gram in one array, Fortran-ordered on a
+regular grid, and factorizes it in place (a failed try rebuilds it);
+:func:`predict` reuses that factor, so a forecast makes one Cholesky
+factorization at its trained hyperparameters, plus one per evaluation
+that falls back.
+
+The gradient never builds an n-by-n matrix per hyperparameter: each
+stationary partial is the dot product of its values on the differences
+(from :func:`grad_gram`) with the matching sums of W = a a^T - K^-1.  On
+a regular grid those are W's diagonal sums, one per lag, and K^-1's come
+in O(n^2) from g and K^-1 v (Gohberg-Semencul plus Sherman-Morrison);
+K^-1 is never formed.  On other inputs LAPACK ``dpotri`` overwrites the
+factor with K^-1.  LIN, being rank 2, contributes two quadratic forms in W.
 """
 
 from __future__ import annotations
@@ -40,11 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py guards its convention
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
 from .kernels import TERM_PARAMS, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
-from .kernels import regular_lags, zero_lag_variance
+from .kernels import lag_column, regular_lags, zero_lag_variance
 
 __all__ = [
     "IllConditionedModelError",
@@ -57,6 +68,11 @@ __all__ = [
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-2
+# Below this min_k E_k / E_0 (Levinson's prediction errors) the regular-grid
+# objective takes the Cholesky path: nearer singular, Levinson's rounding
+# error grows 10-300x past the Cholesky factor's (checked against a
+# long-double oracle in tests/test_gp.py).
+LEVINSON_MIN_ERROR_RATIO = 1e-4
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -116,11 +132,7 @@ def _cholesky_with_jitter(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -
             gram = build_gram(spec, theta, x)  # the failed try overwrote part of it
 
 
-def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> FitState:
-    """Factorize the training covariance and cache everything prediction needs.
-
-    ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
-    """
+def _as_data(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
@@ -129,6 +141,15 @@ def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> F
         raise ValueError("need at least one observation")
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
+    return x, y
+
+
+def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> FitState:
+    """Factorize the training covariance and cache everything prediction needs.
+
+    ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
+    """
+    x, y = _as_data(x, y)
     lower, jitter = _cholesky_with_jitter(spec, theta, x)
     alpha = cho_solve((lower, True), y, check_finite=False)
     n = x.size
@@ -145,26 +166,27 @@ def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> F
 def log_marginal_likelihood_and_grad(
     spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Log marginal likelihood and its gradient from one factorization.
+    """Log marginal likelihood and its gradient from one solve with the covariance.
 
     The gradient over the log-space trainables uses the standard identity
     d lml / d u_k = 0.5 tr[W dK/du_k] with W = a a^T - K^-1 and a = K^-1 y.
     On a regular grid a stationary term's dK/du_k is Toeplitz, so the trace
     is the dot product of its per-lag partial with W's diagonal sums, and
-    K^-1's share of them comes from the factor in O(n^2) without inverting
-    it; on an irregular grid it is a sum over the pairs i >= j of W_ij times
-    the partial at x_i - x_j, off-diagonal pairs counted twice, with K^-1
-    from LAPACK ``dpotri``.
+    K^-1's share of them comes in O(n^2) from g = T^-1 e_0 and p = K^-1 v
+    (see :func:`_levinson_solve`); on an irregular grid it is a sum
+    over the pairs i >= j of W_ij times the partial at x_i - x_j,
+    off-diagonal pairs counted twice, with K^-1 from LAPACK ``dpotri``.
     LIN is rank 2, so its traces are the quadratic forms 1'W1 and x'Wx.
     The jitter tracks the mean Gram diagonal, so its dependence on the
     hyperparameters is included: the result is the exact gradient of the
     value actually computed.
     """
-    state = fit(spec, theta, x, y)
-    x, a = state.x_train, state.alpha
-    slope = theta.s2_lin if spec.has("LIN") else 0.0
+    x, y = _as_data(x, y)
     lags = regular_lags(x)
+    slope = theta.s2_lin if spec.has("LIN") else 0.0
     if lags is None:  # every pair i >= j once, off-diagonal pairs counted twice
+        state = fit(spec, theta, x, y)
+        lml, a, jitter = state.log_marginal, state.alpha, state.jitter
         # dpotri writes the lower triangle of K^-1 over the factor, which this
         # state no longer needs
         inv_lower, info = dpotri(state.chol_lower, lower=1, overwrite_c=1)
@@ -175,11 +197,15 @@ def log_marginal_likelihood_and_grad(
         trace_inv = float(np.trace(inv_lower))
         x_inv_x = float(x @ dsymv(1.0, inv_lower, x, lower=1)) if slope else 0.0
     else:  # W's diagonal sums: a's autocorrelation minus K^-1's, off-diagonals counted twice
-        inv_sums, v_inv_v = _toeplitz_plus_rank1_inverse_sums(state.chol_lower, math.sqrt(slope) * x)
+        column = lag_column(spec, theta, lags)  # checks theta, so slope is a float here
+        v = math.sqrt(slope) * x
+        solved = _levinson_solve(column, v, y) or _cholesky_grid_solve(spec, theta, x, y, v)
+        lml, a, jitter, g, p, beta = solved
+        inv_sums = _toeplitz_plus_rank1_inverse_sums(g, p, beta)
         d, s = lags, 2.0 * (_correlation(a, a) - inv_sums)
         s[0] *= 0.5
         trace_inv = float(inv_sums[0])
-        x_inv_x = v_inv_v / slope if slope else 0.0
+        x_inv_x = float(v @ p) / slope if slope else 0.0
     names = spec.trainable_names()
     stationary = np.array([name not in TERM_PARAMS["LIN"] for name in names])
     partials = grad_gram(spec, theta, d)
@@ -193,15 +219,94 @@ def log_marginal_likelihood_and_grad(
         zero_lag[~stationary] = [bias, slope * float(np.mean(x * x))]
     # dk/dlog s2 = k and every other partial vanishes at lag 0, so the
     # zero-lag partials add up to the mean Gram diagonal the jitter tracks
-    jitter_sensitivity = state.jitter / math.fsum(zero_lag) * zero_lag
+    jitter_sensitivity = jitter / math.fsum(zero_lag) * zero_lag
     trace_w = float(a @ a - trace_inv)
     grad = 0.5 * traces + 0.5 * trace_w * jitter_sensitivity
-    return state.log_marginal, grad
+    return lml, grad
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails a check below
+def _levinson_solve(
+    column: np.ndarray, v: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray, float] | None:
+    """(lml, a = K^-1 y, jitter, g = T^-1 e_0, p = K^-1 v, beta = 1 - v^T p) for K = T + v v^T.
+
+    T is the symmetric Toeplitz matrix of ``column`` (from :func:`lag_column`)
+    plus the base jitter, v = sqrt(s2_lin) x (zero without LIN).  One
+    Yule-Walker Levinson-Durbin recursion on T's column gives the
+    reflection coefficients phi_k, the prediction errors
+    E_k = T_00 prod_{j <= k} (1 - phi_j^2), which are the squared diagonal
+    of T's Cholesky factor (so log det T = sum log E_k), and the predictor
+    that gives g.  Gohberg-Semencul products with g then give T^-1 y and
+    T^-1 v, and Sherman-Morrison and the determinant lemma add the slope:
+    beta = 1 / (1 + v^T T^-1 v), p = beta T^-1 v, log det K = log det T - log beta.
+
+    Levinson is only weakly stable: near a singular T its error grows well
+    past the Cholesky factor's.  So this returns None, and the caller takes
+    the Cholesky path, unless every E_k / E_0 is at least
+    :data:`LEVINSON_MIN_ERROR_RATIO` and the result is finite.  Every E_k
+    finite and > 0 is what a successful Cholesky at the base jitter means,
+    and the bound implies it, so jitter escalation is left to that path.
+    """
+    n = v.size
+    m = n - 1
+    jitter = JITTER_START * (column[0] + float(np.mean(v * v)))  # K's mean diagonal
+    t0 = column[0] + jitter
+    try:
+        # T's first row and column, mirrored, and the Yule-Walker right-hand side
+        ar, phi = levinson(np.concatenate((column[m - 1 : 0 : -1], [t0], column[1:m])), column[1:])
+    except LinAlgError:  # a singular leading minor
+        return None
+    phi = phi[1:]  # phi[0] is scipy's placeholder 1
+    if not (np.isfinite(t0) and np.all(np.abs(phi) < 1.0)):  # some E_k <= 0
+        return None
+    ratio = np.cumprod(1.0 - phi * phi)  # E_k / E_0 for k = 1 .. n-1, non-increasing
+    if not ratio[-1] >= LEVINSON_MIN_ERROR_RATIO:
+        return None
+    g = np.concatenate(([1.0], -ar)) / (t0 * ratio[-1])
+    z = np.concatenate(([0.0], g[:0:-1]))
+    t_inv_y, t_inv_v = _gohberg_semencul_solve(g, z, y), _gohberg_semencul_solve(g, z, v)
+    denom = 1.0 + float(v @ t_inv_v)
+    if not (math.isfinite(denom) and denom > 0.0):
+        return None
+    p = t_inv_v / denom
+    a = t_inv_y - float(v @ t_inv_y) * p
+    log_det = n * math.log(t0) + float(np.sum(np.log(ratio))) + math.log(denom)
+    lml = -0.5 * float(y @ a) - 0.5 * log_det - 0.5 * n * _LOG_2PI
+    if not math.isfinite(lml):
+        return None
+    return lml, a, jitter, g, p, 1.0 / denom
+
+
+def _cholesky_grid_solve(
+    spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray, v: np.ndarray
+) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray, float]:
+    """:func:`_levinson_solve`'s result from :func:`fit` and one two-column solve with the factor.
+
+    With p = K^-1 v and beta = 1 - v^T p, Sherman-Morrison gives
+    g = T^-1 e_0 = K^-1 e_0 + p p_0 / beta.  K positive definite means
+    beta > 0; its failing means rounding has swamped the solve.
+    """
+    state = fit(spec, theta, x, y)
+    rhs = np.zeros((x.size, 2), order="F")
+    rhs[0, 0], rhs[:, 1] = 1.0, v
+    q, p = cho_solve((state.chol_lower, True), rhs, check_finite=False).T
+    beta = 1.0 - float(v @ p)
+    if not (np.isfinite(beta) and beta > 0.0):
+        raise IllConditionedModelError(f"rank-1 update of the Toeplitz part is not positive (beta {beta!r})")
+    g = q + (p[0] / beta) * p
+    return state.log_marginal, state.alpha, state.jitter, g, p, beta
 
 
 def _correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``sum_m a[m + l] b[m]`` for l = 0 .. n-1."""
     return np.correlate(a, b, "full")[a.size - 1 :]
+
+
+def _gohberg_semencul_solve(g: np.ndarray, z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T^-1 b = (G (G^T b) - Z (Z^T b)) / g_0, G and Z lower-triangular Toeplitz with first columns g and z."""
+    n = b.size
+    return (np.convolve(g, _correlation(b, g))[:n] - np.convolve(z, _correlation(b, z))[:n]) / g[0]
 
 
 def _triangular_toeplitz_gram_sums(c: np.ndarray) -> np.ndarray:
@@ -213,32 +318,21 @@ def _triangular_toeplitz_gram_sums(c: np.ndarray) -> np.ndarray:
     return np.arange(n, 0, -1) * _correlation(c, c) - _correlation(c, np.arange(n) * c)
 
 
-def _toeplitz_plus_rank1_inverse_sums(lower: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Subdiagonal sums l = 0 .. n-1 of K^-1 and v^T K^-1 v, for K = T + v v^T = lower lower^T.
+def _toeplitz_plus_rank1_inverse_sums(g: np.ndarray, p: np.ndarray, beta: float) -> np.ndarray:
+    """Subdiagonal sums l = 0 .. n-1 of K^-1, for K = T + v v^T, from g = T^-1 e_0, p = K^-1 v and beta = 1 - v^T p.
 
-    T is symmetric Toeplitz (with the jitter); v may be zero.  Two triangular
-    solves with the factor replace the O(n^3) inverse.  With p = K^-1 v and
-    beta = 1 - v^T p, Sherman-Morrison gives K^-1 = T^-1 - p p^T / beta, so
-    g = T^-1 e_0 = K^-1 e_0 + p p_0 / beta.  Gohberg-Semencul gives
+    T is symmetric Toeplitz (with the jitter); v may be zero.  Sherman-Morrison
+    gives K^-1 = T^-1 - p p^T / beta.  Gohberg-Semencul gives
     T^-1 = (G G^T - Z Z^T) / g_0, G and Z lower-triangular Toeplitz with
     first columns g and z = (0, g_{n-1}, ..., g_1), so each O(n^2) sum is a
-    correlation of two vectors.  T and K positive definite mean g_0 > 0 and
-    beta > 0; either failing means rounding has swamped the solve.
+    correlation of two vectors.  T positive definite means g_0 > 0; its
+    failing means rounding has swamped the solve.
     """
-    n = v.size
-    rhs = np.zeros((n, 2), order="F")
-    rhs[0, 0], rhs[:, 1] = 1.0, v
-    q, p = cho_solve((lower, True), rhs, check_finite=False).T
-    v_inv_v = float(v @ p)
-    beta = 1.0 - v_inv_v
-    if not (np.isfinite(beta) and beta > 0.0):
-        raise IllConditionedModelError(f"rank-1 update of the Toeplitz part is not positive (beta {beta!r})")
-    g = q + (p[0] / beta) * p
     if not (np.isfinite(g[0]) and g[0] > 0.0):
         raise IllConditionedModelError(f"inverse of the Toeplitz part is not positive (g0 {g[0]!r})")
     z = np.concatenate(([0.0], g[:0:-1]))
     sums = (_triangular_toeplitz_gram_sums(g) - _triangular_toeplitz_gram_sums(z)) / g[0]
-    return sums - _correlation(p, p) / beta, v_inv_v
+    return sums - _correlation(p, p) / beta
 
 
 def predict(

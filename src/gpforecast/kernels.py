@@ -21,10 +21,11 @@ A term reads its parameter values from a sequence in ``TERM_PARAMS`` order
 and a periodic term its fixed period from the :class:`Term` itself; every
 entry point checks the hyperparameters once, through
 :meth:`HyperParams.values`.
-On a regular grid (:func:`regular_lags`) :func:`build_gram` evaluates the
-stationary terms and LIN's constant bias on the n lags only, lays them out
-as a Toeplitz matrix and adds LIN's slope as a rank-1 update in place;
-other inputs take the same formulas on the n-by-n differences.
+On a regular grid (:func:`regular_lags`) :func:`lag_column` evaluates the
+stationary terms and LIN's constant bias on the n lags only;
+:func:`build_gram` lays that column out as a Toeplitz matrix and adds
+LIN's slope as a rank-1 update in place, and other inputs take the same
+formulas on the n-by-n differences.
 :func:`grad_gram` stacks the stationary terms' partials on a vector of
 differences: the n lags of a regular grid, or each pair of points once.
 
@@ -54,6 +55,7 @@ __all__ = [
     "term_parts",
     "grad_gram",
     "regular_lags",
+    "lag_column",
 ]
 
 
@@ -124,12 +126,6 @@ class KernelSpec:
 
     def has(self, kind: str) -> bool:
         return any(t.kind == kind for t in self.terms)
-
-    def term(self, kind: str) -> Term:
-        for t in self.terms:
-            if t.kind == kind:
-                return t
-        raise KeyError(kind)
 
     def trainable_names(self) -> tuple[str, ...]:
         """Ordered names of the trainable hyperparameters.
@@ -330,13 +326,12 @@ def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarra
     construction either way.  The WN term lands on the diagonal and on any
     exact duplicate time points.
     """
-    terms = _term_values(spec, theta)
     x = _as_points(x, "x")
     lags = regular_lags(x)
     if lags is None:
-        gram = _composition(terms, x[:, None] - x[None, :], x[:, None] * x[None, :])
+        gram = _composition(_term_values(spec, theta), x[:, None] - x[None, :], x[:, None] * x[None, :])
     else:
-        column = _composition(terms, lags, 0.0)  # xx = 0 leaves LIN's bias
+        column = lag_column(spec, theta, lags)
         # row i of the reversed windows of (c[n-1], ..., c[1], c[0], ..., c[n-1]) is c[|i - j|]
         windows = sliding_window_view(np.concatenate((column[:0:-1], column)), x.size)[::-1]
         gram = np.ascontiguousarray(windows).T  # symmetric, so its transpose is itself
@@ -345,6 +340,19 @@ def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarra
             gram = dger(1.0, v, v, a=gram, overwrite_a=1)
     _check_finite(gram, "build_gram")
     return gram
+
+
+def lag_column(spec: KernelSpec, theta: HyperParams, lags: np.ndarray) -> np.ndarray:
+    """First column of a regular grid's Gram without LIN's slope: k at each lag.
+
+    Every stationary term and LIN's bias, which is constant in the lag,
+    evaluated on ``lags`` (from :func:`regular_lags`); the WN term lands on
+    lag 0.  The Gram is the symmetric Toeplitz matrix of this column plus
+    the rank-1 slope s2_lin x x^T.
+    """
+    column = _composition(_term_values(spec, theta), lags, 0.0)  # xx = 0 leaves LIN's bias
+    _check_finite(column, "lag_column")
+    return column
 
 
 def build_cross(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, toeplitz
 
 import oracles
 from gpforecast import (
@@ -194,25 +195,70 @@ class TestRegularGrid:
                 assert abs(value - value_perm) <= value_tol * max(1.0, abs(value_perm))
                 assert np.max(np.abs(grad - grad_perm)) <= grad_tol * max(1.0, np.max(np.abs(grad_perm)))
 
-    def test_regular_grid_gradient_never_inverts_the_factor(self, monkeypatch):
-        def no_dpotri(*args, **kwargs):
-            raise AssertionError("dpotri called")
+    @pytest.mark.parametrize("n", [132, 336])
+    def test_log_marginal_matches_long_double_oracle_down_to_near_noiseless(self, n):
+        # Levinson alone is 10-300x less accurate than the Cholesky factor
+        # once min E_k / E_0 falls below about 1e-5 (1e-6 off at n=336,
+        # s2_noise=1e-7); below LEVINSON_MIN_ERROR_RATIO the objective takes
+        # the Cholesky path, whose worst error over this sweep is about 2e-9.
+        spec = default_spec("double-seasonal")
+        medians = median_hyperparams(spec, PRIORS)
+        x = np.arange(n) / 1461.0
+        y = np.random.default_rng(n).standard_normal(n)
+        for s2_noise in np.logspace(-7, -1, 13):
+            theta = dataclasses.replace(medians, s2_noise=float(s2_noise))
+            oracle = oracles.longdouble_log_mvn(jittered_gram(spec, theta, x), y)
+            value = log_marginal_likelihood_and_grad(spec, theta, x, y)[0]
+            assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle)), s2_noise
 
-        monkeypatch.setattr(gp, "dpotri", no_dpotri)
+    def test_scipy_private_levinson_keeps_its_yule_walker_convention(self):
+        # gp imports levinson from scipy.linalg._solve_toeplitz, a private
+        # module: on the Yule-Walker system T_{n-1} ar = c[1:], given as
+        # (c[n-2], ..., c[1], c[0], ..., c[n-2]), its reflection coefficients
+        # after the first must give the squared Cholesky diagonal of T_n
+        # through c0 prod (1 - phi_j^2), and (1, -ar) / E_{n-1} = T^-1 e_0.
+        from scipy.linalg._solve_toeplitz import levinson
+
+        assert gp.levinson is levinson
+        n = 9
+        c = 0.9 ** np.arange(n) * np.cos(np.arange(n) / 2.0)
+        c[0] += 0.2
+        t = toeplitz(c)
+        m = n - 1
+        ar, phi = levinson(np.concatenate((c[m - 1 : 0 : -1], c[:m])), c[1:])
+        errors = c[0] * np.cumprod(np.concatenate(([1.0], 1.0 - phi[1:] ** 2)))
+        np.testing.assert_allclose(errors, np.diag(cholesky(t, lower=True)) ** 2, rtol=1e-12, atol=0)
+        g = np.concatenate(([1.0], -ar)) / errors[-1]
+        np.testing.assert_allclose(t @ g, np.eye(n)[0], rtol=0, atol=1e-12)
+
+    def test_regular_grid_gradient_never_inverts_the_factor(self, monkeypatch):
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+
+            return call
+
+        monkeypatch.setattr(gp, "dpotri", refuse("dpotri"))
         spec = default_spec("double-seasonal")
         theta = median_hyperparams(spec, PRIORS)
         x = np.arange(48) / 1461.0
         y = np.random.default_rng(48).standard_normal(48)
-        map_objective(spec, PRIORS, theta, x, y)
         perm = np.random.default_rng(0).permutation(48)
         with pytest.raises(AssertionError, match="dpotri called"):
             map_objective(spec, PRIORS, theta, x[perm], y[perm])
+        # on the grid the objective factorizes nothing above the conditioning bound
+        monkeypatch.setattr(gp, "cholesky", refuse("cholesky"))
+        map_objective(spec, PRIORS, theta, x, y)
+        # near noiseless, min E_k / E_0 falls below it: the Cholesky path
+        with pytest.raises(AssertionError, match="cholesky called"):
+            map_objective(spec, PRIORS, dataclasses.replace(theta, s2_noise=5e-8), x, y)
 
     @pytest.mark.parametrize(
-        ("mode", "steps_per_year", "n"), [("double-seasonal", 1461.0, 336), ("single-seasonal", 12.0, 132)]
+        ("mode", "steps_per_year", "n"),
+        [("double-seasonal", 1461.0, 336), ("single-seasonal", 12.0, 132), ("double-seasonal", 1461.0, 1461)],
     )
-    def test_objective_evaluation_holds_one_n_by_n_array(self, mode, steps_per_year, n):
-        # the Gram is built and factorized in one buffer
+    def test_objective_evaluation_holds_no_n_by_n_array(self, mode, steps_per_year, n):
+        # on the Levinson path an evaluation holds O(n) floats, about 40 n at these sizes
         spec = default_spec(mode)
         theta = median_hyperparams(spec, PRIORS)
         x = np.arange(n) / steps_per_year
@@ -224,7 +270,7 @@ class TestRegularGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+        assert peak < 64 * 8 * n
 
 
 class TestFitState:
