@@ -118,8 +118,12 @@ class Standardizer:
     @classmethod
     def fit(cls, values: np.ndarray) -> "Standardizer":
         values = np.asarray(values, dtype=float)
-        mean = float(np.mean(values))
-        std = float(np.std(values))
+        # np.std sums squared deviations, which overflow once n std^2 passes the
+        # float range even where std^2 fits; scaling by a power of two is exact
+        exponent = int(np.frexp(np.max(np.abs(values), initial=0.0))[1])
+        scaled = np.ldexp(values, -exponent)
+        mean = float(np.ldexp(np.mean(scaled), exponent))
+        std = float(np.ldexp(np.std(scaled), exponent))
         if not np.isfinite(std) or std <= 0.0:
             raise ConstantSeriesError("series is constant on the training window; cannot standardize")
         return cls(mean=mean, std=std)

@@ -39,8 +39,10 @@ stationary partial is the dot product of its values on the differences
 (from :func:`grad_gram`) with the matching sums of W = a a^T - K^-1.  On
 a regular grid those are W's diagonal sums, one per lag, and K^-1's come
 in O(n^2) from g and K^-1 v (Gohberg-Semencul plus Sherman-Morrison);
-K^-1 is never formed.  On other inputs LAPACK ``dpotri`` overwrites the
-factor with K^-1.  LIN, being rank 2, contributes two quadratic forms in W.
+K^-1 is never formed, and T's column is summed from the same partials, so
+an evaluation passes over the terms once.  On other inputs LAPACK
+``dpotri`` overwrites the factor with K^-1.  LIN, being rank 2,
+contributes two quadratic forms in W.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def _cholesky_with_jitter(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -
     """Lower Cholesky factor of K(x, x) + jitter I, factorized where the Gram was built."""
     gram = build_gram(spec, theta, x)
     diagonal = np.diag(gram).copy()
-    scale = float(np.mean(diagonal))
+    with np.errstate(over="ignore"):  # a finite diagonal can overflow its sum; the check below raises
+        scale = float(np.mean(diagonal))
     if not np.isfinite(scale) or scale <= 0:
         raise IllConditionedModelError(f"Gram diagonal is invalid (mean {scale!r})")
     mult = JITTER_START
@@ -193,25 +196,25 @@ def log_marginal_likelihood_and_grad(
         if info != 0:
             raise IllConditionedModelError(f"inverting the covariance failed (LAPACK dpotri info {info})")
         i, j = np.tril_indices(x.size)
-        d, s = x[i] - x[j], np.where(i == j, 1.0, 2.0) * (a[i] * a[j] - inv_lower[i, j])
+        s = np.where(i == j, 1.0, 2.0) * (a[i] * a[j] - inv_lower[i, j])
         trace_inv = float(np.trace(inv_lower))
         x_inv_x = float(x @ dsymv(1.0, inv_lower, x, lower=1)) if slope else 0.0
+        partials = grad_gram(spec, theta, x[i] - x[j])
     else:  # W's diagonal sums: a's autocorrelation minus K^-1's, off-diagonals counted twice
-        column = lag_column(spec, theta, lags)  # checks theta, so slope is a float here
+        partials = grad_gram(spec, theta, lags)  # the one pass over the terms, values included
         v = math.sqrt(slope) * x
+        column = lag_column(spec, theta, partials)
         solved = _levinson_solve(column, v, y) or _cholesky_grid_solve(spec, theta, x, y, v)
         lml, a, jitter, g, p, beta = solved
         inv_sums = _toeplitz_plus_rank1_inverse_sums(g, p, beta)
-        d, s = lags, 2.0 * (_correlation(a, a) - inv_sums)
+        s = 2.0 * (_correlation(a, a) - inv_sums)
         s[0] *= 0.5
         trace_inv = float(inv_sums[0])
         x_inv_x = float(v @ p) / slope if slope else 0.0
-    names = spec.trainable_names()
-    stationary = np.array([name not in TERM_PARAMS["LIN"] for name in names])
-    partials = grad_gram(spec, theta, d)
-    traces = np.empty(len(names))  # tr(W dK/du_k)
-    zero_lag = np.empty(len(names))  # mean diagonal of dK/du_k
-    traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]  # d[0] is lag 0
+    stationary = np.array([name not in TERM_PARAMS["LIN"] for name in theta.names])
+    traces = np.empty(stationary.size)  # tr(W dK/du_k)
+    zero_lag = np.empty(stationary.size)  # mean diagonal of dK/du_k
+    traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]  # lag 0 comes first on either path
     if spec.has("LIN"):  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
         bias = theta.s2_bias
         x_w_x = float((x @ a) ** 2 - x_inv_x)

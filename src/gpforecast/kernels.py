@@ -17,17 +17,16 @@ inputs and are safe to call concurrently.
 Each term's formula is written once, in :func:`term_parts`, which returns
 its value and its partials on an array of any shape: of time differences
 for the stationary terms (everything but LIN), of products x1 * x2 for LIN.
-A term reads its parameter values from a sequence in ``TERM_PARAMS`` order
-and a periodic term its fixed period from the :class:`Term` itself; every
-entry point checks the hyperparameters once, through
-:meth:`HyperParams.values`.
-On a regular grid (:func:`regular_lags`) :func:`lag_column` evaluates the
-stationary terms and LIN's constant bias on the n lags only;
-:func:`build_gram` lays that column out as a Toeplitz matrix and adds
-LIN's slope as a rank-1 update in place, and other inputs take the same
-formulas on the n-by-n differences.
+A term reads its values in ``TERM_PARAMS`` order and a periodic term its
+fixed period from the :class:`Term` itself.  :class:`HyperParams` checks
+its values once, when made; an entry point checks only their names.
 :func:`grad_gram` stacks the stationary terms' partials on a vector of
 differences: the n lags of a regular grid, or each pair of points once.
+On a regular grid (:func:`regular_lags`) that is the one pass over the
+terms: :func:`lag_column` sums the Gram's first column from those rows,
+and :func:`build_gram` lays it out as a Toeplitz matrix plus LIN's slope,
+a rank-1 update in place; other inputs take the same formulas on the
+n-by-n differences.
 
 Hyperparameters are always positive; optimization happens in log space, so
 every partial in this module is taken with respect to ``log(parameter)``.
@@ -35,7 +34,6 @@ every partial in this module is taken with respect to ``log(parameter)``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -140,66 +138,61 @@ class KernelSpec:
         return tuple(names)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True)
 class HyperParams:
-    """Full set of kernel hyperparameters.
+    """A spec's trainable hyperparameters, each checked set, finite and > 0 once, when made.
 
-    Every variance (``s2_*``), lengthscale (``ell_*``) and cosine-period
-    parameter (``tau_*``) must be strictly positive.  The fixed periods
-    live on the spec's terms (:class:`Term`), not here.
+    ``names`` is ``spec.trainable_names()`` and ``values`` holds the values
+    in that order; ``theta.s2_noise`` reads one by name.  Variances
+    (``s2_*``), lengthscales (``ell_*``) and cosine periods (``tau_*``) are
+    all positive; the fixed periods live on the spec's terms (:class:`Term`).
 
     The SM cosine is ``cos((x1 - x2) / tau)``: ``tau`` equals the cycle
     length divided by 2*pi, not the cycle length itself.
     """
 
-    s2_per: float | None = None
-    ell_per: float | None = None
-    s2_per2: float | None = None
-    ell_per2: float | None = None
-    s2_bias: float | None = None
-    s2_lin: float | None = None
-    s2_rbf: float | None = None
-    ell_rbf: float | None = None
-    s2_sm1: float | None = None
-    ell_sm1: float | None = None
-    tau_sm1: float | None = None
-    s2_sm2: float | None = None
-    ell_sm2: float | None = None
-    tau_sm2: float | None = None
-    s2_noise: float | None = None
+    names: tuple[str, ...]
+    values: tuple[float, ...]
 
-    def values(self, spec: KernelSpec) -> list[float]:
-        """The trainable parameters in ``spec.trainable_names()`` order.
+    def __post_init__(self) -> None:
+        for name, value in zip(self.names, self.values, strict=True):
+            if value is None or not math.isfinite(value) or value <= 0:
+                raise InvalidHyperparameterError(f"{name} must be set, finite and > 0, got {value!r}")
 
-        Raises :class:`InvalidHyperparameterError` unless each is set,
-        finite and > 0.
-        """
-        out = []
-        for name in spec.trainable_names():
-            value = getattr(self, name)
-            if value is None:
-                raise InvalidHyperparameterError(f"spec enables {name!r} but it is not set")
-            if not math.isfinite(value) or value <= 0:
-                raise InvalidHyperparameterError(f"{name} must be finite and > 0, got {value!r}")
-            out.append(value)
-        return out
+    @classmethod
+    def of(cls, spec: KernelSpec, **named: float) -> "HyperParams":
+        """The spec's trainables, each given by name."""
+        return _by_name(spec.trainable_names(), named)
 
-    def to_log_vector(self, spec: KernelSpec) -> np.ndarray:
-        """Log of the trainable parameters, in ``spec.trainable_names()`` order."""
-        return np.log(self.values(spec))
+    @classmethod
+    def from_log(cls, spec: KernelSpec, u: np.ndarray) -> "HyperParams":
+        """The spec's trainables at ``exp(u)``, u in ``spec.trainable_names()`` order."""
+        with np.errstate(over="ignore"):  # an overflow to inf fails the check
+            return cls(spec.trainable_names(), tuple(np.exp(u).tolist()))
 
-    def with_log_vector(self, spec: KernelSpec, u: np.ndarray) -> "HyperParams":
-        """Copy of self with the trainables replaced by ``exp(u)``.
+    def replace(self, **named: float) -> "HyperParams":
+        """Copy with the named trainables set to new values."""
+        return _by_name(self.names, {**dict(zip(self.names, self.values)), **named})
 
-        Fields outside the spec are left untouched.
-        """
+    def for_spec(self, spec: KernelSpec) -> tuple[float, ...]:
+        """``values``, after checking that they were made for ``spec``'s trainables."""
         names = spec.trainable_names()
-        u = np.asarray(u, dtype=float)
-        if u.shape != (len(names),):
-            raise ValueError(f"expected log vector of shape ({len(names)},), got {u.shape}")
-        with np.errstate(over="ignore"):
-            values = np.exp(u)
-        return dataclasses.replace(self, **dict(zip(names, values.tolist())))
+        if self.names != names:
+            raise InvalidHyperparameterError(f"theta holds {self.names}, but the spec trains {names}")
+        return self.values
+
+    def __getattr__(self, name: str) -> float:
+        names = self.__dict__.get("names", ())  # absent while a copy is being made
+        if name in names:
+            return self.values[names.index(name)]
+        raise AttributeError(f"HyperParams has no trainable {name!r}")
+
+
+def _by_name(names: tuple[str, ...], named: dict[str, float]) -> HyperParams:
+    unknown = sorted(set(named) - set(names))
+    if unknown:
+        raise InvalidHyperparameterError(f"{unknown} are not among the trainables {names}")
+    return HyperParams(names, tuple(named.get(name) for name in names))
 
 
 def term_parts(
@@ -243,8 +236,8 @@ def term_parts(
 
 
 def _term_values(spec: KernelSpec, theta: HyperParams) -> list[tuple[Term, list[float]]]:
-    """Each term of the spec with its parameter values, after one check of theta."""
-    values = iter(theta.values(spec))
+    """Each term of the spec with its parameter values."""
+    values = iter(theta.for_spec(spec))
     return [(t, [next(values) for _ in TERM_PARAMS[t.kind]]) for t in spec.terms]
 
 
@@ -309,29 +302,27 @@ def eval_kernel(spec: KernelSpec, theta: HyperParams, x1: float, x2: float) -> f
     a = float(x1)
     b = float(x2)
     out = float(_composition(terms, a - b, a * b))
-    if not np.isfinite(out):
-        raise InvalidHyperparameterError("kernel evaluated to a non-finite value")
+    _check_finite(out, "eval_kernel")
     return out
 
 
 def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
     """n-by-n covariance matrix K[i, j] = k(x[i], x[j]).
 
-    On a regular grid (see :func:`regular_lags`) the stationary terms and
-    LIN's bias, constant in the lag, are evaluated once per lag and laid
-    out as a symmetric Toeplitz matrix in one Fortran-ordered array, to
-    which LIN's slope s2_lin xx^T is added in place as the rank-1 update
-    v v^T, v = sqrt(s2_lin) x, which keeps it exactly symmetric.  Otherwise
-    every term is evaluated on the n-by-n differences.  Symmetric by
-    construction either way.  The WN term lands on the diagonal and on any
-    exact duplicate time points.
+    On a regular grid (see :func:`regular_lags`) the first column, from
+    :func:`lag_column`, is laid out as a symmetric Toeplitz matrix in one
+    Fortran-ordered array, to which LIN's slope s2_lin xx^T is added in
+    place as the rank-1 update v v^T, v = sqrt(s2_lin) x, which keeps it
+    exactly symmetric.  Otherwise every term is evaluated on the n-by-n
+    differences.  Symmetric by construction either way.  The WN term lands
+    on the diagonal and on any exact duplicate time points.
     """
     x = _as_points(x, "x")
     lags = regular_lags(x)
     if lags is None:
         gram = _composition(_term_values(spec, theta), x[:, None] - x[None, :], x[:, None] * x[None, :])
     else:
-        column = lag_column(spec, theta, lags)
+        column = lag_column(spec, theta, grad_gram(spec, theta, lags))
         # row i of the reversed windows of (c[n-1], ..., c[1], c[0], ..., c[n-1]) is c[|i - j|]
         windows = sliding_window_view(np.concatenate((column[:0:-1], column)), x.size)[::-1]
         gram = np.ascontiguousarray(windows).T  # symmetric, so its transpose is itself
@@ -342,15 +333,19 @@ def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarra
     return gram
 
 
-def lag_column(spec: KernelSpec, theta: HyperParams, lags: np.ndarray) -> np.ndarray:
-    """First column of a regular grid's Gram without LIN's slope: k at each lag.
+def lag_column(spec: KernelSpec, theta: HyperParams, partials: np.ndarray) -> np.ndarray:
+    """First column of a regular grid's Gram without LIN's slope, from :func:`grad_gram` on its lags.
 
-    Every stationary term and LIN's bias, which is constant in the lag,
-    evaluated on ``lags`` (from :func:`regular_lags`); the WN term lands on
-    lag 0.  The Gram is the symmetric Toeplitz matrix of this column plus
-    the rank-1 slope s2_lin x x^T.
+    A stationary term's first row there is its value (dk/dlog s2 = k), so
+    the column is those rows summed in term order, with LIN's bias (its
+    value at xx = 0, constant in the lag) in LIN's place.  The Gram is the
+    symmetric Toeplitz matrix of this column plus the rank-1 slope s2_lin x x^T.
     """
-    column = _composition(_term_values(spec, theta), lags, 0.0)  # xx = 0 leaves LIN's bias
+    column = np.zeros(partials.shape[1])
+    rows = iter(partials)
+    for t, p in _term_values(spec, theta):
+        term_rows = [] if t.kind == "LIN" else [next(rows) for _ in p]  # one per parameter, value first
+        column = column + (term_rows[0] if term_rows else term_parts(t, p, None, 0.0)[0])
     _check_finite(column, "lag_column")
     return column
 

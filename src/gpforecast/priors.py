@@ -116,7 +116,7 @@ def _nu_lam(priors: PriorSpec, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray
 
 def log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> float:
     """Sum over the spec's trainables of the lognormal log-density of theta (with its 1/theta Jacobian)."""
-    u = theta.to_log_vector(spec)
+    u = np.log(theta.for_spec(spec))
     nu, lam = _nu_lam(priors, spec)
     terms = -u - 0.5 * np.log(lam) - 0.5 * _LOG_2PI - (u - nu) ** 2 / (2.0 * lam)
     return sum(terms.tolist())  # left to right in spec order, unlike np.sum's pairwise order
@@ -124,7 +124,7 @@ def log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> float:
 
 def grad_log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> np.ndarray:
     """Gradient of the log-prior w.r.t. the log-space trainable vector."""
-    u = theta.to_log_vector(spec)
+    u = np.log(theta.for_spec(spec))
     nu, lam = _nu_lam(priors, spec)
     return -1.0 - (u - nu) / lam
 
@@ -136,7 +136,7 @@ def median_hyperparams(spec: KernelSpec, priors: PriorSpec | None = None) -> Hyp
     prior means, which makes a single optimizer start reproducible.
     """
     priors = priors if priors is not None else default_priors()
-    return HyperParams(**{name: priors[name].median() for name in spec.trainable_names()})
+    return HyperParams.of(spec, **{name: priors[name].median() for name in spec.trainable_names()})
 
 
 def format_priors(priors: PriorSpec) -> str:

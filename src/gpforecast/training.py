@@ -117,7 +117,6 @@ def train(
     priors = priors if priors is not None else default_priors()
     config = config if config is not None else TrainConfig()
     names = spec.trainable_names()
-    template = median_hyperparams(spec, priors)
 
     start = time.perf_counter()
     best_u: np.ndarray | None = None
@@ -125,9 +124,8 @@ def train(
 
     def negative_objective(u: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal best_u, best_value
-        theta = template.with_log_vector(spec, u)
         try:
-            objective, grad = map_objective(spec, priors, theta, x, y)
+            objective, grad = map_objective(spec, priors, HyperParams.from_log(spec, u), x, y)
         except (IllConditionedModelError, InvalidHyperparameterError):
             return _PENALTY, np.zeros(len(names))
         value = -objective
@@ -173,7 +171,7 @@ def train(
         # every evaluated point failed to factorize; fall back to the start
         warnings.warn("training failed to evaluate the objective anywhere; returning prior medians")
         return TrainResult(
-            theta=template,
+            theta=median_hyperparams(spec, priors),
             objective=float("-inf"),
             iterations=iterations,
             converged=False,
@@ -181,9 +179,8 @@ def train(
             nfev=nfev,
             termination=termination,
         )
-    theta_map = template.with_log_vector(spec, best_u)
     return TrainResult(
-        theta=theta_map,
+        theta=HyperParams.from_log(spec, best_u),
         objective=-best_value,
         iterations=iterations,
         converged=converged,

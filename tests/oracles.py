@@ -176,9 +176,8 @@ def standardize(values: np.ndarray) -> np.ndarray:
 
 def random_hyperparams(spec, priors, rng, clip_sigmas: float = 2.0):
     """Draw hyperparameters from the priors, clipped to +-clip_sigmas in log space."""
-    from gpforecast.priors import median_hyperparams
+    from gpforecast.kernels import HyperParams
 
-    template = median_hyperparams(spec, priors)
     names = spec.trainable_names()
     u = np.array(
         [
@@ -187,7 +186,7 @@ def random_hyperparams(spec, priors, rng, clip_sigmas: float = 2.0):
             for name in names
         ]
     )
-    return template.with_log_vector(spec, u)
+    return HyperParams.from_log(spec, u)
 
 
 def mean_signal_variances(spec, theta, x: np.ndarray) -> dict[str, float]:

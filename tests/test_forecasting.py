@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -128,16 +127,20 @@ class TestForecast:
         assert mean_passes >= 18, f"forecast means inside +-0.5 in only {mean_passes}/20 runs"
         assert sd_passes >= 18, f"predictive sd inside [0.5, 2.0]x in only {sd_passes}/20 runs"
 
-    def test_power_of_two_scaling_is_bit_exact(self):
+    # 2^510 puts n std^2, the sum np.std takes, past the float range while std^2 fits
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("k", [1, 480, -480, 510])
+    def test_power_of_two_scaling_is_bit_exact(self, k, sign):
+        a = sign * 2.0**k
         rng = np.random.default_rng(31)
         t = np.arange(40) / 12.0
         base = np.sin(2 * np.pi * t) + 0.3 * rng.standard_normal(40)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fc1, _ = forecast(TimeSeries(values=base, steps_per_year=12.0), 6)
-            fc2, _ = forecast(TimeSeries(values=2.0 * base, steps_per_year=12.0), 6)
-        np.testing.assert_array_equal(fc2.mean, 2.0 * fc1.mean)
-        np.testing.assert_array_equal(fc2.variance, 4.0 * fc1.variance)
+            fc2, _ = forecast(TimeSeries(values=a * base, steps_per_year=12.0), 6)
+        np.testing.assert_array_equal(fc2.mean, a * fc1.mean)
+        np.testing.assert_array_equal(fc2.variance, a * a * fc1.variance)
 
     def test_general_affine_equivariance(self):
         rng = np.random.default_rng(37)
@@ -224,12 +227,12 @@ class TestExactlyPeriodicSixHourly:
         priors = default_priors()
         x = make_time_index(self.series(n))
         assert regular_lags(x) is not None
-        theta = dataclasses.replace(median_hyperparams(spec, priors), s2_per2=1e-2, s2_noise=1e-12)
+        theta = median_hyperparams(spec, priors).replace(s2_per2=1e-2, s2_noise=1e-12)
         y = fit(spec, theta, x, np.zeros(n)).chol_lower @ np.random.default_rng(0).standard_normal(n)
-        u = theta.to_log_vector(spec)
+        u = np.log(theta.values)
 
         def jitter_multiple(u_vec):
-            moved = theta.with_log_vector(spec, u_vec)
+            moved = HyperParams.from_log(spec, u_vec)
             mean_diag = float(np.mean(zero_lag_variance(spec, moved, x) + moved.s2_noise))
             return fit(spec, moved, x, y).jitter / (JITTER_START * mean_diag)
 
@@ -242,7 +245,7 @@ class TestExactlyPeriodicSixHourly:
                 assert jitter_multiple(u + step * np.eye(u.size)[k]) == pytest.approx(multiple, rel=1e-9)
 
         def objective(u_vec):
-            return map_objective(spec, priors, theta.with_log_vector(spec, u_vec), x, y)[0]
+            return map_objective(spec, priors, HyperParams.from_log(spec, u_vec), x, y)[0]
 
         fd = oracles.central_difference(objective, u, h=h)
         _, analytic = map_objective(spec, priors, theta, x, y)
@@ -253,7 +256,7 @@ class TestHorizonMonotonicity:
     def test_rbf_variance_grows_with_distance(self):
         # fixed hyperparameters: the property is about the model, not training
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams(s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.1)
+        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.1)
         rng = np.random.default_rng(41)
         x = np.linspace(0.0, 4.0, 20)
         y = rng.standard_normal(20)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +8,7 @@ from scipy.linalg import cholesky, toeplitz
 import oracles
 from gpforecast import (
     HyperParams,
+    IllConditionedModelError,
     KernelSpec,
     Term,
     build_cross,
@@ -42,11 +42,12 @@ def jittered_gram(spec, theta, x):
 class TestLogMarginalLikelihood:
     def test_single_point_standard_normal(self):
         # unit noise, observation 0: log density of a standard normal at 0
-        value = fit(WN_SPEC, HyperParams(s2_noise=1.0), np.array([0.0]), np.array([0.0])).log_marginal
+        value = fit(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=1.0), np.array([0.0]), np.array([0.0])).log_marginal
         assert value == pytest.approx(-0.9189385332046727, abs=1e-6)
 
     def test_two_points_identity_covariance(self):
-        value = fit(WN_SPEC, HyperParams(s2_noise=1.0), np.array([0.0, 1.0]), np.array([1.0, -1.0])).log_marginal
+        theta = HyperParams.of(WN_SPEC, s2_noise=1.0)
+        value = fit(WN_SPEC, theta, np.array([0.0, 1.0]), np.array([1.0, -1.0])).log_marginal
         assert value == pytest.approx(-2.8378770664093453, abs=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -70,9 +71,9 @@ class TestLogMarginalLikelihood:
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            fit(WN_SPEC, HyperParams(s2_noise=1.0), np.array([0.0, 1.0]), np.array([0.0]))
+            fit(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=1.0), np.array([0.0, 1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
-            fit(WN_SPEC, HyperParams(s2_noise=1.0), np.empty(0), np.empty(0))
+            fit(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=1.0), np.empty(0), np.empty(0))
 
 
 class TestGradient:
@@ -82,7 +83,7 @@ class TestGradient:
         y = rng.standard_normal(6)
         x = np.arange(6.0)
         s2 = 0.7
-        _, grad = log_marginal_likelihood_and_grad(WN_SPEC, HyperParams(s2_noise=s2), x, y)
+        _, grad = log_marginal_likelihood_and_grad(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=s2), x, y)
         expected = -3.0 + float(y @ y) / (2.0 * s2)
         assert grad[0] == pytest.approx(expected, rel=1e-6)
 
@@ -91,7 +92,7 @@ class TestGradient:
         y = rng.standard_normal(6)
         x = np.arange(6.0)
         s2_hat = float(np.mean(y * y))
-        _, grad = log_marginal_likelihood_and_grad(WN_SPEC, HyperParams(s2_noise=s2_hat), x, y)
+        _, grad = log_marginal_likelihood_and_grad(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=s2_hat), x, y)
         assert abs(grad[0]) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -100,10 +101,10 @@ class TestGradient:
         x = np.sort(rng.uniform(0.0, 6.0, size=8))
         y = rng.standard_normal(8)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
-        u = theta.to_log_vector(FULL_SPEC)
+        u = np.log(theta.values)
 
         def f(u_vec):
-            return fit(FULL_SPEC, theta.with_log_vector(FULL_SPEC, u_vec), x, y).log_marginal
+            return fit(FULL_SPEC, HyperParams.from_log(FULL_SPEC, u_vec), x, y).log_marginal
 
         fd = oracles.central_difference(f, u, h=1e-5)
         _, analytic = log_marginal_likelihood_and_grad(FULL_SPEC, theta, x, y)
@@ -147,7 +148,6 @@ class TestRegularGrid:
     @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
     def test_map_gradient_matches_finite_differences(self, mode, steps_per_year):
         spec = default_spec(mode)
-        template = median_hyperparams(spec, PRIORS)
         rng = np.random.default_rng(int(steps_per_year) + 1)
         for _ in range(30):
             n = int(rng.integers(4, 61))
@@ -157,9 +157,9 @@ class TestRegularGrid:
             theta = oracles.random_hyperparams(spec, PRIORS, rng)
 
             def objective(u_vec, spec=spec, x=x, y=y):
-                return map_objective(spec, PRIORS, template.with_log_vector(spec, u_vec), x, y)[0]
+                return map_objective(spec, PRIORS, HyperParams.from_log(spec, u_vec), x, y)[0]
 
-            fd = oracles.central_difference(objective, theta.to_log_vector(spec), h=1e-5)
+            fd = oracles.central_difference(objective, np.log(theta.values), h=1e-5)
             _, analytic = map_objective(spec, PRIORS, theta, x, y)
             rel = float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
             assert rel <= 1e-4
@@ -179,9 +179,9 @@ class TestRegularGrid:
         medians = median_hyperparams(full, PRIORS)
         points = [
             (full, medians, 1e-9, 1e-9),
-            (full, dataclasses.replace(medians, s2_lin=37.0, s2_bias=23.0), 1e-9, 1e-9),
-            (without_lin, medians, 1e-9, 1e-9),
-            (full, dataclasses.replace(medians, s2_noise=5e-8), 2e-6, 5e-6),
+            (full, medians.replace(s2_lin=37.0, s2_bias=23.0), 1e-9, 1e-9),
+            (without_lin, median_hyperparams(without_lin, PRIORS), 1e-9, 1e-9),
+            (full, medians.replace(s2_noise=5e-8), 2e-6, 5e-6),
         ]
         rng = np.random.default_rng(n)
         for x0 in (0.0, 7.25):
@@ -206,10 +206,52 @@ class TestRegularGrid:
         x = np.arange(n) / 1461.0
         y = np.random.default_rng(n).standard_normal(n)
         for s2_noise in np.logspace(-7, -1, 13):
-            theta = dataclasses.replace(medians, s2_noise=float(s2_noise))
+            theta = medians.replace(s2_noise=float(s2_noise))
             oracle = oracles.longdouble_log_mvn(jittered_gram(spec, theta, x), y)
             value = log_marginal_likelihood_and_grad(spec, theta, x, y)[0]
             assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle)), s2_noise
+
+    @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
+    def test_levinson_path_matches_the_cholesky_fallback(self, mode, steps_per_year, monkeypatch):
+        # at prior draws above the conditioning bound the two paths solve one
+        # matrix; measured worst differences 1.7e-13 (value), 4.9e-13 (gradient)
+        spec = default_spec(mode)
+        rng = np.random.default_rng(int(steps_per_year) + 2)
+        real_cholesky = gp.cholesky
+        factorized = []
+
+        def counting(*args, **kwargs):
+            factorized.append(None)
+            return real_cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "cholesky", counting)
+        compared = 0
+        for _ in range(20):
+            n = int(rng.integers(8, 201))
+            x = np.arange(n) / steps_per_year
+            y = rng.standard_normal(n)
+            theta = oracles.random_hyperparams(spec, PRIORS, rng)
+            factorized.clear()
+            value, grad = log_marginal_likelihood_and_grad(spec, theta, x, y)
+            if factorized:  # below the bound: this draw took the Cholesky path already
+                continue
+            with monkeypatch.context() as forced:
+                forced.setattr(gp, "LEVINSON_MIN_ERROR_RATIO", 2.0)  # every E_k / E_0 is <= 1
+                value_chol, grad_chol = log_marginal_likelihood_and_grad(spec, theta, x, y)
+            assert factorized
+            compared += 1
+            assert abs(value - value_chol) <= 1e-10 * max(1.0, abs(value_chol))
+            assert np.max(np.abs(grad - grad_chol)) <= 1e-10 * max(1.0, np.max(np.abs(grad_chol)))
+        assert compared >= 15
+
+    def test_overflowing_gram_diagonal_is_ill_conditioned(self):
+        # at s2_lin = 1e306 every entry of the monthly Gram is finite, but the
+        # sum behind its mean diagonal overflows
+        theta = MEDIANS.replace(s2_lin=1e306)
+        x = np.arange(132) / 12.0
+        y = np.random.default_rng(132).standard_normal(132)
+        with pytest.raises(IllConditionedModelError):
+            map_objective(FULL_SPEC, PRIORS, theta, x, y)
 
     def test_scipy_private_levinson_keeps_its_yule_walker_convention(self):
         # gp imports levinson from scipy.linalg._solve_toeplitz, a private
@@ -251,7 +293,7 @@ class TestRegularGrid:
         map_objective(spec, PRIORS, theta, x, y)
         # near noiseless, min E_k / E_0 falls below it: the Cholesky path
         with pytest.raises(AssertionError, match="cholesky called"):
-            map_objective(spec, PRIORS, dataclasses.replace(theta, s2_noise=5e-8), x, y)
+            map_objective(spec, PRIORS, theta.replace(s2_noise=5e-8), x, y)
 
     @pytest.mark.parametrize(
         ("mode", "steps_per_year", "n"),
@@ -304,14 +346,14 @@ class TestFitState:
     def test_base_jitter_scale(self):
         x = np.arange(4.0)
         y = np.zeros(4)
-        state = fit(WN_SPEC, HyperParams(s2_noise=2.0), x, y)
+        state = fit(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=2.0), x, y)
         assert state.jitter == pytest.approx(JITTER_START * 2.0)
 
 
 class TestPredict:
     def test_far_extrapolation_reverts_to_prior(self):
         spec = KernelSpec(terms=(Term("RBF"),))
-        theta = HyperParams(s2_rbf=1.7, ell_rbf=0.8)
+        theta = HyperParams.of(spec, s2_rbf=1.7, ell_rbf=0.8)
         rng = np.random.default_rng(11)
         x = np.linspace(0.0, 3.0, 8)
         y = rng.standard_normal(8)
@@ -323,14 +365,14 @@ class TestPredict:
 
     def test_noiseless_interpolation_single_point(self):
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams(s2_rbf=1.0, ell_rbf=1.0, s2_noise=1e-12)
+        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=1e-12)
         state = fit(spec, theta, np.array([0.5]), np.array([2.0]))
         posterior = predict(state, spec, theta, np.array([0.5]))
         assert posterior.mean[0] == pytest.approx(2.0, abs=1e-5)
 
     def test_duplicate_test_point_shrinks_by_noise_ratio(self):
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams(s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.5)
+        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.5)
         state = fit(spec, theta, np.array([0.0]), np.array([3.0]))
         posterior = predict(state, spec, theta, np.array([0.0]))
         assert posterior.mean[0] == pytest.approx(3.0 * 1.0 / 1.5, rel=1e-6)
@@ -365,7 +407,7 @@ class TestPredict:
 
     def test_near_zero_noise_reproduces_training_targets(self):
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams(s2_rbf=1.0, ell_rbf=0.5, s2_noise=1e-10)
+        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=0.5, s2_noise=1e-10)
         rng = np.random.default_rng(12)
         x = np.arange(8.0)  # well separated relative to the lengthscale
         y = rng.standard_normal(8)
@@ -375,7 +417,7 @@ class TestPredict:
 
     def test_latent_variance_never_negative(self):
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams(s2_rbf=1.0, ell_rbf=5.0, s2_noise=1e-8)
+        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=5.0, s2_noise=1e-8)
         x = np.linspace(0.0, 0.1, 12)  # almost coincident points
         y = np.zeros(12)
         state = fit(spec, theta, x, y)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -40,12 +39,12 @@ class TestEvalKernel:
     def test_rbf_zero_lag_equals_variance(self):
         spec = single_term_spec("RBF")
         for ell in (0.1, 1.0, 7.3):
-            theta = HyperParams(s2_rbf=2.0, ell_rbf=ell)
+            theta = HyperParams.of(spec, s2_rbf=2.0, ell_rbf=ell)
             assert eval_kernel(spec, theta, 1.3, 1.3) == 2.0
 
     def test_periodic_exact_periodicity(self):
         spec = single_term_spec("PER")
-        theta = HyperParams(s2_per=0.8, ell_per=1.5)
+        theta = HyperParams.of(spec, s2_per=0.8, ell_per=1.5)
         for x in (0.0, 0.3, 2.7):
             assert abs(eval_kernel(spec, theta, x, x + 1.0) - eval_kernel(spec, theta, x, x)) <= 1e-12
 
@@ -59,30 +58,32 @@ class TestEvalKernel:
     def test_rejects_nonpositive_and_missing_parameters(self):
         spec = single_term_spec("RBF")
         with pytest.raises(InvalidHyperparameterError):
-            eval_kernel(spec, HyperParams(s2_rbf=-1.0, ell_rbf=1.0), 0.0, 1.0)
+            HyperParams.of(spec, s2_rbf=-1.0, ell_rbf=1.0)
         with pytest.raises(InvalidHyperparameterError):
-            eval_kernel(spec, HyperParams(s2_rbf=1.0), 0.0, 1.0)
+            eval_kernel(spec, HyperParams(("s2_rbf",), (1.0,)), 0.0, 1.0)
         with pytest.raises(InvalidHyperparameterError):
-            eval_kernel(spec, HyperParams(s2_rbf=float("inf"), ell_rbf=1.0), 0.0, 1.0)
+            HyperParams.of(spec, s2_rbf=float("inf"), ell_rbf=1.0)
 
 
 class TestZeroLag:
     def test_each_term_zero_lag_equals_its_variance(self):
         x = 1.7
         cases = [
-            ("RBF", HyperParams(s2_rbf=0.9, ell_rbf=2.0), 0.9),
-            ("PER", HyperParams(s2_per=1.4, ell_per=0.7), 1.4),
-            ("SM1", HyperParams(s2_sm1=0.6, ell_sm1=0.5, tau_sm1=2.0), 0.6),
-            ("SM2", HyperParams(s2_sm2=2.2, ell_sm2=3.0, tau_sm2=5.0), 2.2),
-            ("WN", HyperParams(s2_noise=0.31), 0.31),
+            ("RBF", dict(s2_rbf=0.9, ell_rbf=2.0), 0.9),
+            ("PER", dict(s2_per=1.4, ell_per=0.7), 1.4),
+            ("SM1", dict(s2_sm1=0.6, ell_sm1=0.5, tau_sm1=2.0), 0.6),
+            ("SM2", dict(s2_sm2=2.2, ell_sm2=3.0, tau_sm2=5.0), 2.2),
+            ("WN", dict(s2_noise=0.31), 0.31),
         ]
-        for kind, theta, expected in cases:
-            assert eval_kernel(single_term_spec(kind), theta, x, x) == pytest.approx(expected, rel=1e-15)
+        for kind, named, expected in cases:
+            spec = single_term_spec(kind)
+            assert eval_kernel(spec, HyperParams.of(spec, **named), x, x) == pytest.approx(expected, rel=1e-15)
 
     def test_linear_zero_lag(self):
-        theta = HyperParams(s2_bias=0.4, s2_lin=0.25)
+        spec = single_term_spec("LIN")
+        theta = HyperParams.of(spec, s2_bias=0.4, s2_lin=0.25)
         x = 3.0
-        assert eval_kernel(single_term_spec("LIN"), theta, x, x) == pytest.approx(0.4 + 0.25 * x * x)
+        assert eval_kernel(spec, theta, x, x) == pytest.approx(0.4 + 0.25 * x * x)
 
     def test_zero_lag_variance_excludes_noise(self):
         x = np.array([0.0, 1.25])
@@ -113,7 +114,7 @@ def test_gram_with_jitter_is_positive_definite(seed):
 
 def test_periodicity_holds_for_integer_multiples():
     spec = single_term_spec("PER")
-    theta = HyperParams(s2_per=1.1, ell_per=0.9)
+    theta = HyperParams.of(spec, s2_per=1.1, ell_per=0.9)
     for x in (0.0, 0.37, 5.2):
         base = eval_kernel(spec, theta, x, x)
         for j in (1, 2, 3, 7):
@@ -123,8 +124,8 @@ def test_periodicity_holds_for_integer_multiples():
 def test_sm_converges_to_rbf_for_huge_tau():
     sm_spec = single_term_spec("SM1")
     rbf_spec = single_term_spec("RBF")
-    sm_theta = HyperParams(s2_sm1=0.7, ell_sm1=1.3, tau_sm1=1e8)
-    rbf_theta = HyperParams(s2_rbf=0.7, ell_rbf=1.3)
+    sm_theta = HyperParams.of(sm_spec, s2_sm1=0.7, ell_sm1=1.3, tau_sm1=1e8)
+    rbf_theta = HyperParams.of(rbf_spec, s2_rbf=0.7, ell_rbf=1.3)
     for lag in np.linspace(-4.0, 4.0, 17):
         sm = eval_kernel(sm_spec, sm_theta, 0.0, lag)
         rbf = eval_kernel(rbf_spec, rbf_theta, 0.0, lag)
@@ -140,7 +141,7 @@ class TestBuildGram:
 
     def test_rbf_three_points_positive_definite(self):
         spec = single_term_spec("RBF")
-        theta = HyperParams(s2_rbf=1.0, ell_rbf=0.8)
+        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=0.8)
         gram = build_gram(spec, theta, np.array([0.0, 1.0, 2.5]))
         lower = np.linalg.cholesky(gram)
         assert np.all(np.diag(lower) > 0)
@@ -164,7 +165,7 @@ class TestBuildGram:
     def test_noise_lands_on_exact_duplicates(self):
         x = np.array([0.0, 1.0, 1.0, 2.0])
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams(s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.3)
+        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.3)
         gram = build_gram(spec, theta, x)
         assert gram[1, 2] == pytest.approx(1.0 + 0.3)
         assert gram[0, 1] == pytest.approx(math.exp(-0.5))
@@ -195,7 +196,7 @@ class TestBuildCross:
         # prediction targets the latent function, so a duplicated test point
         # must not pick up the noise variance
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams(s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.5)
+        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.5)
         cross = build_cross(spec, theta, np.array([1.0]), np.array([1.0, 2.0]))
         assert cross[0, 0] == pytest.approx(1.0)
 
@@ -251,7 +252,7 @@ class TestRegularGrid:
         spec = default_spec(mode)
         theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(61))
         if lin:  # LIN-dominated
-            theta = dataclasses.replace(theta, s2_lin=37.0, s2_bias=23.0)
+            theta = theta.replace(s2_lin=37.0, s2_bias=23.0)
         x = x0 + np.arange(61) / steps_per_year
         assert regular_lags(x) is not None
         gram = build_gram(spec, theta, x)
@@ -281,9 +282,9 @@ class TestGradGram:
 
     def test_log_variance_gradient_equals_term(self):
         spec = single_term_spec("RBF")
-        theta = HyperParams(s2_rbf=1.7, ell_rbf=0.6)
+        theta = HyperParams.of(spec, s2_rbf=1.7, ell_rbf=0.6)
         x = np.linspace(0.0, 2.0, 5)
-        value, partials = term_parts(spec.terms[0], theta.values(spec), *pairwise(x))
+        value, partials = term_parts(spec.terms[0], theta.values, *pairwise(x))
         np.testing.assert_allclose(partials[0], build_gram(spec, theta, x))
         np.testing.assert_array_equal(partials[0], value)
 
@@ -293,7 +294,7 @@ class TestGradGram:
         x = np.sort(rng.uniform(0.0, 6.0, size=6))
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         names = FULL_SPEC.trainable_names()
-        u = theta.to_log_vector(FULL_SPEC)
+        u = np.log(theta.values)
         analytic = [g for t, p in term_values(FULL_SPEC, theta) for g in term_parts(t, p, *pairwise(x))[1]]
         h = 1e-5
         for k in range(len(names)):
@@ -301,8 +302,8 @@ class TestGradGram:
             up[k] += h
             down[k] -= h
             fd = (
-                build_gram(FULL_SPEC, theta.with_log_vector(FULL_SPEC, up), x)
-                - build_gram(FULL_SPEC, theta.with_log_vector(FULL_SPEC, down), x)
+                build_gram(FULL_SPEC, HyperParams.from_log(FULL_SPEC, up), x)
+                - build_gram(FULL_SPEC, HyperParams.from_log(FULL_SPEC, down), x)
             ) / (2.0 * h)
             assert np.max(np.abs(analytic[k] - fd)) <= 1e-5
 
@@ -358,21 +359,60 @@ class TestSpecAndHyperparams:
         with pytest.raises(ValueError):
             KernelSpec(terms=(Term("RBF"), Term("RBF")))
 
-    def test_log_vector_round_trip(self):
-        u = MEDIANS.to_log_vector(FULL_SPEC)
-        again = MEDIANS.with_log_vector(FULL_SPEC, u)
-        assert again == MEDIANS
+    def test_log_round_trip(self):
+        assert HyperParams.from_log(FULL_SPEC, np.log(MEDIANS.values)) == MEDIANS
 
-    def test_with_log_vector_keeps_fields_outside_the_spec(self):
-        spec = single_term_spec("RBF")
-        theta = HyperParams(s2_rbf=0.4, ell_rbf=2.0, s2_noise=0.3)
-        moved = theta.with_log_vector(spec, theta.to_log_vector(spec) + 0.5)
-        assert moved.s2_noise == 0.3
-        assert moved.s2_rbf == pytest.approx(0.4 * math.exp(0.5))
+    def test_reads_trainables_by_name(self):
+        assert MEDIANS.s2_noise == MEDIANS.values[MEDIANS.names.index("s2_noise")]
+        assert MEDIANS.replace(s2_noise=0.25).s2_noise == 0.25
+        with pytest.raises(AttributeError, match="s2_per2"):
+            MEDIANS.s2_per2  # not a trainable of the single-seasonal spec
+        with pytest.raises(InvalidHyperparameterError, match="s2_per2"):
+            MEDIANS.replace(s2_per2=1.0)
 
 
 DOUBLE_SPEC = default_spec("double-seasonal")  # every term kind, PER2 included
+DOUBLE_MEDIANS = median_hyperparams(DOUBLE_SPEC, PRIORS)
 GRID = np.arange(6) / 1461.0
+
+
+def medians_but(name, bad):
+    """The double-seasonal medians by name, with ``name`` set to ``bad``, or left out if ``bad`` is None."""
+    named = dict(zip(DOUBLE_MEDIANS.names, DOUBLE_MEDIANS.values))
+    if bad is None:
+        del named[name]
+    else:
+        named[name] = bad
+    return named
+
+
+CONSTRUCTORS = {
+    "init": lambda named: HyperParams(DOUBLE_MEDIANS.names, tuple(named.get(n) for n in DOUBLE_MEDIANS.names)),
+    "of": lambda named: HyperParams.of(DOUBLE_SPEC, **named),
+    "replace": lambda named: DOUBLE_MEDIANS.replace(**{n: named.get(n) for n in DOUBLE_MEDIANS.names}),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 0.0, -1.0, math.inf, math.nan], ids=["unset", "zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
+def test_every_constructor_rejects_each_invalid_trainable(constructor, bad):
+    make = CONSTRUCTORS[constructor]
+    assert make(medians_but("s2_noise", DOUBLE_MEDIANS.s2_noise)) == DOUBLE_MEDIANS
+    for name in DOUBLE_SPEC.trainable_names():
+        with pytest.raises(InvalidHyperparameterError, match=rf"\b{name}\b"):
+            make(medians_but(name, bad))
+
+
+# exp(u) is never negative or unset; 1e3 overflows to inf
+@pytest.mark.parametrize("bad_u", [-math.inf, math.inf, math.nan, 1e3], ids=["zero", "inf", "nan", "overflow"])
+def test_from_log_rejects_each_invalid_trainable(bad_u):
+    u = np.log(DOUBLE_MEDIANS.values)
+    for k, name in enumerate(DOUBLE_SPEC.trainable_names()):
+        moved = u.copy()
+        moved[k] = bad_u
+        with pytest.raises(InvalidHyperparameterError, match=rf"\b{name}\b"):
+            HyperParams.from_log(DOUBLE_SPEC, moved)
+
 
 ENTRY_POINTS = {
     "eval_kernel": lambda theta: eval_kernel(DOUBLE_SPEC, theta, 0.0, 0.5),
@@ -382,16 +422,19 @@ ENTRY_POINTS = {
     "grad_gram": lambda theta: grad_gram(DOUBLE_SPEC, theta, GRID),
     "log_prior": lambda theta: log_prior(PRIORS, theta, DOUBLE_SPEC),
     "grad_log_prior": lambda theta: grad_log_prior(PRIORS, theta, DOUBLE_SPEC),
-    "to_log_vector": lambda theta: theta.to_log_vector(DOUBLE_SPEC),
 }
 
 
-@pytest.mark.parametrize("bad", [None, 0.0, -1.0, math.inf, math.nan], ids=["unset", "zero", "negative", "inf", "nan"])
+OTHER_SPECS = {
+    "fewer-trainables": default_spec("single-seasonal"),
+    "reordered-trainables": KernelSpec(terms=DOUBLE_SPEC.terms[::-1]),
+}
+
+
+@pytest.mark.parametrize("other", sorted(OTHER_SPECS))
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-def test_every_entry_point_rejects_each_invalid_trainable(entry, bad):
+def test_every_entry_point_rejects_a_theta_made_for_another_spec(entry, other):
     call = ENTRY_POINTS[entry]
-    medians = median_hyperparams(DOUBLE_SPEC, PRIORS)
-    call(medians)  # valid at the medians, so only the bad value can raise below
-    for name in DOUBLE_SPEC.trainable_names():
-        with pytest.raises(InvalidHyperparameterError, match=name):
-            call(dataclasses.replace(medians, **{name: bad}))
+    call(DOUBLE_MEDIANS)  # valid for its own spec, so only the mismatch can raise below
+    with pytest.raises(InvalidHyperparameterError, match="spec trains"):
+        call(median_hyperparams(OTHER_SPECS[other], PRIORS))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def sine_series(n=24):
 class TestMapObjective:
     def test_single_point_noise_model_is_sum_of_audited_parts(self):
         s2 = 0.8
-        theta = HyperParams(s2_noise=s2)
+        theta = HyperParams.of(WN_SPEC, s2_noise=s2)
         x, y = np.array([0.0]), np.array([0.0])
         value, _ = map_objective(WN_SPEC, PRIORS, theta, x, y)
         from scipy.stats import norm
@@ -61,10 +62,10 @@ class TestMapObjective:
         x = np.sort(rng.uniform(0.0, 4.0, size=8))
         y = rng.standard_normal(8)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
-        u = theta.to_log_vector(FULL_SPEC)
+        u = np.log(theta.values)
 
         def f(u_vec):
-            return map_objective(FULL_SPEC, PRIORS, theta.with_log_vector(FULL_SPEC, u_vec), x, y)[0]
+            return map_objective(FULL_SPEC, PRIORS, HyperParams.from_log(FULL_SPEC, u_vec), x, y)[0]
 
         fd = oracles.central_difference(f, u, h=1e-5)
         _, analytic = map_objective(FULL_SPEC, PRIORS, theta, x, y)
@@ -171,6 +172,22 @@ class TestTrain:
         monkeypatch.setattr(training, "map_objective", counting)
         result = train(FULL_SPEC, PRIORS, x, y, TrainConfig(restarts=restarts, seed=5))
         assert result.nfev == len(calls) >= result.iterations > 0
+
+    def test_overflowing_trial_point_is_a_penalty(self, monkeypatch):
+        # exp(800) overflows to inf, which the hyperparameter check rejects
+        x, y = sine_series(24)
+        returned = []
+
+        def one_trial(fun, u0, **kwargs):
+            returned.append(fun(np.full(u0.size, 800.0)))
+            return SimpleNamespace(nit=0, nfev=1, status=0, message="one trial")
+
+        monkeypatch.setattr(training, "minimize", one_trial)
+        with pytest.warns(UserWarning, match="returning prior medians"):
+            result = train(FULL_SPEC, PRIORS, x, y)
+        [(value, grad)] = returned
+        assert value == training._PENALTY and not grad.any()
+        assert result.theta == median_hyperparams(FULL_SPEC, PRIORS)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
