@@ -19,6 +19,14 @@ definiteness, so factorization uses an adaptive diagonal jitter: starting
 at 1e-8 times the mean diagonal and escalating tenfold up to 1e-2 before
 giving up with :class:`IllConditionedModelError`.
 
+The objective evaluates one series many times, so :func:`prepare_series`
+does once what does not depend on the hyperparameters: it checks x and
+y, detects the grid, and makes the differences' arrays, mean(x^2) and the
+stationary-trainable mask.  Each evaluation then makes one
+:func:`grad_gram` call on the prepared differences, which gives every
+stationary partial and, summed by :func:`lag_column`, the covariance at
+each difference.
+
 On a regular grid K is a symmetric Toeplitz matrix T (with the jitter)
 plus LIN's rank-1 slope v v^T, and the objective
 (:func:`log_marginal_likelihood_and_grad`) works from T's first column
@@ -27,27 +35,27 @@ Gohberg-Semencul products with g give T^-1 y and T^-1 v, and
 Sherman-Morrison adds the slope, so an evaluation holds O(n) floats and
 makes no Cholesky factorization.  Levinson is only weakly stable, so
 below a conditioning bound (:data:`LEVINSON_MIN_ERROR_RATIO` on its
-prediction errors) the evaluation takes :func:`fit`'s Cholesky path
-instead.  :func:`fit` builds the Gram in one array, Fortran-ordered on a
-regular grid, and factorizes it in place (a failed try rebuilds it);
-:func:`predict` reuses that factor, so a forecast makes one Cholesky
-factorization at its trained hyperparameters, plus one per evaluation
-that falls back.
+prediction errors) the evaluation lays that column out as the Gram
+instead, in one Fortran-ordered array, factorizes it in place (a failed
+try lays it out again) and solves for y, e_0 and v at once.  On other
+inputs the Gram is laid out from the covariance at each pair of points.
+:func:`fit` builds the Gram from theta and x; :func:`predict` reuses its
+factor, so a forecast makes one Cholesky factorization at its trained
+hyperparameters, plus one per evaluation that falls back.
 
 The gradient never builds an n-by-n matrix per hyperparameter: each
 stationary partial is the dot product of its values on the differences
-(from :func:`grad_gram`) with the matching sums of W = a a^T - K^-1.  On
-a regular grid those are W's diagonal sums, one per lag, and K^-1's come
-in O(n^2) from g and K^-1 v (Gohberg-Semencul plus Sherman-Morrison);
-K^-1 is never formed, and T's column is summed from the same partials, so
-an evaluation passes over the terms once.  On other inputs LAPACK
-``dpotri`` overwrites the factor with K^-1.  LIN, being rank 2,
-contributes two quadratic forms in W.
+with the matching sums of W = a a^T - K^-1.  On a regular grid those are
+W's diagonal sums, one per lag, and K^-1's come in O(n^2) from g and
+K^-1 v (Gohberg-Semencul plus Sherman-Morrison); K^-1 is never formed.
+On other inputs LAPACK ``dpotri`` overwrites the factor with K^-1.  LIN,
+being rank 2, contributes two quadratic forms in W.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +64,15 @@ from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py g
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
-from .kernels import TERM_PARAMS, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
-from .kernels import lag_column, regular_lags, zero_lag_variance
+from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
+from .kernels import lag_column, regular_lags, toeplitz_gram, zero_lag_variance
 
 __all__ = [
     "IllConditionedModelError",
     "FitState",
     "PredictiveDistribution",
+    "PreparedSeries",
+    "prepare_series",
     "fit",
     "predict",
     "log_marginal_likelihood_and_grad",
@@ -110,9 +120,57 @@ class PredictiveDistribution:
     observation_variance: np.ndarray
 
 
-def _cholesky_with_jitter(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K(x, x) + jitter I, factorized where the Gram was built."""
-    gram = build_gram(spec, theta, x)
+@dataclass(frozen=True)
+class PreparedSeries:
+    """Everything an objective evaluation on one series under one spec needs that does not depend on theta.
+
+    ``diffs`` are the differences the stationary terms are evaluated on and
+    ``xx`` LIN's products there: on a regular grid (:func:`regular_lags`)
+    the n lags and 0, with ``pairs`` None; otherwise x_i - x_j and
+    x_i x_j for each pair i >= j, with ``pairs`` = (i, j) and
+    ``pair_weights`` 1 on the diagonal and 2 off it.
+    """
+
+    spec: KernelSpec
+    x: np.ndarray
+    y: np.ndarray
+    diffs: Differences
+    xx: np.ndarray | float
+    pairs: tuple[np.ndarray, np.ndarray] | None
+    pair_weights: np.ndarray | None
+    mean_xx: float
+    stationary: np.ndarray
+
+
+def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSeries:
+    """Check ``x`` and ``y`` and compute every theta-free array of the objective, once."""
+    x, y = _as_data(x, y)
+    lags = regular_lags(x)
+    if lags is None:
+        i, j = np.tril_indices(x.size)
+        d, xx, pairs, weights = x[i] - x[j], x[i] * x[j], (i, j), np.where(i == j, 1.0, 2.0)
+    else:
+        d, xx, pairs, weights = lags, 0.0, None, None
+    return PreparedSeries(
+        spec=spec,
+        x=x,
+        y=y,
+        diffs=Differences.of(spec, d),
+        xx=xx,
+        pairs=pairs,
+        pair_weights=weights,
+        mean_xx=float(np.mean(x * x)),
+        stationary=np.array([name not in TERM_PARAMS["LIN"] for name in spec.trainable_names()]),
+    )
+
+
+def _cholesky_with_jitter(build: Callable[[], np.ndarray]) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K + jitter I, factorized where ``build()`` laid K out.
+
+    ``build`` returns a new, finite K on each call; a failed try overwrote
+    part of the last one, so each jitter level factorizes a fresh K.
+    """
+    gram = build()
     diagonal = np.diag(gram).copy()
     with np.errstate(over="ignore"):  # a finite diagonal can overflow its sum; the check below raises
         scale = float(np.mean(diagonal))
@@ -123,8 +181,7 @@ def _cholesky_with_jitter(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -
         jitter = mult * scale
         np.fill_diagonal(gram, diagonal + jitter)
         try:
-            # build_gram has checked that gram is finite; on a regular grid it is
-            # Fortran-ordered, so LAPACK factorizes it in place
+            # K is checked finite; Fortran-ordered, LAPACK factorizes it in place
             return cholesky(gram, lower=True, overwrite_a=True, check_finite=False), jitter
         except LinAlgError:
             mult *= 10.0
@@ -132,7 +189,7 @@ def _cholesky_with_jitter(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -
                 raise IllConditionedModelError(
                     f"covariance not positive definite even with jitter {JITTER_MAX:g} * mean(diag)"
                 ) from None
-            gram = build_gram(spec, theta, x)  # the failed try overwrote part of it
+            gram = build()
 
 
 def _as_data(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,9 +199,16 @@ def _as_data(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"x and y must be 1-D and equally long, got {x.shape} and {y.shape}")
     if x.size < 1:
         raise ValueError("need at least one observation")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x contains non-finite time points")
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
     return x, y
+
+
+def _log_mvn(lower: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
+    """log N(y; 0, L L^T) from the lower factor L and alpha = (L L^T)^-1 y."""
+    return -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(lower)))) - 0.5 * y.size * _LOG_2PI
 
 
 def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> FitState:
@@ -153,23 +217,25 @@ def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> F
     ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
     """
     x, y = _as_data(x, y)
-    lower, jitter = _cholesky_with_jitter(spec, theta, x)
+    lower, jitter = _cholesky_with_jitter(lambda: build_gram(spec, theta, x))
     alpha = cho_solve((lower, True), y, check_finite=False)
-    n = x.size
-    lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(lower)))) - 0.5 * n * _LOG_2PI
     return FitState(
         x_train=x.copy(),
         chol_lower=lower,
         alpha=alpha,
-        log_marginal=lml,
+        log_marginal=_log_mvn(lower, y, alpha),
         jitter=jitter,
     )
 
 
 def log_marginal_likelihood_and_grad(
-    spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray
+    spec: KernelSpec, theta: HyperParams, x: np.ndarray | PreparedSeries, y: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient from one solve with the covariance.
+
+    ``x`` and ``y`` are the training series.  A caller that evaluates one
+    series many times passes ``x = prepare_series(spec, x, y)`` and no
+    ``y`` instead; with arrays this prepares them on every call.
 
     The gradient over the log-space trainables uses the standard identity
     d lml / d u_k = 0.5 tr[W dK/du_k] with W = a a^T - K^-1 and a = K^-1 y.
@@ -184,48 +250,61 @@ def log_marginal_likelihood_and_grad(
     hyperparameters is included: the result is the exact gradient of the
     value actually computed.
     """
-    x, y = _as_data(x, y)
-    lags = regular_lags(x)
-    slope = theta.s2_lin if spec.has("LIN") else 0.0
-    if lags is None:  # every pair i >= j once, off-diagonal pairs counted twice
-        state = fit(spec, theta, x, y)
-        lml, a, jitter = state.log_marginal, state.alpha, state.jitter
-        # dpotri writes the lower triangle of K^-1 over the factor, which this
-        # state no longer needs
-        inv_lower, info = dpotri(state.chol_lower, lower=1, overwrite_c=1)
+    if isinstance(x, PreparedSeries):
+        if y is not None or x.spec != spec:
+            raise ValueError("a prepared series is passed without y, and with the spec it was prepared for")
+        series = x
+    else:
+        series = prepare_series(spec, x, y)
+    x, y = series.x, series.y
+    lin = spec.has("LIN")
+    slope = theta.s2_lin if lin else 0.0
+    partials = grad_gram(spec, theta, series.diffs)  # the one pass over the terms, values included
+    column = lag_column(spec, theta, partials, series.xx)
+    if series.pairs is not None:  # every pair i >= j once, off-diagonal pairs counted twice
+        i, j = series.pairs
+        lower, jitter = _cholesky_with_jitter(lambda: _pairs_gram(column, i, j, y.size))
+        a = cho_solve((lower, True), y, check_finite=False)
+        lml = _log_mvn(lower, y, a)
+        # dpotri writes the lower triangle of K^-1 over the factor, which is not needed after it
+        inv_lower, info = dpotri(lower, lower=1, overwrite_c=1)
         if info != 0:
             raise IllConditionedModelError(f"inverting the covariance failed (LAPACK dpotri info {info})")
-        i, j = np.tril_indices(x.size)
-        s = np.where(i == j, 1.0, 2.0) * (a[i] * a[j] - inv_lower[i, j])
+        s = series.pair_weights * (a[i] * a[j] - inv_lower[i, j])
         trace_inv = float(np.trace(inv_lower))
         x_inv_x = float(x @ dsymv(1.0, inv_lower, x, lower=1)) if slope else 0.0
-        partials = grad_gram(spec, theta, x[i] - x[j])
     else:  # W's diagonal sums: a's autocorrelation minus K^-1's, off-diagonals counted twice
-        partials = grad_gram(spec, theta, lags)  # the one pass over the terms, values included
         v = math.sqrt(slope) * x
-        column = lag_column(spec, theta, partials)
-        solved = _levinson_solve(column, v, y) or _cholesky_grid_solve(spec, theta, x, y, v)
+        solved = _levinson_solve(column, v, y) or _cholesky_grid_solve(column, v, y, lin)
         lml, a, jitter, g, p, beta = solved
         inv_sums = _toeplitz_plus_rank1_inverse_sums(g, p, beta)
         s = 2.0 * (_correlation(a, a) - inv_sums)
         s[0] *= 0.5
         trace_inv = float(inv_sums[0])
         x_inv_x = float(v @ p) / slope if slope else 0.0
-    stationary = np.array([name not in TERM_PARAMS["LIN"] for name in theta.names])
+    stationary = series.stationary
     traces = np.empty(stationary.size)  # tr(W dK/du_k)
     zero_lag = np.empty(stationary.size)  # mean diagonal of dK/du_k
     traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]  # lag 0 comes first on either path
-    if spec.has("LIN"):  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
+    if lin:  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
         bias = theta.s2_bias
         x_w_x = float((x @ a) ** 2 - x_inv_x)
         traces[~stationary] = [bias * float(np.sum(s)), slope * x_w_x]
-        zero_lag[~stationary] = [bias, slope * float(np.mean(x * x))]
+        zero_lag[~stationary] = [bias, slope * series.mean_xx]
     # dk/dlog s2 = k and every other partial vanishes at lag 0, so the
     # zero-lag partials add up to the mean Gram diagonal the jitter tracks
     jitter_sensitivity = jitter / math.fsum(zero_lag) * zero_lag
     trace_w = float(a @ a - trace_inv)
     grad = 0.5 * traces + 0.5 * trace_w * jitter_sensitivity
     return lml, grad
+
+
+def _pairs_gram(values: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n-by-n matrix with ``values`` at each pair (i, j), i >= j, and its mirror, Fortran-ordered."""
+    gram = np.empty((n, n), order="F")
+    gram[i, j] = values
+    gram[j, i] = values
+    return gram
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails a check below
@@ -282,23 +361,25 @@ def _levinson_solve(
 
 
 def _cholesky_grid_solve(
-    spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray, v: np.ndarray
+    column: np.ndarray, v: np.ndarray, y: np.ndarray, lin: bool
 ) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray, float]:
-    """:func:`_levinson_solve`'s result from :func:`fit` and one two-column solve with the factor.
+    """:func:`_levinson_solve`'s result from a Cholesky factor of the Gram laid out from ``column``.
 
-    With p = K^-1 v and beta = 1 - v^T p, Sherman-Morrison gives
-    g = T^-1 e_0 = K^-1 e_0 + p p_0 / beta.  K positive definite means
-    beta > 0; its failing means rounding has swamped the solve.
+    The Gram is T plus, with LIN, v v^T.  One three-column solve with the
+    factor gives a = K^-1 y, q = K^-1 e_0 and p = K^-1 v; with
+    beta = 1 - v^T p, Sherman-Morrison gives g = T^-1 e_0 = q + p p_0 / beta.
+    K positive definite means beta > 0; its failing means rounding has
+    swamped the solve.
     """
-    state = fit(spec, theta, x, y)
-    rhs = np.zeros((x.size, 2), order="F")
-    rhs[0, 0], rhs[:, 1] = 1.0, v
-    q, p = cho_solve((state.chol_lower, True), rhs, check_finite=False).T
+    lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column, v if lin else None))
+    rhs = np.zeros((y.size, 3), order="F")
+    rhs[:, 0], rhs[0, 1], rhs[:, 2] = y, 1.0, v
+    a, q, p = cho_solve((lower, True), rhs, check_finite=False).T
     beta = 1.0 - float(v @ p)
     if not (np.isfinite(beta) and beta > 0.0):
         raise IllConditionedModelError(f"rank-1 update of the Toeplitz part is not positive (beta {beta!r})")
     g = q + (p[0] / beta) * p
-    return state.log_marginal, state.alpha, state.jitter, g, p, beta
+    return _log_mvn(lower, y, a), a, jitter, g, p, beta
 
 
 def _correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,16 +17,20 @@ inputs and are safe to call concurrently.
 Each term's formula is written once, in :func:`term_parts`, which returns
 its value and its partials on an array of any shape: of time differences
 for the stationary terms (everything but LIN), of products x1 * x2 for LIN.
-A term reads its values in ``TERM_PARAMS`` order and a periodic term its
-fixed period from the :class:`Term` itself.  :class:`HyperParams` checks
-its values once, when made; an entry point checks only their names.
+A stationary term reads the differences as :class:`Differences`, the
+arrays that do not depend on the hyperparameters (|d|, d^2, d == 0 and
+sin^2(pi |d| / P) per period), made once per array of differences, so an
+objective evaluation on a prepared series computes none of them.  A term
+reads its values in ``TERM_PARAMS`` order and a periodic term its fixed
+period from the :class:`Term` itself.  :class:`HyperParams` checks its
+values once, when made; an entry point checks only their names.
 :func:`grad_gram` stacks the stationary terms' partials on a vector of
 differences: the n lags of a regular grid, or each pair of points once.
-On a regular grid (:func:`regular_lags`) that is the one pass over the
-terms: :func:`lag_column` sums the Gram's first column from those rows,
-and :func:`build_gram` lays it out as a Toeplitz matrix plus LIN's slope,
-a rank-1 update in place; other inputs take the same formulas on the
-n-by-n differences.
+That is the one pass over the terms: :func:`lag_column` sums the
+covariance at each difference from those rows, and on a regular grid
+(:func:`regular_lags`) :func:`toeplitz_gram` lays that column out as a
+Toeplitz matrix plus LIN's slope, a rank-1 update in place; other inputs
+to :func:`build_gram` take the same formulas on the n-by-n differences.
 
 Hyperparameters are always positive; optimization happens in log space, so
 every partial in this module is taken with respect to ``log(parameter)``.
@@ -50,10 +54,12 @@ __all__ = [
     "build_gram",
     "build_cross",
     "zero_lag_variance",
+    "Differences",
     "term_parts",
     "grad_gram",
     "regular_lags",
     "lag_column",
+    "toeplitz_gram",
 ]
 
 
@@ -118,6 +124,8 @@ class KernelSpec:
         kinds = [t.kind for t in self.terms]
         if len(set(kinds)) != len(kinds):
             raise ValueError(f"duplicate kernel terms in {kinds}")
+        # made once: every objective evaluation compares theta's names with these
+        object.__setattr__(self, "_names", tuple(name for t in self.terms for name in TERM_PARAMS[t.kind]))
 
     def kinds(self) -> tuple[str, ...]:
         return tuple(t.kind for t in self.terms)
@@ -132,10 +140,7 @@ class KernelSpec:
         canonical order) defines the layout of every log-space vector:
         gradients, priors, and the optimizer all use it.
         """
-        names: list[str] = []
-        for t in self.terms:
-            names.extend(TERM_PARAMS[t.kind])
-        return tuple(names)
+        return self._names
 
 
 @dataclass(frozen=True)
@@ -195,17 +200,38 @@ def _by_name(names: tuple[str, ...], named: dict[str, float]) -> HyperParams:
     return HyperParams(names, tuple(named.get(name) for name in names))
 
 
+@dataclass(frozen=True)
+class Differences:
+    """What the stationary terms read from an array of time differences d, none of it depending on theta.
+
+    ``abs`` is |d| (only |d| matters), ``sq`` d^2, ``zero`` where d == 0,
+    and ``sin2[P]`` sin^2(pi |d| / P) for each periodic term's period P.
+    """
+
+    abs: np.ndarray
+    sq: np.ndarray
+    zero: np.ndarray
+    sin2: dict[float, np.ndarray]
+
+    @classmethod
+    def of(cls, spec: KernelSpec, d: np.ndarray | float) -> "Differences":
+        """The arrays of ``d`` (any shape) for the terms of ``spec``."""
+        a = np.abs(d)
+        periods = {t.period for t in spec.terms if t.period is not None}
+        return cls(abs=a, sq=a * a, zero=a == 0, sin2={period: np.sin(np.pi * a / period) ** 2 for period in periods})
+
+
 def term_parts(
-    term: Term, p: list[float], d: np.ndarray | float | None, xx: np.ndarray | float | None = None
+    term: Term, p: list[float], d: Differences | None, xx: np.ndarray | float | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Value of one term and its partials w.r.t. the log of each of its parameters.
 
     ``p`` holds the term's parameter values in ``TERM_PARAMS[term.kind]``
     order; a periodic term's period is ``term.period``.  Works elementwise
-    on arrays of any shape.  Stationary terms read ``d``, the time
-    differences x1 - x2 (only |d| matters); LIN reads ``xx``, the matching
-    products x1 * x2.  The partials follow ``p``; the first is the value
-    itself, since dk/dlog s2 = k for every variance.
+    on arrays of any shape.  Stationary terms read ``d``, the
+    :class:`Differences` of the time differences x1 - x2; LIN reads ``xx``,
+    the matching products x1 * x2.  The partials follow ``p``; the first
+    is the value itself, since dk/dlog s2 = k for every variance.
     """
     kind = term.kind
     if kind == "LIN":
@@ -213,24 +239,23 @@ def term_parts(
         slope = s2_lin * xx
         k = s2_bias + slope
         return k, [np.broadcast_to(s2_bias, np.shape(k)), slope]
-    d = np.abs(d)
     if kind == "RBF":
         s2, ell = p
-        k = s2 * np.exp(-(d * d) / (2.0 * ell * ell))
-        return k, [k, k * (d * d) / (ell * ell)]
+        k = s2 * np.exp(-d.sq / (2.0 * ell * ell))
+        return k, [k, k * d.sq / (ell * ell)]
     if kind in ("PER", "PER2"):
         s2, ell = p
-        sin2 = np.sin(np.pi * d / term.period) ** 2
+        sin2 = d.sin2[term.period]
         k = s2 * np.exp(-2.0 * sin2 / (ell * ell))
         return k, [k, 4.0 * k * sin2 / (ell * ell)]
     if kind in ("SM1", "SM2"):
         s2, ell, tau = p
-        env = s2 * np.exp(-(d * d) / (2.0 * ell * ell))
-        k = env * np.cos(d / tau)
-        return k, [k, k * (d * d) / (ell * ell), env * np.sin(d / tau) * d / tau]
+        env = s2 * np.exp(-d.sq / (2.0 * ell * ell))
+        k = env * np.cos(d.abs / tau)
+        return k, [k, k * d.sq / (ell * ell), env * np.sin(d.abs / tau) * d.abs / tau]
     if kind == "WN":
         (s2,) = p
-        k = np.where(d == 0, s2, 0.0)
+        k = np.where(d.zero, s2, 0.0)
         return k, [k]
     raise AssertionError(kind)
 
@@ -241,16 +266,17 @@ def _term_values(spec: KernelSpec, theta: HyperParams) -> list[tuple[Term, list[
     return [(t, [next(values) for _ in TERM_PARAMS[t.kind]]) for t in spec.terms]
 
 
-def grad_gram(spec: KernelSpec, theta: HyperParams, d: np.ndarray) -> np.ndarray:
+def grad_gram(spec: KernelSpec, theta: HyperParams, d: Differences) -> np.ndarray:
     """Partials of the stationary terms w.r.t. the log of each of their trainables.
 
-    ``d`` is a 1-D array of time differences.  Returns shape ``(q, d.size)``:
-    one row per trainable of ``spec.trainable_names()`` that is not LIN's,
-    in that order.  Row k holds dK/du_k at each difference, so on a regular
-    grid, with d the lags, dK/du_k is the symmetric Toeplitz matrix of row k.
+    ``d`` holds a 1-D array of time differences.  Returns shape
+    ``(q, d.abs.size)``: one row per trainable of ``spec.trainable_names()``
+    that is not LIN's, in that order.  Row k holds dK/du_k at each
+    difference, so on a regular grid, with d the lags, dK/du_k is the
+    symmetric Toeplitz matrix of row k.
     """
     rows = [g for t, p in _term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, d)[1]]
-    out = np.array(rows).reshape(len(rows), np.size(d))
+    out = np.array(rows).reshape(len(rows), d.abs.size)
     _check_finite(out, "grad_gram")
     return out
 
@@ -275,12 +301,12 @@ def regular_lags(x: np.ndarray) -> np.ndarray | None:
 
 def _composition(
     terms: list[tuple[Term, list[float]]],
-    d: np.ndarray | float,
+    d: Differences,
     xx: np.ndarray | float,
     include_noise: bool = True,
 ) -> np.ndarray:
     """Sum of the values of ``terms``, as from :func:`_term_values`."""
-    out = np.zeros(np.shape(d))
+    out = np.zeros(np.shape(d.abs))
     for t, p in terms:
         if t.kind != "WN" or include_noise:
             out = out + term_parts(t, p, d, xx)[0]
@@ -301,7 +327,7 @@ def eval_kernel(spec: KernelSpec, theta: HyperParams, x1: float, x2: float) -> f
     terms = _term_values(spec, theta)
     a = float(x1)
     b = float(x2)
-    out = float(_composition(terms, a - b, a * b))
+    out = float(_composition(terms, Differences.of(spec, a - b), a * b))
     _check_finite(out, "eval_kernel")
     return out
 
@@ -310,44 +336,63 @@ def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarra
     """n-by-n covariance matrix K[i, j] = k(x[i], x[j]).
 
     On a regular grid (see :func:`regular_lags`) the first column, from
-    :func:`lag_column`, is laid out as a symmetric Toeplitz matrix in one
-    Fortran-ordered array, to which LIN's slope s2_lin xx^T is added in
-    place as the rank-1 update v v^T, v = sqrt(s2_lin) x, which keeps it
-    exactly symmetric.  Otherwise every term is evaluated on the n-by-n
-    differences.  Symmetric by construction either way.  The WN term lands
-    on the diagonal and on any exact duplicate time points.
+    :func:`lag_column`, is laid out by :func:`toeplitz_gram`.  Otherwise
+    every term is evaluated on the n-by-n differences.  Symmetric by
+    construction either way.  The WN term lands on the diagonal and on any
+    exact duplicate time points.
     """
     x = _as_points(x, "x")
     lags = regular_lags(x)
     if lags is None:
-        gram = _composition(_term_values(spec, theta), x[:, None] - x[None, :], x[:, None] * x[None, :])
-    else:
-        column = lag_column(spec, theta, grad_gram(spec, theta, lags))
-        # row i of the reversed windows of (c[n-1], ..., c[1], c[0], ..., c[n-1]) is c[|i - j|]
-        windows = sliding_window_view(np.concatenate((column[:0:-1], column)), x.size)[::-1]
-        gram = np.ascontiguousarray(windows).T  # symmetric, so its transpose is itself
-        if spec.has("LIN"):
-            v = np.sqrt(theta.s2_lin) * x
-            gram = dger(1.0, v, v, a=gram, overwrite_a=1)
+        d = Differences.of(spec, x[:, None] - x[None, :])
+        gram = _composition(_term_values(spec, theta), d, x[:, None] * x[None, :])
+        _check_finite(gram, "build_gram")
+        return gram
+    column = lag_column(spec, theta, grad_gram(spec, theta, Differences.of(spec, lags)))
+    return toeplitz_gram(column, np.sqrt(theta.s2_lin) * x if spec.has("LIN") else None)
+
+
+def toeplitz_gram(column: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """The symmetric Toeplitz matrix of ``column`` plus v v^T (when v is given), Fortran-ordered.
+
+    On a regular grid that is the Gram, with ``column`` from
+    :func:`lag_column` and v = sqrt(s2_lin) x: LIN's slope s2_lin x x^T is
+    added in place as a rank-1 update, which keeps the matrix exactly
+    symmetric.
+    """
+    # row i of the reversed windows of (c[n-1], ..., c[1], c[0], ..., c[n-1]) is c[|i - j|]
+    windows = sliding_window_view(np.concatenate((column[:0:-1], column)), column.size)[::-1]
+    gram = np.ascontiguousarray(windows).T  # symmetric, so its transpose is itself
+    if v is not None:
+        gram = dger(1.0, v, v, a=gram, overwrite_a=1)
     _check_finite(gram, "build_gram")
     return gram
 
 
-def lag_column(spec: KernelSpec, theta: HyperParams, partials: np.ndarray) -> np.ndarray:
-    """First column of a regular grid's Gram without LIN's slope, from :func:`grad_gram` on its lags.
+def lag_column(
+    spec: KernelSpec, theta: HyperParams, partials: np.ndarray, xx: np.ndarray | float = 0.0
+) -> np.ndarray:
+    """The covariance at each difference :func:`grad_gram` gave ``partials`` for, LIN's at products ``xx``.
 
     A stationary term's first row there is its value (dk/dlog s2 = k), so
-    the column is those rows summed in term order, with LIN's bias (its
-    value at xx = 0, constant in the lag) in LIN's place.  The Gram is the
-    symmetric Toeplitz matrix of this column plus the rank-1 slope s2_lin x x^T.
+    the result is those rows summed in term order, with LIN's value at
+    ``xx`` in LIN's place.  On a regular grid's lags, with xx = 0, that is
+    the Gram's first column without LIN's slope (LIN's bias is constant in
+    the lag): the Gram is the symmetric Toeplitz matrix of this column plus
+    the rank-1 slope s2_lin x x^T.  On the pairs of points, with xx their
+    products, it is the Gram's entry for each pair.
     """
     column = np.zeros(partials.shape[1])
     rows = iter(partials)
     for t, p in _term_values(spec, theta):
         term_rows = [] if t.kind == "LIN" else [next(rows) for _ in p]  # one per parameter, value first
-        column = column + (term_rows[0] if term_rows else term_parts(t, p, None, 0.0)[0])
+        column = column + (term_rows[0] if term_rows else term_parts(t, p, None, xx)[0])
     _check_finite(column, "lag_column")
     return column
+
+
+# Entries of the cross-covariance evaluated at once (64 KiB per array).
+_CROSS_BLOCK = 8192
 
 
 def build_cross(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -357,13 +402,18 @@ def build_cross(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray, x: np.
     function, whose noise is independent of the training noise, so even a
     test point that exactly duplicates a training point only sees the
     signal covariance (its prediction shrinks toward the latent mean).
+    Test points are taken in blocks of at most ``_CROSS_BLOCK`` entries,
+    so the differences' arrays and each term's temporaries stay that size
+    however long the horizon.
     """
     terms = _term_values(spec, theta)
     x_star = _as_points(x_star, "x_star", allow_empty=True)
     x = _as_points(x, "x")
-    col = x_star[:, None]
     row = x[None, :]
-    cross = _composition(terms, col - row, col * row, include_noise=False)
+    blocks = np.array_split(x_star[:, None], max(1, -(-x_star.size * x.size // _CROSS_BLOCK)))
+    cross = np.concatenate(
+        [_composition(terms, Differences.of(spec, col - row), col * row, include_noise=False) for col in blocks]
+    )
     _check_finite(cross, "build_cross")
     return cross
 
@@ -376,7 +426,7 @@ def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np
     """
     terms = _term_values(spec, theta)
     x = _as_points(x, "x", allow_empty=True)
-    out = _composition(terms, np.zeros(x.size), x * x, include_noise=False)
+    out = _composition(terms, Differences.of(spec, np.zeros(x.size)), x * x, include_noise=False)
     _check_finite(out, "zero_lag_variance")
     return out
 

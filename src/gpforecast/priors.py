@@ -21,7 +21,9 @@ the shared variance prior.  The fixed periods live on the kernel spec's
 terms and carry no prior.
 
 :func:`log_prior` and :func:`grad_log_prior` are one array expression each
-over ``u = log(theta)`` and the spec's ``nu`` and ``lam`` arrays.
+over ``u = log(theta)`` and the spec's ``nu`` and ``lam`` arrays, which
+:func:`prior_vectors` makes once for a caller that evaluates them many
+times.
 
 Priors can be saved to and loaded from a plain-text file (one
 ``name = nu lam`` line per parameter) so alternative calibrations can be
@@ -41,7 +43,9 @@ from .kernels import LENGTHSCALE_PARAMS, VARIANCE_PARAMS, HyperParams, KernelSpe
 __all__ = [
     "LogNormalPrior",
     "PriorSpec",
+    "PriorVectors",
     "default_priors",
+    "prior_vectors",
     "log_prior",
     "grad_log_prior",
     "median_hyperparams",
@@ -108,25 +112,50 @@ def default_priors() -> PriorSpec:
     return PriorSpec(entries=entries)
 
 
-def _nu_lam(priors: PriorSpec, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The priors' ``nu`` and ``lam`` in ``spec.trainable_names()`` order."""
-    entries = [priors[name] for name in spec.trainable_names()]
-    return np.array([e.nu for e in entries]), np.array([e.lam for e in entries])
+@dataclass(frozen=True)
+class PriorVectors:
+    """A spec's priors as arrays in ``names`` = ``spec.trainable_names()`` order, made once by :func:`prior_vectors`."""
+
+    names: tuple[str, ...]
+    nu: np.ndarray
+    lam: np.ndarray
+    half_log_lam: np.ndarray
 
 
-def log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> float:
-    """Sum over the spec's trainables of the lognormal log-density of theta (with its 1/theta Jacobian)."""
+def prior_vectors(priors: PriorSpec, spec: KernelSpec) -> PriorVectors:
+    """The priors' ``nu`` and ``lam`` for the spec's trainables, in their order."""
+    names = spec.trainable_names()
+    entries = [priors[name] for name in names]
+    lam = np.array([e.lam for e in entries])
+    return PriorVectors(names, np.array([e.nu for e in entries]), lam, 0.5 * np.log(lam))
+
+
+def _log_theta_and_vectors(
+    priors: PriorSpec | PriorVectors, theta: HyperParams, spec: KernelSpec
+) -> tuple[np.ndarray, PriorVectors]:
     u = np.log(theta.for_spec(spec))
-    nu, lam = _nu_lam(priors, spec)
-    terms = -u - 0.5 * np.log(lam) - 0.5 * _LOG_2PI - (u - nu) ** 2 / (2.0 * lam)
+    if not isinstance(priors, PriorVectors):
+        return u, prior_vectors(priors, spec)
+    if priors.names != theta.names:
+        raise ValueError(f"the prior vectors are for {priors.names}, but the spec trains {theta.names}")
+    return u, priors
+
+
+def log_prior(priors: PriorSpec | PriorVectors, theta: HyperParams, spec: KernelSpec) -> float:
+    """Sum over the spec's trainables of the lognormal log-density of theta (with its 1/theta Jacobian).
+
+    A caller that evaluates one spec's priors many times passes
+    ``prior_vectors(priors, spec)`` instead of ``priors``.
+    """
+    u, p = _log_theta_and_vectors(priors, theta, spec)
+    terms = -u - p.half_log_lam - 0.5 * _LOG_2PI - (u - p.nu) ** 2 / (2.0 * p.lam)
     return sum(terms.tolist())  # left to right in spec order, unlike np.sum's pairwise order
 
 
-def grad_log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> np.ndarray:
-    """Gradient of the log-prior w.r.t. the log-space trainable vector."""
-    u = np.log(theta.for_spec(spec))
-    nu, lam = _nu_lam(priors, spec)
-    return -1.0 - (u - nu) / lam
+def grad_log_prior(priors: PriorSpec | PriorVectors, theta: HyperParams, spec: KernelSpec) -> np.ndarray:
+    """Gradient of the log-prior w.r.t. the log-space trainable vector; ``priors`` as in :func:`log_prior`."""
+    u, p = _log_theta_and_vectors(priors, theta, spec)
+    return -1.0 - (u - p.nu) / p.lam
 
 
 def median_hyperparams(spec: KernelSpec, priors: PriorSpec | None = None) -> HyperParams:

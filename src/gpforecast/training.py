@@ -4,8 +4,12 @@ The objective is the log of prior times marginal likelihood, maximized
 over ``u = log(theta)`` so positivity is structural.  :func:`map_objective`
 computes it and its gradient from one factorization; :func:`train` hands
 its negation to a quasi-Newton optimizer (L-BFGS-B with its built-in line
-search).  A trial point whose covariance cannot be factorized gets a large
-finite penalty instead of an error, so the line search simply backs off.
+search).  :func:`train` prepares the series and the prior vectors once,
+so each evaluation runs only the theta-dependent work; the public
+:func:`map_objective` on arrays prepares them per call and then runs the
+same evaluation.  A trial point whose covariance cannot be factorized
+gets a large finite penalty instead of an error, so the line search
+simply backs off; ``TrainResult.penalty_evals`` counts them.
 
 Training starts at the prior medians (the prior means in log space),
 which makes a single start deterministic.  Optional extra restarts
@@ -21,14 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .gp import IllConditionedModelError, log_marginal_likelihood_and_grad
+from .gp import IllConditionedModelError, PreparedSeries, log_marginal_likelihood_and_grad, prepare_series
 from .kernels import HyperParams, InvalidHyperparameterError, KernelSpec
 from .priors import (
     PriorSpec,
+    PriorVectors,
     default_priors,
     grad_log_prior,
     log_prior,
     median_hyperparams,
+    prior_vectors,
 )
 
 __all__ = ["TrainConfig", "TrainResult", "map_objective", "train"]
@@ -68,6 +74,10 @@ class TrainConfig:
 class TrainResult:
     """``iterations`` and ``nfev`` are L-BFGS-B's iterations and objective evaluations, summed over restarts.
 
+    ``penalty_evals`` counts the evaluations, summed over restarts, that
+    returned the penalty instead of the objective (an ill-conditioned or
+    invalid trial point).
+
     ``termination`` is L-BFGS-B's message for the restart that produced
     ``theta``, e.g. an ``ABNORMAL`` line-search stop behind ``converged=False``.
     """
@@ -79,15 +89,24 @@ class TrainResult:
     seconds: float
     nfev: int
     termination: str
+    penalty_evals: int
 
 
 def map_objective(
-    spec: KernelSpec, priors: PriorSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray
+    spec: KernelSpec,
+    priors: PriorSpec | PriorVectors,
+    theta: HyperParams,
+    x: np.ndarray | PreparedSeries,
+    y: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood plus log prior, and its gradient over the log-space trainables.
 
     Both come from one factorization.  Raises :class:`IllConditionedModelError`
-    if the covariance cannot be factorized.
+    if the covariance cannot be factorized.  :func:`train` evaluates it on
+    one series many times, so it passes that series prepared once
+    (``x = prepare_series(spec, x, y)``, no ``y``) and the priors as
+    ``prior_vectors(priors, spec)``; given arrays and a :class:`PriorSpec`,
+    each call prepares them and then runs the same evaluation.
     """
     lml, lml_grad = log_marginal_likelihood_and_grad(spec, theta, x, y)
     return lml + log_prior(priors, theta, spec), lml_grad + grad_log_prior(priors, theta, spec)
@@ -116,33 +135,36 @@ def train(
         raise ValueError("the trained model must include a WN term for the observation noise")
     priors = priors if priors is not None else default_priors()
     config = config if config is not None else TrainConfig()
-    names = spec.trainable_names()
-
     start = time.perf_counter()
+    # everything the objective needs that does not depend on theta, once per series
+    series = prepare_series(spec, x, y)
+    vectors = prior_vectors(priors, spec)
     best_u: np.ndarray | None = None
     best_value = float("inf")  # minimizer convention: value = -objective
+    penalty_evals = 0
 
     def negative_objective(u: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal best_u, best_value
+        nonlocal best_u, best_value, penalty_evals
         try:
-            objective, grad = map_objective(spec, priors, HyperParams.from_log(spec, u), x, y)
+            objective, grad = map_objective(spec, vectors, HyperParams.from_log(spec, u), series)
         except (IllConditionedModelError, InvalidHyperparameterError):
-            return _PENALTY, np.zeros(len(names))
+            objective = float("-inf")  # penalized below, as a non-finite value is
         value = -objective
         if not np.isfinite(value):
-            return _PENALTY, np.zeros(len(names))
+            penalty_evals += 1
+            return _PENALTY, np.zeros(u.size)
         if value < best_value:
             best_value = value
             best_u = u.copy()
         return value, -grad
 
-    u0 = np.array([priors[name].nu for name in names])
+    u0 = vectors.nu.copy()
     starts = [u0]
     if config.restarts > 1:
         rng = np.random.default_rng(config.seed)
-        scales = np.sqrt([priors[name].lam for name in names])
+        scales = np.sqrt(vectors.lam)
         for _ in range(config.restarts - 1):
-            starts.append(u0 + rng.normal(0.0, 1.0, size=len(names)) * scales)
+            starts.append(u0 + rng.normal(0.0, 1.0, size=u0.size) * scales)
 
     iterations = nfev = 0
     converged = False
@@ -178,6 +200,7 @@ def train(
             seconds=seconds,
             nfev=nfev,
             termination=termination,
+            penalty_evals=penalty_evals,
         )
     return TrainResult(
         theta=HyperParams.from_log(spec, best_u),
@@ -187,4 +210,5 @@ def train(
         seconds=seconds,
         nfev=nfev,
         termination=termination,
+        penalty_evals=penalty_evals,
     )

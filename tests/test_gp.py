@@ -295,6 +295,39 @@ class TestRegularGrid:
         with pytest.raises(AssertionError, match="cholesky called"):
             map_objective(spec, PRIORS, theta.replace(s2_noise=5e-8), x, y)
 
+    def test_fallback_lays_the_gram_out_from_the_evaluated_column(self, monkeypatch):
+        # below the conditioning bound the evaluation factorizes the Toeplitz
+        # layout of the column it already holds: one pass over the terms and
+        # one three-column solve, also when a jitter level fails
+        spec = default_spec("double-seasonal")
+        theta = median_hyperparams(spec, PRIORS).replace(s2_noise=5e-8)
+        x = np.arange(224) / 1461.0
+        y = np.random.default_rng(224).standard_normal(224)
+        calls = {"grad_gram": 0, "cho_solve": 0, "cholesky": 0, "toeplitz_gram": 0}
+
+        def counting(module, name, fail_first=False):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                if fail_first and calls[name] == 1:
+                    raise gp.LinAlgError("rigged")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fallback rebuilt the Gram from theta")
+
+        for name in ("grad_gram", "cho_solve", "toeplitz_gram"):
+            counting(gp, name)
+        counting(gp, "cholesky", fail_first=True)
+        monkeypatch.setattr(gp, "build_gram", refuse)
+        series = gp.prepare_series(spec, x, y)
+        value, grad = map_objective(spec, PRIORS, theta, series)
+        assert calls == {"grad_gram": 1, "cho_solve": 1, "cholesky": 2, "toeplitz_gram": 2}
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+
     @pytest.mark.parametrize(
         ("mode", "steps_per_year", "n"),
         [("double-seasonal", 1461.0, 336), ("single-seasonal", 12.0, 132), ("double-seasonal", 1461.0, 1461)],

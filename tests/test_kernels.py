@@ -23,7 +23,8 @@ from gpforecast import (
 )
 from scipy.linalg import toeplitz
 
-from gpforecast.kernels import TERM_PARAMS, grad_gram, regular_lags, term_parts
+from gpforecast import kernels
+from gpforecast.kernels import TERM_PARAMS, Differences, grad_gram, regular_lags, term_parts
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -192,6 +193,14 @@ class TestBuildCross:
                 expected = oracles.composition_value(FULL_SPEC, MEDIANS, x_star[i], x[j], include_noise=False)
                 assert cross[i, j] == pytest.approx(expected, abs=1e-12)
 
+    def test_long_horizon_in_blocks_equals_one_block(self, monkeypatch):
+        # 3 x 4000 entries take two blocks of test points, which must give one block's bits
+        x = np.arange(4000) / 12.0
+        x_star = 4000.0 / 12.0 + np.array([0.0, 0.5, 7.0])
+        blocked = build_cross(FULL_SPEC, MEDIANS, x_star, x)
+        monkeypatch.setattr(kernels, "_CROSS_BLOCK", x.size * x_star.size)
+        np.testing.assert_array_equal(blocked, build_cross(FULL_SPEC, MEDIANS, x_star, x))
+
     def test_noise_never_enters_cross_even_at_coincident_points(self):
         # prediction targets the latent function, so a duplicated test point
         # must not pick up the noise variance
@@ -261,9 +270,9 @@ class TestRegularGrid:
         assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def pairwise(x):
-    """Differences and products of every pair of points, as n-by-n arrays."""
-    return x[:, None] - x[None, :], x[:, None] * x[None, :]
+def pairwise(spec, x):
+    """Differences (as the spec's terms read them) and products of every pair of points, as n-by-n arrays."""
+    return Differences.of(spec, x[:, None] - x[None, :]), x[:, None] * x[None, :]
 
 
 def term_values(spec, theta):
@@ -276,7 +285,7 @@ class TestGradGram:
 
     def test_noise_gradient_is_scaled_identity(self):
         x = np.array([0.0, 0.3, 0.9])
-        _, partials = term_parts(Term("WN"), [MEDIANS.s2_noise], *pairwise(x))
+        _, partials = term_parts(Term("WN"), [MEDIANS.s2_noise], *pairwise(single_term_spec("WN"), x))
         assert len(partials) == 1
         np.testing.assert_allclose(partials[0], MEDIANS.s2_noise * np.eye(3))
 
@@ -284,7 +293,7 @@ class TestGradGram:
         spec = single_term_spec("RBF")
         theta = HyperParams.of(spec, s2_rbf=1.7, ell_rbf=0.6)
         x = np.linspace(0.0, 2.0, 5)
-        value, partials = term_parts(spec.terms[0], theta.values, *pairwise(x))
+        value, partials = term_parts(spec.terms[0], theta.values, *pairwise(spec, x))
         np.testing.assert_allclose(partials[0], build_gram(spec, theta, x))
         np.testing.assert_array_equal(partials[0], value)
 
@@ -295,7 +304,7 @@ class TestGradGram:
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         names = FULL_SPEC.trainable_names()
         u = np.log(theta.values)
-        analytic = [g for t, p in term_values(FULL_SPEC, theta) for g in term_parts(t, p, *pairwise(x))[1]]
+        analytic = [g for t, p in term_values(FULL_SPEC, theta) for g in term_parts(t, p, *pairwise(FULL_SPEC, x))[1]]
         h = 1e-5
         for k in range(len(names)):
             up, down = u.copy(), u.copy()
@@ -325,7 +334,7 @@ class TestGradGram:
             "s2_noise",
         )
         x = np.array([0.0, 1.0])
-        partials = [g for t, p in term_values(FULL_SPEC, MEDIANS) for g in term_parts(t, p, *pairwise(x))[1]]
+        partials = [g for t, p in term_values(FULL_SPEC, MEDIANS) for g in term_parts(t, p, *pairwise(FULL_SPEC, x))[1]]
         assert len(partials) == len(names)
         assert all(g.shape == (2, 2) for g in partials)
 
@@ -335,9 +344,9 @@ class TestGradGram:
         spec = default_spec(mode)
         theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(3))
         x = np.arange(40) / 12.0
-        rows = grad_gram(spec, theta, regular_lags(x))
+        rows = grad_gram(spec, theta, Differences.of(spec, regular_lags(x)))
         dense = [
-            g for t, p in term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, *pairwise(x))[1]
+            g for t, p in term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, *pairwise(spec, x))[1]
         ]
         assert rows.shape == (len(spec.trainable_names()) - 2, x.size)
         for row, g in zip(rows, dense):
@@ -419,7 +428,7 @@ ENTRY_POINTS = {
     "build_gram": lambda theta: build_gram(DOUBLE_SPEC, theta, GRID),
     "build_cross": lambda theta: build_cross(DOUBLE_SPEC, theta, np.array([0.5]), GRID),
     "zero_lag_variance": lambda theta: zero_lag_variance(DOUBLE_SPEC, theta, GRID),
-    "grad_gram": lambda theta: grad_gram(DOUBLE_SPEC, theta, GRID),
+    "grad_gram": lambda theta: grad_gram(DOUBLE_SPEC, theta, Differences.of(DOUBLE_SPEC, GRID)),
     "log_prior": lambda theta: log_prior(PRIORS, theta, DOUBLE_SPEC),
     "grad_log_prior": lambda theta: grad_log_prior(PRIORS, theta, DOUBLE_SPEC),
 }

@@ -18,8 +18,9 @@ from gpforecast import (
     median_hyperparams,
     train,
 )
-from gpforecast import training
-from gpforecast.gp import JITTER_START
+from gpforecast import gp, kernels, training
+from gpforecast.gp import JITTER_START, prepare_series
+from gpforecast.priors import prior_vectors
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -72,6 +73,59 @@ class TestMapObjective:
         rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
         assert float(rel.max()) <= 1e-5
 
+    @pytest.mark.parametrize(("mode", "steps_per_year"), [("single-seasonal", 12.0), ("double-seasonal", 1461.0)])
+    def test_prepared_series_gives_exactly_the_public_objective(self, mode, steps_per_year):
+        # train prepares the series and the prior vectors once; every evaluation
+        # must give the bits map_objective gives from the arrays
+        spec = default_spec(mode)
+        vectors = prior_vectors(PRIORS, spec)
+        rng = np.random.default_rng(int(steps_per_year))
+        points = []
+        for n in (8, 48, 132, 224, 336):
+            x = 3.5 + np.arange(n) / steps_per_year
+            y = rng.standard_normal(n)
+            perm = rng.permutation(n)
+            theta = oracles.random_hyperparams(spec, PRIORS, rng)
+            points += [(theta, x, y), (theta, x[perm], y[perm])]
+        # near noiseless, the grid evaluation falls back to the Cholesky path
+        x = np.arange(224) / steps_per_year
+        points.append((median_hyperparams(spec, PRIORS).replace(s2_noise=5e-8), x, rng.standard_normal(224)))
+        for theta, x, y in points:
+            value, grad = map_objective(spec, PRIORS, theta, x, y)
+            prepared_value, prepared_grad = map_objective(spec, vectors, theta, prepare_series(spec, x, y))
+            assert prepared_value == value
+            assert np.array_equal(prepared_grad, grad)
+
+    def test_every_train_evaluation_equals_the_public_objective(self, monkeypatch):
+        real_objective = training.map_objective
+        evaluated = []
+
+        def recording(spec, priors, theta, series, y=None):
+            out = real_objective(spec, priors, theta, series, y)
+            evaluated.append((theta, out))
+            return out
+
+        monkeypatch.setattr(training, "map_objective", recording)
+        x, y = sine_series(48)
+        y = y + 0.3 * np.random.default_rng(48).standard_normal(48)
+        train(FULL_SPEC, PRIORS, x, y)
+        assert len(evaluated) > 1
+        for theta, (value, grad) in evaluated:
+            public_value, public_grad = real_objective(FULL_SPEC, PRIORS, theta, x, y)
+            assert value == public_value and np.array_equal(grad, public_grad)
+
+    def test_prepared_series_is_checked_against_its_spec(self):
+        x, y = sine_series(24)
+        series = prepare_series(FULL_SPEC, x, y)
+        theta = median_hyperparams(FULL_SPEC, PRIORS)
+        with pytest.raises(ValueError, match="prepared"):
+            map_objective(FULL_SPEC, PRIORS, theta, series, y)
+        other = default_spec("double-seasonal")
+        with pytest.raises(ValueError, match="prepared"):
+            map_objective(other, PRIORS, median_hyperparams(other, PRIORS), series)
+        with pytest.raises(ValueError, match="prior vectors"):
+            map_objective(FULL_SPEC, prior_vectors(PRIORS, other), theta, series)
+
 
 class TestTrain:
     def test_objective_never_below_start(self):
@@ -91,6 +145,21 @@ class TestTrain:
         b = train(FULL_SPEC, PRIORS, x, y)
         assert a.theta == b.theta
         assert a.objective == b.objective
+        assert a.penalty_evals == 0
+
+    def test_grid_is_detected_once_per_train(self, monkeypatch):
+        calls = []
+        real = kernels.regular_lags
+
+        def counting(x):
+            calls.append(None)
+            return real(x)
+
+        monkeypatch.setattr(gp, "regular_lags", counting)
+        monkeypatch.setattr(kernels, "regular_lags", counting)
+        x, y = sine_series(60)
+        result = train(FULL_SPEC, PRIORS, x, y)
+        assert result.nfev > 1 and len(calls) == 1
 
     def test_iteration_budget_flags_but_still_returns(self):
         rng = np.random.default_rng(21)
@@ -188,6 +257,7 @@ class TestTrain:
         [(value, grad)] = returned
         assert value == training._PENALTY and not grad.any()
         assert result.theta == median_hyperparams(FULL_SPEC, PRIORS)
+        assert result.penalty_evals == 1
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
