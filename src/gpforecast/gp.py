@@ -38,7 +38,8 @@ below a conditioning bound (:data:`LEVINSON_MIN_ERROR_RATIO` on its
 prediction errors) the evaluation lays that column out as the Gram
 instead, in one Fortran-ordered array, factorizes it in place (a failed
 try lays it out again) and solves for y, e_0 and v at once.  On other
-inputs the Gram is laid out from the covariance at each pair of points.
+inputs the Gram is laid out from the covariance at each pair of points
+(``kernels.pairs_gram``, as :func:`fit`'s ``build_gram`` lays it out).
 :func:`fit` builds the Gram from theta and x; :func:`predict` reuses its
 factor, so a forecast makes one Cholesky factorization at its trained
 hyperparameters, plus one per evaluation that falls back.
@@ -57,6 +58,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
@@ -64,8 +66,8 @@ from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py g
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
-from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
-from .kernels import lag_column, regular_lags, toeplitz_gram, zero_lag_variance
+from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, _as_points, build_cross, build_gram
+from .kernels import grad_gram, lag_column, pairs_gram, point_pairs, regular_lags, toeplitz_gram, zero_lag_variance
 
 __all__ = [
     "IllConditionedModelError",
@@ -120,15 +122,16 @@ class PredictiveDistribution:
     observation_variance: np.ndarray
 
 
-@dataclass(frozen=True)
-class PreparedSeries:
+# a NamedTuple, not a frozen dataclass: a fresh import defines it ten times faster
+class PreparedSeries(NamedTuple):
     """Everything an objective evaluation on one series under one spec needs that does not depend on theta.
 
     ``diffs`` are the differences the stationary terms are evaluated on and
     ``xx`` LIN's products there: on a regular grid (:func:`regular_lags`)
     the n lags and 0, with ``pairs`` None; otherwise x_i - x_j and
-    x_i x_j for each pair i >= j, with ``pairs`` = (i, j) and
-    ``pair_weights`` 1 on the diagonal and 2 off it.
+    x_i x_j for each pair i >= j, with ``pairs`` = (i, j) from
+    ``kernels.point_pairs`` and ``pair_weights`` 1 on the diagonal and 2
+    off it.
     """
 
     spec: KernelSpec
@@ -147,8 +150,8 @@ def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSe
     x, y = _as_data(x, y)
     lags = regular_lags(x)
     if lags is None:
-        i, j = np.tril_indices(x.size)
-        d, xx, pairs, weights = x[i] - x[j], x[i] * x[j], (i, j), np.where(i == j, 1.0, 2.0)
+        pairs, d, xx = point_pairs(x)
+        weights = np.where(pairs[0] == pairs[1], 1.0, 2.0)
     else:
         d, xx, pairs, weights = lags, 0.0, None, None
     return PreparedSeries(
@@ -193,14 +196,10 @@ def _cholesky_with_jitter(build: Callable[[], np.ndarray]) -> tuple[np.ndarray, 
 
 
 def _as_data(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
+    x = _as_points(x, "x")
     y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
+    if y.ndim != 1 or x.size != y.size:
         raise ValueError(f"x and y must be 1-D and equally long, got {x.shape} and {y.shape}")
-    if x.size < 1:
-        raise ValueError("need at least one observation")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x contains non-finite time points")
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
     return x, y
@@ -263,7 +262,7 @@ def log_marginal_likelihood_and_grad(
     column = lag_column(spec, theta, partials, series.xx)
     if series.pairs is not None:  # every pair i >= j once, off-diagonal pairs counted twice
         i, j = series.pairs
-        lower, jitter = _cholesky_with_jitter(lambda: _pairs_gram(column, i, j, y.size))
+        lower, jitter = _cholesky_with_jitter(lambda: pairs_gram(column, series.pairs, y.size))
         a = cho_solve((lower, True), y, check_finite=False)
         lml = _log_mvn(lower, y, a)
         # dpotri writes the lower triangle of K^-1 over the factor, which is not needed after it
@@ -297,14 +296,6 @@ def log_marginal_likelihood_and_grad(
     trace_w = float(a @ a - trace_inv)
     grad = 0.5 * traces + 0.5 * trace_w * jitter_sensitivity
     return lml, grad
-
-
-def _pairs_gram(values: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """The symmetric n-by-n matrix with ``values`` at each pair (i, j), i >= j, and its mirror, Fortran-ordered."""
-    gram = np.empty((n, n), order="F")
-    gram[i, j] = values
-    gram[j, i] = values
-    return gram
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails a check below

@@ -29,8 +29,10 @@ differences: the n lags of a regular grid, or each pair of points once.
 That is the one pass over the terms: :func:`lag_column` sums the
 covariance at each difference from those rows, and on a regular grid
 (:func:`regular_lags`) :func:`toeplitz_gram` lays that column out as a
-Toeplitz matrix plus LIN's slope, a rank-1 update in place; other inputs
-to :func:`build_gram` take the same formulas on the n-by-n differences.
+Toeplitz matrix plus LIN's slope, a rank-1 update in place; on other
+inputs :func:`pairs_gram` lays out the covariance at each pair of points
+(:func:`point_pairs`).  :func:`build_gram` and the objective share these
+layouts.
 
 Hyperparameters are always positive; optimization happens in log space, so
 every partial in this module is taken with respect to ``log(parameter)``.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,6 +63,8 @@ __all__ = [
     "regular_lags",
     "lag_column",
     "toeplitz_gram",
+    "point_pairs",
+    "pairs_gram",
 ]
 
 
@@ -200,8 +205,8 @@ def _by_name(names: tuple[str, ...], named: dict[str, float]) -> HyperParams:
     return HyperParams(names, tuple(named.get(name) for name in names))
 
 
-@dataclass(frozen=True)
-class Differences:
+# a NamedTuple, not a frozen dataclass: a fresh import defines it ten times faster
+class Differences(NamedTuple):
     """What the stationary terms read from an array of time differences d, none of it depending on theta.
 
     ``abs`` is |d| (only |d| matters), ``sq`` d^2, ``zero`` where d == 0,
@@ -337,17 +342,17 @@ def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarra
 
     On a regular grid (see :func:`regular_lags`) the first column, from
     :func:`lag_column`, is laid out by :func:`toeplitz_gram`.  Otherwise
-    every term is evaluated on the n-by-n differences.  Symmetric by
+    :func:`lag_column` gives the covariance at each pair of points
+    (:func:`point_pairs`), laid out by :func:`pairs_gram`.  Symmetric by
     construction either way.  The WN term lands on the diagonal and on any
     exact duplicate time points.
     """
     x = _as_points(x, "x")
     lags = regular_lags(x)
     if lags is None:
-        d = Differences.of(spec, x[:, None] - x[None, :])
-        gram = _composition(_term_values(spec, theta), d, x[:, None] * x[None, :])
-        _check_finite(gram, "build_gram")
-        return gram
+        pairs, d, xx = point_pairs(x)
+        values = lag_column(spec, theta, grad_gram(spec, theta, Differences.of(spec, d)), xx)
+        return pairs_gram(values, pairs, x.size)
     column = lag_column(spec, theta, grad_gram(spec, theta, Differences.of(spec, lags)))
     return toeplitz_gram(column, np.sqrt(theta.s2_lin) * x if spec.has("LIN") else None)
 
@@ -366,6 +371,25 @@ def toeplitz_gram(column: np.ndarray, v: np.ndarray | None = None) -> np.ndarray
     if v is not None:
         gram = dger(1.0, v, v, a=gram, overwrite_a=1)
     _check_finite(gram, "build_gram")
+    return gram
+
+
+def point_pairs(x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Each pair of points i >= j once: the indices (i, j), the differences x_i - x_j and the products x_i x_j."""
+    i, j = np.tril_indices(x.size)
+    return (i, j), x[i] - x[j], x[i] * x[j]
+
+
+def pairs_gram(values: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """The symmetric n-by-n matrix with ``values`` at each pair of :func:`point_pairs` and its mirror, Fortran-ordered.
+
+    Off a regular grid that is the Gram, with ``values`` from
+    :func:`lag_column` on the pairs' differences and products.
+    """
+    i, j = pairs
+    gram = np.empty((n, n), order="F")
+    gram[i, j] = values
+    gram[j, i] = values
     return gram
 
 
@@ -391,8 +415,9 @@ def lag_column(
     return column
 
 
-# Entries of the cross-covariance evaluated at once (64 KiB per array).
-_CROSS_BLOCK = 8192
+# Entries of the cross-covariance evaluated at once (16 KiB per array); fewer
+# than a monthly forecast's 18 x 132, so predict's peak memory stays below train's.
+_CROSS_BLOCK = 2048
 
 
 def build_cross(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -112,8 +113,8 @@ def default_priors() -> PriorSpec:
     return PriorSpec(entries=entries)
 
 
-@dataclass(frozen=True)
-class PriorVectors:
+# a NamedTuple, not a frozen dataclass: a fresh import defines it ten times faster
+class PriorVectors(NamedTuple):
     """A spec's priors as arrays in ``names`` = ``spec.trainable_names()`` order, made once by :func:`prior_vectors`."""
 
     names: tuple[str, ...]

@@ -163,6 +163,21 @@ class TestBuildGram:
         gram = build_gram(FULL_SPEC, MEDIANS, x)
         assert np.array_equal(gram, gram.T)
 
+    def test_off_grid_gram_has_the_bits_of_the_n_by_n_formulas(self):
+        # off a grid each pair i >= j is evaluated once and mirrored; every entry
+        # must carry the bits the term formulas give on the n-by-n differences
+        rng = np.random.default_rng(11)
+        x = np.concatenate((rng.uniform(0.0, 6.0, size=12), [1.5, 1.5]))
+        theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
+        d = Differences.of(FULL_SPEC, x[:, None] - x[None, :])
+        values = iter(theta.values)
+        expected = np.zeros((x.size, x.size))
+        for term in FULL_SPEC.terms:
+            p = [next(values) for _ in TERM_PARAMS[term.kind]]
+            expected = expected + term_parts(term, p, d, np.multiply.outer(x, x))[0]
+        assert regular_lags(x) is None
+        np.testing.assert_array_equal(build_gram(FULL_SPEC, theta, x), expected)
+
     def test_noise_lands_on_exact_duplicates(self):
         x = np.array([0.0, 1.0, 1.0, 2.0])
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
