@@ -45,6 +45,7 @@ from .gp import (
     fit,
     log_marginal_likelihood_and_grad,
     predict,
+    prepare_series,
 )
 from .kernels import (
     HyperParams,

@@ -3,7 +3,8 @@
 Two CSV layouts are supported:
 
     long  header with series/step/value columns; one observation per row;
-          steps are integer indices, unique per series, any order
+          steps are integer indices, unique per series, without gaps, in
+          any order
     wide  one column per series, one step per row; shorter series end with
           empty trailing cells
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecasting import DEFAULT_HORIZONS, MONTHLY, Forecast, TimeSeries, standardized_posterior
+from .forecasting import MONTHLY, Forecast, TimeSeries, default_horizon, standardized_posterior
 from .gp import IllConditionedModelError
 from .metrics import ScoreReport, score
 from .priors import PriorSpec
@@ -52,7 +53,11 @@ __all__ = [
 
 
 class CsvFormatError(ValueError):
-    """Malformed benchmark CSV; the message names the offending line."""
+    """Malformed benchmark CSV; the message names the offending line, or the series and step."""
+
+
+# the long layout's header, as write_csv writes it
+_LONG_COLUMNS = ("series", "step", "value")
 
 
 @dataclass(frozen=True)
@@ -67,9 +72,6 @@ class CsvLayout:
     layout: str = "long"
     steps_per_year: float = MONTHLY
     test_length: int | None = None
-    series_col: str = "series"
-    step_col: str = "step"
-    value_col: str = "value"
 
     def __post_init__(self) -> None:
         if self.layout not in ("long", "wide"):
@@ -80,11 +82,7 @@ class CsvLayout:
             raise ValueError(f"test_length must be >= 1, got {self.test_length}")
 
     def resolved_test_length(self) -> int:
-        if self.test_length is not None:
-            return self.test_length
-        if self.steps_per_year in DEFAULT_HORIZONS:
-            return DEFAULT_HORIZONS[self.steps_per_year]
-        raise ValueError(f"no default test length for {self.steps_per_year} steps/year; set test_length")
+        return self.test_length if self.test_length is not None else default_horizon(self.steps_per_year)
 
 
 @dataclass(frozen=True)
@@ -113,9 +111,9 @@ class Dataset:
 def load_csv(path, layout: CsvLayout) -> Dataset:
     """Parse a dataset file; raises :class:`CsvFormatError` with line numbers."""
     if layout.layout == "long":
-        per_series = _read_long(path, layout)
+        per_series = _read_long(path)
     else:
-        per_series = _read_wide(path, layout)
+        per_series = _read_wide(path)
     test_length = layout.resolved_test_length()
     entries = tuple(
         SeriesEntry(
@@ -128,7 +126,7 @@ def load_csv(path, layout: CsvLayout) -> Dataset:
     return Dataset(entries=entries)
 
 
-def _read_long(path, layout: CsvLayout) -> list[tuple[str, list[float]]]:
+def _read_long(path) -> list[tuple[str, list[float]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -137,14 +135,9 @@ def _read_long(path, layout: CsvLayout) -> list[tuple[str, list[float]]]:
             raise CsvFormatError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
         try:
-            s_idx = header.index(layout.series_col)
-            t_idx = header.index(layout.step_col)
-            v_idx = header.index(layout.value_col)
+            s_idx, t_idx, v_idx = (header.index(column) for column in _LONG_COLUMNS)
         except ValueError:
-            raise CsvFormatError(
-                f"{path}: line 1: header must contain columns "
-                f"{layout.series_col!r}, {layout.step_col!r}, {layout.value_col!r}; got {header}"
-            ) from None
+            raise CsvFormatError(f"{path}: line 1: header must contain columns {_LONG_COLUMNS}; got {header}") from None
         rows: dict[str, dict[int, float]] = {}
         order: list[str] = []
         for lineno, row in enumerate(reader, start=2):
@@ -175,10 +168,17 @@ def _read_long(path, layout: CsvLayout) -> list[tuple[str, list[float]]]:
             if step in rows[name]:
                 raise CsvFormatError(f"{path}: line {lineno}: duplicate step {step} for series {name!r}")
             rows[name][step] = value
-    return [(name, [rows[name][k] for k in sorted(rows[name])]) for name in order]
+    per_series = []
+    for name in order:
+        steps = sorted(rows[name])
+        for expected, step in enumerate(steps, start=steps[0]):
+            if step != expected:  # a gap would shift every later value's time and seasonal phase
+                raise CsvFormatError(f"{path}: series {name!r} has no step {expected} (its steps run to {steps[-1]})")
+        per_series.append((name, [rows[name][k] for k in steps]))
+    return per_series
 
 
-def _read_wide(path, layout: CsvLayout) -> list[tuple[str, list[float]]]:
+def _read_wide(path) -> list[tuple[str, list[float]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -216,19 +216,18 @@ def _read_wide(path, layout: CsvLayout) -> list[tuple[str, list[float]]]:
     return [(name, col) for name, col in zip(header, columns)]
 
 
-def write_csv(dataset: Dataset, path, layout: CsvLayout | None = None) -> None:
+def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset in long format with full float precision."""
-    layout = layout if layout is not None else CsvLayout()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([layout.series_col, layout.step_col, layout.value_col])
+        writer.writerow(_LONG_COLUMNS)
         for entry in dataset.entries:
             for step, value in enumerate(entry.series.values):
                 writer.writerow([entry.name, step, repr(float(value))])
 
 
-def seasonal_naive(ts: TimeSeries, horizon: int, season_length: int | None = None) -> Forecast:
-    """Repeat the last observed season; variance from in-sample residuals.
+def seasonal_naive(ts: TimeSeries, horizon: int) -> Forecast:
+    """Repeat the last observed season (steps per year, rounded); variance from in-sample residuals.
 
     The per-step variance is the mean squared one-season-back residual on
     the training data (floored at 1e-12 so exactly periodic input still
@@ -236,7 +235,7 @@ def seasonal_naive(ts: TimeSeries, horizon: int, season_length: int | None = Non
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    season = season_length if season_length is not None else int(round(ts.steps_per_year))
+    season = int(round(ts.steps_per_year))
     if season < 1:
         raise ValueError(f"season length must be >= 1, got {season}")
     n = len(ts)

@@ -20,37 +20,16 @@ import numpy as np
 
 from .bench import CsvLayout, emit_report, load_csv, run_benchmark
 from .forecasting import TimeSeries, default_horizon, forecast, parse_frequency
-from .priors import default_priors, format_priors, load_priors
+from .priors import default_priors, format_priors, load_priors, read_settings
 from .training import TrainConfig
 
-_CONFIG_KEYS = {
-    "max_iters": int,
-    "grad_tol": float,
-    "objective_tol": float,
-    "restarts": int,
-    "seed": int,
-}
+# each TrainConfig field, parsed as the type of its default
+_CONFIG_KEYS = {field.name: type(field.default) for field in dataclasses.fields(TrainConfig)}
 
 
 def load_train_config(path) -> TrainConfig:
     """Parse a key=value config file into a TrainConfig."""
-    overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}: line {lineno}: unknown setting {key!r} (known: {sorted(_CONFIG_KEYS)})")
-            try:
-                overrides[key] = _CONFIG_KEYS[key](value.strip())
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad value {value.strip()!r} for {key}") from None
-    return TrainConfig(**overrides)
+    return TrainConfig(**read_settings(path, _CONFIG_KEYS))
 
 
 def _read_values(path) -> np.ndarray:
@@ -85,7 +64,7 @@ def _cmd_forecast(args) -> int:
     priors = load_priors(args.priors) if args.priors else None
     steps_per_year = parse_frequency(args.freq)
     ts = TimeSeries(values=_read_values(args.input), steps_per_year=steps_per_year)
-    horizon = args.horizon if args.horizon is not None else default_horizon(ts)
+    horizon = args.horizon if args.horizon is not None else default_horizon(steps_per_year)
     fc, result = forecast(ts, horizon, config=config, mode=args.mode, priors=priors)
     lines = ["step,mean,variance"]
     n = len(ts)

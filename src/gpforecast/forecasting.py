@@ -78,13 +78,11 @@ def parse_frequency(text: str) -> float:
 class TimeSeries:
     """An ordered univariate series with a sampling frequency.
 
-    ``steps_per_year`` converts step indices to year units.  ``start`` is
-    an optional label (e.g. an ISO date) carried through for reporting.
+    ``steps_per_year`` converts step indices to year units.
     """
 
     values: np.ndarray
     steps_per_year: float
-    start: str | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -98,14 +96,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return self.values.size
-
-    @classmethod
-    def monthly(cls, values, start: str | None = None) -> "TimeSeries":
-        return cls(values=np.asarray(values, dtype=float), steps_per_year=MONTHLY, start=start)
-
-    @classmethod
-    def quarterly(cls, values, start: str | None = None) -> "TimeSeries":
-        return cls(values=np.asarray(values, dtype=float), steps_per_year=QUARTERLY, start=start)
 
 
 @dataclass(frozen=True)
@@ -200,11 +190,11 @@ def default_spec(mode: str = "single-seasonal") -> KernelSpec:
     raise ValueError(f"mode must be 'single-seasonal' or 'double-seasonal', got {mode!r}")
 
 
-def default_horizon(ts: TimeSeries) -> int:
-    """Conventional test horizons: 18 monthly steps, 8 quarterly, 42 six-hourly."""
-    if ts.steps_per_year not in DEFAULT_HORIZONS:
-        raise ValueError(f"no default horizon for {ts.steps_per_year} steps/year; pass one explicitly")
-    return DEFAULT_HORIZONS[ts.steps_per_year]
+def default_horizon(steps_per_year: float) -> int:
+    """Conventional horizons and benchmark test lengths: 18 monthly steps, 8 quarterly, 42 six-hourly."""
+    if steps_per_year not in DEFAULT_HORIZONS:
+        raise ValueError(f"no default horizon or test length for {steps_per_year} steps/year; pass one explicitly")
+    return DEFAULT_HORIZONS[steps_per_year]
 
 
 def forecast(

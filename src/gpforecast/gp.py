@@ -19,13 +19,13 @@ definiteness, so factorization uses an adaptive diagonal jitter: starting
 at 1e-8 times the mean diagonal and escalating tenfold up to 1e-2 before
 giving up with :class:`IllConditionedModelError`.
 
-The objective evaluates one series many times, so :func:`prepare_series`
-does once what does not depend on the hyperparameters: it checks x and
-y, detects the grid, and makes the differences' arrays, mean(x^2) and the
-stationary-trainable mask.  Each evaluation then makes one
-:func:`grad_gram` call on the prepared differences, which gives every
-stationary partial and, summed by :func:`lag_column`, the covariance at
-each difference.
+The objective evaluates one series many times, so it takes the series
+from :func:`prepare_series`, which does once what does not depend on the
+hyperparameters: it checks x and y, detects the grid, and makes the
+differences' arrays, mean(x^2) and the stationary-trainable mask.  Each
+evaluation then makes one :func:`grad_gram` call on the prepared
+differences, which gives every stationary partial and, summed by
+:func:`lag_column`, the covariance at each difference.
 
 On a regular grid K is a symmetric Toeplitz matrix T (with the jitter)
 plus LIN's rank-1 slope v v^T, and the objective
@@ -227,14 +227,10 @@ def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> F
     )
 
 
-def log_marginal_likelihood_and_grad(
-    spec: KernelSpec, theta: HyperParams, x: np.ndarray | PreparedSeries, y: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def log_marginal_likelihood_and_grad(theta: HyperParams, series: PreparedSeries) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient from one solve with the covariance.
 
-    ``x`` and ``y`` are the training series.  A caller that evaluates one
-    series many times passes ``x = prepare_series(spec, x, y)`` and no
-    ``y`` instead; with arrays this prepares them on every call.
+    ``series`` is the training series under its spec, from :func:`prepare_series`.
 
     The gradient over the log-space trainables uses the standard identity
     d lml / d u_k = 0.5 tr[W dK/du_k] with W = a a^T - K^-1 and a = K^-1 y.
@@ -249,13 +245,7 @@ def log_marginal_likelihood_and_grad(
     hyperparameters is included: the result is the exact gradient of the
     value actually computed.
     """
-    if isinstance(x, PreparedSeries):
-        if y is not None or x.spec != spec:
-            raise ValueError("a prepared series is passed without y, and with the spec it was prepared for")
-        series = x
-    else:
-        series = prepare_series(spec, x, y)
-    x, y = series.x, series.y
+    spec, x, y = series.spec, series.x, series.y
     lin = spec.has("LIN")
     slope = theta.s2_lin if lin else 0.0
     partials = grad_gram(spec, theta, series.diffs)  # the one pass over the terms, values included

@@ -84,9 +84,11 @@ TERM_PARAMS: dict[str, tuple[str, ...]] = {
     "WN": ("s2_noise",),
 }
 
-_ALL_PARAMS = tuple(name for names in TERM_PARAMS.values() for name in names)
-VARIANCE_PARAMS = tuple(name for name in _ALL_PARAMS if name.startswith("s2_"))
-LENGTHSCALE_PARAMS = tuple(name for name in _ALL_PARAMS if not name.startswith("s2_"))
+# Every trainable name, in TERM_PARAMS order: the layout of per-name arrays
+# such as the priors', which a spec reads at its trainable_positions().
+PARAM_NAMES = tuple(name for names in TERM_PARAMS.values() for name in names)
+VARIANCE_PARAMS = tuple(name for name in PARAM_NAMES if name.startswith("s2_"))
+LENGTHSCALE_PARAMS = tuple(name for name in PARAM_NAMES if not name.startswith("s2_"))
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,10 @@ class KernelSpec:
         if len(set(kinds)) != len(kinds):
             raise ValueError(f"duplicate kernel terms in {kinds}")
         # made once: every objective evaluation compares theta's names with these
-        object.__setattr__(self, "_names", tuple(name for t in self.terms for name in TERM_PARAMS[t.kind]))
+        # and looks the priors up at these positions
+        names = tuple(name for t in self.terms for name in TERM_PARAMS[t.kind])
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_positions", np.array([PARAM_NAMES.index(name) for name in names]))
 
     def kinds(self) -> tuple[str, ...]:
         return tuple(t.kind for t in self.terms)
@@ -146,6 +151,10 @@ class KernelSpec:
         gradients, priors, and the optimizer all use it.
         """
         return self._names
+
+    def trainable_positions(self) -> np.ndarray:
+        """Where each of :meth:`trainable_names` stands in ``PARAM_NAMES``."""
+        return self._positions
 
 
 @dataclass(frozen=True)

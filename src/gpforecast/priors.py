@@ -21,9 +21,8 @@ the shared variance prior.  The fixed periods live on the kernel spec's
 terms and carry no prior.
 
 :func:`log_prior` and :func:`grad_log_prior` are one array expression each
-over ``u = log(theta)`` and the spec's ``nu`` and ``lam`` arrays, which
-:func:`prior_vectors` makes once for a caller that evaluates them many
-times.
+over ``u = log(theta)`` and the spec's columns of the ``nu`` and ``lam``
+arrays a :class:`PriorSpec` makes once, when it is made.
 
 Priors can be saved to and loaded from a plain-text file (one
 ``name = nu lam`` line per parameter) so alternative calibrations can be
@@ -33,20 +32,18 @@ dropped in.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
-from .kernels import LENGTHSCALE_PARAMS, VARIANCE_PARAMS, HyperParams, KernelSpec
+from .kernels import LENGTHSCALE_PARAMS, PARAM_NAMES, VARIANCE_PARAMS, HyperParams, KernelSpec
 
 __all__ = [
     "LogNormalPrior",
     "PriorSpec",
-    "PriorVectors",
     "default_priors",
-    "prior_vectors",
     "log_prior",
     "grad_log_prior",
     "median_hyperparams",
@@ -54,7 +51,7 @@ __all__ = [
     "load_priors",
 ]
 
-_LOG_2PI = math.log(2.0 * math.pi)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,13 @@ class LogNormalPrior:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Mapping from trainable-parameter name to its lognormal prior."""
+    """Mapping from trainable-parameter name to its lognormal prior.
+
+    Its ``nu``, ``lam``, log normalizer ``-log(2 pi lam) / 2`` and ``2 lam``
+    are laid out once, when it is made, per name of ``PARAM_NAMES`` (NaN
+    where it has no prior); :meth:`columns` takes a spec's trainables from
+    them.
+    """
 
     entries: dict[str, LogNormalPrior]
 
@@ -88,6 +91,11 @@ class PriorSpec:
         lams = {self.entries[n].lam for n in LENGTHSCALE_PARAMS if n in self.entries}
         if len(lams) > 1:
             raise ValueError("all lengthscale-type parameters must share one log-variance")
+        pairs = [(p.nu, p.lam) if p else (math.nan, math.nan) for p in map(self.entries.get, PARAM_NAMES)]
+        nu, lam = np.array(pairs).T
+        log_normalizer = -0.5 * np.log(lam) - _HALF_LOG_2PI
+        object.__setattr__(self, "_table", np.array([nu, lam, log_normalizer, 2.0 * lam]))
+        object.__setattr__(self, "_missing", frozenset(PARAM_NAMES) - set(self.entries))
 
     def __getitem__(self, name: str) -> LogNormalPrior:
         try:
@@ -95,8 +103,16 @@ class PriorSpec:
         except KeyError:
             raise KeyError(f"no prior defined for hyperparameter {name!r}") from None
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.entries)
+    def columns(self, spec: KernelSpec) -> np.ndarray:
+        """Rows ``nu``, ``lam``, ``-log(2 pi lam) / 2`` and ``2 lam`` of the spec's trainables, in their order.
+
+        Raises KeyError naming the first trainable without a prior.
+        """
+        names = spec.trainable_names()
+        if self._missing and not self._missing.isdisjoint(names):
+            missing = next(name for name in names if name in self._missing)
+            raise KeyError(f"no prior defined for hyperparameter {missing!r}")
+        return self._table.take(spec.trainable_positions(), 1)
 
 
 def default_priors() -> PriorSpec:
@@ -113,50 +129,19 @@ def default_priors() -> PriorSpec:
     return PriorSpec(entries=entries)
 
 
-# a NamedTuple, not a frozen dataclass: a fresh import defines it ten times faster
-class PriorVectors(NamedTuple):
-    """A spec's priors as arrays in ``names`` = ``spec.trainable_names()`` order, made once by :func:`prior_vectors`."""
-
-    names: tuple[str, ...]
-    nu: np.ndarray
-    lam: np.ndarray
-    half_log_lam: np.ndarray
-
-
-def prior_vectors(priors: PriorSpec, spec: KernelSpec) -> PriorVectors:
-    """The priors' ``nu`` and ``lam`` for the spec's trainables, in their order."""
-    names = spec.trainable_names()
-    entries = [priors[name] for name in names]
-    lam = np.array([e.lam for e in entries])
-    return PriorVectors(names, np.array([e.nu for e in entries]), lam, 0.5 * np.log(lam))
-
-
-def _log_theta_and_vectors(
-    priors: PriorSpec | PriorVectors, theta: HyperParams, spec: KernelSpec
-) -> tuple[np.ndarray, PriorVectors]:
+def log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> float:
+    """Sum over the spec's trainables of the lognormal log-density of theta (with its 1/theta Jacobian)."""
     u = np.log(theta.for_spec(spec))
-    if not isinstance(priors, PriorVectors):
-        return u, prior_vectors(priors, spec)
-    if priors.names != theta.names:
-        raise ValueError(f"the prior vectors are for {priors.names}, but the spec trains {theta.names}")
-    return u, priors
-
-
-def log_prior(priors: PriorSpec | PriorVectors, theta: HyperParams, spec: KernelSpec) -> float:
-    """Sum over the spec's trainables of the lognormal log-density of theta (with its 1/theta Jacobian).
-
-    A caller that evaluates one spec's priors many times passes
-    ``prior_vectors(priors, spec)`` instead of ``priors``.
-    """
-    u, p = _log_theta_and_vectors(priors, theta, spec)
-    terms = -u - p.half_log_lam - 0.5 * _LOG_2PI - (u - p.nu) ** 2 / (2.0 * p.lam)
+    c = priors.columns(spec)  # rows indexed: unpacking a 2-D array iterates it, about 1 us
+    terms = c[2] - u - (u - c[0]) ** 2 / c[3]
     return sum(terms.tolist())  # left to right in spec order, unlike np.sum's pairwise order
 
 
-def grad_log_prior(priors: PriorSpec | PriorVectors, theta: HyperParams, spec: KernelSpec) -> np.ndarray:
-    """Gradient of the log-prior w.r.t. the log-space trainable vector; ``priors`` as in :func:`log_prior`."""
-    u, p = _log_theta_and_vectors(priors, theta, spec)
-    return -1.0 - (u - p.nu) / p.lam
+def grad_log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> np.ndarray:
+    """Gradient of the log-prior w.r.t. the log-space trainable vector."""
+    u = np.log(theta.for_spec(spec))
+    c = priors.columns(spec)
+    return -1.0 - (u - c[0]) / c[1]
 
 
 def median_hyperparams(spec: KernelSpec, priors: PriorSpec | None = None) -> HyperParams:
@@ -172,7 +157,7 @@ def median_hyperparams(spec: KernelSpec, priors: PriorSpec | None = None) -> Hyp
 def format_priors(priors: PriorSpec) -> str:
     """Priors as ``name = nu lam`` lines (parse back with load_priors)."""
     lines = ["# lognormal hyperparameter priors: name = nu lam"]
-    lines += [f"{name} = {priors[name].nu!r} {priors[name].lam!r}" for name in priors.names()]
+    lines += [f"{name} = {priors[name].nu!r} {priors[name].lam!r}" for name in priors.entries]
     return "\n".join(lines) + "\n"
 
 
@@ -185,36 +170,48 @@ def save_priors(priors: PriorSpec, path) -> None:
 def load_priors(path) -> PriorSpec:
     """Parse a priors file written by :func:`save_priors`.
 
-    Unknown parameter names, bad numbers, and missing entries for known
-    names are all reported with the offending line number.
+    Unknown parameter names, repeated names and bad numbers are reported
+    with the offending line number, and missing entries for known names
+    by name.
     """
-    known = set(VARIANCE_PARAMS) | set(LENGTHSCALE_PARAMS)
-    entries: dict[str, LogNormalPrior] = {}
+    entries = read_settings(path, dict.fromkeys(PARAM_NAMES, _parse_prior))
+    missing = sorted(set(PARAM_NAMES) - set(entries))
+    if missing:
+        raise ValueError(f"{path}: missing priors for {missing}")
+    return PriorSpec(entries=entries)
+
+
+def _parse_prior(text: str) -> LogNormalPrior:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ValueError("expected two numbers (nu lam)")
+    return LogNormalPrior(nu=float(parts[0]), lam=float(parts[1]))
+
+
+def read_settings(path, parsers: Mapping[str, Callable[[str], object]]) -> dict[str, object]:
+    """The ``name = value`` lines of a text file, each value parsed by ``parsers[name]``.
+
+    ``#`` starts a comment and blank lines are skipped.  A line without
+    ``=``, a name not in ``parsers``, a name given twice and a value its
+    parser rejects with ValueError are errors naming the line.  Priors
+    files and the command line's training config files are read with it.
+    """
+    values: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'name = nu lam'")
-            name, _, rest = line.partition("=")
-            name = name.strip()
-            if name not in known:
-                raise ValueError(f"{path}: line {lineno}: unknown hyperparameter {name!r}")
-            if name in entries:
+                raise ValueError(f"{path}: line {lineno}: expected 'name = value'")
+            name, _, text = line.partition("=")
+            name, text = name.strip(), text.strip()
+            if name not in parsers:
+                raise ValueError(f"{path}: line {lineno}: unknown name {name!r} (known: {sorted(parsers)})")
+            if name in values:
                 raise ValueError(f"{path}: line {lineno}: duplicate entry for {name!r}")
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected two numbers (nu lam)")
             try:
-                nu, lam = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: could not parse numbers {parts!r}") from None
-            try:
-                entries[name] = LogNormalPrior(nu=nu, lam=lam)
+                values[name] = parsers[name](text)
             except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    missing = sorted(known - set(entries))
-    if missing:
-        raise ValueError(f"{path}: missing priors for {missing}")
-    return PriorSpec(entries=entries)
+                raise ValueError(f"{path}: line {lineno}: bad value {text!r} for {name}: {exc}") from None
+    return values

@@ -4,12 +4,12 @@ The objective is the log of prior times marginal likelihood, maximized
 over ``u = log(theta)`` so positivity is structural.  :func:`map_objective`
 computes it and its gradient from one factorization; :func:`train` hands
 its negation to a quasi-Newton optimizer (L-BFGS-B with its built-in line
-search).  :func:`train` prepares the series and the prior vectors once,
-so each evaluation runs only the theta-dependent work; the public
-:func:`map_objective` on arrays prepares them per call and then runs the
-same evaluation.  A trial point whose covariance cannot be factorized
-gets a large finite penalty instead of an error, so the line search
-simply backs off; ``TrainResult.penalty_evals`` counts them.
+search).  :func:`train` prepares the series once, so each evaluation runs
+only the theta-dependent work; :func:`map_objective` on arrays prepares
+them per call and then runs the same evaluation.  A trial point whose
+covariance cannot be factorized gets a large finite penalty instead of an
+error, so the line search simply backs off; ``TrainResult.penalty_evals``
+counts them.
 
 Training starts at the prior medians (the prior means in log space),
 which makes a single start deterministic.  Optional extra restarts
@@ -27,15 +27,7 @@ from scipy.optimize import minimize
 
 from .gp import IllConditionedModelError, PreparedSeries, log_marginal_likelihood_and_grad, prepare_series
 from .kernels import HyperParams, InvalidHyperparameterError, KernelSpec
-from .priors import (
-    PriorSpec,
-    PriorVectors,
-    default_priors,
-    grad_log_prior,
-    log_prior,
-    median_hyperparams,
-    prior_vectors,
-)
+from .priors import PriorSpec, default_priors, grad_log_prior, log_prior, median_hyperparams
 
 __all__ = ["TrainConfig", "TrainResult", "map_objective", "train"]
 
@@ -94,7 +86,7 @@ class TrainResult:
 
 def map_objective(
     spec: KernelSpec,
-    priors: PriorSpec | PriorVectors,
+    priors: PriorSpec,
     theta: HyperParams,
     x: np.ndarray | PreparedSeries,
     y: np.ndarray | None = None,
@@ -102,13 +94,16 @@ def map_objective(
     """Log marginal likelihood plus log prior, and its gradient over the log-space trainables.
 
     Both come from one factorization.  Raises :class:`IllConditionedModelError`
-    if the covariance cannot be factorized.  :func:`train` evaluates it on
-    one series many times, so it passes that series prepared once
-    (``x = prepare_series(spec, x, y)``, no ``y``) and the priors as
-    ``prior_vectors(priors, spec)``; given arrays and a :class:`PriorSpec`,
-    each call prepares them and then runs the same evaluation.
+    if the covariance cannot be factorized.  ``x`` and ``y`` are the
+    training series, prepared on each call; :func:`train` evaluates one
+    series many times, so it passes ``x = prepare_series(spec, x, y)``,
+    made once, and no ``y``.
     """
-    lml, lml_grad = log_marginal_likelihood_and_grad(spec, theta, x, y)
+    if not isinstance(x, PreparedSeries):
+        x = prepare_series(spec, x, y)
+    elif y is not None or x.spec != spec:
+        raise ValueError("a prepared series is passed without y, and with the spec it was prepared for")
+    lml, lml_grad = log_marginal_likelihood_and_grad(theta, x)
     return lml + log_prior(priors, theta, spec), lml_grad + grad_log_prior(priors, theta, spec)
 
 
@@ -138,7 +133,7 @@ def train(
     start = time.perf_counter()
     # everything the objective needs that does not depend on theta, once per series
     series = prepare_series(spec, x, y)
-    vectors = prior_vectors(priors, spec)
+    nu, lam = priors.columns(spec)[:2]
     best_u: np.ndarray | None = None
     best_value = float("inf")  # minimizer convention: value = -objective
     penalty_evals = 0
@@ -146,7 +141,7 @@ def train(
     def negative_objective(u: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal best_u, best_value, penalty_evals
         try:
-            objective, grad = map_objective(spec, vectors, HyperParams.from_log(spec, u), series)
+            objective, grad = map_objective(spec, priors, HyperParams.from_log(spec, u), series)
         except (IllConditionedModelError, InvalidHyperparameterError):
             objective = float("-inf")  # penalized below, as a non-finite value is
         value = -objective
@@ -158,13 +153,12 @@ def train(
             best_u = u.copy()
         return value, -grad
 
-    u0 = vectors.nu.copy()
-    starts = [u0]
+    starts = [nu]
     if config.restarts > 1:
         rng = np.random.default_rng(config.seed)
-        scales = np.sqrt(vectors.lam)
+        scales = np.sqrt(lam)
         for _ in range(config.restarts - 1):
-            starts.append(u0 + rng.normal(0.0, 1.0, size=u0.size) * scales)
+            starts.append(nu + rng.normal(0.0, 1.0, size=nu.size) * scales)
 
     iterations = nfev = 0
     converged = False
@@ -190,20 +184,14 @@ def train(
 
     seconds = time.perf_counter() - start
     if best_u is None:
-        # every evaluated point failed to factorize; fall back to the start
+        # every evaluated point failed to factorize: fall back to the start; the
+        # loop above left best_value at inf and converged False
         warnings.warn("training failed to evaluate the objective anywhere; returning prior medians")
-        return TrainResult(
-            theta=median_hyperparams(spec, priors),
-            objective=float("-inf"),
-            iterations=iterations,
-            converged=False,
-            seconds=seconds,
-            nfev=nfev,
-            termination=termination,
-            penalty_evals=penalty_evals,
-        )
+        theta = median_hyperparams(spec, priors)
+    else:
+        theta = HyperParams.from_log(spec, best_u)
     return TrainResult(
-        theta=HyperParams.from_log(spec, best_u),
+        theta=theta,
         objective=-best_value,
         iterations=iterations,
         converged=converged,

@@ -62,6 +62,13 @@ class TestLoadCsv:
         ds = load_csv(path, CsvLayout(steps_per_year=12.0))
         np.testing.assert_array_equal(ds.entries[0].series.values, [1.0, 2.0, 3.0])
 
+    def test_long_gap_in_steps_rejected(self, tmp_path):
+        # closing the gap would put every later value at the wrong time and seasonal phase
+        path = tmp_path / "gap.csv"
+        path.write_text("series,step,value\nb,3,0.5\na,0,1.0\na,1,2.0\na,5,3.0\na,6,4.0\n")
+        with pytest.raises(CsvFormatError, match="series 'a' has no step 2"):
+            load_csv(path, CsvLayout(steps_per_year=12.0))
+
     def test_wide_fixture_allows_ragged_tails(self):
         ds = load_csv(f"{DATA}/wide_two_series.csv", CsvLayout(layout="wide", steps_per_year=4.0))
         assert [e.name for e in ds.entries] == ["alpha", "beta"]

@@ -122,6 +122,12 @@ class TestTrainConfigFile:
         with pytest.raises(ValueError, match="line 2"):
             load_train_config(path)
 
+    def test_repeated_key_reports_line(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("max_iters = 50\nseed = 1\nmax_iters = 60\n")
+        with pytest.raises(ValueError, match="line 3: duplicate"):
+            load_train_config(path)
+
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("max_iters = soon\n")

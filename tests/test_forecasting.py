@@ -83,11 +83,11 @@ class TestDefaultSpec:
             default_spec("triple")
 
     def test_default_horizons(self):
-        assert default_horizon(TimeSeries(values=np.zeros(8), steps_per_year=12.0)) == 18
-        assert default_horizon(TimeSeries(values=np.zeros(8), steps_per_year=4.0)) == 8
-        assert default_horizon(TimeSeries(values=np.zeros(8), steps_per_year=1461.0)) == 42
+        assert default_horizon(12.0) == 18
+        assert default_horizon(4.0) == 8
+        assert default_horizon(1461.0) == 42
         with pytest.raises(ValueError):
-            default_horizon(TimeSeries(values=np.zeros(8), steps_per_year=52.0))
+            default_horizon(52.0)
 
 
 class TestStandardizer:

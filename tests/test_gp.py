@@ -23,7 +23,7 @@ from gpforecast import (
     zero_lag_variance,
 )
 from gpforecast import gp
-from gpforecast.gp import JITTER_START
+from gpforecast.gp import JITTER_START, prepare_series
 from gpforecast.kernels import regular_lags
 
 FULL_SPEC = default_spec("single-seasonal")
@@ -83,7 +83,8 @@ class TestGradient:
         y = rng.standard_normal(6)
         x = np.arange(6.0)
         s2 = 0.7
-        _, grad = log_marginal_likelihood_and_grad(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=s2), x, y)
+        series = prepare_series(WN_SPEC, x, y)
+        _, grad = log_marginal_likelihood_and_grad(HyperParams.of(WN_SPEC, s2_noise=s2), series)
         expected = -3.0 + float(y @ y) / (2.0 * s2)
         assert grad[0] == pytest.approx(expected, rel=1e-6)
 
@@ -92,7 +93,8 @@ class TestGradient:
         y = rng.standard_normal(6)
         x = np.arange(6.0)
         s2_hat = float(np.mean(y * y))
-        _, grad = log_marginal_likelihood_and_grad(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=s2_hat), x, y)
+        series = prepare_series(WN_SPEC, x, y)
+        _, grad = log_marginal_likelihood_and_grad(HyperParams.of(WN_SPEC, s2_noise=s2_hat), series)
         assert abs(grad[0]) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -107,7 +109,7 @@ class TestGradient:
             return fit(FULL_SPEC, HyperParams.from_log(FULL_SPEC, u_vec), x, y).log_marginal
 
         fd = oracles.central_difference(f, u, h=1e-5)
-        _, analytic = log_marginal_likelihood_and_grad(FULL_SPEC, theta, x, y)
+        _, analytic = log_marginal_likelihood_and_grad(theta, prepare_series(FULL_SPEC, x, y))
         rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
         assert float(rel.max()) <= 1e-5
 
@@ -115,9 +117,10 @@ class TestGradient:
         rng = np.random.default_rng(9)
         x = np.sort(rng.uniform(0.0, 3.0, size=5))
         y = rng.standard_normal(5)
-        value, grad = log_marginal_likelihood_and_grad(FULL_SPEC, MEDIANS, x, y)
+        series = prepare_series(FULL_SPEC, x, y)
+        value, grad = log_marginal_likelihood_and_grad(MEDIANS, series)
         assert value == fit(FULL_SPEC, MEDIANS, x, y).log_marginal
-        np.testing.assert_array_equal(grad, log_marginal_likelihood_and_grad(FULL_SPEC, MEDIANS, x, y)[1])
+        np.testing.assert_array_equal(grad, log_marginal_likelihood_and_grad(MEDIANS, series)[1])
 
 
 class TestRegularGrid:
@@ -190,8 +193,9 @@ class TestRegularGrid:
             perm = rng.permutation(n)
             assert regular_lags(x) is not None and regular_lags(x[perm]) is None
             for spec, theta, value_tol, grad_tol in points:
-                value, grad = log_marginal_likelihood_and_grad(spec, theta, x, y)
-                value_perm, grad_perm = log_marginal_likelihood_and_grad(spec, theta, x[perm], y[perm])
+                value, grad = log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))
+                permuted = prepare_series(spec, x[perm], y[perm])
+                value_perm, grad_perm = log_marginal_likelihood_and_grad(theta, permuted)
                 assert abs(value - value_perm) <= value_tol * max(1.0, abs(value_perm))
                 assert np.max(np.abs(grad - grad_perm)) <= grad_tol * max(1.0, np.max(np.abs(grad_perm)))
 
@@ -208,7 +212,7 @@ class TestRegularGrid:
         for s2_noise in np.logspace(-7, -1, 13):
             theta = medians.replace(s2_noise=float(s2_noise))
             oracle = oracles.longdouble_log_mvn(jittered_gram(spec, theta, x), y)
-            value = log_marginal_likelihood_and_grad(spec, theta, x, y)[0]
+            value = log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))[0]
             assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle)), s2_noise
 
     @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
@@ -232,12 +236,12 @@ class TestRegularGrid:
             y = rng.standard_normal(n)
             theta = oracles.random_hyperparams(spec, PRIORS, rng)
             factorized.clear()
-            value, grad = log_marginal_likelihood_and_grad(spec, theta, x, y)
+            value, grad = log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))
             if factorized:  # below the bound: this draw took the Cholesky path already
                 continue
             with monkeypatch.context() as forced:
                 forced.setattr(gp, "LEVINSON_MIN_ERROR_RATIO", 2.0)  # every E_k / E_0 is <= 1
-                value_chol, grad_chol = log_marginal_likelihood_and_grad(spec, theta, x, y)
+                value_chol, grad_chol = log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))
             assert factorized
             compared += 1
             assert abs(value - value_chol) <= 1e-10 * max(1.0, abs(value_chol))

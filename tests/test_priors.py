@@ -22,6 +22,10 @@ from gpforecast import (
 
 PRIORS = default_priors()
 FULL_SPEC = default_spec("single-seasonal")
+# lam != 1 everywhere (variances and lengthscales each share one), so each log normalizer is nonzero
+WIDE_PRIORS = PriorSpec(
+    entries={name: LogNormalPrior(p.nu, 0.7 if name.startswith("s2_") else 2.5) for name, p in PRIORS.entries.items()}
+)
 
 # reference quantile targets: (parameter, median, 95th percentile)
 QUANTILE_TABLE = [
@@ -102,15 +106,16 @@ class TestLogPrior:
         )
         assert log_prior(PRIORS, theta, FULL_SPEC) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("priors", [PRIORS, WIDE_PRIORS], ids=["default", "wide"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_independent_density_oracle(self, seed):
+    def test_matches_independent_density_oracle(self, seed, priors):
         rng = np.random.default_rng(seed)
-        theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng, clip_sigmas=3.0)
+        theta = oracles.random_hyperparams(FULL_SPEC, priors, rng, clip_sigmas=3.0)
         expected = sum(
-            oracles.lognormal_logpdf(getattr(theta, name), PRIORS[name].nu, PRIORS[name].lam)
+            oracles.lognormal_logpdf(getattr(theta, name), priors[name].nu, priors[name].lam)
             for name in FULL_SPEC.trainable_names()
         )
-        assert log_prior(PRIORS, theta, FULL_SPEC) == pytest.approx(expected, abs=1e-12)
+        assert log_prior(priors, theta, FULL_SPEC) == pytest.approx(expected, abs=1e-12)
 
     def test_sums_over_the_spec_trainables_only(self):
         spec = KernelSpec(terms=(Term("RBF"),))
@@ -165,6 +170,20 @@ class TestGradLogPrior:
             assert second == pytest.approx(-1.0 / PRIORS[name].lam, rel=1e-3)
 
 
+class TestMissingPrior:
+    def test_a_trainable_without_a_prior_is_named(self):
+        partial = PriorSpec(entries={name: p for name, p in PRIORS.entries.items() if name != "ell_rbf"})
+        theta = median_hyperparams(FULL_SPEC, PRIORS)
+        for evaluate in (log_prior, grad_log_prior):
+            with pytest.raises(KeyError, match="ell_rbf"):
+                evaluate(partial, theta, FULL_SPEC)
+        # a spec that does not train it is unaffected
+        spec = KernelSpec(terms=(Term("PER", period=1.0), Term("WN")))
+        theta = median_hyperparams(spec, PRIORS)
+        assert log_prior(partial, theta, spec) == log_prior(PRIORS, theta, spec)
+        assert np.array_equal(grad_log_prior(partial, theta, spec), grad_log_prior(PRIORS, theta, spec))
+
+
 class TestMedianHyperparams:
     def test_values_at_the_prior_medians(self):
         theta = median_hyperparams(FULL_SPEC, PRIORS)
@@ -189,6 +208,12 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("s2_rbf = -1.5 1.0\nwhatever = 0 1\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_priors(path)
+
+    def test_repeated_name_reports_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("s2_rbf = -1.5 1.0\ns2_rbf = -1.5 1.0\n")
+        with pytest.raises(ValueError, match="line 2: duplicate"):
             load_priors(path)
 
     def test_bad_number_reports_line(self, tmp_path):

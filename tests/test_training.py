@@ -8,6 +8,7 @@ import oracles
 from gpforecast import (
     HyperParams,
     KernelSpec,
+    PriorSpec,
     Term,
     TrainConfig,
     default_priors,
@@ -20,7 +21,6 @@ from gpforecast import (
 )
 from gpforecast import gp, kernels, training
 from gpforecast.gp import JITTER_START, prepare_series
-from gpforecast.priors import prior_vectors
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -75,10 +75,9 @@ class TestMapObjective:
 
     @pytest.mark.parametrize(("mode", "steps_per_year"), [("single-seasonal", 12.0), ("double-seasonal", 1461.0)])
     def test_prepared_series_gives_exactly_the_public_objective(self, mode, steps_per_year):
-        # train prepares the series and the prior vectors once; every evaluation
-        # must give the bits map_objective gives from the arrays
+        # train prepares the series once; every evaluation must give the bits
+        # map_objective gives from the arrays
         spec = default_spec(mode)
-        vectors = prior_vectors(PRIORS, spec)
         rng = np.random.default_rng(int(steps_per_year))
         points = []
         for n in (8, 48, 132, 224, 336):
@@ -92,7 +91,7 @@ class TestMapObjective:
         points.append((median_hyperparams(spec, PRIORS).replace(s2_noise=5e-8), x, rng.standard_normal(224)))
         for theta, x, y in points:
             value, grad = map_objective(spec, PRIORS, theta, x, y)
-            prepared_value, prepared_grad = map_objective(spec, vectors, theta, prepare_series(spec, x, y))
+            prepared_value, prepared_grad = map_objective(spec, PRIORS, theta, prepare_series(spec, x, y))
             assert prepared_value == value
             assert np.array_equal(prepared_grad, grad)
 
@@ -123,8 +122,6 @@ class TestMapObjective:
         other = default_spec("double-seasonal")
         with pytest.raises(ValueError, match="prepared"):
             map_objective(other, PRIORS, median_hyperparams(other, PRIORS), series)
-        with pytest.raises(ValueError, match="prior vectors"):
-            map_objective(FULL_SPEC, prior_vectors(PRIORS, other), theta, series)
 
 
 class TestTrain:
@@ -257,6 +254,7 @@ class TestTrain:
         [(value, grad)] = returned
         assert value == training._PENALTY and not grad.any()
         assert result.theta == median_hyperparams(FULL_SPEC, PRIORS)
+        assert result.objective == float("-inf") and not result.converged
         assert result.penalty_evals == 1
 
     def test_too_few_points_rejected(self):
@@ -267,6 +265,12 @@ class TestTrain:
         spec = KernelSpec(terms=(Term("RBF"),))
         with pytest.raises(ValueError, match="WN"):
             train(spec, PRIORS, np.arange(8.0), np.zeros(8))
+
+    def test_trainable_without_a_prior_rejected(self):
+        partial = PriorSpec(entries={name: p for name, p in PRIORS.entries.items() if name != "tau_sm2"})
+        x, y = sine_series(24)
+        with pytest.raises(KeyError, match="tau_sm2"):
+            train(FULL_SPEC, partial, x, y)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
