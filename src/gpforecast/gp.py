@@ -49,6 +49,9 @@ stationary partial is the dot product of its values on the differences
 with the matching sums of W = a a^T - K^-1.  On a regular grid those are
 W's diagonal sums, one per lag, and K^-1's come in O(n^2) from g and
 K^-1 v (Gohberg-Semencul plus Sherman-Morrison); K^-1 is never formed.
+There g_0 T^-1 = G G^T - Z Z^T (Gohberg-Semencul), and as Z's first column
+is g reversed, Z Z^T's sums are exactly corr(g, m g), m = 0 .. n-1: two
+correlations of g give T^-1's sums (see _toeplitz_plus_rank1_inverse_sums).
 On other inputs LAPACK ``dpotri`` overwrites the factor with K^-1.  LIN,
 being rank 2, contributes two quadratic forms in W.
 """
@@ -131,7 +134,7 @@ class PreparedSeries(NamedTuple):
     the n lags and 0, with ``pairs`` None; otherwise x_i - x_j and
     x_i x_j for each pair i >= j, with ``pairs`` = (i, j) from
     ``kernels.point_pairs`` and ``pair_weights`` 1 on the diagonal and 2
-    off it.
+    off it.  ``index`` is m = 0 .. n-1 and ``lengths`` n - m, the subdiagonals' lengths.
     """
 
     spec: KernelSpec
@@ -143,6 +146,8 @@ class PreparedSeries(NamedTuple):
     pair_weights: np.ndarray | None
     mean_xx: float
     stationary: np.ndarray
+    index: np.ndarray
+    lengths: np.ndarray
 
 
 def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSeries:
@@ -164,6 +169,8 @@ def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSe
         pair_weights=weights,
         mean_xx=float(np.mean(x * x)),
         stationary=np.array([name not in TERM_PARAMS["LIN"] for name in spec.trainable_names()]),
+        index=np.arange(x.size, dtype=float),
+        lengths=np.arange(x.size, 0, -1, dtype=float),
     )
 
 
@@ -266,7 +273,7 @@ def log_marginal_likelihood_and_grad(theta: HyperParams, series: PreparedSeries)
         v = math.sqrt(slope) * x
         solved = _levinson_solve(column, v, y) or _cholesky_grid_solve(column, v, y, lin)
         lml, a, jitter, g, p, beta = solved
-        inv_sums = _toeplitz_plus_rank1_inverse_sums(g, p, beta)
+        inv_sums = _toeplitz_plus_rank1_inverse_sums(g, p, beta, series.index, series.lengths)
         s = 2.0 * (_correlation(a, a) - inv_sums)
         s[0] *= 0.5
         trace_inv = float(inv_sums[0])
@@ -278,11 +285,11 @@ def log_marginal_likelihood_and_grad(theta: HyperParams, series: PreparedSeries)
     if lin:  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
         bias = theta.s2_bias
         x_w_x = float((x @ a) ** 2 - x_inv_x)
-        traces[~stationary] = [bias * float(np.sum(s)), slope * x_w_x]
+        traces[~stationary] = [bias * float(s.sum()), slope * x_w_x]
         zero_lag[~stationary] = [bias, slope * series.mean_xx]
     # dk/dlog s2 = k and every other partial vanishes at lag 0, so the
     # zero-lag partials add up to the mean Gram diagonal the jitter tracks
-    jitter_sensitivity = jitter / math.fsum(zero_lag) * zero_lag
+    jitter_sensitivity = jitter / math.fsum(zero_lag.tolist()) * zero_lag
     trace_w = float(a @ a - trace_inv)
     grad = 0.5 * traces + 0.5 * trace_w * jitter_sensitivity
     return lml, grad
@@ -313,17 +320,18 @@ def _levinson_solve(
     """
     n = v.size
     m = n - 1
-    jitter = JITTER_START * (column[0] + float(np.mean(v * v)))  # K's mean diagonal
-    t0 = column[0] + jitter
+    jitter = JITTER_START * (float(column[0]) + float(v @ v) / n)  # K's mean diagonal
+    t0 = float(column[0]) + jitter
     try:
         # T's first row and column, mirrored, and the Yule-Walker right-hand side
         ar, phi = levinson(np.concatenate((column[m - 1 : 0 : -1], [t0], column[1:m])), column[1:])
     except LinAlgError:  # a singular leading minor
         return None
     phi = phi[1:]  # phi[0] is scipy's placeholder 1
-    if not (np.isfinite(t0) and np.all(np.abs(phi) < 1.0)):  # some E_k <= 0
+    shrink = 1.0 - phi * phi  # E_k / E_{k-1}: > 0 exactly when |phi_k| < 1, False on NaN
+    if not (math.isfinite(t0) and (shrink > 0.0).all()):  # some E_k <= 0
         return None
-    ratio = np.cumprod(1.0 - phi * phi)  # E_k / E_0 for k = 1 .. n-1, non-increasing
+    ratio = shrink.cumprod()  # E_k / E_0 for k = 1 .. n-1, non-increasing
     if not ratio[-1] >= LEVINSON_MIN_ERROR_RATIO:
         return None
     g = np.concatenate(([1.0], -ar)) / (t0 * ratio[-1])
@@ -334,7 +342,7 @@ def _levinson_solve(
         return None
     p = t_inv_v / denom
     a = t_inv_y - float(v @ t_inv_y) * p
-    log_det = n * math.log(t0) + float(np.sum(np.log(ratio))) + math.log(denom)
+    log_det = n * math.log(t0) + float(np.log(ratio).sum()) + math.log(denom)
     lml = -0.5 * float(y @ a) - 0.5 * log_det - 0.5 * n * _LOG_2PI
     if not math.isfinite(lml):
         return None
@@ -374,29 +382,26 @@ def _gohberg_semencul_solve(g: np.ndarray, z: np.ndarray, b: np.ndarray) -> np.n
     return (np.convolve(g, _correlation(b, g))[:n] - np.convolve(z, _correlation(b, z))[:n]) / g[0]
 
 
-def _triangular_toeplitz_gram_sums(c: np.ndarray) -> np.ndarray:
-    """Subdiagonal sums of C C^T, C lower-triangular Toeplitz with first column c.
-
-    Subdiagonal l sums to ``sum_m (n - l - m) c[m] c[m + l]``.
-    """
-    n = c.size
-    return np.arange(n, 0, -1) * _correlation(c, c) - _correlation(c, np.arange(n) * c)
-
-
-def _toeplitz_plus_rank1_inverse_sums(g: np.ndarray, p: np.ndarray, beta: float) -> np.ndarray:
+def _toeplitz_plus_rank1_inverse_sums(
+    g: np.ndarray, p: np.ndarray, beta: float, index: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
     """Subdiagonal sums l = 0 .. n-1 of K^-1, for K = T + v v^T, from g = T^-1 e_0, p = K^-1 v and beta = 1 - v^T p.
 
-    T is symmetric Toeplitz (with the jitter); v may be zero.  Sherman-Morrison
-    gives K^-1 = T^-1 - p p^T / beta.  Gohberg-Semencul gives
-    T^-1 = (G G^T - Z Z^T) / g_0, G and Z lower-triangular Toeplitz with
-    first columns g and z = (0, g_{n-1}, ..., g_1), so each O(n^2) sum is a
-    correlation of two vectors.  T positive definite means g_0 > 0; its
-    failing means rounding has swamped the solve.
+    T is symmetric Toeplitz (with the jitter), v may be zero, ``index`` is
+    m = 0 .. n-1 and ``lengths`` n - m.  Sherman-Morrison gives
+    K^-1 = T^-1 - p p^T / beta, Gohberg-Semencul T^-1 = (G G^T - Z Z^T) / g_0,
+    G and Z lower-triangular Toeplitz with first columns g and
+    z = (0, g_{n-1}, ..., g_1).  With C such a matrix of c, C C^T's
+    subdiagonal l sums to S(c)_l = sum_m (n - l - m) c_m c_{m+l}, and
+    S(z) = corr(g, m g) exactly: z_m = g_{n-m}, so k = n - l - m turns each
+    term into k g_k g_{k+l}.  Hence S(g) - S(z) = (n - l) corr(g, g) -
+    2 corr(g, m g), two O(n^2) correlations.  T positive definite means
+    g_0 > 0; its failing means rounding has swamped the solve.
     """
-    if not (np.isfinite(g[0]) and g[0] > 0.0):
-        raise IllConditionedModelError(f"inverse of the Toeplitz part is not positive (g0 {g[0]!r})")
-    z = np.concatenate(([0.0], g[:0:-1]))
-    sums = (_triangular_toeplitz_gram_sums(g) - _triangular_toeplitz_gram_sums(z)) / g[0]
+    g0 = float(g[0])
+    if not (math.isfinite(g0) and g0 > 0.0):
+        raise IllConditionedModelError(f"inverse of the Toeplitz part is not positive (g0 {g0!r})")
+    sums = (lengths * _correlation(g, g) - 2.0 * _correlation(g, index * g)) / g0
     return sums - _correlation(p, p) / beta
 
 

@@ -41,6 +41,7 @@ every partial in this module is taken with respect to ``log(parameter)``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -136,9 +137,13 @@ class KernelSpec:
         names = tuple(name for t in self.terms for name in TERM_PARAMS[t.kind])
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_positions", np.array([PARAM_NAMES.index(name) for name in names]))
-
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(t.kind for t in self.terms)
+        # each term, the slice of theta's values it reads and grad_gram's row of its value (None for LIN)
+        layout, start, row = [], 0, 0
+        for t in self.terms:
+            size = len(TERM_PARAMS[t.kind])
+            layout.append((t, slice(start, start + size), None if t.kind == "LIN" else row))
+            start, row = start + size, row + (t.kind != "LIN") * size
+        object.__setattr__(self, "_layout", tuple(layout))
 
     def has(self, kind: str) -> bool:
         return any(t.kind == kind for t in self.terms)
@@ -236,7 +241,7 @@ class Differences(NamedTuple):
 
 
 def term_parts(
-    term: Term, p: list[float], d: Differences | None, xx: np.ndarray | float | None = None
+    term: Term, p: Sequence[float], d: Differences | None, xx: np.ndarray | float | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Value of one term and its partials w.r.t. the log of each of its parameters.
 
@@ -274,12 +279,6 @@ def term_parts(
     raise AssertionError(kind)
 
 
-def _term_values(spec: KernelSpec, theta: HyperParams) -> list[tuple[Term, list[float]]]:
-    """Each term of the spec with its parameter values."""
-    values = iter(theta.for_spec(spec))
-    return [(t, [next(values) for _ in TERM_PARAMS[t.kind]]) for t in spec.terms]
-
-
 def grad_gram(spec: KernelSpec, theta: HyperParams, d: Differences) -> np.ndarray:
     """Partials of the stationary terms w.r.t. the log of each of their trainables.
 
@@ -289,7 +288,8 @@ def grad_gram(spec: KernelSpec, theta: HyperParams, d: Differences) -> np.ndarra
     difference, so on a regular grid, with d the lags, dK/du_k is the
     symmetric Toeplitz matrix of row k.
     """
-    rows = [g for t, p in _term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, d)[1]]
+    values = theta.for_spec(spec)
+    rows = [g for t, at, row in spec._layout if row is not None for g in term_parts(t, values[at], d)[1]]
     out = np.array(rows).reshape(len(rows), d.abs.size)
     _check_finite(out, "grad_gram")
     return out
@@ -314,21 +314,19 @@ def regular_lags(x: np.ndarray) -> np.ndarray | None:
 
 
 def _composition(
-    terms: list[tuple[Term, list[float]]],
-    d: Differences,
-    xx: np.ndarray | float,
-    include_noise: bool = True,
+    spec: KernelSpec, theta: HyperParams, d: Differences, xx: np.ndarray | float, include_noise: bool = True
 ) -> np.ndarray:
-    """Sum of the values of ``terms``, as from :func:`_term_values`."""
+    """Sum of the values of the spec's terms at differences ``d``, LIN's at products ``xx``."""
+    values = theta.for_spec(spec)
     out = np.zeros(np.shape(d.abs))
-    for t, p in terms:
+    for t, at, _ in spec._layout:
         if t.kind != "WN" or include_noise:
-            out = out + term_parts(t, p, d, xx)[0]
+            out = out + term_parts(t, values[at], d, xx)[0]
     return out
 
 
 def _check_finite(out: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise InvalidHyperparameterError(f"{what} produced non-finite covariance values")
 
 
@@ -338,10 +336,8 @@ def eval_kernel(spec: KernelSpec, theta: HyperParams, x1: float, x2: float) -> f
     The WN term contributes only when ``x1 == x2`` exactly; time indices are
     built from integer steps so equality of repeated points is well defined.
     """
-    terms = _term_values(spec, theta)
-    a = float(x1)
-    b = float(x2)
-    out = float(_composition(terms, Differences.of(spec, a - b), a * b))
+    a, b = float(x1), float(x2)
+    out = float(_composition(spec, theta, Differences.of(spec, a - b), a * b))
     _check_finite(out, "eval_kernel")
     return out
 
@@ -409,17 +405,20 @@ def lag_column(
 
     A stationary term's first row there is its value (dk/dlog s2 = k), so
     the result is those rows summed in term order, with LIN's value at
-    ``xx`` in LIN's place.  On a regular grid's lags, with xx = 0, that is
-    the Gram's first column without LIN's slope (LIN's bias is constant in
-    the lag): the Gram is the symmetric Toeplitz matrix of this column plus
-    the rank-1 slope s2_lin x x^T.  On the pairs of points, with xx their
-    products, it is the Gram's entry for each pair.
+    ``xx`` in LIN's place; no term is evaluated again.  On a regular grid's
+    lags, with xx = 0, that is the Gram's first column without LIN's slope
+    (LIN's bias is constant in the lag): the Gram is the symmetric Toeplitz
+    matrix of this column plus the rank-1 slope s2_lin x x^T.  On the pairs
+    of points, with xx their products, it is the Gram's entry for each pair.
     """
+    values = theta.for_spec(spec)
     column = np.zeros(partials.shape[1])
-    rows = iter(partials)
-    for t, p in _term_values(spec, theta):
-        term_rows = [] if t.kind == "LIN" else [next(rows) for _ in p]  # one per parameter, value first
-        column = column + (term_rows[0] if term_rows else term_parts(t, p, None, xx)[0])
+    for _, at, row in spec._layout:
+        if row is None:  # LIN's value, term_parts' bias plus slope
+            s2_bias, s2_lin = values[at]
+            column += s2_bias + s2_lin * xx
+        else:
+            column += partials[row]
     _check_finite(column, "lag_column")
     return column
 
@@ -440,13 +439,12 @@ def build_cross(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray, x: np.
     so the differences' arrays and each term's temporaries stay that size
     however long the horizon.
     """
-    terms = _term_values(spec, theta)
     x_star = _as_points(x_star, "x_star", allow_empty=True)
     x = _as_points(x, "x")
     row = x[None, :]
     blocks = np.array_split(x_star[:, None], max(1, -(-x_star.size * x.size // _CROSS_BLOCK)))
     cross = np.concatenate(
-        [_composition(terms, Differences.of(spec, col - row), col * row, include_noise=False) for col in blocks]
+        [_composition(spec, theta, Differences.of(spec, col - row), col * row, include_noise=False) for col in blocks]
     )
     _check_finite(cross, "build_cross")
     return cross
@@ -458,9 +456,8 @@ def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np
     Used for predictive variances: the latent-function variance at a test
     point never includes the white-noise term.
     """
-    terms = _term_values(spec, theta)
     x = _as_points(x, "x", allow_empty=True)
-    out = _composition(terms, Differences.of(spec, np.zeros(x.size)), x * x, include_noise=False)
+    out = _composition(spec, theta, Differences.of(spec, np.zeros(x.size)), x * x, include_noise=False)
     _check_finite(out, "zero_lag_variance")
     return out
 

@@ -85,6 +85,9 @@ class PriorSpec:
     entries: dict[str, LogNormalPrior]
 
     def __post_init__(self) -> None:
+        unknown = sorted(set(self.entries) - set(PARAM_NAMES))
+        if unknown:
+            raise ValueError(f"priors for unknown hyperparameters {unknown} (known: {sorted(PARAM_NAMES)})")
         variances = [self.entries[n] for n in VARIANCE_PARAMS if n in self.entries]
         if len({(p.nu, p.lam) for p in variances}) > 1:
             raise ValueError("all variance parameters must share a single prior")

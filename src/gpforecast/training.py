@@ -18,6 +18,7 @@ perturb the start with one Normal(0, lam) draw per coordinate.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -145,7 +146,7 @@ def train(
         except (IllConditionedModelError, InvalidHyperparameterError):
             objective = float("-inf")  # penalized below, as a non-finite value is
         value = -objective
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             penalty_evals += 1
             return _PENALTY, np.zeros(u.size)
         if value < best_value:

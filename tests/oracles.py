@@ -86,18 +86,40 @@ def longdouble_log_mvn(cov: np.ndarray, y: np.ndarray) -> float:
     puts its rounding about 2000 times below float64's.
     """
     n = len(y)
-    a = np.asarray(cov, dtype=np.longdouble)
-    lower = np.zeros_like(a)
-    for j in range(n):  # column j of the factor from the columns before it
-        col = a[j:, j] - lower[j:, :j] @ lower[j, :j]
-        assert col[0] > 0
-        lower[j, j] = np.sqrt(col[0])
-        lower[j + 1 :, j] = col[1:] / lower[j, j]
+    lower = _longdouble_cholesky(cov)
     w = np.zeros(n, dtype=np.longdouble)
     for i in range(n):  # w = lower^-1 y
         w[i] = (np.longdouble(y[i]) - lower[i, :i] @ w[:i]) / lower[i, i]
     log_2pi = np.log(2 * np.longdouble(np.pi))
     return float(-0.5 * (w @ w) - np.sum(np.log(np.diag(lower))) - 0.5 * n * log_2pi)
+
+
+def longdouble_inverse_diagonal_sums(cov: np.ndarray) -> np.ndarray:
+    """Sums of the subdiagonals l = 0 .. n-1 of cov^-1, in ``np.longdouble`` arithmetic.
+
+    With cov = L L^T and M = L^-1, cov^-1 = M^T M, so subdiagonal l sums
+    to sum_k sum_i M[k, i + l] M[k, i], the lag-l autocorrelation of M's
+    rows summed over the rows.
+    """
+    lower = _longdouble_cholesky(cov)
+    n = len(lower)
+    m = np.zeros_like(lower)
+    for i in range(n):  # row i of L^-1 from the rows before it
+        m[i, : i + 1] = -(lower[i, :i] @ m[:i, : i + 1])
+        m[i, i] += 1
+        m[i, : i + 1] /= lower[i, i]
+    return sum(np.correlate(row, row, "full")[n - 1 :] for row in m)
+
+
+def _longdouble_cholesky(cov: np.ndarray) -> np.ndarray:
+    a = np.asarray(cov, dtype=np.longdouble)
+    lower = np.zeros_like(a)
+    for j in range(len(a)):  # column j of the factor from the columns before it
+        col = a[j:, j] - lower[j:, :j] @ lower[j, :j]
+        assert col[0] > 0
+        lower[j, j] = np.sqrt(col[0])
+        lower[j + 1 :, j] = col[1:] / lower[j, j]
+    return lower
 
 
 def dense_posterior(

@@ -68,13 +68,13 @@ class TestDefaultSpec:
     def test_single_seasonal_composition(self):
         spec = default_spec("single-seasonal")
         assert len(spec.terms) == 6
-        assert spec.kinds() == ("PER", "LIN", "RBF", "SM1", "SM2", "WN")
+        assert tuple(t.kind for t in spec.terms) == ("PER", "LIN", "RBF", "SM1", "SM2", "WN")
         assert spec.terms[0].period == 1.0
 
     def test_double_seasonal_composition(self):
         spec = default_spec("double-seasonal")
         assert len(spec.terms) == 7
-        assert spec.kinds() == ("PER", "PER2", "LIN", "RBF", "SM1", "SM2", "WN")
+        assert tuple(t.kind for t in spec.terms) == ("PER", "PER2", "LIN", "RBF", "SM1", "SM2", "WN")
         periods = [t.period for t in spec.terms]
         assert periods[:2] == pytest.approx([1.0 / 52.18, 1.0 / 365.25])
 

@@ -24,13 +24,19 @@ from gpforecast import (
 )
 from gpforecast import gp
 from gpforecast.gp import JITTER_START, prepare_series
-from gpforecast.kernels import regular_lags
+from gpforecast.kernels import grad_gram, lag_column, regular_lags, toeplitz_gram
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
 MEDIANS = median_hyperparams(FULL_SPEC, PRIORS)
 
 WN_SPEC = KernelSpec(terms=(Term("WN"),))
+
+
+def grid_lengths(rng):
+    """30 grid lengths drawn from 4 .. 60, then the two shortest grids, 2 and 3."""
+    yield from (int(rng.integers(4, 61)) for _ in range(30))
+    yield from (2, 3)
 
 
 def jittered_gram(spec, theta, x):
@@ -136,8 +142,7 @@ class TestRegularGrid:
     def test_log_marginal_matches_dense_oracle(self, mode, steps_per_year):
         spec = default_spec(mode)
         rng = np.random.default_rng(int(steps_per_year))
-        for _ in range(30):
-            n = int(rng.integers(4, 61))
+        for n in grid_lengths(rng):
             x = np.arange(n) / steps_per_year
             assert regular_lags(x) is not None
             y = rng.standard_normal(n)
@@ -146,14 +151,16 @@ class TestRegularGrid:
             jitter = JITTER_START * float(np.mean(np.diag(cov)))
             state = fit(spec, theta, x, y)
             assert state.jitter == pytest.approx(jitter, rel=1e-12)
-            assert abs(state.log_marginal - oracles.dense_log_mvn(cov + jitter * np.eye(n), y)) <= 1e-8
+            expected = oracles.dense_log_mvn(cov + jitter * np.eye(n), y)
+            assert abs(state.log_marginal - expected) <= 1e-8
+            # the objective, on the Levinson path or its Cholesky fallback
+            assert abs(log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))[0] - expected) <= 1e-8
 
     @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
     def test_map_gradient_matches_finite_differences(self, mode, steps_per_year):
         spec = default_spec(mode)
         rng = np.random.default_rng(int(steps_per_year) + 1)
-        for _ in range(30):
-            n = int(rng.integers(4, 61))
+        for n in grid_lengths(rng):
             x = np.arange(n) / steps_per_year
             assert regular_lags(x) is not None
             y = rng.standard_normal(n)
@@ -214,6 +221,46 @@ class TestRegularGrid:
             oracle = oracles.longdouble_log_mvn(jittered_gram(spec, theta, x), y)
             value = log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))[0]
             assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle)), s2_noise
+
+    @pytest.mark.parametrize("lin", [True, False])
+    @pytest.mark.parametrize("n", [132, 336])
+    def test_inverse_diagonal_sums_match_long_double_inverse(self, n, lin):
+        # K^-1's subdiagonal sums, which the gradient reads, from each path's
+        # (g, p, beta), against the long-double inverse of the matrix that path
+        # solves with.  The error grows as 1 / s2_noise.  The bounds are about
+        # 2.5x the worst measured over this sweep, by the two-correlation sums
+        # and the four-correlation ones alike: 4.4e-15 / s2_noise on the
+        # Levinson path (near its bound), 3.4e-16 / s2_noise on the Cholesky path.
+        full = default_spec("double-seasonal")
+        spec = full if lin else KernelSpec(terms=tuple(t for t in full.terms if t.kind != "LIN"))
+        medians = median_hyperparams(spec, PRIORS)
+        x = np.arange(n) / 1461.0
+        series = prepare_series(spec, x, np.random.default_rng(n).standard_normal(n))
+        on_levinson = 0
+        for s2_noise in np.logspace(-7, -1, 4):
+            theta = medians.replace(s2_noise=float(s2_noise))
+            column = lag_column(spec, theta, grad_gram(spec, theta, series.diffs))
+            v = math.sqrt(theta.s2_lin) * x if lin else np.zeros(n)
+            levinson = gp._levinson_solve(column, v, series.y)
+            if levinson is not None:  # T with diagonal column[0] + jitter, plus v v^T
+                on_levinson += 1
+                t = np.asarray(column, dtype=np.longdouble)
+                t[0] = float(column[0]) + levinson[2]
+                exact_v = np.asarray(v, dtype=np.longdouble)
+                matrix = toeplitz(t) + np.outer(exact_v, exact_v)
+                self._check_inverse_sums(levinson, matrix, series, 1e-14 / s2_noise)
+            cholesky_path = gp._cholesky_grid_solve(column, v, series.y, lin)
+            gram = toeplitz_gram(column, v if lin else None)  # as factorized: its diagonal plus the jitter
+            np.fill_diagonal(gram, np.diag(gram) + cholesky_path[2])
+            self._check_inverse_sums(cholesky_path, gram, series, 1e-15 / s2_noise)
+        assert on_levinson >= 1
+
+    @staticmethod
+    def _check_inverse_sums(solved, matrix, series, tol):
+        g, p, beta = solved[3:]
+        sums = gp._toeplitz_plus_rank1_inverse_sums(g, p, beta, series.index, series.lengths)
+        oracle = oracles.longdouble_inverse_diagonal_sums(matrix)
+        assert float(np.max(np.abs(sums - oracle)) / np.max(np.abs(oracle))) <= tol
 
     @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
     def test_levinson_path_matches_the_cholesky_fallback(self, mode, steps_per_year, monkeypatch):

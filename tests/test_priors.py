@@ -89,6 +89,14 @@ class TestDefaultConstants:
         with pytest.raises(ValueError, match="one log-variance"):
             PriorSpec(entries=entries)
 
+    def test_unknown_name_rejected_when_made(self):
+        # a typo in priors built in code fails here, naming the typo, not later
+        # as a KeyError for the name it was meant to be
+        entries = dict(PRIORS.entries)
+        entries["ell_rbff"] = entries.pop("ell_rbf")
+        with pytest.raises(ValueError, match="ell_rbff"):
+            PriorSpec(entries=entries)
+
 
 class TestLogPrior:
     def test_single_parameter_at_log_mode(self):
