@@ -3,7 +3,11 @@
 Steps: standardize against the training data, index time in years (one
 unit per elapsed year, so lengthscales read as years), train the
 hyperparameters, compute the predictive posterior at the next ``horizon``
-steps, and undo the standardization on the way out.
+steps, and undo the standardization on the way out.  The posterior comes
+from the series ``train`` prepared (``TrainResult.series``): the next
+steps continue its grid, so ``gp.fit`` lays out the Gram, the
+cross-covariance and the prior variance from one pass over the terms on
+the n + horizon lags.
 
 Frequencies are expressed as steps per year: 12 for monthly, 4 for
 quarterly, 1461 for 6-hour sampling (4 * 365.25).  Any positive real
@@ -246,6 +250,5 @@ def standardized_posterior(
     x = make_time_index(ts)
     x_star = future_time_index(ts, horizon)
     result = train(spec, priors, x, z, config)
-    state = fit(spec, result.theta, x, z)
-    posterior = predict(state, spec, result.theta, x_star)
+    posterior = predict(fit(result.theta, result.series, x_star))
     return posterior, standardizer, result

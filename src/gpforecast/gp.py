@@ -2,11 +2,12 @@
 
 The observed series is modelled as jointly Gaussian with zero mean and
 covariance ``K(X, X)`` assembled from the kernel composition (the noise
-term lives inside the kernel).  The log marginal likelihood has two entry
-points: :func:`fit` caches it as ``log_marginal`` next to the factorization,
-and :func:`log_marginal_likelihood_and_grad` adds its gradient with respect
+term lives inside the kernel).  Both entry points take the series from
+:func:`prepare_series`: :func:`fit` caches the log marginal likelihood as
+``log_marginal`` next to the factorization, and
+:func:`log_marginal_likelihood_and_grad` adds its gradient with respect
 to the log-space hyperparameters.  :func:`predict` gives the exact
-predictive posterior:
+predictive posterior at the test points :func:`fit` was given:
 
     mean(X*)       = K(X*, X) K(X, X)^-1 y
     latent var(x*) = k(x*, x*) - k(x*, X) K(X, X)^-1 k(X, x*)
@@ -19,13 +20,14 @@ definiteness, so factorization uses an adaptive diagonal jitter: starting
 at 1e-8 times the mean diagonal and escalating tenfold up to 1e-2 before
 giving up with :class:`IllConditionedModelError`.
 
-The objective evaluates one series many times, so it takes the series
-from :func:`prepare_series`, which does once what does not depend on the
-hyperparameters: it checks x and y, detects the grid, and makes the
-differences' arrays, mean(x^2) and the stationary-trainable mask.  Each
-evaluation then makes one :func:`grad_gram` call on the prepared
-differences, which gives every stationary partial and, summed by
-:func:`lag_column`, the covariance at each difference.
+The objective evaluates one series many times, so :func:`prepare_series`
+does once what does not depend on the hyperparameters: it checks x and
+y, detects the grid, and makes the differences' arrays, mean(x^2), the
+stationary-trainable mask and where LIN's and WN's values stand.  Each
+evaluation takes theta's values as a plain sequence in the spec's order
+(a trainer's exp(u), checked once) and makes one :func:`grad_gram` call
+on the prepared differences, which gives every stationary partial and,
+summed by :func:`lag_column`, the covariance at each difference.
 
 On a regular grid K is a symmetric Toeplitz matrix T (with the jitter)
 plus LIN's rank-1 slope v v^T, and the objective
@@ -33,16 +35,26 @@ plus LIN's rank-1 slope v v^T, and the objective
 alone: one Levinson-Durbin recursion gives log det T and g = T^-1 e_0,
 Gohberg-Semencul products with g give T^-1 y and T^-1 v, and
 Sherman-Morrison adds the slope, so an evaluation holds O(n) floats and
-makes no Cholesky factorization.  Levinson is only weakly stable, so
-below a conditioning bound (:data:`LEVINSON_MIN_ERROR_RATIO` on its
-prediction errors) the evaluation lays that column out as the Gram
-instead, in one Fortran-ordered array, factorizes it in place (a failed
-try lays it out again) and solves for y, e_0 and v at once.  On other
-inputs the Gram is laid out from the covariance at each pair of points
-(``kernels.pairs_gram``, as :func:`fit`'s ``build_gram`` lays it out).
-:func:`fit` builds the Gram from theta and x; :func:`predict` reuses its
-factor, so a forecast makes one Cholesky factorization at its trained
-hyperparameters, plus one per evaluation that falls back.
+makes no Cholesky factorization; without LIN, v = 0 and its solve and
+sums are skipped.  Levinson is only weakly stable, so below a
+conditioning bound (:data:`LEVINSON_MIN_ERROR_RATIO` on its prediction
+errors) the evaluation lays that column out as the Gram instead, in one
+Fortran-ordered array, factorizes it in place (a failed try lays it out
+again) and solves for y, e_0 and v at once.  Where the noise floor
+allows a failure, the recursion first runs on T's leading lags, and a
+block that fails the bound skips the full run.  On other inputs the Gram
+is laid out from the covariance at each pair of points
+(``kernels.pairs_gram``, as ``build_gram`` lays it out).
+
+:func:`fit` takes the trained theta, the prepared series and the test
+points.  When these continue the series' regular grid, as a forecast's
+do, one :func:`grad_gram` pass over the n + h lags gives the Gram's
+column (bit for bit the objective's), the cross-covariance (Toeplitz on
+lags 1 .. n+h-1, plus LIN's slope) and the prior variance (lag 0);
+otherwise ``build_gram``, ``build_cross`` and ``zero_lag_variance`` lay
+them out from the points.  :func:`predict` reuses the factor, so a
+forecast makes one Cholesky factorization at its trained hyperparameters,
+plus one per evaluation that falls back.
 
 The gradient never builds an n-by-n matrix per hyperparameter: each
 stationary partial is the dot product of its values on the differences
@@ -59,7 +71,7 @@ being rank 2, contributes two quadratic forms in W.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,7 +82,8 @@ from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
 from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, _as_points, build_cross, build_gram
-from .kernels import grad_gram, lag_column, pairs_gram, point_pairs, regular_lags, toeplitz_gram, zero_lag_variance
+from .kernels import grad_gram, lag_column, pairs_gram, point_pairs, regular_lags, toeplitz_cross, toeplitz_gram
+from .kernels import zero_lag_variance
 
 __all__ = [
     "IllConditionedModelError",
@@ -90,6 +103,8 @@ JITTER_MAX = 1e-2
 # error grows 10-300x past the Cholesky factor's (checked against a
 # long-double oracle in tests/test_gp.py).
 LEVINSON_MIN_ERROR_RATIO = 1e-4
+# Lags of the leading block a near-noiseless evaluation first runs Levinson on.
+_LEVINSON_BLOCK = 64
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -100,16 +115,21 @@ class IllConditionedModelError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitState:
-    """Cached factorization of one (spec, theta, X, y) instance.
+    """Cached factorization of one (theta, series) instance and the test points' covariances.
 
-    Immutable; concurrent :func:`predict` calls on one state are safe.
+    ``cross`` is k(X*, X) and ``prior_variance`` k(x*, x*) without the
+    noise, at the test points :func:`fit` was given; ``noise`` is the WN
+    variance (0 without WN).  Immutable; concurrent :func:`predict` calls
+    on one state are safe.
     """
 
-    x_train: np.ndarray
     chol_lower: np.ndarray
     alpha: np.ndarray
     log_marginal: float
     jitter: float
+    cross: np.ndarray
+    prior_variance: np.ndarray
+    noise: float
 
 
 @dataclass(frozen=True)
@@ -135,6 +155,8 @@ class PreparedSeries(NamedTuple):
     x_i x_j for each pair i >= j, with ``pairs`` = (i, j) from
     ``kernels.point_pairs`` and ``pair_weights`` 1 on the diagonal and 2
     off it.  ``index`` is m = 0 .. n-1 and ``lengths`` n - m, the subdiagonals' lengths.
+    ``lin`` is where LIN's s2_bias and s2_lin stand in theta's values and
+    ``noise`` where WN's s2_noise does (None without the term).
     """
 
     spec: KernelSpec
@@ -148,11 +170,14 @@ class PreparedSeries(NamedTuple):
     stationary: np.ndarray
     index: np.ndarray
     lengths: np.ndarray
+    lin: slice | None
+    noise: int | None
 
 
 def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSeries:
     """Check ``x`` and ``y`` and compute every theta-free array of the objective, once."""
     x, y = _as_data(x, y)
+    wn = spec.values_at("WN")
     lags = regular_lags(x)
     if lags is None:
         pairs, d, xx = point_pairs(x)
@@ -171,6 +196,8 @@ def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSe
         stationary=np.array([name not in TERM_PARAMS["LIN"] for name in spec.trainable_names()]),
         index=np.arange(x.size, dtype=float),
         lengths=np.arange(x.size, 0, -1, dtype=float),
+        lin=spec.values_at("LIN"),
+        noise=None if wn is None else wn.start,
     )
 
 
@@ -217,27 +244,55 @@ def _log_mvn(lower: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
     return -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(lower)))) - 0.5 * y.size * _LOG_2PI
 
 
-def fit(spec: KernelSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray) -> FitState:
-    """Factorize the training covariance and cache everything prediction needs.
+def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = None) -> FitState:
+    """Factorize the training covariance and lay out the covariances prediction at ``x_star`` needs.
 
-    ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
+    ``series`` is the training series under its spec, from
+    :func:`prepare_series` (``TrainResult.series`` after training), and
+    ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).  When the test
+    points continue the series' regular grid, as a forecast's do, one
+    :func:`grad_gram` pass over the n + h lags gives the Gram's column
+    (lags 0 .. n-1), the cross-covariance (:func:`toeplitz_cross`, lags
+    1 .. n+h-1) and the prior variance (lag 0); otherwise the Gram is
+    built from x and the test points' covariances by ``build_cross`` and
+    ``zero_lag_variance``.
     """
-    x, y = _as_data(x, y)
-    lower, jitter = _cholesky_with_jitter(lambda: build_gram(spec, theta, x))
+    spec, x, y = series.spec, series.x, series.y
+    values = theta.for_spec(spec)
+    x_star = np.empty(0) if x_star is None else _as_points(x_star, "x_star", allow_empty=True)
+    lags = regular_lags(np.concatenate((x, x_star))) if series.pairs is None and x_star.size else None
+    if lags is None:
+        lower, jitter = _cholesky_with_jitter(lambda: build_gram(spec, theta, x))
+        cross, prior_variance = build_cross(spec, theta, x_star, x), zero_lag_variance(spec, theta, x_star)
+    else:  # the lags of the test points continue the training lags, whose bits they keep
+        lin = series.lin
+        partials = grad_gram(spec, values, Differences.of(spec, lags))
+        column = lag_column(spec, values, partials)
+        slope = values[lin][1] if lin is not None else 0.0
+        v = np.sqrt(slope) * x if lin is not None else None
+        lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column[: x.size], v))
+        cross = toeplitz_cross(column, slope, x_star, x)
+        lag_zero = np.broadcast_to(partials[:, :1], (partials.shape[0], x_star.size))
+        prior_variance = lag_column(spec, values, lag_zero, x_star * x_star, noise=False)
     alpha = cho_solve((lower, True), y, check_finite=False)
     return FitState(
-        x_train=x.copy(),
         chol_lower=lower,
         alpha=alpha,
         log_marginal=_log_mvn(lower, y, alpha),
         jitter=jitter,
+        cross=cross,
+        prior_variance=prior_variance,
+        noise=values[series.noise] if series.noise is not None else 0.0,
     )
 
 
-def log_marginal_likelihood_and_grad(theta: HyperParams, series: PreparedSeries) -> tuple[float, np.ndarray]:
+def log_marginal_likelihood_and_grad(values: Sequence[float], series: PreparedSeries) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient from one solve with the covariance.
 
-    ``series`` is the training series under its spec, from :func:`prepare_series`.
+    ``series`` is the training series under its spec, from
+    :func:`prepare_series`, and ``values`` theta's values in that spec's
+    ``trainable_names()`` order, finite and > 0 (``HyperParams.for_spec``,
+    or a trainer's exp(u) after its check).
 
     The gradient over the log-space trainables uses the standard identity
     d lml / d u_k = 0.5 tr[W dK/du_k] with W = a a^T - K^-1 and a = K^-1 y.
@@ -252,11 +307,10 @@ def log_marginal_likelihood_and_grad(theta: HyperParams, series: PreparedSeries)
     hyperparameters is included: the result is the exact gradient of the
     value actually computed.
     """
-    spec, x, y = series.spec, series.x, series.y
-    lin = spec.has("LIN")
-    slope = theta.s2_lin if lin else 0.0
-    partials = grad_gram(spec, theta, series.diffs)  # the one pass over the terms, values included
-    column = lag_column(spec, theta, partials, series.xx)
+    spec, x, y, lin = series.spec, series.x, series.y, series.lin
+    bias, slope = values[lin] if lin is not None else (0.0, 0.0)
+    partials = grad_gram(spec, values, series.diffs)  # the one pass over the terms, values included
+    column = lag_column(spec, values, partials, series.xx)
     if series.pairs is not None:  # every pair i >= j once, off-diagonal pairs counted twice
         i, j = series.pairs
         lower, jitter = _cholesky_with_jitter(lambda: pairs_gram(column, series.pairs, y.size))
@@ -270,8 +324,9 @@ def log_marginal_likelihood_and_grad(theta: HyperParams, series: PreparedSeries)
         trace_inv = float(np.trace(inv_lower))
         x_inv_x = float(x @ dsymv(1.0, inv_lower, x, lower=1)) if slope else 0.0
     else:  # W's diagonal sums: a's autocorrelation minus K^-1's, off-diagonals counted twice
-        v = math.sqrt(slope) * x
-        solved = _levinson_solve(column, v, y) or _cholesky_grid_solve(column, v, y, lin)
+        v = math.sqrt(slope) * x if lin is not None else None
+        noise = values[series.noise] if series.noise is not None else 0.0
+        solved = _levinson_solve(column, v, y, noise) or _cholesky_grid_solve(column, v, y)
         lml, a, jitter, g, p, beta = solved
         inv_sums = _toeplitz_plus_rank1_inverse_sums(g, p, beta, series.index, series.lengths)
         s = 2.0 * (_correlation(a, a) - inv_sums)
@@ -282,11 +337,10 @@ def log_marginal_likelihood_and_grad(theta: HyperParams, series: PreparedSeries)
     traces = np.empty(stationary.size)  # tr(W dK/du_k)
     zero_lag = np.empty(stationary.size)  # mean diagonal of dK/du_k
     traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]  # lag 0 comes first on either path
-    if lin:  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
-        bias = theta.s2_bias
+    if lin is not None:  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
         x_w_x = float((x @ a) ** 2 - x_inv_x)
-        traces[~stationary] = [bias * float(s.sum()), slope * x_w_x]
-        zero_lag[~stationary] = [bias, slope * series.mean_xx]
+        traces[lin] = [bias * float(s.sum()), slope * x_w_x]
+        zero_lag[lin] = [bias, slope * series.mean_xx]
     # dk/dlog s2 = k and every other partial vanishes at lag 0, so the
     # zero-lag partials add up to the mean Gram diagonal the jitter tracks
     jitter_sensitivity = jitter / math.fsum(zero_lag.tolist()) * zero_lag
@@ -297,14 +351,14 @@ def log_marginal_likelihood_and_grad(theta: HyperParams, series: PreparedSeries)
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails a check below
 def _levinson_solve(
-    column: np.ndarray, v: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray, float] | None:
+    column: np.ndarray, v: np.ndarray | None, y: np.ndarray, noise: float
+) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray | None, float] | None:
     """(lml, a = K^-1 y, jitter, g = T^-1 e_0, p = K^-1 v, beta = 1 - v^T p) for K = T + v v^T.
 
     T is the symmetric Toeplitz matrix of ``column`` (from :func:`lag_column`)
-    plus the base jitter, v = sqrt(s2_lin) x (zero without LIN).  One
-    Yule-Walker Levinson-Durbin recursion on T's column gives the
-    reflection coefficients phi_k, the prediction errors
+    plus the base jitter, v = sqrt(s2_lin) x, or None without LIN, when p
+    is None and beta 1.  One Yule-Walker Levinson-Durbin recursion on T's
+    column gives the reflection coefficients phi_k, the prediction errors
     E_k = T_00 prod_{j <= k} (1 - phi_j^2), which are the squared diagonal
     of T's Cholesky factor (so log det T = sum log E_k), and the predictor
     that gives g.  Gohberg-Semencul products with g then give T^-1 y and
@@ -317,11 +371,54 @@ def _levinson_solve(
     :data:`LEVINSON_MIN_ERROR_RATIO` and the result is finite.  Every E_k
     finite and > 0 is what a successful Cholesky at the base jitter means,
     and the bound implies it, so jitter escalation is left to that path.
+    T is at least (``noise`` + jitter) I, ``noise`` being WN's variance, so
+    every E_k is too: below the bound, the recursion first runs on T's
+    leading :data:`_LEVINSON_BLOCK` lags, whose reflection coefficients are
+    the full run's leading ones, and a block that already fails it spares
+    the full run.
     """
-    n = v.size
-    m = n - 1
-    jitter = JITTER_START * (float(column[0]) + float(v @ v) / n)  # K's mean diagonal
-    t0 = float(column[0]) + jitter
+    n = y.size
+    column_0 = float(column[0])
+    jitter = JITTER_START * (column_0 + float(v @ v) / n if v is not None else column_0)  # K's mean diagonal
+    t0 = column_0 + jitter
+    if not math.isfinite(t0):
+        return None
+    if n > _LEVINSON_BLOCK and (noise + jitter) / t0 < LEVINSON_MIN_ERROR_RATIO:
+        if _levinson(column[:_LEVINSON_BLOCK], t0) is None:
+            return None
+    solved = _levinson(column, t0)
+    if solved is None:
+        return None
+    ar, ratio = solved
+    g = np.concatenate(([1.0], -ar)) / (t0 * ratio[-1])
+    z = np.concatenate(([0.0], g[:0:-1]))
+    t_inv_y = _gohberg_semencul_solve(g, z, y)
+    log_det = n * math.log(t0) + float(np.log(ratio).sum())
+    if v is None:
+        a, p, denom = t_inv_y, None, 1.0
+    else:
+        t_inv_v = _gohberg_semencul_solve(g, z, v)
+        denom = 1.0 + float(v @ t_inv_v)
+        if not (math.isfinite(denom) and denom > 0.0):
+            return None
+        p = t_inv_v / denom
+        a = t_inv_y - float(v @ t_inv_y) * p
+        log_det += math.log(denom)
+    lml = -0.5 * float(y @ a) - 0.5 * log_det - 0.5 * n * _LOG_2PI
+    if not math.isfinite(lml):
+        return None
+    return lml, a, jitter, g, p, 1.0 / denom
+
+
+def _levinson(column: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The Yule-Walker predictor of the Toeplitz matrix of ``column`` with t0 on its diagonal, and E_k / E_0.
+
+    None when a leading minor is singular, some E_k <= 0, or
+    E_k / E_0 falls below :data:`LEVINSON_MIN_ERROR_RATIO`.  Run on a
+    leading block of a column, the E_k / E_0 are the full run's leading
+    ones, bit for bit.
+    """
+    m = column.size - 1
     try:
         # T's first row and column, mirrored, and the Yule-Walker right-hand side
         ar, phi = levinson(np.concatenate((column[m - 1 : 0 : -1], [t0], column[1:m])), column[1:])
@@ -329,40 +426,32 @@ def _levinson_solve(
         return None
     phi = phi[1:]  # phi[0] is scipy's placeholder 1
     shrink = 1.0 - phi * phi  # E_k / E_{k-1}: > 0 exactly when |phi_k| < 1, False on NaN
-    if not (math.isfinite(t0) and (shrink > 0.0).all()):  # some E_k <= 0
+    if not (shrink > 0.0).all():  # some E_k <= 0
         return None
-    ratio = shrink.cumprod()  # E_k / E_0 for k = 1 .. n-1, non-increasing
+    ratio = shrink.cumprod()  # E_k / E_0 for k = 1 .. m-1, non-increasing
     if not ratio[-1] >= LEVINSON_MIN_ERROR_RATIO:
         return None
-    g = np.concatenate(([1.0], -ar)) / (t0 * ratio[-1])
-    z = np.concatenate(([0.0], g[:0:-1]))
-    t_inv_y, t_inv_v = _gohberg_semencul_solve(g, z, y), _gohberg_semencul_solve(g, z, v)
-    denom = 1.0 + float(v @ t_inv_v)
-    if not (math.isfinite(denom) and denom > 0.0):
-        return None
-    p = t_inv_v / denom
-    a = t_inv_y - float(v @ t_inv_y) * p
-    log_det = n * math.log(t0) + float(np.log(ratio).sum()) + math.log(denom)
-    lml = -0.5 * float(y @ a) - 0.5 * log_det - 0.5 * n * _LOG_2PI
-    if not math.isfinite(lml):
-        return None
-    return lml, a, jitter, g, p, 1.0 / denom
+    return ar, ratio
 
 
 def _cholesky_grid_solve(
-    column: np.ndarray, v: np.ndarray, y: np.ndarray, lin: bool
-) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray, float]:
+    column: np.ndarray, v: np.ndarray | None, y: np.ndarray
+) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray | None, float]:
     """:func:`_levinson_solve`'s result from a Cholesky factor of the Gram laid out from ``column``.
 
-    The Gram is T plus, with LIN, v v^T.  One three-column solve with the
-    factor gives a = K^-1 y, q = K^-1 e_0 and p = K^-1 v; with
+    The Gram is T plus, with LIN, v v^T.  One solve with the factor gives
+    a = K^-1 y, q = K^-1 e_0 and, with LIN, p = K^-1 v; with
     beta = 1 - v^T p, Sherman-Morrison gives g = T^-1 e_0 = q + p p_0 / beta.
     K positive definite means beta > 0; its failing means rounding has
     swamped the solve.
     """
-    lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column, v if lin else None))
-    rhs = np.zeros((y.size, 3), order="F")
-    rhs[:, 0], rhs[0, 1], rhs[:, 2] = y, 1.0, v
+    lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column, v))
+    rhs = np.zeros((y.size, 2 if v is None else 3), order="F")
+    rhs[:, 0], rhs[0, 1] = y, 1.0
+    if v is None:
+        a, g = cho_solve((lower, True), rhs, check_finite=False).T
+        return _log_mvn(lower, y, a), a, jitter, g, None, 1.0
+    rhs[:, 2] = v
     a, q, p = cho_solve((lower, True), rhs, check_finite=False).T
     beta = 1.0 - float(v @ p)
     if not (np.isfinite(beta) and beta > 0.0):
@@ -383,11 +472,11 @@ def _gohberg_semencul_solve(g: np.ndarray, z: np.ndarray, b: np.ndarray) -> np.n
 
 
 def _toeplitz_plus_rank1_inverse_sums(
-    g: np.ndarray, p: np.ndarray, beta: float, index: np.ndarray, lengths: np.ndarray
+    g: np.ndarray, p: np.ndarray | None, beta: float, index: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
     """Subdiagonal sums l = 0 .. n-1 of K^-1, for K = T + v v^T, from g = T^-1 e_0, p = K^-1 v and beta = 1 - v^T p.
 
-    T is symmetric Toeplitz (with the jitter), v may be zero, ``index`` is
+    T is symmetric Toeplitz (with the jitter), p is None when v is, ``index`` is
     m = 0 .. n-1 and ``lengths`` n - m.  Sherman-Morrison gives
     K^-1 = T^-1 - p p^T / beta, Gohberg-Semencul T^-1 = (G G^T - Z Z^T) / g_0,
     G and Z lower-triangular Toeplitz with first columns g and
@@ -402,33 +491,27 @@ def _toeplitz_plus_rank1_inverse_sums(
     if not (math.isfinite(g0) and g0 > 0.0):
         raise IllConditionedModelError(f"inverse of the Toeplitz part is not positive (g0 {g0!r})")
     sums = (lengths * _correlation(g, g) - 2.0 * _correlation(g, index * g)) / g0
-    return sums - _correlation(p, p) / beta
+    return sums if p is None else sums - _correlation(p, p) / beta
 
 
-def predict(
-    state: FitState, spec: KernelSpec, theta: HyperParams, x_star: np.ndarray
-) -> PredictiveDistribution:
-    """Posterior mean and per-point variance at the test points.
+def predict(state: FitState) -> PredictiveDistribution:
+    """Posterior mean and per-point variance at the test points :func:`fit` was given.
 
     Test points are normally disjoint from the training points.  An exact
     duplicate is allowed: it receives the latent-function posterior at
     that input, i.e. the observed value shrunk toward the mean by the
     noise-to-signal ratio.
     """
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.ndim != 1:
-        raise ValueError(f"x_star must be 1-D, got shape {x_star.shape}")
-    if x_star.size == 0:
+    cross = state.cross
+    if cross.shape[0] == 0:
         empty = np.empty(0)
         return PredictiveDistribution(mean=empty, latent_variance=empty.copy(), observation_variance=empty.copy())
-    cross = build_cross(spec, theta, x_star, state.x_train)
     mean = cross @ state.alpha
     v = solve_triangular(state.chol_lower, cross.T, lower=True, check_finite=False)
-    latent = zero_lag_variance(spec, theta, x_star) - np.sum(v * v, axis=0)
+    latent = state.prior_variance - np.sum(v * v, axis=0)
     if np.any(latent < -1e-10):
         raise IllConditionedModelError(
             f"predictive variance went negative ({float(latent.min()):g}); model is ill-conditioned"
         )
     latent = np.maximum(latent, 0.0)
-    noise = theta.s2_noise if spec.has("WN") else 0.0
-    return PredictiveDistribution(mean=mean, latent_variance=latent, observation_variance=latent + noise)
+    return PredictiveDistribution(mean=mean, latent_variance=latent, observation_variance=latent + state.noise)

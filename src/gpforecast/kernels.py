@@ -23,16 +23,20 @@ sin^2(pi |d| / P) per period), made once per array of differences, so an
 objective evaluation on a prepared series computes none of them.  A term
 reads its values in ``TERM_PARAMS`` order and a periodic term its fixed
 period from the :class:`Term` itself.  :class:`HyperParams` checks its
-values once, when made; an entry point checks only their names.
-:func:`grad_gram` stacks the stationary terms' partials on a vector of
+values once, when made; an entry point that takes one checks only their
+names.  :func:`grad_gram` and :func:`lag_column` take theta's values as
+a plain sequence in the spec's order, which an objective evaluation
+holds without making a :class:`HyperParams`.  :func:`grad_gram` writes
+the stationary terms' partials into one block, on a vector of
 differences: the n lags of a regular grid, or each pair of points once.
 That is the one pass over the terms: :func:`lag_column` sums the
 covariance at each difference from those rows, and on a regular grid
 (:func:`regular_lags`) :func:`toeplitz_gram` lays that column out as a
-Toeplitz matrix plus LIN's slope, a rank-1 update in place; on other
-inputs :func:`pairs_gram` lays out the covariance at each pair of points
-(:func:`point_pairs`).  :func:`build_gram` and the objective share these
-layouts.
+Toeplitz matrix plus LIN's slope, a rank-1 update in place, and
+:func:`toeplitz_cross` lays out the cross-covariance of test points that
+continue the grid; on other inputs :func:`pairs_gram` lays out the
+covariance at each pair of points (:func:`point_pairs`).
+:func:`build_gram`, ``gp.fit`` and the objective share these layouts.
 
 Hyperparameters are always positive; optimization happens in log space, so
 every partial in this module is taken with respect to ``log(parameter)``.
@@ -64,6 +68,7 @@ __all__ = [
     "regular_lags",
     "lag_column",
     "toeplitz_gram",
+    "toeplitz_cross",
     "point_pairs",
     "pairs_gram",
 ]
@@ -144,6 +149,11 @@ class KernelSpec:
             layout.append((t, slice(start, start + size), None if t.kind == "LIN" else row))
             start, row = start + size, row + (t.kind != "LIN") * size
         object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "_rows", row)
+
+    def values_at(self, kind: str) -> slice | None:
+        """Where the trainables of the term ``kind`` stand in theta's values, None if the spec lacks it."""
+        return next((at for t, at, _ in self._layout if t.kind == kind), None)
 
     def has(self, kind: str) -> bool:
         return any(t.kind == kind for t in self.terms)
@@ -279,18 +289,22 @@ def term_parts(
     raise AssertionError(kind)
 
 
-def grad_gram(spec: KernelSpec, theta: HyperParams, d: Differences) -> np.ndarray:
+def grad_gram(spec: KernelSpec, values: Sequence[float], d: Differences) -> np.ndarray:
     """Partials of the stationary terms w.r.t. the log of each of their trainables.
 
-    ``d`` holds a 1-D array of time differences.  Returns shape
-    ``(q, d.abs.size)``: one row per trainable of ``spec.trainable_names()``
-    that is not LIN's, in that order.  Row k holds dK/du_k at each
-    difference, so on a regular grid, with d the lags, dK/du_k is the
-    symmetric Toeplitz matrix of row k.
+    ``values`` are theta's values in ``spec.trainable_names()`` order
+    (:meth:`HyperParams.for_spec`) and ``d`` holds a 1-D array of time
+    differences.  Returns shape ``(q, d.abs.size)``: one row per trainable
+    that is not LIN's, in that order, each written into the one block as
+    its term makes it.  Row k holds dK/du_k at each difference, so on a
+    regular grid, with d the lags, dK/du_k is the symmetric Toeplitz
+    matrix of row k.
     """
-    values = theta.for_spec(spec)
-    rows = [g for t, at, row in spec._layout if row is not None for g in term_parts(t, values[at], d)[1]]
-    out = np.array(rows).reshape(len(rows), d.abs.size)
+    out = np.empty((spec._rows, d.abs.size))
+    for t, at, row in spec._layout:
+        if row is not None:
+            for k, g in enumerate(term_parts(t, values[at], d)[1], row):
+                out[k] = g
     _check_finite(out, "grad_gram")
     return out
 
@@ -353,12 +367,12 @@ def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarra
     exact duplicate time points.
     """
     x = _as_points(x, "x")
+    values = theta.for_spec(spec)
     lags = regular_lags(x)
     if lags is None:
         pairs, d, xx = point_pairs(x)
-        values = lag_column(spec, theta, grad_gram(spec, theta, Differences.of(spec, d)), xx)
-        return pairs_gram(values, pairs, x.size)
-    column = lag_column(spec, theta, grad_gram(spec, theta, Differences.of(spec, lags)))
+        return pairs_gram(lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, d)), xx), pairs, x.size)
+    column = lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, lags)))
     return toeplitz_gram(column, np.sqrt(theta.s2_lin) * x if spec.has("LIN") else None)
 
 
@@ -377,6 +391,21 @@ def toeplitz_gram(column: np.ndarray, v: np.ndarray | None = None) -> np.ndarray
         gram = dger(1.0, v, v, a=gram, overwrite_a=1)
     _check_finite(gram, "build_gram")
     return gram
+
+
+def toeplitz_cross(column: np.ndarray, s2_lin: float, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`build_cross` for test points x* that continue a regular grid x of n points, from its n + m lags.
+
+    ``column`` is :func:`lag_column` on the lags of x and x* together.
+    Entry (j, i) lies at lag n + j - i, in 1 .. n+m-1, where WN is zero,
+    plus LIN's slope s2_lin x*_j x_i (0 without LIN).  The lags round
+    differently from x*_j - x_i, so the entries match build_cross's to
+    rounding.
+    """
+    # row j of the reversed windows of column[1:] is column[n + j - i], i = 0 .. n-1
+    cross = sliding_window_view(column[1:], x.size)[:, ::-1] + s2_lin * np.multiply.outer(x_star, x)
+    _check_finite(cross, "build_cross")
+    return cross
 
 
 def point_pairs(x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
@@ -399,7 +428,7 @@ def pairs_gram(values: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], n: int)
 
 
 def lag_column(
-    spec: KernelSpec, theta: HyperParams, partials: np.ndarray, xx: np.ndarray | float = 0.0
+    spec: KernelSpec, values: Sequence[float], partials: np.ndarray, xx: np.ndarray | float = 0.0, noise: bool = True
 ) -> np.ndarray:
     """The covariance at each difference :func:`grad_gram` gave ``partials`` for, LIN's at products ``xx``.
 
@@ -410,14 +439,15 @@ def lag_column(
     (LIN's bias is constant in the lag): the Gram is the symmetric Toeplitz
     matrix of this column plus the rank-1 slope s2_lin x x^T.  On the pairs
     of points, with xx their products, it is the Gram's entry for each pair.
+    ``values`` are theta's, as :func:`grad_gram` read them; ``noise=False``
+    leaves WN out, as :func:`zero_lag_variance` does.
     """
-    values = theta.for_spec(spec)
     column = np.zeros(partials.shape[1])
-    for _, at, row in spec._layout:
+    for t, at, row in spec._layout:
         if row is None:  # LIN's value, term_parts' bias plus slope
             s2_bias, s2_lin = values[at]
             column += s2_bias + s2_lin * xx
-        else:
+        elif noise or t.kind != "WN":
             column += partials[row]
     _check_finite(column, "lag_column")
     return column

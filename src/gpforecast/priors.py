@@ -22,7 +22,9 @@ terms and carry no prior.
 
 :func:`log_prior` and :func:`grad_log_prior` are one array expression each
 over ``u = log(theta)`` and the spec's columns of the ``nu`` and ``lam``
-arrays a :class:`PriorSpec` makes once, when it is made.
+arrays a :class:`PriorSpec` makes once, when it is made
+(:meth:`PriorSpec.columns`), so a trainer takes the columns once per
+series.
 
 Priors can be saved to and loaded from a plain-text file (one
 ``name = nu lam`` line per parameter) so alternative calibrations can be
@@ -132,19 +134,20 @@ def default_priors() -> PriorSpec:
     return PriorSpec(entries=entries)
 
 
-def log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> float:
-    """Sum over the spec's trainables of the lognormal log-density of theta (with its 1/theta Jacobian)."""
-    u = np.log(theta.for_spec(spec))
-    c = priors.columns(spec)  # rows indexed: unpacking a 2-D array iterates it, about 1 us
-    terms = c[2] - u - (u - c[0]) ** 2 / c[3]
+def log_prior(columns: np.ndarray, u: np.ndarray) -> float:
+    """Sum over a spec's trainables of the lognormal log-density of theta (with its 1/theta Jacobian).
+
+    ``columns`` is ``priors.columns(spec)`` and ``u`` is log(theta), both in
+    the spec's trainable order.
+    """
+    # rows indexed: unpacking a 2-D array iterates it, about 1 us
+    terms = columns[2] - u - (u - columns[0]) ** 2 / columns[3]
     return sum(terms.tolist())  # left to right in spec order, unlike np.sum's pairwise order
 
 
-def grad_log_prior(priors: PriorSpec, theta: HyperParams, spec: KernelSpec) -> np.ndarray:
-    """Gradient of the log-prior w.r.t. the log-space trainable vector."""
-    u = np.log(theta.for_spec(spec))
-    c = priors.columns(spec)
-    return -1.0 - (u - c[0]) / c[1]
+def grad_log_prior(columns: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`log_prior` w.r.t. u = log(theta), the log-space trainable vector."""
+    return -1.0 - (u - columns[0]) / columns[1]
 
 
 def median_hyperparams(spec: KernelSpec, priors: PriorSpec | None = None) -> HyperParams:

@@ -4,12 +4,17 @@ The objective is the log of prior times marginal likelihood, maximized
 over ``u = log(theta)`` so positivity is structural.  :func:`map_objective`
 computes it and its gradient from one factorization; :func:`train` hands
 its negation to a quasi-Newton optimizer (L-BFGS-B with its built-in line
-search).  :func:`train` prepares the series once, so each evaluation runs
-only the theta-dependent work; :func:`map_objective` on arrays prepares
-them per call and then runs the same evaluation.  A trial point whose
-covariance cannot be factorized gets a large finite penalty instead of an
-error, so the line search simply backs off; ``TrainResult.penalty_evals``
-counts them.
+search).  :func:`train` prepares the series and takes the spec's prior
+columns once, and each evaluation maps the optimizer's u straight to the
+objective and gradient: exp(u), one check that every value is finite and
+> 0, the likelihood on the prepared series and the priors on log(exp(u)),
+with no :class:`HyperParams` made until the final theta.
+:func:`map_objective` prepares its arrays per call and then runs the same
+evaluation.  A trial point that fails the check, or whose covariance
+cannot be factorized, gets a large finite penalty instead of an error, so
+the line search simply backs off; ``TrainResult.penalty_evals`` counts
+them.  ``TrainResult.series`` hands the prepared series on to
+``gp.fit``.
 
 Training starts at the prior medians (the prior means in log space),
 which makes a single start deterministic.  Optional extra restarts
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -73,6 +78,9 @@ class TrainResult:
 
     ``termination`` is L-BFGS-B's message for the restart that produced
     ``theta``, e.g. an ``ABNORMAL`` line-search stop behind ``converged=False``.
+
+    ``series`` is the training series as :func:`train` prepared it, for
+    ``gp.fit``; it takes no part in comparisons.
     """
 
     theta: HyperParams
@@ -83,29 +91,30 @@ class TrainResult:
     nfev: int
     termination: str
     penalty_evals: int
+    series: PreparedSeries = field(repr=False, compare=False)
 
 
 def map_objective(
-    spec: KernelSpec,
-    priors: PriorSpec,
-    theta: HyperParams,
-    x: np.ndarray | PreparedSeries,
-    y: np.ndarray | None = None,
+    spec: KernelSpec, priors: PriorSpec, theta: HyperParams, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood plus log prior, and its gradient over the log-space trainables.
 
     Both come from one factorization.  Raises :class:`IllConditionedModelError`
     if the covariance cannot be factorized.  ``x`` and ``y`` are the
-    training series, prepared on each call; :func:`train` evaluates one
-    series many times, so it passes ``x = prepare_series(spec, x, y)``,
-    made once, and no ``y``.
+    training series, prepared on each call; :func:`train` prepares them
+    once and runs the same evaluation on each trial point.
     """
-    if not isinstance(x, PreparedSeries):
-        x = prepare_series(spec, x, y)
-    elif y is not None or x.spec != spec:
-        raise ValueError("a prepared series is passed without y, and with the spec it was prepared for")
-    lml, lml_grad = log_marginal_likelihood_and_grad(theta, x)
-    return lml + log_prior(priors, theta, spec), lml_grad + grad_log_prior(priors, theta, spec)
+    return _evaluate(np.array(theta.for_spec(spec)), prepare_series(spec, x, y), priors.columns(spec))
+
+
+def _evaluate(theta: np.ndarray, series: PreparedSeries, columns: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`map_objective` at theta's values, finite and > 0, in the order of ``series.spec``'s trainables.
+
+    ``columns`` is ``priors.columns(series.spec)``.
+    """
+    lml, lml_grad = log_marginal_likelihood_and_grad(theta.tolist(), series)
+    u = np.log(theta)
+    return lml + log_prior(columns, u), lml_grad + grad_log_prior(columns, u)
 
 
 def train(
@@ -134,17 +143,22 @@ def train(
     start = time.perf_counter()
     # everything the objective needs that does not depend on theta, once per series
     series = prepare_series(spec, x, y)
-    nu, lam = priors.columns(spec)[:2]
+    columns = priors.columns(spec)
+    nu, lam = columns[:2]
     best_u: np.ndarray | None = None
     best_value = float("inf")  # minimizer convention: value = -objective
     penalty_evals = 0
 
     def negative_objective(u: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal best_u, best_value, penalty_evals
-        try:
-            objective, grad = map_objective(spec, priors, HyperParams.from_log(spec, u), series)
-        except (IllConditionedModelError, InvalidHyperparameterError):
-            objective = float("-inf")  # penalized below, as a non-finite value is
+        with np.errstate(over="ignore"):  # an overflow to inf fails the check
+            theta = np.exp(u)
+        objective = -math.inf  # penalized below, as a non-finite value is
+        if theta.min() > 0.0 and theta.max() < math.inf:  # False on NaN
+            try:
+                objective, grad = _evaluate(theta, series, columns)
+            except (IllConditionedModelError, InvalidHyperparameterError):
+                pass
         value = -objective
         if not math.isfinite(value):
             penalty_evals += 1
@@ -200,4 +214,5 @@ def train(
         nfev=nfev,
         termination=termination,
         penalty_evals=penalty_evals,
+        series=series,
     )

@@ -37,7 +37,7 @@ from gpforecast import (
     train,
     zero_lag_variance,
 )
-from gpforecast.gp import JITTER_START
+from gpforecast.gp import JITTER_START, prepare_series
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -107,7 +107,7 @@ def test_criterion_2_inference_matches_dense_oracle():
         y = rng.standard_normal(n)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
 
-        state = fit(FULL_SPEC, theta, x, y)
+        state = fit(theta, prepare_series(FULL_SPEC, x, y), x_star)
         from gpforecast import build_gram
 
         gram = build_gram(FULL_SPEC, theta, x)
@@ -120,7 +120,7 @@ def test_criterion_2_inference_matches_dense_oracle():
         worst = max(worst, abs(lml - lml_oracle))
         assert abs(lml - lml_oracle) <= 1e-8
 
-        posterior = predict(state, FULL_SPEC, theta, x_star)
+        posterior = predict(state)
         mean, latent = oracles.dense_posterior(
             cov, build_cross(FULL_SPEC, theta, x_star, x), zero_lag_variance(FULL_SPEC, theta, x_star), y
         )
@@ -263,8 +263,8 @@ def test_criterion_6_forecast_sanity(sine_forecast_run):
     rng = np.random.default_rng(61)
     x = np.linspace(0.0, 4.0, 10)
     y = rng.standard_normal(10)
-    state = fit(spec, theta, x, y)
-    posterior = predict(state, spec, theta, np.array([4.0 + 12.0 * theta.ell_rbf]))
+    state = fit(theta, prepare_series(spec, x, y), np.array([4.0 + 12.0 * theta.ell_rbf]))
+    posterior = predict(state)
     assert abs(posterior.mean[0]) <= 1e-6
     assert abs(posterior.latent_variance[0] - theta.s2_rbf) <= 1e-6
     report(6, f"sine MAE {mae_std:.4f} <= 0.1; far-field reversion within 1e-6")

@@ -25,7 +25,7 @@ from gpforecast import (
     zero_lag_variance,
 )
 from gpforecast.forecasting import DAILY_PERIOD, MIN_SERIES_LENGTH, SIX_HOURLY
-from gpforecast.gp import JITTER_START
+from gpforecast.gp import JITTER_START, prepare_series
 from gpforecast.kernels import regular_lags
 
 
@@ -228,13 +228,13 @@ class TestExactlyPeriodicSixHourly:
         x = make_time_index(self.series(n))
         assert regular_lags(x) is not None
         theta = median_hyperparams(spec, priors).replace(s2_per2=1e-2, s2_noise=1e-12)
-        y = fit(spec, theta, x, np.zeros(n)).chol_lower @ np.random.default_rng(0).standard_normal(n)
+        y = fit(theta, prepare_series(spec, x, np.zeros(n))).chol_lower @ np.random.default_rng(0).standard_normal(n)
         u = np.log(theta.values)
 
         def jitter_multiple(u_vec):
             moved = HyperParams.from_log(spec, u_vec)
             mean_diag = float(np.mean(zero_lag_variance(spec, moved, x) + moved.s2_noise))
-            return fit(spec, moved, x, y).jitter / (JITTER_START * mean_diag)
+            return fit(moved, prepare_series(spec, x, y)).jitter / (JITTER_START * mean_diag)
 
         multiple = jitter_multiple(u)
         assert multiple > 10.0
@@ -260,8 +260,8 @@ class TestHorizonMonotonicity:
         rng = np.random.default_rng(41)
         x = np.linspace(0.0, 4.0, 20)
         y = rng.standard_normal(20)
-        state = fit(spec, theta, x, y)
         x_star = 4.0 + np.linspace(0.05, 5.0, 40)
-        posterior = predict(state, spec, theta, x_star)
+        state = fit(theta, prepare_series(spec, x, y), x_star)
+        posterior = predict(state)
         diffs = np.diff(posterior.observation_variance)
         assert np.all(diffs >= -1e-12)

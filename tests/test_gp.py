@@ -39,6 +39,12 @@ def grid_lengths(rng):
     yield from (2, 3)
 
 
+def dense_jittered_gram(spec, theta, x):
+    """The Gram from the scalar oracle, plus the base jitter."""
+    gram = np.array([[oracles.composition_value(spec, theta, a, b) for b in x] for a in x])
+    return gram + JITTER_START * float(np.mean(np.diag(gram))) * np.eye(len(x))
+
+
 def jittered_gram(spec, theta, x):
     """The exact matrix the implementation factorizes (base jitter included)."""
     gram = build_gram(spec, theta, x)
@@ -48,12 +54,13 @@ def jittered_gram(spec, theta, x):
 class TestLogMarginalLikelihood:
     def test_single_point_standard_normal(self):
         # unit noise, observation 0: log density of a standard normal at 0
-        value = fit(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=1.0), np.array([0.0]), np.array([0.0])).log_marginal
+        series = prepare_series(WN_SPEC, np.array([0.0]), np.array([0.0]))
+        value = fit(HyperParams.of(WN_SPEC, s2_noise=1.0), series).log_marginal
         assert value == pytest.approx(-0.9189385332046727, abs=1e-6)
 
     def test_two_points_identity_covariance(self):
         theta = HyperParams.of(WN_SPEC, s2_noise=1.0)
-        value = fit(WN_SPEC, theta, np.array([0.0, 1.0]), np.array([1.0, -1.0])).log_marginal
+        value = fit(theta, prepare_series(WN_SPEC, np.array([0.0, 1.0]), np.array([1.0, -1.0]))).log_marginal
         assert value == pytest.approx(-2.8378770664093453, abs=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -62,7 +69,7 @@ class TestLogMarginalLikelihood:
         x = np.sort(rng.uniform(0.0, 4.0, size=5))
         y = rng.standard_normal(5)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
-        value = fit(FULL_SPEC, theta, x, y).log_marginal
+        value = fit(theta, prepare_series(FULL_SPEC, x, y)).log_marginal
         expected = oracles.dense_log_mvn(jittered_gram(FULL_SPEC, theta, x), y)
         assert value == pytest.approx(expected, abs=1e-8)
 
@@ -70,16 +77,16 @@ class TestLogMarginalLikelihood:
         rng = np.random.default_rng(5)
         x = np.sort(rng.uniform(0.0, 5.0, size=7))
         y = rng.standard_normal(7)
-        base = fit(FULL_SPEC, MEDIANS, x, y).log_marginal
+        base = fit(MEDIANS, prepare_series(FULL_SPEC, x, y)).log_marginal
         perm = rng.permutation(7)
-        permuted = fit(FULL_SPEC, MEDIANS, x[perm], y[perm]).log_marginal
+        permuted = fit(MEDIANS, prepare_series(FULL_SPEC, x[perm], y[perm])).log_marginal
         assert abs(base - permuted) <= 1e-10
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            fit(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=1.0), np.array([0.0, 1.0]), np.array([0.0]))
+            fit(HyperParams.of(WN_SPEC, s2_noise=1.0), prepare_series(WN_SPEC, np.array([0.0, 1.0]), np.array([0.0])))
         with pytest.raises(ValueError):
-            fit(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=1.0), np.empty(0), np.empty(0))
+            fit(HyperParams.of(WN_SPEC, s2_noise=1.0), prepare_series(WN_SPEC, np.empty(0), np.empty(0)))
 
 
 class TestGradient:
@@ -90,7 +97,7 @@ class TestGradient:
         x = np.arange(6.0)
         s2 = 0.7
         series = prepare_series(WN_SPEC, x, y)
-        _, grad = log_marginal_likelihood_and_grad(HyperParams.of(WN_SPEC, s2_noise=s2), series)
+        _, grad = log_marginal_likelihood_and_grad(HyperParams.of(WN_SPEC, s2_noise=s2).values, series)
         expected = -3.0 + float(y @ y) / (2.0 * s2)
         assert grad[0] == pytest.approx(expected, rel=1e-6)
 
@@ -100,7 +107,7 @@ class TestGradient:
         x = np.arange(6.0)
         s2_hat = float(np.mean(y * y))
         series = prepare_series(WN_SPEC, x, y)
-        _, grad = log_marginal_likelihood_and_grad(HyperParams.of(WN_SPEC, s2_noise=s2_hat), series)
+        _, grad = log_marginal_likelihood_and_grad(HyperParams.of(WN_SPEC, s2_noise=s2_hat).values, series)
         assert abs(grad[0]) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -112,10 +119,10 @@ class TestGradient:
         u = np.log(theta.values)
 
         def f(u_vec):
-            return fit(FULL_SPEC, HyperParams.from_log(FULL_SPEC, u_vec), x, y).log_marginal
+            return fit(HyperParams.from_log(FULL_SPEC, u_vec), prepare_series(FULL_SPEC, x, y)).log_marginal
 
         fd = oracles.central_difference(f, u, h=1e-5)
-        _, analytic = log_marginal_likelihood_and_grad(theta, prepare_series(FULL_SPEC, x, y))
+        _, analytic = log_marginal_likelihood_and_grad(theta.values, prepare_series(FULL_SPEC, x, y))
         rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
         assert float(rel.max()) <= 1e-5
 
@@ -124,9 +131,9 @@ class TestGradient:
         x = np.sort(rng.uniform(0.0, 3.0, size=5))
         y = rng.standard_normal(5)
         series = prepare_series(FULL_SPEC, x, y)
-        value, grad = log_marginal_likelihood_and_grad(MEDIANS, series)
-        assert value == fit(FULL_SPEC, MEDIANS, x, y).log_marginal
-        np.testing.assert_array_equal(grad, log_marginal_likelihood_and_grad(MEDIANS, series)[1])
+        value, grad = log_marginal_likelihood_and_grad(MEDIANS.values, series)
+        assert value == fit(MEDIANS, prepare_series(FULL_SPEC, x, y)).log_marginal
+        np.testing.assert_array_equal(grad, log_marginal_likelihood_and_grad(MEDIANS.values, series)[1])
 
 
 class TestRegularGrid:
@@ -149,12 +156,12 @@ class TestRegularGrid:
             theta = oracles.random_hyperparams(spec, PRIORS, rng)
             cov = np.array([[oracles.composition_value(spec, theta, a, b) for b in x] for a in x])
             jitter = JITTER_START * float(np.mean(np.diag(cov)))
-            state = fit(spec, theta, x, y)
+            state = fit(theta, prepare_series(spec, x, y))
             assert state.jitter == pytest.approx(jitter, rel=1e-12)
             expected = oracles.dense_log_mvn(cov + jitter * np.eye(n), y)
             assert abs(state.log_marginal - expected) <= 1e-8
             # the objective, on the Levinson path or its Cholesky fallback
-            assert abs(log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))[0] - expected) <= 1e-8
+            assert abs(log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))[0] - expected) <= 1e-8
 
     @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
     def test_map_gradient_matches_finite_differences(self, mode, steps_per_year):
@@ -200,9 +207,9 @@ class TestRegularGrid:
             perm = rng.permutation(n)
             assert regular_lags(x) is not None and regular_lags(x[perm]) is None
             for spec, theta, value_tol, grad_tol in points:
-                value, grad = log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))
+                value, grad = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))
                 permuted = prepare_series(spec, x[perm], y[perm])
-                value_perm, grad_perm = log_marginal_likelihood_and_grad(theta, permuted)
+                value_perm, grad_perm = log_marginal_likelihood_and_grad(theta.values, permuted)
                 assert abs(value - value_perm) <= value_tol * max(1.0, abs(value_perm))
                 assert np.max(np.abs(grad - grad_perm)) <= grad_tol * max(1.0, np.max(np.abs(grad_perm)))
 
@@ -219,7 +226,7 @@ class TestRegularGrid:
         for s2_noise in np.logspace(-7, -1, 13):
             theta = medians.replace(s2_noise=float(s2_noise))
             oracle = oracles.longdouble_log_mvn(jittered_gram(spec, theta, x), y)
-            value = log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))[0]
+            value = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))[0]
             assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle)), s2_noise
 
     @pytest.mark.parametrize("lin", [True, False])
@@ -239,18 +246,20 @@ class TestRegularGrid:
         on_levinson = 0
         for s2_noise in np.logspace(-7, -1, 4):
             theta = medians.replace(s2_noise=float(s2_noise))
-            column = lag_column(spec, theta, grad_gram(spec, theta, series.diffs))
-            v = math.sqrt(theta.s2_lin) * x if lin else np.zeros(n)
-            levinson = gp._levinson_solve(column, v, series.y)
+            column = lag_column(spec, theta.values, grad_gram(spec, theta.values, series.diffs))
+            v = math.sqrt(theta.s2_lin) * x if lin else None
+            levinson = gp._levinson_solve(column, v, series.y, theta.s2_noise)
             if levinson is not None:  # T with diagonal column[0] + jitter, plus v v^T
                 on_levinson += 1
                 t = np.asarray(column, dtype=np.longdouble)
                 t[0] = float(column[0]) + levinson[2]
-                exact_v = np.asarray(v, dtype=np.longdouble)
-                matrix = toeplitz(t) + np.outer(exact_v, exact_v)
+                matrix = toeplitz(t)
+                if lin:
+                    exact_v = np.asarray(v, dtype=np.longdouble)
+                    matrix += np.outer(exact_v, exact_v)
                 self._check_inverse_sums(levinson, matrix, series, 1e-14 / s2_noise)
-            cholesky_path = gp._cholesky_grid_solve(column, v, series.y, lin)
-            gram = toeplitz_gram(column, v if lin else None)  # as factorized: its diagonal plus the jitter
+            cholesky_path = gp._cholesky_grid_solve(column, v, series.y)
+            gram = toeplitz_gram(column, v)  # as factorized: its diagonal plus the jitter
             np.fill_diagonal(gram, np.diag(gram) + cholesky_path[2])
             self._check_inverse_sums(cholesky_path, gram, series, 1e-15 / s2_noise)
         assert on_levinson >= 1
@@ -283,12 +292,12 @@ class TestRegularGrid:
             y = rng.standard_normal(n)
             theta = oracles.random_hyperparams(spec, PRIORS, rng)
             factorized.clear()
-            value, grad = log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))
+            value, grad = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))
             if factorized:  # below the bound: this draw took the Cholesky path already
                 continue
             with monkeypatch.context() as forced:
                 forced.setattr(gp, "LEVINSON_MIN_ERROR_RATIO", 2.0)  # every E_k / E_0 is <= 1
-                value_chol, grad_chol = log_marginal_likelihood_and_grad(theta, prepare_series(spec, x, y))
+                value_chol, grad_chol = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))
             assert factorized
             compared += 1
             assert abs(value - value_chol) <= 1e-10 * max(1.0, abs(value_chol))
@@ -303,6 +312,85 @@ class TestRegularGrid:
         y = np.random.default_rng(132).standard_normal(132)
         with pytest.raises(IllConditionedModelError):
             map_objective(FULL_SPEC, PRIORS, theta, x, y)
+
+    @pytest.mark.parametrize("n", [60, 132])
+    def test_objective_without_lin_matches_dense_oracle_in_seven_correlations(self, n, monkeypatch):
+        # without LIN, v = 0: the Levinson path skips v's Gohberg-Semencul
+        # solve (two correlations, two convolutions) and corr(p, p), so it
+        # makes 7 of the 12 O(n^2) calls an evaluation with LIN makes
+        full = default_spec("single-seasonal")
+        spec = KernelSpec(terms=tuple(t for t in full.terms if t.kind != "LIN"))
+        rng = np.random.default_rng(n)
+        x = np.arange(n) / 12.0
+        y = rng.standard_normal(n)
+        series = prepare_series(spec, x, y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the evaluation left the Levinson path")
+
+        for _ in range(3):
+            # s2_noise well above the conditioning bound keeps Levinson's path
+            theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=0.05)
+            calls = []
+            with monkeypatch.context() as patched:
+                for name in ("correlate", "convolve"):
+                    real = getattr(np, name)
+                    patched.setattr(np, name, lambda *a, real=real, **k: calls.append(None) or real(*a, **k))
+                patched.setattr(gp, "cholesky", refuse)
+                value, grad = log_marginal_likelihood_and_grad(theta.values, series)
+            assert len(calls) == 7
+            assert abs(value - oracles.dense_log_mvn(dense_jittered_gram(spec, theta, x), y)) <= 1e-8
+
+            def lml(u_vec, spec=spec, series=series):
+                return fit(HyperParams.from_log(spec, u_vec), series).log_marginal
+
+            fd = oracles.central_difference(lml, np.log(theta.values), h=1e-5)
+            assert float(np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(fd)))) <= 1e-5
+
+    def test_leading_levinson_block_gives_the_full_runs_leading_error_ratios_bit_for_bit(self):
+        # a near-noiseless evaluation first runs Levinson on T's leading
+        # 64 lags; its E_k / E_0 are the full run's leading ones, bit for bit,
+        # so a block that fails the conditioning bound means the full run does
+        spec = default_spec("double-seasonal")
+        rng = np.random.default_rng(64)
+        block = gp._LEVINSON_BLOCK
+        outcomes = {"both pass": 0, "both fail": 0, "block passes, full fails": 0}
+        for _ in range(300):
+            n = int(rng.integers(block + 1, 400))
+            theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=float(10 ** rng.uniform(-9, -1)))
+            lags = np.arange(n) / 1461.0
+            values = theta.values
+            column = lag_column(spec, values, grad_gram(spec, values, gp.Differences.of(spec, lags)))
+            t0 = float(column[0]) * (1.0 + JITTER_START)
+            _, phi = gp.levinson(np.concatenate((column[n - 2 : 0 : -1], [t0], column[1 : n - 1])), column[1:])
+            _, phi_block = gp.levinson(
+                np.concatenate((column[block - 2 : 0 : -1], [t0], column[1 : block - 1])), column[1:block]
+            )
+            assert np.array_equal(phi_block, phi[:block])
+            full, leading = gp._levinson(column, t0), gp._levinson(column[:block], t0)
+            if leading is None:
+                assert full is None
+                outcomes["both fail"] += 1
+            elif full is None:
+                outcomes["block passes, full fails"] += 1
+            else:
+                assert np.array_equal(leading[1], full[1][: leading[1].size])
+                outcomes["both pass"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_leading_levinson_block_leaves_every_result_as_it_was(self, monkeypatch):
+        # with and without the leading-block check, each evaluation takes the
+        # same path and gives the same bits, down to near noiseless
+        spec = default_spec("double-seasonal")
+        medians = median_hyperparams(spec, PRIORS)
+        x = np.arange(224) / 1461.0
+        series = prepare_series(spec, x, np.random.default_rng(224).standard_normal(224))
+        thetas = [medians.replace(s2_noise=float(s2)) for s2 in np.logspace(-9, -1, 17)]
+        checked = [log_marginal_likelihood_and_grad(theta.values, series) for theta in thetas]
+        monkeypatch.setattr(gp, "_LEVINSON_BLOCK", 10**9)
+        for theta, (value, grad) in zip(thetas, checked):
+            unchecked_value, unchecked_grad = log_marginal_likelihood_and_grad(theta.values, series)
+            assert value == unchecked_value and np.array_equal(grad, unchecked_grad)
 
     def test_scipy_private_levinson_keeps_its_yule_walker_convention(self):
         # gp imports levinson from scipy.linalg._solve_toeplitz, a private
@@ -374,8 +462,7 @@ class TestRegularGrid:
             counting(gp, name)
         counting(gp, "cholesky", fail_first=True)
         monkeypatch.setattr(gp, "build_gram", refuse)
-        series = gp.prepare_series(spec, x, y)
-        value, grad = map_objective(spec, PRIORS, theta, series)
+        value, grad = map_objective(spec, PRIORS, theta, x, y)
         assert calls == {"grad_gram": 1, "cho_solve": 1, "cholesky": 2, "toeplitz_gram": 2}
         assert np.isfinite(value) and np.all(np.isfinite(grad))
 
@@ -404,7 +491,7 @@ class TestFitState:
         rng = np.random.default_rng(6)
         x = np.sort(rng.uniform(0.0, 8.0, size=10))
         y = rng.standard_normal(10)
-        state = fit(FULL_SPEC, MEDIANS, x, y)
+        state = fit(MEDIANS, prepare_series(FULL_SPEC, x, y))
         lower = state.chol_lower
         assert np.array_equal(lower, np.tril(lower))
         assert np.all(np.diag(lower) > 0)
@@ -415,14 +502,14 @@ class TestFitState:
         # chol_lower is a true lower-triangular matrix, not LAPACK's factor over the Gram's upper triangle
         x = np.arange(30) / 12.0
         y = np.random.default_rng(4).standard_normal(30)
-        state = fit(FULL_SPEC, MEDIANS, x, y)
+        state = fit(MEDIANS, prepare_series(FULL_SPEC, x, y))
         assert not np.any(np.triu(state.chol_lower, 1))
 
     def test_fit_is_idempotent(self):
         x = np.arange(5.0) / 4.0
         y = np.sin(x)
-        a = fit(FULL_SPEC, MEDIANS, x, y)
-        b = fit(FULL_SPEC, MEDIANS, x, y)
+        a = fit(MEDIANS, prepare_series(FULL_SPEC, x, y))
+        b = fit(MEDIANS, prepare_series(FULL_SPEC, x, y))
         assert a.log_marginal == b.log_marginal
         np.testing.assert_array_equal(a.chol_lower, b.chol_lower)
         np.testing.assert_array_equal(a.alpha, b.alpha)
@@ -430,7 +517,7 @@ class TestFitState:
     def test_base_jitter_scale(self):
         x = np.arange(4.0)
         y = np.zeros(4)
-        state = fit(WN_SPEC, HyperParams.of(WN_SPEC, s2_noise=2.0), x, y)
+        state = fit(HyperParams.of(WN_SPEC, s2_noise=2.0), prepare_series(WN_SPEC, x, y))
         assert state.jitter == pytest.approx(JITTER_START * 2.0)
 
 
@@ -441,24 +528,24 @@ class TestPredict:
         rng = np.random.default_rng(11)
         x = np.linspace(0.0, 3.0, 8)
         y = rng.standard_normal(8)
-        state = fit(spec, theta, x, y)
         far = np.array([3.0 + 12.0 * theta.ell_rbf])
-        posterior = predict(state, spec, theta, far)
+        state = fit(theta, prepare_series(spec, x, y), far)
+        posterior = predict(state)
         assert abs(posterior.mean[0]) <= 1e-6
         assert abs(posterior.latent_variance[0] - 1.7) <= 1e-6
 
     def test_noiseless_interpolation_single_point(self):
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
         theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=1e-12)
-        state = fit(spec, theta, np.array([0.5]), np.array([2.0]))
-        posterior = predict(state, spec, theta, np.array([0.5]))
+        state = fit(theta, prepare_series(spec, np.array([0.5]), np.array([2.0])), np.array([0.5]))
+        posterior = predict(state)
         assert posterior.mean[0] == pytest.approx(2.0, abs=1e-5)
 
     def test_duplicate_test_point_shrinks_by_noise_ratio(self):
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
         theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.5)
-        state = fit(spec, theta, np.array([0.0]), np.array([3.0]))
-        posterior = predict(state, spec, theta, np.array([0.0]))
+        state = fit(theta, prepare_series(spec, np.array([0.0]), np.array([3.0])), np.array([0.0]))
+        posterior = predict(state)
         assert posterior.mean[0] == pytest.approx(3.0 * 1.0 / 1.5, rel=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -468,8 +555,8 @@ class TestPredict:
         y = rng.standard_normal(4)
         x_star = np.sort(rng.uniform(4.2, 6.0, size=2))
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
-        state = fit(FULL_SPEC, theta, x, y)
-        posterior = predict(state, FULL_SPEC, theta, x_star)
+        state = fit(theta, prepare_series(FULL_SPEC, x, y), x_star)
+        posterior = predict(state)
         mean, latent = oracles.dense_posterior(
             jittered_gram(FULL_SPEC, theta, x),
             build_cross(FULL_SPEC, theta, x_star, x),
@@ -483,8 +570,8 @@ class TestPredict:
         )
 
     def test_empty_test_set(self):
-        state = fit(FULL_SPEC, MEDIANS, np.array([0.0, 1.0]), np.array([0.3, -0.1]))
-        posterior = predict(state, FULL_SPEC, MEDIANS, np.empty(0))
+        state = fit(MEDIANS, prepare_series(FULL_SPEC, np.array([0.0, 1.0]), np.array([0.3, -0.1])), np.empty(0))
+        posterior = predict(state)
         assert posterior.mean.size == 0
         assert posterior.latent_variance.size == 0
         assert posterior.observation_variance.size == 0
@@ -495,8 +582,8 @@ class TestPredict:
         rng = np.random.default_rng(12)
         x = np.arange(8.0)  # well separated relative to the lengthscale
         y = rng.standard_normal(8)
-        state = fit(spec, theta, x, y)
-        posterior = predict(state, spec, theta, x)
+        state = fit(theta, prepare_series(spec, x, y), x)
+        posterior = predict(state)
         assert float(np.max(np.abs(posterior.mean - y))) <= 1e-4
 
     def test_latent_variance_never_negative(self):
@@ -504,7 +591,87 @@ class TestPredict:
         theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=5.0, s2_noise=1e-8)
         x = np.linspace(0.0, 0.1, 12)  # almost coincident points
         y = np.zeros(12)
-        state = fit(spec, theta, x, y)
-        posterior = predict(state, spec, theta, np.linspace(0.0, 0.1, 7))
+        state = fit(theta, prepare_series(spec, x, y), np.linspace(0.0, 0.1, 7))
+        posterior = predict(state)
         assert np.all(posterior.latent_variance >= 0.0)
         assert np.all(posterior.observation_variance >= theta.s2_noise)
+
+
+class TestGridFinalStep:
+    """fit's one pass over the n + h lags, when the test points continue the training grid."""
+
+    # (mode, steps per year, n, h): h <= n, and horizons far longer than the series
+    CASES = [
+        ("single-seasonal", 12.0, 40, 18),
+        ("single-seasonal", 12.0, 24, 600),
+        ("double-seasonal", 1461.0, 56, 42),
+        ("double-seasonal", 1461.0, 16, 400),
+    ]
+
+    @staticmethod
+    def case(mode, steps_per_year, n, h, seed=0):
+        spec = default_spec(mode)
+        rng = np.random.default_rng([n, h, seed])
+        theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=0.05)
+        x = np.arange(n) / steps_per_year
+        x_star = np.arange(n, n + h) / steps_per_year
+        return spec, theta, x, x_star, prepare_series(spec, x, rng.standard_normal(n))
+
+    @pytest.mark.parametrize(("mode", "steps_per_year", "n", "h"), CASES)
+    def test_posterior_matches_dense_oracle(self, mode, steps_per_year, n, h):
+        for seed in range(3):
+            spec, theta, x, x_star, series = self.case(mode, steps_per_year, n, h, seed)
+            posterior = predict(fit(theta, series, x_star))
+            cov = dense_jittered_gram(spec, theta, x)
+            cross = np.array([[oracles.composition_value(spec, theta, a, b, False) for b in x] for a in x_star])
+            prior = np.array([oracles.composition_value(spec, theta, a, a, False) for a in x_star])
+            mean, latent = oracles.dense_posterior(cov, cross, prior, series.y)
+            np.testing.assert_allclose(posterior.mean, mean, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(posterior.latent_variance, latent, rtol=0, atol=1e-8)
+            np.testing.assert_array_equal(posterior.observation_variance, posterior.latent_variance + theta.s2_noise)
+
+    @pytest.mark.parametrize(("mode", "steps_per_year", "n", "h"), CASES)
+    def test_cross_covariance_equals_build_cross_to_rounding(self, mode, steps_per_year, n, h):
+        # lags (n + j - i) / steps_per_year round differently from x*_j - x_i
+        spec, theta, x, x_star, series = self.case(mode, steps_per_year, n, h)
+        expected = build_cross(spec, theta, x_star, x)
+        cross = fit(theta, series, x_star).cross
+        assert float(np.max(np.abs(cross - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize(("mode", "steps_per_year", "n", "h"), CASES)
+    def test_gram_and_prior_variance_keep_their_bits(self, mode, steps_per_year, n, h):
+        spec, theta, x, x_star, series = self.case(mode, steps_per_year, n, h)
+        grid, plain = fit(theta, series, x_star), fit(theta, series)  # plain: build_gram, no test points
+        np.testing.assert_array_equal(grid.chol_lower, plain.chol_lower)
+        np.testing.assert_array_equal(grid.alpha, plain.alpha)
+        assert grid.jitter == plain.jitter and grid.log_marginal == plain.log_marginal
+        np.testing.assert_array_equal(grid.prior_variance, zero_lag_variance(spec, theta, x_star))
+
+    def test_only_the_input_picks_the_path(self, monkeypatch):
+        calls = {"build_cross": 0, "grad_gram": []}
+        real_cross, real_grad_gram = gp.build_cross, gp.grad_gram
+
+        def counting_cross(*args, **kwargs):
+            calls["build_cross"] += 1
+            return real_cross(*args, **kwargs)
+
+        def recording_grad_gram(*args, **kwargs):
+            out = real_grad_gram(*args, **kwargs)
+            calls["grad_gram"].append(out.shape)
+            return out
+
+        monkeypatch.setattr(gp, "build_cross", counting_cross)
+        monkeypatch.setattr(gp, "grad_gram", recording_grad_gram)
+        spec, theta, x, x_star, series = self.case("single-seasonal", 12.0, 40, 18)
+        fit(theta, series, x_star)
+        assert calls == {"build_cross": 0, "grad_gram": [(11, 58)]}  # one pass over the 40 + 18 lags
+        perm = np.random.default_rng(0).permutation(x.size)
+        for other_series, other_x_star in [
+            (series, x_star + 1.0 / 12.0),  # a one-step gap after the series
+            (series, x_star[::-1]),
+            (series, np.array([0.5, 7.0])),
+            (prepare_series(spec, x[perm], series.y[perm]), x_star),  # training points off the grid
+        ]:
+            calls["build_cross"], calls["grad_gram"] = 0, []
+            fit(theta, other_series, other_x_star)
+            assert calls == {"build_cross": 1, "grad_gram": []}

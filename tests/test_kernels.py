@@ -16,9 +16,10 @@ from gpforecast import (
     default_priors,
     default_spec,
     eval_kernel,
-    grad_log_prior,
-    log_prior,
+    fit,
+    map_objective,
     median_hyperparams,
+    prepare_series,
     zero_lag_variance,
 )
 from scipy.linalg import toeplitz
@@ -359,7 +360,7 @@ class TestGradGram:
         spec = default_spec(mode)
         theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(3))
         x = np.arange(40) / 12.0
-        rows = grad_gram(spec, theta, Differences.of(spec, regular_lags(x)))
+        rows = grad_gram(spec, theta.values, Differences.of(spec, regular_lags(x)))
         dense = [
             g for t, p in term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, *pairwise(spec, x))[1]
         ]
@@ -443,9 +444,8 @@ ENTRY_POINTS = {
     "build_gram": lambda theta: build_gram(DOUBLE_SPEC, theta, GRID),
     "build_cross": lambda theta: build_cross(DOUBLE_SPEC, theta, np.array([0.5]), GRID),
     "zero_lag_variance": lambda theta: zero_lag_variance(DOUBLE_SPEC, theta, GRID),
-    "grad_gram": lambda theta: grad_gram(DOUBLE_SPEC, theta, Differences.of(DOUBLE_SPEC, GRID)),
-    "log_prior": lambda theta: log_prior(PRIORS, theta, DOUBLE_SPEC),
-    "grad_log_prior": lambda theta: grad_log_prior(PRIORS, theta, DOUBLE_SPEC),
+    "fit": lambda theta: fit(theta, prepare_series(DOUBLE_SPEC, GRID, np.zeros(GRID.size))),
+    "map_objective": lambda theta: map_objective(DOUBLE_SPEC, PRIORS, theta, GRID, np.zeros(GRID.size)),
 }
 
 

@@ -104,7 +104,7 @@ class TestLogPrior:
         nu, lam = -1.5, 1.0
         theta = HyperParams.of(spec, s2_noise=math.exp(nu))
         expected = -nu - 0.5 * math.log(2.0 * math.pi * lam)
-        assert log_prior(PRIORS, theta, spec) == pytest.approx(expected, abs=1e-12)
+        assert log_prior(PRIORS.columns(spec), np.log(theta.values)) == pytest.approx(expected, abs=1e-12)
 
     def test_all_parameters_at_log_mode(self):
         theta = median_hyperparams(FULL_SPEC, PRIORS)
@@ -112,7 +112,7 @@ class TestLogPrior:
             -PRIORS[name].nu - 0.5 * math.log(2.0 * math.pi * PRIORS[name].lam)
             for name in FULL_SPEC.trainable_names()
         )
-        assert log_prior(PRIORS, theta, FULL_SPEC) == pytest.approx(expected, abs=1e-12)
+        assert log_prior(PRIORS.columns(FULL_SPEC), np.log(theta.values)) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("priors", [PRIORS, WIDE_PRIORS], ids=["default", "wide"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -123,32 +123,32 @@ class TestLogPrior:
             oracles.lognormal_logpdf(getattr(theta, name), priors[name].nu, priors[name].lam)
             for name in FULL_SPEC.trainable_names()
         )
-        assert log_prior(priors, theta, FULL_SPEC) == pytest.approx(expected, abs=1e-12)
+        assert log_prior(priors.columns(FULL_SPEC), np.log(theta.values)) == pytest.approx(expected, abs=1e-12)
 
     def test_sums_over_the_spec_trainables_only(self):
         spec = KernelSpec(terms=(Term("RBF"),))
         theta = HyperParams.of(spec, s2_rbf=0.5, ell_rbf=2.0)
         expected = oracles.lognormal_logpdf(0.5, -1.5, 1.0) + oracles.lognormal_logpdf(2.0, 1.1, 1.0)
-        assert log_prior(PRIORS, theta, spec) == pytest.approx(expected, abs=1e-12)
+        assert log_prior(PRIORS.columns(spec), np.log(theta.values)) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_nonpositive_theta(self):
         spec = KernelSpec(terms=(Term("WN"),))
         with pytest.raises(InvalidHyperparameterError):
-            log_prior(PRIORS, HyperParams.of(spec, s2_noise=0.0), spec)
+            log_prior(PRIORS.columns(spec), np.log(HyperParams.of(spec, s2_noise=0.0).values))
         with pytest.raises(InvalidHyperparameterError):
-            log_prior(PRIORS, HyperParams.of(spec, s2_noise=-2.0), spec)
+            log_prior(PRIORS.columns(spec), np.log(HyperParams.of(spec, s2_noise=-2.0).values))
 
 
 class TestGradLogPrior:
     def test_at_prior_log_mean_every_component_is_minus_one(self):
         theta = median_hyperparams(FULL_SPEC, PRIORS)
-        np.testing.assert_allclose(grad_log_prior(PRIORS, theta, FULL_SPEC), -1.0)
+        np.testing.assert_allclose(grad_log_prior(PRIORS.columns(FULL_SPEC), np.log(theta.values)), -1.0)
 
     def test_one_lam_above_log_mean_gives_minus_two(self):
         spec = KernelSpec(terms=(Term("WN"),))
         p = PRIORS["s2_noise"]
         theta = HyperParams.of(spec, s2_noise=math.exp(p.nu + p.lam))
-        np.testing.assert_allclose(grad_log_prior(PRIORS, theta, spec), -2.0)
+        np.testing.assert_allclose(grad_log_prior(PRIORS.columns(spec), np.log(theta.values)), -2.0)
 
     @pytest.mark.parametrize("seed", [10, 11])
     def test_matches_finite_differences(self, seed):
@@ -157,10 +157,10 @@ class TestGradLogPrior:
         u = np.log(theta.values)
 
         def f(u_vec):
-            return log_prior(PRIORS, HyperParams.from_log(FULL_SPEC, u_vec), FULL_SPEC)
+            return log_prior(PRIORS.columns(FULL_SPEC), np.log(HyperParams.from_log(FULL_SPEC, u_vec).values))
 
         fd = oracles.central_difference(f, u, h=1e-6)
-        np.testing.assert_allclose(grad_log_prior(PRIORS, theta, FULL_SPEC), fd, atol=1e-7)
+        np.testing.assert_allclose(grad_log_prior(PRIORS.columns(FULL_SPEC), np.log(theta.values)), fd, atol=1e-7)
 
     def test_strictly_concave_in_each_log_coordinate(self):
         # second derivative is -1/lam everywhere
@@ -171,9 +171,9 @@ class TestGradLogPrior:
             up, down = u.copy(), u.copy()
             up[k] += h
             down[k] -= h
-            f0 = log_prior(PRIORS, theta, FULL_SPEC)
-            f_up = log_prior(PRIORS, HyperParams.from_log(FULL_SPEC, up), FULL_SPEC)
-            f_down = log_prior(PRIORS, HyperParams.from_log(FULL_SPEC, down), FULL_SPEC)
+            f0 = log_prior(PRIORS.columns(FULL_SPEC), np.log(theta.values))
+            f_up = log_prior(PRIORS.columns(FULL_SPEC), np.log(HyperParams.from_log(FULL_SPEC, up).values))
+            f_down = log_prior(PRIORS.columns(FULL_SPEC), np.log(HyperParams.from_log(FULL_SPEC, down).values))
             second = (f_up - 2.0 * f0 + f_down) / (h * h)
             assert second == pytest.approx(-1.0 / PRIORS[name].lam, rel=1e-3)
 
@@ -181,15 +181,15 @@ class TestGradLogPrior:
 class TestMissingPrior:
     def test_a_trainable_without_a_prior_is_named(self):
         partial = PriorSpec(entries={name: p for name, p in PRIORS.entries.items() if name != "ell_rbf"})
-        theta = median_hyperparams(FULL_SPEC, PRIORS)
-        for evaluate in (log_prior, grad_log_prior):
-            with pytest.raises(KeyError, match="ell_rbf"):
-                evaluate(partial, theta, FULL_SPEC)
+        with pytest.raises(KeyError, match="ell_rbf"):
+            partial.columns(FULL_SPEC)
         # a spec that does not train it is unaffected
         spec = KernelSpec(terms=(Term("PER", period=1.0), Term("WN")))
         theta = median_hyperparams(spec, PRIORS)
-        assert log_prior(partial, theta, spec) == log_prior(PRIORS, theta, spec)
-        assert np.array_equal(grad_log_prior(partial, theta, spec), grad_log_prior(PRIORS, theta, spec))
+        u = np.log(theta.values)
+        assert np.array_equal(partial.columns(spec), PRIORS.columns(spec))
+        assert log_prior(partial.columns(spec), u) == log_prior(PRIORS.columns(spec), u)
+        assert np.array_equal(grad_log_prior(partial.columns(spec), u), grad_log_prior(PRIORS.columns(spec), u))
 
 
 class TestMedianHyperparams:

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from gpforecast import (
     HyperParams,
+    InvalidHyperparameterError,
     KernelSpec,
     PriorSpec,
     Term,
@@ -48,7 +49,7 @@ class TestMapObjective:
     def test_sine_series_component_sum_oracle(self):
         x, y = sine_series(24)
         theta = median_hyperparams(FULL_SPEC, PRIORS)
-        state = fit(FULL_SPEC, theta, x, y)
+        state = fit(theta, prepare_series(FULL_SPEC, x, y))
         from gpforecast import build_gram
 
         cov = build_gram(FULL_SPEC, theta, x) + state.jitter * np.eye(24)
@@ -74,9 +75,9 @@ class TestMapObjective:
         assert float(rel.max()) <= 1e-5
 
     @pytest.mark.parametrize(("mode", "steps_per_year"), [("single-seasonal", 12.0), ("double-seasonal", 1461.0)])
-    def test_prepared_series_gives_exactly_the_public_objective(self, mode, steps_per_year):
-        # train prepares the series once; every evaluation must give the bits
-        # map_objective gives from the arrays
+    def test_prepared_series_gives_exactly_the_public_objective(self, monkeypatch, mode, steps_per_year):
+        # train prepares the series once and evaluates the optimizer's u; every
+        # evaluation must give the bits map_objective gives from the arrays
         spec = default_spec(mode)
         rng = np.random.default_rng(int(steps_per_year))
         points = []
@@ -90,38 +91,85 @@ class TestMapObjective:
         x = np.arange(224) / steps_per_year
         points.append((median_hyperparams(spec, PRIORS).replace(s2_noise=5e-8), x, rng.standard_normal(224)))
         for theta, x, y in points:
-            value, grad = map_objective(spec, PRIORS, theta, x, y)
-            prepared_value, prepared_grad = map_objective(spec, PRIORS, theta, prepare_series(spec, x, y))
-            assert prepared_value == value
-            assert np.array_equal(prepared_grad, grad)
+            u = np.log(theta.values)
+            [(value, grad)] = train_evaluations(monkeypatch, spec, x, y, [u])
+            public_value, public_grad = map_objective(spec, PRIORS, HyperParams.from_log(spec, u), x, y)
+            assert -value == public_value
+            assert np.array_equal(-grad, public_grad)
 
     def test_every_train_evaluation_equals_the_public_objective(self, monkeypatch):
-        real_objective = training.map_objective
-        evaluated = []
-
-        def recording(spec, priors, theta, series, y=None):
-            out = real_objective(spec, priors, theta, series, y)
-            evaluated.append((theta, out))
-            return out
-
-        monkeypatch.setattr(training, "map_objective", recording)
+        evaluated = record_evaluations(monkeypatch)
         x, y = sine_series(48)
         y = y + 0.3 * np.random.default_rng(48).standard_normal(48)
         train(FULL_SPEC, PRIORS, x, y)
         assert len(evaluated) > 1
-        for theta, (value, grad) in evaluated:
-            public_value, public_grad = real_objective(FULL_SPEC, PRIORS, theta, x, y)
-            assert value == public_value and np.array_equal(grad, public_grad)
+        for u, (value, grad) in evaluated:
+            public_value, public_grad = map_objective(FULL_SPEC, PRIORS, HyperParams.from_log(FULL_SPEC, u), x, y)
+            assert -value == public_value and np.array_equal(-grad, public_grad)
 
     def test_prepared_series_is_checked_against_its_spec(self):
+        # train hands its prepared series on; fit checks theta against its spec
         x, y = sine_series(24)
-        series = prepare_series(FULL_SPEC, x, y)
-        theta = median_hyperparams(FULL_SPEC, PRIORS)
-        with pytest.raises(ValueError, match="prepared"):
-            map_objective(FULL_SPEC, PRIORS, theta, series, y)
+        result = train(FULL_SPEC, PRIORS, x, y, TrainConfig(max_iters=2))
+        series = result.series
+        assert series.spec == FULL_SPEC and np.array_equal(series.x, x) and np.array_equal(series.y, y)
         other = default_spec("double-seasonal")
-        with pytest.raises(ValueError, match="prepared"):
-            map_objective(other, PRIORS, median_hyperparams(other, PRIORS), series)
+        with pytest.raises(InvalidHyperparameterError, match="spec trains"):
+            fit(median_hyperparams(other, PRIORS), series)
+
+    def test_evaluations_make_no_hyperparams_and_one_pass_over_the_terms(self, monkeypatch):
+        # the optimizer's u goes straight to the objective: a HyperParams is
+        # made for the final theta only, and each evaluation evaluates each
+        # stationary term once (LIN's value is summed without term_parts)
+        made, parts = [], []
+        real_init, real_parts = HyperParams.__init__, kernels.term_parts
+
+        def counting_init(self, *args, **kwargs):
+            made.append(None)
+            real_init(self, *args, **kwargs)
+
+        def counting_parts(*args, **kwargs):
+            parts.append(None)
+            return real_parts(*args, **kwargs)
+
+        x, y = sine_series(48)
+        y = y + 0.3 * np.random.default_rng(48).standard_normal(48)
+        evaluated = record_evaluations(monkeypatch)
+        monkeypatch.setattr(HyperParams, "__init__", counting_init)
+        monkeypatch.setattr(kernels, "term_parts", counting_parts)
+        result = train(FULL_SPEC, PRIORS, x, y)
+        assert len(made) == 1 and result.nfev == len(evaluated) > 1 and result.penalty_evals == 0
+        assert len(parts) == result.nfev * sum(t.kind != "LIN" for t in FULL_SPEC.terms)
+
+
+def record_evaluations(monkeypatch):
+    """(u, (value, gradient)) of each objective call train hands L-BFGS-B, filled as train runs."""
+    real_minimize = training.minimize
+    evaluated = []
+
+    def recording_minimize(fun, u0, **kwargs):
+        def recorded(u):
+            out = fun(u)
+            evaluated.append((u.copy(), out))
+            return out
+
+        return real_minimize(recorded, u0, **kwargs)
+
+    monkeypatch.setattr(training, "minimize", recording_minimize)
+    return evaluated
+
+
+def train_evaluations(monkeypatch, spec, x, y, us):
+    """train's objective (value, gradient), as handed to L-BFGS-B, at each of ``us``."""
+    returned = []
+
+    def trials(fun, u0, **kwargs):
+        returned.extend(fun(np.array(u)) for u in us)
+        return SimpleNamespace(nit=0, nfev=len(us), status=0, message="trials")
+
+    monkeypatch.setattr(training, "minimize", trials)
+    train(spec, PRIORS, x, y)
+    return returned
 
 
 class TestTrain:
@@ -228,14 +276,7 @@ class TestTrain:
         rng = np.random.default_rng(23)
         x = np.arange(36) / 12.0
         y = oracles.standardize(rng.standard_normal(36))
-        real_objective = training.map_objective
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return real_objective(*args, **kwargs)
-
-        monkeypatch.setattr(training, "map_objective", counting)
+        calls = record_evaluations(monkeypatch)
         result = train(FULL_SPEC, PRIORS, x, y, TrainConfig(restarts=restarts, seed=5))
         assert result.nfev == len(calls) >= result.iterations > 0
 
