@@ -247,15 +247,11 @@ def _log_mvn(lower: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
 def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = None) -> FitState:
     """Factorize the training covariance and lay out the covariances prediction at ``x_star`` needs.
 
-    ``series`` is the training series under its spec, from
-    :func:`prepare_series` (``TrainResult.series`` after training), and
-    ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).  When the test
-    points continue the series' regular grid, as a forecast's do, one
-    :func:`grad_gram` pass over the n + h lags gives the Gram's column
-    (lags 0 .. n-1), the cross-covariance (:func:`toeplitz_cross`, lags
-    1 .. n+h-1) and the prior variance (lag 0); otherwise the Gram is
-    built from x and the test points' covariances by ``build_cross`` and
-    ``zero_lag_variance``.
+    ``series`` comes from :func:`prepare_series` (``TrainResult.series``
+    after training) and ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
+    Test points that continue the series' regular grid take one pass over
+    the n + h lags (see the module docstring); any others take
+    ``build_cross`` and ``zero_lag_variance``.
     """
     spec, x, y = series.spec, series.x, series.y
     values = theta.for_spec(spec)
@@ -428,7 +424,7 @@ def _levinson(column: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray] | 
     shrink = 1.0 - phi * phi  # E_k / E_{k-1}: > 0 exactly when |phi_k| < 1, False on NaN
     if not (shrink > 0.0).all():  # some E_k <= 0
         return None
-    ratio = shrink.cumprod()  # E_k / E_0 for k = 1 .. m-1, non-increasing
+    ratio = shrink.cumprod()  # E_k / E_0 for k = 1 .. m, non-increasing
     if not ratio[-1] >= LEVINSON_MIN_ERROR_RATIO:
         return None
     return ar, ratio
