@@ -126,6 +126,17 @@ def load_csv(path, layout: CsvLayout) -> Dataset:
     return Dataset(entries=entries)
 
 
+def _parse_value(cell: str, where: str) -> float:
+    """A CSV value cell as a finite float; ``where`` (file and line) starts the error message."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise CsvFormatError(f"{where}: value {cell!r} is not numeric") from None
+    if not np.isfinite(value):
+        raise CsvFormatError(f"{where}: value {value!r} is not finite")
+    return value
+
+
 def _read_long(path) -> list[tuple[str, list[float]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -154,14 +165,7 @@ def _read_long(path) -> list[tuple[str, list[float]]]:
                 raise CsvFormatError(
                     f"{path}: line {lineno}: step {row[t_idx]!r} is not an integer"
                 ) from None
-            try:
-                value = float(row[v_idx].strip())
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: value {row[v_idx]!r} is not numeric"
-                ) from None
-            if not np.isfinite(value):
-                raise CsvFormatError(f"{path}: line {lineno}: value {value!r} is not finite")
+            value = _parse_value(row[v_idx].strip(), f"{path}: line {lineno}")
             if name not in rows:
                 rows[name] = {}
                 order.append(name)
@@ -206,13 +210,7 @@ def _read_wide(path) -> list[tuple[str, list[float]]]:
                         f"{path}: line {lineno}: series {name!r} resumes after a gap; "
                         "empty cells are only allowed at the end of a column"
                     )
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(f"{path}: line {lineno}: value {cell!r} is not numeric") from None
-                if not np.isfinite(value):
-                    raise CsvFormatError(f"{path}: line {lineno}: value {value!r} is not finite")
-                columns[j].append(value)
+                columns[j].append(_parse_value(cell, f"{path}: line {lineno}"))
     return [(name, col) for name, col in zip(header, columns)]
 
 

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .bench import CsvLayout, emit_report, load_csv, run_benchmark
+from .bench import CsvLayout, _parse_value, emit_report, load_csv, run_benchmark
 from .forecasting import TimeSeries, default_horizon, forecast, parse_frequency
 from .priors import default_priors, format_priors, load_priors, read_settings
 from .training import TrainConfig
@@ -35,28 +35,34 @@ def load_train_config(path) -> TrainConfig:
 def _read_values(path) -> np.ndarray:
     """Read a single-series CSV: bare numbers, or a file with a 'value' column."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError(f"{path}: file is empty")
-    first = rows[0]
+    lineno, first = rows[0]
     value_idx = 0
-    start = 0
     try:
         float(first[0])
     except ValueError:
         header = [h.strip() for h in first]
         if "value" not in header:
-            raise ValueError(f"{path}: line 1: header must contain a 'value' column, got {header}") from None
+            raise ValueError(f"{path}: line {lineno}: header must contain a 'value' column, got {header}") from None
         value_idx = header.index("value")
-        start = 1
+        rows = rows[1:]
     values = []
-    for lineno, row in enumerate(rows[start:], start=start + 1):
+    for lineno, row in rows:
         cell = row[value_idx].strip() if value_idx < len(row) else ""
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: value {cell!r} is not numeric") from None
+        values.append(_parse_value(cell, f"{path}: line {lineno}"))
     return np.array(values)
+
+
+def _write(text: str, output: str | None) -> None:
+    """Write ``text`` to the file ``output``, or to stdout without one."""
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_forecast(args) -> int:
@@ -71,11 +77,7 @@ def _cmd_forecast(args) -> int:
     for i in range(horizon):
         lines.append(f"{n + i},{float(fc.mean[i])!r},{float(fc.variance[i])!r}")
     text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.output)
     if not result.converged:
         print(f"warning: training did not converge ({result.iterations} iterations)", file=sys.stderr)
     return 0
@@ -101,11 +103,7 @@ def _cmd_bench(args) -> int:
         standardized_units=not args.original_units,
     )
     text = emit_report(report, fmt=args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.output)
     if report.failures and not args.allow_failures:
         print(f"error: {len(report.failures)} series failed", file=sys.stderr)
         return 1
@@ -114,12 +112,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_priors(args) -> int:
     priors = load_priors(args.priors) if args.priors else default_priors()
-    text = format_priors(priors)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(format_priors(priors), args.output)
     return 0
 
 

@@ -112,6 +112,8 @@ class Standardizer:
     @classmethod
     def fit(cls, values: np.ndarray) -> "Standardizer":
         values = np.asarray(values, dtype=float)
+        if values.size == 0:
+            raise ValueError("cannot standardize a series of length 0")
         # np.std sums squared deviations, which overflow once n std^2 passes the
         # float range even where std^2 fits; scaling by a power of two is exact
         exponent = int(np.frexp(np.max(np.abs(values), initial=0.0))[1])

@@ -14,9 +14,9 @@ A second periodic term (PER2) can be enabled for series with two seasonal
 patterns.  All operations here are pure functions: they never mutate their
 inputs and are safe to call concurrently.
 
-Each term's formula is written once, in :func:`term_parts`, which returns
-its value and its partials on an array of any shape: of time differences
-for the stationary terms (everything but LIN), of products x1 * x2 for LIN.
+Each term's formula is written once: a stationary term's (every term but
+LIN) in :func:`term_parts`, as its value and partials on time differences
+of any shape, and LIN's, s2_bias + s2_lin x1 x2, in :func:`lag_column`.
 A stationary term reads the differences as :class:`Differences`, the
 arrays that do not depend on the hyperparameters (|d|, d^2, d == 0 and
 sin^2(pi |d| / P) per period), made once per array of differences, so an
@@ -29,8 +29,9 @@ a plain sequence in the spec's order, which an objective evaluation
 holds without making a :class:`HyperParams`.  :func:`grad_gram` writes
 the stationary terms' partials into one block, on a vector of
 differences: the n lags of a regular grid, or each pair of points once.
-That is the one pass over the terms: :func:`lag_column` sums the
-covariance at each difference from those rows, and on a regular grid
+That is the one pass over the terms, and :func:`lag_column`, which sums
+the covariance at each difference from those rows, the one sum of the
+composition: every builder here takes one of each.  On a regular grid
 (:func:`regular_lags`) :func:`toeplitz_gram` lays that column out as a
 Toeplitz matrix plus LIN's slope, a rank-1 update in place, and
 :func:`toeplitz_cross` lays out the cross-covariance of test points that
@@ -250,24 +251,17 @@ class Differences(NamedTuple):
         return cls(abs=a, sq=a * a, zero=a == 0, sin2={period: np.sin(np.pi * a / period) ** 2 for period in periods})
 
 
-def term_parts(
-    term: Term, p: Sequence[float], d: Differences | None, xx: np.ndarray | float | None = None
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Value of one term and its partials w.r.t. the log of each of its parameters.
+def term_parts(term: Term, p: Sequence[float], d: Differences) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Value of one stationary term and its partials w.r.t. the log of each of its parameters.
 
     ``p`` holds the term's parameter values in ``TERM_PARAMS[term.kind]``
     order; a periodic term's period is ``term.period``.  Works elementwise
-    on arrays of any shape.  Stationary terms read ``d``, the
-    :class:`Differences` of the time differences x1 - x2; LIN reads ``xx``,
-    the matching products x1 * x2.  The partials follow ``p``; the first
-    is the value itself, since dk/dlog s2 = k for every variance.
+    on ``d``, the :class:`Differences` of time differences x1 - x2 of any
+    shape.  LIN is not stationary: its value is written in :func:`lag_column`.
+    The partials follow ``p``; the first is the value itself, since
+    dk/dlog s2 = k for every variance.
     """
     kind = term.kind
-    if kind == "LIN":
-        s2_bias, s2_lin = p
-        slope = s2_lin * xx
-        k = s2_bias + slope
-        return k, [np.broadcast_to(s2_bias, np.shape(k)), slope]
     if kind == "RBF":
         s2, ell = p
         k = s2 * np.exp(-d.sq / (2.0 * ell * ell))
@@ -327,18 +321,6 @@ def regular_lags(x: np.ndarray) -> np.ndarray | None:
     return lags
 
 
-def _composition(
-    spec: KernelSpec, theta: HyperParams, d: Differences, xx: np.ndarray | float, include_noise: bool = True
-) -> np.ndarray:
-    """Sum of the values of the spec's terms at differences ``d``, LIN's at products ``xx``."""
-    values = theta.for_spec(spec)
-    out = np.zeros(np.shape(d.abs))
-    for t, at, _ in spec._layout:
-        if t.kind != "WN" or include_noise:
-            out = out + term_parts(t, values[at], d, xx)[0]
-    return out
-
-
 def _check_finite(out: np.ndarray, what: str) -> None:
     if not np.isfinite(out).all():
         raise InvalidHyperparameterError(f"{what} produced non-finite covariance values")
@@ -351,9 +333,7 @@ def eval_kernel(spec: KernelSpec, theta: HyperParams, x1: float, x2: float) -> f
     built from integer steps so equality of repeated points is well defined.
     """
     a, b = float(x1), float(x2)
-    out = float(_composition(spec, theta, Differences.of(spec, a - b), a * b))
-    _check_finite(out, "eval_kernel")
-    return out
+    return float(_covariance(spec, theta.for_spec(spec), np.array([a - b]), a * b)[0])
 
 
 def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
@@ -371,9 +351,8 @@ def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarra
     lags = regular_lags(x)
     if lags is None:
         pairs, d, xx = point_pairs(x)
-        return pairs_gram(lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, d)), xx), pairs, x.size)
-    column = lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, lags)))
-    return toeplitz_gram(column, np.sqrt(theta.s2_lin) * x if spec.has("LIN") else None)
+        return pairs_gram(_covariance(spec, values, d, xx), pairs, x.size)
+    return toeplitz_gram(_covariance(spec, values, lags), np.sqrt(theta.s2_lin) * x if spec.has("LIN") else None)
 
 
 def toeplitz_gram(column: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
@@ -440,11 +419,11 @@ def lag_column(
     matrix of this column plus the rank-1 slope s2_lin x x^T.  On the pairs
     of points, with xx their products, it is the Gram's entry for each pair.
     ``values`` are theta's, as :func:`grad_gram` read them; ``noise=False``
-    leaves WN out, as :func:`zero_lag_variance` does.
+    leaves WN out, as :func:`build_cross` and :func:`zero_lag_variance` do.
     """
     column = np.zeros(partials.shape[1])
     for t, at, row in spec._layout:
-        if row is None:  # LIN's value, term_parts' bias plus slope
+        if row is None:  # LIN's value: its formula, written only here
             s2_bias, s2_lin = values[at]
             column += s2_bias + s2_lin * xx
         elif noise or t.kind != "WN":
@@ -453,8 +432,16 @@ def lag_column(
     return column
 
 
-# Entries of the cross-covariance evaluated at once (16 KiB per array); fewer
-# than a monthly forecast's 18 x 132, so predict's peak memory stays below train's.
+def _covariance(
+    spec: KernelSpec, values: Sequence[float], d: np.ndarray, xx: np.ndarray | float = 0.0, noise: bool = True
+) -> np.ndarray:
+    """The composition at 1-D differences ``d``, LIN at products ``xx``: :func:`lag_column` of one :func:`grad_gram`."""
+    return lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, d)), xx, noise)
+
+
+# Entries of the cross-covariance evaluated at once.  A forecast on a regular
+# grid takes gp.fit's grid step and never reaches build_cross; for any other
+# test points the blocks bound grad_gram's (q, block) partials, 16 KiB a row.
 _CROSS_BLOCK = 2048
 
 
@@ -466,18 +453,15 @@ def build_cross(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray, x: np.
     test point that exactly duplicates a training point only sees the
     signal covariance (its prediction shrinks toward the latent mean).
     Test points are taken in blocks of at most ``_CROSS_BLOCK`` entries,
-    so the differences' arrays and each term's temporaries stay that size
-    however long the horizon.
+    so the differences, the products and the partials of each block stay
+    that size however many test points there are.
     """
     x_star = _as_points(x_star, "x_star", allow_empty=True)
     x = _as_points(x, "x")
-    row = x[None, :]
-    blocks = np.array_split(x_star[:, None], max(1, -(-x_star.size * x.size // _CROSS_BLOCK)))
-    cross = np.concatenate(
-        [_composition(spec, theta, Differences.of(spec, col - row), col * row, include_noise=False) for col in blocks]
-    )
-    _check_finite(cross, "build_cross")
-    return cross
+    values = theta.for_spec(spec)
+    blocks = np.array_split(x_star, max(1, -(-x_star.size * x.size // _CROSS_BLOCK)))
+    rows = [_covariance(spec, values, (b[:, None] - x).ravel(), (b[:, None] * x).ravel(), noise=False) for b in blocks]
+    return np.concatenate(rows).reshape(x_star.size, x.size)
 
 
 def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
@@ -487,9 +471,7 @@ def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np
     point never includes the white-noise term.
     """
     x = _as_points(x, "x", allow_empty=True)
-    out = _composition(spec, theta, Differences.of(spec, np.zeros(x.size)), x * x, include_noise=False)
-    _check_finite(out, "zero_lag_variance")
-    return out
+    return _covariance(spec, theta.for_spec(spec), np.zeros(x.size), x * x, noise=False)
 
 
 def _as_points(x: np.ndarray, name: str, allow_empty: bool = False) -> np.ndarray:

@@ -60,12 +60,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
+        # each test is False on NaN
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if self.grad_tol <= 0 or self.objective_tol <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.restarts < 1:
+        if not (0 < self.grad_tol < math.inf and 0 < self.objective_tol < math.inf):
+            raise ValueError("tolerances must be finite and > 0")
+        if not self.restarts >= 1:
             raise ValueError("restarts must be >= 1")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

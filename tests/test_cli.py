@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpforecast import TrainConfig, load_priors
+from gpforecast import TrainConfig, cli, load_priors
 from gpforecast.cli import load_train_config, main
 
 
@@ -55,6 +55,17 @@ class TestForecastCommand:
         path.write_text("\n".join(repr(float(v)) for v in values) + "\n")
         assert main(["forecast", str(path), "--freq", "monthly", "--horizon", "3"]) == 0
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("nan", "value nan is not finite"), ("-inf", "value -inf is not finite"), ("soon", "value 'soon' is not numeric")],
+    )
+    def test_bad_value_names_its_line(self, tmp_path, capsys, bad, message):
+        # the blank line 3 still counts, so the bad value stands on line 5
+        path = tmp_path / "bad.csv"
+        path.write_text(f"value\n1.0\n\n2.0\n{bad}\n3.0\n")
+        assert main(["forecast", str(path), "--freq", "monthly", "--horizon", "1"]) == 1
+        assert f"line 5: {message}" in capsys.readouterr().err
+
     def test_missing_file_returns_error(self, capsys):
         code = main(["forecast", "nope.csv", "--freq", "monthly"])
         assert code == 1
@@ -83,6 +94,12 @@ class TestBenchCommand:
         path.write_text("\n".join(lines) + "\n")
         assert main(["bench", str(path), "--freq", "quarterly"]) == 1
         assert main(["bench", str(path), "--freq", "quarterly", "--allow-failures"]) == 0
+
+    def test_negative_seed_fails_before_any_series_runs(self, quarterly_dataset_csv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_benchmark", lambda *args, **kwargs: pytest.fail("a series ran"))
+        assert main(["bench", str(quarterly_dataset_csv), "--freq", "quarterly", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "seed must be >= 0" in captured.err and not captured.out
 
 
 class TestPriorsCommand:

@@ -109,6 +109,12 @@ class TestStandardizer:
         with pytest.raises(ConstantSeriesError):
             Standardizer.fit(np.full(10, 3.3))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_series_rejected_by_length_before_any_reduction(self):
+        with pytest.raises(ValueError, match="length 0") as info:
+            Standardizer.fit(np.empty(0))
+        assert not isinstance(info.value, ConstantSeriesError)
+
 
 class TestForecast:
     def test_sine_series_forecast_is_accurate(self, sine_forecast_run):

@@ -170,12 +170,11 @@ class TestBuildGram:
         rng = np.random.default_rng(11)
         x = np.concatenate((rng.uniform(0.0, 6.0, size=12), [1.5, 1.5]))
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
-        d = Differences.of(FULL_SPEC, x[:, None] - x[None, :])
         values = iter(theta.values)
         expected = np.zeros((x.size, x.size))
         for term in FULL_SPEC.terms:
             p = [next(values) for _ in TERM_PARAMS[term.kind]]
-            expected = expected + term_parts(term, p, d, np.multiply.outer(x, x))[0]
+            expected = expected + dense_parts(term, p, x)[0]
         assert regular_lags(x) is None
         np.testing.assert_array_equal(build_gram(FULL_SPEC, theta, x), expected)
 
@@ -287,8 +286,26 @@ class TestRegularGrid:
 
 
 def pairwise(spec, x):
-    """Differences (as the spec's terms read them) and products of every pair of points, as n-by-n arrays."""
-    return Differences.of(spec, x[:, None] - x[None, :]), x[:, None] * x[None, :]
+    """Differences of every pair of points as n-by-n arrays, as the spec's stationary terms read them."""
+    return Differences.of(spec, x[:, None] - x[None, :])
+
+
+def linear_parts(p, x):
+    """LIN's value and partials on every pair of points, from the oracle's formula.
+
+    dk/dlog s2_bias is LIN with s2_lin = 0, dk/dlog s2_lin LIN with
+    s2_bias = 0.  The products go in as x1 with x2 = 1, so the slope rounds
+    as s2_lin * (x1 x2) does in the library.
+    """
+    s2_bias, s2_lin = p
+    xx = np.multiply.outer(x, x)
+    value = oracles.linear_value(s2_bias, s2_lin, xx, 1.0)
+    return value, [oracles.linear_value(s2_bias, 0.0, xx, 1.0), oracles.linear_value(0.0, s2_lin, xx, 1.0)]
+
+
+def dense_parts(term, p, x):
+    """Value and partials of one term on every pair of points: term_parts', or the oracle's for LIN."""
+    return linear_parts(p, x) if term.kind == "LIN" else term_parts(term, p, pairwise(KernelSpec(terms=(term,)), x))
 
 
 def term_values(spec, theta):
@@ -301,7 +318,7 @@ class TestGradGram:
 
     def test_noise_gradient_is_scaled_identity(self):
         x = np.array([0.0, 0.3, 0.9])
-        _, partials = term_parts(Term("WN"), [MEDIANS.s2_noise], *pairwise(single_term_spec("WN"), x))
+        _, partials = term_parts(Term("WN"), [MEDIANS.s2_noise], pairwise(single_term_spec("WN"), x))
         assert len(partials) == 1
         np.testing.assert_allclose(partials[0], MEDIANS.s2_noise * np.eye(3))
 
@@ -309,7 +326,7 @@ class TestGradGram:
         spec = single_term_spec("RBF")
         theta = HyperParams.of(spec, s2_rbf=1.7, ell_rbf=0.6)
         x = np.linspace(0.0, 2.0, 5)
-        value, partials = term_parts(spec.terms[0], theta.values, *pairwise(spec, x))
+        value, partials = term_parts(spec.terms[0], theta.values, pairwise(spec, x))
         np.testing.assert_allclose(partials[0], build_gram(spec, theta, x))
         np.testing.assert_array_equal(partials[0], value)
 
@@ -320,7 +337,7 @@ class TestGradGram:
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         names = FULL_SPEC.trainable_names()
         u = np.log(theta.values)
-        analytic = [g for t, p in term_values(FULL_SPEC, theta) for g in term_parts(t, p, *pairwise(FULL_SPEC, x))[1]]
+        analytic = [g for t, p in term_values(FULL_SPEC, theta) for g in dense_parts(t, p, x)[1]]
         h = 1e-5
         for k in range(len(names)):
             up, down = u.copy(), u.copy()
@@ -350,7 +367,7 @@ class TestGradGram:
             "s2_noise",
         )
         x = np.array([0.0, 1.0])
-        partials = [g for t, p in term_values(FULL_SPEC, MEDIANS) for g in term_parts(t, p, *pairwise(FULL_SPEC, x))[1]]
+        partials = [g for t, p in term_values(FULL_SPEC, MEDIANS) for g in dense_parts(t, p, x)[1]]
         assert len(partials) == len(names)
         assert all(g.shape == (2, 2) for g in partials)
 
@@ -362,7 +379,7 @@ class TestGradGram:
         x = np.arange(40) / 12.0
         rows = grad_gram(spec, theta.values, Differences.of(spec, regular_lags(x)))
         dense = [
-            g for t, p in term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, *pairwise(spec, x))[1]
+            g for t, p in term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, pairwise(spec, x))[1]
         ]
         assert rows.shape == (len(spec.trainable_names()) - 2, x.size)
         for row, g in zip(rows, dense):

@@ -262,6 +262,34 @@ class TestTrain:
             assert result.converged is best_succeeds
             assert result.termination == f"restart {best}"
 
+    def test_returns_the_best_evaluated_point_not_the_optimizers_x(self, monkeypatch):
+        # L-BFGS-B's result.x can be worse than a point it evaluated (an ABNORMAL
+        # stop) or tie with one elsewhere, so train keeps its own best evaluation
+        x, y = sine_series(36)
+        nu = PRIORS.columns(FULL_SPEC)[0]
+        rng = np.random.default_rng(4)
+        candidates = [nu + rng.normal(0.0, 0.3, size=nu.size) for _ in range(5)]
+        values = [value for value, _ in train_evaluations(monkeypatch, FULL_SPEC, x, y, candidates)]
+        ranked = [candidates[k] for k in np.argsort(values)]  # best first
+        # (status, points) of each restart: the first, which converges, holds the best
+        # point between two others, and neither restart returns its best point as x
+        restarts = iter([(0, [ranked[2], ranked[0], ranked[4]]), (1, [ranked[1], ranked[3]])])
+
+        def stub(fun, u0, **kwargs):
+            status, points = next(restarts)
+            evaluated = [fun(np.array(u))[0] for u in points]
+            worst = int(np.argmax(evaluated))
+            return SimpleNamespace(
+                x=points[worst], fun=evaluated[worst], nit=1, nfev=len(points), status=status, message=f"stop {status}"
+            )
+
+        monkeypatch.setattr(training, "minimize", stub)
+        result = train(FULL_SPEC, PRIORS, x, y, TrainConfig(restarts=2, seed=3))
+        assert result.theta == HyperParams.from_log(FULL_SPEC, ranked[0])
+        assert result.objective == -min(values)
+        assert result.converged and result.termination == "stop 0"
+        assert result.nfev == 5
+
     def test_termination_is_the_optimizer_message(self):
         x, y = sine_series(48)
         stopped = train(FULL_SPEC, PRIORS, x, y, TrainConfig(max_iters=1))
@@ -313,13 +341,25 @@ class TestTrain:
         with pytest.raises(KeyError, match="tau_sm2"):
             train(FULL_SPEC, partial, x, y)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            TrainConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(restarts=0)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"max_iters": 0}, "max_iters"),
+            ({"max_iters": math.nan}, "max_iters"),
+            ({"grad_tol": 0.0}, "tolerances"),
+            ({"grad_tol": math.nan}, "tolerances"),
+            ({"grad_tol": math.inf}, "tolerances"),
+            ({"objective_tol": -1.0}, "tolerances"),
+            ({"objective_tol": math.nan}, "tolerances"),
+            ({"objective_tol": math.inf}, "tolerances"),
+            ({"restarts": 0}, "restarts"),
+            ({"restarts": math.nan}, "restarts"),
+            ({"restarts": 2, "seed": -1}, "seed"),
+        ],
+    )
+    def test_config_validation(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**bad)
 
     def test_linear_trend_makes_linear_term_dominant(self):
         # deterministic input, so a single run settles the claim

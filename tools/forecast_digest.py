@@ -16,6 +16,8 @@ program is imported from the checkout's ``src``, the series from
 
 which counts the series whose theta, iterations, nfev or converged differ
 and reports the largest relative move of the means and of the variances.
+It exits 1 unless the two digests agree bit for bit: no series differs in
+those fields, and every series' means and variances are identical.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def digest():
                 }
 
 
-def compare(parent_path: str, change_path: str) -> None:
+def compare(parent_path: str, change_path: str) -> bool:
+    """Print how the two digests differ; True if they agree bit for bit."""
     def read(path):
         with open(path, encoding="utf-8") as fh:
             return [json.loads(line) for line in fh]
@@ -67,9 +70,11 @@ def compare(parent_path: str, change_path: str) -> None:
     if keys != [(r["workload"], r["seed"], r["series"]) for r in change]:
         raise SystemExit("the digests hold different series")
     print(f"{len(parent)} series")
+    same = True
     for field in EXACT:
         differ = sum(a[field] != b[field] for a, b in zip(parent, change))
         print(f"{field}: {differ} differ")
+        same = same and differ == 0
     for field in MOVED:
         pairs = [(p, q) for a, b in zip(parent, change) for p, q in zip(a[field], b[field])]
         absolute = max(abs(q - p) for p, q in pairs)
@@ -79,6 +84,8 @@ def compare(parent_path: str, change_path: str) -> None:
             f"{field}: {identical} series bit-identical, largest move {absolute:.3g} absolute"
             f" (standardized units), {relative:.3g} relative"
         )
+        same = same and identical == len(parent)
+    return same
 
 
 def main() -> None:
@@ -86,8 +93,7 @@ def main() -> None:
     parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"), help="compare two digests")
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
-        return
+        sys.exit(0 if compare(*args.compare) else 1)
     for record in digest():
         print(json.dumps(record), flush=True)
 
