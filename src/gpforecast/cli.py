@@ -28,8 +28,12 @@ _CONFIG_KEYS = {field.name: type(field.default) for field in dataclasses.fields(
 
 
 def load_train_config(path) -> TrainConfig:
-    """Parse a key=value config file into a TrainConfig."""
-    return TrainConfig(**read_settings(path, _CONFIG_KEYS))
+    """Parse a key=value config file into a TrainConfig; every error names the file."""
+    settings = read_settings(path, _CONFIG_KEYS)
+    try:
+        return TrainConfig(**settings)
+    except ValueError as exc:  # a value of the right type that TrainConfig rejects
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_values(path) -> np.ndarray:

@@ -51,10 +51,12 @@ points.  When these continue the series' regular grid, as a forecast's
 do, one :func:`grad_gram` pass over the n + h lags gives the Gram's
 column (bit for bit the objective's), the cross-covariance (Toeplitz on
 lags 1 .. n+h-1, plus LIN's slope) and the prior variance (lag 0);
-otherwise ``build_gram``, ``build_cross`` and ``zero_lag_variance`` lay
-them out from the points.  :func:`predict` reuses the factor, so a
-forecast makes one Cholesky factorization at its trained hyperparameters,
-plus one per evaluation that falls back.
+otherwise one :func:`grad_gram` pass over the prepared differences gives
+the Gram, laid out as the objective lays it out, and ``build_cross`` and
+``zero_lag_variance`` lay out the test points' covariances.
+:func:`predict` reuses the factor, so a forecast makes one Cholesky
+factorization at its trained hyperparameters, plus one per evaluation
+that falls back.
 
 The gradient never builds an n-by-n matrix per hyperparameter: each
 stationary partial is the dot product of its values on the differences
@@ -81,7 +83,8 @@ from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py g
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
-from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, _as_points, build_cross, build_gram
+from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, _as_points, build_cross
+from .kernels import build_gram  # not called here; perfbench traces it as gp.build_gram
 from .kernels import grad_gram, lag_column, pairs_gram, point_pairs, regular_lags, toeplitz_cross, toeplitz_gram
 from .kernels import zero_lag_variance
 
@@ -251,25 +254,28 @@ def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = 
     after training) and ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
     Test points that continue the series' regular grid take one pass over
     the n + h lags (see the module docstring); any others take
-    ``build_cross`` and ``zero_lag_variance``.
+    ``build_cross`` and ``zero_lag_variance``, and the Gram comes from the
+    prepared differences, bit for bit ``build_gram``'s.
     """
-    spec, x, y = series.spec, series.x, series.y
+    spec, x, y, lin = series.spec, series.x, series.y, series.lin
     values = theta.for_spec(spec)
     x_star = np.empty(0) if x_star is None else _as_points(x_star, "x_star", allow_empty=True)
     lags = regular_lags(np.concatenate((x, x_star))) if series.pairs is None and x_star.size else None
-    if lags is None:
-        lower, jitter = _cholesky_with_jitter(lambda: build_gram(spec, theta, x))
+    slope = values[lin][1] if lin is not None else 0.0
+    if lags is None:  # the Gram from the prepared differences, as the objective lays it out
+        column = lag_column(spec, values, grad_gram(spec, values, series.diffs), series.xx)
         cross, prior_variance = build_cross(spec, theta, x_star, x), zero_lag_variance(spec, theta, x_star)
     else:  # the lags of the test points continue the training lags, whose bits they keep
-        lin = series.lin
         partials = grad_gram(spec, values, Differences.of(spec, lags))
         column = lag_column(spec, values, partials)
-        slope = values[lin][1] if lin is not None else 0.0
-        v = np.sqrt(slope) * x if lin is not None else None
-        lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column[: x.size], v))
         cross = toeplitz_cross(column, slope, x_star, x)
         lag_zero = np.broadcast_to(partials[:, :1], (partials.shape[0], x_star.size))
         prior_variance = lag_column(spec, values, lag_zero, x_star * x_star, noise=False)
+    if series.pairs is None:
+        v = np.sqrt(slope) * x if lin is not None else None
+        lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column[: x.size], v))
+    else:
+        lower, jitter = _cholesky_with_jitter(lambda: pairs_gram(column, series.pairs, x.size))
     alpha = cho_solve((lower, True), y, check_finite=False)
     return FitState(
         chol_lower=lower,

@@ -16,6 +16,13 @@ the line search simply backs off; ``TrainResult.penalty_evals`` counts
 them.  ``TrainResult.series`` hands the prepared series on to
 ``gp.fit``.
 
+L-BFGS-B keeps :data:`LBFGS_MEMORY` (20) curvature pairs on every
+restart, more than either default spec has trainables (13
+single-seasonal, 16 double-seasonal), so its quasi-Newton model can span
+the whole parameter space.  With scipy's default of 10 it cannot, and
+the benchmark's monthly series took 40% more evaluations (2846 against
+2039 on 48 series), the quasi-periodic ones most.
+
 Training starts at the prior medians (the prior means in log space),
 which makes a single start deterministic.  Optional extra restarts
 perturb the start with one Normal(0, lam) draw per coordinate.
@@ -42,6 +49,9 @@ __all__ = ["TrainConfig", "TrainResult", "map_objective", "train"]
 _PENALTY = 1e25
 
 MIN_TRAIN_POINTS = 4
+
+# Curvature pairs L-BFGS-B keeps on every restart (see the module docstring).
+LBFGS_MEMORY = 20
 
 
 @dataclass(frozen=True)
@@ -189,6 +199,7 @@ def train(
             jac=True,
             method="L-BFGS-B",
             options={
+                "maxcor": LBFGS_MEMORY,
                 "maxiter": config.max_iters,
                 "ftol": config.objective_tol,
                 "gtol": config.grad_tol,

@@ -151,6 +151,15 @@ class TestTrainConfigFile:
         with pytest.raises(ValueError, match="line 1"):
             load_train_config(path)
 
+    @pytest.mark.parametrize(("line", "message"), [("grad_tol = nan", "tolerances"), ("seed = -1", "seed")])
+    def test_value_that_train_config_rejects_names_the_file(self, monthly_series_csv, tmp_path, capsys, line, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["forecast", str(monthly_series_csv), "--freq", "monthly", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and message in err
+
     def test_config_flows_through_cli(self, monthly_series_csv, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("max_iters = 150\n")

@@ -12,6 +12,7 @@ RECORD = {
     "seed": 1,
     "series": "m-48-0",
     "theta": [0.5, 1.25],
+    "objective": -12.5,
     "iterations": 7,
     "nfev": 9,
     "converged": True,
@@ -39,6 +40,7 @@ def test_compare_passes_identical_digests(tmp_path):
     "field, value",
     [
         ("theta", [0.5, 1.2500000000000002]),
+        ("objective", -12.500000000000002),
         ("iterations", 8),
         ("nfev", 10),
         ("converged", False),
@@ -49,3 +51,16 @@ def test_compare_passes_identical_digests(tmp_path):
 def test_compare_fails_on_any_difference(tmp_path, field, value):
     run = compare(tmp_path, {**RECORD, field: value})
     assert run.returncode == 1, run.stdout + run.stderr
+
+
+def test_compare_sums_the_optimizer_counts_and_reports_the_objective_moves(tmp_path):
+    run = compare(tmp_path, {**RECORD, "objective": -13.0, "iterations": 8, "nfev": 12})
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "iterations summed: 7 -> 8" in run.stdout
+    assert "nfev summed: 9 -> 12" in run.stdout
+    assert (
+        "objective: 0 series rose, 1 fell by more than 1e-06, largest fall 0.5 (monthly-forecast seed 1 m-48-0)"
+        in run.stdout
+    )
+    rose = compare(tmp_path, {**RECORD, "objective": -12.0})
+    assert "objective: 1 series rose, 0 fell by more than 1e-06\n" in rose.stdout

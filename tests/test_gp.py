@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, toeplitz
+from scipy.linalg import cho_solve, cholesky, toeplitz
 
 import oracles
 from gpforecast import (
@@ -514,6 +514,25 @@ class TestFitState:
         np.testing.assert_array_equal(a.chol_lower, b.chol_lower)
         np.testing.assert_array_equal(a.alpha, b.alpha)
 
+    @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
+    def test_gram_off_the_forecast_path_keeps_build_grams_bits(self, mode):
+        # off a continuing grid fit lays the Gram out from the prepared
+        # differences; its factor and log_marginal are bit for bit those of
+        # build_gram's Gram of the points, on irregular points and on a grid
+        # whose test points fall between its steps
+        spec = default_spec(mode)
+        rng = np.random.default_rng(11)
+        grid = np.arange(30) / 12.0
+        for x, x_star in [(np.sort(rng.uniform(0.0, 3.0, 30)), grid[:5] + 3.0), (grid, grid[-4:] + 0.5 / 12.0)]:
+            theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=0.05)
+            y = rng.standard_normal(x.size)
+            state = fit(theta, prepare_series(spec, x, y), x_star)
+            lower, jitter = gp._cholesky_with_jitter(lambda: build_gram(spec, theta, x))
+            alpha = cho_solve((lower, True), y)
+            np.testing.assert_array_equal(state.chol_lower, lower)
+            np.testing.assert_array_equal(state.alpha, alpha)
+            assert state.jitter == jitter and state.log_marginal == gp._log_mvn(lower, y, alpha)
+
     def test_base_jitter_scale(self):
         x = np.arange(4.0)
         y = np.zeros(4)
@@ -641,7 +660,7 @@ class TestGridFinalStep:
     @pytest.mark.parametrize(("mode", "steps_per_year", "n", "h"), CASES)
     def test_gram_and_prior_variance_keep_their_bits(self, mode, steps_per_year, n, h):
         spec, theta, x, x_star, series = self.case(mode, steps_per_year, n, h)
-        grid, plain = fit(theta, series, x_star), fit(theta, series)  # plain: build_gram, no test points
+        grid, plain = fit(theta, series, x_star), fit(theta, series)  # plain: no test points
         np.testing.assert_array_equal(grid.chol_lower, plain.chol_lower)
         np.testing.assert_array_equal(grid.alpha, plain.alpha)
         assert grid.jitter == plain.jitter and grid.log_marginal == plain.log_marginal
@@ -666,12 +685,13 @@ class TestGridFinalStep:
         fit(theta, series, x_star)
         assert calls == {"build_cross": 0, "grad_gram": [(11, 58)]}  # one pass over the 40 + 18 lags
         perm = np.random.default_rng(0).permutation(x.size)
-        for other_series, other_x_star in [
-            (series, x_star + 1.0 / 12.0),  # a one-step gap after the series
-            (series, x_star[::-1]),
-            (series, np.array([0.5, 7.0])),
-            (prepare_series(spec, x[perm], series.y[perm]), x_star),  # training points off the grid
+        for other_series, other_x_star, diffs in [
+            (series, x_star + 1.0 / 12.0, 40),  # a one-step gap after the series
+            (series, x_star[::-1], 40),
+            (series, np.array([0.5, 7.0]), 40),
+            (prepare_series(spec, x[perm], series.y[perm]), x_star, 820),  # off the grid: 40 * 41 / 2 pairs
         ]:
             calls["build_cross"], calls["grad_gram"] = 0, []
             fit(theta, other_series, other_x_star)
-            assert calls == {"build_cross": 1, "grad_gram": []}
+            # one pass over the prepared differences for the Gram, none over the test points' lags
+            assert calls == {"build_cross": 1, "grad_gram": [(11, diffs)]}

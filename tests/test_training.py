@@ -290,6 +290,22 @@ class TestTrain:
         assert result.converged and result.termination == "stop 0"
         assert result.nfev == 5
 
+    @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
+    def test_every_restart_keeps_a_memory_spanning_the_trainables(self, monkeypatch, mode):
+        spec = default_spec(mode)
+        real_minimize = training.minimize
+        memories = []
+
+        def recording(fun, u0, **kwargs):
+            memories.append(kwargs["options"]["maxcor"])
+            return real_minimize(fun, u0, **kwargs)
+
+        monkeypatch.setattr(training, "minimize", recording)
+        x, y = sine_series(24)
+        train(spec, PRIORS, x, y, TrainConfig(restarts=3, seed=5))
+        assert memories == [training.LBFGS_MEMORY] * 3
+        assert training.LBFGS_MEMORY >= len(spec.trainable_names())
+
     def test_termination_is_the_optimizer_message(self):
         x, y = sine_series(48)
         stopped = train(FULL_SPEC, PRIORS, x, y, TrainConfig(max_iters=1))

@@ -6,18 +6,22 @@ Run from the root of a checkout:
     OPENBLAS_NUM_THREADS=1 python tools/forecast_digest.py > digest-1thread.jsonl
 
 Each line is one series of a perfbench workload (every workload, one
-copy of its design, at seeds 1 and 20201): the trained theta, iterations,
-nfev and converged, and the standardized predictive means and observation
-variances, every float written so that it reads back bit for bit.  The
-program is imported from the checkout's ``src``, the series from
-``perfbench/workloads.py``.  Two digests are compared with
+copy of its design, at seeds 1 and 20201): the trained theta, the MAP
+objective there, iterations, nfev and converged, and the standardized
+predictive means and observation variances, every float written so that
+it reads back bit for bit.  The program is imported from the checkout's
+``src``, the series from ``perfbench/workloads.py``.  Two digests are
+compared with
 
     python tools/forecast_digest.py --compare parent.jsonl change.jsonl
 
-which counts the series whose theta, iterations, nfev or converged differ
-and reports the largest relative move of the means and of the variances.
-It exits 1 unless the two digests agree bit for bit: no series differs in
-those fields, and every series' means and variances are identical.
+which counts the series whose theta, objective, iterations, nfev or
+converged differ and reports the largest relative move of the means and
+of the variances.  It also prints each digest's iterations and nfev
+summed over the series, and how many series' objective rose or fell by
+more than 1e-6 nats, with the largest fall.  It exits 1 unless the two
+digests agree bit for bit: no series differs in those fields, and every
+series' means and variances are identical.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 20201)
-EXACT = ("theta", "iterations", "nfev", "converged")
+EXACT = ("theta", "objective", "iterations", "nfev", "converged")
+SUMMED = ("iterations", "nfev")
+# an objective move larger than this, in nats, counts as a rise or a fall
+OBJECTIVE_MOVE = 1e-6
 MOVED = ("mean", "variance")
 
 
@@ -51,6 +58,7 @@ def digest():
                     "seed": seed,
                     "series": series_name,
                     "theta": list(result.theta.values),
+                    "objective": result.objective,
                     "iterations": result.iterations,
                     "nfev": result.nfev,
                     "converged": result.converged,
@@ -75,6 +83,14 @@ def compare(parent_path: str, change_path: str) -> bool:
         differ = sum(a[field] != b[field] for a, b in zip(parent, change))
         print(f"{field}: {differ} differ")
         same = same and differ == 0
+    for field in SUMMED:
+        print(f"{field} summed: {sum(r[field] for r in parent)} -> {sum(r[field] for r in change)}")
+    moves = [(b["objective"] - a["objective"], a) for a, b in zip(parent, change)]
+    rose = sum(move > OBJECTIVE_MOVE for move, _ in moves)
+    fell = sum(move < -OBJECTIVE_MOVE for move, _ in moves)
+    fall, where = min(moves, key=lambda m: m[0])
+    largest = f", largest fall {-fall:.3g} ({where['workload']} seed {where['seed']} {where['series']})" if fell else ""
+    print(f"objective: {rose} series rose, {fell} fell by more than {OBJECTIVE_MOVE:g}{largest}")
     for field in MOVED:
         pairs = [(p, q) for a, b in zip(parent, change) for p, q in zip(a[field], b[field])]
         absolute = max(abs(q - p) for p, q in pairs)
