@@ -42,6 +42,7 @@ from .gp import (
     FitState,
     IllConditionedModelError,
     PredictiveDistribution,
+    build_gram,
     fit,
     log_marginal_likelihood_and_grad,
     predict,
@@ -53,8 +54,6 @@ from .kernels import (
     KernelSpec,
     Term,
     build_cross,
-    build_gram,
-    eval_kernel,
     zero_lag_variance,
 )
 from .metrics import ScoreReport, crps_gaussian, log_likelihood, mae, score

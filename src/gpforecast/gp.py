@@ -35,16 +35,18 @@ plus LIN's rank-1 slope v v^T, and the objective
 alone: one Levinson-Durbin recursion gives log det T and g = T^-1 e_0,
 Gohberg-Semencul products with g give T^-1 y and T^-1 v, and
 Sherman-Morrison adds the slope, so an evaluation holds O(n) floats and
-makes no Cholesky factorization; without LIN, v = 0 and its solve and
-sums are skipped.  Levinson is only weakly stable, so below a
-conditioning bound (:data:`LEVINSON_MIN_ERROR_RATIO` on its prediction
-errors) the evaluation lays that column out as the Gram instead, in one
+makes no Cholesky factorization; without LIN, v = 0.  Levinson is only
+weakly stable, so below a conditioning bound
+(:data:`LEVINSON_MIN_ERROR_RATIO` on its prediction errors) the
+evaluation lays that column out as the Gram instead, in one
 Fortran-ordered array, factorizes it in place (a failed try lays it out
 again) and solves for y, e_0 and v at once.  Where the noise floor
 allows a failure, the recursion first runs on T's leading lags, and a
 block that fails the bound skips the full run.  On other inputs the Gram
 is laid out from the covariance at each pair of points
-(``kernels.pairs_gram``, as ``build_gram`` lays it out).
+(``kernels.pairs_gram``).  :func:`build_gram`, :func:`fit` and the
+objective off the grid lay the Gram out from a prepared series in one
+way: Toeplitz plus v v^T on the grid, mirrored pairs elsewhere.
 
 :func:`fit` takes the trained theta, the prepared series and the test
 points.  When these continue the series' regular grid, as a forecast's
@@ -83,9 +85,8 @@ from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py g
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
-from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, _as_points, build_cross
-from .kernels import build_gram  # not called here; perfbench traces it as gp.build_gram
-from .kernels import grad_gram, lag_column, pairs_gram, point_pairs, regular_lags, toeplitz_cross, toeplitz_gram
+from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, _as_points, build_cross, grad_gram
+from .kernels import lag_column, pairs_gram, point_pairs, regular_lags, toeplitz_cross, toeplitz_gram
 from .kernels import zero_lag_variance
 
 __all__ = [
@@ -94,6 +95,7 @@ __all__ = [
     "PredictiveDistribution",
     "PreparedSeries",
     "prepare_series",
+    "build_gram",
     "fit",
     "predict",
     "log_marginal_likelihood_and_grad",
@@ -204,6 +206,27 @@ def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSe
     )
 
 
+def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
+    """n-by-n covariance matrix K[i, j] = k(x[i], x[j]), laid out from :func:`prepare_series` as in :func:`fit`.
+
+    Symmetric by construction; the WN term lands on the diagonal and on any
+    exact duplicate time points.
+    """
+    values = theta.for_spec(spec)
+    series = prepare_series(spec, x, np.zeros(np.shape(x)))
+    slope = values[series.lin][1] if series.lin is not None else 0.0
+    column = lag_column(spec, values, grad_gram(spec, values, series.diffs), series.xx)
+    return _gram(series, column, math.sqrt(slope) * series.x)
+
+
+def _gram(series: PreparedSeries, column: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Gram of :func:`lag_column` on the prepared differences: Toeplitz plus v v^T on the grid, else pairs."""
+    n = series.x.size
+    if series.pairs is None:
+        return toeplitz_gram(column[:n], v)
+    return pairs_gram(column, series.pairs, n)
+
+
 def _cholesky_with_jitter(build: Callable[[], np.ndarray]) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + jitter I, factorized where ``build()`` laid K out.
 
@@ -254,15 +277,15 @@ def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = 
     after training) and ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
     Test points that continue the series' regular grid take one pass over
     the n + h lags (see the module docstring); any others take
-    ``build_cross`` and ``zero_lag_variance``, and the Gram comes from the
-    prepared differences, bit for bit ``build_gram``'s.
+    ``build_cross`` and ``zero_lag_variance``, and the Gram is laid out
+    from the prepared differences, as :func:`build_gram` lays it out.
     """
     spec, x, y, lin = series.spec, series.x, series.y, series.lin
     values = theta.for_spec(spec)
     x_star = np.empty(0) if x_star is None else _as_points(x_star, "x_star", allow_empty=True)
     lags = regular_lags(np.concatenate((x, x_star))) if series.pairs is None and x_star.size else None
     slope = values[lin][1] if lin is not None else 0.0
-    if lags is None:  # the Gram from the prepared differences, as the objective lays it out
+    if lags is None:  # the covariance at the prepared differences, as the objective sums it
         column = lag_column(spec, values, grad_gram(spec, values, series.diffs), series.xx)
         cross, prior_variance = build_cross(spec, theta, x_star, x), zero_lag_variance(spec, theta, x_star)
     else:  # the lags of the test points continue the training lags, whose bits they keep
@@ -271,11 +294,8 @@ def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = 
         cross = toeplitz_cross(column, slope, x_star, x)
         lag_zero = np.broadcast_to(partials[:, :1], (partials.shape[0], x_star.size))
         prior_variance = lag_column(spec, values, lag_zero, x_star * x_star, noise=False)
-    if series.pairs is None:
-        v = np.sqrt(slope) * x if lin is not None else None
-        lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column[: x.size], v))
-    else:
-        lower, jitter = _cholesky_with_jitter(lambda: pairs_gram(column, series.pairs, x.size))
+    v = math.sqrt(slope) * x
+    lower, jitter = _cholesky_with_jitter(lambda: _gram(series, column, v))
     alpha = cho_solve((lower, True), y, check_finite=False)
     return FitState(
         chol_lower=lower,
@@ -311,11 +331,12 @@ def log_marginal_likelihood_and_grad(values: Sequence[float], series: PreparedSe
     """
     spec, x, y, lin = series.spec, series.x, series.y, series.lin
     bias, slope = values[lin] if lin is not None else (0.0, 0.0)
+    v = math.sqrt(slope) * x  # LIN's slope vector, zero without LIN
     partials = grad_gram(spec, values, series.diffs)  # the one pass over the terms, values included
     column = lag_column(spec, values, partials, series.xx)
     if series.pairs is not None:  # every pair i >= j once, off-diagonal pairs counted twice
         i, j = series.pairs
-        lower, jitter = _cholesky_with_jitter(lambda: pairs_gram(column, series.pairs, y.size))
+        lower, jitter = _cholesky_with_jitter(lambda: _gram(series, column, v))
         a = cho_solve((lower, True), y, check_finite=False)
         lml = _log_mvn(lower, y, a)
         # dpotri writes the lower triangle of K^-1 over the factor, which is not needed after it
@@ -326,7 +347,6 @@ def log_marginal_likelihood_and_grad(values: Sequence[float], series: PreparedSe
         trace_inv = float(np.trace(inv_lower))
         x_inv_x = float(x @ dsymv(1.0, inv_lower, x, lower=1)) if slope else 0.0
     else:  # W's diagonal sums: a's autocorrelation minus K^-1's, off-diagonals counted twice
-        v = math.sqrt(slope) * x if lin is not None else None
         noise = values[series.noise] if series.noise is not None else 0.0
         solved = _levinson_solve(column, v, y, noise) or _cholesky_grid_solve(column, v, y)
         lml, a, jitter, g, p, beta = solved
@@ -353,13 +373,13 @@ def log_marginal_likelihood_and_grad(values: Sequence[float], series: PreparedSe
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails a check below
 def _levinson_solve(
-    column: np.ndarray, v: np.ndarray | None, y: np.ndarray, noise: float
-) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray | None, float] | None:
+    column: np.ndarray, v: np.ndarray, y: np.ndarray, noise: float
+) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray, float] | None:
     """(lml, a = K^-1 y, jitter, g = T^-1 e_0, p = K^-1 v, beta = 1 - v^T p) for K = T + v v^T.
 
     T is the symmetric Toeplitz matrix of ``column`` (from :func:`lag_column`)
-    plus the base jitter, v = sqrt(s2_lin) x, or None without LIN, when p
-    is None and beta 1.  One Yule-Walker Levinson-Durbin recursion on T's
+    plus the base jitter and v = sqrt(s2_lin) x (zero without LIN, when p
+    is zero and beta 1).  One Yule-Walker Levinson-Durbin recursion on T's
     column gives the reflection coefficients phi_k, the prediction errors
     E_k = T_00 prod_{j <= k} (1 - phi_j^2), which are the squared diagonal
     of T's Cholesky factor (so log det T = sum log E_k), and the predictor
@@ -381,7 +401,7 @@ def _levinson_solve(
     """
     n = y.size
     column_0 = float(column[0])
-    jitter = JITTER_START * (column_0 + float(v @ v) / n if v is not None else column_0)  # K's mean diagonal
+    jitter = JITTER_START * (column_0 + float(v @ v) / n)  # K's mean diagonal
     t0 = column_0 + jitter
     if not math.isfinite(t0):
         return None
@@ -396,16 +416,13 @@ def _levinson_solve(
     z = np.concatenate(([0.0], g[:0:-1]))
     t_inv_y = _gohberg_semencul_solve(g, z, y)
     log_det = n * math.log(t0) + float(np.log(ratio).sum())
-    if v is None:
-        a, p, denom = t_inv_y, None, 1.0
-    else:
-        t_inv_v = _gohberg_semencul_solve(g, z, v)
-        denom = 1.0 + float(v @ t_inv_v)
-        if not (math.isfinite(denom) and denom > 0.0):
-            return None
-        p = t_inv_v / denom
-        a = t_inv_y - float(v @ t_inv_y) * p
-        log_det += math.log(denom)
+    t_inv_v = _gohberg_semencul_solve(g, z, v)
+    denom = 1.0 + float(v @ t_inv_v)
+    if not (math.isfinite(denom) and denom > 0.0):
+        return None
+    p = t_inv_v / denom
+    a = t_inv_y - float(v @ t_inv_y) * p
+    log_det += math.log(denom)
     lml = -0.5 * float(y @ a) - 0.5 * log_det - 0.5 * n * _LOG_2PI
     if not math.isfinite(lml):
         return None
@@ -437,23 +454,19 @@ def _levinson(column: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray] | 
 
 
 def _cholesky_grid_solve(
-    column: np.ndarray, v: np.ndarray | None, y: np.ndarray
-) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray | None, float]:
+    column: np.ndarray, v: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray, float]:
     """:func:`_levinson_solve`'s result from a Cholesky factor of the Gram laid out from ``column``.
 
-    The Gram is T plus, with LIN, v v^T.  One solve with the factor gives
-    a = K^-1 y, q = K^-1 e_0 and, with LIN, p = K^-1 v; with
+    The Gram is T plus v v^T.  One solve with the factor gives
+    a = K^-1 y, q = K^-1 e_0 and p = K^-1 v; with
     beta = 1 - v^T p, Sherman-Morrison gives g = T^-1 e_0 = q + p p_0 / beta.
     K positive definite means beta > 0; its failing means rounding has
     swamped the solve.
     """
     lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column, v))
-    rhs = np.zeros((y.size, 2 if v is None else 3), order="F")
-    rhs[:, 0], rhs[0, 1] = y, 1.0
-    if v is None:
-        a, g = cho_solve((lower, True), rhs, check_finite=False).T
-        return _log_mvn(lower, y, a), a, jitter, g, None, 1.0
-    rhs[:, 2] = v
+    rhs = np.zeros((y.size, 3), order="F")
+    rhs[:, 0], rhs[0, 1], rhs[:, 2] = y, 1.0, v
     a, q, p = cho_solve((lower, True), rhs, check_finite=False).T
     beta = 1.0 - float(v @ p)
     if not (np.isfinite(beta) and beta > 0.0):
@@ -474,11 +487,11 @@ def _gohberg_semencul_solve(g: np.ndarray, z: np.ndarray, b: np.ndarray) -> np.n
 
 
 def _toeplitz_plus_rank1_inverse_sums(
-    g: np.ndarray, p: np.ndarray | None, beta: float, index: np.ndarray, lengths: np.ndarray
+    g: np.ndarray, p: np.ndarray, beta: float, index: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
     """Subdiagonal sums l = 0 .. n-1 of K^-1, for K = T + v v^T, from g = T^-1 e_0, p = K^-1 v and beta = 1 - v^T p.
 
-    T is symmetric Toeplitz (with the jitter), p is None when v is, ``index`` is
+    T is symmetric Toeplitz (with the jitter), p is zero when v is, ``index`` is
     m = 0 .. n-1 and ``lengths`` n - m.  Sherman-Morrison gives
     K^-1 = T^-1 - p p^T / beta, Gohberg-Semencul T^-1 = (G G^T - Z Z^T) / g_0,
     G and Z lower-triangular Toeplitz with first columns g and
@@ -493,7 +506,7 @@ def _toeplitz_plus_rank1_inverse_sums(
     if not (math.isfinite(g0) and g0 > 0.0):
         raise IllConditionedModelError(f"inverse of the Toeplitz part is not positive (g0 {g0!r})")
     sums = (lengths * _correlation(g, g) - 2.0 * _correlation(g, index * g)) / g0
-    return sums if p is None else sums - _correlation(p, p) / beta
+    return sums - _correlation(p, p) / beta
 
 
 def predict(state: FitState) -> PredictiveDistribution:

@@ -37,7 +37,8 @@ Toeplitz matrix plus LIN's slope, a rank-1 update in place, and
 :func:`toeplitz_cross` lays out the cross-covariance of test points that
 continue the grid; on other inputs :func:`pairs_gram` lays out the
 covariance at each pair of points (:func:`point_pairs`).
-:func:`build_gram`, ``gp.fit`` and the objective share these layouts.
+``gp.build_gram``, ``gp.fit`` and the objective lay the Gram out from a
+prepared series with these.
 
 Hyperparameters are always positive; optimization happens in log space, so
 every partial in this module is taken with respect to ``log(parameter)``.
@@ -59,8 +60,6 @@ __all__ = [
     "Term",
     "KernelSpec",
     "HyperParams",
-    "eval_kernel",
-    "build_gram",
     "build_cross",
     "zero_lag_variance",
     "Differences",
@@ -283,6 +282,9 @@ def term_parts(term: Term, p: Sequence[float], d: Differences) -> tuple[np.ndarr
     raise AssertionError(kind)
 
 
+# A tiny lengthscale or cosine period overflows a ratio, and a huge variance a
+# product: the limit is the value (exp(-inf) = 0), or non-finite and the check raises.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def grad_gram(spec: KernelSpec, values: Sequence[float], d: Differences) -> np.ndarray:
     """Partials of the stationary terms w.r.t. the log of each of their trainables.
 
@@ -326,52 +328,22 @@ def _check_finite(out: np.ndarray, what: str) -> None:
         raise InvalidHyperparameterError(f"{what} produced non-finite covariance values")
 
 
-def eval_kernel(spec: KernelSpec, theta: HyperParams, x1: float, x2: float) -> float:
-    """Covariance between two time points (in years) under the composition.
-
-    The WN term contributes only when ``x1 == x2`` exactly; time indices are
-    built from integer steps so equality of repeated points is well defined.
-    """
-    a, b = float(x1), float(x2)
-    return float(_covariance(spec, theta.for_spec(spec), np.array([a - b]), a * b)[0])
-
-
-def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
-    """n-by-n covariance matrix K[i, j] = k(x[i], x[j]).
-
-    On a regular grid (see :func:`regular_lags`) the first column, from
-    :func:`lag_column`, is laid out by :func:`toeplitz_gram`.  Otherwise
-    :func:`lag_column` gives the covariance at each pair of points
-    (:func:`point_pairs`), laid out by :func:`pairs_gram`.  Symmetric by
-    construction either way.  The WN term lands on the diagonal and on any
-    exact duplicate time points.
-    """
-    x = _as_points(x, "x")
-    values = theta.for_spec(spec)
-    lags = regular_lags(x)
-    if lags is None:
-        pairs, d, xx = point_pairs(x)
-        return pairs_gram(_covariance(spec, values, d, xx), pairs, x.size)
-    return toeplitz_gram(_covariance(spec, values, lags), np.sqrt(theta.s2_lin) * x if spec.has("LIN") else None)
-
-
-def toeplitz_gram(column: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """The symmetric Toeplitz matrix of ``column`` plus v v^T (when v is given), Fortran-ordered.
+def toeplitz_gram(column: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix of ``column`` plus v v^T, Fortran-ordered.
 
     On a regular grid that is the Gram, with ``column`` from
-    :func:`lag_column` and v = sqrt(s2_lin) x: LIN's slope s2_lin x x^T is
-    added in place as a rank-1 update, which keeps the matrix exactly
-    symmetric.
+    :func:`lag_column` and v = sqrt(s2_lin) x (zero without LIN): LIN's
+    slope s2_lin x x^T is added in place as a rank-1 update, which keeps
+    the matrix exactly symmetric.
     """
     # row i of the reversed windows of (c[n-1], ..., c[1], c[0], ..., c[n-1]) is c[|i - j|]
     windows = sliding_window_view(np.concatenate((column[:0:-1], column)), column.size)[::-1]
-    gram = np.ascontiguousarray(windows).T  # symmetric, so its transpose is itself
-    if v is not None:
-        gram = dger(1.0, v, v, a=gram, overwrite_a=1)
+    gram = dger(1.0, v, v, a=np.ascontiguousarray(windows).T, overwrite_a=1)  # symmetric: its transpose is itself
     _check_finite(gram, "build_gram")
     return gram
 
 
+@np.errstate(over="ignore")  # a huge s2_lin overflows its slope to inf, which fails the check
 def toeplitz_cross(column: np.ndarray, s2_lin: float, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
     """:func:`build_cross` for test points x* that continue a regular grid x of n points, from its n + m lags.
 
@@ -406,6 +378,7 @@ def pairs_gram(values: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], n: int)
     return gram
 
 
+@np.errstate(over="ignore")  # huge variances overflow their sum to inf, which fails the check
 def lag_column(
     spec: KernelSpec, values: Sequence[float], partials: np.ndarray, xx: np.ndarray | float = 0.0, noise: bool = True
 ) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from gpforecast import (
     SeriesEntry,
     SeriesFailure,
     SeriesScore,
+    Standardizer,
     TimeSeries,
     emit_report,
     load_csv,
@@ -218,6 +220,32 @@ class TestRunBenchmark:
         )
         with pytest.raises(TypeError, match="a bug"):
             run_benchmark(Dataset(entries=entries), parallelism=parallelism)
+
+    def test_original_units_are_an_affine_map_of_standardized_ones(self):
+        # the forecast is made in standardized units either way: in the
+        # series' own units MAE and CRPS scale by its training std and the
+        # log-likelihood shifts by -log(std)
+        rng = np.random.default_rng(9)
+        t = np.arange(52) / 4.0
+        entries = tuple(
+            SeriesEntry(
+                name=f"s{i}",
+                series=TimeSeries(
+                    values=shift + scale * (0.2 * t + np.sin(2 * np.pi * t) + 0.3 * rng.standard_normal(52)),
+                    steps_per_year=4.0,
+                ),
+                test_length=8,
+            )
+            for i, (scale, shift) in enumerate([(1.0, 0.0), (250.0, -40.0), (3e-3, 7.0)])
+        )
+        standardized = run_benchmark(Dataset(entries=entries))
+        original = run_benchmark(Dataset(entries=entries), standardized_units=False)
+        assert len(standardized.scores) == len(original.scores) == 3
+        for entry, a, b in zip(entries, standardized.scores, original.scores):
+            std = Standardizer.fit(entry.series.values[: -entry.test_length]).std
+            assert b.report.mae == pytest.approx(std * a.report.mae, rel=1e-9)
+            assert b.report.crps == pytest.approx(std * a.report.crps, rel=1e-9)
+            assert b.report.ll == pytest.approx(a.report.ll - math.log(std), rel=1e-9)
 
     def test_all_failures_leaves_none_medians(self):
         entries = (

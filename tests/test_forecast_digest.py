@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,20 @@ def test_compare_sums_the_optimizer_counts_and_reports_the_objective_moves(tmp_p
     )
     rose = compare(tmp_path, {**RECORD, "objective": -12.0})
     assert "objective: 1 series rose, 0 fell by more than 1e-06\n" in rose.stdout
+
+
+def test_digest_fails_on_a_runtime_warning(monkeypatch):
+    # non-convergence warnings are ignored, numerical ones stop the digest
+    spec = importlib.util.spec_from_file_location("forecast_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # digest() puts src and perfbench first
+
+    import gpforecast.forecasting
+
+    def overflowing(*args, **kwargs):
+        warnings.warn("overflow encountered in multiply", RuntimeWarning)
+
+    monkeypatch.setattr(gpforecast.forecasting, "standardized_posterior", overflowing)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        next(tool.digest())

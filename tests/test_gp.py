@@ -247,7 +247,7 @@ class TestRegularGrid:
         for s2_noise in np.logspace(-7, -1, 4):
             theta = medians.replace(s2_noise=float(s2_noise))
             column = lag_column(spec, theta.values, grad_gram(spec, theta.values, series.diffs))
-            v = math.sqrt(theta.s2_lin) * x if lin else None
+            v = math.sqrt(theta.s2_lin) * x if lin else np.zeros(n)
             levinson = gp._levinson_solve(column, v, series.y, theta.s2_noise)
             if levinson is not None:  # T with diagonal column[0] + jitter, plus v v^T
                 on_levinson += 1
@@ -314,10 +314,8 @@ class TestRegularGrid:
             map_objective(FULL_SPEC, PRIORS, theta, x, y)
 
     @pytest.mark.parametrize("n", [60, 132])
-    def test_objective_without_lin_matches_dense_oracle_in_seven_correlations(self, n, monkeypatch):
-        # without LIN, v = 0: the Levinson path skips v's Gohberg-Semencul
-        # solve (two correlations, two convolutions) and corr(p, p), so it
-        # makes 7 of the 12 O(n^2) calls an evaluation with LIN makes
+    def test_objective_without_lin_matches_dense_oracle(self, n, monkeypatch):
+        # without LIN, v = 0 on the Levinson path
         full = default_spec("single-seasonal")
         spec = KernelSpec(terms=tuple(t for t in full.terms if t.kind != "LIN"))
         rng = np.random.default_rng(n)
@@ -331,14 +329,9 @@ class TestRegularGrid:
         for _ in range(3):
             # s2_noise well above the conditioning bound keeps Levinson's path
             theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=0.05)
-            calls = []
             with monkeypatch.context() as patched:
-                for name in ("correlate", "convolve"):
-                    real = getattr(np, name)
-                    patched.setattr(np, name, lambda *a, real=real, **k: calls.append(None) or real(*a, **k))
                 patched.setattr(gp, "cholesky", refuse)
                 value, grad = log_marginal_likelihood_and_grad(theta.values, series)
-            assert len(calls) == 7
             assert abs(value - oracles.dense_log_mvn(dense_jittered_gram(spec, theta, x), y)) <= 1e-8
 
             def lml(u_vec, spec=spec, series=series):
@@ -532,6 +525,19 @@ class TestFitState:
             np.testing.assert_array_equal(state.chol_lower, lower)
             np.testing.assert_array_equal(state.alpha, alpha)
             assert state.jitter == jitter and state.log_marginal == gp._log_mvn(lower, y, alpha)
+
+    def test_jitter_gives_up_on_an_indefinite_gram(self):
+        # no jitter up to JITTER_MAX makes [[1, 2], [2, 1]] (eigenvalues 3 and -1)
+        # positive definite; each level factorizes a fresh layout
+        builds = []
+
+        def build():
+            builds.append(None)
+            return np.array([[1.0, 2.0], [2.0, 1.0]], order="F")
+
+        with pytest.raises(IllConditionedModelError, match="not positive definite"):
+            gp._cholesky_with_jitter(build)
+        assert len(builds) == round(math.log10(gp.JITTER_MAX / JITTER_START)) + 1 == 7
 
     def test_base_jitter_scale(self):
         x = np.arange(4.0)

@@ -15,7 +15,6 @@ from gpforecast import (
     build_gram,
     default_priors,
     default_spec,
-    eval_kernel,
     fit,
     map_objective,
     median_hyperparams,
@@ -37,32 +36,41 @@ def single_term_spec(kind: str) -> KernelSpec:
     return KernelSpec(terms=(Term(kind, period=period),))
 
 
-class TestEvalKernel:
+def covariance(spec, theta, x1, x2):
+    """k(x1, x2) as the library computes it: the Gram of one point, or the cross-covariance of two."""
+    if x1 == x2:
+        return float(build_gram(spec, theta, np.array([x1]))[0, 0])
+    return float(build_cross(spec, theta, np.array([x1]), np.array([x2]))[0, 0])
+
+
+class TestKernelValues:
     def test_rbf_zero_lag_equals_variance(self):
         spec = single_term_spec("RBF")
         for ell in (0.1, 1.0, 7.3):
             theta = HyperParams.of(spec, s2_rbf=2.0, ell_rbf=ell)
-            assert eval_kernel(spec, theta, 1.3, 1.3) == 2.0
+            assert covariance(spec, theta, 1.3, 1.3) == 2.0
 
     def test_periodic_exact_periodicity(self):
         spec = single_term_spec("PER")
         theta = HyperParams.of(spec, s2_per=0.8, ell_per=1.5)
         for x in (0.0, 0.3, 2.7):
-            assert abs(eval_kernel(spec, theta, x, x + 1.0) - eval_kernel(spec, theta, x, x)) <= 1e-12
+            assert abs(covariance(spec, theta, x, x + 1.0) - covariance(spec, theta, x, x)) <= 1e-12
 
     def test_full_composition_matches_frozen_scalar_oracle(self):
         # prior medians, lag |x1 - x2| = 0.5; value frozen from the scalar
-        # re-implementation in oracles.py
-        value = eval_kernel(FULL_SPEC, MEDIANS, 2.0, 1.5)
+        # re-implementation in oracles.py, read off both layouts of the Gram
+        value = oracles.composition_value(FULL_SPEC, MEDIANS, 2.0, 1.5)
         assert value == pytest.approx(1.518181965213779, abs=1e-12)
-        assert value == pytest.approx(oracles.composition_value(FULL_SPEC, MEDIANS, 2.0, 1.5), abs=1e-12)
+        for x in ([1.5, 2.0], [2.0, 1.5]):  # a regular grid, then pairs
+            assert build_gram(FULL_SPEC, MEDIANS, np.array(x))[1, 0] == pytest.approx(value, abs=1e-12)
+        assert covariance(FULL_SPEC, MEDIANS, 2.0, 1.5) == pytest.approx(value, abs=1e-12)
 
     def test_rejects_nonpositive_and_missing_parameters(self):
         spec = single_term_spec("RBF")
         with pytest.raises(InvalidHyperparameterError):
             HyperParams.of(spec, s2_rbf=-1.0, ell_rbf=1.0)
         with pytest.raises(InvalidHyperparameterError):
-            eval_kernel(spec, HyperParams(("s2_rbf",), (1.0,)), 0.0, 1.0)
+            covariance(spec, HyperParams(("s2_rbf",), (1.0,)), 0.0, 1.0)
         with pytest.raises(InvalidHyperparameterError):
             HyperParams.of(spec, s2_rbf=float("inf"), ell_rbf=1.0)
 
@@ -79,27 +87,31 @@ class TestZeroLag:
         ]
         for kind, named, expected in cases:
             spec = single_term_spec(kind)
-            assert eval_kernel(spec, HyperParams.of(spec, **named), x, x) == pytest.approx(expected, rel=1e-15)
+            assert covariance(spec, HyperParams.of(spec, **named), x, x) == pytest.approx(expected, rel=1e-15)
 
     def test_linear_zero_lag(self):
         spec = single_term_spec("LIN")
         theta = HyperParams.of(spec, s2_bias=0.4, s2_lin=0.25)
         x = 3.0
-        assert eval_kernel(spec, theta, x, x) == pytest.approx(0.4 + 0.25 * x * x)
+        assert covariance(spec, theta, x, x) == pytest.approx(0.4 + 0.25 * x * x)
 
     def test_zero_lag_variance_excludes_noise(self):
         x = np.array([0.0, 1.25])
         sig = zero_lag_variance(FULL_SPEC, MEDIANS, x)
         for i, xi in enumerate(x):
-            assert sig[i] + MEDIANS.s2_noise == pytest.approx(eval_kernel(FULL_SPEC, MEDIANS, xi, xi), abs=1e-14)
+            expected = oracles.composition_value(FULL_SPEC, MEDIANS, xi, xi)
+            assert sig[i] + MEDIANS.s2_noise == pytest.approx(expected, abs=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), x1=st.floats(-40.0, 40.0), x2=st.floats(-40.0, 40.0))
 def test_symmetry_is_exact(seed, x1, x2):
+    # the cross-covariance, not the two points' Gram: that takes the Toeplitz
+    # layout in one order and the pairs in the other, which round apart
     rng = np.random.default_rng(seed)
     theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng, clip_sigmas=3.0)
-    assert eval_kernel(FULL_SPEC, theta, x1, x2) == eval_kernel(FULL_SPEC, theta, x2, x1)
+    one, other = np.array([x1]), np.array([x2])
+    assert build_cross(FULL_SPEC, theta, one, other) == build_cross(FULL_SPEC, theta, other, one)
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,9 +130,9 @@ def test_periodicity_holds_for_integer_multiples():
     spec = single_term_spec("PER")
     theta = HyperParams.of(spec, s2_per=1.1, ell_per=0.9)
     for x in (0.0, 0.37, 5.2):
-        base = eval_kernel(spec, theta, x, x)
+        base = covariance(spec, theta, x, x)
         for j in (1, 2, 3, 7):
-            assert abs(eval_kernel(spec, theta, x, x + j * 1.0) - base) <= 1e-10
+            assert abs(covariance(spec, theta, x, x + j * 1.0) - base) <= 1e-10
 
 
 def test_sm_converges_to_rbf_for_huge_tau():
@@ -128,10 +140,10 @@ def test_sm_converges_to_rbf_for_huge_tau():
     rbf_spec = single_term_spec("RBF")
     sm_theta = HyperParams.of(sm_spec, s2_sm1=0.7, ell_sm1=1.3, tau_sm1=1e8)
     rbf_theta = HyperParams.of(rbf_spec, s2_rbf=0.7, ell_rbf=1.3)
-    for lag in np.linspace(-4.0, 4.0, 17):
-        sm = eval_kernel(sm_spec, sm_theta, 0.0, lag)
-        rbf = eval_kernel(rbf_spec, rbf_theta, 0.0, lag)
-        assert abs(sm - rbf) <= 1e-8
+    origin, lags = np.zeros(1), np.linspace(-4.0, 4.0, 17)
+    sm = build_cross(sm_spec, sm_theta, origin, lags)
+    rbf = build_cross(rbf_spec, rbf_theta, origin, lags)
+    assert np.max(np.abs(sm - rbf)) <= 1e-8
 
 
 class TestBuildGram:
@@ -139,7 +151,7 @@ class TestBuildGram:
         gram = build_gram(FULL_SPEC, MEDIANS, np.array([0.5]))
         assert gram.shape == (1, 1)
         assert gram[0, 0] > 0
-        assert gram[0, 0] == pytest.approx(eval_kernel(FULL_SPEC, MEDIANS, 0.5, 0.5), abs=1e-14)
+        assert gram[0, 0] == pytest.approx(oracles.composition_value(FULL_SPEC, MEDIANS, 0.5, 0.5), abs=1e-14)
 
     def test_rbf_three_points_positive_definite(self):
         spec = single_term_spec("RBF")
@@ -154,7 +166,6 @@ class TestBuildGram:
         gram = build_gram(FULL_SPEC, MEDIANS, x)
         for i in range(4):
             for j in range(4):
-                assert gram[i, j] == pytest.approx(eval_kernel(FULL_SPEC, MEDIANS, x[i], x[j]), abs=1e-12)
                 expected = oracles.composition_value(FULL_SPEC, MEDIANS, x[i], x[j])
                 assert gram[i, j] == pytest.approx(expected, abs=1e-12)
 
@@ -457,8 +468,8 @@ def test_from_log_rejects_each_invalid_trainable(bad_u):
 
 
 ENTRY_POINTS = {
-    "eval_kernel": lambda theta: eval_kernel(DOUBLE_SPEC, theta, 0.0, 0.5),
     "build_gram": lambda theta: build_gram(DOUBLE_SPEC, theta, GRID),
+    "build_gram-pairs": lambda theta: build_gram(DOUBLE_SPEC, theta, GRID[::-1]),
     "build_cross": lambda theta: build_cross(DOUBLE_SPEC, theta, np.array([0.5]), GRID),
     "zero_lag_variance": lambda theta: zero_lag_variance(DOUBLE_SPEC, theta, GRID),
     "fit": lambda theta: fit(theta, prepare_series(DOUBLE_SPEC, GRID, np.zeros(GRID.size))),

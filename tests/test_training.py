@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import oracles
 from gpforecast import (
     HyperParams,
     InvalidHyperparameterError,
+    IllConditionedModelError,
     KernelSpec,
     PriorSpec,
     Term,
@@ -18,6 +20,7 @@ from gpforecast import (
     log_prior,
     map_objective,
     median_hyperparams,
+    predict,
     train,
 )
 from gpforecast import gp, kernels, training
@@ -140,6 +143,33 @@ class TestMapObjective:
         result = train(FULL_SPEC, PRIORS, x, y)
         assert len(made) == 1 and result.nfev == len(evaluated) > 1 and result.penalty_evals == 0
         assert len(parts) == result.nfev * sum(t.kind != "LIN" for t in FULL_SPEC.terms)
+
+    @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
+    def test_every_power_of_ten_is_finite_or_rejected_without_a_warning(self, mode):
+        # each trainable alone at 10^k: a tiny lengthscale or cosine period
+        # overflows a ratio inside its term, a huge variance a product or a
+        # sum, and either gives the limit's finite value or rejects theta,
+        # in the objective and in a forecast's fit and predict alike
+        spec = default_spec(mode)
+        medians = median_hyperparams(spec, PRIORS)
+        x, y = sine_series(24)
+        series, x_star = prepare_series(spec, x, y), 2.0 + np.arange(6) / 12.0
+
+        def forecast(theta):
+            posterior = predict(fit(theta, series, x_star))
+            return posterior.mean, posterior.observation_variance
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in spec.trainable_names():
+                for k in [*range(-323, 309, 3), 308]:
+                    theta = medians.replace(**{name: 10.0**k})
+                    for evaluate in (lambda: map_objective(spec, PRIORS, theta, x, y), lambda: forecast(theta)):
+                        try:
+                            out = evaluate()
+                        except (InvalidHyperparameterError, IllConditionedModelError):
+                            continue
+                        assert all(np.isfinite(part).all() for part in out), (name, k)
 
 
 def record_evaluations(monkeypatch):
@@ -323,6 +353,30 @@ class TestTrain:
         calls = record_evaluations(monkeypatch)
         result = train(FULL_SPEC, PRIORS, x, y, TrainConfig(restarts=restarts, seed=5))
         assert result.nfev == len(calls) >= result.iterations > 0
+
+    def test_an_evaluation_that_raises_is_a_penalty_and_never_the_result(self, monkeypatch):
+        # the objective raises on the first trial step and on the point the
+        # line search backs off to: each is one penalty evaluation, and train
+        # returns the best of the points it did evaluate
+        x, y = sine_series(36)
+        real_evaluate = training._evaluate
+        raising = {2: IllConditionedModelError, 3: InvalidHyperparameterError}
+        calls, evaluated = [], []  # evaluated: (theta's values, objective) of each call that returned
+
+        def rigged(theta, series, columns):
+            calls.append(None)
+            if len(calls) in raising:
+                raise raising[len(calls)]("rigged")
+            value, grad = real_evaluate(theta, series, columns)
+            evaluated.append((tuple(theta.tolist()), value))
+            return value, grad
+
+        monkeypatch.setattr(training, "_evaluate", rigged)
+        result = train(FULL_SPEC, PRIORS, x, y)
+        assert result.penalty_evals == len(raising)
+        assert result.nfev == len(calls) == len(evaluated) + len(raising)
+        best_values, best = max(evaluated, key=lambda e: e[1])
+        assert result.theta.values == best_values and result.objective == best
 
     def test_overflowing_trial_point_is_a_penalty(self, monkeypatch):
         # exp(800) overflows to inf, which the hyperparameter check rejects

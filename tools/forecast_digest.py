@@ -9,7 +9,8 @@ Each line is one series of a perfbench workload (every workload, one
 copy of its design, at seeds 1 and 20201): the trained theta, the MAP
 objective there, iterations, nfev and converged, and the standardized
 predictive means and observation variances, every float written so that
-it reads back bit for bit.  The program is imported from the checkout's
+it reads back bit for bit.  A RuntimeWarning (an overflow, a division by
+zero, an invalid value) stops the digest with that warning as an error.  The program is imported from the checkout's
 ``src``, the series from ``perfbench/workloads.py``.  Two digests are
 compared with
 
@@ -48,6 +49,7 @@ def digest():
     from gpforecast.forecasting import TimeSeries, standardized_posterior
 
     warnings.simplefilter("ignore")  # non-convergence warnings; the converged flag is recorded
+    warnings.simplefilter("error", RuntimeWarning)  # but a numerical warning fails the digest
     for name, workload in workloads.WORKLOADS.items():
         for seed in SEEDS:
             for series_name, values in workloads.generate(name, seed):
