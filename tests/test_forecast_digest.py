@@ -23,11 +23,11 @@ RECORD = {
 }
 
 
-def compare(tmp_path, change):
+def compare(tmp_path, change, parent=(RECORD,)):
     paths = []
-    for name, record in (("parent", RECORD), ("change", change)):
+    for name, records in (("parent", parent), ("change", change if isinstance(change, list) else [change])):
         path = tmp_path / f"{name}.jsonl"
-        path.write_text(json.dumps(record) + "\n")
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
         paths.append(str(path))
     return subprocess.run([sys.executable, str(TOOL), "--compare", *paths], capture_output=True, text=True)
 
@@ -66,6 +66,24 @@ def test_compare_sums_the_optimizer_counts_and_reports_the_objective_moves(tmp_p
     )
     rose = compare(tmp_path, {**RECORD, "objective": -12.0})
     assert "objective: 1 series rose, 0 fell by more than 1e-06\n" in rose.stdout
+
+
+def test_compare_reports_nfev_objective_falls_and_converged_flips_per_workload(tmp_path):
+    hourly = {**RECORD, "workload": "six-hourly-double", "series": "h-112-0", "nfev": 30, "converged": False}
+    change = [
+        {**RECORD, "objective": -12.502, "nfev": 8, "converged": False},
+        {**hourly, "objective": -12.5005, "nfev": 31, "converged": True},
+    ]
+    run = compare(tmp_path, change, parent=[RECORD, hourly])
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert (
+        "monthly-forecast: nfev summed 9 -> 8, rose on 0 series; objective fell by more than 0.001 on 1 series,"
+        " largest 0.002 (seed 1 m-48-0); converged flipped true -> false on 1, false -> true on 0\n"
+    ) in run.stdout
+    assert (
+        "six-hourly-double: nfev summed 30 -> 31, rose on 1 series; objective fell by more than 0.001 on 0 series;"
+        " converged flipped true -> false on 0, false -> true on 1\n"
+    ) in run.stdout
 
 
 def test_digest_fails_on_a_runtime_warning(monkeypatch):

@@ -13,6 +13,7 @@ from gpforecast import (
     KernelSpec,
     PriorSpec,
     Term,
+    TimeSeries,
     TrainConfig,
     default_priors,
     default_spec,
@@ -24,6 +25,7 @@ from gpforecast import (
     train,
 )
 from gpforecast import gp, kernels, training
+from gpforecast.forecasting import standardized_posterior
 from gpforecast.gp import JITTER_START, prepare_series
 
 FULL_SPEC = default_spec("single-seasonal")
@@ -378,6 +380,31 @@ class TestTrain:
         best_values, best = max(evaluated, key=lambda e: e[1])
         assert result.theta.values == best_values and result.objective == best
 
+    @pytest.mark.parametrize("objective_tol", [TrainConfig().objective_tol, 1e-9], ids=["default", "1e-9"])
+    def test_a_stop_after_a_penalty_is_not_converged(self, monkeypatch, objective_tol):
+        # the penalty's zero gradient makes the line search back off to a step so
+        # small that the next evaluation passes the objective_tol test
+        x, y = sine_series(36)
+        config = TrainConfig(objective_tol=objective_tol)
+        clean = train(FULL_SPEC, PRIORS, x, y, config)
+        assert clean.converged and clean.penalty_evals == 0
+        assert clean.termination.startswith("CONVERGENCE") and "penalty" not in clean.termination
+        real_evaluate = training._evaluate
+        # the clean run evaluates 19 points at the default and 23 at 1e-9
+        for k in range(2, min(clean.nfev, 20) + 1):
+            calls = []
+
+            def rigged(theta, series, columns):
+                calls.append(None)
+                if len(calls) == k:
+                    raise IllConditionedModelError("rigged")
+                return real_evaluate(theta, series, columns)
+
+            monkeypatch.setattr(training, "_evaluate", rigged)
+            result = train(FULL_SPEC, PRIORS, x, y, config)
+            assert result.penalty_evals == 1 and not result.converged, k
+            assert result.termination.endswith(" after a penalty evaluation"), k
+
     def test_overflowing_trial_point_is_a_penalty(self, monkeypatch):
         # exp(800) overflows to inf, which the hyperparameter check rejects
         x, y = sine_series(24)
@@ -461,3 +488,29 @@ class TestSpeed:
         assert speed_run.seconds < 5.0, f"training took {speed_run.seconds:.2f}s (hard ceiling 5s)"
         # soft target: under a second on a commodity core
         print(f"train(n=115) took {speed_run.seconds:.3f}s, converged={speed_run.converged}")
+
+
+class TestStopDefault:
+    # the default objective_tol ends the tight run's optimizer path early: it
+    # must cost no more evaluations and give up almost nothing for them
+    @pytest.mark.parametrize(
+        "mode, steps_per_year, noise, n",
+        [("single-seasonal", 12.0, 0.1, 132), ("double-seasonal", 1461.0, 0.2, 224), ("double-seasonal", 1461.0, 0.0, 112)],
+        ids=["monthly-132", "six-hourly-224", "six-hourly-112-noise-free"],
+    )
+    def test_default_stop_is_close_to_a_tight_one(self, mode, steps_per_year, noise, n):
+        rng = np.random.default_rng(31)
+        i = np.arange(n)
+        if mode == "single-seasonal":
+            signal = np.sin(2 * np.pi * i / 12 + 0.4) + 0.5 * i / n
+        else:
+            signal = np.sin(2 * np.pi * i / 4 + 0.7) + 0.8 * np.sin(2 * np.pi * i / 28 + 2.1) + 0.3 * i / n
+        ts = TimeSeries(20.0 + 3.0 * (signal + noise * rng.standard_normal(n)), steps_per_year)
+        runs = [
+            standardized_posterior(ts, 18, config=config, mode=mode)
+            for config in (TrainConfig(), TrainConfig(objective_tol=1e-12))
+        ]
+        (default_posterior, _, default), (tight_posterior, _, tight) = runs
+        assert tight.objective - 5e-3 <= default.objective <= tight.objective
+        assert default.nfev <= tight.nfev
+        assert np.max(np.abs(default_posterior.mean - tight_posterior.mean)) <= 2e-3

@@ -20,9 +20,12 @@ which counts the series whose theta, objective, iterations, nfev or
 converged differ and reports the largest relative move of the means and
 of the variances.  It also prints each digest's iterations and nfev
 summed over the series, and how many series' objective rose or fell by
-more than 1e-6 nats, with the largest fall.  It exits 1 unless the two
-digests agree bit for bit: no series differs in those fields, and every
-series' means and variances are identical.
+more than 1e-6 nats, with the largest fall.  One line per workload then
+gives its nfev summed in each digest and on how many series it rose,
+how many series' objective fell by more than 1e-3 nats and the largest
+fall, and how many series' converged flag flipped, in each direction.
+It exits 1 unless the two digests agree bit for bit: no series differs
+in those fields, and every series' means and variances are identical.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ EXACT = ("theta", "objective", "iterations", "nfev", "converged")
 SUMMED = ("iterations", "nfev")
 # an objective move larger than this, in nats, counts as a rise or a fall
 OBJECTIVE_MOVE = 1e-6
+# per workload, an objective fall larger than this, in nats, is counted and the largest named
+WORKLOAD_FALL = 1e-3
 MOVED = ("mean", "variance")
 
 
@@ -93,6 +98,20 @@ def compare(parent_path: str, change_path: str) -> bool:
     fall, where = min(moves, key=lambda m: m[0])
     largest = f", largest fall {-fall:.3g} ({where['workload']} seed {where['seed']} {where['series']})" if fell else ""
     print(f"objective: {rose} series rose, {fell} fell by more than {OBJECTIVE_MOVE:g}{largest}")
+    for name in dict.fromkeys(r["workload"] for r in parent):
+        pairs = [(a, b) for a, b in zip(parent, change) if a["workload"] == name]
+        nfev = [sum(r["nfev"] for r in side) for side in zip(*pairs)]
+        more = sum(b["nfev"] > a["nfev"] for a, b in pairs)
+        falls = [(a["objective"] - b["objective"], a) for a, b in pairs]
+        falls = [(fall, a) for fall, a in falls if fall > WORKLOAD_FALL]
+        fall, where = max(falls, key=lambda f: f[0], default=(0.0, None))
+        largest = f", largest {fall:.3g} (seed {where['seed']} {where['series']})" if falls else ""
+        lost = sum(a["converged"] and not b["converged"] for a, b in pairs)
+        gained = sum(b["converged"] and not a["converged"] for a, b in pairs)
+        print(
+            f"{name}: nfev summed {nfev[0]} -> {nfev[1]}, rose on {more} series; objective fell by more than {WORKLOAD_FALL:g}"
+            f" on {len(falls)} series{largest}; converged flipped true -> false on {lost}, false -> true on {gained}"
+        )
     for field in MOVED:
         pairs = [(p, q) for a, b in zip(parent, change) for p, q in zip(a[field], b[field])]
         absolute = max(abs(q - p) for p, q in pairs)

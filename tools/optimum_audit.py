@@ -1,0 +1,90 @@
+"""Optimum audit: how far a single restart falls short of the best of five.
+
+Run from the root of a checkout:
+
+    OPENBLAS_NUM_THREADS=1 python tools/optimum_audit.py
+
+For every series of the perfbench designs (monthly-forecast at seeds 1 to
+10, 240 series; six-hourly-double at seeds 1, 2, 3 and 20201, 104
+series) it trains the forecast's model twice on the training part, as
+``standardized_posterior`` does: once with the default ``TrainConfig``
+(one restart, from the prior medians) and once with ``restarts=5``, whose
+first restart is that same start.  A series whose single restart ends
+more than 0.1 nats below the best of five is a miss.  Per workload it
+prints each miss, then the number of misses, the nats missed in total
+and the objective evaluations summed over the series, for one restart
+and for five.  Training is deterministic, so two runs of one checkout
+print the same lines.  ``--limit N`` audits only the first N series of
+each seed's design, for a quick look.  The program is imported from the
+checkout's ``src``, the series from ``perfbench/workloads.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = {"monthly-forecast": tuple(range(1, 11)), "six-hourly-double": (1, 2, 3, 20201)}
+RESTARTS = 5
+# a single restart that ends more than this many nats below the best of RESTARTS is a miss
+MISS = 0.1
+
+
+def audit(name: str, seeds, limit: int | None = None):
+    """One record per series: its seed and name, and each run's objective and nfev."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    from gpforecast.forecasting import TimeSeries, standardized_posterior
+    from gpforecast.training import TrainConfig
+
+    workload = workloads.WORKLOADS[name]
+    for seed in seeds:
+        for series_name, values in workloads.generate(name, seed)[:limit]:
+            ts = TimeSeries(values[: -workload.horizon], workload.steps_per_year)
+            runs = [
+                standardized_posterior(ts, workload.horizon, config=TrainConfig(restarts=r), mode=workload.mode)[2]
+                for r in (1, RESTARTS)
+            ]
+            yield {
+                "seed": seed,
+                "series": series_name,
+                "single": runs[0].objective,
+                "best": runs[1].objective,
+                "single_nfev": runs[0].nfev,
+                "best_nfev": runs[1].nfev,
+            }
+
+
+def report(name: str, records) -> None:
+    """Print the misses of one workload and its totals."""
+    records = list(records)
+    misses = [r for r in records if r["best"] - r["single"] > MISS]
+    for r in misses:
+        print(
+            f"{name} seed {r['seed']} {r['series']}: single {r['single']:.4f},"
+            f" best of {RESTARTS} {r['best']:.4f}, missed {r['best'] - r['single']:.4f}"
+        )
+    missed = sum(r["best"] - r["single"] for r in misses)
+    print(
+        f"{name}: {len(records)} series, {len(misses)} miss by more than {MISS:g} nats,"
+        f" {missed:.2f} nats in total; nfev summed {sum(r['single_nfev'] for r in records)} (one restart),"
+        f" {sum(r['best_nfev'] for r in records)} ({RESTARTS} restarts)",
+        flush=True,
+    )
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--workload", choices=[*SEEDS, "all"], default="all")
+    parser.add_argument("--limit", type=int, help="audit only the first N series of each seed's design")
+    args = parser.parse_args()
+    for name, seeds in SEEDS.items():
+        if args.workload in (name, "all"):
+            report(name, audit(name, seeds, args.limit))
+
+
+if __name__ == "__main__":
+    main()
