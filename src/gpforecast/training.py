@@ -4,7 +4,12 @@ The objective is the log of prior times marginal likelihood, maximized
 over ``u = log(theta)`` so positivity is structural.  :func:`map_objective`
 computes it and its gradient from one factorization; :func:`train` hands
 its negation to a quasi-Newton optimizer (L-BFGS-B with its built-in line
-search).  :func:`train` prepares the series and takes the spec's prior
+search).  :func:`minimize` drives L-BFGS-B's compiled step (scipy's
+``setulb``) itself: it takes the same iterates as
+``scipy.optimize.minimize``, keeps scipy's memo of the last evaluated
+point and its ``maxls`` and ``maxfun`` defaults, and skips scipy's
+per-evaluation wrapper, which costs about as much as a small
+evaluation.  :func:`train` prepares the series and takes the spec's prior
 columns once, and each evaluation maps the optimizer's u straight to the
 objective and gradient: exp(u), one check that every value is finite and
 > 0, the likelihood on the prepared series and the priors on log(exp(u)),
@@ -34,9 +39,11 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
+from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .gp import IllConditionedModelError, PreparedSeries, log_marginal_likelihood_and_grad, prepare_series
 from .kernels import HyperParams, InvalidHyperparameterError, KernelSpec
@@ -62,7 +69,10 @@ class TrainConfig:
     ``objective_tol`` (L-BFGS-B's ``ftol``) once an iteration's relative
     reduction (f_k - f_{k+1}) / max(|f_k|, |f_{k+1}|, 1) of the minimized
     f is at most it; a looser value changes no iterate and only ends the
-    same path earlier.  ``seed`` only matters for ``restarts > 1``.
+    same path earlier.  Being relative, the default gives up more nats as
+    the objective grows with n: at most 0.0042 against 1e-9 on the
+    benchmark series (n <= 336), up to 0.0093 on seeded six-hourly series
+    of n = 1461.  ``seed`` only matters for ``restarts > 1``.
     """
 
     max_iters: int = 200
@@ -131,6 +141,50 @@ def _evaluate(theta: np.ndarray, series: PreparedSeries, columns: np.ndarray) ->
     lml, lml_grad = log_marginal_likelihood_and_grad(theta.tolist(), series)
     u = np.log(theta)
     return lml + log_prior(columns, u), lml_grad + grad_log_prior(columns, u)
+
+
+def minimize(fun, u0: np.ndarray, callback, options: dict) -> SimpleNamespace:
+    """Minimize ``fun(u) -> (value, gradient)`` from ``u0`` by unbounded L-BFGS-B.
+
+    Drives scipy's compiled step ``setulb`` as ``scipy.optimize.minimize(fun,
+    u0, jac=True, method="L-BFGS-B", callback=callback, options=options)``
+    does, with its ``maxls`` (20) and ``maxfun`` (15000) defaults, so it
+    evaluates the same points and returns the same ``x``, ``fun``, ``nit``,
+    ``nfev``, ``status`` and ``message``.  ``options`` holds ``maxcor``,
+    ``maxiter``, ``ftol`` and ``gtol``.  As scipy's memo does, a point equal
+    to the last evaluated one gets that evaluation back, uncounted.
+    """
+    n, m, maxfun = u0.size, options["maxcor"], 15000
+    x, f, g = np.array(u0, dtype=float), 0.0, np.zeros(n)
+    free, nbd = np.zeros(n), np.zeros(n, np.int32)  # no bounds
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa, task, ln_task = np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = options["ftol"] / np.finfo(float).eps
+    evaluated = b""  # bytes of the last evaluated point
+    nit = nfev = 0
+    while True:
+        _lbfgsb.setulb(
+            m, x, free, free, nbd, f, g, factr, options["gtol"], wa, iwa, task, lsave, isave, dsave, 20, ln_task
+        )
+        if task[0] == 3:  # FG: evaluate at x, which setulb overwrites in place
+            point = x.tobytes()
+            if point != evaluated:
+                evaluated = point
+                f, g = fun(x.copy())
+                nfev += 1
+        elif task[0] == 1:  # NEW_X: an iteration is complete
+            nit += 1
+            callback(x)
+            if nit >= options["maxiter"]:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            break
+    status = 0 if task[0] == 4 else 1 if nit >= options["maxiter"] or nfev > maxfun else 2
+    message = f"{status_messages[task[0]]}: {task_messages[task[1]]}"
+    return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, status=status, message=message)
 
 
 def train(
@@ -206,8 +260,6 @@ def train(
         result = minimize(
             negative_objective,
             u_start,
-            jac=True,
-            method="L-BFGS-B",
             callback=new_iterate,
             options={
                 "maxcor": LBFGS_MEMORY,

@@ -18,6 +18,7 @@ RECORD = {
     "iterations": 7,
     "nfev": 9,
     "converged": True,
+    "termination": "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
     "mean": [0.1, -0.2],
     "variance": [1.5, 1.75],
 }
@@ -46,6 +47,7 @@ def test_compare_passes_identical_digests(tmp_path):
         ("iterations", 8),
         ("nfev", 10),
         ("converged", False),
+        ("termination", "ABNORMAL: "),
         ("mean", [0.1, -0.20000000000000004]),
         ("variance", [1.5000000000000002, 1.75]),
     ],
@@ -53,6 +55,23 @@ def test_compare_passes_identical_digests(tmp_path):
 def test_compare_fails_on_any_difference(tmp_path, field, value):
     run = compare(tmp_path, {**RECORD, field: value})
     assert run.returncode == 1, run.stdout + run.stderr
+
+
+def test_compare_counts_termination_differences(tmp_path):
+    run = compare(tmp_path, [{**RECORD, "termination": "ABNORMAL: "}, dict(RECORD)], parent=[RECORD, RECORD])
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "termination: 1 differ\n" in run.stdout
+
+
+def test_compare_skips_termination_when_one_digest_lacks_it(tmp_path):
+    # a digest written before termination was recorded still compares on the other fields
+    older = {field: value for field, value in RECORD.items() if field != "termination"}
+    run = compare(tmp_path, dict(RECORD), parent=[older])
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "termination: skipped, not in both digests\n" in run.stdout
+    assert "converged: 0 differ\n" in run.stdout
+    changed = compare(tmp_path, {**RECORD, "nfev": 10}, parent=[older])
+    assert changed.returncode == 1, changed.stdout + changed.stderr
 
 
 def test_compare_sums_the_optimizer_counts_and_reports_the_objective_moves(tmp_path):

@@ -1,9 +1,13 @@
+import importlib.util
 import math
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import oracles
 from gpforecast import (
@@ -466,6 +470,67 @@ class TestTrain:
         variances = oracles.mean_signal_variances(FULL_SPEC, result.theta, x)
         lin = variances.pop("LIN")
         assert lin > max(variances.values())
+
+
+def six_hourly_design_series(monkeypatch, seed, name):
+    """One six-hourly-double series of perfbench's design, as its forecast trains on it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["six-hourly-double"]
+    values = dict(workloads.generate(workload.name, seed))[name]
+    return TimeSeries(values[: -workload.horizon], workload.steps_per_year), workload.horizon
+
+
+class TestMinimizeOracle:
+    # training.minimize drives scipy's private compiled step (setulb) itself:
+    # it must evaluate the very points scipy.optimize.minimize's L-BFGS-B does
+    @pytest.mark.parametrize(
+        "case, config, status, message",
+        [
+            ("monthly", TrainConfig(), 0, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
+            # a line search that shrinks below rounding asks for the last point
+            # again; without scipy's memo it would be evaluated (and counted) twice
+            ("six-hourly", TrainConfig(objective_tol=1e-9), 2, "ABNORMAL: "),
+            ("monthly", TrainConfig(max_iters=3), 1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+        ],
+        ids=["monthly-default", "six-hourly-abnormal", "iteration-limit"],
+    )
+    def test_minimize_evaluates_the_points_scipy_lbfgsb_does(self, monkeypatch, case, config, status, message):
+        runs = []  # (evaluated points, callback calls, result) of each optimizer
+        own = training.minimize
+
+        def scipy_lbfgsb(fun, u0, callback, options):
+            return scipy.optimize.minimize(fun, u0, jac=True, method="L-BFGS-B", callback=callback, options=options)
+
+        def both(fun, u0, callback, options):
+            for solve in (own, scipy_lbfgsb):
+                points, calls = [], []
+
+                def recorded(u):
+                    points.append(u.tobytes())
+                    return fun(u)
+
+                result = solve(recorded, u0, callback=lambda _: calls.append(None), options=options)
+                runs.append((points, len(calls), result))
+            return runs[0][2]
+
+        monkeypatch.setattr(training, "minimize", both)
+        if case == "monthly":
+            x, y = sine_series(36)
+            train(FULL_SPEC, PRIORS, x, y, config)
+        else:
+            ts, horizon = six_hourly_design_series(monkeypatch, 1, "h-112-0-c0")
+            standardized_posterior(ts, horizon, config=config, mode="double-seasonal")
+        (points, calls, ours), (scipy_points, scipy_calls, theirs) = runs
+        assert points == scipy_points
+        assert (ours.nit, ours.nfev, ours.status, ours.message) == (theirs.nit, theirs.nfev, theirs.status, theirs.message)
+        assert ours.x.tobytes() == theirs.x.tobytes() and ours.fun == theirs.fun
+        assert calls == scipy_calls == ours.nit
+        assert ours.nfev == len(points)
+        assert (ours.status, ours.message) == (status, message)
 
 
 class TestArdBehavior:

@@ -7,25 +7,29 @@ Run from the root of a checkout:
 
 Each line is one series of a perfbench workload (every workload, one
 copy of its design, at seeds 1 and 20201): the trained theta, the MAP
-objective there, iterations, nfev and converged, and the standardized
-predictive means and observation variances, every float written so that
-it reads back bit for bit.  A RuntimeWarning (an overflow, a division by
-zero, an invalid value) stops the digest with that warning as an error.  The program is imported from the checkout's
-``src``, the series from ``perfbench/workloads.py``.  Two digests are
-compared with
+objective there, iterations, nfev, converged, the optimizer's
+termination message, and the standardized predictive means and
+observation variances, every float written so that it reads back bit
+for bit.  A RuntimeWarning (an overflow, a division by zero, an invalid
+value) stops the digest with that warning as an error.  The program is
+imported from the checkout's ``src``, the series from
+``perfbench/workloads.py``.  Two digests are compared with
 
     python tools/forecast_digest.py --compare parent.jsonl change.jsonl
 
-which counts the series whose theta, objective, iterations, nfev or
-converged differ and reports the largest relative move of the means and
-of the variances.  It also prints each digest's iterations and nfev
-summed over the series, and how many series' objective rose or fell by
-more than 1e-6 nats, with the largest fall.  One line per workload then
-gives its nfev summed in each digest and on how many series it rose,
-how many series' objective fell by more than 1e-3 nats and the largest
-fall, and how many series' converged flag flipped, in each direction.
+which counts the series whose theta, objective, iterations, nfev,
+converged or termination differ and reports the largest relative move
+of the means and of the variances.  It also prints each digest's
+iterations and nfev summed over the series, and how many series'
+objective rose or fell by more than 1e-6 nats, with the largest fall.
+One line per workload then gives its nfev summed in each digest and on
+how many series it rose, how many series' objective fell by more than
+1e-3 nats and the largest fall, and how many series' converged flag
+flipped, in each direction.
 It exits 1 unless the two digests agree bit for bit: no series differs
 in those fields, and every series' means and variances are identical.
+A field that one digest lacks (termination, in a digest written before
+it was recorded) is skipped.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 20201)
-EXACT = ("theta", "objective", "iterations", "nfev", "converged")
+EXACT = ("theta", "objective", "iterations", "nfev", "converged", "termination")
 SUMMED = ("iterations", "nfev")
 # an objective move larger than this, in nats, counts as a rise or a fall
 OBJECTIVE_MOVE = 1e-6
@@ -69,6 +73,7 @@ def digest():
                     "iterations": result.iterations,
                     "nfev": result.nfev,
                     "converged": result.converged,
+                    "termination": result.termination,
                     "mean": posterior.mean.tolist(),
                     "variance": posterior.observation_variance.tolist(),
                 }
@@ -87,6 +92,9 @@ def compare(parent_path: str, change_path: str) -> bool:
     print(f"{len(parent)} series")
     same = True
     for field in EXACT:
+        if not all(field in r for r in parent + change):
+            print(f"{field}: skipped, not in both digests")
+            continue
         differ = sum(a[field] != b[field] for a, b in zip(parent, change))
         print(f"{field}: {differ} differ")
         same = same and differ == 0
