@@ -67,6 +67,6 @@ from .priors import (
     median_hyperparams,
     save_priors,
 )
-from .training import TrainConfig, TrainResult, map_objective, train
+from .training import TrainResult, map_objective, train
 
 __version__ = "0.1.0"

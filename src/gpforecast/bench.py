@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ from .forecasting import MONTHLY, Forecast, TimeSeries, default_horizon, standar
 from .gp import IllConditionedModelError
 from .metrics import ScoreReport, score
 from .priors import PriorSpec
-from .training import TrainConfig
 
 __all__ = [
     "CsvFormatError",
@@ -137,80 +137,78 @@ def _parse_value(cell: str, where: str) -> float:
     return value
 
 
-def _read_long(path) -> list[tuple[str, list[float]]]:
+def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows of a CSV file as they are read, cells stripped, each with the line it ends on."""
+    empty = True
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if any(cells):
+                empty = False
+                yield reader.line_num, cells
+    if empty:
+        raise CsvFormatError(f"{path}: file is empty")
+
+
+def _read_long(path) -> list[tuple[str, list[float]]]:
+    body = _read_rows(path)
+    lineno, header = next(body)
+    try:
+        s_idx, t_idx, v_idx = (header.index(column) for column in _LONG_COLUMNS)
+    except ValueError:
+        raise CsvFormatError(
+            f"{path}: line {lineno}: header must contain columns {_LONG_COLUMNS}; got {header}"
+        ) from None
+    rows: dict[str, dict[int, float]] = {}
+    for lineno, row in body:
+        if len(row) <= max(s_idx, t_idx, v_idx):
+            raise CsvFormatError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
+        name = row[s_idx]
+        if not name:
+            raise CsvFormatError(f"{path}: line {lineno}: empty series id")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        try:
-            s_idx, t_idx, v_idx = (header.index(column) for column in _LONG_COLUMNS)
+            step = int(row[t_idx])
         except ValueError:
-            raise CsvFormatError(f"{path}: line 1: header must contain columns {_LONG_COLUMNS}; got {header}") from None
-        rows: dict[str, dict[int, float]] = {}
-        order: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(s_idx, t_idx, v_idx):
-                raise CsvFormatError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
-            name = row[s_idx].strip()
-            if not name:
-                raise CsvFormatError(f"{path}: line {lineno}: empty series id")
-            try:
-                step = int(row[t_idx].strip())
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: step {row[t_idx]!r} is not an integer"
-                ) from None
-            value = _parse_value(row[v_idx].strip(), f"{path}: line {lineno}")
-            if name not in rows:
-                rows[name] = {}
-                order.append(name)
-            if step in rows[name]:
-                raise CsvFormatError(f"{path}: line {lineno}: duplicate step {step} for series {name!r}")
-            rows[name][step] = value
+            raise CsvFormatError(f"{path}: line {lineno}: step {row[t_idx]!r} is not an integer") from None
+        value = _parse_value(row[v_idx], f"{path}: line {lineno}")
+        series = rows.setdefault(name, {})
+        if step in series:
+            raise CsvFormatError(f"{path}: line {lineno}: duplicate step {step} for series {name!r}")
+        series[step] = value
     per_series = []
-    for name in order:
-        steps = sorted(rows[name])
+    for name, series in rows.items():
+        steps = sorted(series)
         for expected, step in enumerate(steps, start=steps[0]):
             if step != expected:  # a gap would shift every later value's time and seasonal phase
                 raise CsvFormatError(f"{path}: series {name!r} has no step {expected} (its steps run to {steps[-1]})")
-        per_series.append((name, [rows[name][k] for k in steps]))
+        per_series.append((name, [series[k] for k in steps]))
     return per_series
 
 
 def _read_wide(path) -> list[tuple[str, list[float]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise CsvFormatError(f"{path}: file is empty") from None
-        if any(not h for h in header):
-            raise CsvFormatError(f"{path}: line 1: empty series name in header")
-        if len(set(header)) != len(header):
-            raise CsvFormatError(f"{path}: line 1: duplicate series names in header")
-        columns: list[list[float]] = [[] for _ in header]
-        ended = [False] * len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+    body = _read_rows(path)
+    lineno, header = next(body)
+    if any(not h for h in header):
+        raise CsvFormatError(f"{path}: line {lineno}: empty series name in header")
+    if len(set(header)) != len(header):
+        raise CsvFormatError(f"{path}: line {lineno}: duplicate series names in header")
+    columns: list[list[float]] = [[] for _ in header]
+    ended = [False] * len(header)
+    for lineno, row in body:
+        if len(row) > len(header):
+            raise CsvFormatError(f"{path}: line {lineno}: more cells than header columns")
+        for j, name in enumerate(header):
+            cell = row[j] if j < len(row) else ""
+            if not cell:
+                ended[j] = True
                 continue
-            if len(row) > len(header):
-                raise CsvFormatError(f"{path}: line {lineno}: more cells than header columns")
-            for j, name in enumerate(header):
-                cell = row[j].strip() if j < len(row) else ""
-                if not cell:
-                    ended[j] = True
-                    continue
-                if ended[j]:
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: series {name!r} resumes after a gap; "
-                        "empty cells are only allowed at the end of a column"
-                    )
-                columns[j].append(_parse_value(cell, f"{path}: line {lineno}"))
+            if ended[j]:
+                raise CsvFormatError(
+                    f"{path}: line {lineno}: series {name!r} resumes after a gap; "
+                    "empty cells are only allowed at the end of a column"
+                )
+            columns[j].append(_parse_value(cell, f"{path}: line {lineno}"))
     return [(name, col) for name, col in zip(header, columns)]
 
 
@@ -289,7 +287,6 @@ class BenchReport:
 def _score_one(
     entry: SeriesEntry,
     mode: str,
-    config: TrainConfig | None,
     priors: PriorSpec | None,
     standardized_units: bool,
 ) -> SeriesScore | SeriesFailure:
@@ -300,9 +297,7 @@ def _score_one(
         train_values = entry.series.values[: n - entry.test_length]
         actual = entry.series.values[n - entry.test_length :]
         train_ts = TimeSeries(values=train_values, steps_per_year=entry.series.steps_per_year)
-        posterior, standardizer, result = standardized_posterior(
-            train_ts, entry.test_length, config=config, mode=mode, priors=priors
-        )
+        posterior, standardizer, result = standardized_posterior(train_ts, entry.test_length, mode=mode, priors=priors)
         if standardized_units:
             report = score(standardizer.transform(actual), posterior.mean, posterior.observation_variance)
         else:
@@ -321,7 +316,6 @@ def _score_one(
 def run_benchmark(
     dataset: Dataset,
     mode: str = "single-seasonal",
-    config: TrainConfig | None = None,
     parallelism: int = 1,
     priors: PriorSpec | None = None,
     standardized_units: bool = True,
@@ -336,7 +330,7 @@ def run_benchmark(
     started = time.perf_counter()
 
     def worker(entry: SeriesEntry):
-        return _score_one(entry, mode, config, priors, standardized_units)
+        return _score_one(entry, mode, priors, standardized_units)
 
     if parallelism == 1 or len(dataset) <= 1:
         outcomes = [worker(entry) for entry in dataset.entries]

@@ -4,58 +4,38 @@
     gpforecast bench DATA.csv --freq monthly --parallel 4 --format machine
     gpforecast priors --output priors.txt
 
-Training settings can be overridden with a plain-text config file of
-``key = value`` lines (keys: max_iters, grad_tol, objective_tol,
-restarts, seed).
+Training takes no settings: every series is trained with one restart
+from the prior medians, under the fixed stopping rules of
+``gpforecast.training``.  ``--priors`` swaps in another priors file.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import sys
 
 import numpy as np
 
-from .bench import CsvLayout, _parse_value, emit_report, load_csv, run_benchmark
+from .bench import CsvLayout, _parse_value, _read_rows, emit_report, load_csv, run_benchmark
 from .forecasting import TimeSeries, default_horizon, forecast, parse_frequency
-from .priors import default_priors, format_priors, load_priors, read_settings
-from .training import TrainConfig
-
-# each TrainConfig field, parsed as the type of its default
-_CONFIG_KEYS = {field.name: type(field.default) for field in dataclasses.fields(TrainConfig)}
-
-
-def load_train_config(path) -> TrainConfig:
-    """Parse a key=value config file into a TrainConfig; every error names the file."""
-    settings = read_settings(path, _CONFIG_KEYS)
-    try:
-        return TrainConfig(**settings)
-    except ValueError as exc:  # a value of the right type that TrainConfig rejects
-        raise ValueError(f"{path}: {exc}") from None
+from .priors import default_priors, format_priors, load_priors
 
 
 def _read_values(path) -> np.ndarray:
     """Read a single-series CSV: bare numbers, or a file with a 'value' column."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError(f"{path}: file is empty")
+    rows = list(_read_rows(path))
     lineno, first = rows[0]
     value_idx = 0
     try:
         float(first[0])
     except ValueError:
-        header = [h.strip() for h in first]
-        if "value" not in header:
-            raise ValueError(f"{path}: line {lineno}: header must contain a 'value' column, got {header}") from None
-        value_idx = header.index("value")
+        if "value" not in first:
+            raise ValueError(f"{path}: line {lineno}: header must contain a 'value' column, got {first}") from None
+        value_idx = first.index("value")
         rows = rows[1:]
     values = []
     for lineno, row in rows:
-        cell = row[value_idx].strip() if value_idx < len(row) else ""
+        cell = row[value_idx] if value_idx < len(row) else ""
         values.append(_parse_value(cell, f"{path}: line {lineno}"))
     return np.array(values)
 
@@ -70,12 +50,11 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _cmd_forecast(args) -> int:
-    config = load_train_config(args.config) if args.config else TrainConfig()
     priors = load_priors(args.priors) if args.priors else None
     steps_per_year = parse_frequency(args.freq)
     ts = TimeSeries(values=_read_values(args.input), steps_per_year=steps_per_year)
     horizon = args.horizon if args.horizon is not None else default_horizon(steps_per_year)
-    fc, result = forecast(ts, horizon, config=config, mode=args.mode, priors=priors)
+    fc, result = forecast(ts, horizon, mode=args.mode, priors=priors)
     lines = ["step,mean,variance"]
     n = len(ts)
     for i in range(horizon):
@@ -83,14 +62,14 @@ def _cmd_forecast(args) -> int:
     text = "\n".join(lines) + "\n"
     _write(text, args.output)
     if not result.converged:
-        print(f"warning: training did not converge ({result.iterations} iterations)", file=sys.stderr)
+        print(
+            f"warning: training did not converge ({result.iterations} iterations): {result.termination}",
+            file=sys.stderr,
+        )
     return 0
 
 
 def _cmd_bench(args) -> int:
-    config = load_train_config(args.config) if args.config else TrainConfig()
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     priors = load_priors(args.priors) if args.priors else None
     layout = CsvLayout(
         layout=args.layout,
@@ -101,7 +80,6 @@ def _cmd_bench(args) -> int:
     report = run_benchmark(
         dataset,
         mode=args.mode,
-        config=config,
         parallelism=args.parallel,
         priors=priors,
         standardized_units=not args.original_units,
@@ -130,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--horizon", type=int, default=None, help="steps to forecast (default by frequency)")
     p_fc.add_argument("--mode", default="single-seasonal", choices=["single-seasonal", "double-seasonal"])
     p_fc.add_argument("--output", default=None, help="write forecast CSV here instead of stdout")
-    p_fc.add_argument("--config", default=None, help="training config file (key = value)")
     p_fc.add_argument("--priors", default=None, help="alternative priors file")
     p_fc.set_defaults(func=_cmd_forecast)
 
@@ -142,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--mode", default="single-seasonal", choices=["single-seasonal", "double-seasonal"])
     p_b.add_argument("--parallel", type=int, default=1, help="series-level worker threads")
     p_b.add_argument("--format", default="human", choices=["human", "machine"])
-    p_b.add_argument("--seed", type=int, default=None, help="seed for restarts > 1")
-    p_b.add_argument("--config", default=None, help="training config file (key = value)")
     p_b.add_argument("--priors", default=None, help="alternative priors file")
     p_b.add_argument("--output", default=None, help="write the report here instead of stdout")
     p_b.add_argument("--allow-failures", action="store_true", help="exit 0 even if some series fail")

@@ -23,8 +23,8 @@ import numpy as np
 
 from .gp import PredictiveDistribution, fit, predict
 from .kernels import KernelSpec, Term
-from .priors import PriorSpec, default_priors
-from .training import TrainConfig, TrainResult, train
+from .priors import PriorSpec
+from .training import TrainResult, train
 
 __all__ = [
     "MONTHLY",
@@ -206,20 +206,19 @@ def default_horizon(steps_per_year: float) -> int:
 def forecast(
     ts: TimeSeries,
     horizon: int,
-    config: TrainConfig | None = None,
     mode: str = "single-seasonal",
     priors: PriorSpec | None = None,
 ) -> tuple[Forecast, TrainResult]:
-    """Train on the whole series and forecast the next ``horizon`` steps.
+    """Train on the whole series with one restart and forecast the next ``horizon`` steps.
 
     Returns the forecast in original units together with the training
     result.  Raises :class:`ConstantSeriesError` for constant input; a
-    training run that hits the iteration budget proceeds with a warning
-    (the result carries ``converged=False``).
+    training run that does not converge proceeds with a warning quoting
+    its ``termination`` (the result carries ``converged=False``).
     """
-    posterior, standardizer, result = standardized_posterior(ts, horizon, config=config, mode=mode, priors=priors)
+    posterior, standardizer, result = standardized_posterior(ts, horizon, mode=mode, priors=priors)
     if not result.converged:
-        warnings.warn(f"training did not converge within the iteration budget for series of length {len(ts)}")
+        warnings.warn(f"training did not converge for series of length {len(ts)}: {result.termination}")
     return (
         Forecast(
             horizon=horizon,
@@ -233,24 +232,24 @@ def forecast(
 def standardized_posterior(
     ts: TimeSeries,
     horizon: int,
-    config: TrainConfig | None = None,
     mode: str = "single-seasonal",
     priors: PriorSpec | None = None,
+    restarts: int = 1,
 ) -> tuple[PredictiveDistribution, Standardizer, TrainResult]:
     """Same pipeline as :func:`forecast` but stopping in standardized space.
 
     Used by the benchmark harness, which scores in standardized units.
+    ``restarts`` is handed to :func:`train`.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if len(ts) < MIN_SERIES_LENGTH:
         raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {len(ts)}")
     spec = default_spec(mode)
-    priors = priors if priors is not None else default_priors()
     standardizer = Standardizer.fit(ts.values)
     z = standardizer.transform(ts.values)
     x = make_time_index(ts)
     x_star = future_time_index(ts, horizon)
-    result = train(spec, priors, x, z, config)
+    result = train(spec, priors, x, z, restarts)
     posterior = predict(fit(result.theta, result.series, x_star))
     return posterior, standardizer, result

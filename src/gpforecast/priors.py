@@ -34,7 +34,6 @@ dropped in.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,7 +179,7 @@ def load_priors(path) -> PriorSpec:
     with the offending line number, and missing entries for known names
     by name.
     """
-    entries = read_settings(path, dict.fromkeys(PARAM_NAMES, _parse_prior))
+    entries = read_settings(path)
     missing = sorted(set(PARAM_NAMES) - set(entries))
     if missing:
         raise ValueError(f"{path}: missing priors for {missing}")
@@ -194,15 +193,14 @@ def _parse_prior(text: str) -> LogNormalPrior:
     return LogNormalPrior(nu=float(parts[0]), lam=float(parts[1]))
 
 
-def read_settings(path, parsers: Mapping[str, Callable[[str], object]]) -> dict[str, object]:
-    """The ``name = value`` lines of a text file, each value parsed by ``parsers[name]``.
+def read_settings(path) -> dict[str, LogNormalPrior]:
+    """The ``name = nu lam`` lines of a priors file, as a prior per name.
 
     ``#`` starts a comment and blank lines are skipped.  A line without
-    ``=``, a name not in ``parsers``, a name given twice and a value its
-    parser rejects with ValueError are errors naming the line.  Priors
-    files and the command line's training config files are read with it.
+    ``=``, a name not in ``PARAM_NAMES``, a name given twice and a value
+    that is not a valid prior's two numbers are errors naming the line.
     """
-    values: dict[str, object] = {}
+    values: dict[str, LogNormalPrior] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -212,12 +210,12 @@ def read_settings(path, parsers: Mapping[str, Callable[[str], object]]) -> dict[
                 raise ValueError(f"{path}: line {lineno}: expected 'name = value'")
             name, _, text = line.partition("=")
             name, text = name.strip(), text.strip()
-            if name not in parsers:
-                raise ValueError(f"{path}: line {lineno}: unknown name {name!r} (known: {sorted(parsers)})")
+            if name not in PARAM_NAMES:
+                raise ValueError(f"{path}: line {lineno}: unknown name {name!r} (known: {sorted(PARAM_NAMES)})")
             if name in values:
                 raise ValueError(f"{path}: line {lineno}: duplicate entry for {name!r}")
             try:
-                values[name] = parsers[name](text)
+                values[name] = _parse_prior(text)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad value {text!r} for {name}: {exc}") from None
     return values

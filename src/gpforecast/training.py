@@ -25,17 +25,18 @@ L-BFGS-B keeps :data:`LBFGS_MEMORY` (20) curvature pairs on every
 restart, more than either default spec has trainables (13
 single-seasonal, 16 double-seasonal), so its quasi-Newton model can span
 the whole parameter space.  With scipy's default of 10 it cannot: at an
-``objective_tol`` of 1e-9 the benchmark's 48 monthly series took 2846
+``OBJECTIVE_TOL`` of 1e-9 the benchmark's 48 monthly series took 2846
 evaluations against 2039, the quasi-periodic ones most.
 
 Training starts at the prior medians (the prior means in log space),
-which makes a single start deterministic.  Optional extra restarts
-perturb the start with one Normal(0, lam) draw per coordinate.
+which makes a single start deterministic.  Extra restarts perturb the
+start with one Normal(0, lam) draw per coordinate (:data:`RESTART_SEED`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -49,7 +50,7 @@ from .gp import IllConditionedModelError, PreparedSeries, log_marginal_likelihoo
 from .kernels import HyperParams, InvalidHyperparameterError, KernelSpec
 from .priors import PriorSpec, default_priors, grad_log_prior, log_prior, median_hyperparams
 
-__all__ = ["TrainConfig", "TrainResult", "map_objective", "train"]
+__all__ = ["TrainResult", "map_objective", "train"]
 
 # Finite stand-in for -inf handed to the minimizer when a trial point is
 # ill-conditioned; L-BFGS-B copes with a large value better than with inf.
@@ -60,37 +61,20 @@ MIN_TRAIN_POINTS = 4
 # Curvature pairs L-BFGS-B keeps on every restart (see the module docstring).
 LBFGS_MEMORY = 20
 
+# Each restart stops after MAX_ITERS iterations, once the largest gradient
+# component is at most GRAD_TOL, or once an iteration's relative reduction
+# (f_k - f_{k+1}) / max(|f_k|, |f_{k+1}|, 1) of the minimized f is at most
+# OBJECTIVE_TOL (L-BFGS-B's ftol).  A looser OBJECTIVE_TOL changes no
+# iterate and only ends the same path earlier.  Being relative, it gives up
+# more nats as the objective grows with n: at most 0.0042 against 1e-9 on
+# the benchmark series (n <= 336), up to 0.0093 on seeded six-hourly series
+# of n = 1461.
+MAX_ITERS = 200
+GRAD_TOL = 1e-5
+OBJECTIVE_TOL = 1e-6
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimizer settings.
-
-    ``grad_tol`` stops on the max projected-gradient component,
-    ``objective_tol`` (L-BFGS-B's ``ftol``) once an iteration's relative
-    reduction (f_k - f_{k+1}) / max(|f_k|, |f_{k+1}|, 1) of the minimized
-    f is at most it; a looser value changes no iterate and only ends the
-    same path earlier.  Being relative, the default gives up more nats as
-    the objective grows with n: at most 0.0042 against 1e-9 on the
-    benchmark series (n <= 336), up to 0.0093 on seeded six-hourly series
-    of n = 1461.  ``seed`` only matters for ``restarts > 1``.
-    """
-
-    max_iters: int = 200
-    grad_tol: float = 1e-5
-    objective_tol: float = 1e-6
-    restarts: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        # each test is False on NaN
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (0 < self.grad_tol < math.inf and 0 < self.objective_tol < math.inf):
-            raise ValueError("tolerances must be finite and > 0")
-        if not self.restarts >= 1:
-            raise ValueError("restarts must be >= 1")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
+# Seed of the generator that perturbs the starts of restarts after the first.
+RESTART_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -192,16 +176,20 @@ def train(
     priors: PriorSpec | None,
     x: np.ndarray,
     y: np.ndarray,
-    config: TrainConfig | None = None,
+    restarts: int = 1,
 ) -> TrainResult:
-    """Maximize the MAP objective and return the best hyperparameters found.
+    """Maximize the MAP objective from ``restarts`` starts and return the best hyperparameters found.
 
-    Deterministic for ``restarts == 1``: same input bits give the same
-    result bits.  ``converged`` and ``termination`` are the optimizer status
-    and message of the restart that produced the returned point; if its
-    iteration budget ran out, or its final iteration met a penalty point,
-    that point is still returned, flagged via ``converged=False``.
+    ``restarts`` is an integer >= 1; anything else raises ValueError.  The
+    first start is the prior medians, so one restart is deterministic: same
+    input bits give the same result bits.  ``converged`` and
+    ``termination`` are the optimizer status and message of the restart
+    that produced the returned point; if its iteration budget ran out, or
+    its final iteration met a penalty point, that point is still returned,
+    flagged via ``converged=False``.
     """
+    if not (isinstance(restarts, numbers.Integral) and restarts >= 1):  # rejects 2.5, NaN, "2"
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < MIN_TRAIN_POINTS:
@@ -209,7 +197,6 @@ def train(
     if not spec.has("WN"):
         raise ValueError("the trained model must include a WN term for the observation noise")
     priors = priors if priors is not None else default_priors()
-    config = config if config is not None else TrainConfig()
     start = time.perf_counter()
     # everything the objective needs that does not depend on theta, once per series
     series = prepare_series(spec, x, y)
@@ -239,10 +226,10 @@ def train(
         return value, -grad
 
     starts = [nu]
-    if config.restarts > 1:
-        rng = np.random.default_rng(config.seed)
+    if restarts > 1:
+        rng = np.random.default_rng(RESTART_SEED)
         scales = np.sqrt(lam)
-        for _ in range(config.restarts - 1):
+        for _ in range(restarts - 1):
             starts.append(nu + rng.normal(0.0, 1.0, size=nu.size) * scales)
 
     iterations = nfev = 0
@@ -251,7 +238,7 @@ def train(
     for u_start in starts:
         value_before = best_value
         # penalty_evals at the last two iterates; a penalty's zero gradient makes the
-        # line search back off to a step tiny enough to pass the objective_tol test
+        # line search back off to a step tiny enough to pass the OBJECTIVE_TOL test
         at_iterates = [penalty_evals] * 2
 
         def new_iterate(_: np.ndarray) -> None:
@@ -263,9 +250,9 @@ def train(
             callback=new_iterate,
             options={
                 "maxcor": LBFGS_MEMORY,
-                "maxiter": config.max_iters,
-                "ftol": config.objective_tol,
-                "gtol": config.grad_tol,
+                "maxiter": MAX_ITERS,
+                "ftol": OBJECTIVE_TOL,
+                "gtol": GRAD_TOL,
             },
         )
         iterations += int(result.nit)

@@ -27,6 +27,7 @@ from gpforecast import (
     score,
     seasonal_naive,
     train,
+    training,
 )
 
 REPLICATE_SEEDS = tuple(range(101, 121))  # 20 seeded replicates
@@ -182,3 +183,24 @@ def speed_run():
     t = np.arange(115) / 12.0
     values = 0.4 * t + np.sin(2.0 * np.pi * t) + 0.3 * rng.standard_normal(115)
     return train(default_spec("single-seasonal"), default_priors(), t, oracles.standardize(values))
+
+
+@pytest.fixture(params=["iteration-limit", "abnormal"])
+def nonconverging_training(request, monkeypatch):
+    """Rig training so that no restart converges; the value is the termination it then reports.
+
+    ``iteration-limit`` stops every restart after one iteration,
+    ``abnormal`` turns each optimizer result into an ``ABNORMAL: `` line-search stop.
+    """
+    if request.param == "iteration-limit":
+        monkeypatch.setattr(training, "MAX_ITERS", 1)
+        return "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+    real_minimize = training.minimize
+
+    def abnormal(*args, **kwargs):
+        result = real_minimize(*args, **kwargs)
+        result.status, result.message = 2, "ABNORMAL: "
+        return result
+
+    monkeypatch.setattr(training, "minimize", abnormal)
+    return "ABNORMAL: "

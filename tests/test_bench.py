@@ -82,6 +82,29 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="line 4"):
             load_csv(f"{DATA}/wide_gap.csv", CsvLayout(layout="wide", steps_per_year=4.0))
 
+    @pytest.mark.parametrize("layout", ["long", "wide"])
+    @pytest.mark.parametrize("text", ["", "\n \n,,\n"], ids=["no-lines", "blank-lines"])
+    def test_empty_file_rejected(self, tmp_path, layout, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match="file is empty"):
+            load_csv(path, CsvLayout(layout=layout, steps_per_year=12.0))
+
+    @pytest.mark.parametrize(
+        "layout, header, body",
+        [("long", "series,step,value", "a,0,1.0\na,1,2.0\n"), ("wide", " a ", "1.0\n2.0\n")],
+    )
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path, layout, header, body):
+        path = tmp_path / "blank_first.csv"
+        path.write_text(f"\n , \n{header}\n{body}")
+        [entry] = load_csv(path, CsvLayout(layout=layout, steps_per_year=12.0)).entries
+        assert entry.name == "a"
+        np.testing.assert_array_equal(entry.series.values, [1.0, 2.0])
+        # a bad header names its own line
+        path.write_text(f"\n\nseries,,value\n{body}")
+        with pytest.raises(CsvFormatError, match="line 3: "):
+            load_csv(path, CsvLayout(layout=layout, steps_per_year=12.0))
+
     def test_custom_frequency_requires_test_length(self):
         with pytest.raises(ValueError, match="test length"):
             load_csv(f"{DATA}/long_two_series.csv", CsvLayout(steps_per_year=52.0))

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from gpforecast import TrainConfig, cli, load_priors
-from gpforecast.cli import load_train_config, main
+from gpforecast import load_priors
+from gpforecast.cli import main
 
 
 @pytest.fixture()
@@ -66,10 +68,43 @@ class TestForecastCommand:
         assert main(["forecast", str(path), "--freq", "monthly", "--horizon", "1"]) == 1
         assert f"line 5: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_file_returns_error(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert main(["forecast", str(path), "--freq", "monthly"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: file is empty\n"
+
     def test_missing_file_returns_error(self, capsys):
         code = main(["forecast", "nope.csv", "--freq", "monthly"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_nonconvergence_warning_names_the_termination(self, monthly_series_csv, capsys, nonconverging_training):
+        with pytest.warns(UserWarning, match=re.escape(nonconverging_training)):
+            code = main(["forecast", str(monthly_series_csv), "--freq", "monthly", "--horizon", "2"])
+        assert code == 0
+        pattern = r"warning: training did not converge \(\d+ iterations\): " + re.escape(nonconverging_training)
+        assert re.fullmatch(pattern + "\n", capsys.readouterr().err)
+
+    def test_custom_priors_flow_through_forecast(self, monthly_series_csv, tmp_path, capsys):
+        from gpforecast import default_priors, save_priors
+
+        priors_file = tmp_path / "priors.txt"
+        save_priors(default_priors(), priors_file)
+        code = main(
+            [
+                "forecast",
+                str(monthly_series_csv),
+                "--freq",
+                "monthly",
+                "--horizon",
+                "2",
+                "--priors",
+                str(priors_file),
+            ]
+        )
+        assert code == 0
 
 
 class TestBenchCommand:
@@ -94,12 +129,6 @@ class TestBenchCommand:
         path.write_text("\n".join(lines) + "\n")
         assert main(["bench", str(path), "--freq", "quarterly"]) == 1
         assert main(["bench", str(path), "--freq", "quarterly", "--allow-failures"]) == 0
-
-    def test_negative_seed_fails_before_any_series_runs(self, quarterly_dataset_csv, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_benchmark", lambda *args, **kwargs: pytest.fail("a series ran"))
-        assert main(["bench", str(quarterly_dataset_csv), "--freq", "quarterly", "--seed", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert "seed must be >= 0" in captured.err and not captured.out
 
 
 class TestPriorsCommand:
@@ -126,63 +155,16 @@ class TestPriorsCommand:
         assert load_priors(out)["ell_rbf"].nu == 0.9
 
 
-class TestTrainConfigFile:
-    def test_overrides_defaults(self, tmp_path):
-        path = tmp_path / "train.cfg"
-        path.write_text("# tighter run\nmax_iters = 50\nrestarts = 2\nseed = 9\n")
-        config = load_train_config(path)
-        assert config == TrainConfig(max_iters=50, restarts=2, seed=9)
-
-    def test_unknown_key_reports_line(self, tmp_path):
-        path = tmp_path / "train.cfg"
-        path.write_text("max_iters = 50\nbogus = 1\n")
-        with pytest.raises(ValueError, match="line 2"):
-            load_train_config(path)
-
-    def test_repeated_key_reports_line(self, tmp_path):
-        path = tmp_path / "train.cfg"
-        path.write_text("max_iters = 50\nseed = 1\nmax_iters = 60\n")
-        with pytest.raises(ValueError, match="line 3: duplicate"):
-            load_train_config(path)
-
-    def test_bad_value_reports_line(self, tmp_path):
-        path = tmp_path / "train.cfg"
-        path.write_text("max_iters = soon\n")
-        with pytest.raises(ValueError, match="line 1"):
-            load_train_config(path)
-
-    @pytest.mark.parametrize(("line", "message"), [("grad_tol = nan", "tolerances"), ("seed = -1", "seed")])
-    def test_value_that_train_config_rejects_names_the_file(self, monthly_series_csv, tmp_path, capsys, line, message):
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text(line + "\n")
-        code = main(["forecast", str(monthly_series_csv), "--freq", "monthly", "--config", str(cfg)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: ") and message in err
-
-    def test_config_flows_through_cli(self, monthly_series_csv, tmp_path, capsys):
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text("max_iters = 150\n")
-        code = main(
-            ["forecast", str(monthly_series_csv), "--freq", "monthly", "--horizon", "2", "--config", str(cfg)]
-        )
-        assert code == 0
-
-    def test_custom_priors_flow_through_forecast(self, monthly_series_csv, tmp_path, capsys):
-        from gpforecast import default_priors, save_priors
-
-        priors_file = tmp_path / "priors.txt"
-        save_priors(default_priors(), priors_file)
-        code = main(
-            [
-                "forecast",
-                str(monthly_series_csv),
-                "--freq",
-                "monthly",
-                "--horizon",
-                "2",
-                "--priors",
-                str(priors_file),
-            ]
-        )
-        assert code == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forecast", "series.csv", "--freq", "monthly", "--config", "train.cfg"],
+        ["bench", "data.csv", "--freq", "monthly", "--config", "train.cfg"],
+        ["bench", "data.csv", "--freq", "monthly", "--seed", "1"],
+    ],
+    ids=["forecast-config", "bench-config", "bench-seed"],
+)
+def test_training_takes_no_settings_on_the_command_line(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from gpforecast import (
     predict,
     zero_lag_variance,
 )
+from gpforecast import forecasting
 from gpforecast.forecasting import DAILY_PERIOD, MIN_SERIES_LENGTH, SIX_HOURLY
 from gpforecast.gp import JITTER_START, prepare_series
 from gpforecast.kernels import regular_lags
@@ -171,6 +173,27 @@ class TestForecast:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
             forecast(TimeSeries(values=np.arange(12.0), steps_per_year=12.0), 0)
+
+    def test_nonconvergence_warning_quotes_the_termination(self, nonconverging_training):
+        ts = TimeSeries(values=np.sin(np.arange(48) / 2.0), steps_per_year=12.0)
+        expected = f"training did not converge for series of length 48: {nonconverging_training}"
+        with pytest.warns(UserWarning, match=re.escape(expected)) as record:
+            _, result = forecast(ts, 3)
+        assert [str(w.message) for w in record] == [expected]
+        assert not result.converged and result.termination == nonconverging_training
+
+    def test_standardized_posterior_hands_restarts_to_train(self, monkeypatch):
+        real_train, handed = forecasting.train, []
+
+        def recording(spec, priors, x, y, restarts=1):
+            handed.append(restarts)
+            return real_train(spec, priors, x, y, restarts)
+
+        monkeypatch.setattr(forecasting, "train", recording)
+        ts = TimeSeries(values=np.sin(np.arange(24) / 2.0), steps_per_year=12.0)
+        forecasting.standardized_posterior(ts, 3)
+        forecasting.standardized_posterior(ts, 3, restarts=3)
+        assert handed == [1, 3]
 
 
 class TestDoubleSeasonal:

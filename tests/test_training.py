@@ -18,7 +18,6 @@ from gpforecast import (
     PriorSpec,
     Term,
     TimeSeries,
-    TrainConfig,
     default_priors,
     default_spec,
     fit,
@@ -116,10 +115,11 @@ class TestMapObjective:
             public_value, public_grad = map_objective(FULL_SPEC, PRIORS, HyperParams.from_log(FULL_SPEC, u), x, y)
             assert -value == public_value and np.array_equal(-grad, public_grad)
 
-    def test_prepared_series_is_checked_against_its_spec(self):
+    def test_prepared_series_is_checked_against_its_spec(self, monkeypatch):
         # train hands its prepared series on; fit checks theta against its spec
+        monkeypatch.setattr(training, "MAX_ITERS", 2)
         x, y = sine_series(24)
-        result = train(FULL_SPEC, PRIORS, x, y, TrainConfig(max_iters=2))
+        result = train(FULL_SPEC, PRIORS, x, y)
         series = result.series
         assert series.spec == FULL_SPEC and np.array_equal(series.x, x) and np.array_equal(series.y, y)
         other = default_spec("double-seasonal")
@@ -242,12 +242,12 @@ class TestTrain:
         result = train(FULL_SPEC, PRIORS, x, y)
         assert result.nfev > 1 and len(calls) == 1
 
-    def test_iteration_budget_flags_but_still_returns(self):
+    def test_iteration_budget_flags_but_still_returns(self, monkeypatch):
         rng = np.random.default_rng(21)
         x = np.arange(48) / 12.0
         y = oracles.standardize(np.sin(2 * np.pi * x) + 0.1 * rng.standard_normal(48))
-        config = TrainConfig(max_iters=2)
-        result = train(FULL_SPEC, PRIORS, x, y, config)
+        monkeypatch.setattr(training, "MAX_ITERS", 2)
+        result = train(FULL_SPEC, PRIORS, x, y)
         assert not result.converged
         start, _ = map_objective(FULL_SPEC, PRIORS, median_hyperparams(FULL_SPEC, PRIORS), x, y)
         assert result.objective >= start - 1e-12
@@ -256,9 +256,9 @@ class TestTrain:
         rng = np.random.default_rng(23)
         x = np.arange(36) / 12.0
         y = oracles.standardize(rng.standard_normal(36))
-        single = train(FULL_SPEC, PRIORS, x, y, TrainConfig())
-        multi_a = train(FULL_SPEC, PRIORS, x, y, TrainConfig(restarts=3, seed=5))
-        multi_b = train(FULL_SPEC, PRIORS, x, y, TrainConfig(restarts=3, seed=5))
+        single = train(FULL_SPEC, PRIORS, x, y)
+        multi_a = train(FULL_SPEC, PRIORS, x, y, restarts=3)
+        multi_b = train(FULL_SPEC, PRIORS, x, y, restarts=3)
         assert multi_a.theta == multi_b.theta
         assert multi_a.objective >= single.objective - 1e-9
 
@@ -266,7 +266,6 @@ class TestTrain:
         rng = np.random.default_rng(23)
         x = np.arange(36) / 12.0
         y = oracles.standardize(rng.standard_normal(36))
-        config = TrainConfig(restarts=3, seed=5)
         real_minimize = training.minimize
         finals = []
 
@@ -276,7 +275,7 @@ class TestTrain:
             return result
 
         monkeypatch.setattr(training, "minimize", recording)
-        reference = train(FULL_SPEC, PRIORS, x, y, config)
+        reference = train(FULL_SPEC, PRIORS, x, y, restarts=3)
         best = int(np.argmin(finals))
 
         def rigged(best_succeeds):
@@ -293,7 +292,7 @@ class TestTrain:
 
         for best_succeeds in (False, True):
             monkeypatch.setattr(training, "minimize", rigged(best_succeeds))
-            result = train(FULL_SPEC, PRIORS, x, y, config)
+            result = train(FULL_SPEC, PRIORS, x, y, restarts=3)
             assert result.theta == reference.theta
             assert result.converged is best_succeeds
             assert result.termination == f"restart {best}"
@@ -320,7 +319,7 @@ class TestTrain:
             )
 
         monkeypatch.setattr(training, "minimize", stub)
-        result = train(FULL_SPEC, PRIORS, x, y, TrainConfig(restarts=2, seed=3))
+        result = train(FULL_SPEC, PRIORS, x, y, restarts=2)
         assert result.theta == HyperParams.from_log(FULL_SPEC, ranked[0])
         assert result.objective == -min(values)
         assert result.converged and result.termination == "stop 0"
@@ -338,18 +337,19 @@ class TestTrain:
 
         monkeypatch.setattr(training, "minimize", recording)
         x, y = sine_series(24)
-        train(spec, PRIORS, x, y, TrainConfig(restarts=3, seed=5))
+        train(spec, PRIORS, x, y, restarts=3)
         assert memories == [training.LBFGS_MEMORY] * 3
         assert training.LBFGS_MEMORY >= len(spec.trainable_names())
 
-    def test_termination_is_the_optimizer_message(self):
+    def test_termination_is_the_optimizer_message(self, monkeypatch):
         x, y = sine_series(48)
-        stopped = train(FULL_SPEC, PRIORS, x, y, TrainConfig(max_iters=1))
-        assert not stopped.converged
-        assert "ITERATIONS REACHED LIMIT" in stopped.termination
         finished = train(FULL_SPEC, PRIORS, x, y)
         assert finished.converged
         assert finished.termination.startswith("CONVERGENCE")
+        monkeypatch.setattr(training, "MAX_ITERS", 1)
+        stopped = train(FULL_SPEC, PRIORS, x, y)
+        assert not stopped.converged
+        assert "ITERATIONS REACHED LIMIT" in stopped.termination
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_nfev_counts_every_objective_evaluation(self, monkeypatch, restarts):
@@ -357,7 +357,7 @@ class TestTrain:
         x = np.arange(36) / 12.0
         y = oracles.standardize(rng.standard_normal(36))
         calls = record_evaluations(monkeypatch)
-        result = train(FULL_SPEC, PRIORS, x, y, TrainConfig(restarts=restarts, seed=5))
+        result = train(FULL_SPEC, PRIORS, x, y, restarts=restarts)
         assert result.nfev == len(calls) >= result.iterations > 0
 
     def test_an_evaluation_that_raises_is_a_penalty_and_never_the_result(self, monkeypatch):
@@ -384,13 +384,13 @@ class TestTrain:
         best_values, best = max(evaluated, key=lambda e: e[1])
         assert result.theta.values == best_values and result.objective == best
 
-    @pytest.mark.parametrize("objective_tol", [TrainConfig().objective_tol, 1e-9], ids=["default", "1e-9"])
+    @pytest.mark.parametrize("objective_tol", [training.OBJECTIVE_TOL, 1e-9], ids=["default", "1e-9"])
     def test_a_stop_after_a_penalty_is_not_converged(self, monkeypatch, objective_tol):
         # the penalty's zero gradient makes the line search back off to a step so
-        # small that the next evaluation passes the objective_tol test
+        # small that the next evaluation passes the OBJECTIVE_TOL test
         x, y = sine_series(36)
-        config = TrainConfig(objective_tol=objective_tol)
-        clean = train(FULL_SPEC, PRIORS, x, y, config)
+        monkeypatch.setattr(training, "OBJECTIVE_TOL", objective_tol)
+        clean = train(FULL_SPEC, PRIORS, x, y)
         assert clean.converged and clean.penalty_evals == 0
         assert clean.termination.startswith("CONVERGENCE") and "penalty" not in clean.termination
         real_evaluate = training._evaluate
@@ -405,7 +405,7 @@ class TestTrain:
                 return real_evaluate(theta, series, columns)
 
             monkeypatch.setattr(training, "_evaluate", rigged)
-            result = train(FULL_SPEC, PRIORS, x, y, config)
+            result = train(FULL_SPEC, PRIORS, x, y)
             assert result.penalty_evals == 1 and not result.converged, k
             assert result.termination.endswith(" after a penalty evaluation"), k
 
@@ -442,25 +442,26 @@ class TestTrain:
         with pytest.raises(KeyError, match="tau_sm2"):
             train(FULL_SPEC, partial, x, y)
 
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ({"max_iters": 0}, "max_iters"),
-            ({"max_iters": math.nan}, "max_iters"),
-            ({"grad_tol": 0.0}, "tolerances"),
-            ({"grad_tol": math.nan}, "tolerances"),
-            ({"grad_tol": math.inf}, "tolerances"),
-            ({"objective_tol": -1.0}, "tolerances"),
-            ({"objective_tol": math.nan}, "tolerances"),
-            ({"objective_tol": math.inf}, "tolerances"),
-            ({"restarts": 0}, "restarts"),
-            ({"restarts": math.nan}, "restarts"),
-            ({"restarts": 2, "seed": -1}, "seed"),
-        ],
-    )
-    def test_config_validation(self, bad, message):
-        with pytest.raises(ValueError, match=message):
-            TrainConfig(**bad)
+    @pytest.mark.parametrize("restarts", [2.5, math.nan, 0, -1, "2"])
+    def test_restarts_other_than_an_integer_of_at_least_one_rejected(self, monkeypatch, restarts):
+        monkeypatch.setattr(training, "minimize", lambda *args, **kwargs: pytest.fail("training ran"))
+        x, y = sine_series(24)
+        with pytest.raises(ValueError, match="restarts must be an integer >= 1"):
+            train(FULL_SPEC, PRIORS, x, y, restarts=restarts)
+
+    def test_restarts_of_any_integer_type_accepted(self, monkeypatch):
+        starts = []
+
+        def one_evaluation(fun, u0, **kwargs):
+            starts.append(u0.tobytes())
+            fun(u0.copy())
+            return SimpleNamespace(nit=1, nfev=1, status=0, message="one evaluation")
+
+        monkeypatch.setattr(training, "minimize", one_evaluation)
+        x, y = sine_series(24)
+        for restarts in (3, np.int64(3)):
+            train(FULL_SPEC, PRIORS, x, y, restarts=restarts)
+        assert len(starts) == 6 and starts[:3] == starts[3:] and len(set(starts)) == 3
 
     def test_linear_trend_makes_linear_term_dominant(self):
         # deterministic input, so a single run settles the claim
@@ -488,17 +489,17 @@ class TestMinimizeOracle:
     # training.minimize drives scipy's private compiled step (setulb) itself:
     # it must evaluate the very points scipy.optimize.minimize's L-BFGS-B does
     @pytest.mark.parametrize(
-        "case, config, status, message",
+        "case, constants, status, message",
         [
-            ("monthly", TrainConfig(), 0, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
+            ("monthly", {}, 0, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
             # a line search that shrinks below rounding asks for the last point
             # again; without scipy's memo it would be evaluated (and counted) twice
-            ("six-hourly", TrainConfig(objective_tol=1e-9), 2, "ABNORMAL: "),
-            ("monthly", TrainConfig(max_iters=3), 1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+            ("six-hourly", {"OBJECTIVE_TOL": 1e-9}, 2, "ABNORMAL: "),
+            ("monthly", {"MAX_ITERS": 3}, 1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
         ],
         ids=["monthly-default", "six-hourly-abnormal", "iteration-limit"],
     )
-    def test_minimize_evaluates_the_points_scipy_lbfgsb_does(self, monkeypatch, case, config, status, message):
+    def test_minimize_evaluates_the_points_scipy_lbfgsb_does(self, monkeypatch, case, constants, status, message):
         runs = []  # (evaluated points, callback calls, result) of each optimizer
         own = training.minimize
 
@@ -518,12 +519,14 @@ class TestMinimizeOracle:
             return runs[0][2]
 
         monkeypatch.setattr(training, "minimize", both)
+        for name, value in constants.items():
+            monkeypatch.setattr(training, name, value)
         if case == "monthly":
             x, y = sine_series(36)
-            train(FULL_SPEC, PRIORS, x, y, config)
+            train(FULL_SPEC, PRIORS, x, y)
         else:
             ts, horizon = six_hourly_design_series(monkeypatch, 1, "h-112-0-c0")
-            standardized_posterior(ts, horizon, config=config, mode="double-seasonal")
+            standardized_posterior(ts, horizon, mode="double-seasonal")
         (points, calls, ours), (scipy_points, scipy_calls, theirs) = runs
         assert points == scipy_points
         assert (ours.nit, ours.nfev, ours.status, ours.message) == (theirs.nit, theirs.nfev, theirs.status, theirs.message)
@@ -556,14 +559,14 @@ class TestSpeed:
 
 
 class TestStopDefault:
-    # the default objective_tol ends the tight run's optimizer path early: it
+    # the default OBJECTIVE_TOL ends the tight run's optimizer path early: it
     # must cost no more evaluations and give up almost nothing for them
     @pytest.mark.parametrize(
         "mode, steps_per_year, noise, n",
         [("single-seasonal", 12.0, 0.1, 132), ("double-seasonal", 1461.0, 0.2, 224), ("double-seasonal", 1461.0, 0.0, 112)],
         ids=["monthly-132", "six-hourly-224", "six-hourly-112-noise-free"],
     )
-    def test_default_stop_is_close_to_a_tight_one(self, mode, steps_per_year, noise, n):
+    def test_default_stop_is_close_to_a_tight_one(self, monkeypatch, mode, steps_per_year, noise, n):
         rng = np.random.default_rng(31)
         i = np.arange(n)
         if mode == "single-seasonal":
@@ -571,11 +574,9 @@ class TestStopDefault:
         else:
             signal = np.sin(2 * np.pi * i / 4 + 0.7) + 0.8 * np.sin(2 * np.pi * i / 28 + 2.1) + 0.3 * i / n
         ts = TimeSeries(20.0 + 3.0 * (signal + noise * rng.standard_normal(n)), steps_per_year)
-        runs = [
-            standardized_posterior(ts, 18, config=config, mode=mode)
-            for config in (TrainConfig(), TrainConfig(objective_tol=1e-12))
-        ]
-        (default_posterior, _, default), (tight_posterior, _, tight) = runs
+        default_posterior, _, default = standardized_posterior(ts, 18, mode=mode)
+        monkeypatch.setattr(training, "OBJECTIVE_TOL", 1e-12)
+        tight_posterior, _, tight = standardized_posterior(ts, 18, mode=mode)
         assert tight.objective - 5e-3 <= default.objective <= tight.objective
         assert default.nfev <= tight.nfev
         assert np.max(np.abs(default_posterior.mean - tight_posterior.mean)) <= 2e-3

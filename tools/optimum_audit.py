@@ -7,8 +7,8 @@ Run from the root of a checkout:
 For every series of the perfbench designs (monthly-forecast at seeds 1 to
 10, 240 series; six-hourly-double at seeds 1, 2, 3 and 20201, 104
 series) it trains the forecast's model twice on the training part, as
-``standardized_posterior`` does: once with the default ``TrainConfig``
-(one restart, from the prior medians) and once with ``restarts=5``, whose
+``standardized_posterior`` does: once with its default of one restart
+(from the prior medians) and once with ``restarts=5``, whose
 first restart is that same start.  A series whose single restart ends
 more than 0.1 nats below the best of five is a miss.  Per workload it
 prints each miss, then the number of misses, the nats missed in total
@@ -38,14 +38,13 @@ def audit(name: str, seeds, limit: int | None = None):
     import workloads
 
     from gpforecast.forecasting import TimeSeries, standardized_posterior
-    from gpforecast.training import TrainConfig
 
     workload = workloads.WORKLOADS[name]
     for seed in seeds:
         for series_name, values in workloads.generate(name, seed)[:limit]:
             ts = TimeSeries(values[: -workload.horizon], workload.steps_per_year)
             runs = [
-                standardized_posterior(ts, workload.horizon, config=TrainConfig(restarts=r), mode=workload.mode)[2]
+                standardized_posterior(ts, workload.horizon, mode=workload.mode, restarts=r)[2]
                 for r in (1, RESTARTS)
             ]
             yield {
