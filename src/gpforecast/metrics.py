@@ -6,7 +6,7 @@ Three indicators, all averaged over the test steps:
     CRPS  continuous ranked probability score of the Gaussian predictive
           distribution, in closed form:
               CRPS(y; mu, sigma) = sigma * (z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi))
-          with z = (y - mu) / sigma
+          with z = (y - mu) / sigma and 2 Phi(z) - 1 = erf(z / sqrt(2))
     LL    average per-step Gaussian log-density of the actuals
 
 MAE and CRPS are losses (lower is better); LL is higher-better.
@@ -18,13 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = ["ScoreReport", "mae", "crps_gaussian", "log_likelihood", "score"]
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def crps_gaussian(y, mu, sigma):
         raise ValueError("sigma must be finite and > 0")
     z = (y - mu) / sigma
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    out = sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * pdf - _INV_SQRT_PI)
+    out = sigma * (z * _erf(z / math.sqrt(2.0)) + 2.0 * pdf - _INV_SQRT_PI)
     return out if out.ndim else float(out)
 
 

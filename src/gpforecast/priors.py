@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .kernels import LENGTHSCALE_PARAMS, PARAM_NAMES, VARIANCE_PARAMS, HyperParams, KernelSpec
 
@@ -70,7 +69,9 @@ class LogNormalPrior:
         return math.exp(self.nu)
 
     def quantile(self, q: float) -> float:
-        return math.exp(self.nu + math.sqrt(self.lam) * float(ndtri(q)))
+        from statistics import NormalDist  # only here, so that importing the package does not load it
+
+        return math.exp(self.nu + math.sqrt(self.lam) * NormalDist().inv_cdf(q))
 
 
 @dataclass(frozen=True)

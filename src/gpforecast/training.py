@@ -3,13 +3,12 @@
 The objective is the log of prior times marginal likelihood, maximized
 over ``u = log(theta)`` so positivity is structural.  :func:`map_objective`
 computes it and its gradient from one factorization; :func:`train` hands
-its negation to a quasi-Newton optimizer (L-BFGS-B with its built-in line
-search).  :func:`minimize` drives L-BFGS-B's compiled step (scipy's
-``setulb``) itself: it takes the same iterates as
-``scipy.optimize.minimize``, keeps scipy's memo of the last evaluated
-point and its ``maxls`` and ``maxfun`` defaults, and skips scipy's
-per-evaluation wrapper, which costs about as much as a small
-evaluation.  :func:`train` prepares the series and takes the spec's prior
+its negation to :func:`minimize`, an unbounded L-BFGS written here: the
+compact inverse-Hessian form of Byrd, Nocedal and Schnabel (1994) over
+preallocated arrays, Moré and Thuente's strong-Wolfe line search and
+L-BFGS-B's constants, stop tests and messages.  It needs no part of
+``scipy.optimize``, which a forecast therefore never imports.
+:func:`train` prepares the series and takes the spec's prior
 columns once, and each evaluation maps the optimizer's u straight to the
 objective and gradient: exp(u), one check that every value is finite and
 > 0, the likelihood on the prepared series and the priors on log(exp(u)),
@@ -17,11 +16,11 @@ with no :class:`HyperParams` made until the final theta.
 :func:`map_objective` prepares its arrays per call and then runs the same
 evaluation.  A trial point that fails the check, or whose covariance
 cannot be factorized, gets a large finite penalty instead of an error, so
-the line search simply backs off; ``TrainResult.penalty_evals`` counts
-them.  ``TrainResult.series`` hands the prepared series on to
-``gp.fit``.
+the line search backs off, and the run goes on;
+``TrainResult.penalty_evals`` counts them.
+``TrainResult.series`` hands the prepared series on to ``gp.fit``.
 
-L-BFGS-B keeps :data:`LBFGS_MEMORY` (20) curvature pairs on every
+The optimizer keeps :data:`LBFGS_MEMORY` (20) curvature pairs on every
 restart, more than either default spec has trainables (13
 single-seasonal, 16 double-seasonal), so its quasi-Newton model can span
 the whole parameter space.  With scipy's default of 10 it cannot: at an
@@ -43,8 +42,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import _lbfgsb
-from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .gp import IllConditionedModelError, PreparedSeries, log_marginal_likelihood_and_grad, prepare_series
 from .kernels import HyperParams, InvalidHyperparameterError, KernelSpec
@@ -53,12 +50,12 @@ from .priors import PriorSpec, default_priors, grad_log_prior, log_prior, median
 __all__ = ["TrainResult", "map_objective", "train"]
 
 # Finite stand-in for -inf handed to the minimizer when a trial point is
-# ill-conditioned; L-BFGS-B copes with a large value better than with inf.
+# ill-conditioned; the line search copes with a large value better than with inf.
 _PENALTY = 1e25
 
 MIN_TRAIN_POINTS = 4
 
-# Curvature pairs L-BFGS-B keeps on every restart (see the module docstring).
+# Curvature pairs the optimizer keeps on every restart (see the module docstring).
 LBFGS_MEMORY = 20
 
 # Each restart stops after MAX_ITERS iterations, once the largest gradient
@@ -73,19 +70,42 @@ MAX_ITERS = 200
 GRAD_TOL = 1e-5
 OBJECTIVE_TOL = 1e-6
 
+# The line search's constants are L-BFGS-B's: sufficient decrease and
+# curvature of the strong Wolfe conditions, the narrowest interval of
+# uncertainty relative to the step, trials per search, the longest step.
+_SUFFICIENT_DECREASE = 1e-3
+_CURVATURE = 0.9
+_XTOL = 0.1
+_MAX_TRIALS = 20
+_MAX_STEP = 1e10
+_EPS = float(np.finfo(float).eps)
+
+# Once a minimizer is bracketed, the next trial lies at least this fraction
+# of the interval away from the best step.  A penalty's huge value puts the
+# cubic step within rounding of the best step, so the next iterate barely
+# moves and the OBJECTIVE_TOL test ends the run; an ordinary value never
+# comes this close on the benchmark series, whose iterates the floor leaves
+# unchanged.  The textbook tenth changed them and cost six-hourly series
+# 1.3% more evaluations.
+_NEAREST_TRIAL = 1e-4
+
+_CONVERGED_GRADIENT = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+_CONVERGED_REDUCTION = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+_ITERATION_LIMIT = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+
 # Seed of the generator that perturbs the starts of restarts after the first.
 RESTART_SEED = 0
 
 
 @dataclass(frozen=True)
 class TrainResult:
-    """``iterations`` and ``nfev`` are L-BFGS-B's iterations and objective evaluations, summed over restarts.
+    """``iterations`` and ``nfev`` are the optimizer's iterations and objective evaluations, summed over restarts.
 
     ``penalty_evals`` counts the evaluations, summed over restarts, that
     returned the penalty instead of the objective (an ill-conditioned or
     invalid trial point).
 
-    ``termination`` is L-BFGS-B's message for the restart that produced
+    ``termination`` is the optimizer's message for the restart that produced
     ``theta``, e.g. an ``ABNORMAL`` line-search stop behind ``converged=False``,
     ending in " after a penalty evaluation" if its final iteration met one.
 
@@ -128,47 +148,250 @@ def _evaluate(theta: np.ndarray, series: PreparedSeries, columns: np.ndarray) ->
 
 
 def minimize(fun, u0: np.ndarray, callback, options: dict) -> SimpleNamespace:
-    """Minimize ``fun(u) -> (value, gradient)`` from ``u0`` by unbounded L-BFGS-B.
+    """Minimize ``fun(u) -> (value, gradient)`` from ``u0`` by unbounded L-BFGS.
 
-    Drives scipy's compiled step ``setulb`` as ``scipy.optimize.minimize(fun,
-    u0, jac=True, method="L-BFGS-B", callback=callback, options=options)``
-    does, with its ``maxls`` (20) and ``maxfun`` (15000) defaults, so it
-    evaluates the same points and returns the same ``x``, ``fun``, ``nit``,
-    ``nfev``, ``status`` and ``message``.  ``options`` holds ``maxcor``,
-    ``maxiter``, ``ftol`` and ``gtol``.  As scipy's memo does, a point equal
-    to the last evaluated one gets that evaluation back, uncounted.
+    The inverse Hessian model is the compact form of Byrd, Nocedal and
+    Schnabel (1994) over the last ``options["maxcor"]`` curvature pairs,
+    scaled as L-BFGS-B scales it.  Lines are searched by Moré and Thuente's
+    method with L-BFGS-B's constants (:func:`_line_search`); every step
+    taken meets the strong Wolfe conditions.  A search that finds no such
+    step resets the memory and searches again along the steepest descent;
+    one that fails without memory ends the run with ``ABNORMAL: ``.  The
+    stop tests and messages are L-BFGS-B's: ``options["gtol"]`` on the
+    largest gradient component, ``options["ftol"]`` on an iteration's
+    relative reduction and ``options["maxiter"]`` iterations.  Returns
+    ``x``, ``fun``, ``nit``, ``nfev``, ``status`` (0 converged, 1 iteration
+    limit, 2 abnormal) and ``message``.  ``callback(x)`` is called once per
+    iteration.  ``fun`` may keep the points and must not change them; the
+    gradients it returns are kept, not copied.
     """
-    n, m, maxfun = u0.size, options["maxcor"], 15000
-    x, f, g = np.array(u0, dtype=float), 0.0, np.zeros(n)
-    free, nbd = np.zeros(n), np.zeros(n, np.int32)  # no bounds
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa, task, ln_task = np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(2, np.int32)
-    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    factr = options["ftol"] / np.finfo(float).eps
-    evaluated = b""  # bytes of the last evaluated point
-    nit = nfev = 0
-    while True:
-        _lbfgsb.setulb(
-            m, x, free, free, nbd, f, g, factr, options["gtol"], wa, iwa, task, lsave, isave, dsave, 20, ln_task
-        )
-        if task[0] == 3:  # FG: evaluate at x, which setulb overwrites in place
-            point = x.tobytes()
-            if point != evaluated:
-                evaluated = point
-                f, g = fun(x.copy())
-                nfev += 1
-        elif task[0] == 1:  # NEW_X: an iteration is complete
-            nit += 1
-            callback(x)
-            if nit >= options["maxiter"]:
-                task[:] = 5, 504
-            elif nfev > maxfun:
-                task[:] = 5, 502
-        else:
-            break
-    status = 0 if task[0] == 4 else 1 if nit >= options["maxiter"] or nfev > maxfun else 2
-    message = f"{status_messages[task[0]]}: {task_messages[task[1]]}"
+    m, max_iters, ftol, gtol = options["maxcor"], options["maxiter"], options["ftol"], options["gtol"]
+    x = np.array(u0, dtype=float)
+    n = x.size
+    f, g = fun(x)
+    f, nit, nfev = float(f), 0, 1
+    # Pair k sits in slot k % m: s_k in row k % m of rows, y_k in row m + k % m.
+    # r_inv_t is R^-T, with R[i, j] = s_i'y_j if pair i is not newer than pair
+    # j (else 0), y_gram is Y'Y and s_dot_y the diagonal D of R.  An empty
+    # slot's rows and columns are zero.  The last row of rows holds g.
+    rows = np.zeros((2 * m + 1, n))
+    r_inv_t, y_gram, s_dot_y = np.zeros((m, m)), np.zeros((m, m)), np.zeros(m)
+    products, coefficients = np.zeros(2 * m + 1), np.zeros(2 * m + 1)
+    s_g, y_g, s_c, y_c = products[:m], products[m : 2 * m], coefficients[:m], coefficients[m : 2 * m]
+    g_row, multiply, subtract = rows[2 * m], np.multiply, np.subtract
+    pairs = head = 0
+    gamma = 1.0  # the initial inverse Hessian is gamma * I
+    status, message = (0, _CONVERGED_GRADIENT) if np.abs(g).max() <= gtol else (None, "")
+    while status is None:
+        # d = -H g = S R^-T (gamma Y'g - (D + gamma Y'Y) c) + Y gamma c - gamma g, c = R^-1 S'g
+        g_row[:] = g
+        coefficients[-1] = -gamma
+        rows.dot(g, out=products)
+        c = s_g.dot(r_inv_t)
+        multiply(c, gamma, out=y_c)
+        e = y_gram.dot(y_c)
+        e += s_dot_y * c
+        y_g *= gamma
+        subtract(y_g, e, out=e)
+        r_inv_t.dot(e, out=s_c)
+        d = coefficients.dot(rows)
+        slope = float(g.dot(d))
+        found = None
+        if slope < 0.0:  # else d is no descent direction
+            # the first step is 1 / |d| = 1 / |g|, as L-BFGS-B takes it, then 1
+            step = min(1.0 / math.sqrt(float(d.dot(d))), _MAX_STEP) if nit == 0 else 1.0
+            x_new = x + d if step == 1.0 else d * step + x
+            f_new, g_new = fun(x_new)
+            f_new, new_slope = float(f_new), float(g_new.dot(d))
+            nfev += 1
+            if f_new <= f + step * _SUFFICIENT_DECREASE * slope and abs(new_slope) <= -_CURVATURE * slope:
+                found = x_new, f_new, g_new, new_slope, step
+            else:
+                found, trials = _line_search(fun, x, f, d, slope, step, f_new, new_slope)
+                nfev += trials
+        if found is None:
+            if pairs == 0:
+                status, message = 2, "ABNORMAL: "
+            rows.fill(0.0)
+            r_inv_t.fill(0.0)
+            y_gram.fill(0.0)
+            s_dot_y.fill(0.0)
+            pairs = head = 0
+            gamma = 1.0
+            continue
+        x, f_new, g_new, new_slope, step = found
+        nit += 1
+        callback(x)
+        curvature = (new_slope - slope) * step  # s'y
+        if nit >= max_iters:
+            status, message = 1, _ITERATION_LIMIT
+        # |g|^2 > n gtol^2 rules the gradient test out for one dot product
+        elif g_new.dot(g_new) <= n * gtol * gtol and np.abs(g_new).max() <= gtol:
+            status, message = 0, _CONVERGED_GRADIENT
+        elif f - f_new <= ftol * max(abs(f), abs(f_new), 1.0):
+            status, message = 0, _CONVERGED_REDUCTION
+        elif curvature > _EPS * -slope * step:  # else skip the update, as L-BFGS-B does
+            if pairs == m:  # drop the oldest pair: R^-1 of the rest is its block of R^-1
+                r_inv_t[head] = 0.0
+                r_inv_t[:, head] = 0.0
+            y = rows[m + head]
+            if step == 1.0:
+                rows[head] = d
+            else:
+                multiply(d, step, out=rows[head])
+            subtract(g_new, g, out=y)
+            rows.dot(y, out=products)  # S'y and Y'y
+            y_gram[head] = y_g
+            y_gram[:, head] = y_g
+            s_g *= -1.0 / curvature
+            r_inv_t[head] = s_g.dot(r_inv_t)  # the new column of R^-1
+            r_inv_t[head, head] = 1.0 / curvature
+            s_dot_y[head] = curvature
+            gamma = curvature / float(y_g[head])
+            head = (head + 1) % m
+            pairs = min(pairs + 1, m)
+        f, g = f_new, g_new
     return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, status=status, message=message)
+
+
+def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, step: float, f: float, g_step: float):
+    """Go on searching from ``x`` along ``d`` for a step that meets the strong Wolfe conditions.
+
+    Moré and Thuente's algorithm (MINPACK-2 ``dcsrch``) with L-BFGS-B's
+    constants: sufficient decrease ``_SUFFICIENT_DECREASE``, curvature
+    ``_CURVATURE``, at most ``_MAX_TRIALS`` trials, extrapolation by at most
+    4 times the last step.  ``f0`` and ``slope`` < 0 are ``fun``'s value and
+    derivative along ``d`` at ``x``; the first trial, at ``step``, gave ``f``
+    and ``g_step`` and failed the conditions.  Returns ``((x, f, g, slope,
+    step), trials)`` at the step found, ``trials`` counting the evaluations
+    after the first, or ``(None, trials)`` when the interval of uncertainty
+    gets narrower than ``_XTOL`` of the step, or the trials run out.
+    """
+    decrease = _SUFFICIENT_DECREASE * slope
+    bracketed, stage_one = False, True
+    width, width_before = _MAX_STEP, 2.0 * _MAX_STEP
+    # the best step so far (stx) and the other end of the interval (sty), with values and slopes
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = slope
+    stmin, stmax = 0.0, 5.0 * step
+    for trial in range(_MAX_TRIALS):
+        if trial:
+            x_new = d * step
+            x_new += x
+            f, g = fun(x_new)
+            f, g_step = float(f), float(g.dot(d))
+            if f <= f0 + step * decrease and abs(g_step) <= -_CURVATURE * slope:
+                return (x_new, f, g, g_step, step), trial
+        bound = f0 + step * decrease
+        if stage_one and f <= bound and g_step >= 0.0:
+            stage_one = False
+        if step >= _MAX_STEP and f <= bound and g_step <= decrease:
+            break
+        if stage_one and fx >= f > bound:
+            # a lower value without sufficient decrease: step on psi(t) = f(t) - t * decrease
+            stx, fx, gx, sty, fy, gy, step, bracketed = _step(
+                stx, fx - stx * decrease, gx - decrease, sty, fy - sty * decrease, gy - decrease,
+                step, f - step * decrease, g_step - decrease, bracketed, stmin, stmax,
+            )
+            fx, fy, gx, gy = fx + stx * decrease, fy + sty * decrease, gx + decrease, gy + decrease
+        else:
+            stx, fx, gx, sty, fy, gy, step, bracketed = _step(
+                stx, fx, gx, sty, fy, gy, step, f, g_step, bracketed, stmin, stmax
+            )
+        if bracketed:
+            if abs(sty - stx) >= 0.66 * width_before:  # the interval shrank too slowly: bisect
+                step = stx + 0.5 * (sty - stx)
+            width_before, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+            if not stmin < step < stmax or stmax - stmin <= _XTOL * stmax:
+                break  # rounding or a narrow interval leaves no step to try
+        else:
+            stmin, stmax = step + 1.1 * (step - stx), step + 4.0 * (step - stx)
+        step = min(max(step, 0.0), _MAX_STEP)
+    return None, trial
+
+
+def _step(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax):
+    """One step of Moré and Thuente's interval update (MINPACK-2 ``dcstep``), in Python floats.
+
+    ``stx`` is the best step so far, ``sty`` the other end of the interval
+    and ``stp`` the step just tried, each with its value and derivative.
+    Returns the new interval and its values, the next trial step and
+    whether a minimizer is now bracketed.  Floats, not numpy scalars, so
+    that a penalty value of 1e25 over- or underflows without a warning.
+    Once the minimizer is bracketed, the next trial lies at least
+    ``_NEAREST_TRIAL`` of the interval away from the best step, also when
+    the interpolation is degenerate (a division by zero or NaN).
+    """
+    try:
+        sgnd = dp * math.copysign(1.0, dx)
+        if fp > fx:  # a higher value: the minimum is bracketed
+            bracketed = True
+            theta, gamma = _cubic(fx, fp, stp - stx, dx, dp)
+            if stp < stx:
+                gamma = -gamma
+            stpc = stx + ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp) * (stp - stx)
+            stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+            stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        elif sgnd < 0.0:  # a lower value and a slope of opposite sign: bracketed
+            bracketed = True
+            theta, gamma = _cubic(fx, fp, stp - stx, dx, dp)
+            if stp > stx:
+                gamma = -gamma
+            stpc = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx) * (stx - stp)
+            stpq = stp + dp / (dp - dx) * (stx - stp)
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        elif abs(dp) < abs(dx):  # a lower value, the same sign, a smaller slope
+            theta, gamma = _cubic(fx, fp, stp - stx, dx, dp)
+            if stp > stx:
+                gamma = -gamma
+            r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+            if r < 0.0 and gamma != 0.0:
+                stpc = stp + r * (stx - stp)
+            else:
+                stpc = stpmax if stp > stx else stpmin
+            stpq = stp + dp / (dp - dx) * (stx - stp)
+            if bracketed:
+                stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+                limit = stp + 0.66 * (sty - stp)
+                stpf = min(limit, stpf) if stp > stx else max(limit, stpf)
+            else:
+                stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+                stpf = max(stpmin, min(stpmax, stpf))
+        elif bracketed:  # a lower value, the same sign, no smaller slope
+            theta, gamma = _cubic(fp, fy, sty - stp, dy, dp)
+            if stp > sty:
+                gamma = -gamma
+            stpf = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy) * (sty - stp)
+        else:
+            stpf = stpmax if stp > stx else stpmin
+    except ZeroDivisionError:
+        stpf = math.nan  # replaced by the safeguard below
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0.0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    if bracketed:
+        nearest = stx + _NEAREST_TRIAL * (sty - stx)
+        if not (stpf - nearest) * (sty - stx) >= 0.0:  # also catches NaN
+            stpf = nearest
+    elif not stpf == stpf:
+        stpf = stpmax if stp > stx else stpmin
+    return stx, fx, dx, sty, fy, dy, stpf, bracketed
+
+
+def _cubic(fa: float, fb: float, width: float, da: float, db: float) -> tuple[float, float]:
+    """``theta`` and ``|gamma|`` of Moré and Thuente's cubic through two steps ``width`` apart.
+
+    ``fa`` and ``fb`` are the values at the two steps, ``da`` and ``db``
+    the slopes; ``gamma`` is 0 where the cubic has no real minimizer.
+    """
+    theta = 3.0 * (fa - fb) / width + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    return theta, s * math.sqrt(max(0.0, (theta / s) * (theta / s) - (da / s) * (db / s)))
 
 
 def train(

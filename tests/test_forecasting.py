@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,21 @@ class TestForecast:
             _, result = forecast(ts, 3)
         assert [str(w.message) for w in record] == [expected]
         assert not result.converged and result.termination == nonconverging_training
+
+    def test_a_forecast_loads_neither_scipy_optimize_nor_scipy_special(self):
+        # a fresh process, so that no other test's imports count
+        src = str(Path(forecasting.__file__).resolve().parent.parent)
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import gpforecast\n"
+            "values = 10.0 + np.sin(np.pi * np.arange(48) / 6.0) + 0.02 * np.arange(48)\n"
+            "gpforecast.forecast(gpforecast.TimeSeries(values, 12.0), 6)\n"
+            "print(*sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert run.stdout.split() == []
 
     def test_standardized_posterior_hands_restarts_to_train(self, monkeypatch):
         real_train, handed = forecasting.train, []

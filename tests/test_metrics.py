@@ -100,6 +100,16 @@ class TestCrps:
         stderr = float(diff.std(ddof=1) / math.sqrt(diff.size))
         assert margin > 3.0 * stderr
 
+    def test_matches_the_normal_cdf_of_scipy_special(self):
+        # the package computes 2 Phi(z) - 1 as erf(z / sqrt(2)); scipy is the oracle here only
+        from scipy.special import ndtr
+
+        z = np.linspace(-38.0, 38.0, 7601)
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        expected = 2.5 * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * pdf - 1.0 / math.sqrt(math.pi))
+        got = crps_gaussian(0.25 + 2.5 * z, 0.25, 2.5)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14)
+
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             crps_gaussian(0.0, 0.0, 0.0)

@@ -77,6 +77,15 @@ class TestDefaultConstants:
         assert abs(computed_p95 - p95) <= 0.05 * p95 + 0.055
         assert prior.quantile(0.5) == pytest.approx(prior.median())
 
+    def test_quantile_matches_the_normal_quantile_of_scipy_special(self):
+        # the package inverts the normal CDF with statistics.NormalDist; scipy is the oracle here only
+        from scipy.special import ndtri
+
+        prior = LogNormalPrior(nu=0.5, lam=2.0)
+        q = np.concatenate([np.logspace(-12.0, -1.0, 200), np.linspace(0.1, 0.9, 161), 1.0 - np.logspace(-1.0, -12.0, 200)])
+        got = np.array([math.log(prior.quantile(float(p))) for p in q])
+        np.testing.assert_allclose(got, 0.5 + math.sqrt(2.0) * ndtri(q), rtol=1e-13, atol=1e-13)
+
     def test_shared_variance_invariant_enforced(self):
         entries = dict(PRIORS.entries)
         entries["s2_rbf"] = LogNormalPrior(nu=0.0, lam=1.0)

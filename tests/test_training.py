@@ -384,30 +384,46 @@ class TestTrain:
         best_values, best = max(evaluated, key=lambda e: e[1])
         assert result.theta.values == best_values and result.objective == best
 
-    @pytest.mark.parametrize("objective_tol", [training.OBJECTIVE_TOL, 1e-9], ids=["default", "1e-9"])
-    def test_a_stop_after_a_penalty_is_not_converged(self, monkeypatch, objective_tol):
-        # the penalty's zero gradient makes the line search back off to a step so
-        # small that the next evaluation passes the OBJECTIVE_TOL test
+    def test_a_penalty_evaluation_does_not_end_the_run(self, monkeypatch):
+        # the penalty's huge value and zero gradient must not shrink the line
+        # search's next step to nothing: the run goes on to the clean optimum
         x, y = sine_series(36)
-        monkeypatch.setattr(training, "OBJECTIVE_TOL", objective_tol)
         clean = train(FULL_SPEC, PRIORS, x, y)
         assert clean.converged and clean.penalty_evals == 0
+        assert clean.objective == pytest.approx(71.2501, abs=1e-4)
         assert clean.termination.startswith("CONVERGENCE") and "penalty" not in clean.termination
-        real_evaluate = training._evaluate
-        # the clean run evaluates 19 points at the default and 23 at 1e-9
-        for k in range(2, min(clean.nfev, 20) + 1):
-            calls = []
+        real_evaluate, real_minimize = training._evaluate, training.minimize
+        calls, at_iterates = [], []  # evaluations so far, and at each iterate
 
+        def rigged_at(k):
             def rigged(theta, series, columns):
                 calls.append(None)
                 if len(calls) == k:
                     raise IllConditionedModelError("rigged")
                 return real_evaluate(theta, series, columns)
 
-            monkeypatch.setattr(training, "_evaluate", rigged)
+            return rigged
+
+        def recording(fun, u0, callback, options):
+            def counting(u):
+                at_iterates.append(len(calls))
+                callback(u)
+
+            return real_minimize(fun, u0, callback=counting, options=options)
+
+        monkeypatch.setattr(training, "minimize", recording)
+        for k in range(2, min(clean.nfev, 20) + 1):
+            calls.clear()
+            at_iterates.clear()
+            monkeypatch.setattr(training, "_evaluate", rigged_at(k))
             result = train(FULL_SPEC, PRIORS, x, y)
-            assert result.penalty_evals == 1 and not result.converged, k
-            assert result.termination.endswith(" after a penalty evaluation"), k
+            assert result.penalty_evals == 1, k
+            assert abs(result.objective - clean.objective) <= 1e-3, k
+            # train flags the penalty only if it came after the iterate before the last
+            in_final_iteration = k > (at_iterates[-2] if len(at_iterates) > 1 else 0)
+            assert result.converged is not in_final_iteration, k
+            assert result.termination.startswith("CONVERGENCE"), k
+            assert result.termination.endswith(" after a penalty evaluation") is in_final_iteration, k
 
     def test_overflowing_trial_point_is_a_penalty(self, monkeypatch):
         # exp(800) overflows to inf, which the hyperparameter check rejects
@@ -485,55 +501,106 @@ def six_hourly_design_series(monkeypatch, seed, name):
     return TimeSeries(values[: -workload.horizon], workload.steps_per_year), workload.horizon
 
 
+def rosenbrock(u):
+    """The n-dimensional Rosenbrock function and its gradient."""
+    head, tail = u[:-1], u[1:]
+    value = float(np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2))
+    grad = np.zeros_like(u)
+    grad[:-1] = -400.0 * head * (tail - head**2) - 2.0 * (1.0 - head)
+    grad[1:] += 200.0 * (tail - head**2)
+    return value, grad
+
+
 class TestMinimizeOracle:
-    # training.minimize drives scipy's private compiled step (setulb) itself:
-    # it must evaluate the very points scipy.optimize.minimize's L-BFGS-B does
+    # training.minimize is L-BFGS with L-BFGS-B's line search and stop tests: it
+    # must end no worse than scipy's L-BFGS-B with the same options, and take
+    # only steps that meet the strong Wolfe conditions
     @pytest.mark.parametrize(
         "case, constants, status, message",
         [
             ("monthly", {}, 0, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
-            # a line search that shrinks below rounding asks for the last point
-            # again; without scipy's memo it would be evaluated (and counted) twice
-            ("six-hourly", {"OBJECTIVE_TOL": 1e-9}, 2, "ABNORMAL: "),
+            # scipy's L-BFGS-B ends this one in an ABNORMAL line-search stop
+            ("six-hourly", {"OBJECTIVE_TOL": 1e-9}, None, None),
             ("monthly", {"MAX_ITERS": 3}, 1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+            ("rosenbrock", {}, 0, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
         ],
-        ids=["monthly-default", "six-hourly-abnormal", "iteration-limit"],
+        ids=["monthly-default", "six-hourly-abnormal", "iteration-limit", "rosenbrock-16"],
     )
-    def test_minimize_evaluates_the_points_scipy_lbfgsb_does(self, monkeypatch, case, constants, status, message):
-        runs = []  # (evaluated points, callback calls, result) of each optimizer
+    def test_minimize_ends_no_worse_than_scipy_lbfgsb_on_strong_wolfe_steps(
+        self, monkeypatch, case, constants, status, message
+    ):
+        runs = []  # (evaluations, iterates, own result, scipy's result) of each restart
         own = training.minimize
 
-        def scipy_lbfgsb(fun, u0, callback, options):
-            return scipy.optimize.minimize(fun, u0, jac=True, method="L-BFGS-B", callback=callback, options=options)
-
         def both(fun, u0, callback, options):
-            for solve in (own, scipy_lbfgsb):
-                points, calls = [], []
+            evaluations, iterates = [], []
 
-                def recorded(u):
-                    points.append(u.tobytes())
-                    return fun(u)
+            def recorded(u):
+                out = fun(u)
+                evaluations.append((u.copy(), *out))
+                return out
 
-                result = solve(recorded, u0, callback=lambda _: calls.append(None), options=options)
-                runs.append((points, len(calls), result))
-            return runs[0][2]
+            result = own(recorded, u0, callback=lambda u: iterates.append(u.copy()), options=options)
+            theirs = scipy.optimize.minimize(fun, u0, jac=True, method="L-BFGS-B", options=options)
+            runs.append((evaluations, iterates, result, theirs))
+            return result
 
-        monkeypatch.setattr(training, "minimize", both)
         for name, value in constants.items():
             monkeypatch.setattr(training, name, value)
-        if case == "monthly":
-            x, y = sine_series(36)
-            train(FULL_SPEC, PRIORS, x, y)
+        if case == "rosenbrock":
+            options = {
+                "maxcor": training.LBFGS_MEMORY,
+                "maxiter": training.MAX_ITERS,
+                "ftol": training.OBJECTIVE_TOL,
+                "gtol": training.GRAD_TOL,
+            }
+            both(rosenbrock, np.tile([-1.2, 1.0], 8), None, options)
         else:
-            ts, horizon = six_hourly_design_series(monkeypatch, 1, "h-112-0-c0")
-            standardized_posterior(ts, horizon, mode="double-seasonal")
-        (points, calls, ours), (scipy_points, scipy_calls, theirs) = runs
-        assert points == scipy_points
-        assert (ours.nit, ours.nfev, ours.status, ours.message) == (theirs.nit, theirs.nfev, theirs.status, theirs.message)
-        assert ours.x.tobytes() == theirs.x.tobytes() and ours.fun == theirs.fun
-        assert calls == scipy_calls == ours.nit
-        assert ours.nfev == len(points)
-        assert (ours.status, ours.message) == (status, message)
+            monkeypatch.setattr(training, "minimize", both)
+            if case == "monthly":
+                x, y = sine_series(36)
+                train(FULL_SPEC, PRIORS, x, y)
+            else:
+                ts, horizon = six_hourly_design_series(monkeypatch, 1, "h-112-0-c0")
+                standardized_posterior(ts, horizon, mode="double-seasonal")
+        [(evaluations, iterates, ours, theirs)] = runs
+        assert ours.fun <= theirs.fun + 1e-3
+        assert ours.nfev == len(evaluations) and ours.nit == len(iterates)
+        if status is not None:
+            assert (ours.status, ours.message) == (status, message)
+        if "MAX_ITERS" in constants:
+            assert ours.nit == constants["MAX_ITERS"]
+        # each iterate is the last point evaluated before it; check both strong
+        # Wolfe conditions along the step from the iterate before it
+        at = {u.tobytes(): (value, grad) for u, value, grad in evaluations}
+        points = [evaluations[0][0], *iterates]
+        for before, after in zip(points, points[1:]):
+            (f0, g0), (f1, g1) = at[before.tobytes()], at[after.tobytes()]
+            s = after - before
+            assert f1 <= f0 + training._SUFFICIENT_DECREASE * float(g0 @ s) + 1e-12 * abs(f0)
+            assert abs(float(g1 @ s)) <= training._CURVATURE * abs(float(g0 @ s)) * (1.0 + 1e-9)
+
+
+    def test_a_failed_search_resets_the_memory_once_then_stops_abnormal(self):
+        # from the eighth evaluation on the gradient has the wrong sign, so no
+        # step meets the Wolfe conditions
+        evaluations, iterates = [], []
+
+        def lying(u):
+            value, grad = rosenbrock(u)
+            evaluations.append((u.copy(), grad if len(evaluations) < 7 else -grad))
+            return value, evaluations[-1][1]
+
+        options = {"maxcor": training.LBFGS_MEMORY, "maxiter": 200, "ftol": 1e-12, "gtol": 1e-9}
+        result = training.minimize(lying, np.tile([-1.2, 1.0], 2), iterates.append, options)
+        assert (result.status, result.message) == (2, "ABNORMAL: ")
+        assert result.nit == len(iterates) > 1 and result.x is iterates[-1]
+        assert result.fun == rosenbrock(result.x)[0]
+        # two searches of _MAX_TRIALS each after the last iterate; the second, with
+        # the memory reset, starts with a unit step along the steepest descent
+        last = next(k for k, (u, _) in enumerate(evaluations) if np.array_equal(u, result.x))
+        assert result.nfev == len(evaluations) == last + 1 + 2 * training._MAX_TRIALS
+        assert np.array_equal(evaluations[last + 1 + training._MAX_TRIALS][0], result.x - evaluations[last][1])
 
 
 class TestArdBehavior:
