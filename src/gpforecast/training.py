@@ -15,9 +15,8 @@ objective and gradient: exp(u), one check that every value is finite and
 with no :class:`HyperParams` made until the final theta.
 :func:`map_objective` prepares its arrays per call and then runs the same
 evaluation.  A trial point that fails the check, or whose covariance
-cannot be factorized, gets a large finite penalty instead of an error, so
-the line search backs off, and the run goes on;
-``TrainResult.penalty_evals`` counts them.
+cannot be factorized, is a failed evaluation, not an error: :func:`minimize`
+backs off from it, counts it in ``TrainResult.penalty_evals`` and goes on.
 ``TrainResult.series`` hands the prepared series on to ``gp.fit``.
 
 The optimizer keeps :data:`LBFGS_MEMORY` (20) curvature pairs on every
@@ -49,10 +48,6 @@ from .priors import PriorSpec, default_priors, grad_log_prior, log_prior, median
 
 __all__ = ["TrainResult", "map_objective", "train"]
 
-# Finite stand-in for -inf handed to the minimizer when a trial point is
-# ill-conditioned; the line search copes with a large value better than with inf.
-_PENALTY = 1e25
-
 MIN_TRAIN_POINTS = 4
 
 # Curvature pairs the optimizer keeps on every restart (see the module docstring).
@@ -81,13 +76,18 @@ _MAX_STEP = 1e10
 _EPS = float(np.finfo(float).eps)
 
 # Once a minimizer is bracketed, the next trial lies at least this fraction
-# of the interval away from the best step.  A penalty's huge value puts the
-# cubic step within rounding of the best step, so the next iterate barely
-# moves and the OBJECTIVE_TOL test ends the run; an ordinary value never
-# comes this close on the benchmark series, whose iterates the floor leaves
-# unchanged.  The textbook tenth changed them and cost six-hourly series
-# 1.3% more evaluations.
+# of the interval away from the best step, where a value far above the best
+# one puts the cubic step.  On six-hourly seed 1 h-112-0-c0 at restarts=5 it
+# moves two trials, of values 9.5e6 and 1.2e7 against best values of -251
+# and -470; without it the best of 5 there ends at 613.033, not 612.797, and
+# the single restart becomes an optimum-audit miss.  It leaves the digest
+# series' iterates unchanged; the textbook tenth cost six-hourly series 1.3%
+# more evaluations.
 _NEAREST_TRIAL = 1e-4
+
+# After a failed trial the line search goes this fraction of the way from
+# its best step to the failed one.
+_BACK_OFF = 0.5
 
 _CONVERGED_GRADIENT = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
 _CONVERGED_REDUCTION = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
@@ -101,9 +101,8 @@ RESTART_SEED = 0
 class TrainResult:
     """``iterations`` and ``nfev`` are the optimizer's iterations and objective evaluations, summed over restarts.
 
-    ``penalty_evals`` counts the evaluations, summed over restarts, that
-    returned the penalty instead of the objective (an ill-conditioned or
-    invalid trial point).
+    ``penalty_evals`` counts the failed evaluations (an ill-conditioned or
+    invalid trial point), summed over restarts.
 
     ``termination`` is the optimizer's message for the restart that produced
     ``theta``, e.g. an ``ABNORMAL`` line-search stop behind ``converged=False``,
@@ -147,29 +146,34 @@ def _evaluate(theta: np.ndarray, series: PreparedSeries, columns: np.ndarray) ->
     return lml + log_prior(columns, u), lml_grad + grad_log_prior(columns, u)
 
 
-def minimize(fun, u0: np.ndarray, callback, options: dict) -> SimpleNamespace:
+def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
     """Minimize ``fun(u) -> (value, gradient)`` from ``u0`` by unbounded L-BFGS.
 
     The inverse Hessian model is the compact form of Byrd, Nocedal and
-    Schnabel (1994) over the last ``options["maxcor"]`` curvature pairs,
-    scaled as L-BFGS-B scales it.  Lines are searched by Moré and Thuente's
-    method with L-BFGS-B's constants (:func:`_line_search`); every step
-    taken meets the strong Wolfe conditions.  A search that finds no such
-    step resets the memory and searches again along the steepest descent;
-    one that fails without memory ends the run with ``ABNORMAL: ``.  The
-    stop tests and messages are L-BFGS-B's: ``options["gtol"]`` on the
-    largest gradient component, ``options["ftol"]`` on an iteration's
-    relative reduction and ``options["maxiter"]`` iterations.  Returns
-    ``x``, ``fun``, ``nit``, ``nfev``, ``status`` (0 converged, 1 iteration
-    limit, 2 abnormal) and ``message``.  ``callback(x)`` is called once per
-    iteration.  ``fun`` may keep the points and must not change them; the
-    gradients it returns are kept, not copied.
+    Schnabel (1994) over the last ``LBFGS_MEMORY`` curvature pairs, scaled
+    as L-BFGS-B scales it.  Lines are searched by Moré and Thuente's method
+    with L-BFGS-B's constants (:func:`_line_search`); every step taken meets
+    the strong Wolfe conditions.  A search that finds no such step resets
+    the memory and searches again along the steepest descent; one that fails
+    without memory ends the run with ``ABNORMAL: ``.  The stop tests and
+    messages are L-BFGS-B's: ``GRAD_TOL`` on the largest gradient component,
+    ``OBJECTIVE_TOL`` on an iteration's relative reduction and ``MAX_ITERS``
+    iterations, each read at the call.  ``fun`` returns ``(inf, None)`` at a
+    point it cannot evaluate: a failed trial, or a failed start that ends
+    the run.  Returns ``x``, ``fun``, ``nit``, ``nfev``, ``penalty_evals``
+    (the failed evaluations), ``status`` (0 converged, 1 iteration limit, 2
+    abnormal) and ``message``.  If the final iteration (the evaluations
+    since the iterate before the last) met a failure, ``status`` is not 0
+    and ``message`` ends in " after a penalty evaluation".  ``callback(x)``,
+    if given, is called once per iteration.  ``fun`` may keep the points and
+    must not change them; the gradients it returns are kept, not copied.
     """
-    m, max_iters, ftol, gtol = options["maxcor"], options["maxiter"], options["ftol"], options["gtol"]
+    m, max_iters, ftol, gtol = LBFGS_MEMORY, MAX_ITERS, OBJECTIVE_TOL, GRAD_TOL
     x = np.array(u0, dtype=float)
     n = x.size
     f, g = fun(x)
     f, nit, nfev = float(f), 0, 1
+    failed, before_last, at_last = int(f == math.inf), 0, 0  # failures in all, by the last two iterates
     # Pair k sits in slot k % m: s_k in row k % m of rows, y_k in row m + k % m.
     # r_inv_t is R^-T, with R[i, j] = s_i'y_j if pair i is not newer than pair
     # j (else 0), y_gram is Y'Y and s_dot_y the diagonal D of R.  An empty
@@ -181,7 +185,9 @@ def minimize(fun, u0: np.ndarray, callback, options: dict) -> SimpleNamespace:
     g_row, multiply, subtract = rows[2 * m], np.multiply, np.subtract
     pairs = head = 0
     gamma = 1.0  # the initial inverse Hessian is gamma * I
-    status, message = (0, _CONVERGED_GRADIENT) if np.abs(g).max() <= gtol else (None, "")
+    status, message = (0, _CONVERGED_GRADIENT) if not failed and np.abs(g).max() <= gtol else (None, "")
+    if failed:  # a failed start ends the run
+        status, message = 2, "ABNORMAL: "
     while status is None:
         # d = -H g = S R^-T (gamma Y'g - (D + gamma Y'Y) c) + Y gamma c - gamma g, c = R^-1 S'g
         g_row[:] = g
@@ -202,13 +208,14 @@ def minimize(fun, u0: np.ndarray, callback, options: dict) -> SimpleNamespace:
             step = min(1.0 / math.sqrt(float(d.dot(d))), _MAX_STEP) if nit == 0 else 1.0
             x_new = x + d if step == 1.0 else d * step + x
             f_new, g_new = fun(x_new)
-            f_new, new_slope = float(f_new), float(g_new.dot(d))
+            f_new, new_slope = float(f_new), (float(g_new.dot(d)) if f_new < math.inf else math.nan)
             nfev += 1
             if f_new <= f + step * _SUFFICIENT_DECREASE * slope and abs(new_slope) <= -_CURVATURE * slope:
                 found = x_new, f_new, g_new, new_slope, step
             else:
-                found, trials = _line_search(fun, x, f, d, slope, step, f_new, new_slope)
+                found, trials, failures = _line_search(fun, x, f, d, slope, step, f_new, new_slope)
                 nfev += trials
+                failed += failures
         if found is None:
             if pairs == 0:
                 status, message = 2, "ABNORMAL: "
@@ -221,7 +228,9 @@ def minimize(fun, u0: np.ndarray, callback, options: dict) -> SimpleNamespace:
             continue
         x, f_new, g_new, new_slope, step = found
         nit += 1
-        callback(x)
+        before_last, at_last = at_last, failed
+        if callback is not None:
+            callback(x)
         curvature = (new_slope - slope) * step  # s'y
         if nit >= max_iters:
             status, message = 1, _ITERATION_LIMIT
@@ -251,7 +260,9 @@ def minimize(fun, u0: np.ndarray, callback, options: dict) -> SimpleNamespace:
             head = (head + 1) % m
             pairs = min(pairs + 1, m)
         f, g = f_new, g_new
-    return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, status=status, message=message)
+    if failed > before_last:
+        status, message = status or 2, message + " after a penalty evaluation"
+    return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, penalty_evals=failed, status=status, message=message)
 
 
 def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, step: float, f: float, g_step: float):
@@ -262,9 +273,12 @@ def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, ste
     ``_CURVATURE``, at most ``_MAX_TRIALS`` trials, extrapolation by at most
     4 times the last step.  ``f0`` and ``slope`` < 0 are ``fun``'s value and
     derivative along ``d`` at ``x``; the first trial, at ``step``, gave ``f``
-    and ``g_step`` and failed the conditions.  Returns ``((x, f, g, slope,
-    step), trials)`` at the step found, ``trials`` counting the evaluations
-    after the first, or ``(None, trials)`` when the interval of uncertainty
+    and ``g_step`` and failed the conditions.  A failed trial (``f`` = inf)
+    never reaches the interval update: the search backs off toward its best
+    step, and no later trial goes past the failed step.  Returns ``((x, f,
+    g, slope, step), trials, failures)`` at the step found, ``trials``
+    counting the evaluations after the first and ``failures`` the failed
+    trials, or ``(None, trials, failures)`` when the interval of uncertainty
     gets narrower than ``_XTOL`` of the step, or the trials run out.
     """
     decrease = _SUFFICIENT_DECREASE * slope
@@ -275,14 +289,21 @@ def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, ste
     fx = fy = f0
     gx = gy = slope
     stmin, stmax = 0.0, 5.0 * step
+    # the nearest failed steps below and above the best step; steps are >= 0
+    below, above, failures = -1.0, math.inf, 0
     for trial in range(_MAX_TRIALS):
         if trial:
             x_new = d * step
             x_new += x
             f, g = fun(x_new)
-            f, g_step = float(f), float(g.dot(d))
+            f, g_step = float(f), (float(g.dot(d)) if f < math.inf else math.nan)
             if f <= f0 + step * decrease and abs(g_step) <= -_CURVATURE * slope:
-                return (x_new, f, g, g_step, step), trial
+                return (x_new, f, g, g_step, step), trial, failures
+        if f == math.inf:
+            failures += 1
+            below, above = (below, step) if step > stx else (step, above)
+            step = stx + _BACK_OFF * (step - stx)
+            continue
         bound = f0 + step * decrease
         if stage_one and f <= bound and g_step >= 0.0:
             stage_one = False
@@ -309,7 +330,9 @@ def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, ste
         else:
             stmin, stmax = step + 1.1 * (step - stx), step + 4.0 * (step - stx)
         step = min(max(step, 0.0), _MAX_STEP)
-    return None, trial
+        if step >= above or step <= below:  # back off from the failed step instead
+            step = stx + _BACK_OFF * ((above if step > stx else below) - stx)
+    return None, trial, failures
 
 
 def _step(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax):
@@ -319,7 +342,7 @@ def _step(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax):
     and ``stp`` the step just tried, each with its value and derivative.
     Returns the new interval and its values, the next trial step and
     whether a minimizer is now bracketed.  Floats, not numpy scalars, so
-    that a penalty value of 1e25 over- or underflows without a warning.
+    that a far-off value over- or underflows without a warning.
     Once the minimizer is bracketed, the next trial lies at least
     ``_NEAREST_TRIAL`` of the interval away from the best step, also when
     the interpolation is degenerate (a division by zero or NaN).
@@ -408,7 +431,7 @@ def train(
     input bits give the same result bits.  ``converged`` and
     ``termination`` are the optimizer status and message of the restart
     that produced the returned point; if its iteration budget ran out, or
-    its final iteration met a penalty point, that point is still returned,
+    its final iteration met a failed evaluation, that point is still returned,
     flagged via ``converged=False``.
     """
     if not (isinstance(restarts, numbers.Integral) and restarts >= 1):  # rejects 2.5, NaN, "2"
@@ -426,14 +449,13 @@ def train(
     columns = priors.columns(spec)
     nu, lam = columns[:2]
     best_u: np.ndarray | None = None
-    best_value = float("inf")  # minimizer convention: value = -objective
-    penalty_evals = 0
+    best_value = math.inf  # minimizer convention: value = -objective
 
-    def negative_objective(u: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal best_u, best_value, penalty_evals
+    def negative_objective(u: np.ndarray) -> tuple[float, np.ndarray | None]:
+        nonlocal best_u, best_value
         with np.errstate(over="ignore"):  # an overflow to inf fails the check
             theta = np.exp(u)
-        objective = -math.inf  # penalized below, as a non-finite value is
+        objective = -math.inf  # a failed evaluation below, as a non-finite value is
         if theta.min() > 0.0 and theta.max() < math.inf:  # False on NaN
             try:
                 objective, grad = _evaluate(theta, series, columns)
@@ -441,8 +463,7 @@ def train(
                 pass
         value = -objective
         if not math.isfinite(value):
-            penalty_evals += 1
-            return _PENALTY, np.zeros(u.size)
+            return math.inf, None
         if value < best_value:
             best_value = value
             best_u = u.copy()
@@ -455,35 +476,13 @@ def train(
         for _ in range(restarts - 1):
             starts.append(nu + rng.normal(0.0, 1.0, size=nu.size) * scales)
 
-    iterations = nfev = 0
-    converged = False
-    termination = "no trial point could be evaluated"
+    converged, termination = False, "no trial point could be evaluated"
+    results = []
     for u_start in starts:
         value_before = best_value
-        # penalty_evals at the last two iterates; a penalty's zero gradient makes the
-        # line search back off to a step tiny enough to pass the OBJECTIVE_TOL test
-        at_iterates = [penalty_evals] * 2
-
-        def new_iterate(_: np.ndarray) -> None:
-            at_iterates[:] = [at_iterates[1], penalty_evals]
-
-        result = minimize(
-            negative_objective,
-            u_start,
-            callback=new_iterate,
-            options={
-                "maxcor": LBFGS_MEMORY,
-                "maxiter": MAX_ITERS,
-                "ftol": OBJECTIVE_TOL,
-                "gtol": GRAD_TOL,
-            },
-        )
-        iterations += int(result.nit)
-        nfev += int(result.nfev)
+        results.append(minimize(negative_objective, u_start))
         if best_value < value_before:  # this restart now holds the best point
-            penalized = penalty_evals > at_iterates[0]  # a penalty in the final iteration
-            converged = result.status == 0 and not penalized
-            termination = str(result.message) + (" after a penalty evaluation" if penalized else "")
+            converged, termination = results[-1].status == 0, results[-1].message
 
     seconds = time.perf_counter() - start
     if best_u is None:
@@ -496,11 +495,11 @@ def train(
     return TrainResult(
         theta=theta,
         objective=-best_value,
-        iterations=iterations,
+        iterations=sum(result.nit for result in results),
         converged=converged,
         seconds=seconds,
-        nfev=nfev,
+        nfev=sum(result.nfev for result in results),
         termination=termination,
-        penalty_evals=penalty_evals,
+        penalty_evals=sum(result.penalty_evals for result in results),
         series=series,
     )

@@ -17,6 +17,7 @@ RECORD = {
     "objective": -12.5,
     "iterations": 7,
     "nfev": 9,
+    "penalty_evals": 0,
     "converged": True,
     "termination": "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
     "mean": [0.1, -0.2],
@@ -46,6 +47,7 @@ def test_compare_passes_identical_digests(tmp_path):
         ("objective", -12.500000000000002),
         ("iterations", 8),
         ("nfev", 10),
+        ("penalty_evals", 1),
         ("converged", False),
         ("termination", "ABNORMAL: "),
         ("mean", [0.1, -0.20000000000000004]),
@@ -63,12 +65,20 @@ def test_compare_counts_termination_differences(tmp_path):
     assert "termination: 1 differ\n" in run.stdout
 
 
+def test_compare_counts_penalty_evals_differences(tmp_path):
+    run = compare(tmp_path, [{**RECORD, "penalty_evals": 2}, dict(RECORD)], parent=[RECORD, RECORD])
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "penalty_evals: 1 differ\n" in run.stdout
+
+
 def test_compare_skips_termination_when_one_digest_lacks_it(tmp_path):
-    # a digest written before termination was recorded still compares on the other fields
-    older = {field: value for field, value in RECORD.items() if field != "termination"}
+    # a digest written before termination and penalty_evals were recorded still
+    # compares on the other fields
+    older = {field: value for field, value in RECORD.items() if field not in ("termination", "penalty_evals")}
     run = compare(tmp_path, dict(RECORD), parent=[older])
     assert run.returncode == 0, run.stdout + run.stderr
     assert "termination: skipped, not in both digests\n" in run.stdout
+    assert "penalty_evals: skipped, not in both digests\n" in run.stdout
     assert "converged: 0 differ\n" in run.stdout
     changed = compare(tmp_path, {**RECORD, "nfev": 10}, parent=[older])
     assert changed.returncode == 1, changed.stdout + changed.stderr

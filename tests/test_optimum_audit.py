@@ -33,9 +33,11 @@ def test_report_lists_each_miss_and_totals_them(monkeypatch, capsys):
         {"seed": 1, "series": "a", "single": 10.0, "best": 10.5, "single_nfev": 20, "best_nfev": 100},
         {"seed": 2, "series": "b", "single": 10.0, "best": 10.05, "single_nfev": 25, "best_nfev": 110},
     ]
+    for record, failed in zip(records, [(0, 2), (1, 1)]):
+        record["single_penalty_evals"], record["best_penalty_evals"] = failed
     tool.report("six-hourly-double", records)
     assert capsys.readouterr().out.splitlines() == [
         "six-hourly-double seed 1 a: single 10.0000, best of 5 10.5000, missed 0.5000",
         "six-hourly-double: 2 series, 1 miss by more than 0.1 nats, 0.50 nats in total;"
-        " nfev summed 45 (one restart), 210 (5 restarts)",
+        " nfev summed 45 (one restart), 210 (5 restarts); failed evaluations summed 1 (one restart), 3 (5 restarts)",
     ]

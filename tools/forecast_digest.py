@@ -7,10 +7,11 @@ Run from the root of a checkout:
 
 Each line is one series of a perfbench workload (every workload, one
 copy of its design, at seeds 1 and 20201): the trained theta, the MAP
-objective there, iterations, nfev, converged, the optimizer's
-termination message, and the standardized predictive means and
-observation variances, every float written so that it reads back bit
-for bit.  A RuntimeWarning (an overflow, a division by zero, an invalid
+objective there, iterations, nfev, the failed evaluations
+(``penalty_evals``: trial points whose objective could not be
+evaluated), converged, the optimizer's termination message, and the
+standardized predictive means and observation variances, every float
+written so that it reads back bit for bit.  A RuntimeWarning (an overflow, a division by zero, an invalid
 value) stops the digest with that warning as an error.  The program is
 imported from the checkout's ``src``, the series from
 ``perfbench/workloads.py``.  Two digests are compared with
@@ -18,8 +19,8 @@ imported from the checkout's ``src``, the series from
     python tools/forecast_digest.py --compare parent.jsonl change.jsonl
 
 which counts the series whose theta, objective, iterations, nfev,
-converged or termination differ and reports the largest relative move
-of the means and of the variances.  It also prints each digest's
+penalty_evals, converged or termination differ and reports the largest
+relative move of the means and of the variances.  It also prints each digest's
 iterations and nfev summed over the series, and how many series'
 objective rose or fell by more than 1e-6 nats, with the largest fall.
 One line per workload then gives its nfev summed in each digest and on
@@ -28,8 +29,8 @@ how many series it rose, how many series' objective fell by more than
 flipped, in each direction.
 It exits 1 unless the two digests agree bit for bit: no series differs
 in those fields, and every series' means and variances are identical.
-A field that one digest lacks (termination, in a digest written before
-it was recorded) is skipped.
+A field that one digest lacks (termination or penalty_evals, in a digest
+written before it was recorded) is skipped.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 20201)
-EXACT = ("theta", "objective", "iterations", "nfev", "converged", "termination")
+EXACT = ("theta", "objective", "iterations", "nfev", "penalty_evals", "converged", "termination")
 SUMMED = ("iterations", "nfev")
 # an objective move larger than this, in nats, counts as a rise or a fall
 OBJECTIVE_MOVE = 1e-6
@@ -72,6 +73,7 @@ def digest():
                     "objective": result.objective,
                     "iterations": result.iterations,
                     "nfev": result.nfev,
+                    "penalty_evals": result.penalty_evals,
                     "converged": result.converged,
                     "termination": result.termination,
                     "mean": posterior.mean.tolist(),

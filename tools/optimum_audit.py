@@ -11,10 +11,11 @@ series) it trains the forecast's model twice on the training part, as
 (from the prior medians) and once with ``restarts=5``, whose
 first restart is that same start.  A series whose single restart ends
 more than 0.1 nats below the best of five is a miss.  Per workload it
-prints each miss, then the number of misses, the nats missed in total
-and the objective evaluations summed over the series, for one restart
-and for five.  Training is deterministic, so two runs of one checkout
-print the same lines.  ``--limit N`` audits only the first N series of
+prints each miss, then the number of misses, the nats missed in total,
+and the objective evaluations and the failed ones (trial points whose
+objective could not be evaluated) summed over the series, for one
+restart and for five.  Training is deterministic, so two runs of one
+checkout print the same lines.  ``--limit N`` audits only the first N series of
 each seed's design, for a quick look.  The program is imported from the
 checkout's ``src``, the series from ``perfbench/workloads.py``.
 """
@@ -33,7 +34,7 @@ MISS = 0.1
 
 
 def audit(name: str, seeds, limit: int | None = None):
-    """One record per series: its seed and name, and each run's objective and nfev."""
+    """One record per series: its seed and name, and each run's objective, nfev and failed evaluations."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
@@ -54,6 +55,8 @@ def audit(name: str, seeds, limit: int | None = None):
                 "best": runs[1].objective,
                 "single_nfev": runs[0].nfev,
                 "best_nfev": runs[1].nfev,
+                "single_penalty_evals": runs[0].penalty_evals,
+                "best_penalty_evals": runs[1].penalty_evals,
             }
 
 
@@ -67,10 +70,14 @@ def report(name: str, records) -> None:
             f" best of {RESTARTS} {r['best']:.4f}, missed {r['best'] - r['single']:.4f}"
         )
     missed = sum(r["best"] - r["single"] for r in misses)
+
+    def summed(field):
+        single, best = (sum(r[f"{run}_{field}"] for r in records) for run in ("single", "best"))
+        return f"{single} (one restart), {best} ({RESTARTS} restarts)"
+
     print(
-        f"{name}: {len(records)} series, {len(misses)} miss by more than {MISS:g} nats,"
-        f" {missed:.2f} nats in total; nfev summed {sum(r['single_nfev'] for r in records)} (one restart),"
-        f" {sum(r['best_nfev'] for r in records)} ({RESTARTS} restarts)",
+        f"{name}: {len(records)} series, {len(misses)} miss by more than {MISS:g} nats, {missed:.2f} nats in total;"
+        f" nfev summed {summed('nfev')}; failed evaluations summed {summed('penalty_evals')}",
         flush=True,
     )
 
