@@ -20,56 +20,51 @@ definiteness, so factorization uses an adaptive diagonal jitter: starting
 at 1e-8 times the mean diagonal and escalating tenfold up to 1e-2 before
 giving up with :class:`IllConditionedModelError`.
 
-The objective evaluates one series many times, so :func:`prepare_series`
-does once what does not depend on the hyperparameters: it checks x and
-y, detects the grid, and makes the differences' arrays, mean(x^2), the
-stationary-trainable mask and where LIN's and WN's values stand.  Each
-evaluation takes theta's values as a plain sequence in the spec's order
-(a trainer's exp(u), checked once) and makes one :func:`grad_gram` call
-on the prepared differences, which gives every stationary partial and,
-summed by :func:`lag_column`, the covariance at each difference.
+Training takes a regular grid only, x_i = x_0 + i h with h > 0 and
+n >= 2, the only input a forecast makes: :func:`prepare_series` raises
+ValueError for any other x, and does once what does not depend on the
+hyperparameters: it checks x and y and makes the lags' arrays, mean(x^2),
+the stationary-trainable mask and where LIN's and WN's values stand.
+Each evaluation takes theta's values as a plain sequence in the spec's
+order (a trainer's exp(u), checked once) and makes one :func:`grad_gram`
+call on the prepared lags, which gives every stationary partial and,
+summed by :func:`lag_column`, the covariance at each lag.
 
-On a regular grid K is a symmetric Toeplitz matrix T (with the jitter)
-plus LIN's rank-1 slope v v^T, and the objective
-(:func:`log_marginal_likelihood_and_grad`) works from T's first column
-alone: one Levinson-Durbin recursion gives log det T and g = T^-1 e_0,
-Gohberg-Semencul products with g give T^-1 y and T^-1 v, and
-Sherman-Morrison adds the slope, so an evaluation holds O(n) floats and
-makes no Cholesky factorization; without LIN, v = 0.  Levinson is only
-weakly stable, so below a conditioning bound
+K is a symmetric Toeplitz matrix T (with the jitter) plus LIN's rank-1
+slope v v^T, and the objective (:func:`log_marginal_likelihood_and_grad`)
+works from T's first column alone: one Levinson-Durbin recursion gives
+log det T and g = T^-1 e_0, Gohberg-Semencul products with g give T^-1 y
+and T^-1 v, and Sherman-Morrison adds the slope, so an evaluation holds
+O(n) floats and makes no Cholesky factorization; without LIN, v = 0.
+Levinson is only weakly stable, so below a conditioning bound
 (:data:`LEVINSON_MIN_ERROR_RATIO` on its prediction errors) the
-evaluation lays that column out as the Gram instead, in one
-Fortran-ordered array, factorizes it in place (a failed try lays it out
-again) and solves for y, e_0 and v at once.  Where the noise floor
-allows a failure, the recursion first runs on T's leading lags, and a
-block that fails the bound skips the full run.  On other inputs the Gram
-is laid out from the covariance at each pair of points
-(``kernels.pairs_gram``).  :func:`build_gram`, :func:`fit` and the
-objective off the grid lay the Gram out from a prepared series in one
-way: Toeplitz plus v v^T on the grid, mirrored pairs elsewhere.
+evaluation lays that column out as the Gram instead
+(``kernels.toeplitz_gram``, one Fortran-ordered array), factorizes it in
+place (a failed try lays it out again) and solves for y, e_0 and v at
+once.  Where the noise floor allows a failure, the recursion first runs
+on T's leading lags, and a block that fails the bound skips the full
+run.  :func:`build_gram` and :func:`fit` lay the Gram out the same way.
 
-:func:`fit` takes the trained theta, the prepared series and the test
-points.  When these continue the series' regular grid, as a forecast's
-do, one :func:`grad_gram` pass over the n + h lags gives the Gram's
-column (bit for bit the objective's), the cross-covariance (Toeplitz on
-lags 1 .. n+h-1, plus LIN's slope) and the prior variance (lag 0);
-otherwise one :func:`grad_gram` pass over the prepared differences gives
-the Gram, laid out as the objective lays it out, and ``build_cross`` and
-``zero_lag_variance`` lay out the test points' covariances.
-:func:`predict` reuses the factor, so a forecast makes one Cholesky
-factorization at its trained hyperparameters, plus one per evaluation
-that falls back.
+:func:`fit` takes the trained theta, the prepared series and any finite
+test points.  When these continue the series' grid, as a forecast's do,
+one :func:`grad_gram` pass over the n + h lags gives the Gram's column
+(bit for bit the objective's), the cross-covariance (Toeplitz on lags
+1 .. n+h-1, plus LIN's slope) and the prior variance (lag 0); otherwise
+one :func:`grad_gram` pass over the prepared lags gives the Gram, and
+``build_cross`` and ``zero_lag_variance`` lay out the test points'
+covariances.  :func:`predict` reuses the factor, so a forecast makes one
+Cholesky factorization at its trained hyperparameters, plus one per
+evaluation that falls back.
 
 The gradient never builds an n-by-n matrix per hyperparameter: each
-stationary partial is the dot product of its values on the differences
-with the matching sums of W = a a^T - K^-1.  On a regular grid those are
-W's diagonal sums, one per lag, and K^-1's come in O(n^2) from g and
-K^-1 v (Gohberg-Semencul plus Sherman-Morrison); K^-1 is never formed.
-There g_0 T^-1 = G G^T - Z Z^T (Gohberg-Semencul), and as Z's first column
-is g reversed, Z Z^T's sums are exactly corr(g, m g), m = 0 .. n-1: two
-correlations of g give T^-1's sums (see _toeplitz_plus_rank1_inverse_sums).
-On other inputs LAPACK ``dpotri`` overwrites the factor with K^-1.  LIN,
-being rank 2, contributes two quadratic forms in W.
+stationary partial is the dot product of its values on the lags with W's
+diagonal sums, one per lag, W = a a^T - K^-1, and K^-1's come in O(n^2)
+from g and K^-1 v (Gohberg-Semencul plus Sherman-Morrison); K^-1 is
+never formed.  There g_0 T^-1 = G G^T - Z Z^T (Gohberg-Semencul), and as
+Z's first column is g reversed, Z Z^T's sums are exactly corr(g, m g),
+m = 0 .. n-1: two correlations of g give T^-1's sums (see
+_toeplitz_plus_rank1_inverse_sums).  LIN, being rank 2, contributes two
+quadratic forms in W.
 """
 
 from __future__ import annotations
@@ -82,12 +77,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py guards its convention
-from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dpotri
 
 from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, _as_points, build_cross, grad_gram
-from .kernels import lag_column, pairs_gram, point_pairs, regular_lags, toeplitz_cross, toeplitz_gram
-from .kernels import zero_lag_variance
+from .kernels import lag_column, regular_lags, toeplitz_cross, toeplitz_gram, zero_lag_variance
 
 __all__ = [
     "IllConditionedModelError",
@@ -154,12 +146,9 @@ class PredictiveDistribution:
 class PreparedSeries(NamedTuple):
     """Everything an objective evaluation on one series under one spec needs that does not depend on theta.
 
-    ``diffs`` are the differences the stationary terms are evaluated on and
-    ``xx`` LIN's products there: on a regular grid (:func:`regular_lags`)
-    the n lags and 0, with ``pairs`` None; otherwise x_i - x_j and
-    x_i x_j for each pair i >= j, with ``pairs`` = (i, j) from
-    ``kernels.point_pairs`` and ``pair_weights`` 1 on the diagonal and 2
-    off it.  ``index`` is m = 0 .. n-1 and ``lengths`` n - m, the subdiagonals' lengths.
+    ``x`` is a regular grid (:func:`regular_lags`) and ``diffs`` its n lags
+    x_i - x_0, the differences the stationary terms are evaluated on.
+    ``index`` is m = 0 .. n-1 and ``lengths`` n - m, the subdiagonals' lengths.
     ``lin`` is where LIN's s2_bias and s2_lin stand in theta's values and
     ``noise`` where WN's s2_noise does (None without the term).
     """
@@ -168,9 +157,6 @@ class PreparedSeries(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     diffs: Differences
-    xx: np.ndarray | float
-    pairs: tuple[np.ndarray, np.ndarray] | None
-    pair_weights: np.ndarray | None
     mean_xx: float
     stationary: np.ndarray
     index: np.ndarray
@@ -180,23 +166,21 @@ class PreparedSeries(NamedTuple):
 
 
 def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSeries:
-    """Check ``x`` and ``y`` and compute every theta-free array of the objective, once."""
+    """Check ``x`` and ``y`` and compute every theta-free array of the objective, once.
+
+    ``x`` must be a regular grid x_i = x_0 + i h with h > 0 and n >= 2
+    (:func:`regular_lags`); any other x raises ValueError.
+    """
     x, y = _as_data(x, y)
     wn = spec.values_at("WN")
     lags = regular_lags(x)
     if lags is None:
-        pairs, d, xx = point_pairs(x)
-        weights = np.where(pairs[0] == pairs[1], 1.0, 2.0)
-    else:
-        d, xx, pairs, weights = lags, 0.0, None, None
+        raise ValueError(f"x must be a regular grid x_i = x_0 + i h with h > 0 and n >= 2 (got n = {x.size})")
     return PreparedSeries(
         spec=spec,
         x=x,
         y=y,
-        diffs=Differences.of(spec, d),
-        xx=xx,
-        pairs=pairs,
-        pair_weights=weights,
+        diffs=Differences.of(spec, lags),
         mean_xx=float(np.mean(x * x)),
         stationary=np.array([name not in TERM_PARAMS["LIN"] for name in spec.trainable_names()]),
         index=np.arange(x.size, dtype=float),
@@ -207,24 +191,16 @@ def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSe
 
 
 def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
-    """n-by-n covariance matrix K[i, j] = k(x[i], x[j]), laid out from :func:`prepare_series` as in :func:`fit`.
+    """n-by-n covariance matrix K[i, j] = k(x[i], x[j]) on a regular grid ``x``, laid out as :func:`fit` lays it out.
 
-    Symmetric by construction; the WN term lands on the diagonal and on any
-    exact duplicate time points.
+    The symmetric Toeplitz matrix of the covariance at each lag plus LIN's
+    slope; x is checked by :func:`prepare_series`.
     """
     values = theta.for_spec(spec)
     series = prepare_series(spec, x, np.zeros(np.shape(x)))
     slope = values[series.lin][1] if series.lin is not None else 0.0
-    column = lag_column(spec, values, grad_gram(spec, values, series.diffs), series.xx)
-    return _gram(series, column, math.sqrt(slope) * series.x)
-
-
-def _gram(series: PreparedSeries, column: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The Gram of :func:`lag_column` on the prepared differences: Toeplitz plus v v^T on the grid, else pairs."""
-    n = series.x.size
-    if series.pairs is None:
-        return toeplitz_gram(column[:n], v)
-    return pairs_gram(column, series.pairs, n)
+    column = lag_column(spec, values, grad_gram(spec, values, series.diffs))
+    return toeplitz_gram(column, math.sqrt(slope) * series.x)
 
 
 def _cholesky_with_jitter(build: Callable[[], np.ndarray]) -> tuple[np.ndarray, float]:
@@ -275,18 +251,18 @@ def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = 
 
     ``series`` comes from :func:`prepare_series` (``TrainResult.series``
     after training) and ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
-    Test points that continue the series' regular grid take one pass over
-    the n + h lags (see the module docstring); any others take
-    ``build_cross`` and ``zero_lag_variance``, and the Gram is laid out
-    from the prepared differences, as :func:`build_gram` lays it out.
+    ``x_star`` may be any finite points.  Those that continue the series'
+    grid take one pass over the n + h lags (see the module docstring); any
+    others take ``build_cross`` and ``zero_lag_variance``.  Either way the
+    Gram is laid out as :func:`build_gram` lays it out.
     """
     spec, x, y, lin = series.spec, series.x, series.y, series.lin
     values = theta.for_spec(spec)
     x_star = np.empty(0) if x_star is None else _as_points(x_star, "x_star", allow_empty=True)
-    lags = regular_lags(np.concatenate((x, x_star))) if series.pairs is None and x_star.size else None
+    lags = regular_lags(np.concatenate((x, x_star))) if x_star.size else None
     slope = values[lin][1] if lin is not None else 0.0
-    if lags is None:  # the covariance at the prepared differences, as the objective sums it
-        column = lag_column(spec, values, grad_gram(spec, values, series.diffs), series.xx)
+    if lags is None:  # the covariance at the training lags, as the objective sums it
+        column = lag_column(spec, values, grad_gram(spec, values, series.diffs))
         cross, prior_variance = build_cross(spec, theta, x_star, x), zero_lag_variance(spec, theta, x_star)
     else:  # the lags of the test points continue the training lags, whose bits they keep
         partials = grad_gram(spec, values, Differences.of(spec, lags))
@@ -295,7 +271,7 @@ def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = 
         lag_zero = np.broadcast_to(partials[:, :1], (partials.shape[0], x_star.size))
         prior_variance = lag_column(spec, values, lag_zero, x_star * x_star, noise=False)
     v = math.sqrt(slope) * x
-    lower, jitter = _cholesky_with_jitter(lambda: _gram(series, column, v))
+    lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column[: x.size], v))
     alpha = cho_solve((lower, True), y, check_finite=False)
     return FitState(
         chol_lower=lower,
@@ -318,14 +294,11 @@ def log_marginal_likelihood_and_grad(values: Sequence[float], series: PreparedSe
 
     The gradient over the log-space trainables uses the standard identity
     d lml / d u_k = 0.5 tr[W dK/du_k] with W = a a^T - K^-1 and a = K^-1 y.
-    On a regular grid a stationary term's dK/du_k is Toeplitz, so the trace
-    is the dot product of its per-lag partial with W's diagonal sums, and
-    K^-1's share of them comes in O(n^2) from g = T^-1 e_0 and p = K^-1 v
-    (see :func:`_levinson_solve`); on an irregular grid it is a sum
-    over the pairs i >= j of W_ij times the partial at x_i - x_j,
-    off-diagonal pairs counted twice, with K^-1 from LAPACK ``dpotri``.
-    LIN is rank 2, so its traces are the quadratic forms 1'W1 and x'Wx.
-    The jitter tracks the mean Gram diagonal, so its dependence on the
+    A stationary term's dK/du_k is Toeplitz, so the trace is the dot
+    product of its per-lag partial with W's diagonal sums, and K^-1's share
+    of them comes in O(n^2) from g = T^-1 e_0 and p = K^-1 v (see
+    :func:`_levinson_solve`).  LIN is rank 2, so its traces are the
+    quadratic forms 1'W1 and x'Wx.  The jitter tracks the mean Gram diagonal, so its dependence on the
     hyperparameters is included: the result is the exact gradient of the
     value actually computed.
     """
@@ -333,40 +306,25 @@ def log_marginal_likelihood_and_grad(values: Sequence[float], series: PreparedSe
     bias, slope = values[lin] if lin is not None else (0.0, 0.0)
     v = math.sqrt(slope) * x  # LIN's slope vector, zero without LIN
     partials = grad_gram(spec, values, series.diffs)  # the one pass over the terms, values included
-    column = lag_column(spec, values, partials, series.xx)
-    if series.pairs is not None:  # every pair i >= j once, off-diagonal pairs counted twice
-        i, j = series.pairs
-        lower, jitter = _cholesky_with_jitter(lambda: _gram(series, column, v))
-        a = cho_solve((lower, True), y, check_finite=False)
-        lml = _log_mvn(lower, y, a)
-        # dpotri writes the lower triangle of K^-1 over the factor, which is not needed after it
-        inv_lower, info = dpotri(lower, lower=1, overwrite_c=1)
-        if info != 0:
-            raise IllConditionedModelError(f"inverting the covariance failed (LAPACK dpotri info {info})")
-        s = series.pair_weights * (a[i] * a[j] - inv_lower[i, j])
-        trace_inv = float(np.trace(inv_lower))
-        x_inv_x = float(x @ dsymv(1.0, inv_lower, x, lower=1)) if slope else 0.0
-    else:  # W's diagonal sums: a's autocorrelation minus K^-1's, off-diagonals counted twice
-        noise = values[series.noise] if series.noise is not None else 0.0
-        solved = _levinson_solve(column, v, y, noise) or _cholesky_grid_solve(column, v, y)
-        lml, a, jitter, g, p, beta = solved
-        inv_sums = _toeplitz_plus_rank1_inverse_sums(g, p, beta, series.index, series.lengths)
-        s = 2.0 * (_correlation(a, a) - inv_sums)
-        s[0] *= 0.5
-        trace_inv = float(inv_sums[0])
-        x_inv_x = float(v @ p) / slope if slope else 0.0
+    column = lag_column(spec, values, partials)
+    noise = values[series.noise] if series.noise is not None else 0.0
+    lml, a, jitter, g, p, beta = _levinson_solve(column, v, y, noise) or _cholesky_grid_solve(column, v, y)
+    inv_sums = _toeplitz_plus_rank1_inverse_sums(g, p, beta, series.index, series.lengths)
+    # W's diagonal sums: a's autocorrelation minus K^-1's, off-diagonals counted twice
+    s = 2.0 * (_correlation(a, a) - inv_sums)
+    s[0] *= 0.5
     stationary = series.stationary
     traces = np.empty(stationary.size)  # tr(W dK/du_k)
     zero_lag = np.empty(stationary.size)  # mean diagonal of dK/du_k
-    traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]  # lag 0 comes first on either path
-    if lin is not None:  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1 on either path
-        x_w_x = float((x @ a) ** 2 - x_inv_x)
+    traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]
+    if lin is not None:  # rank 2: s2_bias 11^T + s2_lin xx^T; s sums to 1'W1
+        x_w_x = float((x @ a) ** 2 - float(v @ p) / slope)  # x'K^-1 x = v'p / s2_lin
         traces[lin] = [bias * float(s.sum()), slope * x_w_x]
         zero_lag[lin] = [bias, slope * series.mean_xx]
     # dk/dlog s2 = k and every other partial vanishes at lag 0, so the
     # zero-lag partials add up to the mean Gram diagonal the jitter tracks
     jitter_sensitivity = jitter / math.fsum(zero_lag.tolist()) * zero_lag
-    trace_w = float(a @ a - trace_inv)
+    trace_w = float(a @ a - inv_sums[0])
     grad = 0.5 * traces + 0.5 * trace_w * jitter_sensitivity
     return lml, grad
 

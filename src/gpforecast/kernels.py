@@ -28,17 +28,15 @@ names.  :func:`grad_gram` and :func:`lag_column` take theta's values as
 a plain sequence in the spec's order, which an objective evaluation
 holds without making a :class:`HyperParams`.  :func:`grad_gram` writes
 the stationary terms' partials into one block, on a vector of
-differences: the n lags of a regular grid, or each pair of points once.
-That is the one pass over the terms, and :func:`lag_column`, which sums
-the covariance at each difference from those rows, the one sum of the
-composition: every builder here takes one of each.  On a regular grid
-(:func:`regular_lags`) :func:`toeplitz_gram` lays that column out as a
-Toeplitz matrix plus LIN's slope, a rank-1 update in place, and
-:func:`toeplitz_cross` lays out the cross-covariance of test points that
-continue the grid; on other inputs :func:`pairs_gram` lays out the
-covariance at each pair of points (:func:`point_pairs`).
-``gp.build_gram``, ``gp.fit`` and the objective lay the Gram out from a
-prepared series with these.
+differences.  That is the one pass over the terms, and
+:func:`lag_column`, which sums the covariance at each difference from
+those rows, the one sum of the composition: every builder here takes one
+of each.  Training points form a regular grid (:func:`regular_lags`), so
+the differences are its n lags and every Gram is :func:`toeplitz_gram`
+of one lag column: a Toeplitz matrix plus LIN's slope, a rank-1 update in
+place.  :func:`toeplitz_cross` lays out the cross-covariance of test
+points that continue the grid, and :func:`build_cross` and
+:func:`zero_lag_variance` the covariances of any other test points.
 
 Hyperparameters are always positive; optimization happens in log space, so
 every partial in this module is taken with respect to ``log(parameter)``.
@@ -69,8 +67,6 @@ __all__ = [
     "lag_column",
     "toeplitz_gram",
     "toeplitz_cross",
-    "point_pairs",
-    "pairs_gram",
 ]
 
 
@@ -359,25 +355,6 @@ def toeplitz_cross(column: np.ndarray, s2_lin: float, x_star: np.ndarray, x: np.
     return cross
 
 
-def point_pairs(x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """Each pair of points i >= j once: the indices (i, j), the differences x_i - x_j and the products x_i x_j."""
-    i, j = np.tril_indices(x.size)
-    return (i, j), x[i] - x[j], x[i] * x[j]
-
-
-def pairs_gram(values: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
-    """The symmetric n-by-n matrix with ``values`` at each pair of :func:`point_pairs` and its mirror, Fortran-ordered.
-
-    Off a regular grid that is the Gram, with ``values`` from
-    :func:`lag_column` on the pairs' differences and products.
-    """
-    i, j = pairs
-    gram = np.empty((n, n), order="F")
-    gram[i, j] = values
-    gram[j, i] = values
-    return gram
-
-
 @np.errstate(over="ignore")  # huge variances overflow their sum to inf, which fails the check
 def lag_column(
     spec: KernelSpec, values: Sequence[float], partials: np.ndarray, xx: np.ndarray | float = 0.0, noise: bool = True
@@ -389,8 +366,8 @@ def lag_column(
     ``xx`` in LIN's place; no term is evaluated again.  On a regular grid's
     lags, with xx = 0, that is the Gram's first column without LIN's slope
     (LIN's bias is constant in the lag): the Gram is the symmetric Toeplitz
-    matrix of this column plus the rank-1 slope s2_lin x x^T.  On the pairs
-    of points, with xx their products, it is the Gram's entry for each pair.
+    matrix of this column plus the rank-1 slope s2_lin x x^T.  On pairs of
+    points, with xx their products, it is the covariance of each pair.
     ``values`` are theta's, as :func:`grad_gram` read them; ``noise=False``
     leaves WN out, as :func:`build_cross` and :func:`zero_lag_variance` do.
     """

@@ -130,8 +130,8 @@ def map_objective(
 
     Both come from one factorization.  Raises :class:`IllConditionedModelError`
     if the covariance cannot be factorized.  ``x`` and ``y`` are the
-    training series, prepared on each call; :func:`train` prepares them
-    once and runs the same evaluation on each trial point.
+    training series, x a regular grid, prepared on each call; :func:`train`
+    prepares them once and runs the same evaluation on each trial point.
     """
     return _evaluate(np.array(theta.for_spec(spec)), prepare_series(spec, x, y), priors.columns(spec))
 
@@ -279,7 +279,8 @@ def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, ste
     g, slope, step), trials, failures)`` at the step found, ``trials``
     counting the evaluations after the first and ``failures`` the failed
     trials, or ``(None, trials, failures)`` when the interval of uncertainty
-    gets narrower than ``_XTOL`` of the step, or the trials run out.
+    gets narrower than ``_XTOL`` of the step, a failed step lies within
+    ``_XTOL`` of the best one, or the trials run out.
     """
     decrease = _SUFFICIENT_DECREASE * slope
     bracketed, stage_one = False, True
@@ -302,6 +303,8 @@ def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, ste
         if f == math.inf:
             failures += 1
             below, above = (below, step) if step > stx else (step, above)
+            if abs(step - stx) <= _XTOL * max(step, stx):
+                break  # the failed step is within _XTOL of the best one: no step is left to try
             step = stx + _BACK_OFF * (step - stx)
             continue
         bound = f0 + step * decrease
@@ -426,7 +429,8 @@ def train(
 ) -> TrainResult:
     """Maximize the MAP objective from ``restarts`` starts and return the best hyperparameters found.
 
-    ``restarts`` is an integer >= 1; anything else raises ValueError.  The
+    ``restarts`` is an integer >= 1 and ``x`` a regular grid
+    (``gp.prepare_series``); anything else raises ValueError.  The
     first start is the prior medians, so one restart is deterministic: same
     input bits give the same result bits.  ``converged`` and
     ``termination`` are the optimizer status and message of the restart
@@ -436,16 +440,14 @@ def train(
     """
     if not (isinstance(restarts, numbers.Integral) and restarts >= 1):  # rejects 2.5, NaN, "2"
         raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < MIN_TRAIN_POINTS:
-        raise ValueError(f"need at least {MIN_TRAIN_POINTS} observations to train, got {x.size}")
-    if not spec.has("WN"):
-        raise ValueError("the trained model must include a WN term for the observation noise")
-    priors = priors if priors is not None else default_priors()
     start = time.perf_counter()
     # everything the objective needs that does not depend on theta, once per series
     series = prepare_series(spec, x, y)
+    if series.x.size < MIN_TRAIN_POINTS:
+        raise ValueError(f"need at least {MIN_TRAIN_POINTS} observations to train, got {series.x.size}")
+    if not spec.has("WN"):
+        raise ValueError("the trained model must include a WN term for the observation noise")
+    priors = priors if priors is not None else default_priors()
     columns = priors.columns(spec)
     nu, lam = columns[:2]
     best_u: np.ndarray | None = None

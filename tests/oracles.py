@@ -101,6 +101,44 @@ def longdouble_inverse_diagonal_sums(cov: np.ndarray) -> np.ndarray:
     to sum_k sum_i M[k, i + l] M[k, i], the lag-l autocorrelation of M's
     rows summed over the rows.
     """
+    m = _longdouble_inverse_factor(cov)
+    n = len(m)
+    return sum(np.correlate(row, row, "full")[n - 1 :] for row in m)
+
+
+def longdouble_lml_gradient(spec, theta, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of log N(y; 0, K) over the log trainables, from K^-1 in ``np.longdouble`` arithmetic.
+
+    K is ``build_gram`` of the grid x plus the base jitter, JITTER_START
+    times its mean diagonal.  With a = K^-1 y and W = a a^T - K^-1, the
+    partial over u_k is 0.5 tr(W dK_k) plus the jitter's share,
+    0.5 tr(W) JITTER_START mean(diag dK_k).  A stationary term's dK_k is the
+    Toeplitz matrix of its ``grad_gram`` row on the lags; LIN's are
+    s2_bias 1 1^T and s2_lin x x^T.
+    """
+    from scipy.linalg import toeplitz
+
+    from gpforecast.gp import JITTER_START, build_gram
+    from gpforecast.kernels import TERM_PARAMS, Differences, grad_gram
+
+    gram = build_gram(spec, theta, x)
+    m = _longdouble_inverse_factor(gram + JITTER_START * float(np.mean(np.diag(gram))) * np.eye(len(x)))
+    inverse = m.T @ m
+    a = inverse @ np.asarray(y, dtype=np.longdouble)
+    w = np.outer(a, a) - inverse
+    rows = iter(grad_gram(spec, theta.values, Differences.of(spec, x - x[0])))
+    partials = []
+    for term in spec.terms:
+        if term.kind == "LIN":
+            partials += [theta.s2_bias * np.ones((len(x), len(x))), theta.s2_lin * np.outer(x, x)]
+        else:
+            partials += [toeplitz(next(rows)) for _ in TERM_PARAMS[term.kind]]
+    jitter_share = 0.5 * np.trace(w) * JITTER_START
+    return np.array([float(0.5 * np.sum(w * dk) + jitter_share * np.mean(np.diag(dk))) for dk in partials])
+
+
+def _longdouble_inverse_factor(cov: np.ndarray) -> np.ndarray:
+    """L^-1 for cov = L L^T, in ``np.longdouble``, so that cov^-1 = L^-T L^-1."""
     lower = _longdouble_cholesky(cov)
     n = len(lower)
     m = np.zeros_like(lower)
@@ -108,7 +146,7 @@ def longdouble_inverse_diagonal_sums(cov: np.ndarray) -> np.ndarray:
         m[i, : i + 1] = -(lower[i, :i] @ m[:i, : i + 1])
         m[i, i] += 1
         m[i, : i + 1] /= lower[i, i]
-    return sum(np.correlate(row, row, "full")[n - 1 :] for row in m)
+    return m
 
 
 def _longdouble_cholesky(cov: np.ndarray) -> np.ndarray:
@@ -181,6 +219,11 @@ def lognormal_logpdf(theta: float, nu: float, lam: float) -> float:
 # ---------------------------------------------------------------------------
 # synthetic series generators (seeded, shared by module and acceptance tests)
 # ---------------------------------------------------------------------------
+
+
+def random_grid(rng, n: int) -> np.ndarray:
+    """A regular grid x0 + arange(n) / s, x0 drawn from [0, 4) and s, the steps per unit, from [0.5, 12)."""
+    return rng.uniform(0.0, 4.0) + np.arange(n) / rng.uniform(0.5, 12.0)
 
 
 def white_noise_series(seed: int, n: int = 100) -> np.ndarray:

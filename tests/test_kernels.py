@@ -37,9 +37,9 @@ def single_term_spec(kind: str) -> KernelSpec:
 
 
 def covariance(spec, theta, x1, x2):
-    """k(x1, x2) as the library computes it: the Gram of one point, or the cross-covariance of two."""
+    """k(x1, x2) as the library computes it: the Gram of a grid starting at x1, or the cross-covariance of two."""
     if x1 == x2:
-        return float(build_gram(spec, theta, np.array([x1]))[0, 0])
+        return float(build_gram(spec, theta, np.array([x1, x1 + 1.0]))[0, 0])
     return float(build_cross(spec, theta, np.array([x1]), np.array([x2]))[0, 0])
 
 
@@ -58,11 +58,10 @@ class TestKernelValues:
 
     def test_full_composition_matches_frozen_scalar_oracle(self):
         # prior medians, lag |x1 - x2| = 0.5; value frozen from the scalar
-        # re-implementation in oracles.py, read off both layouts of the Gram
+        # re-implementation in oracles.py, read off the Gram and the cross-covariance
         value = oracles.composition_value(FULL_SPEC, MEDIANS, 2.0, 1.5)
         assert value == pytest.approx(1.518181965213779, abs=1e-12)
-        for x in ([1.5, 2.0], [2.0, 1.5]):  # a regular grid, then pairs
-            assert build_gram(FULL_SPEC, MEDIANS, np.array(x))[1, 0] == pytest.approx(value, abs=1e-12)
+        assert build_gram(FULL_SPEC, MEDIANS, np.array([1.5, 2.0]))[1, 0] == pytest.approx(value, abs=1e-12)
         assert covariance(FULL_SPEC, MEDIANS, 2.0, 1.5) == pytest.approx(value, abs=1e-12)
 
     def test_rejects_nonpositive_and_missing_parameters(self):
@@ -106,8 +105,7 @@ class TestZeroLag:
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), x1=st.floats(-40.0, 40.0), x2=st.floats(-40.0, 40.0))
 def test_symmetry_is_exact(seed, x1, x2):
-    # the cross-covariance, not the two points' Gram: that takes the Toeplitz
-    # layout in one order and the pairs in the other, which round apart
+    # the cross-covariance, not the two points' Gram: that needs them in grid order
     rng = np.random.default_rng(seed)
     theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng, clip_sigmas=3.0)
     one, other = np.array([x1]), np.array([x2])
@@ -118,8 +116,8 @@ def test_symmetry_is_exact(seed, x1, x2):
 @given(seed=st.integers(0, 10_000))
 def test_gram_with_jitter_is_positive_definite(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 21))
-    x = np.sort(rng.uniform(0.0, 10.0, size=n))
+    n = int(rng.integers(2, 21))
+    x = oracles.random_grid(rng, n)
     theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng, clip_sigmas=3.0)
     gram = build_gram(FULL_SPEC, theta, x)
     lower = np.linalg.cholesky(gram + 1e-8 * np.eye(n))
@@ -147,22 +145,24 @@ def test_sm_converges_to_rbf_for_huge_tau():
 
 
 class TestBuildGram:
-    def test_single_point(self):
-        gram = build_gram(FULL_SPEC, MEDIANS, np.array([0.5]))
-        assert gram.shape == (1, 1)
-        assert gram[0, 0] > 0
-        assert gram[0, 0] == pytest.approx(oracles.composition_value(FULL_SPEC, MEDIANS, 0.5, 0.5), abs=1e-14)
+    def test_two_point_grid_diagonal(self):
+        x = np.array([0.5, 1.5])
+        gram = build_gram(FULL_SPEC, MEDIANS, x)
+        assert gram.shape == (2, 2)
+        for i in range(2):
+            assert gram[i, i] > 0
+            assert gram[i, i] == pytest.approx(oracles.composition_value(FULL_SPEC, MEDIANS, x[i], x[i]), abs=1e-14)
 
     def test_rbf_three_points_positive_definite(self):
         spec = single_term_spec("RBF")
         theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=0.8)
-        gram = build_gram(spec, theta, np.array([0.0, 1.0, 2.5]))
+        gram = build_gram(spec, theta, np.array([0.0, 1.25, 2.5]))
         lower = np.linalg.cholesky(gram)
         assert np.all(np.diag(lower) > 0)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(42)
-        x = np.sort(rng.uniform(0.0, 6.0, size=4))
+        x = oracles.random_grid(rng, 4)
         gram = build_gram(FULL_SPEC, MEDIANS, x)
         for i in range(4):
             for j in range(4):
@@ -171,36 +171,14 @@ class TestBuildGram:
 
     def test_symmetric_by_construction(self):
         rng = np.random.default_rng(3)
-        x = rng.uniform(-5.0, 5.0, size=9)
+        x = oracles.random_grid(rng, 9) - 5.0
         gram = build_gram(FULL_SPEC, MEDIANS, x)
         assert np.array_equal(gram, gram.T)
-
-    def test_off_grid_gram_has_the_bits_of_the_n_by_n_formulas(self):
-        # off a grid each pair i >= j is evaluated once and mirrored; every entry
-        # must carry the bits the term formulas give on the n-by-n differences
-        rng = np.random.default_rng(11)
-        x = np.concatenate((rng.uniform(0.0, 6.0, size=12), [1.5, 1.5]))
-        theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
-        values = iter(theta.values)
-        expected = np.zeros((x.size, x.size))
-        for term in FULL_SPEC.terms:
-            p = [next(values) for _ in TERM_PARAMS[term.kind]]
-            expected = expected + dense_parts(term, p, x)[0]
-        assert regular_lags(x) is None
-        np.testing.assert_array_equal(build_gram(FULL_SPEC, theta, x), expected)
-
-    def test_noise_lands_on_exact_duplicates(self):
-        x = np.array([0.0, 1.0, 1.0, 2.0])
-        spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.3)
-        gram = build_gram(spec, theta, x)
-        assert gram[1, 2] == pytest.approx(1.0 + 0.3)
-        assert gram[0, 1] == pytest.approx(math.exp(-0.5))
 
 
 class TestBuildCross:
     def test_equals_gram_minus_noise_diagonal(self):
-        x = np.array([0.0, 0.4, 1.1])
+        x = np.array([0.0, 0.5, 1.0])
         gram = build_gram(FULL_SPEC, MEDIANS, x)
         cross = build_cross(FULL_SPEC, MEDIANS, x, x)
         np.testing.assert_array_equal(cross, gram - MEDIANS.s2_noise * np.eye(3))
@@ -246,7 +224,7 @@ class TestRegularGrid:
         np.testing.assert_array_equal(regular_lags(x), x - x[0])
         assert regular_lags(x + 7.25) is not None
 
-    def test_irregular_grids_take_the_dense_path(self):
+    def test_other_points_are_no_grid(self):
         rng = np.random.default_rng(0)
         grid = np.arange(10) / 12.0
         assert regular_lags(np.array([0.5])) is None
@@ -344,7 +322,7 @@ class TestGradGram:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_partials_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        x = np.sort(rng.uniform(0.0, 6.0, size=6))
+        x = oracles.random_grid(rng, 6)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         names = FULL_SPEC.trainable_names()
         u = np.log(theta.values)
@@ -469,7 +447,6 @@ def test_from_log_rejects_each_invalid_trainable(bad_u):
 
 ENTRY_POINTS = {
     "build_gram": lambda theta: build_gram(DOUBLE_SPEC, theta, GRID),
-    "build_gram-pairs": lambda theta: build_gram(DOUBLE_SPEC, theta, GRID[::-1]),
     "build_cross": lambda theta: build_cross(DOUBLE_SPEC, theta, np.array([0.5]), GRID),
     "zero_lag_variance": lambda theta: zero_lag_variance(DOUBLE_SPEC, theta, GRID),
     "fit": lambda theta: fit(theta, prepare_series(DOUBLE_SPEC, GRID, np.zeros(GRID.size))),

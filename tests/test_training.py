@@ -43,14 +43,14 @@ def sine_series(n=24):
 
 
 class TestMapObjective:
-    def test_single_point_noise_model_is_sum_of_audited_parts(self):
+    def test_noise_model_is_sum_of_audited_parts(self):
         s2 = 0.8
         theta = HyperParams.of(WN_SPEC, s2_noise=s2)
-        x, y = np.array([0.0]), np.array([0.0])
+        x, y = np.array([0.0, 0.25]), np.array([0.0, 0.0])
         value, _ = map_objective(WN_SPEC, PRIORS, theta, x, y)
         from scipy.stats import norm
 
-        gauss = float(norm.logpdf(0.0, scale=math.sqrt(s2 * (1.0 + JITTER_START))))
+        gauss = 2.0 * float(norm.logpdf(0.0, scale=math.sqrt(s2 * (1.0 + JITTER_START))))
         expected = gauss + oracles.lognormal_logpdf(s2, -1.5, 1.0)
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -69,7 +69,7 @@ class TestMapObjective:
 
     def test_objective_grad_composes_likelihood_and_prior(self):
         rng = np.random.default_rng(2)
-        x = np.sort(rng.uniform(0.0, 4.0, size=8))
+        x = oracles.random_grid(rng, 8)
         y = rng.standard_normal(8)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         u = np.log(theta.values)
@@ -92,9 +92,7 @@ class TestMapObjective:
         for n in (8, 48, 132, 224, 336):
             x = 3.5 + np.arange(n) / steps_per_year
             y = rng.standard_normal(n)
-            perm = rng.permutation(n)
-            theta = oracles.random_hyperparams(spec, PRIORS, rng)
-            points += [(theta, x, y), (theta, x[perm], y[perm])]
+            points.append((oracles.random_hyperparams(spec, PRIORS, rng), x, y))
         # near noiseless, the grid evaluation falls back to the Cholesky path
         x = np.arange(224) / steps_per_year
         points.append((median_hyperparams(spec, PRIORS).replace(s2_noise=5e-8), x, rng.standard_normal(224)))
@@ -703,12 +701,15 @@ class TestFailedEvaluations:
         failed = [u for u in evaluations if u > 1.1]
         assert result.penalty_evals == len(failed) > 0 and result.nfev == len(evaluations)
         assert result.x[0] <= 1.1 and result.fun == (result.x[0] - 2.0) ** 2
-        # the search from the last iterate fails, and so does the one after the memory reset
+        # the search from the last iterate fails, and so does the one after the
+        # memory reset: each ends once its failed step is within _XTOL of its
+        # best one, 8 and 9 evaluations in, not after _MAX_TRIALS halvings
         assert (result.status, result.message) == (2, "ABNORMAL:  after a penalty evaluation")
+        assert result.x[0] == 1.0
         bounds = [*at_iterates, len(evaluations)]
         *iterations, tail = [evaluations[begin:end] for begin, end in zip(bounds, bounds[1:])]
-        assert len(tail) == 2 * training._MAX_TRIALS
-        for search in [*iterations, tail[: training._MAX_TRIALS], tail[training._MAX_TRIALS :]]:
+        assert len(tail) == 17
+        for search in [*iterations, tail[:8], tail[8:]]:
             for k, u in enumerate(search):
                 if u > 1.1:
                     assert all(later < u for later in search[k + 1 :]), search
