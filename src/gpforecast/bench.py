@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -126,14 +127,14 @@ def load_csv(path, layout: CsvLayout) -> Dataset:
     return Dataset(entries=entries)
 
 
-def _parse_value(cell: str, where: str) -> float:
-    """A CSV value cell as a finite float; ``where`` (file and line) starts the error message."""
+def _parse_value(cell: str, path, lineno: int) -> float:
+    """A CSV value cell, on line ``lineno`` of the file ``path``, as a finite float."""
     try:
         value = float(cell)
     except ValueError:
-        raise CsvFormatError(f"{where}: value {cell!r} is not numeric") from None
-    if not np.isfinite(value):
-        raise CsvFormatError(f"{where}: value {value!r} is not finite")
+        raise CsvFormatError(f"{path}: line {lineno}: value {cell!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise CsvFormatError(f"{path}: line {lineno}: value {value!r} is not finite")
     return value
 
 
@@ -171,7 +172,7 @@ def _read_long(path) -> list[tuple[str, list[float]]]:
             step = int(row[t_idx])
         except ValueError:
             raise CsvFormatError(f"{path}: line {lineno}: step {row[t_idx]!r} is not an integer") from None
-        value = _parse_value(row[v_idx], f"{path}: line {lineno}")
+        value = _parse_value(row[v_idx], path, lineno)
         series = rows.setdefault(name, {})
         if step in series:
             raise CsvFormatError(f"{path}: line {lineno}: duplicate step {step} for series {name!r}")
@@ -208,7 +209,7 @@ def _read_wide(path) -> list[tuple[str, list[float]]]:
                     f"{path}: line {lineno}: series {name!r} resumes after a gap; "
                     "empty cells are only allowed at the end of a column"
                 )
-            columns[j].append(_parse_value(cell, f"{path}: line {lineno}"))
+            columns[j].append(_parse_value(cell, path, lineno))
     return [(name, col) for name, col in zip(header, columns)]
 
 

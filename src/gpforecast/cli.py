@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .bench import CsvLayout, _parse_value, _read_rows, emit_report, load_csv, run_benchmark
-from .forecasting import TimeSeries, default_horizon, forecast, parse_frequency
+from .forecasting import _PERIODIC_TERMS, TimeSeries, default_horizon, forecast, parse_frequency
 from .priors import default_priors, format_priors, load_priors
 
 
@@ -36,7 +36,7 @@ def _read_values(path) -> np.ndarray:
     values = []
     for lineno, row in rows:
         cell = row[value_idx] if value_idx < len(row) else ""
-        values.append(_parse_value(cell, f"{path}: line {lineno}"))
+        values.append(_parse_value(cell, path, lineno))
     return np.array(values)
 
 
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("input", help="CSV with one value per row (or a 'value' column)")
     p_fc.add_argument("--freq", required=True, help="monthly, quarterly, or steps per year")
     p_fc.add_argument("--horizon", type=int, default=None, help="steps to forecast (default by frequency)")
-    p_fc.add_argument("--mode", default="single-seasonal", choices=["single-seasonal", "double-seasonal"])
+    p_fc.add_argument("--mode", default="single-seasonal", choices=list(_PERIODIC_TERMS))
     p_fc.add_argument("--output", default=None, help="write forecast CSV here instead of stdout")
     p_fc.add_argument("--priors", default=None, help="alternative priors file")
     p_fc.set_defaults(func=_cmd_forecast)
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--layout", default="long", choices=["long", "wide"])
     p_b.add_argument("--freq", required=True, help="monthly, quarterly, or steps per year")
     p_b.add_argument("--test-length", type=int, default=None, dest="test_length")
-    p_b.add_argument("--mode", default="single-seasonal", choices=["single-seasonal", "double-seasonal"])
+    p_b.add_argument("--mode", default="single-seasonal", choices=list(_PERIODIC_TERMS))
     p_b.add_argument("--parallel", type=int, default=1, help="series-level worker threads")
     p_b.add_argument("--format", default="human", choices=["human", "machine"])
     p_b.add_argument("--priors", default=None, help="alternative priors file")

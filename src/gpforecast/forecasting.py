@@ -55,6 +55,13 @@ YEARLY_PERIOD = 1.0
 WEEKLY_PERIOD = 1.0 / 52.18
 DAILY_PERIOD = 1.0 / 365.25
 
+# Each seasonality mode's periodic terms; every mode adds the shared terms after them.
+_PERIODIC_TERMS = {
+    "single-seasonal": (Term("PER", period=YEARLY_PERIOD),),
+    "double-seasonal": (Term("PER", period=WEEKLY_PERIOD), Term("PER2", period=DAILY_PERIOD)),
+}
+_SHARED_TERMS = (Term("LIN"), Term("RBF"), Term("SM1"), Term("SM2"), Term("WN"))
+
 MIN_SERIES_LENGTH = 8
 
 
@@ -164,36 +171,16 @@ def future_time_index(ts: TimeSeries, horizon: int) -> np.ndarray:
 
 
 def default_spec(mode: str = "single-seasonal") -> KernelSpec:
-    """The fixed composition for the requested seasonality mode.
+    """The fixed composition for the requested seasonality mode (``"single"`` and ``"double"`` also work).
 
     single-seasonal: PER(1 year) + LIN + RBF + SM1 + SM2 + WN.
     double-seasonal: weekly and daily periodic terms replace the yearly one.
     """
     lowered = mode.strip().lower()
-    if lowered in ("single", "single-seasonal"):
-        return KernelSpec(
-            terms=(
-                Term("PER", period=YEARLY_PERIOD),
-                Term("LIN"),
-                Term("RBF"),
-                Term("SM1"),
-                Term("SM2"),
-                Term("WN"),
-            )
-        )
-    if lowered in ("double", "double-seasonal"):
-        return KernelSpec(
-            terms=(
-                Term("PER", period=WEEKLY_PERIOD),
-                Term("PER2", period=DAILY_PERIOD),
-                Term("LIN"),
-                Term("RBF"),
-                Term("SM1"),
-                Term("SM2"),
-                Term("WN"),
-            )
-        )
-    raise ValueError(f"mode must be 'single-seasonal' or 'double-seasonal', got {mode!r}")
+    periodic = _PERIODIC_TERMS.get(lowered) or _PERIODIC_TERMS.get(lowered + "-seasonal")
+    if periodic is None:
+        raise ValueError(f"mode must be 'single-seasonal' or 'double-seasonal', got {mode!r}")
+    return KernelSpec(terms=periodic + _SHARED_TERMS)
 
 
 def default_horizon(steps_per_year: float) -> int:

@@ -59,8 +59,8 @@ LBFGS_MEMORY = 20
 # OBJECTIVE_TOL (L-BFGS-B's ftol).  A looser OBJECTIVE_TOL changes no
 # iterate and only ends the same path earlier.  Being relative, it gives up
 # more nats as the objective grows with n: at most 0.0042 against 1e-9 on
-# the benchmark series (n <= 336), up to 0.0093 on seeded six-hourly series
-# of n = 1461.
+# the benchmark series (n <= 336), up to 0.031 on 24 seeded six-hourly
+# series of n = 1461.
 MAX_ITERS = 200
 GRAD_TOL = 1e-5
 OBJECTIVE_TOL = 1e-6
@@ -206,16 +206,9 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
         if slope < 0.0:  # else d is no descent direction
             # the first step is 1 / |d| = 1 / |g|, as L-BFGS-B takes it, then 1
             step = min(1.0 / math.sqrt(float(d.dot(d))), _MAX_STEP) if nit == 0 else 1.0
-            x_new = x + d if step == 1.0 else d * step + x
-            f_new, g_new = fun(x_new)
-            f_new, new_slope = float(f_new), (float(g_new.dot(d)) if f_new < math.inf else math.nan)
-            nfev += 1
-            if f_new <= f + step * _SUFFICIENT_DECREASE * slope and abs(new_slope) <= -_CURVATURE * slope:
-                found = x_new, f_new, g_new, new_slope, step
-            else:
-                found, trials, failures = _line_search(fun, x, f, d, slope, step, f_new, new_slope)
-                nfev += trials
-                failed += failures
+            found, trials, failures = _line_search(fun, x, f, d, slope, step)
+            nfev += trials
+            failed += failures
         if found is None:
             if pairs == 0:
                 status, message = 2, "ABNORMAL: "
@@ -244,10 +237,7 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
                 r_inv_t[head] = 0.0
                 r_inv_t[:, head] = 0.0
             y = rows[m + head]
-            if step == 1.0:
-                rows[head] = d
-            else:
-                multiply(d, step, out=rows[head])
+            multiply(d, step, out=rows[head])
             subtract(g_new, g, out=y)
             rows.dot(y, out=products)  # S'y and Y'y
             y_gram[head] = y_g
@@ -265,22 +255,21 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
     return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, penalty_evals=failed, status=status, message=message)
 
 
-def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, step: float, f: float, g_step: float):
-    """Go on searching from ``x`` along ``d`` for a step that meets the strong Wolfe conditions.
+def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, step: float):
+    """Search from ``x`` along ``d`` for a step that meets the strong Wolfe conditions, trying ``step`` first.
 
     Moré and Thuente's algorithm (MINPACK-2 ``dcsrch``) with L-BFGS-B's
     constants: sufficient decrease ``_SUFFICIENT_DECREASE``, curvature
     ``_CURVATURE``, at most ``_MAX_TRIALS`` trials, extrapolation by at most
     4 times the last step.  ``f0`` and ``slope`` < 0 are ``fun``'s value and
-    derivative along ``d`` at ``x``; the first trial, at ``step``, gave ``f``
-    and ``g_step`` and failed the conditions.  A failed trial (``f`` = inf)
+    derivative along ``d`` at ``x``.  A failed trial (``fun`` gives inf)
     never reaches the interval update: the search backs off toward its best
     step, and no later trial goes past the failed step.  Returns ``((x, f,
     g, slope, step), trials, failures)`` at the step found, ``trials``
-    counting the evaluations after the first and ``failures`` the failed
-    trials, or ``(None, trials, failures)`` when the interval of uncertainty
-    gets narrower than ``_XTOL`` of the step, a failed step lies within
-    ``_XTOL`` of the best one, or the trials run out.
+    counting the evaluations and ``failures`` the failed ones, or ``(None,
+    trials, failures)`` when the interval of uncertainty gets narrower than
+    ``_XTOL`` of the step, a failed step lies within ``_XTOL`` of the best
+    one, or the trials run out.
     """
     decrease = _SUFFICIENT_DECREASE * slope
     bracketed, stage_one = False, True
@@ -292,14 +281,12 @@ def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, ste
     stmin, stmax = 0.0, 5.0 * step
     # the nearest failed steps below and above the best step; steps are >= 0
     below, above, failures = -1.0, math.inf, 0
-    for trial in range(_MAX_TRIALS):
-        if trial:
-            x_new = d * step
-            x_new += x
-            f, g = fun(x_new)
-            f, g_step = float(f), (float(g.dot(d)) if f < math.inf else math.nan)
-            if f <= f0 + step * decrease and abs(g_step) <= -_CURVATURE * slope:
-                return (x_new, f, g, g_step, step), trial, failures
+    for trial in range(1, _MAX_TRIALS + 1):
+        x_new = x + d if step == 1.0 else d * step + x
+        f, g = fun(x_new)
+        f, g_step = float(f), (float(g.dot(d)) if f < math.inf else math.nan)
+        if f <= f0 + step * decrease and abs(g_step) <= -_CURVATURE * slope:
+            return (x_new, f, g, g_step, step), trial, failures
         if f == math.inf:
             failures += 1
             below, above = (below, step) if step > stx else (step, above)
