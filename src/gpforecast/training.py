@@ -5,8 +5,8 @@ over ``u = log(theta)`` so positivity is structural.  :func:`map_objective`
 computes it and its gradient from one factorization; :func:`train` hands
 its negation to :func:`minimize`, an unbounded L-BFGS written here: the
 compact inverse-Hessian form of Byrd, Nocedal and Schnabel (1994) over
-preallocated arrays, Moré and Thuente's strong-Wolfe line search and
-L-BFGS-B's constants, stop tests and messages.  It needs no part of
+preallocated arrays, Nocedal and Wright's bracket-and-zoom strong-Wolfe
+line search, and L-BFGS-B's constants and stop tests.  It needs no part of
 ``scipy.optimize``, which a forecast therefore never imports.
 :func:`train` prepares the series and takes the spec's prior
 columns once, and each evaluation maps the optimizer's u straight to the
@@ -15,8 +15,9 @@ objective and gradient: exp(u), one check that every value is finite and
 with no :class:`HyperParams` made until the final theta.
 :func:`map_objective` prepares its arrays per call and then runs the same
 evaluation.  A trial point that fails the check, or whose covariance
-cannot be factorized, is a failed evaluation, not an error: :func:`minimize`
-backs off from it, counts it in ``TrainResult.penalty_evals`` and goes on.
+cannot be factorized, is a failed evaluation, not an error: the line
+search takes it as the far end of its bracket and searches short of it,
+and :func:`minimize` counts it in ``TrainResult.penalty_evals``.
 ``TrainResult.series`` hands the prepared series on to ``gp.fit``.
 
 The optimizer keeps :data:`LBFGS_MEMORY` (20) curvature pairs on every
@@ -66,8 +67,8 @@ GRAD_TOL = 1e-5
 OBJECTIVE_TOL = 1e-6
 
 # The line search's constants are L-BFGS-B's: sufficient decrease and
-# curvature of the strong Wolfe conditions, the narrowest interval of
-# uncertainty relative to the step, trials per search, the longest step.
+# curvature of the strong Wolfe conditions, the narrowest bracket relative
+# to its larger end, trials per search, the longest step.
 _SUFFICIENT_DECREASE = 1e-3
 _CURVATURE = 0.9
 _XTOL = 0.1
@@ -75,23 +76,21 @@ _MAX_TRIALS = 20
 _MAX_STEP = 1e10
 _EPS = float(np.finfo(float).eps)
 
-# Once a minimizer is bracketed, the next trial lies at least this fraction
-# of the interval away from the best step, where a value far above the best
-# one puts the cubic step.  On six-hourly seed 1 h-112-0-c0 at restarts=5 it
-# moves two trials, of values 9.5e6 and 1.2e7 against best values of -251
-# and -470; without it the best of 5 there ends at 613.033, not 612.797, and
-# the single restart becomes an optimum-audit miss.  It leaves the digest
-# series' iterates unchanged; the textbook tenth cost six-hourly series 1.3%
-# more evaluations.
-_NEAREST_TRIAL = 1e-4
+# Before a minimizer is bracketed each trial step is this multiple of the
+# last; inside a bracket a trial keeps this fraction of it from either end.
+# A safeguard of 0.05 or 0.2 trains the benchmark series about as well; 0.01
+# costs the monthly optimum audit's single restarts 6% more evaluations
+# (8257 against 7805), and extrapolating by 2 costs the digest series 4%
+# more (2816 against 2715).
+_EXTRAPOLATE = 4.0
+_SAFEGUARD = 0.1
 
-# After a failed trial the line search goes this fraction of the way from
-# its best step to the failed one.
-_BACK_OFF = 0.5
-
-_CONVERGED_GRADIENT = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
-_CONVERGED_REDUCTION = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
-_ITERATION_LIMIT = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+# Each stop message names the test that fired.
+_CONVERGED_GRADIENT = "CONVERGENCE: LARGEST GRADIENT COMPONENT <= GRAD_TOL"
+_CONVERGED_REDUCTION = "CONVERGENCE: RELATIVE REDUCTION OF F <= OBJECTIVE_TOL"
+_ITERATION_LIMIT = "STOP: ITERATIONS REACHED MAX_ITERS"
+_NO_STEP = "ABNORMAL: NO STRONG-WOLFE STEP"
+_FAILED_START = "ABNORMAL: START NOT EVALUATED"
 
 # Seed of the generator that perturbs the starts of restarts after the first.
 RESTART_SEED = 0
@@ -151,18 +150,20 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
 
     The inverse Hessian model is the compact form of Byrd, Nocedal and
     Schnabel (1994) over the last ``LBFGS_MEMORY`` curvature pairs, scaled
-    as L-BFGS-B scales it.  Lines are searched by Moré and Thuente's method
-    with L-BFGS-B's constants (:func:`_line_search`); every step taken meets
+    as L-BFGS-B scales it.  Lines are searched by bracket and zoom with
+    L-BFGS-B's constants (:func:`_line_search`); every step taken meets
     the strong Wolfe conditions.  A search that finds no such step resets
     the memory and searches again along the steepest descent; one that fails
-    without memory ends the run with ``ABNORMAL: ``.  The stop tests and
-    messages are L-BFGS-B's: ``GRAD_TOL`` on the largest gradient component,
+    without memory ends the run with ``ABNORMAL: NO STRONG-WOLFE STEP``.
+    The stop tests are L-BFGS-B's, and each message names the one that
+    fired: ``GRAD_TOL`` on the largest gradient component,
     ``OBJECTIVE_TOL`` on an iteration's relative reduction and ``MAX_ITERS``
     iterations, each read at the call.  ``fun`` returns ``(inf, None)`` at a
     point it cannot evaluate: a failed trial, or a failed start that ends
-    the run.  Returns ``x``, ``fun``, ``nit``, ``nfev``, ``penalty_evals``
-    (the failed evaluations), ``status`` (0 converged, 1 iteration limit, 2
-    abnormal) and ``message``.  If the final iteration (the evaluations
+    the run with ``ABNORMAL: START NOT EVALUATED``.  Returns ``x``,
+    ``fun``, ``nit``, ``nfev``, ``penalty_evals`` (the failed
+    evaluations), ``status`` (0 converged, 1 iteration limit, 2 abnormal)
+    and ``message``.  If the final iteration (the evaluations
     since the iterate before the last) met a failure, ``status`` is not 0
     and ``message`` ends in " after a penalty evaluation".  ``callback(x)``,
     if given, is called once per iteration.  ``fun`` may keep the points and
@@ -187,7 +188,7 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
     gamma = 1.0  # the initial inverse Hessian is gamma * I
     status, message = (0, _CONVERGED_GRADIENT) if not failed and np.abs(g).max() <= gtol else (None, "")
     if failed:  # a failed start ends the run
-        status, message = 2, "ABNORMAL: "
+        status, message = 2, _FAILED_START
     while status is None:
         # d = -H g = S R^-T (gamma Y'g - (D + gamma Y'Y) c) + Y gamma c - gamma g, c = R^-1 S'g
         g_row[:] = g
@@ -211,7 +212,7 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
             failed += failures
         if found is None:
             if pairs == 0:
-                status, message = 2, "ABNORMAL: "
+                status, message = 2, _NO_STEP
             rows.fill(0.0)
             r_inv_t.fill(0.0)
             y_gram.fill(0.0)
@@ -258,153 +259,67 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
 def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, step: float):
     """Search from ``x`` along ``d`` for a step that meets the strong Wolfe conditions, trying ``step`` first.
 
-    Moré and Thuente's algorithm (MINPACK-2 ``dcsrch``) with L-BFGS-B's
-    constants: sufficient decrease ``_SUFFICIENT_DECREASE``, curvature
-    ``_CURVATURE``, at most ``_MAX_TRIALS`` trials, extrapolation by at most
-    4 times the last step.  ``f0`` and ``slope`` < 0 are ``fun``'s value and
-    derivative along ``d`` at ``x``.  A failed trial (``fun`` gives inf)
-    never reaches the interval update: the search backs off toward its best
-    step, and no later trial goes past the failed step.  Returns ``((x, f,
-    g, slope, step), trials, failures)`` at the step found, ``trials``
-    counting the evaluations and ``failures`` the failed ones, or ``(None,
-    trials, failures)`` when the interval of uncertainty gets narrower than
-    ``_XTOL`` of the step, a failed step lies within ``_XTOL`` of the best
-    one, or the trials run out.
+    Nocedal and Wright's bracket and zoom (Algorithms 3.5 and 3.6).  ``f0``
+    and ``slope`` < 0 are ``fun``'s value and derivative along ``d`` at
+    ``x``.  The best step ``lo`` meets sufficient decrease (at first 0).  A
+    trial that fails sufficient decrease, does not lower the value below
+    ``lo``'s or cannot be evaluated (``fun`` gives inf) becomes the far end
+    ``hi``; any other becomes ``lo``, and the old ``lo`` becomes ``hi`` if
+    the new slope points back to it.  Until ``hi`` exists each step is
+    ``_EXTRAPOLATE`` times the last; then it is the cubic's minimizer kept
+    ``_SAFEGUARD`` of the bracket from either end, or the midpoint if
+    ``hi`` failed or the cubic has none.  The bracket only shrinks, so no
+    trial reaches a failed step.  Returns ``((x, f, g, slope, step),
+    trials, failures)``, counting the evaluations and the failed ones, or
+    ``(None, trials, failures)`` once the bracket is narrower than
+    ``_XTOL`` of its larger end, an unbracketed step reaches
+    ``_MAX_STEP``, or ``_MAX_TRIALS`` trials run out.
     """
     decrease = _SUFFICIENT_DECREASE * slope
-    bracketed, stage_one = False, True
-    width, width_before = _MAX_STEP, 2.0 * _MAX_STEP
-    # the best step so far (stx) and the other end of the interval (sty), with values and slopes
-    stx = sty = 0.0
-    fx = fy = f0
-    gx = gy = slope
-    stmin, stmax = 0.0, 5.0 * step
-    # the nearest failed steps below and above the best step; steps are >= 0
-    below, above, failures = -1.0, math.inf, 0
+    lo, f_lo, g_lo = 0.0, f0, slope
+    hi = f_hi = g_hi = None
+    failures = 0
     for trial in range(1, _MAX_TRIALS + 1):
         x_new = x + d if step == 1.0 else d * step + x
         f, g = fun(x_new)
         f, g_step = float(f), (float(g.dot(d)) if f < math.inf else math.nan)
         if f <= f0 + step * decrease and abs(g_step) <= -_CURVATURE * slope:
             return (x_new, f, g, g_step, step), trial, failures
-        if f == math.inf:
-            failures += 1
-            below, above = (below, step) if step > stx else (step, above)
-            if abs(step - stx) <= _XTOL * max(step, stx):
-                break  # the failed step is within _XTOL of the best one: no step is left to try
-            step = stx + _BACK_OFF * (step - stx)
-            continue
-        bound = f0 + step * decrease
-        if stage_one and f <= bound and g_step >= 0.0:
-            stage_one = False
-        if step >= _MAX_STEP and f <= bound and g_step <= decrease:
+        failures += f == math.inf
+        if f > f0 + step * decrease or f >= f_lo:  # also a failed trial
+            hi, f_hi, g_hi = step, f, g_step
+        else:
+            if g_step * (step - lo) > 0.0:  # the minimizer lies back toward lo
+                hi, f_hi, g_hi = lo, f_lo, g_lo
+            lo, f_lo, g_lo = step, f, g_step
+        if hi is None:
+            if step >= _MAX_STEP:
+                break
+            step = min(_EXTRAPOLATE * step, _MAX_STEP)
+        elif abs(hi - lo) <= _XTOL * max(lo, hi):
             break
-        if stage_one and fx >= f > bound:
-            # a lower value without sufficient decrease: step on psi(t) = f(t) - t * decrease
-            stx, fx, gx, sty, fy, gy, step, bracketed = _step(
-                stx, fx - stx * decrease, gx - decrease, sty, fy - sty * decrease, gy - decrease,
-                step, f - step * decrease, g_step - decrease, bracketed, stmin, stmax,
-            )
-            fx, fy, gx, gy = fx + stx * decrease, fy + sty * decrease, gx + decrease, gy + decrease
         else:
-            stx, fx, gx, sty, fy, gy, step, bracketed = _step(
-                stx, fx, gx, sty, fy, gy, step, f, g_step, bracketed, stmin, stmax
-            )
-        if bracketed:
-            if abs(sty - stx) >= 0.66 * width_before:  # the interval shrank too slowly: bisect
-                step = stx + 0.5 * (sty - stx)
-            width_before, width = width, abs(sty - stx)
-            stmin, stmax = min(stx, sty), max(stx, sty)
-            if not stmin < step < stmax or stmax - stmin <= _XTOL * stmax:
-                break  # rounding or a narrow interval leaves no step to try
-        else:
-            stmin, stmax = step + 1.1 * (step - stx), step + 4.0 * (step - stx)
-        step = min(max(step, 0.0), _MAX_STEP)
-        if step >= above or step <= below:  # back off from the failed step instead
-            step = stx + _BACK_OFF * ((above if step > stx else below) - stx)
+            cubic = _cubic_minimizer(lo, f_lo, g_lo, hi, f_hi, g_hi) if f_hi < math.inf else math.nan
+            margin = _SAFEGUARD * abs(hi - lo)
+            # NaN, from a failed hi or a cubic without a minimizer, takes the midpoint
+            step = min(max(cubic, min(lo, hi) + margin), max(lo, hi) - margin) if cubic == cubic else 0.5 * (lo + hi)
     return None, trial, failures
 
 
-def _step(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax):
-    """One step of Moré and Thuente's interval update (MINPACK-2 ``dcstep``), in Python floats.
+def _cubic_minimizer(a: float, fa: float, ga: float, b: float, fb: float, gb: float) -> float:
+    """The minimizer of the cubic with values ``fa``, ``fb`` and slopes ``ga``, ``gb`` at steps ``a`` and ``b``.
 
-    ``stx`` is the best step so far, ``sty`` the other end of the interval
-    and ``stp`` the step just tried, each with its value and derivative.
-    Returns the new interval and its values, the next trial step and
-    whether a minimizer is now bracketed.  Floats, not numpy scalars, so
-    that a far-off value over- or underflows without a warning.
-    Once the minimizer is bracketed, the next trial lies at least
-    ``_NEAREST_TRIAL`` of the interval away from the best step, also when
-    the interpolation is degenerate (a division by zero or NaN).
+    Nocedal and Wright's (3.59), in Python floats so that a far-off value
+    over- or underflows without a warning; NaN where the cubic has no
+    real minimizer.
     """
-    try:
-        sgnd = dp * math.copysign(1.0, dx)
-        if fp > fx:  # a higher value: the minimum is bracketed
-            bracketed = True
-            theta, gamma = _cubic(fx, fp, stp - stx, dx, dp)
-            if stp < stx:
-                gamma = -gamma
-            stpc = stx + ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp) * (stp - stx)
-            stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
-            stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
-        elif sgnd < 0.0:  # a lower value and a slope of opposite sign: bracketed
-            bracketed = True
-            theta, gamma = _cubic(fx, fp, stp - stx, dx, dp)
-            if stp > stx:
-                gamma = -gamma
-            stpc = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx) * (stx - stp)
-            stpq = stp + dp / (dp - dx) * (stx - stp)
-            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-        elif abs(dp) < abs(dx):  # a lower value, the same sign, a smaller slope
-            theta, gamma = _cubic(fx, fp, stp - stx, dx, dp)
-            if stp > stx:
-                gamma = -gamma
-            r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
-            if r < 0.0 and gamma != 0.0:
-                stpc = stp + r * (stx - stp)
-            else:
-                stpc = stpmax if stp > stx else stpmin
-            stpq = stp + dp / (dp - dx) * (stx - stp)
-            if bracketed:
-                stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
-                limit = stp + 0.66 * (sty - stp)
-                stpf = min(limit, stpf) if stp > stx else max(limit, stpf)
-            else:
-                stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-                stpf = max(stpmin, min(stpmax, stpf))
-        elif bracketed:  # a lower value, the same sign, no smaller slope
-            theta, gamma = _cubic(fp, fy, sty - stp, dy, dp)
-            if stp > sty:
-                gamma = -gamma
-            stpf = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy) * (sty - stp)
-        else:
-            stpf = stpmax if stp > stx else stpmin
-    except ZeroDivisionError:
-        stpf = math.nan  # replaced by the safeguard below
-    if fp > fx:
-        sty, fy, dy = stp, fp, dp
-    else:
-        if sgnd < 0.0:
-            sty, fy, dy = stx, fx, dx
-        stx, fx, dx = stp, fp, dp
-    if bracketed:
-        nearest = stx + _NEAREST_TRIAL * (sty - stx)
-        if not (stpf - nearest) * (sty - stx) >= 0.0:  # also catches NaN
-            stpf = nearest
-    elif not stpf == stpf:
-        stpf = stpmax if stp > stx else stpmin
-    return stx, fx, dx, sty, fy, dy, stpf, bracketed
-
-
-def _cubic(fa: float, fb: float, width: float, da: float, db: float) -> tuple[float, float]:
-    """``theta`` and ``|gamma|`` of Moré and Thuente's cubic through two steps ``width`` apart.
-
-    ``fa`` and ``fb`` are the values at the two steps, ``da`` and ``db``
-    the slopes; ``gamma`` is 0 where the cubic has no real minimizer.
-    """
-    theta = 3.0 * (fa - fb) / width + da + db
-    s = max(abs(theta), abs(da), abs(db))
-    return theta, s * math.sqrt(max(0.0, (theta / s) * (theta / s) - (da / s) * (db / s)))
+    d1 = ga + gb - 3.0 * (fa - fb) / (a - b)
+    radicand = d1 * d1 - ga * gb
+    if not radicand >= 0.0:  # also NaN
+        return math.nan
+    d2 = math.copysign(math.sqrt(radicand), b - a)
+    denominator = gb - ga + 2.0 * d2
+    return b - (b - a) * (gb + d2 - d1) / denominator if denominator else math.nan
 
 
 def train(

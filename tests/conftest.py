@@ -190,17 +190,17 @@ def nonconverging_training(request, monkeypatch):
     """Rig training so that no restart converges; the value is the termination it then reports.
 
     ``iteration-limit`` stops every restart after one iteration,
-    ``abnormal`` turns each optimizer result into an ``ABNORMAL: `` line-search stop.
+    ``abnormal`` turns each optimizer result into an ``ABNORMAL: NO STRONG-WOLFE STEP`` line-search stop.
     """
     if request.param == "iteration-limit":
         monkeypatch.setattr(training, "MAX_ITERS", 1)
-        return "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+        return "STOP: ITERATIONS REACHED MAX_ITERS"
     real_minimize = training.minimize
 
     def abnormal(*args, **kwargs):
         result = real_minimize(*args, **kwargs)
-        result.status, result.message = 2, "ABNORMAL: "
+        result.status, result.message = 2, "ABNORMAL: NO STRONG-WOLFE STEP"
         return result
 
     monkeypatch.setattr(training, "minimize", abnormal)
-    return "ABNORMAL: "
+    return "ABNORMAL: NO STRONG-WOLFE STEP"

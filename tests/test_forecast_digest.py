@@ -19,7 +19,7 @@ RECORD = {
     "nfev": 9,
     "penalty_evals": 0,
     "converged": True,
-    "termination": "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    "termination": "CONVERGENCE: RELATIVE REDUCTION OF F <= OBJECTIVE_TOL",
     "mean": [0.1, -0.2],
     "variance": [1.5, 1.75],
 }
@@ -49,7 +49,7 @@ def test_compare_passes_identical_digests(tmp_path):
         ("nfev", 10),
         ("penalty_evals", 1),
         ("converged", False),
-        ("termination", "ABNORMAL: "),
+        ("termination", "ABNORMAL: NO STRONG-WOLFE STEP"),
         ("mean", [0.1, -0.20000000000000004]),
         ("variance", [1.5000000000000002, 1.75]),
     ],
@@ -60,7 +60,7 @@ def test_compare_fails_on_any_difference(tmp_path, field, value):
 
 
 def test_compare_counts_termination_differences(tmp_path):
-    run = compare(tmp_path, [{**RECORD, "termination": "ABNORMAL: "}, dict(RECORD)], parent=[RECORD, RECORD])
+    run = compare(tmp_path, [{**RECORD, "termination": "ABNORMAL: NO STRONG-WOLFE STEP"}, dict(RECORD)], parent=[RECORD, RECORD])
     assert run.returncode == 1, run.stdout + run.stderr
     assert "termination: 1 differ\n" in run.stdout
 

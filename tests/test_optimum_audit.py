@@ -1,6 +1,9 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "optimum_audit.py"
 
@@ -41,3 +44,52 @@ def test_report_lists_each_miss_and_totals_them(monkeypatch, capsys):
         "six-hourly-double: 2 series, 1 miss by more than 0.1 nats, 0.50 nats in total;"
         " nfev summed 45 (one restart), 210 (5 restarts); failed evaluations summed 1 (one restart), 3 (5 restarts)",
     ]
+
+
+def test_compare_lists_each_single_restart_that_moved_and_each_new_miss_that_did_not(monkeypatch, capsys):
+    tool = load_tool(monkeypatch)
+
+    def record(workload, series, single, best):
+        return {"workload": workload, "seed": 3, "series": series, "single": single, "best": best}
+
+    parent = [
+        record("monthly-forecast", "fell", 20.0, 20.0),
+        record("monthly-forecast", "rose", 30.0, 30.5),
+        record("monthly-forecast", "unmoved-new-miss", 40.0, 40.0),
+        record("monthly-forecast", "within-miss", 50.0, 50.0),
+        record("six-hourly-double", "same", 60.0, 60.0),
+    ]
+    change = [
+        record("monthly-forecast", "fell", 19.5, 20.0),
+        record("monthly-forecast", "rose", 30.5, 30.5),
+        record("monthly-forecast", "unmoved-new-miss", 40.05, 41.0),
+        record("monthly-forecast", "within-miss", 49.95, 50.0),
+        record("six-hourly-double", "same", 60.0, 60.0),
+    ]
+    tool.compare(parent, change[::-1])  # records pair up by workload, seed and series, not by order
+    assert capsys.readouterr().out.splitlines() == [
+        "six-hourly-double: 1 series; parent 0 misses, 0.00 nats, change 0 misses, 0.00 nats",
+        "six-hourly-double: 0 series whose single restart fell by more than 0.1 nats",
+        "six-hourly-double: 0 series whose single restart rose by more than 0.1 nats",
+        "six-hourly-double: 0 new misses whose single restart did not move",
+        "monthly-forecast: 4 series; parent 1 misses, 0.50 nats, change 2 misses, 1.45 nats",
+        "monthly-forecast: 1 series whose single restart fell by more than 0.1 nats",
+        "  seed 3 fell: single 20.0000 -> 19.5000 (-0.5000), best of 5 20.0000 -> 20.0000",
+        "monthly-forecast: 1 series whose single restart rose by more than 0.1 nats",
+        "  seed 3 rose: single 30.0000 -> 30.5000 (+0.5000), best of 5 30.5000 -> 30.5000",
+        "monthly-forecast: 1 new misses whose single restart did not move",
+        "  seed 3 unmoved-new-miss: single 40.0000 -> 40.0500 (+0.0500), best of 5 40.0000 -> 41.0000",
+    ]
+    with pytest.raises(SystemExit, match="different series"):
+        tool.compare(parent, change[1:])
+
+
+def test_records_and_seeds_write_one_line_per_audited_series(monkeypatch, tmp_path, capsys):
+    tool = load_tool(monkeypatch)
+    path = tmp_path / "records.jsonl"
+    argv = ["optimum_audit.py", "--workload", "monthly-forecast", "--seeds", "11", "--limit", "1", "--records", str(path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    tool.main()
+    [record] = [json.loads(line) for line in path.read_text().splitlines()]
+    assert (record["workload"], record["seed"]) == ("monthly-forecast", 11)
+    assert capsys.readouterr().out.startswith("monthly-forecast: 1 series, ")

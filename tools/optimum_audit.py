@@ -16,13 +16,24 @@ and the objective evaluations and the failed ones (trial points whose
 objective could not be evaluated) summed over the series, for one
 restart and for five.  Training is deterministic, so two runs of one
 checkout print the same lines.  ``--limit N`` audits only the first N series of
-each seed's design, for a quick look.  The program is imported from the
-checkout's ``src``, the series from ``perfbench/workloads.py``.
+each seed's design, for a quick look, and ``--seeds`` audits other seeds
+(held-out ones, say) in place of the default ones.  ``--records PATH``
+also writes one JSON line per series.  Two such files, from a parent and
+a change, are compared with
+
+    python tools/optimum_audit.py --compare parent.jsonl change.jsonl
+
+which prints, per workload, each side's misses and missed nats, then
+each series whose single restart rose or fell by more than 0.1 nats
+against the other side, and last the change's new misses whose single
+restart moved by at most 0.1 nats (their best of five rose).  The program is imported
+from the checkout's ``src``, the series from ``perfbench/workloads.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -49,6 +60,7 @@ def audit(name: str, seeds, limit: int | None = None):
                 for r in (1, RESTARTS)
             ]
             yield {
+                "workload": name,
                 "seed": seed,
                 "series": series_name,
                 "single": runs[0].objective,
@@ -82,14 +94,64 @@ def report(name: str, records) -> None:
     )
 
 
+def compare(parent, change) -> None:
+    """Print, per workload, how the single restarts of two audits' records differ."""
+    def key(r):
+        return r["workload"], r["seed"], r["series"]
+
+    before = {key(r): r for r in parent}
+    if sorted(before) != sorted(key(r) for r in change):
+        raise SystemExit("the records hold different series")
+
+    def missed(records):
+        misses = [r["best"] - r["single"] for r in records if r["best"] - r["single"] > MISS]
+        return f"{len(misses)} misses, {sum(misses):.2f} nats"
+
+    def line(r, a):
+        return (
+            f"  seed {r['seed']} {r['series']}: single {a['single']:.4f} -> {r['single']:.4f}"
+            f" ({r['single'] - a['single']:+.4f}), best of {RESTARTS} {a['best']:.4f} -> {r['best']:.4f}"
+        )
+
+    for name in dict.fromkeys(r["workload"] for r in change):
+        pairs = [(r, before[key(r)]) for r in change if r["workload"] == name]
+        print(f"{name}: {len(pairs)} series; parent {missed([a for _, a in pairs])}, change {missed([r for r, _ in pairs])}")
+        fell = [(r, a) for r, a in pairs if a["single"] - r["single"] > MISS]
+        rose = [(r, a) for r, a in pairs if r["single"] - a["single"] > MISS]
+        unmoved = [
+            (r, a) for r, a in pairs
+            if r["best"] - r["single"] > MISS >= a["best"] - a["single"] and abs(r["single"] - a["single"]) <= MISS
+        ]
+        for title, chosen in (
+            (f"series whose single restart fell by more than {MISS:g} nats", fell),
+            (f"series whose single restart rose by more than {MISS:g} nats", rose),
+            ("new misses whose single restart did not move", unmoved),
+        ):
+            print(f"{name}: {len(chosen)} {title}")
+            for r, a in chosen:
+                print(line(r, a))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=[*SEEDS, "all"], default="all")
     parser.add_argument("--limit", type=int, help="audit only the first N series of each seed's design")
+    parser.add_argument("--seeds", type=int, nargs="+", help="audit these seeds in place of the default ones")
+    parser.add_argument("--records", metavar="PATH", help="also write one JSON line per series to PATH")
+    parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"), help="compare two --records files")
     args = parser.parse_args()
+    if args.compare:
+        parent, change = ([json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()] for path in args.compare)
+        compare(parent, change)
+        return
+    audited = []
     for name, seeds in SEEDS.items():
         if args.workload in (name, "all"):
-            report(name, audit(name, seeds, args.limit))
+            records = list(audit(name, args.seeds or seeds, args.limit))
+            report(name, records)
+            audited += records
+    if args.records:
+        Path(args.records).write_text("".join(json.dumps(r) + "\n" for r in audited), encoding="utf-8")
 
 
 if __name__ == "__main__":
