@@ -174,34 +174,14 @@ def save_priors(priors: PriorSpec, path) -> None:
 
 
 def load_priors(path) -> PriorSpec:
-    """Parse a priors file written by :func:`save_priors`.
-
-    Unknown parameter names, repeated names and bad numbers are reported
-    with the offending line number, and missing entries for known names
-    by name.
-    """
-    entries = read_settings(path)
-    missing = sorted(set(PARAM_NAMES) - set(entries))
-    if missing:
-        raise ValueError(f"{path}: missing priors for {missing}")
-    return PriorSpec(entries=entries)
-
-
-def _parse_prior(text: str) -> LogNormalPrior:
-    parts = text.split()
-    if len(parts) != 2:
-        raise ValueError("expected two numbers (nu lam)")
-    return LogNormalPrior(nu=float(parts[0]), lam=float(parts[1]))
-
-
-def read_settings(path) -> dict[str, LogNormalPrior]:
-    """The ``name = nu lam`` lines of a priors file, as a prior per name.
+    """Parse a priors file written by :func:`save_priors`, one ``name = nu lam`` line per parameter.
 
     ``#`` starts a comment and blank lines are skipped.  A line without
     ``=``, a name not in ``PARAM_NAMES``, a name given twice and a value
-    that is not a valid prior's two numbers are errors naming the line.
+    that is not a valid prior's two numbers are errors naming the line;
+    missing entries for known names are reported by name.
     """
-    values: dict[str, LogNormalPrior] = {}
+    entries: dict[str, LogNormalPrior] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -213,10 +193,16 @@ def read_settings(path) -> dict[str, LogNormalPrior]:
             name, text = name.strip(), text.strip()
             if name not in PARAM_NAMES:
                 raise ValueError(f"{path}: line {lineno}: unknown name {name!r} (known: {sorted(PARAM_NAMES)})")
-            if name in values:
+            if name in entries:
                 raise ValueError(f"{path}: line {lineno}: duplicate entry for {name!r}")
             try:
-                values[name] = _parse_prior(text)
+                parts = text.split()
+                if len(parts) != 2:
+                    raise ValueError("expected two numbers (nu lam)")
+                entries[name] = LogNormalPrior(nu=float(parts[0]), lam=float(parts[1]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad value {text!r} for {name}: {exc}") from None
-    return values
+    missing = sorted(set(PARAM_NAMES) - set(entries))
+    if missing:
+        raise ValueError(f"{path}: missing priors for {missing}")
+    return PriorSpec(entries=entries)

@@ -3,10 +3,10 @@
 The objective is the log of prior times marginal likelihood, maximized
 over ``u = log(theta)`` so positivity is structural.  :func:`map_objective`
 computes it and its gradient from one factorization; :func:`train` hands
-its negation to :func:`minimize`, an unbounded L-BFGS written here: the
-compact inverse-Hessian form of Byrd, Nocedal and Schnabel (1994) over
-preallocated arrays, Nocedal and Wright's bracket-and-zoom strong-Wolfe
-line search, and L-BFGS-B's constants and stop tests.  It needs no part of
+its negation to :func:`minimize`, an unbounded L-BFGS written here: an
+inverse-Hessian model that keeps every curvature pair, Nocedal and
+Wright's bracket-and-zoom strong-Wolfe line search, and L-BFGS-B's
+constants and stop tests.  It needs no part of
 ``scipy.optimize``, which a forecast therefore never imports.
 :func:`train` prepares the series and takes the spec's prior
 columns once, and each evaluation maps the optimizer's u straight to the
@@ -20,12 +20,14 @@ search takes it as the far end of its bracket and searches short of it,
 and :func:`minimize` counts it in ``TrainResult.penalty_evals``.
 ``TrainResult.series`` hands the prepared series on to ``gp.fit``.
 
-The optimizer keeps :data:`LBFGS_MEMORY` (20) curvature pairs on every
-restart, more than either default spec has trainables (13
-single-seasonal, 16 double-seasonal), so its quasi-Newton model can span
-the whole parameter space.  With scipy's default of 10 it cannot: at an
-``OBJECTIVE_TOL`` of 1e-9 the benchmark's 48 monthly series took 2846
-evaluations against 2039, the quasi-periodic ones most.
+The optimizer's quasi-Newton model keeps every curvature pair of a
+restart (since its last reset), so it spans the whole parameter space.  Keeping only scipy's
+default of 10 pairs it cannot: at an ``OBJECTIVE_TOL`` of 1e-9 the
+benchmark's 48 monthly series took 2846 evaluations against 2039 with 20
+pairs, the quasi-periodic ones most.  Kept densely, as two n x n
+matrices, every pair costs no more than a short memory: a spec has at
+most 15 trainables, one per name of ``PARAM_NAMES`` (13 single-seasonal,
+15 double-seasonal).
 
 Training starts at the prior medians (the prior means in log space),
 which makes a single start deterministic.  Extra restarts perturb the
@@ -50,9 +52,6 @@ from .priors import PriorSpec, default_priors, grad_log_prior, log_prior, median
 __all__ = ["TrainResult", "map_objective", "train"]
 
 MIN_TRAIN_POINTS = 4
-
-# Curvature pairs the optimizer keeps on every restart (see the module docstring).
-LBFGS_MEMORY = 20
 
 # Each restart stops after MAX_ITERS iterations, once the largest gradient
 # component is at most GRAD_TOL, or once an iteration's relative reduction
@@ -148,13 +147,17 @@ def _evaluate(theta: np.ndarray, series: PreparedSeries, columns: np.ndarray) ->
 def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
     """Minimize ``fun(u) -> (value, gradient)`` from ``u0`` by unbounded L-BFGS.
 
-    The inverse Hessian model is the compact form of Byrd, Nocedal and
-    Schnabel (1994) over the last ``LBFGS_MEMORY`` curvature pairs, scaled
-    as L-BFGS-B scales it.  Lines are searched by bracket and zoom with
+    The inverse Hessian model is L-BFGS's with every curvature pair kept:
+    ``H = gamma P + Q``, where P and Q are the BFGS updates of I and 0 by
+    each pair (s, y) in turn, ``X <- W'XW`` with ``W = I - y s'/s'y``,
+    plus ``ss'/s'y`` for Q, and gamma is ``s'y/y'y`` of the newest pair,
+    as L-BFGS-B scales it.  A pair is skipped, as L-BFGS-B skips it, unless
+    ``s'y > eps (-g's)``.  Lines are searched by bracket and zoom with
     L-BFGS-B's constants (:func:`_line_search`); every step taken meets
     the strong Wolfe conditions.  A search that finds no such step resets
-    the memory and searches again along the steepest descent; one that fails
-    without memory ends the run with ``ABNORMAL: NO STRONG-WOLFE STEP``.
+    the model to ``H = I`` and searches again along the steepest descent;
+    one that fails with no pair kept ends the run with ``ABNORMAL: NO
+    STRONG-WOLFE STEP``.
     The stop tests are L-BFGS-B's, and each message names the one that
     fired: ``GRAD_TOL`` on the largest gradient component,
     ``OBJECTIVE_TOL`` on an iteration's relative reduction and ``MAX_ITERS``
@@ -169,39 +172,21 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
     if given, is called once per iteration.  ``fun`` may keep the points and
     must not change them; the gradients it returns are kept, not copied.
     """
-    m, max_iters, ftol, gtol = LBFGS_MEMORY, MAX_ITERS, OBJECTIVE_TOL, GRAD_TOL
+    max_iters, ftol, gtol = MAX_ITERS, OBJECTIVE_TOL, GRAD_TOL
     x = np.array(u0, dtype=float)
     n = x.size
     f, g = fun(x)
     f, nit, nfev = float(f), 0, 1
     failed, before_last, at_last = int(f == math.inf), 0, 0  # failures in all, by the last two iterates
-    # Pair k sits in slot k % m: s_k in row k % m of rows, y_k in row m + k % m.
-    # r_inv_t is R^-T, with R[i, j] = s_i'y_j if pair i is not newer than pair
-    # j (else 0), y_gram is Y'Y and s_dot_y the diagonal D of R.  An empty
-    # slot's rows and columns are zero.  The last row of rows holds g.
-    rows = np.zeros((2 * m + 1, n))
-    r_inv_t, y_gram, s_dot_y = np.zeros((m, m)), np.zeros((m, m)), np.zeros(m)
-    products, coefficients = np.zeros(2 * m + 1), np.zeros(2 * m + 1)
-    s_g, y_g, s_c, y_c = products[:m], products[m : 2 * m], coefficients[:m], coefficients[m : 2 * m]
-    g_row, multiply, subtract = rows[2 * m], np.multiply, np.subtract
-    pairs = head = 0
-    gamma = 1.0  # the initial inverse Hessian is gamma * I
+    # H = gamma P + Q with P and Q stacked in model, so d = -H g = (-gamma, -1) . (Pg, Qg)
+    identity = np.eye(n)
+    model, weights = np.array([identity, np.zeros_like(identity)]), np.array([-1.0, -1.0])
+    pairs = 0
     status, message = (0, _CONVERGED_GRADIENT) if not failed and np.abs(g).max() <= gtol else (None, "")
     if failed:  # a failed start ends the run
         status, message = 2, _FAILED_START
     while status is None:
-        # d = -H g = S R^-T (gamma Y'g - (D + gamma Y'Y) c) + Y gamma c - gamma g, c = R^-1 S'g
-        g_row[:] = g
-        coefficients[-1] = -gamma
-        rows.dot(g, out=products)
-        c = s_g.dot(r_inv_t)
-        multiply(c, gamma, out=y_c)
-        e = y_gram.dot(y_c)
-        e += s_dot_y * c
-        y_g *= gamma
-        subtract(y_g, e, out=e)
-        r_inv_t.dot(e, out=s_c)
-        d = coefficients.dot(rows)
+        d = weights.dot(model.dot(g))
         slope = float(g.dot(d))
         found = None
         if slope < 0.0:  # else d is no descent direction
@@ -213,12 +198,8 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
         if found is None:
             if pairs == 0:
                 status, message = 2, _NO_STEP
-            rows.fill(0.0)
-            r_inv_t.fill(0.0)
-            y_gram.fill(0.0)
-            s_dot_y.fill(0.0)
-            pairs = head = 0
-            gamma = 1.0
+            model[0], model[1], weights[0] = identity, 0.0, -1.0
+            pairs = 0
             continue
         x, f_new, g_new, new_slope, step = found
         nit += 1
@@ -234,22 +215,13 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
         elif f - f_new <= ftol * max(abs(f), abs(f_new), 1.0):
             status, message = 0, _CONVERGED_REDUCTION
         elif curvature > _EPS * -slope * step:  # else skip the update, as L-BFGS-B does
-            if pairs == m:  # drop the oldest pair: R^-1 of the rest is its block of R^-1
-                r_inv_t[head] = 0.0
-                r_inv_t[:, head] = 0.0
-            y = rows[m + head]
-            multiply(d, step, out=rows[head])
-            subtract(g_new, g, out=y)
-            rows.dot(y, out=products)  # S'y and Y'y
-            y_gram[head] = y_g
-            y_gram[:, head] = y_g
-            s_g *= -1.0 / curvature
-            r_inv_t[head] = s_g.dot(r_inv_t)  # the new column of R^-1
-            r_inv_t[head, head] = 1.0 / curvature
-            s_dot_y[head] = curvature
-            gamma = curvature / float(y_g[head])
-            head = (head + 1) % m
-            pairs = min(pairs + 1, m)
+            s, y = d * step, g_new - g
+            s_scaled = s / curvature
+            w = identity - y[:, None] * s_scaled  # W = I - y s'/s'y
+            model = w.T @ model @ w
+            model[1] += s[:, None] * s_scaled
+            weights[0] = -curvature / float(y.dot(y))
+            pairs += 1
         f, g = f_new, g_new
     if failed > before_last:
         status, message = status or 2, message + " after a penalty evaluation"

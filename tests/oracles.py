@@ -189,6 +189,31 @@ def central_difference(f, u: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# quasi-Newton directions
+# ---------------------------------------------------------------------------
+
+
+def lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g by the L-BFGS two-loop recursion over every curvature pair (s, y) in ``pairs``, oldest first.
+
+    Nocedal and Wright's Algorithm 7.4, with the initial inverse Hessian
+    gamma I, gamma = s'y / y'y of the newest pair (1 with no pair), as
+    L-BFGS-B scales it.
+    """
+    q = np.array(g, dtype=float)
+    alphas = []
+    for s, y in reversed(pairs):
+        alpha = float(s @ q) / float(s @ y)
+        q -= alpha * y
+        alphas.append(alpha)
+    gamma = float(pairs[-1][0] @ pairs[-1][1]) / float(pairs[-1][1] @ pairs[-1][1]) if pairs else 1.0
+    r = gamma * q
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - float(y @ r) / float(s @ y)) * s
+    return -r
+
+
+# ---------------------------------------------------------------------------
 # scoring oracles
 # ---------------------------------------------------------------------------
 

@@ -331,26 +331,6 @@ class TestTrain:
         assert result.converged and result.termination == "stop 0"
         assert result.nfev == 5
 
-    @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
-    def test_every_restart_keeps_a_memory_spanning_the_trainables(self, monkeypatch, mode):
-        spec = default_spec(mode)
-        real_minimize = training.minimize
-        memories = []
-
-        def recording(fun, u0, **kwargs):
-            memories.append(training.LBFGS_MEMORY)  # minimize reads it when it starts
-            return real_minimize(fun, u0, **kwargs)
-
-        monkeypatch.setattr(training, "minimize", recording)
-        x, y = sine_series(24)
-        default = train(spec, PRIORS, x, y, restarts=3)
-        assert memories == [training.LBFGS_MEMORY] * 3
-        assert training.LBFGS_MEMORY >= len(spec.trainable_names())
-        # and the memory it reads is the one it keeps: a shorter one takes another path
-        monkeypatch.setattr(training, "LBFGS_MEMORY", 2)
-        short = train(spec, PRIORS, x, y, restarts=3)
-        assert memories[3:] == [2] * 3 and short.nfev != default.nfev
-
     def test_termination_is_the_optimizer_message(self, monkeypatch):
         x, y = sine_series(48)
         finished = train(FULL_SPEC, PRIORS, x, y)
@@ -618,7 +598,7 @@ class TestMinimizeOracle:
 
             result = own(recorded, u0, callback=lambda u: iterates.append(u.copy()))
             options = {
-                "maxcor": training.LBFGS_MEMORY,
+                "maxcor": training.MAX_ITERS,  # so that scipy too keeps every pair
                 "maxiter": training.MAX_ITERS,
                 "ftol": training.OBJECTIVE_TOL,
                 "gtol": training.GRAD_TOL,
@@ -656,6 +636,39 @@ class TestMinimizeOracle:
             assert f1 <= f0 + training._SUFFICIENT_DECREASE * float(g0 @ s) + 1e-12 * abs(f0)
             assert abs(float(g1 @ s)) <= training._CURVATURE * abs(float(g0 @ s)) * (1.0 + 1e-9)
 
+
+    def test_each_step_follows_the_two_loop_recursion_over_every_pair(self):
+        # rebuild each curvature pair from the iterates and their gradients,
+        # skipping the pairs L-BFGS-B skips, and check that each step is
+        # parallel to the reference direction over every pair kept so far:
+        # a memory that dropped its oldest pairs would turn away from it
+        evaluations, iterates = [], []
+
+        def recorded(u):
+            value, grad = rosenbrock(u)
+            evaluations.append((u.copy(), grad))
+            return value, grad
+
+        result = training.minimize(recorded, np.tile([-1.2, 1.0], 8), iterates.append)
+        assert result.status == 0
+        at = {u.tobytes(): k for k, (u, _) in enumerate(evaluations)}
+        points = [evaluations[0][0], *iterates]
+        pairs, deviations = [], []
+        for before, after in zip(points, points[1:]):
+            k0, k1 = at[before.tobytes()], at[after.tobytes()]
+            g0, g1 = evaluations[k0][1], evaluations[k1][1]
+            s = after - before
+            # every trial lies along the step taken, so no search failed and
+            # the model was never reset
+            for u, _ in evaluations[k0 + 1 : k1]:
+                trial = u - before
+                assert float(trial @ s) ** 2 >= (1.0 - 1e-12) * float(trial @ trial) * float(s @ s)
+            d = oracles.lbfgs_direction(g0, pairs)
+            deviations.append(1.0 - float(s @ d) / math.sqrt(float(s @ s) * float(d @ d)))
+            if float(s @ (g1 - g0)) > training._EPS * -float(g0 @ s):
+                pairs.append((s, g1 - g0))
+        assert len(pairs) > 4 * result.x.size  # far more pairs than a short memory would keep
+        assert max(deviations) <= 1e-10
 
     def test_a_failed_search_resets_the_memory_once_then_stops_abnormal(self, monkeypatch):
         # from the eighth evaluation on the gradient has the wrong sign, so no

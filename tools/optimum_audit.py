@@ -23,10 +23,14 @@ a change, are compared with
 
     python tools/optimum_audit.py --compare parent.jsonl change.jsonl
 
-which prints, per workload, each side's misses and missed nats, then
-each series whose single restart rose or fell by more than 0.1 nats
-against the other side, and last the change's new misses whose single
-restart moved by at most 0.1 nats (their best of five rose).  The program is imported
+which prints, per workload, each side's misses and missed nats and its
+nfev summed for one restart and for five; how much of the change in
+missed nats comes from the single restarts (the change's single restarts
+against the parent's best of five) and how much from the best of five;
+the largest fall of a single restart, however small; then each series
+whose single restart rose or fell by more than 0.1 nats against the
+other side, and last the change's new misses whose single restart moved
+by at most 0.1 nats (their best of five rose).  The program is imported
 from the checkout's ``src``, the series from ``perfbench/workloads.py``.
 """
 
@@ -103,9 +107,13 @@ def compare(parent, change) -> None:
     if sorted(before) != sorted(key(r) for r in change):
         raise SystemExit("the records hold different series")
 
-    def missed(records):
-        misses = [r["best"] - r["single"] for r in records if r["best"] - r["single"] > MISS]
-        return f"{len(misses)} misses, {sum(misses):.2f} nats"
+    def missed(runs):
+        """Misses and missed nats of (record, record) pairs, the first's single restart against the second's best."""
+        gaps = [b["best"] - s["single"] for s, b in runs if b["best"] - s["single"] > MISS]
+        return len(gaps), sum(gaps)
+
+    def nfev(records):
+        return f"{sum(r['single_nfev'] for r in records)} (one restart), {sum(r['best_nfev'] for r in records)} ({RESTARTS} restarts)"
 
     def line(r, a):
         return (
@@ -115,7 +123,23 @@ def compare(parent, change) -> None:
 
     for name in dict.fromkeys(r["workload"] for r in change):
         pairs = [(r, before[key(r)]) for r in change if r["workload"] == name]
-        print(f"{name}: {len(pairs)} series; parent {missed([a for _, a in pairs])}, change {missed([r for r, _ in pairs])}")
+        parent_misses, parent_nats = missed([(a, a) for _, a in pairs])
+        change_misses, change_nats = missed([(r, r) for r, _ in pairs])
+        _, crossed_nats = missed(pairs)  # the change's single restarts against the parent's best
+        print(
+            f"{name}: {len(pairs)} series; parent {parent_misses} misses, {parent_nats:.2f} nats,"
+            f" change {change_misses} misses, {change_nats:.2f} nats"
+        )
+        print(f"{name}: nfev summed, parent {nfev([a for _, a in pairs])}; change {nfev([r for r, _ in pairs])}")
+        print(
+            f"{name}: missed nats {change_nats - parent_nats:+.2f}: {crossed_nats - parent_nats:+.2f} from single"
+            f" restarts, {change_nats - crossed_nats:+.2f} from the best of {RESTARTS}"
+        )
+        r, a = max(pairs, key=lambda pair: pair[1]["single"] - pair[0]["single"])
+        if a["single"] > r["single"]:
+            print(f"{name}: largest single-restart fall {a['single'] - r['single']:.4f} nats, seed {r['seed']} {r['series']}")
+        else:
+            print(f"{name}: no single restart fell")
         fell = [(r, a) for r, a in pairs if a["single"] - r["single"] > MISS]
         rose = [(r, a) for r, a in pairs if r["single"] - a["single"] > MISS]
         unmoved = [
