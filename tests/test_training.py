@@ -208,6 +208,37 @@ def train_evaluations(monkeypatch, spec, x, y, us):
     return returned
 
 
+def two_loop_deviations(evaluations, iterates):
+    """Check a run of ``training.minimize`` against the two-loop recursion over every pair.
+
+    ``evaluations`` holds each ``(u, gradient)`` the run evaluated, in order,
+    and ``iterates`` each point its callback saw.  Each curvature pair is
+    rebuilt from the iterates and their gradients, skipping the pairs
+    L-BFGS-B skips.  Returns, per step, 1 - cos of the angle between the step
+    and the reference direction over every pair kept before it, and the
+    number of those pairs: a memory that dropped its oldest pairs would turn
+    away from the reference.
+    """
+    at = {u.tobytes(): k for k, (u, _) in enumerate(evaluations)}
+    points = [evaluations[0][0], *iterates]
+    pairs, deviations, used = [], [], []
+    for before, after in zip(points, points[1:]):
+        k0, k1 = at[before.tobytes()], at[after.tobytes()]
+        g0, g1 = evaluations[k0][1], evaluations[k1][1]
+        s = after - before
+        # every trial lies along the step taken, so no search failed and
+        # the model was never reset
+        for u, _ in evaluations[k0 + 1 : k1]:
+            trial = u - before
+            assert float(trial @ s) ** 2 >= (1.0 - 1e-12) * float(trial @ trial) * float(s @ s)
+        d = oracles.lbfgs_direction(g0, pairs)
+        deviations.append(1.0 - float(s @ d) / math.sqrt(float(s @ s) * float(d @ d)))
+        used.append(len(pairs))
+        if float(s @ (g1 - g0)) > training._EPS * -float(g0 @ s):
+            pairs.append((s, g1 - g0))
+    return deviations, used
+
+
 class TestTrain:
     def test_objective_never_below_start(self):
         for seed in (0, 1, 2):
@@ -330,6 +361,35 @@ class TestTrain:
         assert result.objective == -min(values)
         assert result.converged and result.termination == "stop 0"
         assert result.nfev == 5
+
+    @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
+    def test_every_restart_keeps_a_memory_spanning_the_trainables(self, monkeypatch, mode):
+        # each restart starts a fresh model over the trainables, and every step
+        # follows every curvature pair kept since that start, so the memory
+        # grows past the number of trainables rather than dropping old pairs
+        spec = default_spec(mode)
+        real_minimize = training.minimize
+        runs = []
+
+        def recording(fun, u0, **kwargs):
+            evaluations, iterates = [], []
+
+            def recorded(u):
+                value, grad = fun(u)
+                evaluations.append((u.copy(), grad))
+                return value, grad
+
+            result = real_minimize(recorded, u0, callback=iterates.append, **kwargs)
+            runs.append((np.size(u0), two_loop_deviations(evaluations, iterates)))
+            return result
+
+        monkeypatch.setattr(training, "minimize", recording)
+        x, y = sine_series(24)
+        train(spec, PRIORS, x, y, restarts=3)
+        n = len(spec.trainable_names())
+        assert [size for size, _ in runs] == [n] * 3
+        assert all(max(deviations) <= 1e-10 for _, (deviations, _) in runs)
+        assert max(max(used) for _, (_, used) in runs) >= n
 
     def test_termination_is_the_optimizer_message(self, monkeypatch):
         x, y = sine_series(48)
@@ -636,7 +696,6 @@ class TestMinimizeOracle:
             assert f1 <= f0 + training._SUFFICIENT_DECREASE * float(g0 @ s) + 1e-12 * abs(f0)
             assert abs(float(g1 @ s)) <= training._CURVATURE * abs(float(g0 @ s)) * (1.0 + 1e-9)
 
-
     def test_each_step_follows_the_two_loop_recursion_over_every_pair(self):
         # rebuild each curvature pair from the iterates and their gradients,
         # skipping the pairs L-BFGS-B skips, and check that each step is
@@ -651,23 +710,8 @@ class TestMinimizeOracle:
 
         result = training.minimize(recorded, np.tile([-1.2, 1.0], 8), iterates.append)
         assert result.status == 0
-        at = {u.tobytes(): k for k, (u, _) in enumerate(evaluations)}
-        points = [evaluations[0][0], *iterates]
-        pairs, deviations = [], []
-        for before, after in zip(points, points[1:]):
-            k0, k1 = at[before.tobytes()], at[after.tobytes()]
-            g0, g1 = evaluations[k0][1], evaluations[k1][1]
-            s = after - before
-            # every trial lies along the step taken, so no search failed and
-            # the model was never reset
-            for u, _ in evaluations[k0 + 1 : k1]:
-                trial = u - before
-                assert float(trial @ s) ** 2 >= (1.0 - 1e-12) * float(trial @ trial) * float(s @ s)
-            d = oracles.lbfgs_direction(g0, pairs)
-            deviations.append(1.0 - float(s @ d) / math.sqrt(float(s @ s) * float(d @ d)))
-            if float(s @ (g1 - g0)) > training._EPS * -float(g0 @ s):
-                pairs.append((s, g1 - g0))
-        assert len(pairs) > 4 * result.x.size  # far more pairs than a short memory would keep
+        deviations, used = two_loop_deviations(evaluations, iterates)
+        assert used[-1] > 4 * result.x.size  # far more pairs than a short memory would keep
         assert max(deviations) <= 1e-10
 
     def test_a_failed_search_resets_the_memory_once_then_stops_abnormal(self, monkeypatch):
