@@ -153,8 +153,9 @@ def grad_log_prior(columns: np.ndarray, u: np.ndarray) -> np.ndarray:
 def median_hyperparams(spec: KernelSpec, priors: PriorSpec | None = None) -> HyperParams:
     """Hyperparameters at the prior medians.
 
-    This is the training start point: in log space the medians are the
-    prior means, which makes a single optimizer start reproducible.
+    In log space the medians are the prior means.  Training starts here,
+    except for ``tau_sm1``, which starts at the series' own cycle when the
+    prior finds it plausible (``training.train``).
     """
     priors = priors if priors is not None else default_priors()
     return HyperParams.of(spec, **{name: priors[name].median() for name in spec.trainable_names()})

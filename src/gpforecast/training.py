@@ -30,8 +30,12 @@ most 15 trainables, one per name of ``PARAM_NAMES`` (13 single-seasonal,
 15 double-seasonal).
 
 Training starts at the prior medians (the prior means in log space),
-which makes a single start deterministic.  Extra restarts perturb the
-start with one Normal(0, lam) draw per coordinate (:data:`RESTART_SEED`).
+except that SM1's ``tau_sm1`` starts at the series' strongest cycle if
+its prior's 95% range holds it (1.46 to 74 years under the default
+prior: never a yearly, weekly or daily cycle).  A quasi-periodic series then
+need not walk SM1's period down from the median's 10.4 years.  A single
+start is deterministic.  Extra restarts perturb the prior medians with
+one Normal(0, lam) draw per coordinate (:data:`RESTART_SEED`).
 """
 
 from __future__ import annotations
@@ -150,8 +154,10 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
     The inverse Hessian model is L-BFGS's with every curvature pair kept:
     ``H = gamma P + Q``, where P and Q are the BFGS updates of I and 0 by
     each pair (s, y) in turn, ``X <- W'XW`` with ``W = I - y s'/s'y``,
-    plus ``ss'/s'y`` for Q, and gamma is ``s'y/y'y`` of the newest pair,
-    as L-BFGS-B scales it.  A pair is skipped, as L-BFGS-B skips it, unless
+    plus ``ss'/s'y`` for Q, and gamma is ``s's/s'y`` of the newest pair.
+    L-BFGS-B's ``s'y/y'y``, never larger, measures the stiffest curvature
+    the last step met, so its model would move along ARD's flat directions
+    at a tiny scale.  A pair is skipped, as L-BFGS-B skips it, unless
     ``s'y > eps (-g's)``.  Lines are searched by bracket and zoom with
     L-BFGS-B's constants (:func:`_line_search`); every step taken meets
     the strong Wolfe conditions.  A search that finds no such step resets
@@ -220,7 +226,7 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
             w = identity - y[:, None] * s_scaled  # W = I - y s'/s'y
             model = w.T @ model @ w
             model[1] += s[:, None] * s_scaled
-            weights[0] = -curvature / float(y.dot(y))
+            weights[0] = -float(s.dot(s)) / curvature
             pairs += 1
         f, g = f_new, g_new
     if failed > before_last:
@@ -305,8 +311,11 @@ def train(
 
     ``restarts`` is an integer >= 1 and ``x`` a regular grid
     (``gp.prepare_series``); anything else raises ValueError.  The
-    first start is the prior medians, so one restart is deterministic: same
-    input bits give the same result bits.  ``converged`` and
+    first start is the prior medians, except that log ``tau_sm1`` starts
+    at -log(2 pi f), f the frequency of the strongest ``rfft`` bin of y
+    above 0, when that lies within 1.96 sqrt(lam) of its prior's nu.  One
+    restart is deterministic: same input bits give the same result bits.
+    Restarts after the first perturb the medians.  ``converged`` and
     ``termination`` are the optimizer status and message of the restart
     that produced the returned point; if its iteration budget ran out, or
     its final iteration met a failed evaluation, that point is still returned,
@@ -345,7 +354,14 @@ def train(
             best_u = u.copy()
         return value, -grad
 
-    starts = [nu]
+    starts = [nu.copy()]
+    names = spec.trainable_names()
+    if "tau_sm1" in names:  # SM1's period starts at the series' strongest cycle f, in the prior's 95% range
+        k = names.index("tau_sm1")
+        peak = 1 + int(np.argmax(np.abs(np.fft.rfft(series.y)[1:])))
+        log_tau = -math.log(2.0 * math.pi * np.fft.rfftfreq(series.y.size, series.x[1] - series.x[0])[peak])
+        if abs(log_tau - nu[k]) <= 1.96 * math.sqrt(lam[k]):
+            starts[0][k] = log_tau
     if restarts > 1:
         rng = np.random.default_rng(RESTART_SEED)
         scales = np.sqrt(lam)

@@ -197,8 +197,7 @@ def lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     """-H g by the L-BFGS two-loop recursion over every curvature pair (s, y) in ``pairs``, oldest first.
 
     Nocedal and Wright's Algorithm 7.4, with the initial inverse Hessian
-    gamma I, gamma = s'y / y'y of the newest pair (1 with no pair), as
-    L-BFGS-B scales it.
+    gamma I, gamma = s's / s'y of the newest pair (1 with no pair).
     """
     q = np.array(g, dtype=float)
     alphas = []
@@ -206,7 +205,7 @@ def lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
         alpha = float(s @ q) / float(s @ y)
         q -= alpha * y
         alphas.append(alpha)
-    gamma = float(pairs[-1][0] @ pairs[-1][1]) / float(pairs[-1][1] @ pairs[-1][1]) if pairs else 1.0
+    gamma = float(pairs[-1][0] @ pairs[-1][0]) / float(pairs[-1][0] @ pairs[-1][1]) if pairs else 1.0
     r = gamma * q
     for (s, y), alpha in zip(pairs, reversed(alphas)):
         r += (alpha - float(y @ r) / float(s @ y)) * s

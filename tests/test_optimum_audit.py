@@ -49,7 +49,7 @@ def test_report_lists_each_miss_and_totals_them(monkeypatch, capsys):
 def test_compare_lists_each_single_restart_that_moved_and_each_new_miss_that_did_not(monkeypatch, capsys):
     tool = load_tool(monkeypatch)
 
-    def record(workload, series, single, best, nfev=(10, 50)):
+    def record(workload, series, single, best, nfev=(10, 50), failed=(0, 0)):
         return {
             "workload": workload,
             "seed": 3,
@@ -58,10 +58,12 @@ def test_compare_lists_each_single_restart_that_moved_and_each_new_miss_that_did
             "best": best,
             "single_nfev": nfev[0],
             "best_nfev": nfev[1],
+            "single_penalty_evals": failed[0],
+            "best_penalty_evals": failed[1],
         }
 
     parent = [
-        record("monthly-forecast", "fell", 20.0, 20.0),
+        record("monthly-forecast", "fell", 20.0, 20.0, failed=(0, 1)),
         record("monthly-forecast", "rose", 30.0, 30.5),
         record("monthly-forecast", "unmoved-new-miss", 40.0, 40.0),
         record("monthly-forecast", "within-miss", 50.0, 50.0),
@@ -70,8 +72,8 @@ def test_compare_lists_each_single_restart_that_moved_and_each_new_miss_that_did
     change = [
         record("monthly-forecast", "fell", 19.5, 20.0, (12, 47)),
         record("monthly-forecast", "rose", 30.5, 30.5),
-        record("monthly-forecast", "unmoved-new-miss", 40.05, 41.0),
-        record("monthly-forecast", "within-miss", 49.95, 50.0, (9, 50)),
+        record("monthly-forecast", "unmoved-new-miss", 40.05, 41.0, failed=(0, 3)),
+        record("monthly-forecast", "within-miss", 49.95, 50.0, (9, 50), (1, 2)),
         record("six-hourly-double", "small-fall", 59.99, 60.0, (11, 52)),
     ]
     tool.compare(parent, change[::-1])  # records pair up by workload, seed and series, not by order
@@ -82,6 +84,7 @@ def test_compare_lists_each_single_restart_that_moved_and_each_new_miss_that_did
     assert capsys.readouterr().out.splitlines() == [
         "six-hourly-double: 1 series; parent 0 misses, 0.00 nats, change 0 misses, 0.00 nats",
         "six-hourly-double: nfev summed, parent 10 (one restart), 50 (5 restarts); change 11 (one restart), 52 (5 restarts)",
+        "six-hourly-double: failed evaluations summed, parent 0 (one restart), 0 (5 restarts); change 0 (one restart), 0 (5 restarts)",
         "six-hourly-double: missed nats +0.00: +0.00 from single restarts, +0.00 from the best of 5",
         "six-hourly-double: largest single-restart fall 0.0100 nats, seed 3 small-fall",
         "six-hourly-double: 0 series whose single restart fell by more than 0.1 nats",
@@ -89,6 +92,7 @@ def test_compare_lists_each_single_restart_that_moved_and_each_new_miss_that_did
         "six-hourly-double: 0 new misses whose single restart did not move",
         "monthly-forecast: 4 series; parent 1 misses, 0.50 nats, change 2 misses, 1.45 nats",
         "monthly-forecast: nfev summed, parent 40 (one restart), 200 (5 restarts); change 41 (one restart), 197 (5 restarts)",
+        "monthly-forecast: failed evaluations summed, parent 0 (one restart), 1 (5 restarts); change 1 (one restart), 5 (5 restarts)",
         "monthly-forecast: missed nats +0.95: +0.00 from single restarts, +0.95 from the best of 5",
         "monthly-forecast: largest single-restart fall 0.5000 nats, seed 3 fell",
         "monthly-forecast: 1 series whose single restart fell by more than 0.1 nats",

@@ -8,8 +8,8 @@ For every series of the perfbench designs (monthly-forecast at seeds 1 to
 10, 240 series; six-hourly-double at seeds 1, 2, 3 and 20201, 104
 series) it trains the forecast's model twice on the training part, as
 ``standardized_posterior`` does: once with its default of one restart
-(from the prior medians) and once with ``restarts=5``, whose
-first restart is that same start.  A series whose single restart ends
+(from the prior medians, with SM1's period at the series' cycle) and once
+with ``restarts=5``, whose first restart is that same start.  A series whose single restart ends
 more than 0.1 nats below the best of five is a miss.  Per workload it
 prints each miss, then the number of misses, the nats missed in total,
 and the objective evaluations and the failed ones (trial points whose
@@ -23,13 +23,13 @@ a change, are compared with
 
     python tools/optimum_audit.py --compare parent.jsonl change.jsonl
 
-which prints, per workload, each side's misses and missed nats and its
-nfev summed for one restart and for five; how much of the change in
-missed nats comes from the single restarts (the change's single restarts
-against the parent's best of five) and how much from the best of five;
-the largest fall of a single restart, however small; then each series
-whose single restart rose or fell by more than 0.1 nats against the
-other side, and last the change's new misses whose single restart moved
+which prints, per workload, each side's misses and missed nats, and its
+nfev and failed evaluations summed for one restart and for five; how
+much of the change in missed nats comes from the single restarts (the
+change's single restarts against the parent's best of five) and how much
+from the best of five; the largest fall of a single restart, however
+small; then each series whose single restart rose or fell by more than
+0.1 nats against the other side, and last the change's new misses whose single restart moved
 by at most 0.1 nats (their best of five rose).  The program is imported
 from the checkout's ``src``, the series from ``perfbench/workloads.py``.
 """
@@ -76,6 +76,12 @@ def audit(name: str, seeds, limit: int | None = None):
             }
 
 
+def summed(records, field: str) -> str:
+    """``field`` (nfev or penalty_evals) summed over the records, for one restart and for five."""
+    single, best = (sum(r[f"{run}_{field}"] for r in records) for run in ("single", "best"))
+    return f"{single} (one restart), {best} ({RESTARTS} restarts)"
+
+
 def report(name: str, records) -> None:
     """Print the misses of one workload and its totals."""
     records = list(records)
@@ -86,14 +92,9 @@ def report(name: str, records) -> None:
             f" best of {RESTARTS} {r['best']:.4f}, missed {r['best'] - r['single']:.4f}"
         )
     missed = sum(r["best"] - r["single"] for r in misses)
-
-    def summed(field):
-        single, best = (sum(r[f"{run}_{field}"] for r in records) for run in ("single", "best"))
-        return f"{single} (one restart), {best} ({RESTARTS} restarts)"
-
     print(
         f"{name}: {len(records)} series, {len(misses)} miss by more than {MISS:g} nats, {missed:.2f} nats in total;"
-        f" nfev summed {summed('nfev')}; failed evaluations summed {summed('penalty_evals')}",
+        f" nfev summed {summed(records, 'nfev')}; failed evaluations summed {summed(records, 'penalty_evals')}",
         flush=True,
     )
 
@@ -112,9 +113,6 @@ def compare(parent, change) -> None:
         gaps = [b["best"] - s["single"] for s, b in runs if b["best"] - s["single"] > MISS]
         return len(gaps), sum(gaps)
 
-    def nfev(records):
-        return f"{sum(r['single_nfev'] for r in records)} (one restart), {sum(r['best_nfev'] for r in records)} ({RESTARTS} restarts)"
-
     def line(r, a):
         return (
             f"  seed {r['seed']} {r['series']}: single {a['single']:.4f} -> {r['single']:.4f}"
@@ -130,7 +128,9 @@ def compare(parent, change) -> None:
             f"{name}: {len(pairs)} series; parent {parent_misses} misses, {parent_nats:.2f} nats,"
             f" change {change_misses} misses, {change_nats:.2f} nats"
         )
-        print(f"{name}: nfev summed, parent {nfev([a for _, a in pairs])}; change {nfev([r for r, _ in pairs])}")
+        for field, title in (("nfev", "nfev"), ("penalty_evals", "failed evaluations")):
+            sides = (summed([a for _, a in pairs], field), summed([r for r, _ in pairs], field))
+            print(f"{name}: {title} summed, parent {sides[0]}; change {sides[1]}")
         print(
             f"{name}: missed nats {change_nats - parent_nats:+.2f}: {crossed_nats - parent_nats:+.2f} from single"
             f" restarts, {change_nats - crossed_nats:+.2f} from the best of {RESTARTS}"
