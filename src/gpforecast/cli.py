@@ -5,8 +5,9 @@
     gpforecast priors --output priors.txt
 
 Training takes no settings: every series is trained with one restart
-from the prior medians (SM1's period at the series' own cycle where the
-prior finds it plausible), under the fixed stopping rules of
+from the prior medians (SM1's period at the series' own cycle and the
+noise variance at its own level where the priors find them plausible),
+under the fixed stopping rules of
 ``gpforecast.training``.  ``--priors`` swaps in another priors file.
 """
 

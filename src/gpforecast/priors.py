@@ -154,8 +154,9 @@ def median_hyperparams(spec: KernelSpec, priors: PriorSpec | None = None) -> Hyp
     """Hyperparameters at the prior medians.
 
     In log space the medians are the prior means.  Training starts here,
-    except for ``tau_sm1``, which starts at the series' own cycle when the
-    prior finds it plausible (``training.train``).
+    except for ``tau_sm1`` and ``s2_noise``, which start at the series' own
+    cycle and noise level when the priors find them plausible
+    (``training.train``).
     """
     priors = priors if priors is not None else default_priors()
     return HyperParams.of(spec, **{name: priors[name].median() for name in spec.trainable_names()})

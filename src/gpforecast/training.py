@@ -30,10 +30,14 @@ most 15 trainables, one per name of ``PARAM_NAMES`` (13 single-seasonal,
 15 double-seasonal).
 
 Training starts at the prior medians (the prior means in log space),
-except that SM1's ``tau_sm1`` starts at the series' strongest cycle if
-its prior's 95% range holds it (1.46 to 74 years under the default
-prior: never a yearly, weekly or daily cycle).  A quasi-periodic series then
-need not walk SM1's period down from the median's 10.4 years.  A single
+except for two trainables read from one ``rfft`` of the series.  SM1's
+``tau_sm1`` starts at the series' strongest cycle if its prior's 95%
+range holds it (1.46 to 74 years under the default prior: never a
+yearly, weekly or daily cycle), so a quasi-periodic series need not walk
+SM1's period down from the median's 10.4 years.  ``s2_noise`` starts at
+the noise level of the bins above 0.4 cycles per step if that lies
+within ``_NOISE_START_SDS`` prior sds of its median (1.5e-3 to 33 under
+the default prior), below which the noise-free design series lie.  A single
 start is deterministic.  Extra restarts perturb the prior medians with
 one Normal(0, lam) draw per coordinate (:data:`RESTART_SEED`).
 """
@@ -97,6 +101,13 @@ _FAILED_START = "ABNORMAL: START NOT EVALUATED"
 
 # Seed of the generator that perturbs the starts of restarts after the first.
 RESTART_SEED = 0
+
+# White noise of variance s2 puts a median power |Y_k|^2 / n of s2 ln 2 in
+# each rfft bin, so the high bins' median over ln 2 starts log s2_noise if it
+# lies within this many prior sds of nu: 1.5e-3 to 33 under the default prior.
+# Noise-free six-hourly design series read 4.5e-5 to 3.7e-4 and keep the
+# median; every noisy monthly one reads at least 1.8e-3.
+_NOISE_START_SDS = 5.0
 
 
 @dataclass(frozen=True)
@@ -313,7 +324,10 @@ def train(
     (``gp.prepare_series``); anything else raises ValueError.  The
     first start is the prior medians, except that log ``tau_sm1`` starts
     at -log(2 pi f), f the frequency of the strongest ``rfft`` bin of y
-    above 0, when that lies within 1.96 sqrt(lam) of its prior's nu.  One
+    above 0, when that lies within 1.96 sqrt(lam) of its prior's nu, and
+    log ``s2_noise`` at the log of median(|Y_k|^2 / n) / ln 2 over the bins
+    above 0.4 cycles per step (the last bin at n = 5), when that lies
+    within ``_NOISE_START_SDS`` sqrt(lam) of its nu.  One
     restart is deterministic: same input bits give the same result bits.
     Restarts after the first perturb the medians.  ``converged`` and
     ``termination`` are the optimizer status and message of the restart
@@ -356,12 +370,22 @@ def train(
 
     starts = [nu.copy()]
     names = spec.trainable_names()
+    n = series.y.size
+    amplitude = np.abs(np.fft.rfft(series.y))
     if "tau_sm1" in names:  # SM1's period starts at the series' strongest cycle f, in the prior's 95% range
         k = names.index("tau_sm1")
-        peak = 1 + int(np.argmax(np.abs(np.fft.rfft(series.y)[1:])))
-        log_tau = -math.log(2.0 * math.pi * np.fft.rfftfreq(series.y.size, series.x[1] - series.x[0])[peak])
+        peak = 1 + int(np.argmax(amplitude[1:]))
+        log_tau = -math.log(2.0 * math.pi * np.fft.rfftfreq(n, series.x[1] - series.x[0])[peak])
         if abs(log_tau - nu[k]) <= 1.96 * math.sqrt(lam[k]):
             starts[0][k] = log_tau
+    # s2_noise starts at the noise level of the bins above 0.4 cycles per step
+    # (the last bin alone at n = 5), within _NOISE_START_SDS sqrt(lam) of its
+    # nu; their median by sorted, as np.median's first call pages in 0.5 MB more
+    k = names.index("s2_noise")
+    band = sorted((amplitude[min(2 * n // 5 + 1, n // 2) :] ** 2).tolist())
+    level = (band[(len(band) - 1) // 2] + band[len(band) // 2]) / 2.0 / (n * math.log(2.0))
+    if level > 0.0 and abs(math.log(level) - nu[k]) <= _NOISE_START_SDS * math.sqrt(lam[k]):
+        starts[0][k] = math.log(level)
     if restarts > 1:
         rng = np.random.default_rng(RESTART_SEED)
         scales = np.sqrt(lam)

@@ -117,3 +117,81 @@ def test_records_and_seeds_write_one_line_per_audited_series(monkeypatch, tmp_pa
     [record] = [json.loads(line) for line in path.read_text().splitlines()]
     assert (record["workload"], record["seed"]) == ("monthly-forecast", 11)
     assert capsys.readouterr().out.startswith("monthly-forecast: 1 series, ")
+
+
+def synthetic_records():
+    """Two monthly misses (0.5 and 0.25 nats, one with a failed evaluation) and one six-hourly series that did not miss."""
+    def record(workload, seed, series, single, best, failed):
+        return {
+            "workload": workload,
+            "seed": seed,
+            "series": series,
+            "single": single,
+            "best": best,
+            "single_nfev": 10,
+            "best_nfev": 50,
+            "single_penalty_evals": failed,
+            "best_penalty_evals": failed,
+        }
+
+    return [
+        record("monthly-forecast", 1, "a", 10.0, 10.5, 0),
+        record("monthly-forecast", 2, "b", 20.0, 20.25, 1),
+        record("monthly-forecast", 3, "c", 30.0, 30.05, 0),
+        record("six-hourly-double", 1, "h", 40.0, 40.0, 0),
+    ]
+
+
+def bounds(misses=2, nats=0.75, failed=1):
+    return {
+        "ceilings": {
+            "monthly-forecast": {"misses": misses, "missed_nats": nats, "single_failed_evaluations": failed},
+            "six-hourly-double": {"misses": 0, "missed_nats": 0.0, "single_failed_evaluations": 0},
+        }
+    }
+
+
+def test_check_names_each_ceiling_passed_with_its_workload_and_series(monkeypatch):
+    tool = load_tool(monkeypatch)
+    records = synthetic_records()
+    assert tool.check(bounds(), records) == []  # a ceiling is a bound that may be met
+    assert tool.check(bounds(misses=1, nats=0.7, failed=0), records) == [
+        "monthly-forecast: 2 misses, above the ceiling of 1: seed 1 a, seed 2 b",
+        "monthly-forecast: 0.75 missed nats, above the ceiling of 0.7: seed 1 a, seed 2 b",
+        "monthly-forecast: 1 single-restart failed evaluations, above the ceiling of 0: seed 2 b",
+    ]
+    # a workload of the bounds that no record covers fails, rather than passing with no misses
+    assert tool.check(bounds(), records[:3]) == ["six-hourly-double: no series audited"]
+
+
+def test_check_mode_audits_the_bounds_workloads_and_exits_1_above_a_ceiling(monkeypatch, tmp_path, capsys):
+    tool = load_tool(monkeypatch)
+    audited = []
+
+    def fake_audit(name, seeds, limit=None):
+        audited.append((name, tuple(seeds)))
+        return [r for r in synthetic_records() if r["workload"] == name]
+
+    monkeypatch.setattr(tool, "audit", fake_audit)
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps(bounds()))
+    monkeypatch.setattr(sys, "argv", ["optimum_audit.py", "--check", str(path)])
+    tool.main()
+    assert audited == list(tool.SEEDS.items())
+    assert capsys.readouterr().out.splitlines()[-1] == f"every ceiling of {path} holds"
+    path.write_text(json.dumps(bounds(misses=1)))
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "ceiling passed: monthly-forecast: 2 misses, above the ceiling of 1: seed 1 a, seed 2 b"
+    )
+
+
+def test_the_committed_bounds_cover_every_workload_with_no_failed_single_restart(monkeypatch):
+    tool = load_tool(monkeypatch)
+    committed = json.loads((TOOL.parent / "optimum_audit_bounds.json").read_text(encoding="utf-8"))
+    assert set(committed["ceilings"]) == set(tool.SEEDS)
+    for ceiling in committed["ceilings"].values():
+        assert set(ceiling) == {"misses", "missed_nats", "single_failed_evaluations"}
+        assert ceiling["single_failed_evaluations"] == 0

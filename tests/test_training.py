@@ -593,18 +593,22 @@ class TestTrain:
         y = np.sin(np.pi * x) + 0.1 * rng.standard_normal(100)
         nu, lam = PRIORS.columns(FULL_SPEC)[:2]
         starts = train_starts(monkeypatch, FULL_SPEC, x, y, restarts=3)
-        k = FULL_SPEC.trainable_names().index("tau_sm1")
+        names = FULL_SPEC.trainable_names()
+        k, noise = names.index("tau_sm1"), names.index("s2_noise")
         assert starts[0][k] == pytest.approx(-math.log(2.0 * math.pi * 4.0 * 12.0 / 100.0), rel=1e-12)
-        assert np.delete(starts[0], k).tobytes() == np.delete(nu, k).tobytes()
+        # the noise's start is its variance, 0.01, read from the high bins
+        assert abs(starts[0][noise] - math.log(0.01)) <= math.log(2.0)
+        assert np.delete(starts[0], [k, noise]).tobytes() == np.delete(nu, [k, noise]).tobytes()
         # the restarts after the first perturb the medians, not the first start
         rng = np.random.default_rng(training.RESTART_SEED)
         for start in starts[1:]:
             assert start.tobytes() == (nu + rng.normal(0.0, 1.0, size=nu.size) * np.sqrt(lam)).tobytes()
 
     @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
-    def test_a_cycle_outside_the_tau_sm1_prior_range_starts_at_the_medians(self, monkeypatch, mode):
+    def test_a_cycle_outside_the_tau_sm1_prior_range_keeps_tau_sm1_at_its_median(self, monkeypatch, mode):
         # a yearly peak gives log tau -1.84, below the range's floor of -1.46, and
-        # every six-hourly cycle here is daily or weekly
+        # every six-hourly cycle here is daily or weekly; every trainable but the
+        # noise, whose variance is 0.01, starts at its median
         rng = np.random.default_rng(4)
         if mode == "single-seasonal":
             x = np.arange(120) / 12.0
@@ -614,7 +618,82 @@ class TestTrain:
             y = np.sin(2.0 * np.pi * 365.25 * x) + 0.5 * np.sin(2.0 * np.pi * 365.25 / 7.0 * x)
         spec = default_spec(mode)
         [start] = train_starts(monkeypatch, spec, x, y + 0.1 * rng.standard_normal(x.size))
+        noise = spec.trainable_names().index("s2_noise")
+        assert abs(start[noise] - math.log(0.01)) <= math.log(2.0)
+        assert np.delete(start, noise).tobytes() == np.delete(PRIORS.columns(spec)[0], noise).tobytes()
+
+    @pytest.mark.parametrize("variance", [0.01, 1.0, 4.0])
+    def test_white_noise_starts_s2_noise_at_its_variance(self, monkeypatch, variance):
+        # the median over 20 seeds is unbiased, and each start is within a factor of 2
+        x = np.arange(336) / 12.0
+        noise = FULL_SPEC.trainable_names().index("s2_noise")
+        errors = []
+        for seed in range(20):
+            y = math.sqrt(variance) * np.random.default_rng(seed).standard_normal(x.size)
+            [start] = train_starts(monkeypatch, FULL_SPEC, x, y)
+            errors.append(start[noise] - math.log(variance))
+        assert abs(float(np.median(errors))) <= 0.15
+        assert max(map(abs, errors)) <= math.log(2.0)
+
+    @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
+    def test_exactly_periodic_sines_keep_the_noise_median(self, monkeypatch, mode):
+        # whole cycles leave the high bins at rounding level, far below the
+        # start's floor of exp(nu - 5 sqrt(lam)); a yearly, daily or weekly cycle
+        # keeps tau_sm1's median too
+        if mode == "single-seasonal":
+            x = np.arange(120) / 12.0
+            y = np.sin(2.0 * np.pi * x) + 0.3 * np.cos(4.0 * np.pi * x)
+        else:
+            x = np.arange(336) / 1461.0
+            y = np.sin(2.0 * np.pi * 365.25 * x) + 0.5 * np.sin(2.0 * np.pi * 365.25 / 7.0 * x)
+        spec = default_spec(mode)
+        [start] = train_starts(monkeypatch, spec, x, y)
         assert start.tobytes() == PRIORS.columns(spec)[0].tobytes()
+
+    def test_a_noise_free_design_series_keeps_the_noise_median(self, monkeypatch):
+        # h-220-10-c0's high bins read 3.7e-4, below the start's floor of 1.5e-3;
+        # started there, its single restart fell 0.17 nats at every audit seed
+        ts, horizon, mode = design_series(monkeypatch, "six-hourly-double", 1, "h-220-10-c0")
+        starts = record_starts(monkeypatch)
+        standardized_posterior(ts, horizon, mode=mode)
+        assert starts[0].tobytes() == PRIORS.columns(default_spec(mode))[0].tobytes()
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_the_shortest_series_start_without_a_warning(self, monkeypatch, n):
+        # above 0.4 cycles per step lies one bin at n = 4 and 8 and none at
+        # n = 5, which takes its last bin; an all-zero series reads a level of 0
+        x = np.arange(n) / 12.0
+        noise = FULL_SPEC.trainable_names().index("s2_noise")
+        nu = PRIORS.columns(FULL_SPEC)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [start] = train_starts(monkeypatch, FULL_SPEC, x, np.random.default_rng(n).standard_normal(n))
+            [zeros] = train_starts(monkeypatch, FULL_SPEC, x, np.zeros(n))
+        assert math.isfinite(start[noise]) and start[noise] != nu[noise]
+        assert zeros.tobytes() == nu.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frequency=st.sampled_from([(12.0, "single-seasonal"), (1461.0, "double-seasonal")]),
+        k=st.integers(-60, 60),
+        sign=st.sampled_from([1.0, -1.0]),
+        shift=st.integers(-1000, 1000),
+    )
+    def test_the_start_is_bit_identical_under_a_power_of_two_affine_map(self, seed, frequency, k, sign, shift):
+        # a = +-2^k and b = 2^k times an integer map 128 integer values exactly,
+        # and the standardized series only changes sign, which neither the
+        # periodogram's peak nor its noise level sees
+        steps_per_year, mode = frequency
+        rng = np.random.default_rng(seed)
+        t = np.arange(128)
+        base = np.round(20.0 * np.sin(2.0 * np.pi * t * rng.uniform(0.01, 0.3)) + rng.normal(0.0, 5.0, t.size))
+        a = sign * 2.0**k
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            starts = record_starts(monkeypatch)
+            for values in (base, a * base + 2.0**k * shift):
+                standardized_posterior(TimeSeries(values=values, steps_per_year=steps_per_year), 6, mode=mode)
+        assert starts[0].tobytes() == starts[1].tobytes()
 
     def test_linear_trend_makes_linear_term_dominant(self):
         # deterministic input, so a single run settles the claim
@@ -644,8 +723,8 @@ def design_series(monkeypatch, workload_name, seed, name):
     return TimeSeries(values[: -workload.horizon], workload.steps_per_year), workload.horizon, workload.mode
 
 
-def train_starts(monkeypatch, spec, x, y, restarts=1):
-    """The start ``train`` hands each restart's ``minimize``, evaluated once and not optimized."""
+def record_starts(monkeypatch):
+    """The start ``train`` hands each restart's ``minimize``, evaluated once and not optimized, filled as train runs."""
     starts = []
 
     def one_evaluation(fun, u0, **kwargs):
@@ -654,6 +733,12 @@ def train_starts(monkeypatch, spec, x, y, restarts=1):
         return SimpleNamespace(nit=1, nfev=1, penalty_evals=0, status=0, message="one evaluation")
 
     monkeypatch.setattr(training, "minimize", one_evaluation)
+    return starts
+
+
+def train_starts(monkeypatch, spec, x, y, restarts=1):
+    """The start ``train`` hands each restart's ``minimize``."""
+    starts = record_starts(monkeypatch)
     train(spec, PRIORS, x, y, restarts=restarts)
     return starts
 

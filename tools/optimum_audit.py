@@ -8,9 +8,11 @@ For every series of the perfbench designs (monthly-forecast at seeds 1 to
 10, 240 series; six-hourly-double at seeds 1, 2, 3 and 20201, 104
 series) it trains the forecast's model twice on the training part, as
 ``standardized_posterior`` does: once with its default of one restart
-(from the prior medians, with SM1's period at the series' cycle) and once
-with ``restarts=5``, whose first restart is that same start.  A series whose single restart ends
-more than 0.1 nats below the best of five is a miss.  Per workload it
+(from the prior medians, with SM1's period at the series' cycle and the
+noise variance at the level of its high-frequency bins, where the priors
+find them plausible) and once with ``restarts=5``, whose first restart
+is that same start.  A series whose single restart ends more than 0.1
+nats below the best of five is a miss.  Per workload it
 prints each miss, then the number of misses, the nats missed in total,
 and the objective evaluations and the failed ones (trial points whose
 objective could not be evaluated) summed over the series, for one
@@ -30,8 +32,15 @@ change's single restarts against the parent's best of five) and how much
 from the best of five; the largest fall of a single restart, however
 small; then each series whose single restart rose or fell by more than
 0.1 nats against the other side, and last the change's new misses whose single restart moved
-by at most 0.1 nats (their best of five rose).  The program is imported
-from the checkout's ``src``, the series from ``perfbench/workloads.py``.
+by at most 0.1 nats (their best of five rose).  The audit as a gate:
+
+    OPENBLAS_NUM_THREADS=1 python tools/optimum_audit.py --check tools/optimum_audit_bounds.json
+
+audits each workload the bounds file names, at its default seeds, and
+exits 1 if one passes a ceiling on its misses, its missed nats or its
+single restarts' failed evaluations, naming the workload and the series
+behind it.  The program is imported from the checkout's ``src``, the
+series from ``perfbench/workloads.py``.
 """
 
 from __future__ import annotations
@@ -156,6 +165,33 @@ def compare(parent, change) -> None:
                 print(line(r, a))
 
 
+def check(bounds, records) -> list[str]:
+    """Each ceiling of ``bounds`` that ``records`` pass, one line naming the workload and its series; empty if none.
+
+    ``bounds["ceilings"]`` maps a workload to its ceilings on ``misses``,
+    ``missed_nats`` and ``single_failed_evaluations`` (failed evaluations
+    summed over the single restarts).
+    """
+    failures = []
+    for name, ceiling in bounds["ceilings"].items():
+        chosen = [r for r in records if r["workload"] == name]
+        if not chosen:
+            failures.append(f"{name}: no series audited")
+        misses = [r for r in chosen if r["best"] - r["single"] > MISS]
+        missed = sum(r["best"] - r["single"] for r in misses)
+        failed = [r for r in chosen if r["single_penalty_evals"] > 0]
+        for count, limit, title, series in (
+            (len(misses), ceiling["misses"], "misses", misses),
+            (missed, ceiling["missed_nats"], "missed nats", misses),
+            (sum(r["single_penalty_evals"] for r in failed), ceiling["single_failed_evaluations"],
+             "single-restart failed evaluations", failed),
+        ):
+            if count > limit:
+                listed = ", ".join(f"seed {r['seed']} {r['series']}" for r in series)
+                failures.append(f"{name}: {count:g} {title}, above the ceiling of {limit:g}: {listed}")
+    return failures
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=[*SEEDS, "all"], default="all")
@@ -163,19 +199,28 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, nargs="+", help="audit these seeds in place of the default ones")
     parser.add_argument("--records", metavar="PATH", help="also write one JSON line per series to PATH")
     parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"), help="compare two --records files")
+    parser.add_argument("--check", metavar="BOUNDS", help="audit the workloads of a bounds file; exit 1 above a ceiling")
     args = parser.parse_args()
     if args.compare:
         parent, change = ([json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()] for path in args.compare)
         compare(parent, change)
         return
+    bounds = json.loads(Path(args.check).read_text(encoding="utf-8")) if args.check else None
     audited = []
     for name, seeds in SEEDS.items():
-        if args.workload in (name, "all"):
+        if (name in bounds["ceilings"]) if bounds else args.workload in (name, "all"):
             records = list(audit(name, args.seeds or seeds, args.limit))
             report(name, records)
             audited += records
     if args.records:
         Path(args.records).write_text("".join(json.dumps(r) + "\n" for r in audited), encoding="utf-8")
+    if bounds:
+        failures = check(bounds, audited)
+        for failure in failures:
+            print(f"ceiling passed: {failure}")
+        if failures:
+            raise SystemExit(1)
+        print(f"every ceiling of {args.check} holds")
 
 
 if __name__ == "__main__":
