@@ -42,7 +42,6 @@ from .gp import (
     FitState,
     IllConditionedModelError,
     PredictiveDistribution,
-    build_gram,
     fit,
     log_marginal_likelihood_and_grad,
     predict,
@@ -53,7 +52,6 @@ from .kernels import (
     InvalidHyperparameterError,
     KernelSpec,
     Term,
-    build_cross,
     zero_lag_variance,
 )
 from .metrics import ScoreReport, crps_gaussian, log_likelihood, mae, score

@@ -7,7 +7,8 @@ term lives inside the kernel).  Both entry points take the series from
 ``log_marginal`` next to the factorization, and
 :func:`log_marginal_likelihood_and_grad` adds its gradient with respect
 to the log-space hyperparameters.  :func:`predict` gives the exact
-predictive posterior at the test points :func:`fit` was given:
+predictive posterior at the test points :func:`fit` was given, which
+continue the series' grid:
 
     mean(X*)       = K(X*, X) K(X, X)^-1 y
     latent var(x*) = k(x*, x*) - k(x*, X) K(X, X)^-1 k(X, x*)
@@ -39,22 +40,22 @@ O(n) floats and makes no Cholesky factorization; without LIN, v = 0.
 Levinson is only weakly stable, so below a conditioning bound
 (:data:`LEVINSON_MIN_ERROR_RATIO` on its prediction errors) the
 evaluation lays that column out as the Gram instead
-(``kernels.toeplitz_gram``, one Fortran-ordered array), factorizes it in
+(``kernels.build_gram``, one Fortran-ordered array), factorizes it in
 place (a failed try lays it out again) and solves for y, e_0 and v at
 once.  Where the noise floor allows a failure, the recursion first runs
 on T's leading lags, and a block that fails the bound skips the full
-run.  :func:`build_gram` and :func:`fit` lay the Gram out the same way.
+run.  :func:`fit` lays the Gram out the same way.
 
-:func:`fit` takes the trained theta, the prepared series and any finite
-test points.  When these continue the series' grid, as a forecast's do,
-one :func:`grad_gram` pass over the n + h lags gives the Gram's column
-(bit for bit the objective's), the cross-covariance (Toeplitz on lags
-1 .. n+h-1, plus LIN's slope) and the prior variance (lag 0); otherwise
-one :func:`grad_gram` pass over the prepared lags gives the Gram, and
-``build_cross`` and ``zero_lag_variance`` lay out the test points'
-covariances.  :func:`predict` reuses the factor, so a forecast makes one
-Cholesky factorization at its trained hyperparameters, plus one per
-evaluation that falls back.
+:func:`fit` takes the trained theta, the prepared series and the test
+points of a forecast: the next h steps of the series' grid, so that x and
+x* together are one regular grid (any other test points raise
+ValueError).  One :func:`grad_gram` pass over the n + h lags gives the
+Gram's column (bit for bit the objective's) and the cross-covariance
+(``kernels.build_cross``: Toeplitz on lags 1 .. n+h-1, plus LIN's
+slope); ``kernels.zero_lag_variance`` gives the prior variance.
+:func:`predict` reuses the factor, so a forecast makes one Cholesky
+factorization at its trained hyperparameters, plus one per evaluation
+that falls back.
 
 The gradient never builds an n-by-n matrix per hyperparameter: each
 stationary partial is the dot product of its values on the lags with W's
@@ -78,8 +79,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py guards its convention
 
-from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, _as_points, build_cross, grad_gram
-from .kernels import lag_column, regular_lags, toeplitz_cross, toeplitz_gram, zero_lag_variance
+from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, _as_points, build_cross, build_gram
+from .kernels import grad_gram, lag_column, regular_lags, zero_lag_variance
 
 __all__ = [
     "IllConditionedModelError",
@@ -87,7 +88,6 @@ __all__ = [
     "PredictiveDistribution",
     "PreparedSeries",
     "prepare_series",
-    "build_gram",
     "fit",
     "predict",
     "log_marginal_likelihood_and_grad",
@@ -115,7 +115,8 @@ class FitState:
     """Cached factorization of one (theta, series) instance and the test points' covariances.
 
     ``cross`` is k(X*, X) and ``prior_variance`` k(x*, x*) without the
-    noise, at the test points :func:`fit` was given; ``noise`` is the WN
+    noise, at the test points :func:`fit` was given, the continuation of
+    the series' grid (none: shapes (0, n) and (0,)); ``noise`` is the WN
     variance (0 without WN).  Immutable; concurrent :func:`predict` calls
     on one state are safe.
     """
@@ -190,19 +191,6 @@ def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSe
     )
 
 
-def build_gram(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
-    """n-by-n covariance matrix K[i, j] = k(x[i], x[j]) on a regular grid ``x``, laid out as :func:`fit` lays it out.
-
-    The symmetric Toeplitz matrix of the covariance at each lag plus LIN's
-    slope; x is checked by :func:`prepare_series`.
-    """
-    values = theta.for_spec(spec)
-    series = prepare_series(spec, x, np.zeros(np.shape(x)))
-    slope = values[series.lin][1] if series.lin is not None else 0.0
-    column = lag_column(spec, values, grad_gram(spec, values, series.diffs))
-    return toeplitz_gram(column, math.sqrt(slope) * series.x)
-
-
 def _cholesky_with_jitter(build: Callable[[], np.ndarray]) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + jitter I, factorized where ``build()`` laid K out.
 
@@ -251,27 +239,26 @@ def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = 
 
     ``series`` comes from :func:`prepare_series` (``TrainResult.series``
     after training) and ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
-    ``x_star`` may be any finite points.  Those that continue the series'
-    grid take one pass over the n + h lags (see the module docstring); any
-    others take ``build_cross`` and ``zero_lag_variance``.  Either way the
-    Gram is laid out as :func:`build_gram` lays it out.
+    ``x_star`` (None or empty for no test points) must continue the
+    series' grid: x and x* together must be one regular grid
+    (:func:`regular_lags`), as the next steps of a forecast are; any other
+    test points raise ValueError.  One pass over the n + h lags gives the
+    Gram's column and the cross-covariance (see the module docstring).
     """
     spec, x, y, lin = series.spec, series.x, series.y, series.lin
     values = theta.for_spec(spec)
-    x_star = np.empty(0) if x_star is None else _as_points(x_star, "x_star", allow_empty=True)
-    lags = regular_lags(np.concatenate((x, x_star))) if x_star.size else None
+    x_star = np.empty(0) if x_star is None else _as_points(x_star, "x_star")
+    lags = regular_lags(np.concatenate((x, x_star)))  # the test points' lags continue the training lags' bits
+    if lags is None:
+        raise ValueError(
+            "x_star must continue the series' regular grid: x and x_star together must be"
+            f" x_i = x_0 + i h, i = 0 .. n+m-1 (n = {x.size}, m = {x_star.size})"
+        )
+    column = lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, lags)))
     slope = values[lin][1] if lin is not None else 0.0
-    if lags is None:  # the covariance at the training lags, as the objective sums it
-        column = lag_column(spec, values, grad_gram(spec, values, series.diffs))
-        cross, prior_variance = build_cross(spec, theta, x_star, x), zero_lag_variance(spec, theta, x_star)
-    else:  # the lags of the test points continue the training lags, whose bits they keep
-        partials = grad_gram(spec, values, Differences.of(spec, lags))
-        column = lag_column(spec, values, partials)
-        cross = toeplitz_cross(column, slope, x_star, x)
-        lag_zero = np.broadcast_to(partials[:, :1], (partials.shape[0], x_star.size))
-        prior_variance = lag_column(spec, values, lag_zero, x_star * x_star, noise=False)
+    cross, prior_variance = build_cross(column, slope, x_star, x), zero_lag_variance(spec, theta, x_star)
     v = math.sqrt(slope) * x
-    lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column[: x.size], v))
+    lower, jitter = _cholesky_with_jitter(lambda: build_gram(column[: x.size], v))
     alpha = cho_solve((lower, True), y, check_finite=False)
     return FitState(
         chol_lower=lower,
@@ -422,7 +409,7 @@ def _cholesky_grid_solve(
     K positive definite means beta > 0; its failing means rounding has
     swamped the solve.
     """
-    lower, jitter = _cholesky_with_jitter(lambda: toeplitz_gram(column, v))
+    lower, jitter = _cholesky_with_jitter(lambda: build_gram(column, v))
     rhs = np.zeros((y.size, 3), order="F")
     rhs[:, 0], rhs[0, 1], rhs[:, 2] = y, 1.0, v
     a, q, p = cho_solve((lower, True), rhs, check_finite=False).T
@@ -470,10 +457,9 @@ def _toeplitz_plus_rank1_inverse_sums(
 def predict(state: FitState) -> PredictiveDistribution:
     """Posterior mean and per-point variance at the test points :func:`fit` was given.
 
-    Test points are normally disjoint from the training points.  An exact
-    duplicate is allowed: it receives the latent-function posterior at
-    that input, i.e. the observed value shrunk toward the mean by the
-    noise-to-signal ratio.
+    Those continue the series' grid, so none coincides with a training
+    point: the latent variance is k(x*, x*) - k(x*, X) K^-1 k(X, x*), and
+    the observation variance adds the noise back.
     """
     cross = state.cross
     if cross.shape[0] == 0:

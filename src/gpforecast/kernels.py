@@ -31,12 +31,12 @@ the stationary terms' partials into one block, on a vector of
 differences.  That is the one pass over the terms, and
 :func:`lag_column`, which sums the covariance at each difference from
 those rows, the one sum of the composition: every builder here takes one
-of each.  Training points form a regular grid (:func:`regular_lags`), so
-the differences are its n lags and every Gram is :func:`toeplitz_gram`
-of one lag column: a Toeplitz matrix plus LIN's slope, a rank-1 update in
-place.  :func:`toeplitz_cross` lays out the cross-covariance of test
-points that continue the grid, and :func:`build_cross` and
-:func:`zero_lag_variance` the covariances of any other test points.
+of each.  Training points form a regular grid (:func:`regular_lags`), and
+test points continue it, so the differences are the grid's lags: every
+Gram is :func:`build_gram` of one lag column, a Toeplitz matrix plus
+LIN's slope as a rank-1 update in place, the cross-covariance is
+:func:`build_cross` of the continued grid's column, and the test points'
+prior variance is :func:`zero_lag_variance`.
 
 Hyperparameters are always positive; optimization happens in log space, so
 every partial in this module is taken with respect to ``log(parameter)``.
@@ -58,15 +58,14 @@ __all__ = [
     "Term",
     "KernelSpec",
     "HyperParams",
-    "build_cross",
-    "zero_lag_variance",
     "Differences",
     "term_parts",
     "grad_gram",
     "regular_lags",
     "lag_column",
-    "toeplitz_gram",
-    "toeplitz_cross",
+    "build_gram",
+    "build_cross",
+    "zero_lag_variance",
 ]
 
 
@@ -324,7 +323,7 @@ def _check_finite(out: np.ndarray, what: str) -> None:
         raise InvalidHyperparameterError(f"{what} produced non-finite covariance values")
 
 
-def toeplitz_gram(column: np.ndarray, v: np.ndarray) -> np.ndarray:
+def build_gram(column: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The symmetric Toeplitz matrix of ``column`` plus v v^T, Fortran-ordered.
 
     On a regular grid that is the Gram, with ``column`` from
@@ -340,17 +339,16 @@ def toeplitz_gram(column: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # a huge s2_lin overflows its slope to inf, which fails the check
-def toeplitz_cross(column: np.ndarray, s2_lin: float, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """:func:`build_cross` for test points x* that continue a regular grid x of n points, from its n + m lags.
+def build_cross(column: np.ndarray, s2_lin: float, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m-by-n cross-covariance k(x*, x) of test points x* that continue a regular grid x of n points.
 
-    ``column`` is :func:`lag_column` on the lags of x and x* together.
-    Entry (j, i) lies at lag n + j - i, in 1 .. n+m-1, where WN is zero,
-    plus LIN's slope s2_lin x*_j x_i (0 without LIN).  The lags round
-    differently from x*_j - x_i, so the entries match build_cross's to
-    rounding.
+    ``column`` is :func:`lag_column` on the n + m lags of x and x*
+    together.  Entry (j, i) lies at lag n + j - i, in 1 .. n+m-1, where WN
+    is zero (prediction targets the latent function), plus LIN's slope
+    s2_lin x*_j x_i (0 without LIN).
     """
-    # row j of the reversed windows of column[1:] is column[n + j - i], i = 0 .. n-1
-    cross = sliding_window_view(column[1:], x.size)[:, ::-1] + s2_lin * np.multiply.outer(x_star, x)
+    # row j + 1 of the column's windows of n, reversed, is column[n + j - i], i = 0 .. n-1
+    cross = sliding_window_view(column, x.size)[1:, ::-1] + s2_lin * np.multiply.outer(x_star, x)
     _check_finite(cross, "build_cross")
     return cross
 
@@ -366,10 +364,10 @@ def lag_column(
     ``xx`` in LIN's place; no term is evaluated again.  On a regular grid's
     lags, with xx = 0, that is the Gram's first column without LIN's slope
     (LIN's bias is constant in the lag): the Gram is the symmetric Toeplitz
-    matrix of this column plus the rank-1 slope s2_lin x x^T.  On pairs of
-    points, with xx their products, it is the covariance of each pair.
+    matrix of this column plus the rank-1 slope s2_lin x x^T.  At zero
+    difference, with xx = x*^2, it is the prior variance at x*.
     ``values`` are theta's, as :func:`grad_gram` read them; ``noise=False``
-    leaves WN out, as :func:`build_cross` and :func:`zero_lag_variance` do.
+    leaves WN out, as :func:`zero_lag_variance` does.
     """
     column = np.zeros(partials.shape[1])
     for t, at, row in spec._layout:
@@ -382,54 +380,24 @@ def lag_column(
     return column
 
 
-def _covariance(
-    spec: KernelSpec, values: Sequence[float], d: np.ndarray, xx: np.ndarray | float = 0.0, noise: bool = True
-) -> np.ndarray:
-    """The composition at 1-D differences ``d``, LIN at products ``xx``: :func:`lag_column` of one :func:`grad_gram`."""
-    return lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, d)), xx, noise)
+def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray) -> np.ndarray:
+    """Per-point prior variance k(x*, x*) of the latent function, without the noise.
 
-
-# Entries of the cross-covariance evaluated at once.  A forecast on a regular
-# grid takes gp.fit's grid step and never reaches build_cross; for any other
-# test points the blocks bound grad_gram's (q, block) partials, 16 KiB a row.
-_CROSS_BLOCK = 2048
-
-
-def build_cross(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m-by-n cross-covariance matrix between test and training points.
-
-    The WN term never contributes here: predictions target the latent
-    function, whose noise is independent of the training noise, so even a
-    test point that exactly duplicates a training point only sees the
-    signal covariance (its prediction shrinks toward the latent mean).
-    Test points are taken in blocks of at most ``_CROSS_BLOCK`` entries,
-    so the differences, the products and the partials of each block stay
-    that size however many test points there are.
+    The stationary terms are evaluated once, at a single zero difference,
+    and broadcast to every test point; LIN adds s2_lin x*^2.  The latent
+    variance at a test point never includes the white-noise term.
     """
-    x_star = _as_points(x_star, "x_star", allow_empty=True)
-    x = _as_points(x, "x")
+    x_star = _as_points(x_star, "x_star")
     values = theta.for_spec(spec)
-    blocks = np.array_split(x_star, max(1, -(-x_star.size * x.size // _CROSS_BLOCK)))
-    rows = [_covariance(spec, values, (b[:, None] - x).ravel(), (b[:, None] * x).ravel(), noise=False) for b in blocks]
-    return np.concatenate(rows).reshape(x_star.size, x.size)
+    at_zero = grad_gram(spec, values, Differences.of(spec, np.zeros(1)))
+    partials = np.broadcast_to(at_zero, (at_zero.shape[0], x_star.size))
+    return lag_column(spec, values, partials, x_star * x_star, noise=False)
 
 
-def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x: np.ndarray) -> np.ndarray:
-    """Per-point prior variance k(x_i, x_i) of the latent function, without the noise.
-
-    Used for predictive variances: the latent-function variance at a test
-    point never includes the white-noise term.
-    """
-    x = _as_points(x, "x", allow_empty=True)
-    return _covariance(spec, theta.for_spec(spec), np.zeros(x.size), x * x, noise=False)
-
-
-def _as_points(x: np.ndarray, name: str, allow_empty: bool = False) -> np.ndarray:
+def _as_points(x: np.ndarray, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a 1-D array of time points, got shape {x.shape}")
-    if x.size == 0 and not allow_empty:
-        raise ValueError(f"{name} must contain at least one point")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite time points")
     return x

@@ -65,6 +65,37 @@ def composition_value(spec, theta, x1: float, x2: float, include_noise: bool = T
 
 
 # ---------------------------------------------------------------------------
+# dense covariance matrices, pair by pair
+# ---------------------------------------------------------------------------
+
+
+def dense_gram(spec, theta, x: np.ndarray) -> np.ndarray:
+    """K(x, x) with the noise, from every pair's difference x_i - x_j: no lags, no Toeplitz layout."""
+    return _pairwise_covariance(spec, theta, x, x, noise=True)
+
+
+def dense_cross(spec, theta, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """k(x*, x) without the noise (prediction targets the latent function), pair by pair."""
+    return _pairwise_covariance(spec, theta, x_star, x, noise=False)
+
+
+def _pairwise_covariance(spec, theta, a: np.ndarray, b: np.ndarray, noise: bool) -> np.ndarray:
+    """Each term of the spec at every pair (a_i, b_j): kernels.term_parts' value, or LIN's s2_bias + s2_lin a_i b_j."""
+    from gpforecast.kernels import TERM_PARAMS, Differences, term_parts
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    d = Differences.of(spec, np.subtract.outer(a, b))
+    total = np.zeros((a.size, b.size))
+    for term in spec.terms:
+        p = [getattr(theta, name) for name in TERM_PARAMS[term.kind]]
+        if term.kind == "LIN":
+            total += linear_value(p[0], p[1], np.multiply.outer(a, b), 1.0)
+        elif noise or term.kind != "WN":
+            total += term_parts(term, p, d)[0]
+    return total
+
+
+# ---------------------------------------------------------------------------
 # dense-inverse multivariate-normal oracle
 # ---------------------------------------------------------------------------
 
@@ -109,7 +140,7 @@ def longdouble_inverse_diagonal_sums(cov: np.ndarray) -> np.ndarray:
 def longdouble_lml_gradient(spec, theta, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of log N(y; 0, K) over the log trainables, from K^-1 in ``np.longdouble`` arithmetic.
 
-    K is ``build_gram`` of the grid x plus the base jitter, JITTER_START
+    K is :func:`dense_gram` of the grid x plus the base jitter, JITTER_START
     times its mean diagonal.  With a = K^-1 y and W = a a^T - K^-1, the
     partial over u_k is 0.5 tr(W dK_k) plus the jitter's share,
     0.5 tr(W) JITTER_START mean(diag dK_k).  A stationary term's dK_k is the
@@ -118,10 +149,10 @@ def longdouble_lml_gradient(spec, theta, x: np.ndarray, y: np.ndarray) -> np.nda
     """
     from scipy.linalg import toeplitz
 
-    from gpforecast.gp import JITTER_START, build_gram
+    from gpforecast.gp import JITTER_START
     from gpforecast.kernels import TERM_PARAMS, Differences, grad_gram
 
-    gram = build_gram(spec, theta, x)
+    gram = dense_gram(spec, theta, x)
     m = _longdouble_inverse_factor(gram + JITTER_START * float(np.mean(np.diag(gram))) * np.eye(len(x)))
     inverse = m.T @ m
     a = inverse @ np.asarray(y, dtype=np.longdouble)

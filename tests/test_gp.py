@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky, toeplitz
+from scipy.linalg import cholesky, toeplitz
 
 import oracles
 from gpforecast import (
@@ -11,8 +11,6 @@ from gpforecast import (
     IllConditionedModelError,
     KernelSpec,
     Term,
-    build_cross,
-    build_gram,
     default_priors,
     default_spec,
     fit,
@@ -25,7 +23,7 @@ from gpforecast import (
 )
 from gpforecast import gp
 from gpforecast.gp import JITTER_START, prepare_series
-from gpforecast.kernels import grad_gram, lag_column, regular_lags, toeplitz_gram
+from gpforecast.kernels import build_gram, grad_gram, lag_column, regular_lags
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -47,8 +45,16 @@ def dense_jittered_gram(spec, theta, x):
 
 
 def jittered_gram(spec, theta, x):
-    """The exact matrix the implementation factorizes (base jitter included)."""
-    gram = build_gram(spec, theta, x)
+    """The pairwise oracle's Gram plus the base jitter: the matrix the implementation factorizes, to rounding."""
+    gram = oracles.dense_gram(spec, theta, x)
+    return gram + JITTER_START * float(np.mean(np.diag(gram))) * np.eye(len(x))
+
+
+def factorized_gram(spec, theta, x):
+    """The matrix the implementation factorizes, bit for bit: the Toeplitz layout of its lag column, plus the base jitter."""
+    values = theta.values
+    column = lag_column(spec, values, grad_gram(spec, values, gp.Differences.of(spec, regular_lags(x))))
+    gram = build_gram(column, math.sqrt(theta.s2_lin) * x)
     return gram + JITTER_START * float(np.mean(np.diag(gram))) * np.eye(len(x))
 
 
@@ -82,7 +88,7 @@ class TestLogMarginalLikelihood:
 
 
 class TestRegularGridOnly:
-    """Training takes a regular grid only; fit still predicts at any finite test points."""
+    """Training takes a regular grid only, and fit predicts only at the grid's continuation."""
 
     OFF_GRID = {
         "permuted grid": np.random.default_rng(0).permutation(np.arange(12) / 12.0),
@@ -93,7 +99,6 @@ class TestRegularGridOnly:
         "prepare_series": lambda x: prepare_series(FULL_SPEC, x, np.zeros(x.size)),
         "train": lambda x: train(FULL_SPEC, PRIORS, x, np.zeros(x.size)),
         "map_objective": lambda x: map_objective(FULL_SPEC, PRIORS, MEDIANS, x, np.zeros(x.size)),
-        "build_gram": lambda x: build_gram(FULL_SPEC, MEDIANS, x),
     }
 
     @pytest.mark.parametrize("points", sorted(OFF_GRID))
@@ -102,19 +107,36 @@ class TestRegularGridOnly:
         with pytest.raises(ValueError, match="regular grid"):
             self.ENTRY_POINTS[entry](self.OFF_GRID[points])
 
-    def test_fit_predicts_at_off_grid_test_points(self):
+    # test points that do not continue the grid of x = arange(24) / 12
+    OFF_CONTINUATION = {
+        "one-step gap": np.arange(25, 31) / 12.0,
+        "half step": (np.arange(24, 30) + 0.5) / 12.0,
+        "at x[-1]": np.array([23.0, 24.0]) / 12.0,
+        "before x[-1]": np.array([12.0]) / 12.0,
+        "the training points": np.arange(24) / 12.0,
+        "reversed continuation": np.arange(29, 23, -1) / 12.0,
+    }
+
+    @pytest.mark.parametrize("points", sorted(OFF_CONTINUATION))
+    def test_fit_rejects_test_points_that_do_not_continue_the_grid(self, points):
         x = np.arange(24) / 12.0
-        y = np.sin(2.0 * np.pi * x)
-        x_star = self.OFF_GRID["sorted uniform points"]
-        posterior = predict(fit(MEDIANS, prepare_series(FULL_SPEC, x, y), x_star))
-        mean, latent = oracles.dense_posterior(
-            jittered_gram(FULL_SPEC, MEDIANS, x),
-            build_cross(FULL_SPEC, MEDIANS, x_star, x),
-            zero_lag_variance(FULL_SPEC, MEDIANS, x_star),
-            y,
-        )
-        np.testing.assert_allclose(posterior.mean, mean, atol=1e-8)
-        np.testing.assert_allclose(posterior.latent_variance, latent, atol=1e-8)
+        series = prepare_series(FULL_SPEC, x, np.sin(2.0 * np.pi * x))
+        fit(MEDIANS, series, np.arange(24, 30) / 12.0)  # the continuation itself is taken
+        with pytest.raises(ValueError, match="continue the series' regular grid"):
+            fit(MEDIANS, series, self.OFF_CONTINUATION[points])
+
+    @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
+    def test_fit_without_test_points_gives_the_objectives_log_marginal(self, mode):
+        spec = default_spec(mode)
+        rng = np.random.default_rng(29)
+        for n in (2, 24, 132):
+            series = prepare_series(spec, np.arange(n) / 12.0, rng.standard_normal(n))
+            theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=0.05)
+            expected = log_marginal_likelihood_and_grad(theta.values, series)[0]
+            for x_star in (None, np.empty(0)):
+                state = fit(theta, series, x_star)
+                assert abs(state.log_marginal - expected) <= 1e-10 * abs(expected)
+                assert state.cross.shape == (0, n) and state.prior_variance.shape == (0,)
 
 
 class TestGradient:
@@ -246,13 +268,16 @@ class TestRegularGrid:
         # once min E_k / E_0 falls below about 1e-5 (1e-6 off at n=336,
         # s2_noise=1e-7); below LEVINSON_MIN_ERROR_RATIO the objective takes
         # the Cholesky path, whose worst error over this sweep is about 2e-9.
+        # The oracle takes the very matrix factorized: near noiseless, the
+        # pairwise oracle's rounding of x_i - x_j alone moves the value by
+        # 1.8e-8 relative.
         spec = default_spec("double-seasonal")
         medians = median_hyperparams(spec, PRIORS)
         x = np.arange(n) / 1461.0
         y = np.random.default_rng(n).standard_normal(n)
         for s2_noise in np.logspace(-7, -1, 13):
             theta = medians.replace(s2_noise=float(s2_noise))
-            oracle = oracles.longdouble_log_mvn(jittered_gram(spec, theta, x), y)
+            oracle = oracles.longdouble_log_mvn(factorized_gram(spec, theta, x), y)
             value = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))[0]
             assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle)), s2_noise
 
@@ -286,7 +311,7 @@ class TestRegularGrid:
                     matrix += np.outer(exact_v, exact_v)
                 self._check_inverse_sums(levinson, matrix, series, 1e-14 / s2_noise)
             cholesky_path = gp._cholesky_grid_solve(column, v, series.y)
-            gram = toeplitz_gram(column, v)  # as factorized: its diagonal plus the jitter
+            gram = build_gram(column, v)  # as factorized: its diagonal plus the jitter
             np.fill_diagonal(gram, np.diag(gram) + cholesky_path[2])
             self._check_inverse_sums(cholesky_path, gram, series, 1e-15 / s2_noise)
         assert on_levinson >= 1
@@ -455,7 +480,7 @@ class TestRegularGrid:
         theta = median_hyperparams(spec, PRIORS).replace(s2_noise=5e-8)
         x = np.arange(224) / 1461.0
         y = np.random.default_rng(224).standard_normal(224)
-        calls = {"grad_gram": 0, "cho_solve": 0, "cholesky": 0, "toeplitz_gram": 0}
+        calls = {"grad_gram": 0, "cho_solve": 0, "cholesky": 0, "build_gram": 0}
 
         def counting(module, name, fail_first=False):
             real = getattr(module, name)
@@ -468,15 +493,12 @@ class TestRegularGrid:
 
             monkeypatch.setattr(module, name, call)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the fallback rebuilt the Gram from theta")
-
-        for name in ("grad_gram", "cho_solve", "toeplitz_gram"):
+        for name in ("grad_gram", "cho_solve", "build_gram"):
             counting(gp, name)
         counting(gp, "cholesky", fail_first=True)
-        monkeypatch.setattr(gp, "build_gram", refuse)
         value, grad = map_objective(spec, PRIORS, theta, x, y)
-        assert calls == {"grad_gram": 1, "cho_solve": 1, "cholesky": 2, "toeplitz_gram": 2}
+        # each Cholesky try lays out the column of grad_gram's one pass
+        assert calls == {"grad_gram": 1, "cho_solve": 1, "cholesky": 2, "build_gram": 2}
         assert np.isfinite(value) and np.all(np.isfinite(grad))
 
     @pytest.mark.parametrize(
@@ -527,25 +549,6 @@ class TestFitState:
         np.testing.assert_array_equal(a.chol_lower, b.chol_lower)
         np.testing.assert_array_equal(a.alpha, b.alpha)
 
-    @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
-    def test_gram_off_the_forecast_path_keeps_build_grams_bits(self, mode):
-        # off a continuing grid fit lays the Gram out from the prepared lags;
-        # its factor and log_marginal are bit for bit those of build_gram's
-        # Gram of the points, for test points before the series and for test
-        # points between its steps
-        spec = default_spec(mode)
-        rng = np.random.default_rng(11)
-        grid = np.arange(30) / 12.0
-        for x, x_star in [(grid + 3.0, grid[:5]), (grid, grid[-4:] + 0.5 / 12.0)]:
-            theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=0.05)
-            y = rng.standard_normal(x.size)
-            state = fit(theta, prepare_series(spec, x, y), x_star)
-            lower, jitter = gp._cholesky_with_jitter(lambda: build_gram(spec, theta, x))
-            alpha = cho_solve((lower, True), y)
-            np.testing.assert_array_equal(state.chol_lower, lower)
-            np.testing.assert_array_equal(state.alpha, alpha)
-            assert state.jitter == jitter and state.log_marginal == gp._log_mvn(lower, y, alpha)
-
     def test_jitter_gives_up_on_an_indefinite_gram(self):
         # no jitter up to JITTER_MAX makes [[1, 2], [2, 1]] (eigenvalues 3 and -1)
         # positive definite; each level factorizes a fresh layout
@@ -568,45 +571,32 @@ class TestFitState:
 
 class TestPredict:
     def test_far_extrapolation_reverts_to_prior(self):
+        # the grid continued until 12 lengthscales past the last training point
         spec = KernelSpec(terms=(Term("RBF"),))
         theta = HyperParams.of(spec, s2_rbf=1.7, ell_rbf=0.8)
         rng = np.random.default_rng(11)
-        x = np.linspace(0.0, 3.0, 8)
-        y = rng.standard_normal(8)
-        far = np.array([3.0 + 12.0 * theta.ell_rbf])
-        state = fit(theta, prepare_series(spec, x, y), far)
-        posterior = predict(state)
-        assert abs(posterior.mean[0]) <= 1e-6
-        assert abs(posterior.latent_variance[0] - 1.7) <= 1e-6
-
-    def test_noiseless_interpolation_at_a_training_point(self):
-        spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=1e-12)
-        state = fit(theta, prepare_series(spec, np.array([0.5, 1.5]), np.array([2.0, -1.0])), np.array([0.5]))
-        posterior = predict(state)
-        assert posterior.mean[0] == pytest.approx(2.0, abs=1e-5)
-
-    def test_duplicate_test_point_shrinks_by_noise_ratio(self):
-        # the other training point is 100 lengthscales away: it leaves the first alone
-        spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.5)
-        state = fit(theta, prepare_series(spec, np.array([0.0, 100.0]), np.array([3.0, 0.0])), np.array([0.0]))
-        posterior = predict(state)
-        assert posterior.mean[0] == pytest.approx(3.0 * 1.0 / 1.5, rel=1e-6)
+        step = 3.0 / 7.0
+        h = math.ceil(12.0 * theta.ell_rbf / step)
+        grid = np.arange(8 + h) * step
+        x, x_star = grid[:8], grid[8:]
+        assert x_star[-1] - x[-1] >= 12.0 * theta.ell_rbf
+        posterior = predict(fit(theta, prepare_series(spec, x, rng.standard_normal(8)), x_star))
+        assert abs(posterior.mean[-1]) <= 1e-6
+        assert abs(posterior.latent_variance[-1] - 1.7) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_inverse_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        x = oracles.random_grid(rng, 4)
+        grid = oracles.random_grid(rng, 6)
+        x, x_star = grid[:4], grid[4:]
         y = rng.standard_normal(4)
-        x_star = np.sort(rng.uniform(x[-1] + 0.2, x[-1] + 2.0, size=2))
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         state = fit(theta, prepare_series(FULL_SPEC, x, y), x_star)
         posterior = predict(state)
         mean, latent = oracles.dense_posterior(
             jittered_gram(FULL_SPEC, theta, x),
-            build_cross(FULL_SPEC, theta, x_star, x),
-            zero_lag_variance(FULL_SPEC, theta, x_star),
+            oracles.dense_cross(FULL_SPEC, theta, x_star, x),
+            np.diag(oracles.dense_cross(FULL_SPEC, theta, x_star, x_star)),
             y,
         )
         np.testing.assert_allclose(posterior.mean, mean, atol=1e-8)
@@ -622,22 +612,13 @@ class TestPredict:
         assert posterior.latent_variance.size == 0
         assert posterior.observation_variance.size == 0
 
-    def test_near_zero_noise_reproduces_training_targets(self):
-        spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=0.5, s2_noise=1e-10)
-        rng = np.random.default_rng(12)
-        x = np.arange(8.0)  # well separated relative to the lengthscale
-        y = rng.standard_normal(8)
-        state = fit(theta, prepare_series(spec, x, y), x)
-        posterior = predict(state)
-        assert float(np.max(np.abs(posterior.mean - y))) <= 1e-4
-
     def test_latent_variance_never_negative(self):
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
         theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=5.0, s2_noise=1e-8)
-        x = np.linspace(0.0, 0.1, 12)  # almost coincident points
+        grid = np.linspace(0.0, 0.1, 19)  # almost coincident points
+        x = grid[:12]
         y = np.zeros(12)
-        state = fit(theta, prepare_series(spec, x, y), np.linspace(0.0, 0.1, 7))
+        state = fit(theta, prepare_series(spec, x, y), grid[12:])
         posterior = predict(state)
         assert np.all(posterior.latent_variance >= 0.0)
         assert np.all(posterior.observation_variance >= theta.s2_noise)
@@ -677,10 +658,10 @@ class TestGridFinalStep:
             np.testing.assert_array_equal(posterior.observation_variance, posterior.latent_variance + theta.s2_noise)
 
     @pytest.mark.parametrize(("mode", "steps_per_year", "n", "h"), CASES)
-    def test_cross_covariance_equals_build_cross_to_rounding(self, mode, steps_per_year, n, h):
+    def test_cross_covariance_equals_dense_cross_to_rounding(self, mode, steps_per_year, n, h):
         # lags (n + j - i) / steps_per_year round differently from x*_j - x_i
         spec, theta, x, x_star, series = self.case(mode, steps_per_year, n, h)
-        expected = build_cross(spec, theta, x_star, x)
+        expected = oracles.dense_cross(spec, theta, x_star, x)
         cross = fit(theta, series, x_star).cross
         assert float(np.max(np.abs(cross - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
 
@@ -691,32 +672,42 @@ class TestGridFinalStep:
         np.testing.assert_array_equal(grid.chol_lower, plain.chol_lower)
         np.testing.assert_array_equal(grid.alpha, plain.alpha)
         assert grid.jitter == plain.jitter and grid.log_marginal == plain.log_marginal
-        np.testing.assert_array_equal(grid.prior_variance, zero_lag_variance(spec, theta, x_star))
+        # the prior variance at a single zero difference has the bits of lag 0 of the n + h lags
+        partials = grad_gram(spec, theta.values, gp.Differences.of(spec, regular_lags(np.concatenate((x, x_star)))))
+        lag_zero = np.broadcast_to(partials[:, :1], (partials.shape[0], h))
+        expected = lag_column(spec, theta.values, lag_zero, x_star * x_star, noise=False)
+        np.testing.assert_array_equal(grid.prior_variance, expected)
 
-    def test_only_the_input_picks_the_path(self, monkeypatch):
-        calls = {"build_cross": 0, "grad_gram": []}
-        real_cross, real_grad_gram = gp.build_cross, gp.grad_gram
-
-        def counting_cross(*args, **kwargs):
-            calls["build_cross"] += 1
-            return real_cross(*args, **kwargs)
+    def test_one_pass_over_the_continued_lags(self, monkeypatch):
+        shapes = []
+        real_grad_gram = gp.grad_gram
 
         def recording_grad_gram(*args, **kwargs):
             out = real_grad_gram(*args, **kwargs)
-            calls["grad_gram"].append(out.shape)
+            shapes.append(out.shape)
             return out
 
-        monkeypatch.setattr(gp, "build_cross", counting_cross)
         monkeypatch.setattr(gp, "grad_gram", recording_grad_gram)
         spec, theta, x, x_star, series = self.case("single-seasonal", 12.0, 40, 18)
         fit(theta, series, x_star)
-        assert calls == {"build_cross": 0, "grad_gram": [(11, 58)]}  # one pass over the 40 + 18 lags
-        for other_x_star in [
-            x_star + 1.0 / 12.0,  # a one-step gap after the series
-            x_star[::-1],
-            np.array([0.5, 7.0]),
-        ]:
-            calls["build_cross"], calls["grad_gram"] = 0, []
-            fit(theta, series, other_x_star)
-            # one pass over the prepared lags for the Gram, none over the test points' lags
-            assert calls == {"build_cross": 1, "grad_gram": [(11, 40)]}
+        assert shapes == [(11, 58)]  # the 40 + 18 lags; zero_lag_variance takes its own single zero
+
+
+class TestLongHorizons:
+    """Horizons far longer than the series, on the one prediction path."""
+
+    @pytest.mark.parametrize("h", [400, 1500])
+    @pytest.mark.parametrize("n", [8, 24])
+    @pytest.mark.parametrize(("mode", "steps_per_year"), [("single-seasonal", 12.0), ("double-seasonal", 1461.0)])
+    def test_trained_forecast_stays_finite_and_below_the_prior(self, mode, steps_per_year, n, h):
+        spec = default_spec(mode)
+        rng = np.random.default_rng([n, h])
+        x = np.arange(n) / steps_per_year
+        y = oracles.standardize(np.sin(2.0 * np.pi * np.arange(n) / 4.0) + 0.3 * rng.standard_normal(n))
+        result = train(spec, PRIORS, x, y)
+        assert result.converged
+        x_star = np.arange(n, n + h) / steps_per_year
+        posterior = predict(fit(result.theta, result.series, x_star))
+        assert np.all(np.isfinite(posterior.mean))
+        assert np.all(posterior.observation_variance > 0.0)
+        assert np.all(posterior.latent_variance <= zero_lag_variance(spec, result.theta, x_star))

@@ -11,8 +11,6 @@ from gpforecast import (
     InvalidHyperparameterError,
     KernelSpec,
     Term,
-    build_cross,
-    build_gram,
     default_priors,
     default_spec,
     fit,
@@ -23,8 +21,16 @@ from gpforecast import (
 )
 from scipy.linalg import toeplitz
 
-from gpforecast import kernels
-from gpforecast.kernels import TERM_PARAMS, Differences, grad_gram, regular_lags, term_parts
+from gpforecast.kernels import (
+    TERM_PARAMS,
+    Differences,
+    build_cross,
+    build_gram,
+    grad_gram,
+    lag_column,
+    regular_lags,
+    term_parts,
+)
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -36,11 +42,23 @@ def single_term_spec(kind: str) -> KernelSpec:
     return KernelSpec(terms=(Term(kind, period=period),))
 
 
+def lag_column_of(spec, theta, x):
+    """lag_column of one grad_gram pass on the lags of the regular grid x, as gp.fit makes it."""
+    values = theta.for_spec(spec)
+    return lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, regular_lags(x))))
+
+
+def grid_gram(spec, theta, x):
+    """The Gram of the regular grid x as gp.fit lays it out, before the jitter."""
+    slope = theta.s2_lin if spec.has("LIN") else 0.0
+    return build_gram(lag_column_of(spec, theta, x), math.sqrt(slope) * x)
+
+
 def covariance(spec, theta, x1, x2):
-    """k(x1, x2) as the library computes it: the Gram of a grid starting at x1, or the cross-covariance of two."""
+    """k(x1, x2) as the library computes it: an entry of the Gram of a two-point grid."""
     if x1 == x2:
-        return float(build_gram(spec, theta, np.array([x1, x1 + 1.0]))[0, 0])
-    return float(build_cross(spec, theta, np.array([x1]), np.array([x2]))[0, 0])
+        return float(grid_gram(spec, theta, np.array([x1, x1 + 1.0]))[0, 0])
+    return float(grid_gram(spec, theta, np.array(sorted((x1, x2))))[1, 0])
 
 
 class TestKernelValues:
@@ -58,10 +76,10 @@ class TestKernelValues:
 
     def test_full_composition_matches_frozen_scalar_oracle(self):
         # prior medians, lag |x1 - x2| = 0.5; value frozen from the scalar
-        # re-implementation in oracles.py, read off the Gram and the cross-covariance
+        # re-implementation in oracles.py, read off two Grams
         value = oracles.composition_value(FULL_SPEC, MEDIANS, 2.0, 1.5)
         assert value == pytest.approx(1.518181965213779, abs=1e-12)
-        assert build_gram(FULL_SPEC, MEDIANS, np.array([1.5, 2.0]))[1, 0] == pytest.approx(value, abs=1e-12)
+        assert grid_gram(FULL_SPEC, MEDIANS, np.array([1.5, 2.0]))[1, 0] == pytest.approx(value, abs=1e-12)
         assert covariance(FULL_SPEC, MEDIANS, 2.0, 1.5) == pytest.approx(value, abs=1e-12)
 
     def test_rejects_nonpositive_and_missing_parameters(self):
@@ -102,16 +120,6 @@ class TestZeroLag:
             assert sig[i] + MEDIANS.s2_noise == pytest.approx(expected, abs=1e-14)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10_000), x1=st.floats(-40.0, 40.0), x2=st.floats(-40.0, 40.0))
-def test_symmetry_is_exact(seed, x1, x2):
-    # the cross-covariance, not the two points' Gram: that needs them in grid order
-    rng = np.random.default_rng(seed)
-    theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng, clip_sigmas=3.0)
-    one, other = np.array([x1]), np.array([x2])
-    assert build_cross(FULL_SPEC, theta, one, other) == build_cross(FULL_SPEC, theta, other, one)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_gram_with_jitter_is_positive_definite(seed):
@@ -119,8 +127,7 @@ def test_gram_with_jitter_is_positive_definite(seed):
     n = int(rng.integers(2, 21))
     x = oracles.random_grid(rng, n)
     theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng, clip_sigmas=3.0)
-    gram = build_gram(FULL_SPEC, theta, x)
-    lower = np.linalg.cholesky(gram + 1e-8 * np.eye(n))
+    lower = np.linalg.cholesky(grid_gram(FULL_SPEC, theta, x) + 1e-8 * np.eye(n))
     assert np.all(np.diag(lower) > 0)
 
 
@@ -138,16 +145,14 @@ def test_sm_converges_to_rbf_for_huge_tau():
     rbf_spec = single_term_spec("RBF")
     sm_theta = HyperParams.of(sm_spec, s2_sm1=0.7, ell_sm1=1.3, tau_sm1=1e8)
     rbf_theta = HyperParams.of(rbf_spec, s2_rbf=0.7, ell_rbf=1.3)
-    origin, lags = np.zeros(1), np.linspace(-4.0, 4.0, 17)
-    sm = build_cross(sm_spec, sm_theta, origin, lags)
-    rbf = build_cross(rbf_spec, rbf_theta, origin, lags)
-    assert np.max(np.abs(sm - rbf)) <= 1e-8
+    x = np.linspace(-4.0, 4.0, 17)
+    assert np.max(np.abs(grid_gram(sm_spec, sm_theta, x) - grid_gram(rbf_spec, rbf_theta, x))) <= 1e-8
 
 
 class TestBuildGram:
     def test_two_point_grid_diagonal(self):
         x = np.array([0.5, 1.5])
-        gram = build_gram(FULL_SPEC, MEDIANS, x)
+        gram = grid_gram(FULL_SPEC, MEDIANS, x)
         assert gram.shape == (2, 2)
         for i in range(2):
             assert gram[i, i] > 0
@@ -156,14 +161,14 @@ class TestBuildGram:
     def test_rbf_three_points_positive_definite(self):
         spec = single_term_spec("RBF")
         theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=0.8)
-        gram = build_gram(spec, theta, np.array([0.0, 1.25, 2.5]))
+        gram = grid_gram(spec, theta, np.array([0.0, 1.25, 2.5]))
         lower = np.linalg.cholesky(gram)
         assert np.all(np.diag(lower) > 0)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(42)
         x = oracles.random_grid(rng, 4)
-        gram = build_gram(FULL_SPEC, MEDIANS, x)
+        gram = grid_gram(FULL_SPEC, MEDIANS, x)
         for i in range(4):
             for j in range(4):
                 expected = oracles.composition_value(FULL_SPEC, MEDIANS, x[i], x[j])
@@ -172,50 +177,31 @@ class TestBuildGram:
     def test_symmetric_by_construction(self):
         rng = np.random.default_rng(3)
         x = oracles.random_grid(rng, 9) - 5.0
-        gram = build_gram(FULL_SPEC, MEDIANS, x)
+        gram = grid_gram(FULL_SPEC, MEDIANS, x)
         assert np.array_equal(gram, gram.T)
 
 
 class TestBuildCross:
-    def test_equals_gram_minus_noise_diagonal(self):
-        x = np.array([0.0, 0.5, 1.0])
-        gram = build_gram(FULL_SPEC, MEDIANS, x)
-        cross = build_cross(FULL_SPEC, MEDIANS, x, x)
-        np.testing.assert_array_equal(cross, gram - MEDIANS.s2_noise * np.eye(3))
+    """The cross-covariance of test points that continue the training grid, laid out from the n + m lags."""
 
     def test_empty_test_set(self):
-        cross = build_cross(FULL_SPEC, MEDIANS, np.empty(0), np.array([0.0, 1.0]))
+        x = np.array([0.0, 1.0])
+        cross = build_cross(lag_column_of(FULL_SPEC, MEDIANS, x), MEDIANS.s2_lin, np.empty(0), x)
         assert cross.shape == (0, 2)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(8)
-        x = np.sort(rng.uniform(0.0, 5.0, size=3))
-        x_star = np.sort(rng.uniform(5.5, 8.0, size=2))
-        cross = build_cross(FULL_SPEC, MEDIANS, x_star, x)
+        grid = oracles.random_grid(rng, 5)
+        x, x_star = grid[:3], grid[3:]
+        cross = build_cross(lag_column_of(FULL_SPEC, MEDIANS, grid), MEDIANS.s2_lin, x_star, x)
         for i in range(2):
             for j in range(3):
                 expected = oracles.composition_value(FULL_SPEC, MEDIANS, x_star[i], x[j], include_noise=False)
                 assert cross[i, j] == pytest.approx(expected, abs=1e-12)
 
-    def test_long_horizon_in_blocks_equals_one_block(self, monkeypatch):
-        # 3 x 4000 entries take two blocks of test points, which must give one block's bits
-        x = np.arange(4000) / 12.0
-        x_star = 4000.0 / 12.0 + np.array([0.0, 0.5, 7.0])
-        blocked = build_cross(FULL_SPEC, MEDIANS, x_star, x)
-        monkeypatch.setattr(kernels, "_CROSS_BLOCK", x.size * x_star.size)
-        np.testing.assert_array_equal(blocked, build_cross(FULL_SPEC, MEDIANS, x_star, x))
-
-    def test_noise_never_enters_cross_even_at_coincident_points(self):
-        # prediction targets the latent function, so a duplicated test point
-        # must not pick up the noise variance
-        spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
-        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.5)
-        cross = build_cross(spec, theta, np.array([1.0]), np.array([1.0, 2.0]))
-        assert cross[0, 0] == pytest.approx(1.0)
-
 
 class TestRegularGrid:
-    """build_gram's Toeplitz path, taken whenever x is a regular grid."""
+    """The Toeplitz Gram of a regular grid, the only training input."""
 
     @pytest.mark.parametrize("steps_per_year", [4.0, 12.0, 1461.0])
     @pytest.mark.parametrize("n", [2, 3, 115, 500])
@@ -252,7 +238,7 @@ class TestRegularGrid:
         spec = default_spec(mode)
         theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(n))
         x = np.arange(n) / steps_per_year
-        gram = build_gram(spec, theta, x)
+        gram = grid_gram(spec, theta, x)
         expected = np.array([[oracles.composition_value(spec, theta, a, b) for b in x] for a in x])
         assert np.max(np.abs(gram - expected)) <= 1e-12
 
@@ -268,7 +254,7 @@ class TestRegularGrid:
             theta = theta.replace(s2_lin=37.0, s2_bias=23.0)
         x = x0 + np.arange(61) / steps_per_year
         assert regular_lags(x) is not None
-        gram = build_gram(spec, theta, x)
+        gram = grid_gram(spec, theta, x)
         assert np.array_equal(gram, gram.T)
         expected = np.array([[oracles.composition_value(spec, theta, a, b) for b in x] for a in x])
         assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -316,7 +302,7 @@ class TestGradGram:
         theta = HyperParams.of(spec, s2_rbf=1.7, ell_rbf=0.6)
         x = np.linspace(0.0, 2.0, 5)
         value, partials = term_parts(spec.terms[0], theta.values, pairwise(spec, x))
-        np.testing.assert_allclose(partials[0], build_gram(spec, theta, x))
+        np.testing.assert_allclose(partials[0], grid_gram(spec, theta, x))
         np.testing.assert_array_equal(partials[0], value)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -333,8 +319,8 @@ class TestGradGram:
             up[k] += h
             down[k] -= h
             fd = (
-                build_gram(FULL_SPEC, HyperParams.from_log(FULL_SPEC, up), x)
-                - build_gram(FULL_SPEC, HyperParams.from_log(FULL_SPEC, down), x)
+                oracles.dense_gram(FULL_SPEC, HyperParams.from_log(FULL_SPEC, up), x)
+                - oracles.dense_gram(FULL_SPEC, HyperParams.from_log(FULL_SPEC, down), x)
             ) / (2.0 * h)
             assert np.max(np.abs(analytic[k] - fd)) <= 1e-5
 
@@ -446,8 +432,6 @@ def test_from_log_rejects_each_invalid_trainable(bad_u):
 
 
 ENTRY_POINTS = {
-    "build_gram": lambda theta: build_gram(DOUBLE_SPEC, theta, GRID),
-    "build_cross": lambda theta: build_cross(DOUBLE_SPEC, theta, np.array([0.5]), GRID),
     "zero_lag_variance": lambda theta: zero_lag_variance(DOUBLE_SPEC, theta, GRID),
     "fit": lambda theta: fit(theta, prepare_series(DOUBLE_SPEC, GRID, np.zeros(GRID.size))),
     "map_objective": lambda theta: map_objective(DOUBLE_SPEC, PRIORS, theta, GRID, np.zeros(GRID.size)),

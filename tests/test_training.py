@@ -60,9 +60,7 @@ class TestMapObjective:
         x, y = sine_series(24)
         theta = median_hyperparams(FULL_SPEC, PRIORS)
         state = fit(theta, prepare_series(FULL_SPEC, x, y))
-        from gpforecast import build_gram
-
-        cov = build_gram(FULL_SPEC, theta, x) + state.jitter * np.eye(24)
+        cov = oracles.dense_gram(FULL_SPEC, theta, x) + state.jitter * np.eye(24)
         expected = oracles.dense_log_mvn(cov, y) + sum(
             oracles.lognormal_logpdf(getattr(theta, name), PRIORS[name].nu, PRIORS[name].lam)
             for name in FULL_SPEC.trainable_names()
