@@ -189,6 +189,29 @@ class TestBuildCross:
         cross = build_cross(lag_column_of(FULL_SPEC, MEDIANS, x), MEDIANS.s2_lin, np.empty(0), x)
         assert cross.shape == (0, 2)
 
+    @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
+    def test_equals_gram_minus_noise_diagonal(self, mode):
+        # the test rows of the joint Gram of x and x*, less the noise on its diagonal,
+        # are the cross-covariance; LIN's slope differs by sqrt(s2_lin)^2's rounding
+        spec = default_spec(mode)
+        theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(5), clip_sigmas=3.0)
+        grid = 3.5 + np.arange(30) / 12.0
+        x, x_star = grid[:24], grid[24:]
+        column = lag_column_of(spec, theta, grid)
+        cross = build_cross(column, theta.s2_lin if spec.has("LIN") else 0.0, x_star, x)
+        joint = grid_gram(spec, theta, grid) - theta.s2_noise * np.eye(grid.size)
+        np.testing.assert_allclose(cross, joint[24:, :24], rtol=1e-14, atol=0.0)
+
+    def test_noise_never_enters_cross_even_at_the_nearest_point(self):
+        # prediction targets the latent function, so the step next to the last
+        # training point must not pick up the noise variance
+        spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
+        theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.5)
+        grid = np.arange(4) * 1e-9
+        cross = build_cross(lag_column_of(spec, theta, grid), 0.0, grid[2:], grid[:2])
+        assert cross[0, 1] == pytest.approx(1.0)
+        assert np.all(cross <= 1.0)
+
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(8)
         grid = oracles.random_grid(rng, 5)
