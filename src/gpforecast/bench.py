@@ -59,6 +59,8 @@ class CsvFormatError(ValueError):
 
 # the long layout's header, as write_csv writes it
 _LONG_COLUMNS = ("series", "step", "value")
+# the scores of a series, in report order; the aggregate carries the median of each
+_SCORED = ("mae", "crps", "ll")
 
 
 @dataclass(frozen=True)
@@ -341,89 +343,56 @@ def run_benchmark(
 
     scores = tuple(o for o in outcomes if isinstance(o, SeriesScore))
     failures = tuple(o for o in outcomes if isinstance(o, SeriesFailure))
-    if scores:
-        median_mae = float(np.median([s.report.mae for s in scores]))
-        median_crps = float(np.median([s.report.crps for s in scores]))
-        median_ll = float(np.median([s.report.ll for s in scores]))
-    else:
-        median_mae = median_crps = median_ll = None
-    return BenchReport(
-        scores=scores,
-        failures=failures,
-        median_mae=median_mae,
-        median_crps=median_crps,
-        median_ll=median_ll,
-        total_seconds=time.perf_counter() - started,
-    )
+    medians = {
+        f"median_{name}": float(np.median([getattr(s.report, name) for s in scores])) if scores else None
+        for name in _SCORED
+    }
+    return BenchReport(scores=scores, failures=failures, **medians, total_seconds=time.perf_counter() - started)
 
 
 def emit_report(report: BenchReport, fmt: str = "human") -> str:
-    """Render a report as a fixed-column table or as JSON lines."""
-    if fmt == "human":
-        return _emit_human(report)
+    """Render a report as JSON lines or as a fixed-column table.
+
+    Both render the same records: one per scored series, one per failure
+    and the aggregate.  A record's fields are written once, here.
+    """
+    if fmt not in ("human", "machine"):
+        raise ValueError(f"format must be 'human' or 'machine', got {fmt!r}")
+    series = [
+        {
+            "record": "series",
+            "series": s.name,
+            **{name: getattr(s.report, name) for name in _SCORED},
+            "train_seconds": s.train_seconds,
+            "converged": s.converged,
+        }
+        for s in report.scores
+    ]
+    failures = [{"record": "failure", "series": f.name, "reason": f.reason} for f in report.failures]
+    aggregate = {
+        "record": "aggregate",
+        "scored": len(report.scores),
+        "failed": len(report.failures),
+        **{f"median_{name}": getattr(report, f"median_{name}") for name in _SCORED},
+        "total_seconds": report.total_seconds,
+    }
     if fmt == "machine":
-        return _emit_machine(report)
-    raise ValueError(f"format must be 'human' or 'machine', got {fmt!r}")
-
-
-def _emit_human(report: BenchReport) -> str:
-    lines: list[str] = []
+        return "\n".join(json.dumps(record) for record in (*series, *failures, aggregate)) + "\n"
     header = f"{'series':<16} {'mae':>9} {'crps':>9} {'ll':>10} {'train_s':>8} {'converged':>9}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for s in report.scores:
+    lines = [header, "-" * len(header)]
+    for r in series:
         lines.append(
-            f"{s.name:<16} {s.report.mae:>9.4f} {s.report.crps:>9.4f} {s.report.ll:>10.4f} "
-            f"{s.train_seconds:>8.3f} {'yes' if s.converged else 'no':>9}"
+            f"{r['series']:<16} {r['mae']:>9.4f} {r['crps']:>9.4f} {r['ll']:>10.4f} "
+            f"{r['train_seconds']:>8.3f} {'yes' if r['converged'] else 'no':>9}"
         )
-    if report.failures:
-        lines.append("")
-        lines.append("failures:")
-        for f in report.failures:
-            lines.append(f"  {f.name}: {f.reason}")
-    lines.append("")
-    lines.append(f"aggregate: scored={len(report.scores)} failed={len(report.failures)}")
-    if report.scores:
-        lines.append(f"  median_mae  {report.median_mae:.4f}")
-        lines.append(f"  median_crps {report.median_crps:.4f}")
-        lines.append(f"  median_ll   {report.median_ll:.4f}")
+    if failures:
+        lines += ["", "failures:"] + [f"  {f['series']}: {f['reason']}" for f in failures]
+    lines += ["", f"aggregate: scored={aggregate['scored']} failed={aggregate['failed']}"]
+    if series:
+        lines += [f"  median_{name:<4} {aggregate[f'median_{name}']:.4f}" for name in _SCORED]
     else:
         lines.append("  no series scored")
-    lines.append(f"  total_seconds {report.total_seconds:.3f}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_machine(report: BenchReport) -> str:
-    lines = []
-    for s in report.scores:
-        lines.append(
-            json.dumps(
-                {
-                    "record": "series",
-                    "series": s.name,
-                    "mae": s.report.mae,
-                    "crps": s.report.crps,
-                    "ll": s.report.ll,
-                    "train_seconds": s.train_seconds,
-                    "converged": s.converged,
-                }
-            )
-        )
-    for f in report.failures:
-        lines.append(json.dumps({"record": "failure", "series": f.name, "reason": f.reason}))
-    lines.append(
-        json.dumps(
-            {
-                "record": "aggregate",
-                "scored": len(report.scores),
-                "failed": len(report.failures),
-                "median_mae": report.median_mae,
-                "median_crps": report.median_crps,
-                "median_ll": report.median_ll,
-                "total_seconds": report.total_seconds,
-            }
-        )
-    )
+    lines.append(f"  total_seconds {aggregate['total_seconds']:.3f}")
     return "\n".join(lines) + "\n"
 
 

@@ -49,6 +49,8 @@ SIX_HOURLY = 1461.0  # 4 steps/day * 365.25 days/year
 # Conventional test horizons by steps per year; the benchmark's default
 # test lengths are the same numbers.
 DEFAULT_HORIZONS = {MONTHLY: 18, QUARTERLY: 8, SIX_HOURLY: 42}
+# The frequencies parse_frequency takes by name.
+FREQUENCY_NAMES = {"monthly": MONTHLY, "quarterly": QUARTERLY}
 
 # Fixed seasonal periods, in years.
 YEARLY_PERIOD = 1.0
@@ -72,10 +74,8 @@ class ConstantSeriesError(ValueError):
 def parse_frequency(text: str) -> float:
     """Turn 'monthly', 'quarterly', or a steps-per-year number into a float."""
     lowered = text.strip().lower()
-    if lowered == "monthly":
-        return MONTHLY
-    if lowered == "quarterly":
-        return QUARTERLY
+    if lowered in FREQUENCY_NAMES:
+        return FREQUENCY_NAMES[lowered]
     try:
         value = float(lowered)
     except ValueError:

@@ -462,9 +462,6 @@ def predict(state: FitState) -> PredictiveDistribution:
     the observation variance adds the noise back.
     """
     cross = state.cross
-    if cross.shape[0] == 0:
-        empty = np.empty(0)
-        return PredictiveDistribution(mean=empty, latent_variance=empty.copy(), observation_variance=empty.copy())
     mean = cross @ state.alpha
     v = solve_triangular(state.chol_lower, cross.T, lower=True, check_finite=False)
     latent = state.prior_variance - np.sum(v * v, axis=0)

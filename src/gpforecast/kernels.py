@@ -85,8 +85,7 @@ TERM_PARAMS: dict[str, tuple[str, ...]] = {
     "WN": ("s2_noise",),
 }
 
-# Every trainable name, in TERM_PARAMS order: the layout of per-name arrays
-# such as the priors', which a spec reads at its trainable_positions().
+# Every trainable name, in TERM_PARAMS order: the names a prior can be given for.
 PARAM_NAMES = tuple(name for names in TERM_PARAMS.values() for name in names)
 VARIANCE_PARAMS = tuple(name for name in PARAM_NAMES if name.startswith("s2_"))
 LENGTHSCALE_PARAMS = tuple(name for name in PARAM_NAMES if not name.startswith("s2_"))
@@ -133,10 +132,7 @@ class KernelSpec:
         if len(set(kinds)) != len(kinds):
             raise ValueError(f"duplicate kernel terms in {kinds}")
         # made once: every objective evaluation compares theta's names with these
-        # and looks the priors up at these positions
-        names = tuple(name for t in self.terms for name in TERM_PARAMS[t.kind])
-        object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_positions", np.array([PARAM_NAMES.index(name) for name in names]))
+        object.__setattr__(self, "_names", tuple(name for t in self.terms for name in TERM_PARAMS[t.kind]))
         # each term, the slice of theta's values it reads and grad_gram's row of its value (None for LIN)
         layout, start, row = [], 0, 0
         for t in self.terms:
@@ -150,9 +146,6 @@ class KernelSpec:
         """Where the trainables of the term ``kind`` stand in theta's values, None if the spec lacks it."""
         return next((at for t, at, _ in self._layout if t.kind == kind), None)
 
-    def has(self, kind: str) -> bool:
-        return any(t.kind == kind for t in self.terms)
-
     def trainable_names(self) -> tuple[str, ...]:
         """Ordered names of the trainable hyperparameters.
 
@@ -161,10 +154,6 @@ class KernelSpec:
         gradients, priors, and the optimizer all use it.
         """
         return self._names
-
-    def trainable_positions(self) -> np.ndarray:
-        """Where each of :meth:`trainable_names` stands in ``PARAM_NAMES``."""
-        return self._positions
 
 
 @dataclass(frozen=True)

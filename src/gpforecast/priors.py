@@ -21,10 +21,9 @@ the shared variance prior.  The fixed periods live on the kernel spec's
 terms and carry no prior.
 
 :func:`log_prior` and :func:`grad_log_prior` are one array expression each
-over ``u = log(theta)`` and the spec's columns of the ``nu`` and ``lam``
-arrays a :class:`PriorSpec` makes once, when it is made
-(:meth:`PriorSpec.columns`), so a trainer takes the columns once per
-series.
+over ``u = log(theta)`` and the columns :meth:`PriorSpec.columns` builds
+from the priors of a spec's trainables, so a trainer takes the columns
+once per series.
 
 Priors can be saved to and loaded from a plain-text file (one
 ``name = nu lam`` line per parameter) so alternative calibrations can be
@@ -78,10 +77,8 @@ class LogNormalPrior:
 class PriorSpec:
     """Mapping from trainable-parameter name to its lognormal prior.
 
-    Its ``nu``, ``lam``, log normalizer ``-log(2 pi lam) / 2`` and ``2 lam``
-    are laid out once, when it is made, per name of ``PARAM_NAMES`` (NaN
-    where it has no prior); :meth:`columns` takes a spec's trainables from
-    them.
+    :meth:`columns` lays out the ``nu``, ``lam``, log normalizer
+    ``-log(2 pi lam) / 2`` and ``2 lam`` of a spec's trainables.
     """
 
     entries: dict[str, LogNormalPrior]
@@ -96,11 +93,6 @@ class PriorSpec:
         lams = {self.entries[n].lam for n in LENGTHSCALE_PARAMS if n in self.entries}
         if len(lams) > 1:
             raise ValueError("all lengthscale-type parameters must share one log-variance")
-        pairs = [(p.nu, p.lam) if p else (math.nan, math.nan) for p in map(self.entries.get, PARAM_NAMES)]
-        nu, lam = np.array(pairs).T
-        log_normalizer = -0.5 * np.log(lam) - _HALF_LOG_2PI
-        object.__setattr__(self, "_table", np.array([nu, lam, log_normalizer, 2.0 * lam]))
-        object.__setattr__(self, "_missing", frozenset(PARAM_NAMES) - set(self.entries))
 
     def __getitem__(self, name: str) -> LogNormalPrior:
         try:
@@ -113,11 +105,8 @@ class PriorSpec:
 
         Raises KeyError naming the first trainable without a prior.
         """
-        names = spec.trainable_names()
-        if self._missing and not self._missing.isdisjoint(names):
-            missing = next(name for name in names if name in self._missing)
-            raise KeyError(f"no prior defined for hyperparameter {missing!r}")
-        return self._table.take(spec.trainable_positions(), 1)
+        nu, lam = np.array([(p.nu, p.lam) for p in map(self.__getitem__, spec.trainable_names())]).T
+        return np.array([nu, lam, -0.5 * np.log(lam) - _HALF_LOG_2PI, 2.0 * lam])
 
 
 def default_priors() -> PriorSpec:

@@ -269,7 +269,7 @@ def _line_search(fun, x: np.ndarray, f0: float, d: np.ndarray, slope: float, ste
     hi = f_hi = g_hi = None
     failures = 0
     for trial in range(1, _MAX_TRIALS + 1):
-        x_new = x + d if step == 1.0 else d * step + x
+        x_new = d * step + x
         f, g = fun(x_new)
         f, g_step = float(f), (float(g.dot(d)) if f < math.inf else math.nan)
         if f <= f0 + step * decrease and abs(g_step) <= -_CURVATURE * slope:
@@ -342,7 +342,7 @@ def train(
     series = prepare_series(spec, x, y)
     if series.x.size < MIN_TRAIN_POINTS:
         raise ValueError(f"need at least {MIN_TRAIN_POINTS} observations to train, got {series.x.size}")
-    if not spec.has("WN"):
+    if spec.values_at("WN") is None:
         raise ValueError("the trained model must include a WN term for the observation noise")
     priors = priors if priors is not None else default_priors()
     columns = priors.columns(spec)

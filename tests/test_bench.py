@@ -307,6 +307,12 @@ class TestEmitReport:
             golden = fh.read()
         assert emit_report(fixed_report(), fmt="human") == golden
 
+    def test_machine_format_matches_golden_file(self):
+        # pins key order and number formatting, which the round trip below does not see
+        with open(f"{DATA}/golden_report.jsonl", "r", encoding="utf-8") as fh:
+            golden = fh.read()
+        assert emit_report(fixed_report(), fmt="machine") == golden
+
     def test_machine_format_round_trips(self):
         report = fixed_report()
         parsed = parse_machine_report(emit_report(report, fmt="machine"))

@@ -122,6 +122,41 @@ class TestBenchCommand:
         parsed = parse_machine_report(capsys.readouterr().out)
         assert parsed["aggregate"]["scored"] == 2
 
+    def test_wide_layout_original_units_in_parallel(self, tmp_path, capsys):
+        from gpforecast import CsvLayout, emit_report, load_csv, parse_machine_report, run_benchmark
+
+        rng = np.random.default_rng(74)
+        t = np.arange(36) / 12.0
+        columns = [10.0 + k * t + np.sin(2 * np.pi * t + k) + 0.2 * rng.standard_normal(36) for k in range(3)]
+        columns[2] = columns[2][:30]  # a shorter series ends with empty cells
+        rows = [",".join(repr(float(c[i])) if i < c.size else "" for c in columns) for i in range(36)]
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "report.jsonl"
+        flags = ["--freq", "monthly", "--layout", "wide", "--original-units", "--parallel", "2", "--test-length", "6"]
+        assert main(["bench", str(path), *flags, "--format", "machine", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+
+        dataset = load_csv(path, CsvLayout(layout="wide", steps_per_year=12.0, test_length=6))
+        report = run_benchmark(dataset, parallelism=2, standardized_units=False)
+        expected = parse_machine_report(emit_report(report, "machine"))
+        parsed = parse_machine_report(out.read_text())
+        timing = ("train_seconds", "total_seconds")
+
+        def untimed(record):
+            return {key: value for key, value in record.items() if key not in timing}
+
+        assert [untimed(r) for r in parsed["series"]] == [untimed(r) for r in expected["series"]]
+        assert [r["series"] for r in parsed["series"]] == ["a", "b", "c"]
+        assert parsed["failures"] == expected["failures"] == []
+        assert untimed(parsed["aggregate"]) == untimed(expected["aggregate"])
+
+        assert main(["bench", str(path), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        agg = expected["aggregate"]
+        for key in ("median_mae", "median_crps", "median_ll"):
+            assert f"  {key:<11} {agg[key]:.4f}" in lines
+
     def test_failures_fail_the_run_unless_allowed(self, tmp_path, capsys):
         lines = ["series,step,value"]
         lines.extend(f"flat,{i},1.0" for i in range(40))

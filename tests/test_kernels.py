@@ -50,7 +50,7 @@ def lag_column_of(spec, theta, x):
 
 def grid_gram(spec, theta, x):
     """The Gram of the regular grid x as gp.fit lays it out, before the jitter."""
-    slope = theta.s2_lin if spec.has("LIN") else 0.0
+    slope = theta.s2_lin if spec.values_at("LIN") is not None else 0.0
     return build_gram(lag_column_of(spec, theta, x), math.sqrt(slope) * x)
 
 
@@ -198,7 +198,7 @@ class TestBuildCross:
         grid = 3.5 + np.arange(30) / 12.0
         x, x_star = grid[:24], grid[24:]
         column = lag_column_of(spec, theta, grid)
-        cross = build_cross(column, theta.s2_lin if spec.has("LIN") else 0.0, x_star, x)
+        cross = build_cross(column, theta.s2_lin if spec.values_at("LIN") is not None else 0.0, x_star, x)
         joint = grid_gram(spec, theta, grid) - theta.s2_noise * np.eye(grid.size)
         np.testing.assert_allclose(cross, joint[24:, :24], rtol=1e-14, atol=0.0)
 
