@@ -59,11 +59,11 @@ from .priors import (
     LogNormalPrior,
     PriorSpec,
     default_priors,
+    format_priors,
     grad_log_prior,
     load_priors,
     log_prior,
     median_hyperparams,
-    save_priors,
 )
 from .training import TrainResult, map_objective, train
 

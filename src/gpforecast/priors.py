@@ -46,7 +46,7 @@ __all__ = [
     "log_prior",
     "grad_log_prior",
     "median_hyperparams",
-    "save_priors",
+    "format_priors",
     "load_priors",
 ]
 
@@ -158,14 +158,8 @@ def format_priors(priors: PriorSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_priors(priors: PriorSpec, path) -> None:
-    """Write :func:`format_priors` text to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_priors(priors))
-
-
 def load_priors(path) -> PriorSpec:
-    """Parse a priors file written by :func:`save_priors`, one ``name = nu lam`` line per parameter.
+    """Parse a priors file as :func:`format_priors` writes it, one ``name = nu lam`` line per parameter.
 
     ``#`` starts a comment and blank lines are skipped.  A line without
     ``=``, a name not in ``PARAM_NAMES``, a name given twice and a value

@@ -8,16 +8,16 @@ inverse-Hessian model that keeps every curvature pair, Nocedal and
 Wright's bracket-and-zoom strong-Wolfe line search, and L-BFGS-B's
 constants and stop tests.  It needs no part of
 ``scipy.optimize``, which a forecast therefore never imports.
-:func:`train` prepares the series and takes the spec's prior
-columns once, and each evaluation maps the optimizer's u straight to the
-objective and gradient: exp(u), one check that every value is finite and
-> 0, the likelihood on the prepared series and the priors on log(exp(u)),
-with no :class:`HyperParams` made until the final theta.
-:func:`map_objective` prepares its arrays per call and then runs the same
-evaluation.  A trial point that fails the check, or whose covariance
-cannot be factorized, is a failed evaluation, not an error: the line
-search takes it as the far end of its bracket and searches short of it,
-and :func:`minimize` counts it in ``TrainResult.penalty_evals``.
+The objective is one :class:`MapObjective` per series, built from the
+prepared series and the spec's prior columns: :func:`train` minimizes it,
+and :func:`map_objective` evaluates one made for the call.  Each evaluation
+maps the optimizer's u straight to the objective and gradient: exp(u), one
+check that every value is finite and > 0, the likelihood on the prepared
+series and the priors on log(exp(u)), with no :class:`HyperParams` made
+until the final theta.  A trial point that fails the check, or whose
+covariance cannot be factorized, is a failed evaluation, not an error: the
+line search takes it as the far end of its bracket and searches short of
+it, and :func:`minimize` counts it in ``TrainResult.penalty_evals``.
 ``TrainResult.series`` hands the prepared series on to ``gp.fit``.
 
 The optimizer's quasi-Newton model keeps every curvature pair of a
@@ -143,20 +143,47 @@ def map_objective(
 
     Both come from one factorization.  Raises :class:`IllConditionedModelError`
     if the covariance cannot be factorized.  ``x`` and ``y`` are the
-    training series, x a regular grid, prepared on each call; :func:`train`
-    prepares them once and runs the same evaluation on each trial point.
+    training series, x a regular grid, prepared for this call's
+    :class:`MapObjective`, the one :func:`train` minimizes.
     """
-    return _evaluate(np.array(theta.for_spec(spec)), prepare_series(spec, x, y), priors.columns(spec))
+    values = np.array(theta.for_spec(spec))  # theta is checked before the series
+    return MapObjective(prepare_series(spec, x, y), priors.columns(spec)).at(values)
 
 
-def _evaluate(theta: np.ndarray, series: PreparedSeries, columns: np.ndarray) -> tuple[float, np.ndarray]:
-    """:func:`map_objective` at theta's values, finite and > 0, in the order of ``series.spec``'s trainables.
+class MapObjective:
+    """The MAP objective of one prepared series; ``columns`` is ``priors.columns(series.spec)``.
 
-    ``columns`` is ``priors.columns(series.spec)``.
+    :meth:`at` evaluates it at theta's values.  Called at u, it returns
+    :func:`minimize`'s pair, the negated objective and gradient, or ``(inf,
+    None)`` where the evaluation fails, and keeps the lowest value returned
+    and its u in ``best_value`` and ``best_u`` (None until then).
     """
-    lml, lml_grad = log_marginal_likelihood_and_grad(theta.tolist(), series)
-    u = np.log(theta)
-    return lml + log_prior(columns, u), lml_grad + grad_log_prior(columns, u)
+
+    def __init__(self, series: PreparedSeries, columns: np.ndarray):
+        self.series, self.columns = series, columns
+        self.best_value, self.best_u = math.inf, None
+
+    def at(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """:func:`map_objective` at theta's values, finite and > 0, in the order of the spec's trainables."""
+        lml, lml_grad = log_marginal_likelihood_and_grad(theta.tolist(), self.series)
+        u = np.log(theta)
+        return lml + log_prior(self.columns, u), lml_grad + grad_log_prior(self.columns, u)
+
+    def __call__(self, u: np.ndarray) -> tuple[float, np.ndarray | None]:
+        with np.errstate(over="ignore"):  # an overflow to inf fails the check
+            theta = np.exp(u)
+        objective = -math.inf  # a failed evaluation below, as a non-finite value is
+        if theta.min() > 0.0 and theta.max() < math.inf:  # False on NaN
+            try:
+                objective, grad = self.at(theta)
+            except (IllConditionedModelError, InvalidHyperparameterError):
+                pass
+        value = -objective
+        if not math.isfinite(value):
+            return math.inf, None
+        if value < self.best_value:
+            self.best_value, self.best_u = value, u.copy()
+        return value, -grad
 
 
 def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
@@ -345,29 +372,8 @@ def train(
     if spec.values_at("WN") is None:
         raise ValueError("the trained model must include a WN term for the observation noise")
     priors = priors if priors is not None else default_priors()
-    columns = priors.columns(spec)
-    nu, lam = columns[:2]
-    best_u: np.ndarray | None = None
-    best_value = math.inf  # minimizer convention: value = -objective
-
-    def negative_objective(u: np.ndarray) -> tuple[float, np.ndarray | None]:
-        nonlocal best_u, best_value
-        with np.errstate(over="ignore"):  # an overflow to inf fails the check
-            theta = np.exp(u)
-        objective = -math.inf  # a failed evaluation below, as a non-finite value is
-        if theta.min() > 0.0 and theta.max() < math.inf:  # False on NaN
-            try:
-                objective, grad = _evaluate(theta, series, columns)
-            except (IllConditionedModelError, InvalidHyperparameterError):
-                pass
-        value = -objective
-        if not math.isfinite(value):
-            return math.inf, None
-        if value < best_value:
-            best_value = value
-            best_u = u.copy()
-        return value, -grad
-
+    objective = MapObjective(series, priors.columns(spec))
+    nu, lam = objective.columns[:2]
     starts = [nu.copy()]
     names = spec.trainable_names()
     n = series.y.size
@@ -395,22 +401,22 @@ def train(
     converged, termination = False, "no trial point could be evaluated"
     results = []
     for u_start in starts:
-        value_before = best_value
-        results.append(minimize(negative_objective, u_start))
-        if best_value < value_before:  # this restart now holds the best point
+        value_before = objective.best_value
+        results.append(minimize(objective, u_start))
+        if objective.best_value < value_before:  # this restart now holds the best point
             converged, termination = results[-1].status == 0, results[-1].message
 
     seconds = time.perf_counter() - start
-    if best_u is None:
+    if objective.best_u is None:
         # every evaluated point failed to factorize: fall back to the start; the
         # loop above left best_value at inf and converged False
         warnings.warn("training failed to evaluate the objective anywhere; returning prior medians")
         theta = median_hyperparams(spec, priors)
     else:
-        theta = HyperParams.from_log(spec, best_u)
+        theta = HyperParams.from_log(spec, objective.best_u)
     return TrainResult(
         theta=theta,
-        objective=-best_value,
+        objective=-objective.best_value,
         iterations=sum(result.nit for result in results),
         converged=converged,
         seconds=seconds,

@@ -88,10 +88,8 @@ class TestForecastCommand:
         assert re.fullmatch(pattern + "\n", capsys.readouterr().err)
 
     def test_custom_priors_flow_through_forecast(self, monthly_series_csv, tmp_path, capsys):
-        from gpforecast import default_priors, save_priors
-
         priors_file = tmp_path / "priors.txt"
-        save_priors(default_priors(), priors_file)
+        assert main(["priors", "--output", str(priors_file)]) == 0
         code = main(
             [
                 "forecast",
@@ -180,9 +178,7 @@ class TestPriorsCommand:
 
     def test_custom_priors_are_used(self, tmp_path, capsys):
         custom = tmp_path / "custom.txt"
-        from gpforecast import default_priors, save_priors
-
-        save_priors(default_priors(), custom)
+        assert main(["priors", "--output", str(custom)]) == 0
         text = custom.read_text().replace("ell_rbf = 1.1", "ell_rbf = 0.9")
         custom.write_text(text)
         out = tmp_path / "echo.txt"

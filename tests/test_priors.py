@@ -13,11 +13,11 @@ from gpforecast import (
     Term,
     default_priors,
     default_spec,
+    format_priors,
     grad_log_prior,
     load_priors,
     log_prior,
     median_hyperparams,
-    save_priors,
 )
 
 PRIORS = default_priors()
@@ -217,7 +217,7 @@ class TestMedianHyperparams:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "priors.txt"
-        save_priors(PRIORS, path)
+        path.write_text(format_priors(PRIORS))
         loaded = load_priors(path)
         assert loaded.entries == PRIORS.entries
 

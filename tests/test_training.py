@@ -83,7 +83,7 @@ class TestMapObjective:
         assert float(rel.max()) <= 1e-5
 
     @pytest.mark.parametrize(("mode", "steps_per_year"), [("single-seasonal", 12.0), ("double-seasonal", 1461.0)])
-    def test_prepared_series_gives_exactly_the_public_objective(self, monkeypatch, mode, steps_per_year):
+    def test_prepared_series_gives_exactly_the_public_objective(self, mode, steps_per_year):
         # train prepares the series once and evaluates the optimizer's u; every
         # evaluation must give the bits map_objective gives from the arrays
         spec = default_spec(mode)
@@ -98,7 +98,7 @@ class TestMapObjective:
         points.append((median_hyperparams(spec, PRIORS).replace(s2_noise=5e-8), x, rng.standard_normal(224)))
         for theta, x, y in points:
             u = np.log(theta.values)
-            [(value, grad)] = train_evaluations(monkeypatch, spec, x, y, [u])
+            [(value, grad)] = train_evaluations(spec, x, y, [u])
             public_value, public_grad = map_objective(spec, PRIORS, HyperParams.from_log(spec, u), x, y)
             assert -value == public_value
             assert np.array_equal(-grad, public_grad)
@@ -112,6 +112,50 @@ class TestMapObjective:
         for u, (value, grad) in evaluated:
             public_value, public_grad = map_objective(FULL_SPEC, PRIORS, HyperParams.from_log(FULL_SPEC, u), x, y)
             assert -value == public_value and np.array_equal(-grad, public_grad)
+
+    @pytest.mark.parametrize("case", ["overflow", "nan", "ill-conditioned"])
+    def test_a_point_it_cannot_evaluate_gives_inf_and_none(self, case):
+        # exp(800) overflows and a NaN fails the check; at s2_lin = 1e306 the
+        # sum behind the Gram's mean diagonal overflows, where map_objective raises
+        x = np.arange(132) / 12.0
+        y = np.random.default_rng(132).standard_normal(132)
+        medians = median_hyperparams(FULL_SPEC, PRIORS)
+        objective = training.MapObjective(prepare_series(FULL_SPEC, x, y), PRIORS.columns(FULL_SPEC))
+        u = np.log(medians.values)
+        if case == "ill-conditioned":
+            theta = medians.replace(s2_lin=1e306)
+            with pytest.raises(IllConditionedModelError):
+                map_objective(FULL_SPEC, PRIORS, theta, x, y)
+            u = np.log(theta.values)
+        else:
+            u[:] = 800.0 if case == "overflow" else math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert objective(u) == (math.inf, None)
+        assert objective.best_value == math.inf and objective.best_u is None
+
+    def test_the_object_keeps_the_lowest_value_over_calls_that_fail_between(self):
+        x, y = sine_series(36)
+        nu = PRIORS.columns(FULL_SPEC)[0]
+        rng = np.random.default_rng(5)
+        candidates = [nu + rng.normal(0.0, 0.3, size=nu.size) for _ in range(4)]
+        values = [value for value, _ in train_evaluations(FULL_SPEC, x, y, candidates)]
+        ranked = [candidates[k] for k in np.argsort(values)]  # best first
+        ordered, overflow, nan = sorted(values), np.full(nu.size, 800.0), np.full(nu.size, math.nan)
+        # a failure first, then one between successes; each leaves the best point as it was
+        points = [overflow, ranked[2], nan, ranked[3], ranked[0], overflow, ranked[1]]
+        returned = [math.inf, ordered[2], math.inf, ordered[3], ordered[0], math.inf, ordered[1]]
+        best_after = [None, 2, 2, 2, 0, 0, 0]  # the rank of the best point after each call
+        objective = training.MapObjective(prepare_series(FULL_SPEC, x, y), PRIORS.columns(FULL_SPEC))
+        for u, value, best in zip(points, returned, best_after):
+            point = u.copy()
+            assert objective(point)[0] == value
+            point += 1.0  # the object keeps a copy of its best point
+            if best is None:
+                assert objective.best_value == math.inf and objective.best_u is None
+            else:
+                assert objective.best_value == ordered[best]
+                assert objective.best_u.tobytes() == ranked[best].tobytes()
 
     def test_prepared_series_is_checked_against_its_spec(self, monkeypatch):
         # train hands its prepared series on; fit checks theta against its spec
@@ -193,17 +237,10 @@ def record_evaluations(monkeypatch):
     return evaluated
 
 
-def train_evaluations(monkeypatch, spec, x, y, us):
-    """train's objective (value, gradient), as handed to minimize, at each of ``us``."""
-    returned = []
-
-    def trials(fun, u0, **kwargs):
-        returned.extend(fun(np.array(u)) for u in us)
-        return SimpleNamespace(nit=0, nfev=len(us), penalty_evals=0, status=0, message="trials")
-
-    monkeypatch.setattr(training, "minimize", trials)
-    train(spec, PRIORS, x, y)
-    return returned
+def train_evaluations(spec, x, y, us):
+    """train's objective, a ``MapObjective`` of the prepared series, called at each of ``us``: its (value, gradient)."""
+    objective = training.MapObjective(prepare_series(spec, x, y), PRIORS.columns(spec))
+    return [objective(np.array(u)) for u in us]
 
 
 def two_loop_deviations(evaluations, iterates):
@@ -333,7 +370,7 @@ class TestTrain:
         nu = PRIORS.columns(FULL_SPEC)[0]
         rng = np.random.default_rng(4)
         candidates = [nu + rng.normal(0.0, 0.3, size=nu.size) for _ in range(5)]
-        values = [value for value, _ in train_evaluations(monkeypatch, FULL_SPEC, x, y, candidates)]
+        values = [value for value, _ in train_evaluations(FULL_SPEC, x, y, candidates)]
         ranked = [candidates[k] for k in np.argsort(values)]  # best first
         # (status, points) of each restart: the first, which converges, holds the best
         # point between two others, and neither restart returns its best point as x
@@ -413,19 +450,19 @@ class TestTrain:
         # line search backs off to: each is one penalty evaluation, and train
         # returns the best of the points it did evaluate
         x, y = sine_series(36)
-        real_evaluate = training._evaluate
+        real_at = training.MapObjective.at
         raising = {2: IllConditionedModelError, 3: InvalidHyperparameterError}
         calls, evaluated = [], []  # evaluated: (theta's values, objective) of each call that returned
 
-        def rigged(theta, series, columns):
+        def rigged(self, theta):
             calls.append(None)
             if len(calls) in raising:
                 raise raising[len(calls)]("rigged")
-            value, grad = real_evaluate(theta, series, columns)
+            value, grad = real_at(self, theta)
             evaluated.append((tuple(theta.tolist()), value))
             return value, grad
 
-        monkeypatch.setattr(training, "_evaluate", rigged)
+        monkeypatch.setattr(training.MapObjective, "at", rigged)
         result = train(FULL_SPEC, PRIORS, x, y)
         assert result.penalty_evals == len(raising)
         assert result.nfev == len(calls) == len(evaluated) + len(raising)
@@ -441,15 +478,15 @@ class TestTrain:
         assert clean.converged and clean.penalty_evals == 0
         assert clean.objective == pytest.approx(71.2501, abs=1e-4)
         assert clean.termination.startswith("CONVERGENCE") and "penalty" not in clean.termination
-        real_evaluate, real_minimize, real_cubic = training._evaluate, training.minimize, training._cubic_minimizer
+        real_at, real_minimize, real_cubic = training.MapObjective.at, training.minimize, training._cubic_minimizer
         calls, at_iterates, interpolated = [], [], []  # evaluations so far, at each iterate, and the cubics' arguments
 
         def rigged_at(k):
-            def rigged(theta, series, columns):
+            def rigged(self, theta):
                 calls.append(None)
                 if len(calls) == k:
                     raise IllConditionedModelError("rigged")
-                return real_evaluate(theta, series, columns)
+                return real_at(self, theta)
 
             return rigged
 
@@ -465,7 +502,7 @@ class TestTrain:
         for k in range(2, min(clean.nfev, 20) + 1):
             calls.clear()
             at_iterates.clear()
-            monkeypatch.setattr(training, "_evaluate", rigged_at(k))
+            monkeypatch.setattr(training.MapObjective, "at", rigged_at(k))
             result = train(FULL_SPEC, PRIORS, x, y)
             assert result.penalty_evals == 1, k
             assert abs(result.objective - clean.objective) <= 1e-4, k
@@ -502,10 +539,10 @@ class TestTrain:
         assert result.penalty_evals == 1
 
     def test_every_evaluation_failing_returns_the_prior_medians_unconverged(self, monkeypatch):
-        def failing(theta, series, columns):
+        def failing(self, theta):
             raise IllConditionedModelError("rigged")
 
-        monkeypatch.setattr(training, "_evaluate", failing)
+        monkeypatch.setattr(training.MapObjective, "at", failing)
         x, y = sine_series(24)
         with pytest.warns(UserWarning, match="returning prior medians"):
             result = train(FULL_SPEC, PRIORS, x, y, restarts=3)
@@ -514,18 +551,31 @@ class TestTrain:
         # each restart's start fails, which ends it at once
         assert result.penalty_evals == result.nfev == 3 and result.iterations == 0
 
+    def test_perfbench_tracer_sees_every_evaluation_of_a_clean_run(self, monkeypatch):
+        # the tracer wraps the likelihood and the priors where training looks
+        # them up, so the objective must call them through those names
+        tracing = perfbench_module(monkeypatch, "tracer")
+        x, y = sine_series(36)
+        with tracing.Tracer() as tracer:
+            result = train(FULL_SPEC, PRIORS, x, y)
+        spans = tracer.summary()
+        assert result.penalty_evals == 0 and result.nfev > 1
+        for name in ("gp.lml_grad", "priors.log_prior", "priors.grad_log_prior"):
+            assert spans[name]["calls"] == result.nfev, name
+        assert spans["training.minimize"]["calls"] == 1
+
     def test_perfbench_tracer_counts_the_failed_evaluations(self, monkeypatch):
         tracing = perfbench_module(monkeypatch, "tracer")
-        real_evaluate = training._evaluate
+        real_at = training.MapObjective.at
         calls = []
 
-        def rigged(theta, series, columns):
+        def rigged(self, theta):
             calls.append(None)
             if len(calls) == 3:
                 raise IllConditionedModelError("rigged")
-            return real_evaluate(theta, series, columns)
+            return real_at(self, theta)
 
-        monkeypatch.setattr(training, "_evaluate", rigged)
+        monkeypatch.setattr(training.MapObjective, "at", rigged)
         x, y = sine_series(36)
         with tracing.Tracer() as tracer:
             result = train(FULL_SPEC, PRIORS, x, y)
