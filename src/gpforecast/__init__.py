@@ -20,7 +20,6 @@ from .bench import (
     parse_machine_report,
     run_benchmark,
     seasonal_naive,
-    write_csv,
 )
 from .forecasting import (
     MONTHLY,

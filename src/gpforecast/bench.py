@@ -45,7 +45,6 @@ __all__ = [
     "SeriesFailure",
     "BenchReport",
     "load_csv",
-    "write_csv",
     "seasonal_naive",
     "run_benchmark",
     "emit_report",
@@ -57,7 +56,7 @@ class CsvFormatError(ValueError):
     """Malformed benchmark CSV; the message names the offending line, or the series and step."""
 
 
-# the long layout's header, as write_csv writes it
+# the long layout's columns, which load_csv finds by name in its header
 _LONG_COLUMNS = ("series", "step", "value")
 # the scores of a series, in report order; the aggregate carries the median of each
 _SCORED = ("mae", "crps", "ll")
@@ -213,16 +212,6 @@ def _read_wide(path) -> list[tuple[str, list[float]]]:
                 )
             columns[j].append(_parse_value(cell, path, lineno))
     return [(name, col) for name, col in zip(header, columns)]
-
-
-def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset in long format with full float precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_LONG_COLUMNS)
-        for entry in dataset.entries:
-            for step, value in enumerate(entry.series.values):
-                writer.writerow([entry.name, step, repr(float(value))])
 
 
 def seasonal_naive(ts: TimeSeries, horizon: int) -> Forecast:

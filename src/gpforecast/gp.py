@@ -52,10 +52,11 @@ x* together are one regular grid (any other test points raise
 ValueError).  One :func:`grad_gram` pass over the n + h lags gives the
 Gram's column (bit for bit the objective's) and the cross-covariance
 (``kernels.build_cross``: Toeplitz on lags 1 .. n+h-1, plus LIN's
-slope); ``kernels.zero_lag_variance`` gives the prior variance.
-:func:`predict` reuses the factor, so a forecast makes one Cholesky
-factorization at its trained hyperparameters, plus one per evaluation
-that falls back.
+slope), and is the only pass over the terms the final step makes:
+``kernels.zero_lag_variance`` sums the terms' variances for the prior
+variance.  :func:`predict` reuses the factor, so a forecast makes one
+Cholesky factorization at its trained hyperparameters, plus one per
+evaluation that falls back.
 
 The gradient never builds an n-by-n matrix per hyperparameter: each
 stationary partial is the dot product of its values on the lags with W's

@@ -14,29 +14,32 @@ A second periodic term (PER2) can be enabled for series with two seasonal
 patterns.  All operations here are pure functions: they never mutate their
 inputs and are safe to call concurrently.
 
-Each term's formula is written once: a stationary term's (every term but
-LIN) in :func:`term_parts`, as its value and partials on time differences
-of any shape, and LIN's, s2_bias + s2_lin x1 x2, in :func:`lag_column`.
-A stationary term reads the differences as :class:`Differences`, the
-arrays that do not depend on the hyperparameters (|d|, d^2, d == 0 and
-sin^2(pi |d| / P) per period), made once per array of differences, so an
-objective evaluation on a prepared series computes none of them.  A term
-reads its values in ``TERM_PARAMS`` order and a periodic term its fixed
-period from the :class:`Term` itself.  :class:`HyperParams` checks its
-values once, when made; an entry point that takes one checks only their
-names.  :func:`grad_gram` and :func:`lag_column` take theta's values as
-a plain sequence in the spec's order, which an objective evaluation
-holds without making a :class:`HyperParams`.  :func:`grad_gram` writes
-the stationary terms' partials into one block, on a vector of
-differences.  That is the one pass over the terms, and
-:func:`lag_column`, which sums the covariance at each difference from
-those rows, the one sum of the composition: every builder here takes one
-of each.  Training points form a regular grid (:func:`regular_lags`), and
-test points continue it, so the differences are the grid's lags: every
-Gram is :func:`build_gram` of one lag column, a Toeplitz matrix plus
-LIN's slope as a rank-1 update in place, the cross-covariance is
-:func:`build_cross` of the continued grid's column, and the test points'
-prior variance is :func:`zero_lag_variance`.
+Each stationary term's formula (every term but LIN) is written once, in
+:func:`term_parts`, as its value and partials on time differences of any
+shape.  LIN, s2_bias + s2_lin x1 x2, is not a function of the
+difference: :func:`lag_column` adds its bias, :func:`build_gram` and
+:func:`build_cross` its slope, and :func:`zero_lag_variance` both at
+x1 = x2 = x*.  A stationary term reads the differences as
+:class:`Differences`, the arrays that do not depend on the
+hyperparameters (|d|, d^2, d == 0 and sin^2(pi |d| / P) per period),
+made once per array of differences, so an objective evaluation on a
+prepared series computes none of them.  A term reads its values in
+``TERM_PARAMS`` order and a periodic term its fixed period from the
+:class:`Term` itself.  :class:`HyperParams` checks its values once, when
+made; an entry point that takes one checks only their names.
+:func:`grad_gram` and :func:`lag_column` take theta's values as a plain
+sequence in the spec's order, which an objective evaluation holds
+without making a :class:`HyperParams`.  :func:`grad_gram` writes the
+stationary terms' partials into one block: the one pass over the terms.
+Training points form a regular grid (:func:`regular_lags`), and test
+points continue it, so the differences are the grid's lags, and
+:func:`lag_column` sums the covariance at each lag from those rows.
+Every Gram is :func:`build_gram` of one lag column, a Toeplitz matrix
+plus LIN's slope as a rank-1 update in place, and the cross-covariance
+is :func:`build_cross` of the continued grid's column.  The test points'
+prior variance needs no pass: each stationary term is normalized so that
+its value at zero difference is its variance, which
+:func:`zero_lag_variance` sums.
 
 Hyperparameters are always positive; optimization happens in log space, so
 every partial in this module is taken with respect to ``log(parameter)``.
@@ -188,10 +191,6 @@ class HyperParams:
         with np.errstate(over="ignore"):  # an overflow to inf fails the check
             return cls(spec.trainable_names(), tuple(np.exp(u).tolist()))
 
-    def replace(self, **named: float) -> "HyperParams":
-        """Copy with the named trainables set to new values."""
-        return _by_name(self.names, {**dict(zip(self.names, self.values)), **named})
-
     def for_spec(self, spec: KernelSpec) -> tuple[float, ...]:
         """``values``, after checking that they were made for ``spec``'s trainables."""
         names = spec.trainable_names()
@@ -240,7 +239,7 @@ def term_parts(term: Term, p: Sequence[float], d: Differences) -> tuple[np.ndarr
     ``p`` holds the term's parameter values in ``TERM_PARAMS[term.kind]``
     order; a periodic term's period is ``term.period``.  Works elementwise
     on ``d``, the :class:`Differences` of time differences x1 - x2 of any
-    shape.  LIN is not stationary: its value is written in :func:`lag_column`.
+    shape.  LIN is not stationary, and not written here (see the module docstring).
     The partials follow ``p``; the first is the value itself, since
     dk/dlog s2 = k for every variance.
     """
@@ -343,44 +342,45 @@ def build_cross(column: np.ndarray, s2_lin: float, x_star: np.ndarray, x: np.nda
 
 
 @np.errstate(over="ignore")  # huge variances overflow their sum to inf, which fails the check
-def lag_column(
-    spec: KernelSpec, values: Sequence[float], partials: np.ndarray, xx: np.ndarray | float = 0.0, noise: bool = True
-) -> np.ndarray:
-    """The covariance at each difference :func:`grad_gram` gave ``partials`` for, LIN's at products ``xx``.
+def lag_column(spec: KernelSpec, values: Sequence[float], partials: np.ndarray) -> np.ndarray:
+    """The covariance at each lag :func:`grad_gram` gave ``partials`` for, LIN's slope left out.
 
     A stationary term's first row there is its value (dk/dlog s2 = k), so
-    the result is those rows summed in term order, with LIN's value at
-    ``xx`` in LIN's place; no term is evaluated again.  On a regular grid's
-    lags, with xx = 0, that is the Gram's first column without LIN's slope
-    (LIN's bias is constant in the lag): the Gram is the symmetric Toeplitz
-    matrix of this column plus the rank-1 slope s2_lin x x^T.  At zero
-    difference, with xx = x*^2, it is the prior variance at x*.
-    ``values`` are theta's, as :func:`grad_gram` read them; ``noise=False``
-    leaves WN out, as :func:`zero_lag_variance` does.
+    the result is those rows summed in term order, with LIN's bias in
+    LIN's place; no term is evaluated again.  On a regular grid's lags that
+    is the Gram's first column without LIN's slope, which :func:`build_gram`
+    adds.  ``values`` are theta's, as :func:`grad_gram` read them.
     """
     column = np.zeros(partials.shape[1])
-    for t, at, row in spec._layout:
-        if row is None:  # LIN's value: its formula, written only here
-            s2_bias, s2_lin = values[at]
-            column += s2_bias + s2_lin * xx
-        elif noise or t.kind != "WN":
+    for _, at, row in spec._layout:
+        if row is None:  # LIN: its bias here, its slope where the points are known
+            column += values[at][0]
+        else:
             column += partials[row]
     _check_finite(column, "lag_column")
     return column
 
 
+@np.errstate(over="ignore")  # huge variances overflow their sum to inf, which fails the check
 def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray) -> np.ndarray:
     """Per-point prior variance k(x*, x*) of the latent function, without the noise.
 
-    The stationary terms are evaluated once, at a single zero difference,
-    and broadcast to every test point; LIN adds s2_lin x*^2.  The latent
-    variance at a test point never includes the white-noise term.
+    A stationary term's value at zero difference is its variance s2 (each
+    is normalized so), so the result sums those in term order, with LIN's
+    s2_bias + s2_lin x*^2 in LIN's place; no term is evaluated.  The
+    latent variance at a test point never includes the white-noise term.
     """
     x_star = _as_points(x_star, "x_star")
     values = theta.for_spec(spec)
-    at_zero = grad_gram(spec, values, Differences.of(spec, np.zeros(1)))
-    partials = np.broadcast_to(at_zero, (at_zero.shape[0], x_star.size))
-    return lag_column(spec, values, partials, x_star * x_star, noise=False)
+    variance = np.zeros(x_star.size)
+    for t, at, row in spec._layout:
+        if row is None:
+            s2_bias, s2_lin = values[at]
+            variance += s2_bias + s2_lin * (x_star * x_star)
+        elif t.kind != "WN":
+            variance += values[at][0]
+    _check_finite(variance, "zero_lag_variance")
+    return variance
 
 
 def _as_points(x: np.ndarray, name: str) -> np.ndarray:

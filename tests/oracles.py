@@ -7,6 +7,7 @@ library's own evaluation paths.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -93,6 +94,28 @@ def _pairwise_covariance(spec, theta, a: np.ndarray, b: np.ndarray, noise: bool)
         elif noise or term.kind != "WN":
             total += term_parts(term, p, d)[0]
     return total
+
+
+def two_pass_prior_variance(spec, theta, x_star: np.ndarray) -> np.ndarray:
+    """k(x*, x*) without the noise, from a second pass over the terms at one zero difference.
+
+    ``grad_gram`` at d = 0 gives each stationary term's value row; those
+    are summed in term order without WN, with LIN's s2_bias + s2_lin x*^2
+    in LIN's place.  ``kernels.zero_lag_variance`` sums the variances
+    instead, and must keep these bits.
+    """
+    from gpforecast.kernels import TERM_PARAMS, Differences, grad_gram
+
+    at_zero = grad_gram(spec, theta.values, Differences.of(spec, np.zeros(1)))[:, 0]
+    variance, row = np.zeros(len(x_star)), 0
+    for term in spec.terms:
+        if term.kind == "LIN":
+            variance += theta.s2_bias + theta.s2_lin * (x_star * x_star)
+            continue
+        if term.kind != "WN":
+            variance += at_zero[row]
+        row += len(TERM_PARAMS[term.kind])
+    return variance
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +330,26 @@ def random_hyperparams(spec, priors, rng, clip_sigmas: float = 2.0):
         ]
     )
     return HyperParams.from_log(spec, u)
+
+
+def replace(theta, **named: float):
+    """A copy of the HyperParams ``theta`` with the named trainables set to new values, each checked when made."""
+    from gpforecast.kernels import HyperParams, InvalidHyperparameterError
+
+    unknown = sorted(set(named) - set(theta.names))
+    if unknown:
+        raise InvalidHyperparameterError(f"{unknown} are not among the trainables {theta.names}")
+    return HyperParams(theta.names, tuple(named.get(name, value) for name, value in zip(theta.names, theta.values)))
+
+
+def write_csv(dataset, path) -> None:
+    """Write a ``bench.Dataset`` in the long layout (series, step, value), every value with full float precision."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("series", "step", "value"))
+        for entry in dataset.entries:
+            for step, value in enumerate(entry.series.values):
+                writer.writerow([entry.name, step, repr(float(value))])
 
 
 def mean_signal_variances(spec, theta, x: np.ndarray) -> dict[str, float]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gpforecast.bench
+import oracles
 from gpforecast import (
     SIX_HOURLY,
     BenchReport,
@@ -22,7 +23,6 @@ from gpforecast import (
     run_benchmark,
     score,
     seasonal_naive,
-    write_csv,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -119,7 +119,7 @@ class TestLoadCsv:
         layout = CsvLayout(layout="long", steps_per_year=12.0)
         original = load_csv(f"{DATA}/long_two_series.csv", layout)
         path = tmp_path / "written.csv"
-        write_csv(original, path)
+        oracles.write_csv(original, path)
         assert dataset_equal(load_csv(path, layout), original)
 
     def test_round_trip_preserves_full_float_precision(self, tmp_path):
@@ -133,7 +133,7 @@ class TestLoadCsv:
             )
         )
         path = tmp_path / "precise.csv"
-        write_csv(ds, path)
+        oracles.write_csv(ds, path)
         again = load_csv(path, CsvLayout(steps_per_year=12.0))
         assert np.array_equal(again.entries[0].series.values, values)
 

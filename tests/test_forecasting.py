@@ -321,7 +321,7 @@ class TestExactlyPeriodicSixHourly:
         priors = default_priors()
         x = make_time_index(self.series(n))
         assert regular_lags(x) is not None
-        theta = median_hyperparams(spec, priors).replace(s2_per2=1e-2, s2_noise=1e-12)
+        theta = oracles.replace(median_hyperparams(spec, priors), s2_per2=1e-2, s2_noise=1e-12)
         y = fit(theta, prepare_series(spec, x, np.zeros(n))).chol_lower @ np.random.default_rng(0).standard_normal(n)
         u = np.log(theta.values)
 

@@ -21,7 +21,7 @@ from gpforecast import (
     train,
     zero_lag_variance,
 )
-from gpforecast import gp
+from gpforecast import gp, kernels
 from gpforecast.gp import JITTER_START, prepare_series
 from gpforecast.kernels import build_gram, grad_gram, lag_column, regular_lags
 
@@ -131,7 +131,7 @@ class TestRegularGridOnly:
         rng = np.random.default_rng(29)
         for n in (2, 24, 132):
             series = prepare_series(spec, np.arange(n) / 12.0, rng.standard_normal(n))
-            theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=0.05)
+            theta = oracles.replace(oracles.random_hyperparams(spec, PRIORS, rng), s2_noise=0.05)
             expected = log_marginal_likelihood_and_grad(theta.values, series)[0]
             for x_star in (None, np.empty(0)):
                 state = fit(theta, series, x_star)
@@ -247,9 +247,9 @@ class TestRegularGrid:
         medians = median_hyperparams(full, PRIORS)
         points = [
             (full, medians, 1e-9, 1e-9),
-            (full, medians.replace(s2_lin=37.0, s2_bias=23.0), 1e-9, 1e-9),
+            (full, oracles.replace(medians, s2_lin=37.0, s2_bias=23.0), 1e-9, 1e-9),
             (without_lin, median_hyperparams(without_lin, PRIORS), 1e-9, 1e-9),
-            (full, medians.replace(s2_noise=5e-8), 2e-6, 5e-6),
+            (full, oracles.replace(medians, s2_noise=5e-8), 2e-6, 5e-6),
         ]
         rng = np.random.default_rng(n)
         for x0 in (0.0, 7.25):
@@ -276,7 +276,7 @@ class TestRegularGrid:
         x = np.arange(n) / 1461.0
         y = np.random.default_rng(n).standard_normal(n)
         for s2_noise in np.logspace(-7, -1, 13):
-            theta = medians.replace(s2_noise=float(s2_noise))
+            theta = oracles.replace(medians, s2_noise=float(s2_noise))
             oracle = oracles.longdouble_log_mvn(factorized_gram(spec, theta, x), y)
             value = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))[0]
             assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle)), s2_noise
@@ -297,7 +297,7 @@ class TestRegularGrid:
         series = prepare_series(spec, x, np.random.default_rng(n).standard_normal(n))
         on_levinson = 0
         for s2_noise in np.logspace(-7, -1, 4):
-            theta = medians.replace(s2_noise=float(s2_noise))
+            theta = oracles.replace(medians, s2_noise=float(s2_noise))
             column = lag_column(spec, theta.values, grad_gram(spec, theta.values, series.diffs))
             v = math.sqrt(theta.s2_lin) * x if lin else np.zeros(n)
             levinson = gp._levinson_solve(column, v, series.y, theta.s2_noise)
@@ -359,7 +359,7 @@ class TestRegularGrid:
     def test_overflowing_gram_diagonal_is_ill_conditioned(self):
         # at s2_lin = 1e306 every entry of the monthly Gram is finite, but the
         # sum behind its mean diagonal overflows
-        theta = MEDIANS.replace(s2_lin=1e306)
+        theta = oracles.replace(MEDIANS, s2_lin=1e306)
         x = np.arange(132) / 12.0
         y = np.random.default_rng(132).standard_normal(132)
         with pytest.raises(IllConditionedModelError):
@@ -380,7 +380,7 @@ class TestRegularGrid:
 
         for _ in range(3):
             # s2_noise well above the conditioning bound keeps Levinson's path
-            theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=0.05)
+            theta = oracles.replace(oracles.random_hyperparams(spec, PRIORS, rng), s2_noise=0.05)
             with monkeypatch.context() as patched:
                 patched.setattr(gp, "cholesky", refuse)
                 value, grad = log_marginal_likelihood_and_grad(theta.values, series)
@@ -402,7 +402,8 @@ class TestRegularGrid:
         outcomes = {"both pass": 0, "both fail": 0, "block passes, full fails": 0}
         for _ in range(300):
             n = int(rng.integers(block + 1, 400))
-            theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=float(10 ** rng.uniform(-9, -1)))
+            theta = oracles.random_hyperparams(spec, PRIORS, rng)
+            theta = oracles.replace(theta, s2_noise=float(10 ** rng.uniform(-9, -1)))
             lags = np.arange(n) / 1461.0
             values = theta.values
             column = lag_column(spec, values, grad_gram(spec, values, gp.Differences.of(spec, lags)))
@@ -430,7 +431,7 @@ class TestRegularGrid:
         medians = median_hyperparams(spec, PRIORS)
         x = np.arange(224) / 1461.0
         series = prepare_series(spec, x, np.random.default_rng(224).standard_normal(224))
-        thetas = [medians.replace(s2_noise=float(s2)) for s2 in np.logspace(-9, -1, 17)]
+        thetas = [oracles.replace(medians, s2_noise=float(s2)) for s2 in np.logspace(-9, -1, 17)]
         checked = [log_marginal_likelihood_and_grad(theta.values, series) for theta in thetas]
         monkeypatch.setattr(gp, "_LEVINSON_BLOCK", 10**9)
         for theta, (value, grad) in zip(thetas, checked):
@@ -470,14 +471,14 @@ class TestRegularGrid:
         map_objective(spec, PRIORS, theta, x, y)
         # near noiseless, min E_k / E_0 falls below it: the Cholesky path
         with pytest.raises(AssertionError, match="cholesky called"):
-            map_objective(spec, PRIORS, theta.replace(s2_noise=5e-8), x, y)
+            map_objective(spec, PRIORS, oracles.replace(theta, s2_noise=5e-8), x, y)
 
     def test_fallback_lays_the_gram_out_from_the_evaluated_column(self, monkeypatch):
         # below the conditioning bound the evaluation factorizes the Toeplitz
         # layout of the column it already holds: one pass over the terms and
         # one three-column solve, also when a jitter level fails
         spec = default_spec("double-seasonal")
-        theta = median_hyperparams(spec, PRIORS).replace(s2_noise=5e-8)
+        theta = oracles.replace(median_hyperparams(spec, PRIORS), s2_noise=5e-8)
         x = np.arange(224) / 1461.0
         y = np.random.default_rng(224).standard_normal(224)
         calls = {"grad_gram": 0, "cho_solve": 0, "cholesky": 0, "build_gram": 0}
@@ -639,7 +640,7 @@ class TestGridFinalStep:
     def case(mode, steps_per_year, n, h, seed=0):
         spec = default_spec(mode)
         rng = np.random.default_rng([n, h, seed])
-        theta = oracles.random_hyperparams(spec, PRIORS, rng).replace(s2_noise=0.05)
+        theta = oracles.replace(oracles.random_hyperparams(spec, PRIORS, rng), s2_noise=0.05)
         x = np.arange(n) / steps_per_year
         x_star = np.arange(n, n + h) / steps_per_year
         return spec, theta, x, x_star, prepare_series(spec, x, rng.standard_normal(n))
@@ -672,25 +673,29 @@ class TestGridFinalStep:
         np.testing.assert_array_equal(grid.chol_lower, plain.chol_lower)
         np.testing.assert_array_equal(grid.alpha, plain.alpha)
         assert grid.jitter == plain.jitter and grid.log_marginal == plain.log_marginal
-        # the prior variance at a single zero difference has the bits of lag 0 of the n + h lags
-        partials = grad_gram(spec, theta.values, gp.Differences.of(spec, regular_lags(np.concatenate((x, x_star)))))
-        lag_zero = np.broadcast_to(partials[:, :1], (partials.shape[0], h))
-        expected = lag_column(spec, theta.values, lag_zero, x_star * x_star, noise=False)
-        np.testing.assert_array_equal(grid.prior_variance, expected)
+        # the summed variances have the bits of a second pass over the terms at a zero difference
+        np.testing.assert_array_equal(grid.prior_variance, oracles.two_pass_prior_variance(spec, theta, x_star))
 
     def test_one_pass_over_the_continued_lags(self, monkeypatch):
-        shapes = []
-        real_grad_gram = gp.grad_gram
+        calls = []
 
-        def recording_grad_gram(*args, **kwargs):
-            out = real_grad_gram(*args, **kwargs)
-            shapes.append(out.shape)
-            return out
+        def recording(name, real):
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                calls.append((name, out.shape))
+                return out
 
-        monkeypatch.setattr(gp, "grad_gram", recording_grad_gram)
+            return call
+
+        # fit's own calls go through gp's names, a call made inside a kernels function through kernels'
+        real = {name: getattr(kernels, name) for name in ("grad_gram", "lag_column")}
+        for module in (gp, kernels):
+            for name, function in real.items():
+                monkeypatch.setattr(module, name, recording(name, function))
         spec, theta, x, x_star, series = self.case("single-seasonal", 12.0, 40, 18)
         fit(theta, series, x_star)
-        assert shapes == [(11, 58)]  # the 40 + 18 lags; zero_lag_variance takes its own single zero
+        # one pass and one sum over the 40 + 18 lags: zero_lag_variance makes neither
+        assert calls == [("grad_gram", (11, 58)), ("lag_column", (58,))]
 
 
 class TestLongHorizons:

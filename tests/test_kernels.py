@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,18 @@ class TestZeroLag:
         for kind, named, expected in cases:
             spec = single_term_spec(kind)
             assert covariance(spec, HyperParams.of(spec, **named), x, x) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["PER", "PER2", "RBF", "SM1", "SM2"])
+    def test_a_stationary_term_at_zero_difference_is_exactly_its_variance(self, kind):
+        # zero_lag_variance sums the variances on this property, evaluating no term
+        term = next(t for t in DOUBLE_SPEC.terms if t.kind == kind)
+        names = TERM_PARAMS[kind]
+        rng = np.random.default_rng(list(map(ord, kind)))
+        corners = itertools.product((-3.0, 3.0), repeat=len(names))
+        for z in [*corners, *np.clip(rng.standard_normal((200, len(names))), -3.0, 3.0)]:
+            p = [math.exp(PRIORS[name].nu + zk * math.sqrt(PRIORS[name].lam)) for name, zk in zip(names, z)]
+            value = term_parts(term, p, Differences.of(DOUBLE_SPEC, np.zeros(1)))[0]
+            assert value.tolist() == [p[0]], (kind, p)
 
     def test_linear_zero_lag(self):
         spec = single_term_spec("LIN")
@@ -274,7 +287,7 @@ class TestRegularGrid:
         spec = default_spec(mode)
         theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(61))
         if lin:  # LIN-dominated
-            theta = theta.replace(s2_lin=37.0, s2_bias=23.0)
+            theta = oracles.replace(theta, s2_lin=37.0, s2_bias=23.0)
         x = x0 + np.arange(61) / steps_per_year
         assert regular_lags(x) is not None
         gram = grid_gram(spec, theta, x)
@@ -404,11 +417,11 @@ class TestSpecAndHyperparams:
 
     def test_reads_trainables_by_name(self):
         assert MEDIANS.s2_noise == MEDIANS.values[MEDIANS.names.index("s2_noise")]
-        assert MEDIANS.replace(s2_noise=0.25).s2_noise == 0.25
+        assert oracles.replace(MEDIANS, s2_noise=0.25).s2_noise == 0.25
         with pytest.raises(AttributeError, match="s2_per2"):
             MEDIANS.s2_per2  # not a trainable of the single-seasonal spec
         with pytest.raises(InvalidHyperparameterError, match="s2_per2"):
-            MEDIANS.replace(s2_per2=1.0)
+            HyperParams.of(FULL_SPEC, s2_per2=1.0)
 
 
 DOUBLE_SPEC = default_spec("double-seasonal")  # every term kind, PER2 included
@@ -429,7 +442,7 @@ def medians_but(name, bad):
 CONSTRUCTORS = {
     "init": lambda named: HyperParams(DOUBLE_MEDIANS.names, tuple(named.get(n) for n in DOUBLE_MEDIANS.names)),
     "of": lambda named: HyperParams.of(DOUBLE_SPEC, **named),
-    "replace": lambda named: DOUBLE_MEDIANS.replace(**{n: named.get(n) for n in DOUBLE_MEDIANS.names}),
+    "replace": lambda named: oracles.replace(DOUBLE_MEDIANS, **{n: named.get(n) for n in DOUBLE_MEDIANS.names}),
 }
 
 

@@ -95,7 +95,7 @@ class TestMapObjective:
             points.append((oracles.random_hyperparams(spec, PRIORS, rng), x, y))
         # near noiseless, the grid evaluation falls back to the Cholesky path
         x = np.arange(224) / steps_per_year
-        points.append((median_hyperparams(spec, PRIORS).replace(s2_noise=5e-8), x, rng.standard_normal(224)))
+        points.append((oracles.replace(median_hyperparams(spec, PRIORS), s2_noise=5e-8), x, rng.standard_normal(224)))
         for theta, x, y in points:
             u = np.log(theta.values)
             [(value, grad)] = train_evaluations(spec, x, y, [u])
@@ -123,7 +123,7 @@ class TestMapObjective:
         objective = training.MapObjective(prepare_series(FULL_SPEC, x, y), PRIORS.columns(FULL_SPEC))
         u = np.log(medians.values)
         if case == "ill-conditioned":
-            theta = medians.replace(s2_lin=1e306)
+            theta = oracles.replace(medians, s2_lin=1e306)
             with pytest.raises(IllConditionedModelError):
                 map_objective(FULL_SPEC, PRIORS, theta, x, y)
             u = np.log(theta.values)
@@ -211,7 +211,7 @@ class TestMapObjective:
             warnings.simplefilter("error")
             for name in spec.trainable_names():
                 for k in [*range(-323, 309, 3), 308]:
-                    theta = medians.replace(**{name: 10.0**k})
+                    theta = oracles.replace(medians, **{name: 10.0**k})
                     for evaluate in (lambda: map_objective(spec, PRIORS, theta, x, y), lambda: forecast(theta)):
                         try:
                             out = evaluate()
