@@ -46,13 +46,7 @@ from .gp import (
     predict,
     prepare_series,
 )
-from .kernels import (
-    HyperParams,
-    InvalidHyperparameterError,
-    KernelSpec,
-    Term,
-    zero_lag_variance,
-)
+from .kernels import HyperParams, InvalidHyperparameterError, KernelSpec, Term
 from .metrics import ScoreReport, crps_gaussian, log_likelihood, mae, score
 from .priors import (
     LogNormalPrior,

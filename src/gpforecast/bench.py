@@ -386,7 +386,7 @@ def emit_report(report: BenchReport, fmt: str = "human") -> str:
 
 
 def parse_machine_report(text: str) -> dict:
-    """Parse machine-format output back into records (round-trip safe)."""
+    """Parse machine-format output back into records (round-trip safe); a malformed line raises ValueError."""
     series: list[dict] = []
     failures: list[dict] = []
     aggregate: dict | None = None
@@ -397,6 +397,8 @@ def parse_machine_report(text: str) -> dict:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"machine report line {lineno}: {exc}") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"machine report line {lineno}: expected a JSON object, got {type(record).__name__}")
         kind = record.get("record")
         if kind == "series":
             series.append(record)

@@ -171,16 +171,14 @@ def future_time_index(ts: TimeSeries, horizon: int) -> np.ndarray:
 
 
 def default_spec(mode: str = "single-seasonal") -> KernelSpec:
-    """The fixed composition for the requested seasonality mode (``"single"`` and ``"double"`` also work).
+    """The fixed composition for the seasonality mode, ``"single-seasonal"`` or ``"double-seasonal"``.
 
     single-seasonal: PER(1 year) + LIN + RBF + SM1 + SM2 + WN.
     double-seasonal: weekly and daily periodic terms replace the yearly one.
     """
-    lowered = mode.strip().lower()
-    periodic = _PERIODIC_TERMS.get(lowered) or _PERIODIC_TERMS.get(lowered + "-seasonal")
-    if periodic is None:
+    if mode not in _PERIODIC_TERMS:
         raise ValueError(f"mode must be 'single-seasonal' or 'double-seasonal', got {mode!r}")
-    return KernelSpec(terms=periodic + _SHARED_TERMS)
+    return KernelSpec(terms=_PERIODIC_TERMS[mode] + _SHARED_TERMS)
 
 
 def default_horizon(steps_per_year: float) -> int:

@@ -3,10 +3,10 @@
 The observed series is modelled as jointly Gaussian with zero mean and
 covariance ``K(X, X)`` assembled from the kernel composition (the noise
 term lives inside the kernel).  Both entry points take the series from
-:func:`prepare_series`: :func:`fit` caches the log marginal likelihood as
-``log_marginal`` next to the factorization, and
-:func:`log_marginal_likelihood_and_grad` adds its gradient with respect
-to the log-space hyperparameters.  :func:`predict` gives the exact
+:func:`prepare_series`: :func:`fit` factorizes the covariance at the
+trained hyperparameters, and :func:`log_marginal_likelihood_and_grad`
+gives the log marginal likelihood and its gradient with respect to the
+log-space hyperparameters.  :func:`predict` gives the exact
 predictive posterior at the test points :func:`fit` was given, which
 continue the series' grid:
 
@@ -44,7 +44,8 @@ evaluation lays that column out as the Gram instead
 place (a failed try lays it out again) and solves for y, e_0 and v at
 once.  Where the noise floor allows a failure, the recursion first runs
 on T's leading lags, and a block that fails the bound skips the full
-run.  :func:`fit` lays the Gram out the same way.
+run.  :func:`fit` factorizes and solves through the same routine,
+:func:`_cholesky_solve`.
 
 :func:`fit` takes the trained theta, the prepared series and the test
 points of a forecast: the next h steps of the series' grid, so that x and
@@ -54,9 +55,9 @@ Gram's column (bit for bit the objective's) and the cross-covariance
 (``kernels.build_cross``: Toeplitz on lags 1 .. n+h-1, plus LIN's
 slope), and is the only pass over the terms the final step makes:
 ``kernels.zero_lag_variance`` sums the terms' variances for the prior
-variance.  :func:`predict` reuses the factor, so a forecast makes one
-Cholesky factorization at its trained hyperparameters, plus one per
-evaluation that falls back.
+variance from the values :func:`fit` has checked.  :func:`predict`
+reuses the factor, so a forecast makes one Cholesky factorization at its
+trained hyperparameters, plus one per evaluation that falls back.
 
 The gradient never builds an n-by-n matrix per hyperparameter: each
 stationary partial is the dot product of its values on the lags with W's
@@ -72,7 +73,7 @@ quadratic forms in W.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,8 +81,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py guards its convention
 
-from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, _as_points, build_cross, build_gram
-from .kernels import grad_gram, lag_column, regular_lags, zero_lag_variance
+from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
+from .kernels import lag_column, regular_lags, zero_lag_variance
 
 __all__ = [
     "IllConditionedModelError",
@@ -124,7 +125,6 @@ class FitState:
 
     chol_lower: np.ndarray
     alpha: np.ndarray
-    log_marginal: float
     jitter: float
     cross: np.ndarray
     prior_variance: np.ndarray
@@ -192,13 +192,13 @@ def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSe
     )
 
 
-def _cholesky_with_jitter(build: Callable[[], np.ndarray]) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K + jitter I, factorized where ``build()`` laid K out.
+def _cholesky_solve(column: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """(L, jitter, (K + jitter I)^-1 rhs): L is the lower Cholesky factor of K + jitter I, K = build_gram(column, v).
 
-    ``build`` returns a new, finite K on each call; a failed try overwrote
-    part of the last one, so each jitter level factorizes a fresh K.
+    A failed try overwrote part of K, so each jitter level lays it out again.
+    The solve runs after a try succeeds: its errors never escalate the jitter.
     """
-    gram = build()
+    gram = build_gram(column, v)
     diagonal = np.diag(gram).copy()
     with np.errstate(over="ignore"):  # a finite diagonal can overflow its sum; the check below raises
         scale = float(np.mean(diagonal))
@@ -210,14 +210,16 @@ def _cholesky_with_jitter(build: Callable[[], np.ndarray]) -> tuple[np.ndarray, 
         np.fill_diagonal(gram, diagonal + jitter)
         try:
             # K is checked finite; Fortran-ordered, LAPACK factorizes it in place
-            return cholesky(gram, lower=True, overwrite_a=True, check_finite=False), jitter
+            lower = cholesky(gram, lower=True, overwrite_a=True, check_finite=False)
+            break
         except LinAlgError:
             mult *= 10.0
             if mult > JITTER_MAX * 1.0001:
                 raise IllConditionedModelError(
                     f"covariance not positive definite even with jitter {JITTER_MAX:g} * mean(diag)"
                 ) from None
-            gram = build()
+            gram = build_gram(column, v)
+    return lower, jitter, cho_solve((lower, True), rhs, check_finite=False)
 
 
 def _as_data(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,21 +232,26 @@ def _as_data(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _log_mvn(lower: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    """log N(y; 0, L L^T) from the lower factor L and alpha = (L L^T)^-1 y."""
-    return -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(lower)))) - 0.5 * y.size * _LOG_2PI
+def _as_points(x: np.ndarray, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array of time points, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} contains non-finite time points")
+    return x
 
 
 def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = None) -> FitState:
     """Factorize the training covariance and lay out the covariances prediction at ``x_star`` needs.
 
     ``series`` comes from :func:`prepare_series` (``TrainResult.series``
-    after training) and ``log_marginal`` is log N(y; 0, K(X, X) + jitter I).
-    ``x_star`` (None or empty for no test points) must continue the
-    series' grid: x and x* together must be one regular grid
-    (:func:`regular_lags`), as the next steps of a forecast are; any other
-    test points raise ValueError.  One pass over the n + h lags gives the
-    Gram's column and the cross-covariance (see the module docstring).
+    after training); the factor and jitter are, bit for bit, those the
+    objective's Cholesky fallback makes at the same theta.  ``x_star``
+    (None or empty for no test points) must continue the series' grid:
+    x and x* together must be one regular grid (:func:`regular_lags`), as
+    the next steps of a forecast are; any other test points raise
+    ValueError.  One pass over the n + h lags gives the Gram's column and
+    the cross-covariance (see the module docstring).
     """
     spec, x, y, lin = series.spec, series.x, series.y, series.lin
     values = theta.for_spec(spec)
@@ -257,14 +264,11 @@ def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = 
         )
     column = lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, lags)))
     slope = values[lin][1] if lin is not None else 0.0
-    cross, prior_variance = build_cross(column, slope, x_star, x), zero_lag_variance(spec, theta, x_star)
-    v = math.sqrt(slope) * x
-    lower, jitter = _cholesky_with_jitter(lambda: build_gram(column[: x.size], v))
-    alpha = cho_solve((lower, True), y, check_finite=False)
+    cross, prior_variance = build_cross(column, slope, x_star, x), zero_lag_variance(spec, values, x_star)
+    lower, jitter, alpha = _cholesky_solve(column[: x.size], math.sqrt(slope) * x, y)
     return FitState(
         chol_lower=lower,
         alpha=alpha,
-        log_marginal=_log_mvn(lower, y, alpha),
         jitter=jitter,
         cross=cross,
         prior_variance=prior_variance,
@@ -410,15 +414,16 @@ def _cholesky_grid_solve(
     K positive definite means beta > 0; its failing means rounding has
     swamped the solve.
     """
-    lower, jitter = _cholesky_with_jitter(lambda: build_gram(column, v))
     rhs = np.zeros((y.size, 3), order="F")
     rhs[:, 0], rhs[0, 1], rhs[:, 2] = y, 1.0, v
-    a, q, p = cho_solve((lower, True), rhs, check_finite=False).T
+    lower, jitter, solved = _cholesky_solve(column, v, rhs)
+    a, q, p = solved.T
     beta = 1.0 - float(v @ p)
     if not (np.isfinite(beta) and beta > 0.0):
         raise IllConditionedModelError(f"rank-1 update of the Toeplitz part is not positive (beta {beta!r})")
     g = q + (p[0] / beta) * p
-    return _log_mvn(lower, y, a), a, jitter, g, p, beta
+    lml = -0.5 * float(y @ a) - float(np.sum(np.log(np.diag(lower)))) - 0.5 * y.size * _LOG_2PI
+    return lml, a, jitter, g, p, beta
 
 
 def _correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:

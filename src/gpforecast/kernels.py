@@ -26,10 +26,11 @@ made once per array of differences, so an objective evaluation on a
 prepared series computes none of them.  A term reads its values in
 ``TERM_PARAMS`` order and a periodic term its fixed period from the
 :class:`Term` itself.  :class:`HyperParams` checks its values once, when
-made; an entry point that takes one checks only their names.
-:func:`grad_gram` and :func:`lag_column` take theta's values as a plain
-sequence in the spec's order, which an objective evaluation holds
-without making a :class:`HyperParams`.  :func:`grad_gram` writes the
+made; an entry point that takes one checks only their names
+(:meth:`HyperParams.for_spec`).  :func:`grad_gram`, :func:`lag_column`
+and :func:`zero_lag_variance` take theta's values as a plain sequence in
+the spec's order, as checked by their caller; an objective evaluation
+holds them without making a :class:`HyperParams`.  :func:`grad_gram` writes the
 stationary terms' partials into one block: the one pass over the terms.
 Training points form a regular grid (:func:`regular_lags`), and test
 points continue it, so the differences are the grid's lags, and
@@ -362,16 +363,14 @@ def lag_column(spec: KernelSpec, values: Sequence[float], partials: np.ndarray) 
 
 
 @np.errstate(over="ignore")  # huge variances overflow their sum to inf, which fails the check
-def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray) -> np.ndarray:
-    """Per-point prior variance k(x*, x*) of the latent function, without the noise.
+def zero_lag_variance(spec: KernelSpec, values: Sequence[float], x_star: np.ndarray) -> np.ndarray:
+    """Per-point prior variance k(x*, x*) of the latent function, without the noise, from theta's ``values``.
 
     A stationary term's value at zero difference is its variance s2 (each
     is normalized so), so the result sums those in term order, with LIN's
     s2_bias + s2_lin x*^2 in LIN's place; no term is evaluated.  The
     latent variance at a test point never includes the white-noise term.
     """
-    x_star = _as_points(x_star, "x_star")
-    values = theta.for_spec(spec)
     variance = np.zeros(x_star.size)
     for t, at, row in spec._layout:
         if row is None:
@@ -382,11 +381,3 @@ def zero_lag_variance(spec: KernelSpec, theta: HyperParams, x_star: np.ndarray) 
     _check_finite(variance, "zero_lag_variance")
     return variance
 
-
-def _as_points(x: np.ndarray, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array of time points, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite time points")
-    return x

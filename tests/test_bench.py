@@ -339,6 +339,12 @@ class TestEmitReport:
         parsed = parse_machine_report(emit_report(empty, fmt="machine"))
         assert parsed["aggregate"]["median_mae"] is None
 
+    @pytest.mark.parametrize("line", ["[1]", "3", '"x"', "null"])
+    def test_a_line_that_is_not_an_object_is_rejected(self, line):
+        text = emit_report(fixed_report(), fmt="machine")
+        with pytest.raises(ValueError, match="machine report line 2: expected a JSON object"):
+            parse_machine_report("\n".join([text.splitlines()[0], line, *text.splitlines()[1:]]))
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report(fixed_report(), fmt="xml")

@@ -29,12 +29,11 @@ from gpforecast import (
     median_hyperparams,
     parse_frequency,
     predict,
-    zero_lag_variance,
 )
 from gpforecast import forecasting
 from gpforecast.forecasting import DAILY_PERIOD, MIN_SERIES_LENGTH, SIX_HOURLY
 from gpforecast.gp import JITTER_START, prepare_series
-from gpforecast.kernels import regular_lags
+from gpforecast.kernels import regular_lags, zero_lag_variance
 
 
 class TestTimeIndex:
@@ -87,8 +86,9 @@ class TestDefaultSpec:
         assert periods[:2] == pytest.approx([1.0 / 52.18, 1.0 / 365.25])
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            default_spec("triple")
+        for mode in ("triple", "single", "Single-Seasonal"):
+            with pytest.raises(ValueError, match="mode must be"):
+                default_spec(mode)
 
     def test_default_horizons(self):
         assert default_horizon(12.0) == 18
@@ -327,7 +327,7 @@ class TestExactlyPeriodicSixHourly:
 
         def jitter_multiple(u_vec):
             moved = HyperParams.from_log(spec, u_vec)
-            mean_diag = float(np.mean(zero_lag_variance(spec, moved, x) + moved.s2_noise))
+            mean_diag = float(np.mean(zero_lag_variance(spec, moved.values, x) + moved.s2_noise))
             return fit(moved, prepare_series(spec, x, y)).jitter / (JITTER_START * mean_diag)
 
         multiple = jitter_multiple(u)

@@ -19,7 +19,6 @@ from gpforecast import (
     median_hyperparams,
     predict,
     train,
-    zero_lag_variance,
 )
 from gpforecast import gp, kernels
 from gpforecast.gp import JITTER_START, prepare_series
@@ -44,10 +43,12 @@ def dense_jittered_gram(spec, theta, x):
     return gram + JITTER_START * float(np.mean(np.diag(gram))) * np.eye(len(x))
 
 
-def jittered_gram(spec, theta, x):
-    """The pairwise oracle's Gram plus the base jitter: the matrix the implementation factorizes, to rounding."""
+def jittered_gram(spec, theta, x, jitter=None):
+    """The pairwise oracle's Gram plus ``jitter`` (default the base jitter): the matrix factorized, to rounding."""
     gram = oracles.dense_gram(spec, theta, x)
-    return gram + JITTER_START * float(np.mean(np.diag(gram))) * np.eye(len(x))
+    if jitter is None:
+        jitter = JITTER_START * float(np.mean(np.diag(gram)))
+    return gram + jitter * np.eye(len(x))
 
 
 def factorized_gram(spec, theta, x):
@@ -62,12 +63,13 @@ class TestLogMarginalLikelihood:
     def test_zero_observations_under_unit_noise_are_standard_normal(self):
         # unit noise, observations 0: log density of a standard normal at 0, once per point
         series = prepare_series(WN_SPEC, np.array([0.0, 0.5, 1.0]), np.zeros(3))
-        value = fit(HyperParams.of(WN_SPEC, s2_noise=1.0), series).log_marginal
+        value = log_marginal_likelihood_and_grad(HyperParams.of(WN_SPEC, s2_noise=1.0).values, series)[0]
         assert value == pytest.approx(3 * -0.9189385332046727, abs=1e-6)
 
     def test_two_points_identity_covariance(self):
         theta = HyperParams.of(WN_SPEC, s2_noise=1.0)
-        value = fit(theta, prepare_series(WN_SPEC, np.array([0.0, 1.0]), np.array([1.0, -1.0]))).log_marginal
+        series = prepare_series(WN_SPEC, np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+        value = log_marginal_likelihood_and_grad(theta.values, series)[0]
         assert value == pytest.approx(-2.8378770664093453, abs=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -76,7 +78,7 @@ class TestLogMarginalLikelihood:
         x = oracles.random_grid(rng, 5)
         y = rng.standard_normal(5)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
-        value = fit(theta, prepare_series(FULL_SPEC, x, y)).log_marginal
+        value = log_marginal_likelihood_and_grad(theta.values, prepare_series(FULL_SPEC, x, y))[0]
         expected = oracles.dense_log_mvn(jittered_gram(FULL_SPEC, theta, x), y)
         assert value == pytest.approx(expected, abs=1e-8)
 
@@ -135,7 +137,8 @@ class TestRegularGridOnly:
             expected = log_marginal_likelihood_and_grad(theta.values, series)[0]
             for x_star in (None, np.empty(0)):
                 state = fit(theta, series, x_star)
-                assert abs(state.log_marginal - expected) <= 1e-10 * abs(expected)
+                oracle = oracles.dense_log_mvn(jittered_gram(spec, theta, series.x, state.jitter), series.y)
+                assert abs(oracle - expected) <= 1e-10 * abs(expected)
                 assert state.cross.shape == (0, n) and state.prior_variance.shape == (0,)
 
 
@@ -169,7 +172,8 @@ class TestGradient:
         u = np.log(theta.values)
 
         def f(u_vec):
-            return fit(HyperParams.from_log(FULL_SPEC, u_vec), prepare_series(FULL_SPEC, x, y)).log_marginal
+            theta_u = HyperParams.from_log(FULL_SPEC, u_vec)
+            return log_marginal_likelihood_and_grad(theta_u.values, prepare_series(FULL_SPEC, x, y))[0]
 
         fd = oracles.central_difference(f, u, h=1e-5)
         _, analytic = log_marginal_likelihood_and_grad(theta.values, prepare_series(FULL_SPEC, x, y))
@@ -178,13 +182,15 @@ class TestGradient:
 
     def test_value_and_grad_agree_with_separate_calls(self, monkeypatch):
         # on the Cholesky fallback the objective factorizes the Gram fit factorizes
+        # (test_fit_factors_as_the_objectives_fallback checks the factor's bits)
         monkeypatch.setattr(gp, "LEVINSON_MIN_ERROR_RATIO", 2.0)  # every E_k / E_0 is <= 1
         rng = np.random.default_rng(9)
         x = oracles.random_grid(rng, 5)
         y = rng.standard_normal(5)
         series = prepare_series(FULL_SPEC, x, y)
         value, grad = log_marginal_likelihood_and_grad(MEDIANS.values, series)
-        assert value == fit(MEDIANS, prepare_series(FULL_SPEC, x, y)).log_marginal
+        jitter = fit(MEDIANS, prepare_series(FULL_SPEC, x, y)).jitter
+        assert value == pytest.approx(oracles.dense_log_mvn(jittered_gram(FULL_SPEC, MEDIANS, x, jitter), y), abs=1e-8)
         np.testing.assert_array_equal(grad, log_marginal_likelihood_and_grad(MEDIANS.values, series)[1])
 
 
@@ -210,8 +216,7 @@ class TestRegularGrid:
             jitter = JITTER_START * float(np.mean(np.diag(cov)))
             state = fit(theta, prepare_series(spec, x, y))
             assert state.jitter == pytest.approx(jitter, rel=1e-12)
-            expected = oracles.dense_log_mvn(cov + jitter * np.eye(n), y)
-            assert abs(state.log_marginal - expected) <= 1e-8
+            expected = oracles.dense_log_mvn(cov + state.jitter * np.eye(n), y)
             # the objective, on the Levinson path or its Cholesky fallback
             assert abs(log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))[0] - expected) <= 1e-8
 
@@ -387,7 +392,7 @@ class TestRegularGrid:
             assert abs(value - oracles.dense_log_mvn(dense_jittered_gram(spec, theta, x), y)) <= 1e-8
 
             def lml(u_vec, spec=spec, series=series):
-                return fit(HyperParams.from_log(spec, u_vec), series).log_marginal
+                return log_marginal_likelihood_and_grad(HyperParams.from_log(spec, u_vec).values, series)[0]
 
             fd = oracles.central_difference(lml, np.log(theta.values), h=1e-5)
             assert float(np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(fd)))) <= 1e-5
@@ -546,22 +551,48 @@ class TestFitState:
         y = np.sin(x)
         a = fit(MEDIANS, prepare_series(FULL_SPEC, x, y))
         b = fit(MEDIANS, prepare_series(FULL_SPEC, x, y))
-        assert a.log_marginal == b.log_marginal
         np.testing.assert_array_equal(a.chol_lower, b.chol_lower)
         np.testing.assert_array_equal(a.alpha, b.alpha)
 
-    def test_jitter_gives_up_on_an_indefinite_gram(self):
+    def test_jitter_gives_up_on_an_indefinite_gram(self, monkeypatch):
         # no jitter up to JITTER_MAX makes [[1, 2], [2, 1]] (eigenvalues 3 and -1)
         # positive definite; each level factorizes a fresh layout
         builds = []
 
-        def build():
+        def counting(*args, **kwargs):
             builds.append(None)
-            return np.array([[1.0, 2.0], [2.0, 1.0]], order="F")
+            return build_gram(*args, **kwargs)
 
+        monkeypatch.setattr(gp, "build_gram", counting)
         with pytest.raises(IllConditionedModelError, match="not positive definite"):
-            gp._cholesky_with_jitter(build)
+            gp._cholesky_solve(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2))
         assert len(builds) == round(math.log10(gp.JITTER_MAX / JITTER_START)) + 1 == 7
+
+    @pytest.mark.parametrize(
+        ("mode", "steps_per_year", "n"), [("double-seasonal", 1461.0, 224), ("single-seasonal", 12.0, 132)]
+    )
+    def test_fit_factors_as_the_objectives_fallback(self, mode, steps_per_year, n, monkeypatch):
+        # near noiseless the objective falls back to the Cholesky routine; at the
+        # same theta fit's factor and jitter are, bit for bit, the ones it made
+        spec = default_spec(mode)
+        theta = oracles.replace(median_hyperparams(spec, PRIORS), s2_noise=5e-8)
+        x = np.arange(n) / steps_per_year
+        series = prepare_series(spec, x, np.random.default_rng(n).standard_normal(n))
+        made = []
+
+        def recording(*args):
+            lower, jitter, solved = real(*args)
+            made.append((lower, jitter))
+            return lower, jitter, solved
+
+        real = gp._cholesky_solve
+        with monkeypatch.context() as patched:
+            patched.setattr(gp, "_cholesky_solve", recording)
+            log_marginal_likelihood_and_grad(theta.values, series)
+        assert len(made) == 1
+        state = fit(theta, series, np.arange(n, n + 18) / steps_per_year)
+        np.testing.assert_array_equal(state.chol_lower, made[0][0])
+        assert state.jitter == made[0][1]
 
     def test_base_jitter_scale(self):
         x = np.arange(4.0)
@@ -672,7 +703,7 @@ class TestGridFinalStep:
         grid, plain = fit(theta, series, x_star), fit(theta, series)  # plain: no test points
         np.testing.assert_array_equal(grid.chol_lower, plain.chol_lower)
         np.testing.assert_array_equal(grid.alpha, plain.alpha)
-        assert grid.jitter == plain.jitter and grid.log_marginal == plain.log_marginal
+        assert grid.jitter == plain.jitter
         # the summed variances have the bits of a second pass over the terms at a zero difference
         np.testing.assert_array_equal(grid.prior_variance, oracles.two_pass_prior_variance(spec, theta, x_star))
 
@@ -715,4 +746,4 @@ class TestLongHorizons:
         posterior = predict(fit(result.theta, result.series, x_star))
         assert np.all(np.isfinite(posterior.mean))
         assert np.all(posterior.observation_variance > 0.0)
-        assert np.all(posterior.latent_variance <= zero_lag_variance(spec, result.theta, x_star))
+        assert np.all(posterior.latent_variance <= kernels.zero_lag_variance(spec, result.theta.values, x_star))

@@ -18,7 +18,6 @@ from gpforecast import (
     map_objective,
     median_hyperparams,
     prepare_series,
-    zero_lag_variance,
 )
 from scipy.linalg import toeplitz
 
@@ -31,6 +30,7 @@ from gpforecast.kernels import (
     lag_column,
     regular_lags,
     term_parts,
+    zero_lag_variance,
 )
 
 FULL_SPEC = default_spec("single-seasonal")
@@ -127,7 +127,7 @@ class TestZeroLag:
 
     def test_zero_lag_variance_excludes_noise(self):
         x = np.array([0.0, 1.25])
-        sig = zero_lag_variance(FULL_SPEC, MEDIANS, x)
+        sig = zero_lag_variance(FULL_SPEC, MEDIANS.values, x)
         for i, xi in enumerate(x):
             expected = oracles.composition_value(FULL_SPEC, MEDIANS, xi, xi)
             assert sig[i] + MEDIANS.s2_noise == pytest.approx(expected, abs=1e-14)
@@ -468,7 +468,6 @@ def test_from_log_rejects_each_invalid_trainable(bad_u):
 
 
 ENTRY_POINTS = {
-    "zero_lag_variance": lambda theta: zero_lag_variance(DOUBLE_SPEC, theta, GRID),
     "fit": lambda theta: fit(theta, prepare_series(DOUBLE_SPEC, GRID, np.zeros(GRID.size))),
     "map_objective": lambda theta: map_objective(DOUBLE_SPEC, PRIORS, theta, GRID, np.zeros(GRID.size)),
 }
