@@ -32,8 +32,6 @@ from .forecasting import (
     default_horizon,
     default_spec,
     forecast,
-    future_time_index,
-    make_time_index,
     parse_frequency,
     standardized_posterior,
 )

@@ -83,9 +83,6 @@ class CsvLayout:
         if self.test_length is not None and self.test_length < 1:
             raise ValueError(f"test_length must be >= 1, got {self.test_length}")
 
-    def resolved_test_length(self) -> int:
-        return self.test_length if self.test_length is not None else default_horizon(self.steps_per_year)
-
 
 @dataclass(frozen=True)
 class SeriesEntry:
@@ -116,7 +113,7 @@ def load_csv(path, layout: CsvLayout) -> Dataset:
         per_series = _read_long(path)
     else:
         per_series = _read_wide(path)
-    test_length = layout.resolved_test_length()
+    test_length = layout.test_length if layout.test_length is not None else default_horizon(layout.steps_per_year)
     entries = tuple(
         SeriesEntry(
             name=name,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .bench import CsvLayout, _parse_value, _read_rows, emit_report, load_csv, run_benchmark
 from .forecasting import _PERIODIC_TERMS, TimeSeries, default_horizon, forecast, parse_frequency
+from .gp import IllConditionedModelError
 from .priors import default_priors, format_priors, load_priors
 
 
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, IllConditionedModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

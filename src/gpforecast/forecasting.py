@@ -3,9 +3,11 @@
 Steps: standardize against the training data, index time in years (one
 unit per elapsed year, so lengthscales read as years), train the
 hyperparameters, compute the predictive posterior at the next ``horizon``
-steps, and undo the standardization on the way out.  The posterior comes
-from the series ``train`` prepared (``TrainResult.series``): the next
-steps continue its grid, so ``gp.fit`` lays out the Gram, the
+steps, and undo the standardization on the way out.  The n observed steps
+and the next ``horizon`` are one grid, step i at i / steps_per_year:
+``train`` takes its first n points and ``gp.fit`` the rest, so the
+posterior comes from the series ``train`` prepared
+(``TrainResult.series``), and ``gp.fit`` lays out the Gram, the
 cross-covariance and the prior variance from one pass over the terms on
 the n + horizon lags.
 
@@ -35,8 +37,6 @@ __all__ = [
     "Standardizer",
     "Forecast",
     "parse_frequency",
-    "make_time_index",
-    "future_time_index",
     "default_spec",
     "default_horizon",
     "forecast",
@@ -159,17 +159,6 @@ class Forecast:
             raise ValueError("forecast variances must be positive")
 
 
-def make_time_index(ts: TimeSeries) -> np.ndarray:
-    """Year-unit time points for the observed steps: point i at i / steps_per_year."""
-    return np.arange(len(ts), dtype=float) / ts.steps_per_year
-
-
-def future_time_index(ts: TimeSeries, horizon: int) -> np.ndarray:
-    """Year-unit time points for the next ``horizon`` steps after the series."""
-    n = len(ts)
-    return np.arange(n, n + horizon, dtype=float) / ts.steps_per_year
-
-
 def default_spec(mode: str = "single-seasonal") -> KernelSpec:
     """The fixed composition for the seasonality mode, ``"single-seasonal"`` or ``"double-seasonal"``.
 
@@ -226,15 +215,15 @@ def standardized_posterior(
     Used by the benchmark harness, which scores in standardized units.
     ``restarts`` is handed to :func:`train`.
     """
+    n = len(ts)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if len(ts) < MIN_SERIES_LENGTH:
-        raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {len(ts)}")
+    if n < MIN_SERIES_LENGTH:
+        raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {n}")
     spec = default_spec(mode)
     standardizer = Standardizer.fit(ts.values)
     z = standardizer.transform(ts.values)
-    x = make_time_index(ts)
-    x_star = future_time_index(ts, horizon)
-    result = train(spec, priors, x, z, restarts)
-    posterior = predict(fit(result.theta, result.series, x_star))
+    grid = np.arange(n + horizon, dtype=float) / ts.steps_per_year
+    result = train(spec, priors, grid[:n], z, restarts)
+    posterior = predict(fit(result.theta, result.series, grid[n:]))
     return posterior, standardizer, result

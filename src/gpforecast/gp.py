@@ -24,8 +24,9 @@ giving up with :class:`IllConditionedModelError`.
 Training takes a regular grid only, x_i = x_0 + i h with h > 0 and
 n >= 2, the only input a forecast makes: :func:`prepare_series` raises
 ValueError for any other x, and does once what does not depend on the
-hyperparameters: it checks x and y and makes the lags' arrays, mean(x^2),
-the stationary-trainable mask and where LIN's and WN's values stand.
+hyperparameters: it checks x and y and makes the lags' arrays and
+mean(x^2).  The spec lays out where LIN's and WN's values stand and which
+trainables are stationary (``KernelSpec.lin``, ``.noise`` and ``.stationary``).
 Each evaluation takes theta's values as a plain sequence in the spec's
 order (a trainer's exp(u), checked once) and makes one :func:`grad_gram`
 call on the prepared lags, which gives every stationary partial and,
@@ -81,7 +82,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py guards its convention
 
-from .kernels import TERM_PARAMS, Differences, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
+from .kernels import Differences, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
 from .kernels import lag_column, regular_lags, zero_lag_variance
 
 __all__ = [
@@ -151,8 +152,6 @@ class PreparedSeries(NamedTuple):
     ``x`` is a regular grid (:func:`regular_lags`) and ``diffs`` its n lags
     x_i - x_0, the differences the stationary terms are evaluated on.
     ``index`` is m = 0 .. n-1 and ``lengths`` n - m, the subdiagonals' lengths.
-    ``lin`` is where LIN's s2_bias and s2_lin stand in theta's values and
-    ``noise`` where WN's s2_noise does (None without the term).
     """
 
     spec: KernelSpec
@@ -160,11 +159,8 @@ class PreparedSeries(NamedTuple):
     y: np.ndarray
     diffs: Differences
     mean_xx: float
-    stationary: np.ndarray
     index: np.ndarray
     lengths: np.ndarray
-    lin: slice | None
-    noise: int | None
 
 
 def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSeries:
@@ -174,7 +170,6 @@ def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSe
     (:func:`regular_lags`); any other x raises ValueError.
     """
     x, y = _as_data(x, y)
-    wn = spec.values_at("WN")
     lags = regular_lags(x)
     if lags is None:
         raise ValueError(f"x must be a regular grid x_i = x_0 + i h with h > 0 and n >= 2 (got n = {x.size})")
@@ -184,11 +179,8 @@ def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSe
         y=y,
         diffs=Differences.of(spec, lags),
         mean_xx=float(np.mean(x * x)),
-        stationary=np.array([name not in TERM_PARAMS["LIN"] for name in spec.trainable_names()]),
         index=np.arange(x.size, dtype=float),
         lengths=np.arange(x.size, 0, -1, dtype=float),
-        lin=spec.values_at("LIN"),
-        noise=None if wn is None else wn.start,
     )
 
 
@@ -253,7 +245,7 @@ def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = 
     ValueError.  One pass over the n + h lags gives the Gram's column and
     the cross-covariance (see the module docstring).
     """
-    spec, x, y, lin = series.spec, series.x, series.y, series.lin
+    spec, x, y, lin = series.spec, series.x, series.y, series.spec.lin
     values = theta.for_spec(spec)
     x_star = np.empty(0) if x_star is None else _as_points(x_star, "x_star")
     lags = regular_lags(np.concatenate((x, x_star)))  # the test points' lags continue the training lags' bits
@@ -272,7 +264,7 @@ def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = 
         jitter=jitter,
         cross=cross,
         prior_variance=prior_variance,
-        noise=values[series.noise] if series.noise is not None else 0.0,
+        noise=values[spec.noise] if spec.noise is not None else 0.0,
     )
 
 
@@ -294,18 +286,18 @@ def log_marginal_likelihood_and_grad(values: Sequence[float], series: PreparedSe
     hyperparameters is included: the result is the exact gradient of the
     value actually computed.
     """
-    spec, x, y, lin = series.spec, series.x, series.y, series.lin
+    spec, x, y, lin = series.spec, series.x, series.y, series.spec.lin
     bias, slope = values[lin] if lin is not None else (0.0, 0.0)
     v = math.sqrt(slope) * x  # LIN's slope vector, zero without LIN
     partials = grad_gram(spec, values, series.diffs)  # the one pass over the terms, values included
     column = lag_column(spec, values, partials)
-    noise = values[series.noise] if series.noise is not None else 0.0
+    noise = values[spec.noise] if spec.noise is not None else 0.0
     lml, a, jitter, g, p, beta = _levinson_solve(column, v, y, noise) or _cholesky_grid_solve(column, v, y)
     inv_sums = _toeplitz_plus_rank1_inverse_sums(g, p, beta, series.index, series.lengths)
     # W's diagonal sums: a's autocorrelation minus K^-1's, off-diagonals counted twice
     s = 2.0 * (_correlation(a, a) - inv_sums)
     s[0] *= 0.5
-    stationary = series.stationary
+    stationary = spec.stationary
     traces = np.empty(stationary.size)  # tr(W dK/du_k)
     zero_lag = np.empty(stationary.size)  # mean diagonal of dK/du_k
     traces[stationary], zero_lag[stationary] = partials @ s, partials[:, 0]

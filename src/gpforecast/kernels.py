@@ -125,6 +125,10 @@ class KernelSpec:
     include a WN term (the regression noise lives inside the kernel);
     the training layer enforces that, while the covariance algebra here
     accepts any non-empty term set.
+
+    Made, it lays out theta's values once: ``lin`` is LIN's slice and
+    ``noise`` WN's index (None without the term), and ``stationary`` the
+    read-only mask of the trainables that are not LIN's.
     """
 
     terms: tuple[Term, ...]
@@ -145,10 +149,12 @@ class KernelSpec:
             start, row = start + size, row + (t.kind != "LIN") * size
         object.__setattr__(self, "_layout", tuple(layout))
         object.__setattr__(self, "_rows", row)
-
-    def values_at(self, kind: str) -> slice | None:
-        """Where the trainables of the term ``kind`` stand in theta's values, None if the spec lacks it."""
-        return next((at for t, at, _ in self._layout if t.kind == kind), None)
+        where = {t.kind: at for t, at, _ in layout}
+        object.__setattr__(self, "lin", where.get("LIN"))
+        object.__setattr__(self, "noise", where["WN"].start if "WN" in where else None)
+        stationary = np.array([name not in TERM_PARAMS["LIN"] for name in self._names])
+        stationary.flags.writeable = False  # a spec may be shared across series and threads
+        object.__setattr__(self, "stationary", stationary)
 
     def trainable_names(self) -> tuple[str, ...]:
         """Ordered names of the trainable hyperparameters.
@@ -184,7 +190,11 @@ class HyperParams:
     @classmethod
     def of(cls, spec: KernelSpec, **named: float) -> "HyperParams":
         """The spec's trainables, each given by name."""
-        return _by_name(spec.trainable_names(), named)
+        names = spec.trainable_names()
+        unknown = sorted(set(named) - set(names))
+        if unknown:
+            raise InvalidHyperparameterError(f"{unknown} are not among the trainables {names}")
+        return cls(names, tuple(named.get(name) for name in names))
 
     @classmethod
     def from_log(cls, spec: KernelSpec, u: np.ndarray) -> "HyperParams":
@@ -204,13 +214,6 @@ class HyperParams:
         if name in names:
             return self.values[names.index(name)]
         raise AttributeError(f"HyperParams has no trainable {name!r}")
-
-
-def _by_name(names: tuple[str, ...], named: dict[str, float]) -> HyperParams:
-    unknown = sorted(set(named) - set(names))
-    if unknown:
-        raise InvalidHyperparameterError(f"{unknown} are not among the trainables {names}")
-    return HyperParams(names, tuple(named.get(name) for name in names))
 
 
 # a NamedTuple, not a frozen dataclass: a fresh import defines it ten times faster

@@ -360,7 +360,9 @@ def train(
     ``termination`` are the optimizer status and message of the restart
     that produced the returned point; if its iteration budget ran out, or
     its final iteration met a failed evaluation, that point is still returned,
-    flagged via ``converged=False``.
+    flagged via ``converged=False``.  If no evaluated point factorized,
+    ``theta`` is the prior medians (with a warning), ``objective`` -inf and
+    ``converged=False``.
     """
     if not (isinstance(restarts, numbers.Integral) and restarts >= 1):  # rejects 2.5, NaN, "2"
         raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
@@ -369,7 +371,7 @@ def train(
     series = prepare_series(spec, x, y)
     if series.x.size < MIN_TRAIN_POINTS:
         raise ValueError(f"need at least {MIN_TRAIN_POINTS} observations to train, got {series.x.size}")
-    if spec.values_at("WN") is None:
+    if spec.noise is None:
         raise ValueError("the trained model must include a WN term for the observation noise")
     priors = priors if priors is not None else default_priors()
     objective = MapObjective(series, priors.columns(spec))
@@ -387,7 +389,7 @@ def train(
     # s2_noise starts at the noise level of the bins above 0.4 cycles per step
     # (the last bin alone at n = 5), within _NOISE_START_SDS sqrt(lam) of its
     # nu; their median by sorted, as np.median's first call pages in 0.5 MB more
-    k = names.index("s2_noise")
+    k = spec.noise
     band = sorted((amplitude[min(2 * n // 5 + 1, n // 2) :] ** 2).tolist())
     level = (band[(len(band) - 1) // 2] + band[len(band) // 2]) / 2.0 / (n * math.log(2.0))
     if level > 0.0 and abs(math.log(level) - nu[k]) <= _NOISE_START_SDS * math.sqrt(lam[k]):
@@ -408,8 +410,9 @@ def train(
 
     seconds = time.perf_counter() - start
     if objective.best_u is None:
-        # every evaluated point failed to factorize: fall back to the start; the
-        # loop above left best_value at inf and converged False
+        # every evaluated point failed to factorize: fall back to the prior medians,
+        # not the start, whose tau_sm1 and s2_noise may come from the periodogram;
+        # the loop above left best_value at inf and converged False
         warnings.warn("training failed to evaluate the objective anywhere; returning prior medians")
         theta = median_hyperparams(spec, priors)
     else:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from gpforecast import load_priors
+from gpforecast import IllConditionedModelError, forecasting, load_priors
 from gpforecast.cli import main
 
 
@@ -79,6 +79,17 @@ class TestForecastCommand:
         code = main(["forecast", "nope.csv", "--freq", "monthly"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["train", "fit", "predict"])
+    def test_numerical_failure_is_an_error_not_a_traceback(self, monthly_series_csv, capsys, monkeypatch, stage):
+        def failing(*args, **kwargs):
+            raise IllConditionedModelError(f"{stage} could not factorize")
+
+        monkeypatch.setattr(forecasting, stage, failing)
+        assert main(["forecast", str(monthly_series_csv), "--freq", "monthly", "--horizon", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {stage} could not factorize\n"
 
     def test_nonconvergence_warning_names_the_termination(self, monthly_series_csv, capsys, nonconverging_training):
         with pytest.warns(UserWarning, match=re.escape(nonconverging_training)):

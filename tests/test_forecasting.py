@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +24,6 @@ from gpforecast import (
     default_spec,
     fit,
     forecast,
-    future_time_index,
-    make_time_index,
     map_objective,
     median_hyperparams,
     parse_frequency,
@@ -36,26 +35,50 @@ from gpforecast.gp import JITTER_START, prepare_series
 from gpforecast.kernels import regular_lags, zero_lag_variance
 
 
+def handed_grid(monkeypatch, n: int, steps_per_year: float, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The time points standardized_posterior hands to train and to fit, with both stubbed out."""
+    handed = {}
+
+    def fake_train(spec, priors, x, y, restarts):
+        handed["x"] = np.array(x)
+        return SimpleNamespace(theta=None, series=None)
+
+    def fake_fit(theta, series, x_star):
+        handed["x_star"] = np.array(x_star)
+
+    monkeypatch.setattr(forecasting, "train", fake_train)
+    monkeypatch.setattr(forecasting, "fit", fake_fit)
+    monkeypatch.setattr(forecasting, "predict", lambda state: None)
+    forecasting.standardized_posterior(TimeSeries(values=np.sin(np.arange(n)), steps_per_year=steps_per_year), horizon)
+    return handed["x"], handed["x_star"]
+
+
 class TestTimeIndex:
-    def test_monthly_one_year_is_exact(self):
-        ts = TimeSeries(values=np.zeros(14), steps_per_year=12.0)
-        index = make_time_index(ts)
-        assert index[12] == 1.0
-        assert index[0] == 0.0
+    def test_monthly_one_year_is_exact(self, monkeypatch):
+        x, _ = handed_grid(monkeypatch, 14, 12.0, 3)
+        assert x[12] == 1.0
+        assert x[0] == 0.0
 
-    def test_quarterly_half_year(self):
-        ts = TimeSeries(values=np.zeros(4), steps_per_year=4.0)
-        assert make_time_index(ts)[2] == 0.5
+    def test_quarterly_half_year(self, monkeypatch):
+        x, _ = handed_grid(monkeypatch, 8, 4.0, 3)
+        assert x[2] == 0.5
 
-    def test_six_hourly_full_year(self):
+    def test_six_hourly_full_year(self, monkeypatch):
         # 4 steps/day * 365.25 days/year = 1461 steps/year
-        ts = TimeSeries(values=np.zeros(1462), steps_per_year=1461.0)
-        assert make_time_index(ts)[1461] == 1.0
+        x, _ = handed_grid(monkeypatch, 1462, 1461.0, 3)
+        assert x[1461] == 1.0
 
-    def test_future_index_continues_the_grid(self):
-        ts = TimeSeries(values=np.zeros(10), steps_per_year=12.0)
-        future = future_time_index(ts, 3)
-        np.testing.assert_array_equal(future, np.array([10.0, 11.0, 12.0]) / 12.0)
+    def test_future_index_continues_the_grid(self, monkeypatch):
+        x, x_star = handed_grid(monkeypatch, 10, 12.0, 3)
+        assert x.size == 10
+        np.testing.assert_array_equal(x_star, np.array([10.0, 11.0, 12.0]) / 12.0)
+
+    @pytest.mark.parametrize("steps_per_year", [12.0, 4.0, 1461.0, 52.18, 365.25, 7.3])
+    @pytest.mark.parametrize("n, horizon", [(8, 1), (48, 18), (131, 6), (597, 42)])
+    def test_train_and_fit_split_one_grid(self, monkeypatch, steps_per_year, n, horizon):
+        x, x_star = handed_grid(monkeypatch, n, steps_per_year, horizon)
+        grid = np.arange(n + horizon) / steps_per_year
+        assert np.concatenate((x, x_star)).tobytes() == grid.tobytes()
 
     def test_bad_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -205,8 +228,9 @@ class TestForecast:
         b = shift * abs(a)
         ts = TimeSeries(values=a * base + b, steps_per_year=steps_per_year)
         standardizer = Standardizer.fit(ts.values)
-        series = prepare_series(default_spec(mode), make_time_index(ts), standardizer.transform(ts.values))
-        posterior = predict(fit(result.theta, series, future_time_index(ts, 6)))
+        grid = np.arange(n + 6) / steps_per_year
+        series = prepare_series(default_spec(mode), grid[:n], standardizer.transform(ts.values))
+        posterior = predict(fit(result.theta, series, grid[n:]))
         mean = standardizer.inverse(posterior.mean)
         variance = standardizer.inverse_variance(posterior.observation_variance)
         assert np.max(np.abs(mean - (a * fc.mean + b)) / np.sqrt(a * a * fc.variance)) <= 1e-6
@@ -319,7 +343,7 @@ class TestExactlyPeriodicSixHourly:
             )
         )
         priors = default_priors()
-        x = make_time_index(self.series(n))
+        x = np.arange(n) / SIX_HOURLY
         assert regular_lags(x) is not None
         theta = oracles.replace(median_hyperparams(spec, priors), s2_per2=1e-2, s2_noise=1e-12)
         y = fit(theta, prepare_series(spec, x, np.zeros(n))).chol_lower @ np.random.default_rng(0).standard_normal(n)

@@ -51,7 +51,7 @@ def lag_column_of(spec, theta, x):
 
 def grid_gram(spec, theta, x):
     """The Gram of the regular grid x as gp.fit lays it out, before the jitter."""
-    slope = theta.s2_lin if spec.values_at("LIN") is not None else 0.0
+    slope = theta.s2_lin if spec.lin is not None else 0.0
     return build_gram(lag_column_of(spec, theta, x), math.sqrt(slope) * x)
 
 
@@ -211,7 +211,7 @@ class TestBuildCross:
         grid = 3.5 + np.arange(30) / 12.0
         x, x_star = grid[:24], grid[24:]
         column = lag_column_of(spec, theta, grid)
-        cross = build_cross(column, theta.s2_lin if spec.values_at("LIN") is not None else 0.0, x_star, x)
+        cross = build_cross(column, theta.s2_lin if spec.lin is not None else 0.0, x_star, x)
         joint = grid_gram(spec, theta, grid) - theta.s2_noise * np.eye(grid.size)
         np.testing.assert_allclose(cross, joint[24:, :24], rtol=1e-14, atol=0.0)
 
@@ -422,6 +422,34 @@ class TestSpecAndHyperparams:
             MEDIANS.s2_per2  # not a trainable of the single-seasonal spec
         with pytest.raises(InvalidHyperparameterError, match="s2_per2"):
             HyperParams.of(FULL_SPEC, s2_per2=1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FULL_SPEC,
+            default_spec("double-seasonal"),
+            KernelSpec(terms=(Term("LIN"), Term("PER", period=1.0), Term("RBF"), Term("WN"))),
+            KernelSpec(terms=(Term("PER", period=1.0), Term("RBF"), Term("SM1"), Term("WN"))),
+            KernelSpec(terms=(Term("PER", period=1.0), Term("LIN"), Term("RBF"))),
+            KernelSpec(terms=(Term("WN"),)),
+        ],
+        ids=["single-seasonal", "double-seasonal", "lin-first", "without-lin", "without-wn", "wn-only"],
+    )
+    def test_layout_agrees_with_the_trainable_names(self, spec):
+        names = spec.trainable_names()
+        if "s2_bias" in names:
+            assert names[spec.lin] == TERM_PARAMS["LIN"]
+        else:
+            assert spec.lin is None
+        if "s2_noise" in names:
+            assert names[spec.noise] == "s2_noise"
+        else:
+            assert spec.noise is None
+        assert spec.stationary.dtype == bool
+        assert spec.stationary.tolist() == [name not in TERM_PARAMS["LIN"] for name in names]
+        assert not spec.stationary.flags.writeable
+        with pytest.raises(ValueError):
+            spec.stationary[0] = not spec.stationary[0]
 
 
 DOUBLE_SPEC = default_spec("double-seasonal")  # every term kind, PER2 included
