@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -216,10 +217,11 @@ def seasonal_naive(ts: TimeSeries, horizon: int) -> Forecast:
 
     The per-step variance is the mean squared one-season-back residual on
     the training data (floored at 1e-12 so exactly periodic input still
-    yields a valid distribution).
+    yields a valid distribution).  ``horizon`` is an integer >= 1; anything
+    else raises ValueError.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not (isinstance(horizon, numbers.Integral) and horizon >= 1):  # rejects 2.5, "3"
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     season = int(round(ts.steps_per_year))
     if season < 1:
         raise ValueError(f"season length must be >= 1, got {season}")

@@ -3,13 +3,12 @@
 Steps: standardize against the training data, index time in years (one
 unit per elapsed year, so lengthscales read as years), train the
 hyperparameters, compute the predictive posterior at the next ``horizon``
-steps, and undo the standardization on the way out.  The n observed steps
-and the next ``horizon`` are one grid, step i at i / steps_per_year:
-``train`` takes its first n points and ``gp.fit`` the rest, so the
-posterior comes from the series ``train`` prepared
-(``TrainResult.series``), and ``gp.fit`` lays out the Gram, the
-cross-covariance and the prior variance from one pass over the terms on
-the n + horizon lags.
+steps, and undo the standardization on the way out.  The series carries
+its grid, step i at i / steps_per_year (``gp.TimeSeries``): ``train``
+prepares the n observed steps' grid, and ``gp.fit`` extends the series
+it prepared (``TrainResult.series``) by the next ``horizon`` steps and
+lays out the Gram, the cross-covariance and the prior variance from one
+pass over the terms on the n + horizon lags.
 
 Frequencies are expressed as steps per year: 12 for monthly, 4 for
 quarterly, 1461 for 6-hour sampling (4 * 365.25).  Any positive real
@@ -18,12 +17,13 @@ value works.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import PredictiveDistribution, fit, predict
+from .gp import PredictiveDistribution, TimeSeries, fit, predict
 from .kernels import KernelSpec, Term
 from .priors import PriorSpec
 from .training import TrainResult, train
@@ -83,30 +83,6 @@ def parse_frequency(text: str) -> float:
     if not np.isfinite(value) or value <= 0:
         raise ValueError(f"steps per year must be finite and > 0, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """An ordered univariate series with a sampling frequency.
-
-    ``steps_per_year`` converts step indices to year units.
-    """
-
-    values: np.ndarray
-    steps_per_year: float
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError(f"series values must be 1-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("series contains non-finite values")
-        if not np.isfinite(self.steps_per_year) or self.steps_per_year <= 0:
-            raise ValueError(f"steps_per_year must be finite and > 0, got {self.steps_per_year!r}")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -213,17 +189,17 @@ def standardized_posterior(
     """Same pipeline as :func:`forecast` but stopping in standardized space.
 
     Used by the benchmark harness, which scores in standardized units.
-    ``restarts`` is handed to :func:`train`.
+    ``horizon`` is an integer >= 1; anything else raises ValueError before
+    any work.  ``restarts`` is handed to :func:`train`.
     """
+    if not (isinstance(horizon, numbers.Integral) and horizon >= 1):  # rejects 2.5, "3"
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     n = len(ts)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if n < MIN_SERIES_LENGTH:
         raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {n}")
     spec = default_spec(mode)
     standardizer = Standardizer.fit(ts.values)
     z = standardizer.transform(ts.values)
-    grid = np.arange(n + horizon, dtype=float) / ts.steps_per_year
-    result = train(spec, priors, grid[:n], z, restarts)
-    posterior = predict(fit(result.theta, result.series, grid[n:]))
+    result = train(spec, priors, TimeSeries(z, ts.steps_per_year), restarts)
+    posterior = predict(fit(result.theta, result.series, horizon))
     return posterior, standardizer, result

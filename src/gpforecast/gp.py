@@ -7,8 +7,7 @@ term lives inside the kernel).  Both entry points take the series from
 trained hyperparameters, and :func:`log_marginal_likelihood_and_grad`
 gives the log marginal likelihood and its gradient with respect to the
 log-space hyperparameters.  :func:`predict` gives the exact
-predictive posterior at the test points :func:`fit` was given, which
-continue the series' grid:
+predictive posterior at the next steps :func:`fit` was asked for:
 
     mean(X*)       = K(X*, X) K(X, X)^-1 y
     latent var(x*) = k(x*, x*) - k(x*, X) K(X, X)^-1 k(X, x*)
@@ -21,16 +20,17 @@ definiteness, so factorization uses an adaptive diagonal jitter: starting
 at 1e-8 times the mean diagonal and escalating tenfold up to 1e-2 before
 giving up with :class:`IllConditionedModelError`.
 
-Training takes a regular grid only, x_i = x_0 + i h with h > 0 and
-n >= 2, the only input a forecast makes: :func:`prepare_series` raises
-ValueError for any other x, and does once what does not depend on the
-hyperparameters: it checks x and y and makes the lags' arrays and
-mean(x^2).  The spec lays out where LIN's and WN's values stand and which
-trainables are stationary (``KernelSpec.lin``, ``.noise`` and ``.stationary``).
-Each evaluation takes theta's values as a plain sequence in the spec's
-order (a trainer's exp(u), checked once) and makes one :func:`grad_gram`
-call on the prepared lags, which gives every stationary partial and,
-summed by :func:`lag_column`, the covariance at each lag.
+A :class:`TimeSeries` carries its grid, step i at x_i = i / steps_per_year
+in years, so no other time points can be written down.
+:func:`prepare_series` lays it out (n >= 2) and does once what does not
+depend on the hyperparameters: the lags (x itself, as x_0 = 0), their
+arrays and mean(x^2).  The spec lays out where LIN's and WN's values stand
+and which trainables are stationary (``KernelSpec.lin``, ``.noise`` and
+``.stationary``).  Each evaluation takes theta's values as a plain
+sequence in the spec's order (a trainer's exp(u), checked once) and makes
+one :func:`grad_gram` call on the prepared lags, which gives every
+stationary partial and, summed by :func:`lag_column`, the covariance at
+each lag.
 
 K is a symmetric Toeplitz matrix T (with the jitter) plus LIN's rank-1
 slope v v^T, and the objective (:func:`log_marginal_likelihood_and_grad`)
@@ -48,11 +48,10 @@ on T's leading lags, and a block that fails the bound skips the full
 run.  :func:`fit` factorizes and solves through the same routine,
 :func:`_cholesky_solve`.
 
-:func:`fit` takes the trained theta, the prepared series and the test
-points of a forecast: the next h steps of the series' grid, so that x and
-x* together are one regular grid (any other test points raise
-ValueError).  One :func:`grad_gram` pass over the n + h lags gives the
-Gram's column (bit for bit the objective's) and the cross-covariance
+:func:`fit` takes the trained theta, the prepared series and a horizon
+h: x* is the next h steps of the series' grid, so x and x* together are
+the grid of n + h steps.  One :func:`grad_gram` pass over its lags gives
+the Gram's column (bit for bit the objective's) and the cross-covariance
 (``kernels.build_cross``: Toeplitz on lags 1 .. n+h-1, plus LIN's
 slope), and is the only pass over the terms the final step makes:
 ``kernels.zero_lag_variance`` sums the terms' variances for the prior
@@ -74,6 +73,7 @@ quadratic forms in W.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,10 +83,11 @@ from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py guards its convention
 
 from .kernels import Differences, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
-from .kernels import lag_column, regular_lags, zero_lag_variance
+from .kernels import lag_column, zero_lag_variance
 
 __all__ = [
     "IllConditionedModelError",
+    "TimeSeries",
     "FitState",
     "PredictiveDistribution",
     "PreparedSeries",
@@ -104,6 +105,9 @@ JITTER_MAX = 1e-2
 # long-double oracle in tests/test_gp.py).
 LEVINSON_MIN_ERROR_RATIO = 1e-4
 # Lags of the leading block a near-noiseless evaluation first runs Levinson on.
+# On the six-hourly seed-1 perfbench design at one BLAS thread 108 of its 110
+# runs reject early, sparing about 19 ms of full runs for 6.6 ms in a 0.45 s
+# pass (medians of 5); the outputs are identical without it.
 _LEVINSON_BLOCK = 64
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -114,12 +118,36 @@ class IllConditionedModelError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class TimeSeries:
+    """An ordered univariate series with a sampling frequency.
+
+    Step i lies at i / ``steps_per_year``, in years.
+    """
+
+    values: np.ndarray
+    steps_per_year: float
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"series values must be 1-D, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("series contains non-finite values")
+        if not np.isfinite(self.steps_per_year) or self.steps_per_year <= 0:
+            raise ValueError(f"steps_per_year must be finite and > 0, got {self.steps_per_year!r}")
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return self.values.size
+
+
+@dataclass(frozen=True)
 class FitState:
     """Cached factorization of one (theta, series) instance and the test points' covariances.
 
     ``cross`` is k(X*, X) and ``prior_variance`` k(x*, x*) without the
-    noise, at the test points :func:`fit` was given, the continuation of
-    the series' grid (none: shapes (0, n) and (0,)); ``noise`` is the WN
+    noise, at the next h steps of the series' grid, h the horizon
+    :func:`fit` was given (0: shapes (0, n) and (0,)); ``noise`` is the WN
     variance (0 without WN).  Immutable; concurrent :func:`predict` calls
     on one state are safe.
     """
@@ -149,38 +177,39 @@ class PredictiveDistribution:
 class PreparedSeries(NamedTuple):
     """Everything an objective evaluation on one series under one spec needs that does not depend on theta.
 
-    ``x`` is a regular grid (:func:`regular_lags`) and ``diffs`` its n lags
-    x_i - x_0, the differences the stationary terms are evaluated on.
+    ``x`` is the series' grid i / ``steps_per_year`` and ``diffs`` its n lags
+    x_i - x_0 = x_i, the differences the stationary terms are evaluated on.
     ``index`` is m = 0 .. n-1 and ``lengths`` n - m, the subdiagonals' lengths.
     """
 
     spec: KernelSpec
     x: np.ndarray
     y: np.ndarray
+    steps_per_year: float
     diffs: Differences
     mean_xx: float
     index: np.ndarray
     lengths: np.ndarray
 
 
-def prepare_series(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> PreparedSeries:
-    """Check ``x`` and ``y`` and compute every theta-free array of the objective, once.
+def prepare_series(spec: KernelSpec, ts: TimeSeries) -> PreparedSeries:
+    """Lay out the grid of ``ts`` and compute every theta-free array of the objective, once.
 
-    ``x`` must be a regular grid x_i = x_0 + i h with h > 0 and n >= 2
-    (:func:`regular_lags`); any other x raises ValueError.
+    The series needs n >= 2 steps; a shorter one raises ValueError.
     """
-    x, y = _as_data(x, y)
-    lags = regular_lags(x)
-    if lags is None:
-        raise ValueError(f"x must be a regular grid x_i = x_0 + i h with h > 0 and n >= 2 (got n = {x.size})")
+    n = len(ts)
+    if n < 2:
+        raise ValueError(f"the series needs at least 2 steps, got {n}")
+    x = np.arange(n, dtype=float) / ts.steps_per_year
     return PreparedSeries(
         spec=spec,
         x=x,
-        y=y,
-        diffs=Differences.of(spec, lags),
+        y=ts.values,
+        steps_per_year=float(ts.steps_per_year),
+        diffs=Differences.of(spec, x),
         mean_xx=float(np.mean(x * x)),
-        index=np.arange(x.size, dtype=float),
-        lengths=np.arange(x.size, 0, -1, dtype=float),
+        index=np.arange(n, dtype=float),
+        lengths=np.arange(n, 0, -1, dtype=float),
     )
 
 
@@ -214,47 +243,25 @@ def _cholesky_solve(column: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> tuple
     return lower, jitter, cho_solve((lower, True), rhs, check_finite=False)
 
 
-def _as_data(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = _as_points(x, "x")
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or x.size != y.size:
-        raise ValueError(f"x and y must be 1-D and equally long, got {x.shape} and {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y contains non-finite values")
-    return x, y
-
-
-def _as_points(x: np.ndarray, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array of time points, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite time points")
-    return x
-
-
-def fit(theta: HyperParams, series: PreparedSeries, x_star: np.ndarray | None = None) -> FitState:
-    """Factorize the training covariance and lay out the covariances prediction at ``x_star`` needs.
+def fit(theta: HyperParams, series: PreparedSeries, horizon: int = 0) -> FitState:
+    """Factorize the training covariance and lay out the covariances of the next ``horizon`` steps.
 
     ``series`` comes from :func:`prepare_series` (``TrainResult.series``
     after training); the factor and jitter are, bit for bit, those the
-    objective's Cholesky fallback makes at the same theta.  ``x_star``
-    (None or empty for no test points) must continue the series' grid:
-    x and x* together must be one regular grid (:func:`regular_lags`), as
-    the next steps of a forecast are; any other test points raise
-    ValueError.  One pass over the n + h lags gives the Gram's column and
-    the cross-covariance (see the module docstring).
+    objective's Cholesky fallback makes at the same theta.  ``horizon`` is
+    an integer >= 0 (0 for no test points); anything else raises
+    ValueError.  The test points x* are steps n .. n+h-1 of the series'
+    grid, and one pass over the grid of n + h steps, whose first n points
+    are x bit for bit, gives the Gram's column and the cross-covariance
+    (see the module docstring).
     """
+    if not (isinstance(horizon, numbers.Integral) and horizon >= 0):  # rejects -1, 2.5, "3"
+        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
     spec, x, y, lin = series.spec, series.x, series.y, series.spec.lin
     values = theta.for_spec(spec)
-    x_star = np.empty(0) if x_star is None else _as_points(x_star, "x_star")
-    lags = regular_lags(np.concatenate((x, x_star)))  # the test points' lags continue the training lags' bits
-    if lags is None:
-        raise ValueError(
-            "x_star must continue the series' regular grid: x and x_star together must be"
-            f" x_i = x_0 + i h, i = 0 .. n+m-1 (n = {x.size}, m = {x_star.size})"
-        )
-    column = lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, lags)))
+    grid = np.arange(x.size + horizon, dtype=float) / series.steps_per_year  # its lags, as x_0 = 0
+    x_star = grid[x.size :]
+    column = lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, grid)))
     slope = values[lin][1] if lin is not None else 0.0
     cross, prior_variance = build_cross(column, slope, x_star, x), zero_lag_variance(spec, values, x_star)
     lower, jitter, alpha = _cholesky_solve(column[: x.size], math.sqrt(slope) * x, y)
@@ -453,7 +460,7 @@ def _toeplitz_plus_rank1_inverse_sums(
 
 
 def predict(state: FitState) -> PredictiveDistribution:
-    """Posterior mean and per-point variance at the test points :func:`fit` was given.
+    """Posterior mean and per-point variance at the next steps :func:`fit` laid out.
 
     Those continue the series' grid, so none coincides with a training
     point: the latent variance is k(x*, x*) - k(x*, X) K^-1 k(X, x*), and

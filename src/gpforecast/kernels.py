@@ -32,9 +32,10 @@ and :func:`zero_lag_variance` take theta's values as a plain sequence in
 the spec's order, as checked by their caller; an objective evaluation
 holds them without making a :class:`HyperParams`.  :func:`grad_gram` writes the
 stationary terms' partials into one block: the one pass over the terms.
-Training points form a regular grid (:func:`regular_lags`), and test
-points continue it, so the differences are the grid's lags, and
-:func:`lag_column` sums the covariance at each lag from those rows.
+Training points are a series' grid x_i = i / steps_per_year
+(``gp.prepare_series``) and test points continue it, so the differences
+are the grid's lags, and :func:`lag_column` sums the covariance at each
+lag from those rows.
 Every Gram is :func:`build_gram` of one lag column, a Toeplitz matrix
 plus LIN's slope as a rank-1 update in place, and the cross-covariance
 is :func:`build_cross` of the continued grid's column.  The test points'
@@ -65,7 +66,6 @@ __all__ = [
     "Differences",
     "term_parts",
     "grad_gram",
-    "regular_lags",
     "lag_column",
     "build_gram",
     "build_cross",
@@ -290,24 +290,6 @@ def grad_gram(spec: KernelSpec, values: Sequence[float], d: Differences) -> np.n
                 out[k] = g
     _check_finite(out, "grad_gram")
     return out
-
-
-def regular_lags(x: np.ndarray) -> np.ndarray | None:
-    """The lags ``x - x[0]`` if x is a regular grid x_i = x_0 + i h with h > 0, else None.
-
-    The grid test allows a few ulps of the grid's extent, the rounding that
-    ``arange(n) / steps_per_year`` leaves, and needs n >= 2.
-    """
-    n = x.size
-    if n < 2:
-        return None
-    lags = x - x[0]
-    h = lags[-1] / (n - 1)
-    tol = 8.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
-    # h > 2 tol keeps the points strictly increasing, so no two coincide
-    if not h > 2.0 * tol or np.max(np.abs(lags - h * np.arange(n))) > tol:
-        return None
-    return lags
 
 
 def _check_finite(out: np.ndarray, what: str) -> None:

@@ -38,13 +38,12 @@ def ard_replicates():
     """Paired trainings on white noise and on the same noise plus a yearly sine."""
     spec = default_spec("single-seasonal")
     priors = default_priors()
-    x = np.arange(100) / 12.0
     runs = []
     for seed in REPLICATE_SEEDS:
         noise = oracles.white_noise_series(seed, 100)
-        theta_white = train(spec, priors, x, oracles.standardize(noise)).theta
+        theta_white = train(spec, priors, TimeSeries(oracles.standardize(noise), 12.0)).theta
         with_season = noise + oracles.sine_component(100, steps_per_year=12.0, amplitude=1.0)
-        theta_sine = train(spec, priors, x, oracles.standardize(with_season)).theta
+        theta_sine = train(spec, priors, TimeSeries(oracles.standardize(with_season), 12.0)).theta
         runs.append({"seed": seed, "theta_white": theta_white, "theta_sine": theta_sine})
     return runs
 
@@ -182,7 +181,7 @@ def speed_run():
     rng = np.random.default_rng(99)
     t = np.arange(115) / 12.0
     values = 0.4 * t + np.sin(2.0 * np.pi * t) + 0.3 * rng.standard_normal(115)
-    return train(default_spec("single-seasonal"), default_priors(), t, oracles.standardize(values))
+    return train(default_spec("single-seasonal"), default_priors(), TimeSeries(oracles.standardize(values), 12.0))
 
 
 @pytest.fixture(params=["iteration-limit", "abnormal"])

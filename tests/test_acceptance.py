@@ -39,7 +39,6 @@ from gpforecast import (
 )
 from gpforecast import gp
 from gpforecast.gp import JITTER_START, prepare_series
-from gpforecast.kernels import regular_lags
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -75,19 +74,18 @@ def test_criterion_1_map_gradient_matches_finite_differences(monkeypatch):
         for instance in range(50):
             fallback = instance % 2 == 1
             n = int(rng.integers(4, 11))
-            x = oracles.random_grid(rng, n)
-            y = rng.standard_normal(n)
+            ts = TimeSeries(rng.standard_normal(n), rng.uniform(0.5, 12.0))
             theta = oracles.random_hyperparams(spec, PRIORS, rng)
             u = np.log(theta.values)
 
-            def objective(u_vec, spec=spec, x=x, y=y):
-                return map_objective(spec, PRIORS, HyperParams.from_log(spec, u_vec), x, y)[0]
+            def objective(u_vec, spec=spec, ts=ts):
+                return map_objective(spec, PRIORS, HyperParams.from_log(spec, u_vec), ts)[0]
 
             with monkeypatch.context() as patched:
                 if fallback:  # every E_k / E_0 is <= 1, below this bound
                     patched.setattr(gp, "LEVINSON_MIN_ERROR_RATIO", 2.0)
                 fd = oracles.central_difference(objective, u, h=h)
-                _, analytic = map_objective(spec, PRIORS, theta, x, y)
+                _, analytic = map_objective(spec, PRIORS, theta, ts)
             # relative error with a unit floor so near-zero components are
             # judged on absolute error
             rel = float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
@@ -108,22 +106,21 @@ def test_criterion_1_map_gradient_matches_finite_differences(monkeypatch):
 
 
 def test_criterion_2_inference_matches_dense_oracle():
-    # training points on regular grids, test points their continuation, as a forecast's are
+    # training points on a series' grid, test points its next steps, as a forecast's are
     started = time.perf_counter()
     rng = np.random.default_rng(20240515)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(4, 13))
         m = int(rng.integers(1, 6))
-        x0, steps_per_unit = rng.uniform(0.0, 4.0), rng.uniform(0.5, 12.0)
-        x = x0 + np.arange(n) / steps_per_unit
-        x_star = x0 + np.arange(n, n + m) / steps_per_unit
-        assert regular_lags(np.concatenate((x, x_star))) is not None
+        steps_per_unit = rng.uniform(0.5, 12.0)
+        x = np.arange(n) / steps_per_unit
+        x_star = np.arange(n, n + m) / steps_per_unit
         y = rng.standard_normal(n)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
 
-        series = prepare_series(FULL_SPEC, x, y)
-        state = fit(theta, series, x_star)
+        series = prepare_series(FULL_SPEC, TimeSeries(y, steps_per_unit))
+        state = fit(theta, series, m)
         gram = oracles.dense_gram(FULL_SPEC, theta, x)
         expected_jitter = JITTER_START * float(np.mean(np.diag(gram)))
         assert state.jitter == pytest.approx(expected_jitter, rel=1e-12)
@@ -275,12 +272,12 @@ def test_criterion_6_forecast_sanity(sine_forecast_run):
     spec = KernelSpec(terms=(Term("RBF"),))
     theta = HyperParams.of(spec, s2_rbf=1.3, ell_rbf=0.9)
     rng = np.random.default_rng(61)
-    step = 4.0 / 9.0
-    grid = np.arange(10 + math.ceil(12.0 * theta.ell_rbf / step)) * step
+    steps_per_year = 9.0 / 4.0
+    grid = np.arange(10 + math.ceil(12.0 * theta.ell_rbf * steps_per_year)) / steps_per_year
     x, x_star = grid[:10], grid[10:]
     assert x_star[-1] - x[-1] >= 12.0 * theta.ell_rbf
     y = rng.standard_normal(10)
-    state = fit(theta, prepare_series(spec, x, y), x_star)
+    state = fit(theta, prepare_series(spec, TimeSeries(y, steps_per_year)), x_star.size)
     posterior = predict(state)
     assert abs(posterior.mean[-1]) <= 1e-6
     assert abs(posterior.latent_variance[-1] - theta.s2_rbf) <= 1e-6
@@ -349,8 +346,8 @@ def test_criterion_9_determinism(parallel_reports):
     rng = np.random.default_rng(90)
     x = np.arange(72) / 12.0
     y = oracles.standardize(0.3 * x + np.sin(2 * np.pi * x) + 0.3 * rng.standard_normal(72))
-    first = train(FULL_SPEC, PRIORS, x, y)
-    second = train(FULL_SPEC, PRIORS, x, y)
+    first = train(FULL_SPEC, PRIORS, TimeSeries(y, 12.0))
+    second = train(FULL_SPEC, PRIORS, TimeSeries(y, 12.0))
     assert first.theta == second.theta
     assert first.objective == second.objective
 

@@ -28,26 +28,32 @@ from gpforecast import (
     median_hyperparams,
     parse_frequency,
     predict,
+    seasonal_naive,
 )
-from gpforecast import forecasting
+from gpforecast import forecasting, gp
 from gpforecast.forecasting import DAILY_PERIOD, MIN_SERIES_LENGTH, SIX_HOURLY
 from gpforecast.gp import JITTER_START, prepare_series
-from gpforecast.kernels import regular_lags, zero_lag_variance
+from gpforecast.kernels import zero_lag_variance
 
 
 def handed_grid(monkeypatch, n: int, steps_per_year: float, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """The time points standardized_posterior hands to train and to fit, with both stubbed out."""
+    """The time points of standardized_posterior's forecast: the grid train prepares and the x* fit lays out.
+
+    Training is stubbed out (theta is the prior medians), and fit hands
+    both to ``build_cross``.
+    """
     handed = {}
 
-    def fake_train(spec, priors, x, y, restarts):
-        handed["x"] = np.array(x)
-        return SimpleNamespace(theta=None, series=None)
+    def fake_train(spec, priors, ts, restarts):
+        return SimpleNamespace(theta=median_hyperparams(spec, default_priors()), series=prepare_series(spec, ts))
 
-    def fake_fit(theta, series, x_star):
-        handed["x_star"] = np.array(x_star)
+    def recording(column, s2_lin, x_star, x):
+        handed["x"], handed["x_star"] = x, x_star
+        return real_cross(column, s2_lin, x_star, x)
 
+    real_cross = gp.build_cross
     monkeypatch.setattr(forecasting, "train", fake_train)
-    monkeypatch.setattr(forecasting, "fit", fake_fit)
+    monkeypatch.setattr(gp, "build_cross", recording)
     monkeypatch.setattr(forecasting, "predict", lambda state: None)
     forecasting.standardized_posterior(TimeSeries(values=np.sin(np.arange(n)), steps_per_year=steps_per_year), horizon)
     return handed["x"], handed["x_star"]
@@ -79,6 +85,12 @@ class TestTimeIndex:
         x, x_star = handed_grid(monkeypatch, n, steps_per_year, horizon)
         grid = np.arange(n + horizon) / steps_per_year
         assert np.concatenate((x, x_star)).tobytes() == grid.tobytes()
+
+    def test_time_series_is_one_class_wherever_it_is_imported(self):
+        # tools and perfbench import it from the package root and from forecasting
+        import gpforecast
+
+        assert gpforecast.TimeSeries is forecasting.TimeSeries is gp.TimeSeries is TimeSeries
 
     def test_bad_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -228,9 +240,8 @@ class TestForecast:
         b = shift * abs(a)
         ts = TimeSeries(values=a * base + b, steps_per_year=steps_per_year)
         standardizer = Standardizer.fit(ts.values)
-        grid = np.arange(n + 6) / steps_per_year
-        series = prepare_series(default_spec(mode), grid[:n], standardizer.transform(ts.values))
-        posterior = predict(fit(result.theta, series, grid[n:]))
+        series = prepare_series(default_spec(mode), TimeSeries(standardizer.transform(ts.values), steps_per_year))
+        posterior = predict(fit(result.theta, series, 6))
         mean = standardizer.inverse(posterior.mean)
         variance = standardizer.inverse_variance(posterior.observation_variance)
         assert np.max(np.abs(mean - (a * fc.mean + b)) / np.sqrt(a * a * fc.variance)) <= 1e-6
@@ -247,6 +258,14 @@ class TestForecast:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
             forecast(TimeSeries(values=np.arange(12.0), steps_per_year=12.0), 0)
+
+    @pytest.mark.parametrize("horizon", [2.5, 0, -1, "3"])
+    def test_a_horizon_that_is_no_integer_at_least_1_is_rejected_before_training(self, monkeypatch, horizon):
+        monkeypatch.setattr(forecasting, "train", lambda *args, **kwargs: pytest.fail("training ran"))
+        ts = TimeSeries(values=np.sin(np.arange(24) / 2.0), steps_per_year=12.0)
+        for make in (forecast, forecasting.standardized_posterior, seasonal_naive):
+            with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+                make(ts, horizon)
 
     def test_nonconvergence_warning_quotes_the_termination(self, nonconverging_training):
         ts = TimeSeries(values=np.sin(np.arange(48) / 2.0), steps_per_year=12.0)
@@ -274,9 +293,9 @@ class TestForecast:
     def test_standardized_posterior_hands_restarts_to_train(self, monkeypatch):
         real_train, handed = forecasting.train, []
 
-        def recording(spec, priors, x, y, restarts=1):
+        def recording(spec, priors, ts, restarts=1):
             handed.append(restarts)
-            return real_train(spec, priors, x, y, restarts)
+            return real_train(spec, priors, ts, restarts)
 
         monkeypatch.setattr(forecasting, "train", recording)
         ts = TimeSeries(values=np.sin(np.arange(24) / 2.0), steps_per_year=12.0)
@@ -344,15 +363,16 @@ class TestExactlyPeriodicSixHourly:
         )
         priors = default_priors()
         x = np.arange(n) / SIX_HOURLY
-        assert regular_lags(x) is not None
         theta = oracles.replace(median_hyperparams(spec, priors), s2_per2=1e-2, s2_noise=1e-12)
-        y = fit(theta, prepare_series(spec, x, np.zeros(n))).chol_lower @ np.random.default_rng(0).standard_normal(n)
+        zeros = TimeSeries(np.zeros(n), SIX_HOURLY)
+        y = fit(theta, prepare_series(spec, zeros)).chol_lower @ np.random.default_rng(0).standard_normal(n)
+        ts = TimeSeries(y, SIX_HOURLY)
         u = np.log(theta.values)
 
         def jitter_multiple(u_vec):
             moved = HyperParams.from_log(spec, u_vec)
             mean_diag = float(np.mean(zero_lag_variance(spec, moved.values, x) + moved.s2_noise))
-            return fit(moved, prepare_series(spec, x, y)).jitter / (JITTER_START * mean_diag)
+            return fit(moved, prepare_series(spec, ts)).jitter / (JITTER_START * mean_diag)
 
         multiple = jitter_multiple(u)
         assert multiple > 10.0
@@ -363,10 +383,10 @@ class TestExactlyPeriodicSixHourly:
                 assert jitter_multiple(u + step * np.eye(u.size)[k]) == pytest.approx(multiple, rel=1e-9)
 
         def objective(u_vec):
-            return map_objective(spec, priors, HyperParams.from_log(spec, u_vec), x, y)[0]
+            return map_objective(spec, priors, HyperParams.from_log(spec, u_vec), ts)[0]
 
         fd = oracles.central_difference(objective, u, h=h)
-        _, analytic = map_objective(spec, priors, theta, x, y)
+        _, analytic = map_objective(spec, priors, theta, ts)
         assert float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))) <= 1e-4
 
 
@@ -376,10 +396,8 @@ class TestHorizonMonotonicity:
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
         theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=1.0, s2_noise=0.1)
         rng = np.random.default_rng(41)
-        grid = np.arange(60) * (4.0 / 19.0)  # 20 training points on [0, 4], then 40 more steps
-        x, x_star = grid[:20], grid[20:]
-        y = rng.standard_normal(20)
-        state = fit(theta, prepare_series(spec, x, y), x_star)
+        # 20 training points on [0, 4], then 40 more steps
+        state = fit(theta, prepare_series(spec, TimeSeries(rng.standard_normal(20), 19.0 / 4.0)), 40)
         posterior = predict(state)
         diffs = np.diff(posterior.observation_variance)
         assert np.all(diffs >= -1e-12)

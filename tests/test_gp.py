@@ -21,8 +21,8 @@ from gpforecast import (
     train,
 )
 from gpforecast import gp, kernels
-from gpforecast.gp import JITTER_START, prepare_series
-from gpforecast.kernels import build_gram, grad_gram, lag_column, regular_lags
+from gpforecast.gp import JITTER_START, TimeSeries, prepare_series
+from gpforecast.kernels import build_gram, grad_gram, lag_column
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -52,9 +52,12 @@ def jittered_gram(spec, theta, x, jitter=None):
 
 
 def factorized_gram(spec, theta, x):
-    """The matrix the implementation factorizes, bit for bit: the Toeplitz layout of its lag column, plus the base jitter."""
+    """The matrix the implementation factorizes, bit for bit: the Toeplitz layout of its lag column, plus the base jitter.
+
+    ``x`` is a series' grid, x_0 = 0, so its lags are x itself.
+    """
     values = theta.values
-    column = lag_column(spec, values, grad_gram(spec, values, gp.Differences.of(spec, regular_lags(x))))
+    column = lag_column(spec, values, grad_gram(spec, values, gp.Differences.of(spec, x)))
     gram = build_gram(column, math.sqrt(theta.s2_lin) * x)
     return gram + JITTER_START * float(np.mean(np.diag(gram))) * np.eye(len(x))
 
@@ -62,84 +65,83 @@ def factorized_gram(spec, theta, x):
 class TestLogMarginalLikelihood:
     def test_zero_observations_under_unit_noise_are_standard_normal(self):
         # unit noise, observations 0: log density of a standard normal at 0, once per point
-        series = prepare_series(WN_SPEC, np.array([0.0, 0.5, 1.0]), np.zeros(3))
+        series = prepare_series(WN_SPEC, TimeSeries(np.zeros(3), 2.0))
         value = log_marginal_likelihood_and_grad(HyperParams.of(WN_SPEC, s2_noise=1.0).values, series)[0]
         assert value == pytest.approx(3 * -0.9189385332046727, abs=1e-6)
 
     def test_two_points_identity_covariance(self):
         theta = HyperParams.of(WN_SPEC, s2_noise=1.0)
-        series = prepare_series(WN_SPEC, np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+        series = prepare_series(WN_SPEC, TimeSeries(np.array([1.0, -1.0]), 1.0))
         value = log_marginal_likelihood_and_grad(theta.values, series)[0]
         assert value == pytest.approx(-2.8378770664093453, abs=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_inverse_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        x = oracles.random_grid(rng, 5)
-        y = rng.standard_normal(5)
+        series = prepare_series(FULL_SPEC, TimeSeries(rng.standard_normal(5), rng.uniform(0.5, 12.0)))
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
-        value = log_marginal_likelihood_and_grad(theta.values, prepare_series(FULL_SPEC, x, y))[0]
-        expected = oracles.dense_log_mvn(jittered_gram(FULL_SPEC, theta, x), y)
+        value = log_marginal_likelihood_and_grad(theta.values, series)[0]
+        expected = oracles.dense_log_mvn(jittered_gram(FULL_SPEC, theta, series.x), series.y)
         assert value == pytest.approx(expected, abs=1e-8)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            fit(HyperParams.of(WN_SPEC, s2_noise=1.0), prepare_series(WN_SPEC, np.array([0.0, 1.0]), np.array([0.0])))
+            fit(HyperParams.of(WN_SPEC, s2_noise=1.0), prepare_series(WN_SPEC, TimeSeries(np.zeros((2, 1)), 1.0)))
         with pytest.raises(ValueError):
-            fit(HyperParams.of(WN_SPEC, s2_noise=1.0), prepare_series(WN_SPEC, np.empty(0), np.empty(0)))
+            fit(HyperParams.of(WN_SPEC, s2_noise=1.0), prepare_series(WN_SPEC, TimeSeries(np.empty(0), 1.0)))
 
 
 class TestRegularGridOnly:
-    """Training takes a regular grid only, and fit predicts only at the grid's continuation."""
+    """The series carries its grid: step i at i / steps_per_year, and fit's test points are the next h steps."""
 
-    OFF_GRID = {
-        "permuted grid": np.random.default_rng(0).permutation(np.arange(12) / 12.0),
-        "sorted uniform points": np.sort(np.random.default_rng(1).uniform(0.0, 6.0, size=12)),
-        "one point": np.array([0.5]),
-    }
     ENTRY_POINTS = {
-        "prepare_series": lambda x: prepare_series(FULL_SPEC, x, np.zeros(x.size)),
-        "train": lambda x: train(FULL_SPEC, PRIORS, x, np.zeros(x.size)),
-        "map_objective": lambda x: map_objective(FULL_SPEC, PRIORS, MEDIANS, x, np.zeros(x.size)),
+        "prepare_series": lambda ts: prepare_series(FULL_SPEC, ts),
+        "train": lambda ts: train(FULL_SPEC, PRIORS, ts),
+        "map_objective": lambda ts: map_objective(FULL_SPEC, PRIORS, MEDIANS, ts),
     }
 
-    @pytest.mark.parametrize("points", sorted(OFF_GRID))
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    def test_entry_points_reject_points_off_a_regular_grid(self, entry, points):
-        with pytest.raises(ValueError, match="regular grid"):
-            self.ENTRY_POINTS[entry](self.OFF_GRID[points])
+    def test_entry_points_reject_a_series_of_one_step(self, entry):
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            self.ENTRY_POINTS[entry](TimeSeries(np.array([0.5]), 12.0))
 
-    # test points that do not continue the grid of x = arange(24) / 12
-    OFF_CONTINUATION = {
-        "one-step gap": np.arange(25, 31) / 12.0,
-        "half step": (np.arange(24, 30) + 0.5) / 12.0,
-        "at x[-1]": np.array([23.0, 24.0]) / 12.0,
-        "before x[-1]": np.array([12.0]) / 12.0,
-        "the training points": np.arange(24) / 12.0,
-        "reversed continuation": np.arange(29, 23, -1) / 12.0,
-    }
+    @pytest.mark.parametrize("steps_per_year", [12.0, 4.0, 1461.0, 52.18])
+    @pytest.mark.parametrize(("n", "h"), [(2, 1), (3, 2), (24, 18), (115, 8), (132, 42), (500, 16)])
+    def test_grids_are_arange_over_steps_per_year_bit_for_bit(self, n, h, steps_per_year, monkeypatch):
+        # x is arange(n) / s, and x followed by fit's x* is arange(n + h) / s
+        crossed = []
 
-    @pytest.mark.parametrize("points", sorted(OFF_CONTINUATION))
-    def test_fit_rejects_test_points_that_do_not_continue_the_grid(self, points):
-        x = np.arange(24) / 12.0
-        series = prepare_series(FULL_SPEC, x, np.sin(2.0 * np.pi * x))
-        fit(MEDIANS, series, np.arange(24, 30) / 12.0)  # the continuation itself is taken
-        with pytest.raises(ValueError, match="continue the series' regular grid"):
-            fit(MEDIANS, series, self.OFF_CONTINUATION[points])
+        def recording(column, s2_lin, x_star, x):
+            crossed.append((x_star, x))
+            return real(column, s2_lin, x_star, x)
+
+        real = gp.build_cross
+        monkeypatch.setattr(gp, "build_cross", recording)
+        rng = np.random.default_rng(int(steps_per_year) + n)
+        series = prepare_series(FULL_SPEC, TimeSeries(rng.standard_normal(n), steps_per_year))
+        assert series.x.tobytes() == (np.arange(n) / steps_per_year).tobytes()
+        fit(MEDIANS, series, h)
+        x_star, x = crossed.pop()
+        assert np.concatenate((x, x_star)).tobytes() == (np.arange(n + h) / steps_per_year).tobytes()
+
+    @pytest.mark.parametrize("horizon", [-1, 2.5, "3"])
+    def test_fit_rejects_a_horizon_that_is_no_integer_at_least_0(self, horizon):
+        series = prepare_series(FULL_SPEC, TimeSeries(np.sin(np.arange(24) / 2.0), 12.0))
+        with pytest.raises(ValueError, match="horizon must be an integer >= 0"):
+            fit(MEDIANS, series, horizon)
 
     @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
     def test_fit_without_test_points_gives_the_objectives_log_marginal(self, mode):
         spec = default_spec(mode)
         rng = np.random.default_rng(29)
         for n in (2, 24, 132):
-            series = prepare_series(spec, np.arange(n) / 12.0, rng.standard_normal(n))
+            series = prepare_series(spec, TimeSeries(rng.standard_normal(n), 12.0))
             theta = oracles.replace(oracles.random_hyperparams(spec, PRIORS, rng), s2_noise=0.05)
             expected = log_marginal_likelihood_and_grad(theta.values, series)[0]
-            for x_star in (None, np.empty(0)):
-                state = fit(theta, series, x_star)
-                oracle = oracles.dense_log_mvn(jittered_gram(spec, theta, series.x, state.jitter), series.y)
-                assert abs(oracle - expected) <= 1e-10 * abs(expected)
-                assert state.cross.shape == (0, n) and state.prior_variance.shape == (0,)
+            state = fit(theta, series, horizon=0)
+            oracle = oracles.dense_log_mvn(jittered_gram(spec, theta, series.x, state.jitter), series.y)
+            assert abs(oracle - expected) <= 1e-10 * abs(expected)
+            assert state.cross.shape == (0, n) and state.prior_variance.shape == (0,)
 
 
 class TestGradient:
@@ -147,9 +149,8 @@ class TestGradient:
         # d lml / d log s2 = -n/2 + y'y / (2 s2) for a pure noise model
         rng = np.random.default_rng(3)
         y = rng.standard_normal(6)
-        x = np.arange(6.0)
         s2 = 0.7
-        series = prepare_series(WN_SPEC, x, y)
+        series = prepare_series(WN_SPEC, TimeSeries(y, 1.0))
         _, grad = log_marginal_likelihood_and_grad(HyperParams.of(WN_SPEC, s2_noise=s2).values, series)
         expected = -3.0 + float(y @ y) / (2.0 * s2)
         assert grad[0] == pytest.approx(expected, rel=1e-6)
@@ -157,26 +158,24 @@ class TestGradient:
     def test_zero_gradient_at_noise_mle(self):
         rng = np.random.default_rng(4)
         y = rng.standard_normal(6)
-        x = np.arange(6.0)
         s2_hat = float(np.mean(y * y))
-        series = prepare_series(WN_SPEC, x, y)
+        series = prepare_series(WN_SPEC, TimeSeries(y, 1.0))
         _, grad = log_marginal_likelihood_and_grad(HyperParams.of(WN_SPEC, s2_noise=s2_hat).values, series)
         assert abs(grad[0]) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_full_composition_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        x = oracles.random_grid(rng, 8)
-        y = rng.standard_normal(8)
+        ts = TimeSeries(rng.standard_normal(8), rng.uniform(0.5, 12.0))
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         u = np.log(theta.values)
 
         def f(u_vec):
             theta_u = HyperParams.from_log(FULL_SPEC, u_vec)
-            return log_marginal_likelihood_and_grad(theta_u.values, prepare_series(FULL_SPEC, x, y))[0]
+            return log_marginal_likelihood_and_grad(theta_u.values, prepare_series(FULL_SPEC, ts))[0]
 
         fd = oracles.central_difference(f, u, h=1e-5)
-        _, analytic = log_marginal_likelihood_and_grad(theta.values, prepare_series(FULL_SPEC, x, y))
+        _, analytic = log_marginal_likelihood_and_grad(theta.values, prepare_series(FULL_SPEC, ts))
         rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
         assert float(rel.max()) <= 1e-5
 
@@ -185,11 +184,11 @@ class TestGradient:
         # (test_fit_factors_as_the_objectives_fallback checks the factor's bits)
         monkeypatch.setattr(gp, "LEVINSON_MIN_ERROR_RATIO", 2.0)  # every E_k / E_0 is <= 1
         rng = np.random.default_rng(9)
-        x = oracles.random_grid(rng, 5)
-        y = rng.standard_normal(5)
-        series = prepare_series(FULL_SPEC, x, y)
+        ts = TimeSeries(rng.standard_normal(5), rng.uniform(0.5, 12.0))
+        series = prepare_series(FULL_SPEC, ts)
         value, grad = log_marginal_likelihood_and_grad(MEDIANS.values, series)
-        jitter = fit(MEDIANS, prepare_series(FULL_SPEC, x, y)).jitter
+        jitter = fit(MEDIANS, prepare_series(FULL_SPEC, ts)).jitter
+        x, y = series.x, series.y
         assert value == pytest.approx(oracles.dense_log_mvn(jittered_gram(FULL_SPEC, MEDIANS, x, jitter), y), abs=1e-8)
         np.testing.assert_array_equal(grad, log_marginal_likelihood_and_grad(MEDIANS.values, series)[1])
 
@@ -209,32 +208,30 @@ class TestRegularGrid:
         rng = np.random.default_rng(int(steps_per_year))
         for n in grid_lengths(rng):
             x = np.arange(n) / steps_per_year
-            assert regular_lags(x) is not None
             y = rng.standard_normal(n)
             theta = oracles.random_hyperparams(spec, PRIORS, rng)
             cov = np.array([[oracles.composition_value(spec, theta, a, b) for b in x] for a in x])
             jitter = JITTER_START * float(np.mean(np.diag(cov)))
-            state = fit(theta, prepare_series(spec, x, y))
+            series = prepare_series(spec, TimeSeries(y, steps_per_year))
+            state = fit(theta, series)
             assert state.jitter == pytest.approx(jitter, rel=1e-12)
             expected = oracles.dense_log_mvn(cov + state.jitter * np.eye(n), y)
             # the objective, on the Levinson path or its Cholesky fallback
-            assert abs(log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))[0] - expected) <= 1e-8
+            assert abs(log_marginal_likelihood_and_grad(theta.values, series)[0] - expected) <= 1e-8
 
     @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
     def test_map_gradient_matches_finite_differences(self, mode, steps_per_year):
         spec = default_spec(mode)
         rng = np.random.default_rng(int(steps_per_year) + 1)
         for n in grid_lengths(rng):
-            x = np.arange(n) / steps_per_year
-            assert regular_lags(x) is not None
-            y = rng.standard_normal(n)
+            ts = TimeSeries(rng.standard_normal(n), steps_per_year)
             theta = oracles.random_hyperparams(spec, PRIORS, rng)
 
-            def objective(u_vec, spec=spec, x=x, y=y):
-                return map_objective(spec, PRIORS, HyperParams.from_log(spec, u_vec), x, y)[0]
+            def objective(u_vec, spec=spec, ts=ts):
+                return map_objective(spec, PRIORS, HyperParams.from_log(spec, u_vec), ts)[0]
 
             fd = oracles.central_difference(objective, np.log(theta.values), h=1e-5)
-            _, analytic = map_objective(spec, PRIORS, theta, x, y)
+            _, analytic = map_objective(spec, PRIORS, theta, ts)
             rel = float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
             assert rel <= 1e-4
 
@@ -256,16 +253,14 @@ class TestRegularGrid:
             (without_lin, median_hyperparams(without_lin, PRIORS), 1e-9, 1e-9),
             (full, oracles.replace(medians, s2_noise=5e-8), 2e-6, 5e-6),
         ]
-        rng = np.random.default_rng(n)
-        for x0 in (0.0, 7.25):
-            x = x0 + np.arange(n) / steps_per_year
-            y = rng.standard_normal(n)
-            for spec, theta, value_tol, grad_tol in points:
-                value, grad = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))
-                oracle_value = oracles.longdouble_log_mvn(jittered_gram(spec, theta, x), y)
-                oracle_grad = oracles.longdouble_lml_gradient(spec, theta, x, y)
-                assert abs(value - oracle_value) <= value_tol * max(1.0, abs(oracle_value))
-                assert np.max(np.abs(grad - oracle_grad)) <= grad_tol * max(1.0, np.max(np.abs(oracle_grad)))
+        x = np.arange(n) / steps_per_year
+        y = np.random.default_rng(n).standard_normal(n)
+        for spec, theta, value_tol, grad_tol in points:
+            value, grad = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, TimeSeries(y, steps_per_year)))
+            oracle_value = oracles.longdouble_log_mvn(jittered_gram(spec, theta, x), y)
+            oracle_grad = oracles.longdouble_lml_gradient(spec, theta, x, y)
+            assert abs(value - oracle_value) <= value_tol * max(1.0, abs(oracle_value))
+            assert np.max(np.abs(grad - oracle_grad)) <= grad_tol * max(1.0, np.max(np.abs(oracle_grad)))
 
     @pytest.mark.parametrize("n", [132, 336])
     def test_log_marginal_matches_long_double_oracle_down_to_near_noiseless(self, n):
@@ -283,7 +278,7 @@ class TestRegularGrid:
         for s2_noise in np.logspace(-7, -1, 13):
             theta = oracles.replace(medians, s2_noise=float(s2_noise))
             oracle = oracles.longdouble_log_mvn(factorized_gram(spec, theta, x), y)
-            value = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))[0]
+            value = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, TimeSeries(y, 1461.0)))[0]
             assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle)), s2_noise
 
     @pytest.mark.parametrize("lin", [True, False])
@@ -298,8 +293,8 @@ class TestRegularGrid:
         full = default_spec("double-seasonal")
         spec = full if lin else KernelSpec(terms=tuple(t for t in full.terms if t.kind != "LIN"))
         medians = median_hyperparams(spec, PRIORS)
-        x = np.arange(n) / 1461.0
-        series = prepare_series(spec, x, np.random.default_rng(n).standard_normal(n))
+        series = prepare_series(spec, TimeSeries(np.random.default_rng(n).standard_normal(n), 1461.0))
+        x = series.x
         on_levinson = 0
         for s2_noise in np.logspace(-7, -1, 4):
             theta = oracles.replace(medians, s2_noise=float(s2_noise))
@@ -345,16 +340,15 @@ class TestRegularGrid:
         compared = 0
         for _ in range(20):
             n = int(rng.integers(8, 201))
-            x = np.arange(n) / steps_per_year
-            y = rng.standard_normal(n)
+            ts = TimeSeries(rng.standard_normal(n), steps_per_year)
             theta = oracles.random_hyperparams(spec, PRIORS, rng)
             factorized.clear()
-            value, grad = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))
+            value, grad = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, ts))
             if factorized:  # below the bound: this draw took the Cholesky path already
                 continue
             with monkeypatch.context() as forced:
                 forced.setattr(gp, "LEVINSON_MIN_ERROR_RATIO", 2.0)  # every E_k / E_0 is <= 1
-                value_chol, grad_chol = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, x, y))
+                value_chol, grad_chol = log_marginal_likelihood_and_grad(theta.values, prepare_series(spec, ts))
             assert factorized
             compared += 1
             assert abs(value - value_chol) <= 1e-10 * max(1.0, abs(value_chol))
@@ -365,10 +359,9 @@ class TestRegularGrid:
         # at s2_lin = 1e306 every entry of the monthly Gram is finite, but the
         # sum behind its mean diagonal overflows
         theta = oracles.replace(MEDIANS, s2_lin=1e306)
-        x = np.arange(132) / 12.0
-        y = np.random.default_rng(132).standard_normal(132)
+        ts = TimeSeries(np.random.default_rng(132).standard_normal(132), 12.0)
         with pytest.raises(IllConditionedModelError):
-            map_objective(FULL_SPEC, PRIORS, theta, x, y)
+            map_objective(FULL_SPEC, PRIORS, theta, ts)
 
     @pytest.mark.parametrize("n", [60, 132])
     def test_objective_without_lin_matches_dense_oracle(self, n, monkeypatch):
@@ -376,9 +369,8 @@ class TestRegularGrid:
         full = default_spec("single-seasonal")
         spec = KernelSpec(terms=tuple(t for t in full.terms if t.kind != "LIN"))
         rng = np.random.default_rng(n)
-        x = np.arange(n) / 12.0
-        y = rng.standard_normal(n)
-        series = prepare_series(spec, x, y)
+        series = prepare_series(spec, TimeSeries(rng.standard_normal(n), 12.0))
+        x, y = series.x, series.y
 
         def refuse(*args, **kwargs):
             raise AssertionError("the evaluation left the Levinson path")
@@ -434,8 +426,7 @@ class TestRegularGrid:
         # same path and gives the same bits, down to near noiseless
         spec = default_spec("double-seasonal")
         medians = median_hyperparams(spec, PRIORS)
-        x = np.arange(224) / 1461.0
-        series = prepare_series(spec, x, np.random.default_rng(224).standard_normal(224))
+        series = prepare_series(spec, TimeSeries(np.random.default_rng(224).standard_normal(224), 1461.0))
         thetas = [oracles.replace(medians, s2_noise=float(s2)) for s2 in np.logspace(-9, -1, 17)]
         checked = [log_marginal_likelihood_and_grad(theta.values, series) for theta in thetas]
         monkeypatch.setattr(gp, "_LEVINSON_BLOCK", 10**9)
@@ -469,14 +460,13 @@ class TestRegularGrid:
 
         spec = default_spec("double-seasonal")
         theta = median_hyperparams(spec, PRIORS)
-        x = np.arange(48) / 1461.0
-        y = np.random.default_rng(48).standard_normal(48)
+        ts = TimeSeries(np.random.default_rng(48).standard_normal(48), 1461.0)
         # the objective factorizes nothing above the conditioning bound
         monkeypatch.setattr(gp, "cholesky", refuse)
-        map_objective(spec, PRIORS, theta, x, y)
+        map_objective(spec, PRIORS, theta, ts)
         # near noiseless, min E_k / E_0 falls below it: the Cholesky path
         with pytest.raises(AssertionError, match="cholesky called"):
-            map_objective(spec, PRIORS, oracles.replace(theta, s2_noise=5e-8), x, y)
+            map_objective(spec, PRIORS, oracles.replace(theta, s2_noise=5e-8), ts)
 
     def test_fallback_lays_the_gram_out_from_the_evaluated_column(self, monkeypatch):
         # below the conditioning bound the evaluation factorizes the Toeplitz
@@ -484,8 +474,7 @@ class TestRegularGrid:
         # one three-column solve, also when a jitter level fails
         spec = default_spec("double-seasonal")
         theta = oracles.replace(median_hyperparams(spec, PRIORS), s2_noise=5e-8)
-        x = np.arange(224) / 1461.0
-        y = np.random.default_rng(224).standard_normal(224)
+        ts = TimeSeries(np.random.default_rng(224).standard_normal(224), 1461.0)
         calls = {"grad_gram": 0, "cho_solve": 0, "cholesky": 0, "build_gram": 0}
 
         def counting(module, name, fail_first=False):
@@ -502,7 +491,7 @@ class TestRegularGrid:
         for name in ("grad_gram", "cho_solve", "build_gram"):
             counting(gp, name)
         counting(gp, "cholesky", fail_first=True)
-        value, grad = map_objective(spec, PRIORS, theta, x, y)
+        value, grad = map_objective(spec, PRIORS, theta, ts)
         # each Cholesky try lays out the column of grad_gram's one pass
         assert calls == {"grad_gram": 1, "cho_solve": 1, "cholesky": 2, "build_gram": 2}
         assert np.isfinite(value) and np.all(np.isfinite(grad))
@@ -515,12 +504,11 @@ class TestRegularGrid:
         # on the Levinson path an evaluation holds O(n) floats, about 40 n at these sizes
         spec = default_spec(mode)
         theta = median_hyperparams(spec, PRIORS)
-        x = np.arange(n) / steps_per_year
-        y = np.random.default_rng(n).standard_normal(n)
-        map_objective(spec, PRIORS, theta, x, y)  # warm-up: first-call allocations
+        ts = TimeSeries(np.random.default_rng(n).standard_normal(n), steps_per_year)
+        map_objective(spec, PRIORS, theta, ts)  # warm-up: first-call allocations
         tracemalloc.start()
         try:
-            map_objective(spec, PRIORS, theta, x, y)
+            map_objective(spec, PRIORS, theta, ts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -530,9 +518,8 @@ class TestRegularGrid:
 class TestFitState:
     def test_factor_solves_back_to_y(self):
         rng = np.random.default_rng(6)
-        x = oracles.random_grid(rng, 10)
         y = rng.standard_normal(10)
-        state = fit(MEDIANS, prepare_series(FULL_SPEC, x, y))
+        state = fit(MEDIANS, prepare_series(FULL_SPEC, TimeSeries(y, rng.uniform(0.5, 12.0))))
         lower = state.chol_lower
         assert np.array_equal(lower, np.tril(lower))
         assert np.all(np.diag(lower) > 0)
@@ -541,16 +528,14 @@ class TestFitState:
 
     def test_factor_upper_triangle_is_zero(self):
         # chol_lower is a true lower-triangular matrix, not LAPACK's factor over the Gram's upper triangle
-        x = np.arange(30) / 12.0
         y = np.random.default_rng(4).standard_normal(30)
-        state = fit(MEDIANS, prepare_series(FULL_SPEC, x, y))
+        state = fit(MEDIANS, prepare_series(FULL_SPEC, TimeSeries(y, 12.0)))
         assert not np.any(np.triu(state.chol_lower, 1))
 
     def test_fit_is_idempotent(self):
-        x = np.arange(5.0) / 4.0
-        y = np.sin(x)
-        a = fit(MEDIANS, prepare_series(FULL_SPEC, x, y))
-        b = fit(MEDIANS, prepare_series(FULL_SPEC, x, y))
+        ts = TimeSeries(np.sin(np.arange(5.0) / 4.0), 4.0)
+        a = fit(MEDIANS, prepare_series(FULL_SPEC, ts))
+        b = fit(MEDIANS, prepare_series(FULL_SPEC, ts))
         np.testing.assert_array_equal(a.chol_lower, b.chol_lower)
         np.testing.assert_array_equal(a.alpha, b.alpha)
 
@@ -576,8 +561,7 @@ class TestFitState:
         # same theta fit's factor and jitter are, bit for bit, the ones it made
         spec = default_spec(mode)
         theta = oracles.replace(median_hyperparams(spec, PRIORS), s2_noise=5e-8)
-        x = np.arange(n) / steps_per_year
-        series = prepare_series(spec, x, np.random.default_rng(n).standard_normal(n))
+        series = prepare_series(spec, TimeSeries(np.random.default_rng(n).standard_normal(n), steps_per_year))
         made = []
 
         def recording(*args):
@@ -590,14 +574,12 @@ class TestFitState:
             patched.setattr(gp, "_cholesky_solve", recording)
             log_marginal_likelihood_and_grad(theta.values, series)
         assert len(made) == 1
-        state = fit(theta, series, np.arange(n, n + 18) / steps_per_year)
+        state = fit(theta, series, 18)
         np.testing.assert_array_equal(state.chol_lower, made[0][0])
         assert state.jitter == made[0][1]
 
     def test_base_jitter_scale(self):
-        x = np.arange(4.0)
-        y = np.zeros(4)
-        state = fit(HyperParams.of(WN_SPEC, s2_noise=2.0), prepare_series(WN_SPEC, x, y))
+        state = fit(HyperParams.of(WN_SPEC, s2_noise=2.0), prepare_series(WN_SPEC, TimeSeries(np.zeros(4), 1.0)))
         assert state.jitter == pytest.approx(JITTER_START * 2.0)
 
 
@@ -607,23 +589,24 @@ class TestPredict:
         spec = KernelSpec(terms=(Term("RBF"),))
         theta = HyperParams.of(spec, s2_rbf=1.7, ell_rbf=0.8)
         rng = np.random.default_rng(11)
-        step = 3.0 / 7.0
-        h = math.ceil(12.0 * theta.ell_rbf / step)
-        grid = np.arange(8 + h) * step
+        steps_per_year = 7.0 / 3.0
+        h = math.ceil(12.0 * theta.ell_rbf * steps_per_year)
+        grid = np.arange(8 + h) / steps_per_year
         x, x_star = grid[:8], grid[8:]
         assert x_star[-1] - x[-1] >= 12.0 * theta.ell_rbf
-        posterior = predict(fit(theta, prepare_series(spec, x, rng.standard_normal(8)), x_star))
+        posterior = predict(fit(theta, prepare_series(spec, TimeSeries(rng.standard_normal(8), steps_per_year)), h))
         assert abs(posterior.mean[-1]) <= 1e-6
         assert abs(posterior.latent_variance[-1] - 1.7) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_inverse_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        grid = oracles.random_grid(rng, 6)
+        steps_per_year = rng.uniform(0.5, 12.0)
+        grid = np.arange(6) / steps_per_year
         x, x_star = grid[:4], grid[4:]
         y = rng.standard_normal(4)
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
-        state = fit(theta, prepare_series(FULL_SPEC, x, y), x_star)
+        state = fit(theta, prepare_series(FULL_SPEC, TimeSeries(y, steps_per_year)), x_star.size)
         posterior = predict(state)
         mean, latent = oracles.dense_posterior(
             jittered_gram(FULL_SPEC, theta, x),
@@ -638,7 +621,7 @@ class TestPredict:
         )
 
     def test_empty_test_set(self):
-        state = fit(MEDIANS, prepare_series(FULL_SPEC, np.array([0.0, 1.0]), np.array([0.3, -0.1])), np.empty(0))
+        state = fit(MEDIANS, prepare_series(FULL_SPEC, TimeSeries(np.array([0.3, -0.1]), 1.0)), 0)
         posterior = predict(state)
         assert posterior.mean.size == 0
         assert posterior.latent_variance.size == 0
@@ -647,17 +630,15 @@ class TestPredict:
     def test_latent_variance_never_negative(self):
         spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
         theta = HyperParams.of(spec, s2_rbf=1.0, ell_rbf=5.0, s2_noise=1e-8)
-        grid = np.linspace(0.0, 0.1, 19)  # almost coincident points
-        x = grid[:12]
-        y = np.zeros(12)
-        state = fit(theta, prepare_series(spec, x, y), grid[12:])
+        # almost coincident points: 180 steps per unit, so 19 span 0.1
+        state = fit(theta, prepare_series(spec, TimeSeries(np.zeros(12), 180.0)), 7)
         posterior = predict(state)
         assert np.all(posterior.latent_variance >= 0.0)
         assert np.all(posterior.observation_variance >= theta.s2_noise)
 
 
 class TestGridFinalStep:
-    """fit's one pass over the n + h lags, when the test points continue the training grid."""
+    """fit's one pass over the n + h lags: the test points continue the training grid."""
 
     # (mode, steps per year, n, h): h <= n, and horizons far longer than the series
     CASES = [
@@ -674,13 +655,13 @@ class TestGridFinalStep:
         theta = oracles.replace(oracles.random_hyperparams(spec, PRIORS, rng), s2_noise=0.05)
         x = np.arange(n) / steps_per_year
         x_star = np.arange(n, n + h) / steps_per_year
-        return spec, theta, x, x_star, prepare_series(spec, x, rng.standard_normal(n))
+        return spec, theta, x, x_star, prepare_series(spec, TimeSeries(rng.standard_normal(n), steps_per_year))
 
     @pytest.mark.parametrize(("mode", "steps_per_year", "n", "h"), CASES)
     def test_posterior_matches_dense_oracle(self, mode, steps_per_year, n, h):
         for seed in range(3):
             spec, theta, x, x_star, series = self.case(mode, steps_per_year, n, h, seed)
-            posterior = predict(fit(theta, series, x_star))
+            posterior = predict(fit(theta, series, x_star.size))
             cov = dense_jittered_gram(spec, theta, x)
             cross = np.array([[oracles.composition_value(spec, theta, a, b, False) for b in x] for a in x_star])
             prior = np.array([oracles.composition_value(spec, theta, a, a, False) for a in x_star])
@@ -694,13 +675,13 @@ class TestGridFinalStep:
         # lags (n + j - i) / steps_per_year round differently from x*_j - x_i
         spec, theta, x, x_star, series = self.case(mode, steps_per_year, n, h)
         expected = oracles.dense_cross(spec, theta, x_star, x)
-        cross = fit(theta, series, x_star).cross
+        cross = fit(theta, series, x_star.size).cross
         assert float(np.max(np.abs(cross - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
 
     @pytest.mark.parametrize(("mode", "steps_per_year", "n", "h"), CASES)
     def test_gram_and_prior_variance_keep_their_bits(self, mode, steps_per_year, n, h):
         spec, theta, x, x_star, series = self.case(mode, steps_per_year, n, h)
-        grid, plain = fit(theta, series, x_star), fit(theta, series)  # plain: no test points
+        grid, plain = fit(theta, series, x_star.size), fit(theta, series)  # plain: no test points
         np.testing.assert_array_equal(grid.chol_lower, plain.chol_lower)
         np.testing.assert_array_equal(grid.alpha, plain.alpha)
         assert grid.jitter == plain.jitter
@@ -724,7 +705,7 @@ class TestGridFinalStep:
             for name, function in real.items():
                 monkeypatch.setattr(module, name, recording(name, function))
         spec, theta, x, x_star, series = self.case("single-seasonal", 12.0, 40, 18)
-        fit(theta, series, x_star)
+        fit(theta, series, x_star.size)
         # one pass and one sum over the 40 + 18 lags: zero_lag_variance makes neither
         assert calls == [("grad_gram", (11, 58)), ("lag_column", (58,))]
 
@@ -738,12 +719,11 @@ class TestLongHorizons:
     def test_trained_forecast_stays_finite_and_below_the_prior(self, mode, steps_per_year, n, h):
         spec = default_spec(mode)
         rng = np.random.default_rng([n, h])
-        x = np.arange(n) / steps_per_year
         y = oracles.standardize(np.sin(2.0 * np.pi * np.arange(n) / 4.0) + 0.3 * rng.standard_normal(n))
-        result = train(spec, PRIORS, x, y)
+        result = train(spec, PRIORS, TimeSeries(y, steps_per_year))
         assert result.converged
         x_star = np.arange(n, n + h) / steps_per_year
-        posterior = predict(fit(result.theta, result.series, x_star))
+        posterior = predict(fit(result.theta, result.series, h))
         assert np.all(np.isfinite(posterior.mean))
         assert np.all(posterior.observation_variance > 0.0)
         assert np.all(posterior.latent_variance <= kernels.zero_lag_variance(spec, result.theta.values, x_star))

@@ -12,6 +12,7 @@ from gpforecast import (
     InvalidHyperparameterError,
     KernelSpec,
     Term,
+    TimeSeries,
     default_priors,
     default_spec,
     fit,
@@ -28,7 +29,6 @@ from gpforecast.kernels import (
     build_gram,
     grad_gram,
     lag_column,
-    regular_lags,
     term_parts,
     zero_lag_variance,
 )
@@ -44,9 +44,9 @@ def single_term_spec(kind: str) -> KernelSpec:
 
 
 def lag_column_of(spec, theta, x):
-    """lag_column of one grad_gram pass on the lags of the regular grid x, as gp.fit makes it."""
+    """lag_column of one grad_gram pass on the lags x - x[0] of the regular grid x, as gp.fit makes it."""
     values = theta.for_spec(spec)
-    return lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, regular_lags(x))))
+    return lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, x - x[0])))
 
 
 def grid_gram(spec, theta, x):
@@ -239,26 +239,6 @@ class TestBuildCross:
 class TestRegularGrid:
     """The Toeplitz Gram of a regular grid, the only training input."""
 
-    @pytest.mark.parametrize("steps_per_year", [4.0, 12.0, 1461.0])
-    @pytest.mark.parametrize("n", [2, 3, 115, 500])
-    def test_time_index_grids_are_detected(self, steps_per_year, n):
-        x = np.arange(n) / steps_per_year
-        np.testing.assert_array_equal(regular_lags(x), x - x[0])
-        assert regular_lags(x + 7.25) is not None
-
-    def test_other_points_are_no_grid(self):
-        rng = np.random.default_rng(0)
-        grid = np.arange(10) / 12.0
-        assert regular_lags(np.array([0.5])) is None
-        assert regular_lags(np.sort(rng.uniform(0.0, 6.0, size=10))) is None
-        assert regular_lags(grid[::-1]) is None  # h < 0
-        assert regular_lags(np.zeros(4)) is None  # h = 0
-        assert regular_lags(np.array([0.0, 1.0, 1.0, 2.0])) is None  # a duplicate
-        assert regular_lags(rng.permutation(grid)) is None
-        nudged = grid.copy()
-        nudged[5] += 1e-9
-        assert regular_lags(nudged) is None
-
     @pytest.mark.parametrize(
         ("mode", "steps_per_year", "n"),
         [
@@ -289,7 +269,6 @@ class TestRegularGrid:
         if lin:  # LIN-dominated
             theta = oracles.replace(theta, s2_lin=37.0, s2_bias=23.0)
         x = x0 + np.arange(61) / steps_per_year
-        assert regular_lags(x) is not None
         gram = grid_gram(spec, theta, x)
         assert np.array_equal(gram, gram.T)
         expected = np.array([[oracles.composition_value(spec, theta, a, b) for b in x] for a in x])
@@ -388,7 +367,7 @@ class TestGradGram:
         spec = default_spec(mode)
         theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(3))
         x = np.arange(40) / 12.0
-        rows = grad_gram(spec, theta.values, Differences.of(spec, regular_lags(x)))
+        rows = grad_gram(spec, theta.values, Differences.of(spec, x))
         dense = [
             g for t, p in term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, pairwise(spec, x))[1]
         ]
@@ -454,7 +433,7 @@ class TestSpecAndHyperparams:
 
 DOUBLE_SPEC = default_spec("double-seasonal")  # every term kind, PER2 included
 DOUBLE_MEDIANS = median_hyperparams(DOUBLE_SPEC, PRIORS)
-GRID = np.arange(6) / 1461.0
+SERIES = TimeSeries(np.zeros(6), 1461.0)
 
 
 def medians_but(name, bad):
@@ -496,8 +475,8 @@ def test_from_log_rejects_each_invalid_trainable(bad_u):
 
 
 ENTRY_POINTS = {
-    "fit": lambda theta: fit(theta, prepare_series(DOUBLE_SPEC, GRID, np.zeros(GRID.size))),
-    "map_objective": lambda theta: map_objective(DOUBLE_SPEC, PRIORS, theta, GRID, np.zeros(GRID.size)),
+    "fit": lambda theta: fit(theta, prepare_series(DOUBLE_SPEC, SERIES)),
+    "map_objective": lambda theta: map_objective(DOUBLE_SPEC, PRIORS, theta, SERIES),
 }
 
 

@@ -48,8 +48,7 @@ class TestMapObjective:
     def test_noise_model_is_sum_of_audited_parts(self):
         s2 = 0.8
         theta = HyperParams.of(WN_SPEC, s2_noise=s2)
-        x, y = np.array([0.0, 0.25]), np.array([0.0, 0.0])
-        value, _ = map_objective(WN_SPEC, PRIORS, theta, x, y)
+        value, _ = map_objective(WN_SPEC, PRIORS, theta, TimeSeries(np.zeros(2), 4.0))
         from scipy.stats import norm
 
         gauss = 2.0 * float(norm.logpdf(0.0, scale=math.sqrt(s2 * (1.0 + JITTER_START))))
@@ -58,74 +57,72 @@ class TestMapObjective:
 
     def test_sine_series_component_sum_oracle(self):
         x, y = sine_series(24)
+        ts = TimeSeries(y, 12.0)
         theta = median_hyperparams(FULL_SPEC, PRIORS)
-        state = fit(theta, prepare_series(FULL_SPEC, x, y))
+        state = fit(theta, prepare_series(FULL_SPEC, ts))
         cov = oracles.dense_gram(FULL_SPEC, theta, x) + state.jitter * np.eye(24)
         expected = oracles.dense_log_mvn(cov, y) + sum(
             oracles.lognormal_logpdf(getattr(theta, name), PRIORS[name].nu, PRIORS[name].lam)
             for name in FULL_SPEC.trainable_names()
         )
-        assert map_objective(FULL_SPEC, PRIORS, theta, x, y)[0] == pytest.approx(expected, abs=1e-8)
+        assert map_objective(FULL_SPEC, PRIORS, theta, ts)[0] == pytest.approx(expected, abs=1e-8)
 
     def test_objective_grad_composes_likelihood_and_prior(self):
         rng = np.random.default_rng(2)
-        x = oracles.random_grid(rng, 8)
-        y = rng.standard_normal(8)
+        ts = TimeSeries(rng.standard_normal(8), rng.uniform(0.5, 12.0))
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         u = np.log(theta.values)
 
         def f(u_vec):
-            return map_objective(FULL_SPEC, PRIORS, HyperParams.from_log(FULL_SPEC, u_vec), x, y)[0]
+            return map_objective(FULL_SPEC, PRIORS, HyperParams.from_log(FULL_SPEC, u_vec), ts)[0]
 
         fd = oracles.central_difference(f, u, h=1e-5)
-        _, analytic = map_objective(FULL_SPEC, PRIORS, theta, x, y)
+        _, analytic = map_objective(FULL_SPEC, PRIORS, theta, ts)
         rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
         assert float(rel.max()) <= 1e-5
 
     @pytest.mark.parametrize(("mode", "steps_per_year"), [("single-seasonal", 12.0), ("double-seasonal", 1461.0)])
     def test_prepared_series_gives_exactly_the_public_objective(self, mode, steps_per_year):
         # train prepares the series once and evaluates the optimizer's u; every
-        # evaluation must give the bits map_objective gives from the arrays
+        # evaluation must give the bits map_objective gives from the series
         spec = default_spec(mode)
         rng = np.random.default_rng(int(steps_per_year))
         points = []
         for n in (8, 48, 132, 224, 336):
-            x = 3.5 + np.arange(n) / steps_per_year
-            y = rng.standard_normal(n)
-            points.append((oracles.random_hyperparams(spec, PRIORS, rng), x, y))
+            ts = TimeSeries(rng.standard_normal(n), steps_per_year)
+            points.append((oracles.random_hyperparams(spec, PRIORS, rng), ts))
         # near noiseless, the grid evaluation falls back to the Cholesky path
-        x = np.arange(224) / steps_per_year
-        points.append((oracles.replace(median_hyperparams(spec, PRIORS), s2_noise=5e-8), x, rng.standard_normal(224)))
-        for theta, x, y in points:
+        ts = TimeSeries(rng.standard_normal(224), steps_per_year)
+        points.append((oracles.replace(median_hyperparams(spec, PRIORS), s2_noise=5e-8), ts))
+        for theta, ts in points:
             u = np.log(theta.values)
-            [(value, grad)] = train_evaluations(spec, x, y, [u])
-            public_value, public_grad = map_objective(spec, PRIORS, HyperParams.from_log(spec, u), x, y)
+            [(value, grad)] = train_evaluations(spec, ts, [u])
+            public_value, public_grad = map_objective(spec, PRIORS, HyperParams.from_log(spec, u), ts)
             assert -value == public_value
             assert np.array_equal(-grad, public_grad)
 
     def test_every_train_evaluation_equals_the_public_objective(self, monkeypatch):
         evaluated = record_evaluations(monkeypatch)
-        x, y = sine_series(48)
-        y = y + 0.3 * np.random.default_rng(48).standard_normal(48)
-        train(FULL_SPEC, PRIORS, x, y)
+        _, y = sine_series(48)
+        ts = TimeSeries(y + 0.3 * np.random.default_rng(48).standard_normal(48), 12.0)
+        train(FULL_SPEC, PRIORS, ts)
         assert len(evaluated) > 1
         for u, (value, grad) in evaluated:
-            public_value, public_grad = map_objective(FULL_SPEC, PRIORS, HyperParams.from_log(FULL_SPEC, u), x, y)
+            public_value, public_grad = map_objective(FULL_SPEC, PRIORS, HyperParams.from_log(FULL_SPEC, u), ts)
             assert -value == public_value and np.array_equal(-grad, public_grad)
 
     @pytest.mark.parametrize("case", ["overflow", "nan", "ill-conditioned"])
     def test_a_point_it_cannot_evaluate_gives_inf_and_none(self, case):
         # exp(800) overflows and a NaN fails the check; at s2_lin = 1e306 the
         # sum behind the Gram's mean diagonal overflows, where map_objective raises
-        x = np.arange(132) / 12.0
-        y = np.random.default_rng(132).standard_normal(132)
+        ts = TimeSeries(np.random.default_rng(132).standard_normal(132), 12.0)
         medians = median_hyperparams(FULL_SPEC, PRIORS)
-        objective = training.MapObjective(prepare_series(FULL_SPEC, x, y), PRIORS.columns(FULL_SPEC))
+        objective = training.MapObjective(prepare_series(FULL_SPEC, ts), PRIORS.columns(FULL_SPEC))
         u = np.log(medians.values)
         if case == "ill-conditioned":
             theta = oracles.replace(medians, s2_lin=1e306)
             with pytest.raises(IllConditionedModelError):
-                map_objective(FULL_SPEC, PRIORS, theta, x, y)
+                map_objective(FULL_SPEC, PRIORS, theta, ts)
             u = np.log(theta.values)
         else:
             u[:] = 800.0 if case == "overflow" else math.nan
@@ -135,18 +132,18 @@ class TestMapObjective:
         assert objective.best_value == math.inf and objective.best_u is None
 
     def test_the_object_keeps_the_lowest_value_over_calls_that_fail_between(self):
-        x, y = sine_series(36)
+        ts = TimeSeries(sine_series(36)[1], 12.0)
         nu = PRIORS.columns(FULL_SPEC)[0]
         rng = np.random.default_rng(5)
         candidates = [nu + rng.normal(0.0, 0.3, size=nu.size) for _ in range(4)]
-        values = [value for value, _ in train_evaluations(FULL_SPEC, x, y, candidates)]
+        values = [value for value, _ in train_evaluations(FULL_SPEC, ts, candidates)]
         ranked = [candidates[k] for k in np.argsort(values)]  # best first
         ordered, overflow, nan = sorted(values), np.full(nu.size, 800.0), np.full(nu.size, math.nan)
         # a failure first, then one between successes; each leaves the best point as it was
         points = [overflow, ranked[2], nan, ranked[3], ranked[0], overflow, ranked[1]]
         returned = [math.inf, ordered[2], math.inf, ordered[3], ordered[0], math.inf, ordered[1]]
         best_after = [None, 2, 2, 2, 0, 0, 0]  # the rank of the best point after each call
-        objective = training.MapObjective(prepare_series(FULL_SPEC, x, y), PRIORS.columns(FULL_SPEC))
+        objective = training.MapObjective(prepare_series(FULL_SPEC, ts), PRIORS.columns(FULL_SPEC))
         for u, value, best in zip(points, returned, best_after):
             point = u.copy()
             assert objective(point)[0] == value
@@ -161,7 +158,7 @@ class TestMapObjective:
         # train hands its prepared series on; fit checks theta against its spec
         monkeypatch.setattr(training, "MAX_ITERS", 2)
         x, y = sine_series(24)
-        result = train(FULL_SPEC, PRIORS, x, y)
+        result = train(FULL_SPEC, PRIORS, TimeSeries(y, 12.0))
         series = result.series
         assert series.spec == FULL_SPEC and np.array_equal(series.x, x) and np.array_equal(series.y, y)
         other = default_spec("double-seasonal")
@@ -183,12 +180,12 @@ class TestMapObjective:
             parts.append(None)
             return real_parts(*args, **kwargs)
 
-        x, y = sine_series(48)
-        y = y + 0.3 * np.random.default_rng(48).standard_normal(48)
+        _, y = sine_series(48)
+        ts = TimeSeries(y + 0.3 * np.random.default_rng(48).standard_normal(48), 12.0)
         evaluated = record_evaluations(monkeypatch)
         monkeypatch.setattr(HyperParams, "__init__", counting_init)
         monkeypatch.setattr(kernels, "term_parts", counting_parts)
-        result = train(FULL_SPEC, PRIORS, x, y)
+        result = train(FULL_SPEC, PRIORS, ts)
         assert len(made) == 1 and result.nfev == len(evaluated) > 1 and result.penalty_evals == 0
         assert len(parts) == result.nfev * sum(t.kind != "LIN" for t in FULL_SPEC.terms)
 
@@ -200,11 +197,11 @@ class TestMapObjective:
         # in the objective and in a forecast's fit and predict alike
         spec = default_spec(mode)
         medians = median_hyperparams(spec, PRIORS)
-        x, y = sine_series(24)
-        series, x_star = prepare_series(spec, x, y), 2.0 + np.arange(6) / 12.0
+        ts = TimeSeries(sine_series(24)[1], 12.0)
+        series = prepare_series(spec, ts)
 
         def forecast(theta):
-            posterior = predict(fit(theta, series, x_star))
+            posterior = predict(fit(theta, series, 6))
             return posterior.mean, posterior.observation_variance
 
         with warnings.catch_warnings():
@@ -212,7 +209,7 @@ class TestMapObjective:
             for name in spec.trainable_names():
                 for k in [*range(-323, 309, 3), 308]:
                     theta = oracles.replace(medians, **{name: 10.0**k})
-                    for evaluate in (lambda: map_objective(spec, PRIORS, theta, x, y), lambda: forecast(theta)):
+                    for evaluate in (lambda: map_objective(spec, PRIORS, theta, ts), lambda: forecast(theta)):
                         try:
                             out = evaluate()
                         except (InvalidHyperparameterError, IllConditionedModelError):
@@ -237,9 +234,9 @@ def record_evaluations(monkeypatch):
     return evaluated
 
 
-def train_evaluations(spec, x, y, us):
+def train_evaluations(spec, ts, us):
     """train's objective, a ``MapObjective`` of the prepared series, called at each of ``us``: its (value, gradient)."""
-    objective = training.MapObjective(prepare_series(spec, x, y), PRIORS.columns(spec))
+    objective = training.MapObjective(prepare_series(spec, ts), PRIORS.columns(spec))
     return [objective(np.array(u)) for u in us]
 
 
@@ -278,60 +275,56 @@ class TestTrain:
     def test_objective_never_below_start(self):
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
-            x = np.arange(36) / 12.0
-            y = oracles.standardize(np.cumsum(rng.standard_normal(36)))
-            result = train(FULL_SPEC, PRIORS, x, y)
-            start, _ = map_objective(FULL_SPEC, PRIORS, median_hyperparams(FULL_SPEC, PRIORS), x, y)
+            ts = TimeSeries(oracles.standardize(np.cumsum(rng.standard_normal(36))), 12.0)
+            result = train(FULL_SPEC, PRIORS, ts)
+            start, _ = map_objective(FULL_SPEC, PRIORS, median_hyperparams(FULL_SPEC, PRIORS), ts)
             assert result.objective >= start - 1e-12
 
     def test_deterministic_for_single_restart(self):
         rng = np.random.default_rng(17)
         x = np.arange(40) / 12.0
-        y = oracles.standardize(np.sin(2 * np.pi * x) + 0.2 * rng.standard_normal(40))
-        a = train(FULL_SPEC, PRIORS, x, y)
-        b = train(FULL_SPEC, PRIORS, x, y)
+        ts = TimeSeries(oracles.standardize(np.sin(2 * np.pi * x) + 0.2 * rng.standard_normal(40)), 12.0)
+        a = train(FULL_SPEC, PRIORS, ts)
+        b = train(FULL_SPEC, PRIORS, ts)
         assert a.theta == b.theta
         assert a.objective == b.objective
         assert a.penalty_evals == 0
 
-    def test_grid_is_detected_once_per_train(self, monkeypatch):
+    def test_grid_is_laid_out_once_per_train(self, monkeypatch):
+        # the lags' arrays are made when train prepares the series, never per evaluation
         calls = []
-        real = kernels.regular_lags
+        real = kernels.Differences.of
 
-        def counting(x):
+        def counting(spec, d):
             calls.append(None)
-            return real(x)
+            return real(spec, d)
 
-        monkeypatch.setattr(gp, "regular_lags", counting)
-        monkeypatch.setattr(kernels, "regular_lags", counting)
-        x, y = sine_series(60)
-        result = train(FULL_SPEC, PRIORS, x, y)
+        monkeypatch.setattr(gp.Differences, "of", counting)
+        result = train(FULL_SPEC, PRIORS, TimeSeries(sine_series(60)[1], 12.0))
         assert result.nfev > 1 and len(calls) == 1
 
     def test_iteration_budget_flags_but_still_returns(self, monkeypatch):
         rng = np.random.default_rng(21)
         x = np.arange(48) / 12.0
-        y = oracles.standardize(np.sin(2 * np.pi * x) + 0.1 * rng.standard_normal(48))
+        ts = TimeSeries(oracles.standardize(np.sin(2 * np.pi * x) + 0.1 * rng.standard_normal(48)), 12.0)
         monkeypatch.setattr(training, "MAX_ITERS", 2)
-        result = train(FULL_SPEC, PRIORS, x, y)
+        result = train(FULL_SPEC, PRIORS, ts)
         assert not result.converged
-        start, _ = map_objective(FULL_SPEC, PRIORS, median_hyperparams(FULL_SPEC, PRIORS), x, y)
+        start, _ = map_objective(FULL_SPEC, PRIORS, median_hyperparams(FULL_SPEC, PRIORS), ts)
         assert result.objective >= start - 1e-12
 
     def test_restarts_never_hurt_and_stay_deterministic(self):
         rng = np.random.default_rng(23)
-        x = np.arange(36) / 12.0
-        y = oracles.standardize(rng.standard_normal(36))
-        single = train(FULL_SPEC, PRIORS, x, y)
-        multi_a = train(FULL_SPEC, PRIORS, x, y, restarts=3)
-        multi_b = train(FULL_SPEC, PRIORS, x, y, restarts=3)
+        ts = TimeSeries(oracles.standardize(rng.standard_normal(36)), 12.0)
+        single = train(FULL_SPEC, PRIORS, ts)
+        multi_a = train(FULL_SPEC, PRIORS, ts, restarts=3)
+        multi_b = train(FULL_SPEC, PRIORS, ts, restarts=3)
         assert multi_a.theta == multi_b.theta
         assert multi_a.objective >= single.objective - 1e-9
 
     def test_converged_is_the_status_of_the_restart_holding_the_best_point(self, monkeypatch):
         rng = np.random.default_rng(23)
-        x = np.arange(36) / 12.0
-        y = oracles.standardize(rng.standard_normal(36))
+        ts = TimeSeries(oracles.standardize(rng.standard_normal(36)), 12.0)
         real_minimize = training.minimize
         finals = []
 
@@ -341,7 +334,7 @@ class TestTrain:
             return result
 
         monkeypatch.setattr(training, "minimize", recording)
-        reference = train(FULL_SPEC, PRIORS, x, y, restarts=3)
+        reference = train(FULL_SPEC, PRIORS, ts, restarts=3)
         best = int(np.argmin(finals))
 
         def rigged(best_succeeds):
@@ -358,7 +351,7 @@ class TestTrain:
 
         for best_succeeds in (False, True):
             monkeypatch.setattr(training, "minimize", rigged(best_succeeds))
-            result = train(FULL_SPEC, PRIORS, x, y, restarts=3)
+            result = train(FULL_SPEC, PRIORS, ts, restarts=3)
             assert result.theta == reference.theta
             assert result.converged is best_succeeds
             assert result.termination == f"restart {best}"
@@ -366,11 +359,11 @@ class TestTrain:
     def test_returns_the_best_evaluated_point_not_the_optimizers_x(self, monkeypatch):
         # minimize's result.x can be worse than a point it evaluated (an ABNORMAL
         # stop) or tie with one elsewhere, so train keeps its own best evaluation
-        x, y = sine_series(36)
+        ts = TimeSeries(sine_series(36)[1], 12.0)
         nu = PRIORS.columns(FULL_SPEC)[0]
         rng = np.random.default_rng(4)
         candidates = [nu + rng.normal(0.0, 0.3, size=nu.size) for _ in range(5)]
-        values = [value for value, _ in train_evaluations(FULL_SPEC, x, y, candidates)]
+        values = [value for value, _ in train_evaluations(FULL_SPEC, ts, candidates)]
         ranked = [candidates[k] for k in np.argsort(values)]  # best first
         # (status, points) of each restart: the first, which converges, holds the best
         # point between two others, and neither restart returns its best point as x
@@ -391,7 +384,7 @@ class TestTrain:
             )
 
         monkeypatch.setattr(training, "minimize", stub)
-        result = train(FULL_SPEC, PRIORS, x, y, restarts=2)
+        result = train(FULL_SPEC, PRIORS, ts, restarts=2)
         assert result.theta == HyperParams.from_log(FULL_SPEC, ranked[0])
         assert result.objective == -min(values)
         assert result.converged and result.termination == "stop 0"
@@ -419,37 +412,35 @@ class TestTrain:
             return result
 
         monkeypatch.setattr(training, "minimize", recording)
-        x, y = sine_series(24)
-        train(spec, PRIORS, x, y, restarts=3)
+        train(spec, PRIORS, TimeSeries(sine_series(24)[1], 12.0), restarts=3)
         n = len(spec.trainable_names())
         assert [size for size, _ in runs] == [n] * 3
         assert all(max(deviations) <= 1e-10 for _, (deviations, _) in runs)
         assert max(max(used) for _, (_, used) in runs) >= n
 
     def test_termination_is_the_optimizer_message(self, monkeypatch):
-        x, y = sine_series(48)
-        finished = train(FULL_SPEC, PRIORS, x, y)
+        ts = TimeSeries(sine_series(48)[1], 12.0)
+        finished = train(FULL_SPEC, PRIORS, ts)
         assert finished.converged
         assert finished.termination.startswith("CONVERGENCE")
         monkeypatch.setattr(training, "MAX_ITERS", 1)
-        stopped = train(FULL_SPEC, PRIORS, x, y)
+        stopped = train(FULL_SPEC, PRIORS, ts)
         assert not stopped.converged
         assert stopped.termination == "STOP: ITERATIONS REACHED MAX_ITERS"
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_nfev_counts_every_objective_evaluation(self, monkeypatch, restarts):
         rng = np.random.default_rng(23)
-        x = np.arange(36) / 12.0
-        y = oracles.standardize(rng.standard_normal(36))
+        ts = TimeSeries(oracles.standardize(rng.standard_normal(36)), 12.0)
         calls = record_evaluations(monkeypatch)
-        result = train(FULL_SPEC, PRIORS, x, y, restarts=restarts)
+        result = train(FULL_SPEC, PRIORS, ts, restarts=restarts)
         assert result.nfev == len(calls) >= result.iterations > 0
 
     def test_an_evaluation_that_raises_is_a_penalty_and_never_the_result(self, monkeypatch):
         # the objective raises on the first trial step and on the point the
         # line search backs off to: each is one penalty evaluation, and train
         # returns the best of the points it did evaluate
-        x, y = sine_series(36)
+        ts = TimeSeries(sine_series(36)[1], 12.0)
         real_at = training.MapObjective.at
         raising = {2: IllConditionedModelError, 3: InvalidHyperparameterError}
         calls, evaluated = [], []  # evaluated: (theta's values, objective) of each call that returned
@@ -463,7 +454,7 @@ class TestTrain:
             return value, grad
 
         monkeypatch.setattr(training.MapObjective, "at", rigged)
-        result = train(FULL_SPEC, PRIORS, x, y)
+        result = train(FULL_SPEC, PRIORS, ts)
         assert result.penalty_evals == len(raising)
         assert result.nfev == len(calls) == len(evaluated) + len(raising)
         best_values, best = max(evaluated, key=lambda e: e[1])
@@ -473,8 +464,8 @@ class TestTrain:
         # a failed evaluation must not shrink the line search's next step to
         # nothing, nor reach its cubic interpolation: the run goes on to the
         # clean optimum
-        x, y = sine_series(36)
-        clean = train(FULL_SPEC, PRIORS, x, y)
+        ts = TimeSeries(sine_series(36)[1], 12.0)
+        clean = train(FULL_SPEC, PRIORS, ts)
         assert clean.converged and clean.penalty_evals == 0
         assert clean.objective == pytest.approx(71.2501, abs=1e-4)
         assert clean.termination.startswith("CONVERGENCE") and "penalty" not in clean.termination
@@ -503,7 +494,7 @@ class TestTrain:
             calls.clear()
             at_iterates.clear()
             monkeypatch.setattr(training.MapObjective, "at", rigged_at(k))
-            result = train(FULL_SPEC, PRIORS, x, y)
+            result = train(FULL_SPEC, PRIORS, ts)
             assert result.penalty_evals == 1, k
             assert abs(result.objective - clean.objective) <= 1e-4, k
             # minimize flags the failure only if it came after the iterate before the last
@@ -518,7 +509,7 @@ class TestTrain:
 
     def test_overflowing_trial_point_is_a_penalty(self, monkeypatch):
         # exp(800) overflows to inf, which the hyperparameter check rejects
-        x, y = sine_series(24)
+        ts = TimeSeries(sine_series(24)[1], 12.0)
         real_minimize = training.minimize
         returned = []
 
@@ -531,7 +522,7 @@ class TestTrain:
 
         monkeypatch.setattr(training, "minimize", from_an_overflowing_start)
         with pytest.warns(UserWarning, match="returning prior medians"):
-            result = train(FULL_SPEC, PRIORS, x, y)
+            result = train(FULL_SPEC, PRIORS, ts)
         [(value, grad)] = returned
         assert value == math.inf and grad is None
         assert result.theta == median_hyperparams(FULL_SPEC, PRIORS)
@@ -543,9 +534,9 @@ class TestTrain:
             raise IllConditionedModelError("rigged")
 
         monkeypatch.setattr(training.MapObjective, "at", failing)
-        x, y = sine_series(24)
+        ts = TimeSeries(sine_series(24)[1], 12.0)
         with pytest.warns(UserWarning, match="returning prior medians"):
-            result = train(FULL_SPEC, PRIORS, x, y, restarts=3)
+            result = train(FULL_SPEC, PRIORS, ts, restarts=3)
         assert result.theta == median_hyperparams(FULL_SPEC, PRIORS)
         assert not result.converged and result.objective == float("-inf")
         # each restart's start fails, which ends it at once
@@ -555,9 +546,9 @@ class TestTrain:
         # the tracer wraps the likelihood and the priors where training looks
         # them up, so the objective must call them through those names
         tracing = perfbench_module(monkeypatch, "tracer")
-        x, y = sine_series(36)
+        ts = TimeSeries(sine_series(36)[1], 12.0)
         with tracing.Tracer() as tracer:
-            result = train(FULL_SPEC, PRIORS, x, y)
+            result = train(FULL_SPEC, PRIORS, ts)
         spans = tracer.summary()
         assert result.penalty_evals == 0 and result.nfev > 1
         for name in ("gp.lml_grad", "priors.log_prior", "priors.grad_log_prior"):
@@ -576,9 +567,9 @@ class TestTrain:
             return real_at(self, theta)
 
         monkeypatch.setattr(training.MapObjective, "at", rigged)
-        x, y = sine_series(36)
+        ts = TimeSeries(sine_series(36)[1], 12.0)
         with tracing.Tracer() as tracer:
-            result = train(FULL_SPEC, PRIORS, x, y)
+            result = train(FULL_SPEC, PRIORS, ts)
         assert "gpforecast.training.minimize" not in tracer.absent
         assert tracer.counts["training.penalty_evals"] == result.penalty_evals == 1
         assert tracer.counts["training.nfev"] == result.nfev
@@ -609,29 +600,27 @@ class TestTrain:
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
-            train(FULL_SPEC, PRIORS, np.arange(3.0), np.zeros(3))
+            train(FULL_SPEC, PRIORS, TimeSeries(np.zeros(3), 1.0))
 
     def test_model_without_noise_term_rejected(self):
         spec = KernelSpec(terms=(Term("RBF"),))
         with pytest.raises(ValueError, match="WN"):
-            train(spec, PRIORS, np.arange(8.0), np.zeros(8))
+            train(spec, PRIORS, TimeSeries(np.zeros(8), 1.0))
 
     def test_trainable_without_a_prior_rejected(self):
         partial = PriorSpec(entries={name: p for name, p in PRIORS.entries.items() if name != "tau_sm2"})
-        x, y = sine_series(24)
         with pytest.raises(KeyError, match="tau_sm2"):
-            train(FULL_SPEC, partial, x, y)
+            train(FULL_SPEC, partial, TimeSeries(sine_series(24)[1], 12.0))
 
     @pytest.mark.parametrize("restarts", [2.5, math.nan, 0, -1, "2"])
     def test_restarts_other_than_an_integer_of_at_least_one_rejected(self, monkeypatch, restarts):
         monkeypatch.setattr(training, "minimize", lambda *args, **kwargs: pytest.fail("training ran"))
-        x, y = sine_series(24)
         with pytest.raises(ValueError, match="restarts must be an integer >= 1"):
-            train(FULL_SPEC, PRIORS, x, y, restarts=restarts)
+            train(FULL_SPEC, PRIORS, TimeSeries(sine_series(24)[1], 12.0), restarts=restarts)
 
     def test_restarts_of_any_integer_type_accepted(self, monkeypatch):
-        x, y = sine_series(24)
-        starts = [u.tobytes() for restarts in (3, np.int64(3)) for u in train_starts(monkeypatch, FULL_SPEC, x, y, restarts)]
+        ts = TimeSeries(sine_series(24)[1], 12.0)
+        starts = [u.tobytes() for restarts in (3, np.int64(3)) for u in train_starts(monkeypatch, FULL_SPEC, ts, restarts)]
         assert len(starts) == 6 and starts[:3] == starts[3:] and len(set(starts)) == 3
 
     def test_tau_sm1_starts_at_the_periodogram_peak_of_a_two_year_cycle(self, monkeypatch):
@@ -640,7 +629,7 @@ class TestTrain:
         x = np.arange(100) / 12.0
         y = np.sin(np.pi * x) + 0.1 * rng.standard_normal(100)
         nu, lam = PRIORS.columns(FULL_SPEC)[:2]
-        starts = train_starts(monkeypatch, FULL_SPEC, x, y, restarts=3)
+        starts = train_starts(monkeypatch, FULL_SPEC, TimeSeries(y, 12.0), restarts=3)
         names = FULL_SPEC.trainable_names()
         k, noise = names.index("tau_sm1"), names.index("s2_noise")
         assert starts[0][k] == pytest.approx(-math.log(2.0 * math.pi * 4.0 * 12.0 / 100.0), rel=1e-12)
@@ -659,13 +648,15 @@ class TestTrain:
         # noise, whose variance is 0.01, starts at its median
         rng = np.random.default_rng(4)
         if mode == "single-seasonal":
-            x = np.arange(120) / 12.0
+            steps_per_year, n = 12.0, 120
+            x = np.arange(n) / steps_per_year
             y = np.sin(2.0 * np.pi * x)
         else:
-            x = np.arange(336) / 1461.0
+            steps_per_year, n = 1461.0, 336
+            x = np.arange(n) / steps_per_year
             y = np.sin(2.0 * np.pi * 365.25 * x) + 0.5 * np.sin(2.0 * np.pi * 365.25 / 7.0 * x)
         spec = default_spec(mode)
-        [start] = train_starts(monkeypatch, spec, x, y + 0.1 * rng.standard_normal(x.size))
+        [start] = train_starts(monkeypatch, spec, TimeSeries(y + 0.1 * rng.standard_normal(n), steps_per_year))
         noise = spec.trainable_names().index("s2_noise")
         assert abs(start[noise] - math.log(0.01)) <= math.log(2.0)
         assert np.delete(start, noise).tobytes() == np.delete(PRIORS.columns(spec)[0], noise).tobytes()
@@ -678,7 +669,7 @@ class TestTrain:
         errors = []
         for seed in range(20):
             y = math.sqrt(variance) * np.random.default_rng(seed).standard_normal(x.size)
-            [start] = train_starts(monkeypatch, FULL_SPEC, x, y)
+            [start] = train_starts(monkeypatch, FULL_SPEC, TimeSeries(y, 12.0))
             errors.append(start[noise] - math.log(variance))
         assert abs(float(np.median(errors))) <= 0.15
         assert max(map(abs, errors)) <= math.log(2.0)
@@ -689,13 +680,15 @@ class TestTrain:
         # start's floor of exp(nu - 5 sqrt(lam)); a yearly, daily or weekly cycle
         # keeps tau_sm1's median too
         if mode == "single-seasonal":
-            x = np.arange(120) / 12.0
+            steps_per_year = 12.0
+            x = np.arange(120) / steps_per_year
             y = np.sin(2.0 * np.pi * x) + 0.3 * np.cos(4.0 * np.pi * x)
         else:
-            x = np.arange(336) / 1461.0
+            steps_per_year = 1461.0
+            x = np.arange(336) / steps_per_year
             y = np.sin(2.0 * np.pi * 365.25 * x) + 0.5 * np.sin(2.0 * np.pi * 365.25 / 7.0 * x)
         spec = default_spec(mode)
-        [start] = train_starts(monkeypatch, spec, x, y)
+        [start] = train_starts(monkeypatch, spec, TimeSeries(y, steps_per_year))
         assert start.tobytes() == PRIORS.columns(spec)[0].tobytes()
 
     def test_a_noise_free_design_series_keeps_the_noise_median(self, monkeypatch):
@@ -710,13 +703,12 @@ class TestTrain:
     def test_the_shortest_series_start_without_a_warning(self, monkeypatch, n):
         # above 0.4 cycles per step lies one bin at n = 4 and 8 and none at
         # n = 5, which takes its last bin; an all-zero series reads a level of 0
-        x = np.arange(n) / 12.0
         noise = FULL_SPEC.trainable_names().index("s2_noise")
         nu = PRIORS.columns(FULL_SPEC)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [start] = train_starts(monkeypatch, FULL_SPEC, x, np.random.default_rng(n).standard_normal(n))
-            [zeros] = train_starts(monkeypatch, FULL_SPEC, x, np.zeros(n))
+            [start] = train_starts(monkeypatch, FULL_SPEC, TimeSeries(np.random.default_rng(n).standard_normal(n), 12.0))
+            [zeros] = train_starts(monkeypatch, FULL_SPEC, TimeSeries(np.zeros(n), 12.0))
         assert math.isfinite(start[noise]) and start[noise] != nu[noise]
         assert zeros.tobytes() == nu.tobytes()
 
@@ -746,8 +738,7 @@ class TestTrain:
     def test_linear_trend_makes_linear_term_dominant(self):
         # deterministic input, so a single run settles the claim
         x = np.arange(48) / 12.0
-        y = oracles.standardize(x.copy())
-        result = train(FULL_SPEC, PRIORS, x, y)
+        result = train(FULL_SPEC, PRIORS, TimeSeries(oracles.standardize(x.copy()), 12.0))
         variances = oracles.mean_signal_variances(FULL_SPEC, result.theta, x)
         lin = variances.pop("LIN")
         assert lin > max(variances.values())
@@ -784,10 +775,10 @@ def record_starts(monkeypatch):
     return starts
 
 
-def train_starts(monkeypatch, spec, x, y, restarts=1):
-    """The start ``train`` hands each restart's ``minimize``."""
+def train_starts(monkeypatch, spec, ts, restarts=1):
+    """The start ``train`` hands each restart's ``minimize`` on the series ``ts``."""
     starts = record_starts(monkeypatch)
-    train(spec, PRIORS, x, y, restarts=restarts)
+    train(spec, PRIORS, ts, restarts=restarts)
     return starts
 
 
@@ -848,8 +839,7 @@ class TestMinimizeOracle:
         else:
             monkeypatch.setattr(training, "minimize", both)
             if case == "monthly":
-                x, y = sine_series(36)
-                train(FULL_SPEC, PRIORS, x, y)
+                train(FULL_SPEC, PRIORS, TimeSeries(sine_series(36)[1], 12.0))
             else:
                 ts, horizon, mode = design_series(monkeypatch, "six-hourly-double", 1, "h-112-0-c0")
                 standardized_posterior(ts, horizon, mode=mode)
