@@ -4,7 +4,7 @@ A single additive kernel (periodic + linear + RBF + two spectral-mixture
 terms + noise) covers most univariate series; lognormal priors keep the
 hyperparameters plausible, so one MAP optimization run from the prior
 medians is enough.  Forecasts come with calibrated per-step variances and
-can be scored with MAE, CRPS, and average log-likelihood.
+are scored with MAE, CRPS, and average log-likelihood by ``score``.
 """
 
 from .bench import (
@@ -18,6 +18,7 @@ from .bench import (
     emit_report,
     load_csv,
     parse_machine_report,
+    read_values,
     run_benchmark,
     seasonal_naive,
 )
@@ -45,7 +46,7 @@ from .gp import (
     prepare_series,
 )
 from .kernels import HyperParams, InvalidHyperparameterError, KernelSpec, Term
-from .metrics import ScoreReport, crps_gaussian, log_likelihood, mae, score
+from .metrics import ScoreReport, crps_gaussian, score
 from .priors import (
     LogNormalPrior,
     PriorSpec,

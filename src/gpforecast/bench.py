@@ -1,12 +1,16 @@
-"""Batch benchmarking: CSV ingestion, per-series runs, aggregate report.
+"""Batch benchmarking: CSV input, per-series runs, aggregate report.
 
-Two CSV layouts are supported:
+``load_csv`` reads a dataset in one of two CSV layouts:
 
     long  header with series/step/value columns; one observation per row;
           steps are integer indices, unique per series, without gaps, in
           any order
     wide  one column per series, one step per row; shorter series end with
           empty trailing cells
+
+``read_values`` reads one series (bare numbers, a ``value`` column, or a
+long-layout file of one series).  Every CSV the package takes is read
+here: blank rows skipped, cells stripped, errors naming the line.
 
 Each series is split into a training part and a test part of the
 configured length, standardized on the training part, forecast with the
@@ -46,6 +50,7 @@ __all__ = [
     "SeriesFailure",
     "BenchReport",
     "load_csv",
+    "read_values",
     "seasonal_naive",
     "run_benchmark",
     "emit_report",
@@ -81,8 +86,9 @@ class CsvLayout:
             raise ValueError(f"layout must be 'long' or 'wide', got {self.layout!r}")
         if not np.isfinite(self.steps_per_year) or self.steps_per_year <= 0:
             raise ValueError(f"steps_per_year must be finite and > 0, got {self.steps_per_year!r}")
-        if self.test_length is not None and self.test_length < 1:
-            raise ValueError(f"test_length must be >= 1, got {self.test_length}")
+        length = self.test_length
+        if length is not None and not (isinstance(length, numbers.Integral) and length >= 1):  # rejects 2.5, 3.0
+            raise ValueError(f"test length must be an integer >= 1, got {length!r}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,8 @@ class Dataset:
         if len(set(names)) != len(names):
             raise ValueError("series names must be unique")
         for e in self.entries:
-            if e.test_length < 1:
-                raise ValueError(f"series {e.name!r}: test length must be >= 1")
+            if not (isinstance(e.test_length, numbers.Integral) and e.test_length >= 1):  # rejects 2.5, 3.0
+                raise ValueError(f"series {e.name!r}: test length must be an integer >= 1, got {e.test_length!r}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -110,10 +116,9 @@ class Dataset:
 
 def load_csv(path, layout: CsvLayout) -> Dataset:
     """Parse a dataset file; raises :class:`CsvFormatError` with line numbers."""
-    if layout.layout == "long":
-        per_series = _read_long(path)
-    else:
-        per_series = _read_wide(path)
+    body = _read_rows(path)
+    lineno, header = next(body)
+    per_series = (_read_long if layout.layout == "long" else _read_wide)(path, lineno, header, body)
     test_length = layout.test_length if layout.test_length is not None else default_horizon(layout.steps_per_year)
     entries = tuple(
         SeriesEntry(
@@ -151,9 +156,27 @@ def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
         raise CsvFormatError(f"{path}: file is empty")
 
 
-def _read_long(path) -> list[tuple[str, list[float]]]:
+def read_values(path) -> np.ndarray:
+    """One series: bare numbers or a 'value' column in row order, or a long-layout file's one series in step order."""
     body = _read_rows(path)
     lineno, header = next(body)
+    if all(column in header for column in _LONG_COLUMNS):
+        per_series = _read_long(path, lineno, header, body)
+        if len(per_series) != 1:
+            raise CsvFormatError(f"{path}: holds {len(per_series)} series; a forecast reads one")
+        return np.array(per_series[0][1])
+    try:
+        float(header[0])
+    except ValueError:
+        if "value" not in header:
+            raise CsvFormatError(f"{path}: line {lineno}: header must contain a 'value' column, got {header}") from None
+        value_idx, rows = header.index("value"), body
+    else:
+        value_idx, rows = 0, [(lineno, header), *body]  # bare numbers: the first row is a value
+    return np.array([_parse_value(row[value_idx] if value_idx < len(row) else "", path, n) for n, row in rows])
+
+
+def _read_long(path, lineno: int, header: list[str], body) -> list[tuple[str, list[float]]]:
     try:
         s_idx, t_idx, v_idx = (header.index(column) for column in _LONG_COLUMNS)
     except ValueError:
@@ -186,9 +209,7 @@ def _read_long(path) -> list[tuple[str, list[float]]]:
     return per_series
 
 
-def _read_wide(path) -> list[tuple[str, list[float]]]:
-    body = _read_rows(path)
-    lineno, header = next(body)
+def _read_wide(path, lineno: int, header: list[str], body) -> list[tuple[str, list[float]]]:
     if any(not h for h in header):
         raise CsvFormatError(f"{path}: line {lineno}: empty series name in header")
     if len(set(header)) != len(header):

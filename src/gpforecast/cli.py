@@ -9,6 +9,7 @@ from the prior medians (SM1's period at the series' own cycle and the
 noise variance at its own level where the priors find them plausible),
 under the fixed stopping rules of
 ``gpforecast.training``.  ``--priors`` swaps in another priors file.
+``gpforecast.bench`` reads every input CSV (``read_values``, ``load_csv``).
 """
 
 from __future__ import annotations
@@ -16,31 +17,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .bench import CsvLayout, _parse_value, _read_rows, emit_report, load_csv, run_benchmark
-from .forecasting import _PERIODIC_TERMS, TimeSeries, default_horizon, forecast, parse_frequency
+from .bench import CsvLayout, emit_report, load_csv, read_values, run_benchmark
+from .forecasting import PERIODIC_TERMS, TimeSeries, default_horizon, forecast, parse_frequency
 from .gp import IllConditionedModelError
 from .priors import default_priors, format_priors, load_priors
-
-
-def _read_values(path) -> np.ndarray:
-    """Read a single-series CSV: bare numbers, or a file with a 'value' column."""
-    rows = list(_read_rows(path))
-    lineno, first = rows[0]
-    value_idx = 0
-    try:
-        float(first[0])
-    except ValueError:
-        if "value" not in first:
-            raise ValueError(f"{path}: line {lineno}: header must contain a 'value' column, got {first}") from None
-        value_idx = first.index("value")
-        rows = rows[1:]
-    values = []
-    for lineno, row in rows:
-        cell = row[value_idx] if value_idx < len(row) else ""
-        values.append(_parse_value(cell, path, lineno))
-    return np.array(values)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -55,7 +35,7 @@ def _write(text: str, output: str | None) -> None:
 def _cmd_forecast(args) -> int:
     priors = load_priors(args.priors) if args.priors else None
     steps_per_year = parse_frequency(args.freq)
-    ts = TimeSeries(values=_read_values(args.input), steps_per_year=steps_per_year)
+    ts = TimeSeries(values=read_values(args.input), steps_per_year=steps_per_year)
     horizon = args.horizon if args.horizon is not None else default_horizon(steps_per_year)
     fc, result = forecast(ts, horizon, mode=args.mode, priors=priors)
     lines = ["step,mean,variance"]
@@ -106,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fc = sub.add_parser("forecast", help="forecast one series from a CSV of values")
-    p_fc.add_argument("input", help="CSV with one value per row (or a 'value' column)")
+    p_fc.add_argument("input", help="CSV of one series: one value per row, a 'value' column, or series/step/value")
     p_fc.add_argument("--freq", required=True, help="monthly, quarterly, or steps per year")
     p_fc.add_argument("--horizon", type=int, default=None, help="steps to forecast (default by frequency)")
-    p_fc.add_argument("--mode", default="single-seasonal", choices=list(_PERIODIC_TERMS))
+    p_fc.add_argument("--mode", default="single-seasonal", choices=list(PERIODIC_TERMS))
     p_fc.add_argument("--output", default=None, help="write forecast CSV here instead of stdout")
     p_fc.add_argument("--priors", default=None, help="alternative priors file")
     p_fc.set_defaults(func=_cmd_forecast)
@@ -119,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--layout", default="long", choices=["long", "wide"])
     p_b.add_argument("--freq", required=True, help="monthly, quarterly, or steps per year")
     p_b.add_argument("--test-length", type=int, default=None, dest="test_length")
-    p_b.add_argument("--mode", default="single-seasonal", choices=list(_PERIODIC_TERMS))
+    p_b.add_argument("--mode", default="single-seasonal", choices=list(PERIODIC_TERMS))
     p_b.add_argument("--parallel", type=int, default=1, help="series-level worker threads")
     p_b.add_argument("--format", default="human", choices=["human", "machine"])
     p_b.add_argument("--priors", default=None, help="alternative priors file")

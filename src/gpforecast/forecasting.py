@@ -32,6 +32,7 @@ __all__ = [
     "MONTHLY",
     "QUARTERLY",
     "SIX_HOURLY",
+    "PERIODIC_TERMS",
     "ConstantSeriesError",
     "TimeSeries",
     "Standardizer",
@@ -58,7 +59,7 @@ WEEKLY_PERIOD = 1.0 / 52.18
 DAILY_PERIOD = 1.0 / 365.25
 
 # Each seasonality mode's periodic terms; every mode adds the shared terms after them.
-_PERIODIC_TERMS = {
+PERIODIC_TERMS = {
     "single-seasonal": (Term("PER", period=YEARLY_PERIOD),),
     "double-seasonal": (Term("PER", period=WEEKLY_PERIOD), Term("PER2", period=DAILY_PERIOD)),
 }
@@ -141,9 +142,9 @@ def default_spec(mode: str = "single-seasonal") -> KernelSpec:
     single-seasonal: PER(1 year) + LIN + RBF + SM1 + SM2 + WN.
     double-seasonal: weekly and daily periodic terms replace the yearly one.
     """
-    if mode not in _PERIODIC_TERMS:
+    if mode not in PERIODIC_TERMS:
         raise ValueError(f"mode must be 'single-seasonal' or 'double-seasonal', got {mode!r}")
-    return KernelSpec(terms=_PERIODIC_TERMS[mode] + _SHARED_TERMS)
+    return KernelSpec(terms=PERIODIC_TERMS[mode] + _SHARED_TERMS)
 
 
 def default_horizon(steps_per_year: float) -> int:

@@ -1,6 +1,6 @@
 """Scoring rules for probabilistic forecasts.
 
-Three indicators, all averaged over the test steps:
+``score`` gives all three indicators, each averaged over the test steps:
 
     MAE   mean absolute error of the point forecast
     CRPS  continuous ranked probability score of the Gaussian predictive
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ScoreReport", "mae", "crps_gaussian", "log_likelihood", "score"]
+__all__ = ["ScoreReport", "crps_gaussian", "score"]
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -46,22 +46,6 @@ class ScoreReport:
             raise ValueError("mae and crps must be nonnegative")
 
 
-def _paired(y, mu) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if y.shape != mu.shape:
-        raise ValueError(f"length mismatch: actuals {y.shape} vs forecasts {mu.shape}")
-    if y.size < 1:
-        raise ValueError("need at least one test step")
-    return y, mu
-
-
-def mae(y, mu) -> float:
-    """Mean absolute error, (1/T) sum |y_t - mu_t|."""
-    y, mu = _paired(y, mu)
-    return float(np.mean(np.abs(y - mu)))
-
-
 def crps_gaussian(y, mu, sigma):
     """Closed-form CRPS of a Gaussian forecast; elementwise over arrays.
 
@@ -78,25 +62,16 @@ def crps_gaussian(y, mu, sigma):
     return out if out.ndim else float(out)
 
 
-def _log_density_per_step(y: np.ndarray, mu: np.ndarray, sigma2) -> np.ndarray:
-    """-0.5 log(2 pi sigma2_t) - (y_t - mu_t)^2 / (2 sigma2_t) for each step t."""
-    sigma2 = np.asarray(sigma2, dtype=float)
-    if sigma2.shape != y.shape:
-        raise ValueError(f"length mismatch: actuals {y.shape} vs variances {sigma2.shape}")
+def score(y, mu, sigma2) -> ScoreReport:
+    """All three indicators for one forecast, with per-step detail; checks its input once."""
+    y, mu, sigma2 = (np.asarray(a, dtype=float) for a in (y, mu, sigma2))
+    if not y.shape == mu.shape == sigma2.shape:
+        raise ValueError(f"length mismatch: actuals {y.shape}, forecasts {mu.shape}, variances {sigma2.shape}")
+    if y.size < 1:
+        raise ValueError("need at least one test step")
     if np.any(sigma2 <= 0) or not np.all(np.isfinite(sigma2)):
         raise ValueError("variances must be finite and > 0")
-    return -0.5 * (_LOG_2PI + np.log(sigma2)) - (y - mu) ** 2 / (2.0 * sigma2)
-
-
-def log_likelihood(y, mu, sigma2) -> float:
-    """Average per-step Gaussian log-density of the actuals."""
-    return float(np.mean(_log_density_per_step(*_paired(y, mu), sigma2)))
-
-
-def score(y, mu, sigma2) -> ScoreReport:
-    """All three indicators for one forecast, with per-step detail."""
-    y, mu = _paired(y, mu)
-    ll_steps = _log_density_per_step(y, mu, sigma2)
+    ll_steps = -0.5 * (_LOG_2PI + np.log(sigma2)) - (y - mu) ** 2 / (2.0 * sigma2)  # log N(y_t; mu_t, sigma2_t)
     abs_errors = np.abs(y - mu)
     crps_steps = np.asarray(crps_gaussian(y, mu, np.sqrt(sigma2)))
     return ScoreReport(

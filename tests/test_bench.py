@@ -20,6 +20,7 @@ from gpforecast import (
     emit_report,
     load_csv,
     parse_machine_report,
+    read_values,
     run_benchmark,
     score,
     seasonal_naive,
@@ -138,6 +139,40 @@ class TestLoadCsv:
         assert np.array_equal(again.entries[0].series.values, values)
 
 
+class TestReadValues:
+    def test_bare_numbers_and_a_value_column_read_in_row_order(self, tmp_path):
+        bare = tmp_path / "bare.csv"
+        bare.write_text("3.0\n1.0\n\n2.0\n")
+        column = tmp_path / "column.csv"
+        column.write_text("when, value\nx,3.0\ny,1.0\nz,2.0\n")
+        np.testing.assert_array_equal(read_values(bare), [3.0, 1.0, 2.0])
+        np.testing.assert_array_equal(read_values(column), [3.0, 1.0, 2.0])
+
+    def test_a_header_without_a_value_column_names_its_line(self, tmp_path):
+        path = tmp_path / "no_value.csv"
+        path.write_text("\nwhen,amount\nx,1.0\n")
+        with pytest.raises(CsvFormatError, match="line 2: header must contain a 'value' column"):
+            read_values(path)
+
+    def test_one_long_series_reads_in_step_order(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("step,value,series\n2,30.0,a\n0,10.0,a\n1,20.0,a\n")
+        np.testing.assert_array_equal(read_values(path), [10.0, 20.0, 30.0])
+
+    def test_long_checks_apply_to_one_series(self, tmp_path):
+        with pytest.raises(CsvFormatError, match="duplicate step 1"):
+            read_values(f"{DATA}/long_duplicate_step.csv")
+        path = tmp_path / "gap.csv"
+        path.write_text("series,step,value\na,0,1.0\na,2,3.0\n")
+        with pytest.raises(CsvFormatError, match="series 'a' has no step 1"):
+            read_values(path)
+
+    def test_more_than_one_long_series_is_rejected_with_the_count(self):
+        # rows of two series used to be joined into one series, their steps ignored
+        with pytest.raises(CsvFormatError, match="holds 2 series"):
+            read_values(f"{DATA}/long_two_series.csv")
+
+
 class TestDatasetInvariants:
     def test_duplicate_names_rejected(self):
         entry = SeriesEntry(
@@ -157,6 +192,21 @@ class TestDatasetInvariants:
                     ),
                 )
             )
+
+    @pytest.mark.parametrize("test_length", [2.5, np.float64(3.0), 0, -1], ids=["2.5", "float64-3", "0", "-1"])
+    def test_test_length_must_be_an_integer_of_at_least_one(self, test_length):
+        # a float length used to pass and only failed in run_benchmark, as a slice index
+        ts = TimeSeries(values=np.arange(10.0), steps_per_year=12.0)
+        with pytest.raises(ValueError, match="series 'x': test length must be an integer >= 1"):
+            Dataset(entries=(SeriesEntry(name="x", series=ts, test_length=test_length),))
+        with pytest.raises(ValueError, match="test length must be an integer >= 1"):
+            CsvLayout(steps_per_year=12.0, test_length=test_length)
+
+    def test_integer_test_lengths_of_any_integer_type_pass(self):
+        ts = TimeSeries(values=np.arange(10.0), steps_per_year=12.0)
+        for test_length in (1, np.int64(3)):
+            assert CsvLayout(steps_per_year=12.0, test_length=test_length).test_length == test_length
+            assert len(Dataset(entries=(SeriesEntry(name="x", series=ts, test_length=test_length),))) == 1
 
     def test_non_finite_series_values_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

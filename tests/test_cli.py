@@ -57,6 +57,29 @@ class TestForecastCommand:
         path.write_text("\n".join(repr(float(v)) for v in values) + "\n")
         assert main(["forecast", str(path), "--freq", "monthly", "--horizon", "3"]) == 0
 
+    def test_shuffled_one_series_long_file_forecasts_like_its_bare_numbers(self, tmp_path, capsys):
+        rng = np.random.default_rng(75)
+        values = 5.0 + np.sin(np.arange(30) / 2.0) + 0.1 * rng.standard_normal(30)
+        bare = tmp_path / "bare.csv"
+        bare.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+        rows = [f"m,{i},{float(v)!r}" for i, v in enumerate(values)]
+        long = tmp_path / "long.csv"
+        long.write_text("series,step,value\n" + "\n".join(rng.permutation(rows)) + "\n")
+        outputs = []
+        for path in (bare, long):
+            assert main(["forecast", str(path), "--freq", "monthly", "--horizon", "3"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1].startswith("30,")
+
+    def test_long_file_of_two_series_returns_error(self, tmp_path, capsys):
+        path = tmp_path / "two.csv"
+        path.write_text("series,step,value\na,1,5.0\na,0,4.0\nb,0,100.0\nb,1,101.0\n")
+        assert main(["forecast", str(path), "--freq", "monthly", "--horizon", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: holds 2 series; a forecast reads one\n"
+
     @pytest.mark.parametrize(
         "bad, message",
         [("nan", "value nan is not finite"), ("-inf", "value -inf is not finite"), ("soon", "value 'soon' is not numeric")],

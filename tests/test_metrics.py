@@ -6,27 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gpforecast import crps_gaussian, log_likelihood, mae, score
+from gpforecast import crps_gaussian, score
+
+
+def mae_of(y, mu):
+    """score's MAE at unit variances, which MAE does not read."""
+    return score(y, mu, np.ones(np.shape(y))).mae
 
 
 class TestMae:
     def test_zero_when_exact(self):
         y = np.array([1.0, 2.0, 3.0])
-        assert mae(y, y) == 0.0
+        assert mae_of(y, y) == 0.0
 
     def test_simple_case(self):
-        assert mae(np.array([1.0, -1.0]), np.array([0.0, 0.0])) == 1.0
+        assert mae_of(np.array([1.0, -1.0]), np.array([0.0, 0.0])) == 1.0
 
     def test_random_vectors_match_direct_recomputation(self):
         rng = np.random.default_rng(0)
         y = rng.standard_normal(18)
         mu = rng.standard_normal(18)
         direct = sum(abs(a - b) for a, b in zip(y, mu)) / 18.0
-        assert mae(y, mu) == pytest.approx(direct, abs=1e-15)
+        assert mae_of(y, mu) == pytest.approx(direct, abs=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mae(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError, match="length mismatch"):
+            score(np.zeros(3), np.zeros(4), np.ones(3))
 
 
 class TestCrps:
@@ -120,10 +125,10 @@ class TestCrps:
 class TestLogLikelihood:
     def test_perfect_forecast_unit_variance(self):
         y = np.array([0.3, -0.7, 1.1])
-        assert log_likelihood(y, y, np.ones(3)) == pytest.approx(-0.9189385332046727, abs=1e-12)
+        assert score(y, y, np.ones(3)).ll == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_single_step_unit_residual(self):
-        assert log_likelihood(np.array([1.0]), np.array([0.0]), np.array([1.0])) == pytest.approx(
+        assert score(np.array([1.0]), np.array([0.0]), np.array([1.0])).ll == pytest.approx(
             -1.4189385332046727, abs=1e-12
         )
 
@@ -133,22 +138,29 @@ class TestLogLikelihood:
         y = rng.standard_normal(18)
         mu = rng.standard_normal(18)
         sigma2 = rng.uniform(0.1, 4.0, size=18)
-        assert log_likelihood(y, mu, sigma2) == pytest.approx(
-            oracles.gaussian_logpdf_mean(y, mu, sigma2), abs=1e-12
-        )
+        assert score(y, mu, sigma2).ll == pytest.approx(oracles.gaussian_logpdf_mean(y, mu, sigma2), abs=1e-12)
 
     def test_maximized_at_squared_residual(self):
         y, mu = np.array([2.0]), np.array([0.5])
         best = float((y[0] - mu[0]) ** 2)
-        at_best = log_likelihood(y, mu, np.array([best]))
+        at_best = score(y, mu, np.array([best])).ll
         for factor in (0.25, 0.5, 2.0, 4.0):
-            assert at_best > log_likelihood(y, mu, np.array([best * factor]))
+            assert at_best > score(y, mu, np.array([best * factor])).ll
 
     def test_rejects_bad_variances_and_lengths(self):
-        with pytest.raises(ValueError):
-            log_likelihood(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            log_likelihood(np.zeros(2), np.zeros(2), np.ones(3))
+        with pytest.raises(ValueError, match="variances must be finite and > 0"):
+            score(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="length mismatch"):
+            score(np.zeros(2), np.zeros(2), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_rejects_negative_and_nonfinite_variances(self, bad):
+        with pytest.raises(ValueError, match="variances must be finite and > 0"):
+            score(np.zeros(2), np.zeros(2), np.array([1.0, bad]))
+
+    def test_rejects_no_test_step(self):
+        with pytest.raises(ValueError, match="need at least one test step"):
+            score(np.zeros(0), np.zeros(0), np.ones(0))
 
 
 class TestScoreReport:
@@ -158,8 +170,10 @@ class TestScoreReport:
         mu = rng.standard_normal(18)
         sigma2 = rng.uniform(0.2, 2.0, size=18)
         report = score(y, mu, sigma2)
-        assert report.mae == pytest.approx(mae(y, mu), abs=1e-15)
-        assert report.ll == log_likelihood(y, mu, sigma2)
+        assert report.mae == pytest.approx(sum(abs(a - b) for a, b in zip(y, mu)) / 18.0, abs=1e-15)
+        assert report.ll == pytest.approx(oracles.gaussian_logpdf_mean(y, mu, sigma2), abs=1e-12)
+        assert report.mae == float(np.mean(report.abs_errors))
+        assert report.ll == float(np.mean(report.ll_per_step))
         assert report.crps == pytest.approx(float(np.mean(crps_gaussian(y, mu, np.sqrt(sigma2)))), abs=1e-15)
         assert report.abs_errors.shape == (18,)
         assert report.crps_per_step.shape == (18,)
