@@ -147,13 +147,29 @@ def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
     empty = True
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            cells = [cell.strip() for cell in row]
-            if any(cells):
-                empty = False
-                yield reader.line_num, cells
+        try:
+            for row in reader:
+                cells = [cell.strip() for cell in row]
+                if any(cells):
+                    empty = False
+                    yield reader.line_num, cells
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
     if empty:
         raise CsvFormatError(f"{path}: file is empty")
+
+
+def _not_utf8(path, err: UnicodeDecodeError) -> CsvFormatError:
+    """The error naming the line of a file's first byte that is not UTF-8 (``err`` counts from the reader's chunk)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:  # it counts from the file's first byte
+        err = whole
+    before, bad = data[: err.start], err.object[err.start]
+    line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1  # \n, \r\n or \r ends a line
+    return CsvFormatError(f"{path}: line {line}: byte {err.start}, 0x{bad:02x}, is not UTF-8 ({err.reason})")
 
 
 def read_values(path) -> np.ndarray:

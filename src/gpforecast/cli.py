@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .bench import CsvLayout, emit_report, load_csv, read_values, run_benchmark
 from .forecasting import PERIODIC_TERMS, TimeSeries, default_horizon, forecast, parse_frequency
@@ -37,18 +38,17 @@ def _cmd_forecast(args) -> int:
     steps_per_year = parse_frequency(args.freq)
     ts = TimeSeries(values=read_values(args.input), steps_per_year=steps_per_year)
     horizon = args.horizon if args.horizon is not None else default_horizon(steps_per_year)
-    fc, result = forecast(ts, horizon, mode=args.mode, priors=priors)
+    with warnings.catch_warnings(record=True) as caught:  # printed once each below, not echoed by Python
+        warnings.simplefilter("always")
+        fc, _ = forecast(ts, horizon, mode=args.mode, priors=priors)
     lines = ["step,mean,variance"]
     n = len(ts)
     for i in range(horizon):
         lines.append(f"{n + i},{float(fc.mean[i])!r},{float(fc.variance[i])!r}")
     text = "\n".join(lines) + "\n"
     _write(text, args.output)
-    if not result.converged:
-        print(
-            f"warning: training did not converge ({result.iterations} iterations): {result.termination}",
-            file=sys.stderr,
-        )
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     return 0
 
 

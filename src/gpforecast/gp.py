@@ -29,8 +29,7 @@ and which trainables are stationary (``KernelSpec.lin``, ``.noise`` and
 ``.stationary``).  Each evaluation takes theta's values as a plain
 sequence in the spec's order (a trainer's exp(u), checked once) and makes
 one :func:`grad_gram` call on the prepared lags, which gives every
-stationary partial and, summed by :func:`lag_column`, the covariance at
-each lag.
+stationary partial and, as its last row, the covariance at each lag.
 
 K is a symmetric Toeplitz matrix T (with the jitter) plus LIN's rank-1
 slope v v^T, and the objective (:func:`log_marginal_likelihood_and_grad`)
@@ -50,10 +49,10 @@ run.  :func:`fit` factorizes and solves through the same routine,
 
 :func:`fit` takes the trained theta, the prepared series and a horizon
 h: x* is the next h steps of the series' grid, so x and x* together are
-the grid of n + h steps.  One :func:`grad_gram` pass over its lags gives
-the Gram's column (bit for bit the objective's) and the cross-covariance
-(``kernels.build_cross``: Toeplitz on lags 1 .. n+h-1, plus LIN's
-slope), and is the only pass over the terms the final step makes:
+the grid of n + h steps.  One :func:`grad_gram` call on its lags gives,
+as its last row, the Gram's column (bit for bit the objective's) and the
+cross-covariance (``kernels.build_cross``: Toeplitz on lags 1 .. n+h-1,
+plus LIN's slope), and is the only pass over the terms the final step makes:
 ``kernels.zero_lag_variance`` sums the terms' variances for the prior
 variance from the values :func:`fit` has checked.  :func:`predict`
 reuses the factor, so a forecast makes one Cholesky factorization at its
@@ -82,8 +81,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py guards its convention
 
-from .kernels import Differences, HyperParams, KernelSpec, build_cross, build_gram, grad_gram
-from .kernels import lag_column, zero_lag_variance
+from .kernels import Differences, HyperParams, KernelSpec, build_cross, build_gram, grad_gram, zero_lag_variance
 
 __all__ = [
     "IllConditionedModelError",
@@ -261,7 +259,7 @@ def fit(theta: HyperParams, series: PreparedSeries, horizon: int = 0) -> FitStat
     values = theta.for_spec(spec)
     grid = np.arange(x.size + horizon, dtype=float) / series.steps_per_year  # its lags, as x_0 = 0
     x_star = grid[x.size :]
-    column = lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, grid)))
+    column = grad_gram(spec, values, Differences.of(spec, grid))[-1]
     slope = values[lin][1] if lin is not None else 0.0
     cross, prior_variance = build_cross(column, slope, x_star, x), zero_lag_variance(spec, values, x_star)
     lower, jitter, alpha = _cholesky_solve(column[: x.size], math.sqrt(slope) * x, y)
@@ -296,8 +294,8 @@ def log_marginal_likelihood_and_grad(values: Sequence[float], series: PreparedSe
     spec, x, y, lin = series.spec, series.x, series.y, series.spec.lin
     bias, slope = values[lin] if lin is not None else (0.0, 0.0)
     v = math.sqrt(slope) * x  # LIN's slope vector, zero without LIN
-    partials = grad_gram(spec, values, series.diffs)  # the one pass over the terms, values included
-    column = lag_column(spec, values, partials)
+    rows = grad_gram(spec, values, series.diffs)  # the one pass over the terms
+    partials, column = rows[:-1], rows[-1]
     noise = values[spec.noise] if spec.noise is not None else 0.0
     lml, a, jitter, g, p, beta = _levinson_solve(column, v, y, noise) or _cholesky_grid_solve(column, v, y)
     inv_sums = _toeplitz_plus_rank1_inverse_sums(g, p, beta, series.index, series.lengths)
@@ -326,7 +324,7 @@ def _levinson_solve(
 ) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray, float] | None:
     """(lml, a = K^-1 y, jitter, g = T^-1 e_0, p = K^-1 v, beta = 1 - v^T p) for K = T + v v^T.
 
-    T is the symmetric Toeplitz matrix of ``column`` (from :func:`lag_column`)
+    T is the symmetric Toeplitz matrix of ``column`` (:func:`grad_gram`'s last row)
     plus the base jitter and v = sqrt(s2_lin) x (zero without LIN, when p
     is zero and beta 1).  One Yule-Walker Levinson-Durbin recursion on T's
     column gives the reflection coefficients phi_k, the prediction errors

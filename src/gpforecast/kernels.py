@@ -15,27 +15,28 @@ patterns.  All operations here are pure functions: they never mutate their
 inputs and are safe to call concurrently.
 
 Each stationary term's formula (every term but LIN) is written once, in
-:func:`term_parts`, as its value and partials on time differences of any
-shape.  LIN, s2_bias + s2_lin x1 x2, is not a function of the
-difference: :func:`lag_column` adds its bias, :func:`build_gram` and
-:func:`build_cross` its slope, and :func:`zero_lag_variance` both at
-x1 = x2 = x*.  A stationary term reads the differences as
-:class:`Differences`, the arrays that do not depend on the
-hyperparameters (|d|, d^2, d == 0 and sin^2(pi |d| / P) per period),
-made once per array of differences, so an objective evaluation on a
-prepared series computes none of them.  A term reads its values in
+:func:`term_parts`, as its partials on time differences of any shape,
+the first of which is its value.  LIN, s2_bias + s2_lin x1 x2, is not a
+function of the difference: :func:`grad_gram` adds its bias,
+:func:`build_gram` and :func:`build_cross` its slope, and
+:func:`zero_lag_variance` both at x1 = x2 = x*.  A stationary term reads
+the differences as :class:`Differences`, the arrays that do not depend
+on the hyperparameters (|d|, d^2, d == 0 and sin^2(pi |d| / P) per
+period), made once per array of differences, so an objective evaluation
+on a prepared series computes none of them.  A term reads its values in
 ``TERM_PARAMS`` order and a periodic term its fixed period from the
 :class:`Term` itself.  :class:`HyperParams` checks its values once, when
 made; an entry point that takes one checks only their names
-(:meth:`HyperParams.for_spec`).  :func:`grad_gram`, :func:`lag_column`
-and :func:`zero_lag_variance` take theta's values as a plain sequence in
+(:meth:`HyperParams.for_spec`).  :func:`grad_gram` and
+:func:`zero_lag_variance` take theta's values as a plain sequence in
 the spec's order, as checked by their caller; an objective evaluation
-holds them without making a :class:`HyperParams`.  :func:`grad_gram` writes the
-stationary terms' partials into one block: the one pass over the terms.
-Training points are a series' grid x_i = i / steps_per_year
-(``gp.prepare_series``) and test points continue it, so the differences
-are the grid's lags, and :func:`lag_column` sums the covariance at each
-lag from those rows.
+holds them without making a :class:`HyperParams`.  :func:`grad_gram` is
+the one pass over the terms: it writes the stationary terms' partials
+into one block and, as its last row, sums the covariance at each
+difference from their value rows.  Training points are a series' grid
+x_i = i / steps_per_year (``gp.prepare_series``) and test points
+continue it, so the differences are the grid's lags, and that last row
+is the lag column.
 Every Gram is :func:`build_gram` of one lag column, a Toeplitz matrix
 plus LIN's slope as a rank-1 update in place, and the cross-covariance
 is :func:`build_cross` of the continued grid's column.  The test points'
@@ -66,7 +67,6 @@ __all__ = [
     "Differences",
     "term_parts",
     "grad_gram",
-    "lag_column",
     "build_gram",
     "build_cross",
     "zero_lag_variance",
@@ -93,6 +93,9 @@ TERM_PARAMS: dict[str, tuple[str, ...]] = {
 PARAM_NAMES = tuple(name for names in TERM_PARAMS.values() for name in names)
 VARIANCE_PARAMS = tuple(name for name in PARAM_NAMES if name.startswith("s2_"))
 LENGTHSCALE_PARAMS = tuple(name for name in PARAM_NAMES if not name.startswith("s2_"))
+# The floor of a lengthscale's square, the smallest normal float: where the square
+# underflows to 0, zero difference still gives the limit s2, not 0/0.
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -237,8 +240,8 @@ class Differences(NamedTuple):
         return cls(abs=a, sq=a * a, zero=a == 0, sin2={period: np.sin(np.pi * a / period) ** 2 for period in periods})
 
 
-def term_parts(term: Term, p: Sequence[float], d: Differences) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Value of one stationary term and its partials w.r.t. the log of each of its parameters.
+def term_parts(term: Term, p: Sequence[float], d: Differences) -> list[np.ndarray]:
+    """Partials of one stationary term w.r.t. the log of each of its parameters; the first is its value.
 
     ``p`` holds the term's parameter values in ``TERM_PARAMS[term.kind]``
     order; a periodic term's period is ``term.period``.  Works elementwise
@@ -247,47 +250,49 @@ def term_parts(term: Term, p: Sequence[float], d: Differences) -> tuple[np.ndarr
     The partials follow ``p``; the first is the value itself, since
     dk/dlog s2 = k for every variance.
     """
-    kind = term.kind
-    if kind == "RBF":
-        s2, ell = p
-        k = s2 * np.exp(-d.sq / (2.0 * ell * ell))
-        return k, [k, k * d.sq / (ell * ell)]
-    if kind in ("PER", "PER2"):
-        s2, ell = p
-        sin2 = d.sin2[term.period]
-        k = s2 * np.exp(-2.0 * sin2 / (ell * ell))
-        return k, [k, 4.0 * k * sin2 / (ell * ell)]
-    if kind in ("SM1", "SM2"):
-        s2, ell, tau = p
-        env = s2 * np.exp(-d.sq / (2.0 * ell * ell))
-        k = env * np.cos(d.abs / tau)
-        return k, [k, k * d.sq / (ell * ell), env * np.sin(d.abs / tau) * d.abs / tau]
+    kind, s2 = term.kind, p[0]
     if kind == "WN":
-        (s2,) = p
-        k = np.where(d.zero, s2, 0.0)
-        return k, [k]
+        return [np.where(d.zero, s2, 0.0)]
+    ell2 = max(p[1] * p[1], _TINY)  # every other term's second parameter is its lengthscale
+    if kind == "RBF":
+        k = s2 * np.exp(-d.sq / (2.0 * ell2))
+        return [k, k * d.sq / ell2]
+    if kind in ("PER", "PER2"):
+        sin2 = d.sin2[term.period]
+        k = s2 * np.exp(-2.0 * sin2 / ell2)
+        return [k, 4.0 * k * sin2 / ell2]
+    if kind in ("SM1", "SM2"):
+        tau = p[2]
+        env = s2 * np.exp(-d.sq / (2.0 * ell2))
+        k = env * np.cos(d.abs / tau)
+        return [k, k * d.sq / ell2, env * np.sin(d.abs / tau) * d.abs / tau]
     raise AssertionError(kind)
 
 
 # A tiny lengthscale or cosine period overflows a ratio, and a huge variance a
-# product: the limit is the value (exp(-inf) = 0), or non-finite and the check raises.
+# product or the sum: the limit is the value (exp(-inf) = 0), or non-finite and the check raises.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def grad_gram(spec: KernelSpec, values: Sequence[float], d: Differences) -> np.ndarray:
-    """Partials of the stationary terms w.r.t. the log of each of their trainables.
+    """The stationary terms' partials w.r.t. the log of each of their trainables, then the covariance.
 
     ``values`` are theta's values in ``spec.trainable_names()`` order
     (:meth:`HyperParams.for_spec`) and ``d`` holds a 1-D array of time
-    differences.  Returns shape ``(q, d.abs.size)``: one row per trainable
-    that is not LIN's, in that order, each written into the one block as
-    its term makes it.  Row k holds dK/du_k at each difference, so on a
-    regular grid, with d the lags, dK/du_k is the symmetric Toeplitz
-    matrix of row k.
+    differences.  Returns shape ``(q + 1, d.abs.size)``.  Row k < q is
+    dK/du_k for the k-th trainable that is not LIN's, so on a regular
+    grid's lags dK/du_k is the symmetric Toeplitz matrix of row k.  The
+    last row sums each stationary term's value row (its first, as
+    dk/dlog s2 = k) in term order, with LIN's bias in LIN's place: on the
+    lags, the Gram's first column without LIN's slope.
     """
-    out = np.empty((spec._rows, d.abs.size))
+    out = np.zeros((spec._rows + 1, d.abs.size))
+    column = out[-1]
     for t, at, row in spec._layout:
-        if row is not None:
-            for k, g in enumerate(term_parts(t, values[at], d)[1], row):
-                out[k] = g
+        if row is None:  # LIN: its bias here, its slope where the points are known
+            column += values[at][0]
+            continue
+        for k, g in enumerate(term_parts(t, values[at], d), row):
+            out[k] = g
+        column += out[row]
     _check_finite(out, "grad_gram")
     return out
 
@@ -300,10 +305,10 @@ def _check_finite(out: np.ndarray, what: str) -> None:
 def build_gram(column: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The symmetric Toeplitz matrix of ``column`` plus v v^T, Fortran-ordered.
 
-    On a regular grid that is the Gram, with ``column`` from
-    :func:`lag_column` and v = sqrt(s2_lin) x (zero without LIN): LIN's
-    slope s2_lin x x^T is added in place as a rank-1 update, which keeps
-    the matrix exactly symmetric.
+    On a regular grid that is the Gram, with ``column`` the last row of
+    :func:`grad_gram` on its lags and v = sqrt(s2_lin) x (zero without
+    LIN): LIN's slope s2_lin x x^T is added in place as a rank-1 update,
+    which keeps the matrix exactly symmetric.
     """
     # row i of the reversed windows of (c[n-1], ..., c[1], c[0], ..., c[n-1]) is c[|i - j|]
     windows = sliding_window_view(np.concatenate((column[:0:-1], column)), column.size)[::-1]
@@ -316,8 +321,8 @@ def build_gram(column: np.ndarray, v: np.ndarray) -> np.ndarray:
 def build_cross(column: np.ndarray, s2_lin: float, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m-by-n cross-covariance k(x*, x) of test points x* that continue a regular grid x of n points.
 
-    ``column`` is :func:`lag_column` on the n + m lags of x and x*
-    together.  Entry (j, i) lies at lag n + j - i, in 1 .. n+m-1, where WN
+    ``column`` is the last row of :func:`grad_gram` on the n + m lags of
+    x and x* together.  Entry (j, i) lies at lag n + j - i, in 1 .. n+m-1, where WN
     is zero (prediction targets the latent function), plus LIN's slope
     s2_lin x*_j x_i (0 without LIN).
     """
@@ -325,26 +330,6 @@ def build_cross(column: np.ndarray, s2_lin: float, x_star: np.ndarray, x: np.nda
     cross = sliding_window_view(column, x.size)[1:, ::-1] + s2_lin * np.multiply.outer(x_star, x)
     _check_finite(cross, "build_cross")
     return cross
-
-
-@np.errstate(over="ignore")  # huge variances overflow their sum to inf, which fails the check
-def lag_column(spec: KernelSpec, values: Sequence[float], partials: np.ndarray) -> np.ndarray:
-    """The covariance at each lag :func:`grad_gram` gave ``partials`` for, LIN's slope left out.
-
-    A stationary term's first row there is its value (dk/dlog s2 = k), so
-    the result is those rows summed in term order, with LIN's bias in
-    LIN's place; no term is evaluated again.  On a regular grid's lags that
-    is the Gram's first column without LIN's slope, which :func:`build_gram`
-    adds.  ``values`` are theta's, as :func:`grad_gram` read them.
-    """
-    column = np.zeros(partials.shape[1])
-    for _, at, row in spec._layout:
-        if row is None:  # LIN: its bias here, its slope where the points are known
-            column += values[at][0]
-        else:
-            column += partials[row]
-    _check_finite(column, "lag_column")
-    return column
 
 
 @np.errstate(over="ignore")  # huge variances overflow their sum to inf, which fails the check

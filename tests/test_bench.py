@@ -106,6 +106,18 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="line 3: "):
             load_csv(path, CsvLayout(layout=layout, steps_per_year=12.0))
 
+    @pytest.mark.parametrize(
+        "layout, data, offset",
+        [("long", b"series,step,value\na,0,1.0\r\na,1,\xe9\n", 31), ("wide", b"a\r1.0\r\n\xff\xfe\n", 7)],
+    )
+    def test_a_file_that_is_not_utf8_names_its_line(self, tmp_path, layout, data, offset):
+        # \r\n and a lone \r each end one line, as the reader counts them
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(CsvFormatError) as raised:
+            load_csv(path, CsvLayout(layout=layout, steps_per_year=12.0))
+        assert str(raised.value).startswith(f"{path}: line 3: byte {offset}, 0x{data[offset]:02x}, is not UTF-8")
+
     def test_custom_frequency_requires_test_length(self):
         with pytest.raises(ValueError, match="test length"):
             load_csv(f"{DATA}/long_two_series.csv", CsvLayout(steps_per_year=52.0))
@@ -153,6 +165,17 @@ class TestReadValues:
         path.write_text("\nwhen,amount\nx,1.0\n")
         with pytest.raises(CsvFormatError, match="line 2: header must contain a 'value' column"):
             read_values(path)
+
+    @pytest.mark.parametrize("good_lines", [2, 5000], ids=["first-chunk", "past-the-first-chunk"])
+    def test_a_file_that_is_not_utf8_names_its_line(self, tmp_path, good_lines):
+        # the reader decodes in chunks, so the offset it reports is found again in the whole file
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1.0\n" * good_lines + b"\xff\xfe\n")
+        with pytest.raises(CsvFormatError) as raised:
+            read_values(path)
+        assert str(raised.value) == (
+            f"{path}: line {good_lines + 1}: byte {4 * good_lines}, 0xff, is not UTF-8 (invalid start byte)"
+        )
 
     def test_one_long_series_reads_in_step_order(self, tmp_path):
         path = tmp_path / "long.csv"

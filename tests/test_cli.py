@@ -1,9 +1,10 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from gpforecast import IllConditionedModelError, forecasting, load_priors
+from gpforecast import IllConditionedModelError, forecasting, load_priors, training
 from gpforecast.cli import main
 
 
@@ -114,12 +115,35 @@ class TestForecastCommand:
         assert captured.out == ""
         assert captured.err == f"error: {stage} could not factorize\n"
 
+    def test_not_utf8_names_the_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1.0\n2.0\n\xff\xfe\n")
+        assert main(["forecast", str(path), "--freq", "monthly"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}: line 3: ")
+
     def test_nonconvergence_warning_names_the_termination(self, monthly_series_csv, capsys, nonconverging_training):
-        with pytest.warns(UserWarning, match=re.escape(nonconverging_training)):
+        # forecast's warning is printed once, as one stderr line, and none escapes as a Python warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["forecast", str(monthly_series_csv), "--freq", "monthly", "--horizon", "2"])
         assert code == 0
-        pattern = r"warning: training did not converge \(\d+ iterations\): " + re.escape(nonconverging_training)
+        pattern = r"warning: training did not converge for series of length 48: " + re.escape(nonconverging_training)
         assert re.fullmatch(pattern + "\n", capsys.readouterr().err)
+
+    def test_training_that_evaluates_nowhere_warns_on_stderr(self, monthly_series_csv, capsys, monkeypatch):
+        def failing(self, theta):
+            raise IllConditionedModelError("rigged")
+
+        monkeypatch.setattr(training.MapObjective, "at", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["forecast", str(monthly_series_csv), "--freq", "monthly", "--horizon", "2"])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: training failed to evaluate the objective anywhere; returning prior medians",
+            "warning: training did not converge for series of length 48: no trial point could be evaluated",
+        ]
 
     def test_custom_priors_flow_through_forecast(self, monthly_series_csv, tmp_path, capsys):
         priors_file = tmp_path / "priors.txt"

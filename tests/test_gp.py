@@ -22,7 +22,7 @@ from gpforecast import (
 )
 from gpforecast import gp, kernels
 from gpforecast.gp import JITTER_START, TimeSeries, prepare_series
-from gpforecast.kernels import build_gram, grad_gram, lag_column
+from gpforecast.kernels import build_gram, grad_gram
 
 FULL_SPEC = default_spec("single-seasonal")
 PRIORS = default_priors()
@@ -57,7 +57,7 @@ def factorized_gram(spec, theta, x):
     ``x`` is a series' grid, x_0 = 0, so its lags are x itself.
     """
     values = theta.values
-    column = lag_column(spec, values, grad_gram(spec, values, gp.Differences.of(spec, x)))
+    column = grad_gram(spec, values, gp.Differences.of(spec, x))[-1]
     gram = build_gram(column, math.sqrt(theta.s2_lin) * x)
     return gram + JITTER_START * float(np.mean(np.diag(gram))) * np.eye(len(x))
 
@@ -298,7 +298,7 @@ class TestRegularGrid:
         on_levinson = 0
         for s2_noise in np.logspace(-7, -1, 4):
             theta = oracles.replace(medians, s2_noise=float(s2_noise))
-            column = lag_column(spec, theta.values, grad_gram(spec, theta.values, series.diffs))
+            column = grad_gram(spec, theta.values, series.diffs)[-1]
             v = math.sqrt(theta.s2_lin) * x if lin else np.zeros(n)
             levinson = gp._levinson_solve(column, v, series.y, theta.s2_noise)
             if levinson is not None:  # T with diagonal column[0] + jitter, plus v v^T
@@ -403,7 +403,7 @@ class TestRegularGrid:
             theta = oracles.replace(theta, s2_noise=float(10 ** rng.uniform(-9, -1)))
             lags = np.arange(n) / 1461.0
             values = theta.values
-            column = lag_column(spec, values, grad_gram(spec, values, gp.Differences.of(spec, lags)))
+            column = grad_gram(spec, values, gp.Differences.of(spec, lags))[-1]
             t0 = float(column[0]) * (1.0 + JITTER_START)
             _, phi = gp.levinson(np.concatenate((column[n - 2 : 0 : -1], [t0], column[1 : n - 1])), column[1:])
             _, phi_block = gp.levinson(
@@ -689,25 +689,21 @@ class TestGridFinalStep:
         np.testing.assert_array_equal(grid.prior_variance, oracles.two_pass_prior_variance(spec, theta, x_star))
 
     def test_one_pass_over_the_continued_lags(self, monkeypatch):
-        calls = []
+        calls, real = [], kernels.grad_gram
 
-        def recording(name, real):
-            def call(*args, **kwargs):
-                out = real(*args, **kwargs)
-                calls.append((name, out.shape))
-                return out
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(("grad_gram", out.shape))
+            return out
 
-            return call
-
-        # fit's own calls go through gp's names, a call made inside a kernels function through kernels'
-        real = {name: getattr(kernels, name) for name in ("grad_gram", "lag_column")}
+        # fit's own call goes through gp's name, a call made inside a kernels function through kernels'
         for module in (gp, kernels):
-            for name, function in real.items():
-                monkeypatch.setattr(module, name, recording(name, function))
+            monkeypatch.setattr(module, "grad_gram", recording)
         spec, theta, x, x_star, series = self.case("single-seasonal", 12.0, 40, 18)
         fit(theta, series, x_star.size)
-        # one pass and one sum over the 40 + 18 lags: zero_lag_variance makes neither
-        assert calls == [("grad_gram", (11, 58)), ("lag_column", (58,))]
+        # one pass over the 40 + 18 lags, its 11 partial rows then the lag column:
+        # zero_lag_variance makes none
+        assert calls == [("grad_gram", (12, 58))]
 
 
 class TestLongHorizons:

@@ -16,6 +16,7 @@ from gpforecast import (
     default_priors,
     default_spec,
     fit,
+    log_marginal_likelihood_and_grad,
     map_objective,
     median_hyperparams,
     prepare_series,
@@ -28,7 +29,6 @@ from gpforecast.kernels import (
     build_cross,
     build_gram,
     grad_gram,
-    lag_column,
     term_parts,
     zero_lag_variance,
 )
@@ -44,9 +44,8 @@ def single_term_spec(kind: str) -> KernelSpec:
 
 
 def lag_column_of(spec, theta, x):
-    """lag_column of one grad_gram pass on the lags x - x[0] of the regular grid x, as gp.fit makes it."""
-    values = theta.for_spec(spec)
-    return lag_column(spec, values, grad_gram(spec, values, Differences.of(spec, x - x[0])))
+    """The last row of one grad_gram pass on the lags x - x[0] of the regular grid x, as gp.fit makes it."""
+    return grad_gram(spec, theta.for_spec(spec), Differences.of(spec, x - x[0]))[-1]
 
 
 def grid_gram(spec, theta, x):
@@ -281,7 +280,7 @@ def pairwise(spec, x):
 
 
 def linear_parts(p, x):
-    """LIN's value and partials on every pair of points, from the oracle's formula.
+    """LIN's partials on every pair of points, from the oracle's formula.
 
     dk/dlog s2_bias is LIN with s2_lin = 0, dk/dlog s2_lin LIN with
     s2_bias = 0.  The products go in as x1 with x2 = 1, so the slope rounds
@@ -289,12 +288,11 @@ def linear_parts(p, x):
     """
     s2_bias, s2_lin = p
     xx = np.multiply.outer(x, x)
-    value = oracles.linear_value(s2_bias, s2_lin, xx, 1.0)
-    return value, [oracles.linear_value(s2_bias, 0.0, xx, 1.0), oracles.linear_value(0.0, s2_lin, xx, 1.0)]
+    return [oracles.linear_value(s2_bias, 0.0, xx, 1.0), oracles.linear_value(0.0, s2_lin, xx, 1.0)]
 
 
 def dense_parts(term, p, x):
-    """Value and partials of one term on every pair of points: term_parts', or the oracle's for LIN."""
+    """Partials of one term on every pair of points: term_parts', or the oracle's for LIN."""
     return linear_parts(p, x) if term.kind == "LIN" else term_parts(term, p, pairwise(KernelSpec(terms=(term,)), x))
 
 
@@ -308,7 +306,7 @@ class TestGradGram:
 
     def test_noise_gradient_is_scaled_identity(self):
         x = np.array([0.0, 0.3, 0.9])
-        _, partials = term_parts(Term("WN"), [MEDIANS.s2_noise], pairwise(single_term_spec("WN"), x))
+        partials = term_parts(Term("WN"), [MEDIANS.s2_noise], pairwise(single_term_spec("WN"), x))
         assert len(partials) == 1
         np.testing.assert_allclose(partials[0], MEDIANS.s2_noise * np.eye(3))
 
@@ -316,9 +314,8 @@ class TestGradGram:
         spec = single_term_spec("RBF")
         theta = HyperParams.of(spec, s2_rbf=1.7, ell_rbf=0.6)
         x = np.linspace(0.0, 2.0, 5)
-        value, partials = term_parts(spec.terms[0], theta.values, pairwise(spec, x))
+        partials = term_parts(spec.terms[0], theta.values, pairwise(spec, x))
         np.testing.assert_allclose(partials[0], grid_gram(spec, theta, x))
-        np.testing.assert_array_equal(partials[0], value)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_partials_match_finite_differences(self, seed):
@@ -327,7 +324,7 @@ class TestGradGram:
         theta = oracles.random_hyperparams(FULL_SPEC, PRIORS, rng)
         names = FULL_SPEC.trainable_names()
         u = np.log(theta.values)
-        analytic = [g for t, p in term_values(FULL_SPEC, theta) for g in dense_parts(t, p, x)[1]]
+        analytic = [g for t, p in term_values(FULL_SPEC, theta) for g in dense_parts(t, p, x)]
         h = 1e-5
         for k in range(len(names)):
             up, down = u.copy(), u.copy()
@@ -357,23 +354,46 @@ class TestGradGram:
             "s2_noise",
         )
         x = np.array([0.0, 1.0])
-        partials = [g for t, p in term_values(FULL_SPEC, MEDIANS) for g in dense_parts(t, p, x)[1]]
+        partials = [g for t, p in term_values(FULL_SPEC, MEDIANS) for g in dense_parts(t, p, x)]
         assert len(partials) == len(names)
         assert all(g.shape == (2, 2) for g in partials)
 
 
     @pytest.mark.parametrize("mode", ["single-seasonal", "double-seasonal"])
-    def test_grad_gram_on_lags_lays_out_the_stationary_partials(self, mode):
+    def test_grad_gram_on_lags_lays_out_the_stationary_partials_then_the_lag_column(self, mode):
+        # q partial rows, then the covariance at each lag: with LIN's slope,
+        # its Toeplitz matrix is the dense oracle's Gram
         spec = default_spec(mode)
         theta = oracles.random_hyperparams(spec, PRIORS, np.random.default_rng(3))
         x = np.arange(40) / 12.0
         rows = grad_gram(spec, theta.values, Differences.of(spec, x))
-        dense = [
-            g for t, p in term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, pairwise(spec, x))[1]
-        ]
-        assert rows.shape == (len(spec.trainable_names()) - 2, x.size)
-        for row, g in zip(rows, dense):
+        dense = [g for t, p in term_values(spec, theta) if t.kind != "LIN" for g in term_parts(t, p, pairwise(spec, x))]
+        assert rows.shape == (len(spec.trainable_names()) - 2 + 1, x.size)
+        for row, g in zip(rows[:-1], dense, strict=True):
             np.testing.assert_allclose(toeplitz(row), g, rtol=1e-12, atol=1e-12)
+        gram = toeplitz(rows[-1]) + theta.s2_lin * np.multiply.outer(x, x)
+        np.testing.assert_allclose(gram, oracles.dense_gram(spec, theta, x), rtol=1e-12, atol=1e-12)
+
+    def test_a_sum_that_overflows_raises_naming_grad_gram(self):
+        # each term's rows are finite at 1e308, but two such variances sum to inf at lag 0
+        spec = KernelSpec(terms=(Term("RBF"), Term("WN")))
+        differences = Differences.of(spec, np.arange(5) / 12.0)
+        assert np.isfinite(term_parts(spec.terms[0], [1e308, 1.0], differences)).all()
+        with pytest.raises(InvalidHyperparameterError, match="grad_gram"):
+            grad_gram(spec, [1e308, 1.0, 1e308], differences)
+
+    @pytest.mark.parametrize("name", ["ell_rbf", "ell_per", "ell_sm1"])
+    def test_a_lengthscale_whose_square_underflows_keeps_the_zero_lag_limit(self, name):
+        # 1e-170 squared underflows to 0; floored at the smallest normal float,
+        # lag 0 still gives each term's variance s2, not 0/0
+        tiny, unit = (oracles.replace(MEDIANS, **{name: ell}) for ell in (1e-170, 1.0))
+        series = prepare_series(FULL_SPEC, TimeSeries(np.sin(np.arange(36) / 2.0), 12.0))
+        rows = grad_gram(FULL_SPEC, tiny.values, series.diffs)
+        assert np.isfinite(rows).all()
+        assert rows[-1][0] == grad_gram(FULL_SPEC, unit.values, series.diffs)[-1][0]
+        lml, grad = log_marginal_likelihood_and_grad(tiny.values, series)
+        assert math.isfinite(lml) and np.isfinite(grad).all()
+        fit(tiny, series, 6)
 
 
 class TestSpecAndHyperparams:
