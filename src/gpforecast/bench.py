@@ -10,14 +10,16 @@
 
 ``read_values`` reads one series (bare numbers, a ``value`` column, or a
 long-layout file of one series).  Every CSV the package takes is read
-here: blank rows skipped, cells stripped, errors naming the line.
+here: UTF-8 with or without a byte-order mark, blank rows skipped, cells
+stripped, errors naming the line.
 
 Each series is split into a training part and a test part of the
 configured length, standardized on the training part, forecast with the
 GP pipeline, and scored in standardized units (original units optional).
-Per-series failures (constant series, too-short series, numerical
-breakdown) are recorded and reported; they never abort the batch and are
-never silently dropped.  Any other exception is a bug and propagates.
+Per-series failures (constant series, too-short series, invalid
+hyperparameters, numerical breakdown) are recorded and reported; they
+never abort the batch and are never silently dropped.  Any other
+exception, a bare ``ValueError`` included, is a bug and propagates.
 
 Scores, medians, and failure lists are bit-stable across parallelism
 degrees; wall-clock timing fields are measurements and naturally vary.
@@ -36,8 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecasting import MONTHLY, Forecast, TimeSeries, default_horizon, standardized_posterior
-from .gp import IllConditionedModelError
+from .forecasting import (
+    MIN_SERIES_LENGTH,
+    MONTHLY,
+    ConstantSeriesError,
+    Forecast,
+    default_horizon,
+    standardized_posterior,
+)
+from .gp import IllConditionedModelError, TimeSeries
+from .kernels import InvalidHyperparameterError
 from .metrics import ScoreReport, score
 from .priors import PriorSpec
 
@@ -145,7 +155,7 @@ def _parse_value(cell: str, path, lineno: int) -> float:
 def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
     """The non-blank rows of a CSV file as they are read, cells stripped, each with the line it ends on."""
     empty = True
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: a leading byte-order mark is dropped
         reader = csv.reader(fh)
         try:
             for row in reader:
@@ -154,13 +164,13 @@ def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
                     empty = False
                     yield reader.line_num, cells
         except UnicodeDecodeError as err:
-            raise _not_utf8(path, err) from None
+            raise CsvFormatError(not_utf8(path, err)) from None
     if empty:
         raise CsvFormatError(f"{path}: file is empty")
 
 
-def _not_utf8(path, err: UnicodeDecodeError) -> CsvFormatError:
-    """The error naming the line of a file's first byte that is not UTF-8 (``err`` counts from the reader's chunk)."""
+def not_utf8(path, err: UnicodeDecodeError) -> str:
+    """The message naming the line and byte of a file's first byte that is not UTF-8 (``err`` counts from a chunk)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -169,7 +179,7 @@ def _not_utf8(path, err: UnicodeDecodeError) -> CsvFormatError:
         err = whole
     before, bad = data[: err.start], err.object[err.start]
     line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1  # \n, \r\n or \r ends a line
-    return CsvFormatError(f"{path}: line {line}: byte {err.start}, 0x{bad:02x}, is not UTF-8 ({err.reason})")
+    return f"{path}: line {line}: byte {err.start}, 0x{bad:02x}, is not UTF-8 ({err.reason})"
 
 
 def read_values(path) -> np.ndarray:
@@ -313,32 +323,29 @@ class BenchReport:
 
 
 def _score_one(
-    entry: SeriesEntry,
-    mode: str,
-    priors: PriorSpec | None,
-    standardized_units: bool,
+    entry: SeriesEntry, mode: str, priors: PriorSpec | None, standardized_units: bool
 ) -> SeriesScore | SeriesFailure:
-    try:
-        n = len(entry.series)
-        if entry.test_length >= n:
-            raise ValueError(f"test length {entry.test_length} leaves no training data (length {n})")
-        train_values = entry.series.values[: n - entry.test_length]
-        actual = entry.series.values[n - entry.test_length :]
-        train_ts = TimeSeries(values=train_values, steps_per_year=entry.series.steps_per_year)
-        posterior, standardizer, result = standardized_posterior(train_ts, entry.test_length, mode=mode, priors=priors)
-        if standardized_units:
-            report = score(standardizer.transform(actual), posterior.mean, posterior.observation_variance)
-        else:
-            report = score(
-                actual,
-                standardizer.inverse(posterior.mean),
-                standardizer.inverse_variance(posterior.observation_variance),
-            )
-        return SeriesScore(
-            name=entry.name, report=report, train_seconds=result.seconds, converged=result.converged
+    n, train_length = len(entry.series), len(entry.series) - entry.test_length
+    if train_length < MIN_SERIES_LENGTH:  # worded as the pipeline's own ValueErrors
+        reason = (
+            f"test length {entry.test_length} leaves no training data (length {n})"
+            if train_length <= 0
+            else f"need at least {MIN_SERIES_LENGTH} observations, got {train_length}"
         )
-    except (ValueError, IllConditionedModelError) as exc:  # bad data or numerics: record, never abort the batch
+        return SeriesFailure(name=entry.name, reason=f"ValueError: {reason}")
+    values = entry.series.values
+    train_ts = TimeSeries(values=values[:train_length], steps_per_year=entry.series.steps_per_year)
+    try:
+        posterior, standardizer, result = standardized_posterior(train_ts, entry.test_length, mode=mode, priors=priors)
+    except (ConstantSeriesError, InvalidHyperparameterError, IllConditionedModelError) as exc:  # bad data or numerics
         return SeriesFailure(name=entry.name, reason=f"{type(exc).__name__}: {exc}")
+    actual, mean, variance = values[train_length:], posterior.mean, posterior.observation_variance
+    if standardized_units:
+        actual = standardizer.transform(actual)
+    else:
+        mean, variance = standardizer.inverse(mean), standardizer.inverse_variance(variance)
+    report = score(actual, mean, variance)
+    return SeriesScore(name=entry.name, report=report, train_seconds=result.seconds, converged=result.converged)
 
 
 def run_benchmark(

@@ -37,15 +37,13 @@ works from T's first column alone: one Levinson-Durbin recursion gives
 log det T and g = T^-1 e_0, Gohberg-Semencul products with g give T^-1 y
 and T^-1 v, and Sherman-Morrison adds the slope, so an evaluation holds
 O(n) floats and makes no Cholesky factorization; without LIN, v = 0.
-Levinson is only weakly stable, so below a conditioning bound
-(:data:`LEVINSON_MIN_ERROR_RATIO` on its prediction errors) the
-evaluation lays that column out as the Gram instead
+Levinson is only weakly stable, so it runs only where the noise floor
+(s2_noise + jitter) / T_00 clears a bound on its prediction errors E_k
+(:data:`LEVINSON_MIN_ERROR_RATIO`): T >= (s2_noise + jitter) I, so every
+E_k is too.  Below it the evaluation lays that column out as the Gram
 (``kernels.build_gram``, one Fortran-ordered array), factorizes it in
 place (a failed try lays it out again) and solves for y, e_0 and v at
-once.  Where the noise floor allows a failure, the recursion first runs
-on T's leading lags, and a block that fails the bound skips the full
-run.  :func:`fit` factorizes and solves through the same routine,
-:func:`_cholesky_solve`.
+once in :func:`_cholesky_solve`, which :func:`fit` calls too.
 
 :func:`fit` takes the trained theta, the prepared series and a horizon
 h: x* is the next h steps of the series' grid, so x and x* together are
@@ -97,16 +95,11 @@ __all__ = [
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-2
-# Below this min_k E_k / E_0 (Levinson's prediction errors) the regular-grid
-# objective takes the Cholesky path: nearer singular, Levinson's rounding
-# error grows 10-300x past the Cholesky factor's (checked against a
-# long-double oracle in tests/test_gp.py).
+# Below this noise floor, (s2_noise + jitter) / T_00 <= min_k E_k / E_0 (Levinson's
+# prediction errors), the regular-grid objective takes the Cholesky path: nearer
+# singular, Levinson's rounding error grows 10-300x past the Cholesky factor's
+# (checked against a long-double oracle in tests/test_gp.py).
 LEVINSON_MIN_ERROR_RATIO = 1e-4
-# Lags of the leading block a near-noiseless evaluation first runs Levinson on.
-# On the six-hourly seed-1 perfbench design at one BLAS thread 108 of its 110
-# runs reject early, sparing about 19 ms of full runs for 6.6 ms in a 0.45 s
-# pass (medians of 5); the outputs are identical without it.
-_LEVINSON_BLOCK = 64
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -336,25 +329,19 @@ def _levinson_solve(
 
     Levinson is only weakly stable: near a singular T its error grows well
     past the Cholesky factor's.  So this returns None, and the caller takes
-    the Cholesky path, unless every E_k / E_0 is at least
-    :data:`LEVINSON_MIN_ERROR_RATIO` and the result is finite.  Every E_k
-    finite and > 0 is what a successful Cholesky at the base jitter means,
-    and the bound implies it, so jitter escalation is left to that path.
-    T is at least (``noise`` + jitter) I, ``noise`` being WN's variance, so
-    every E_k is too: below the bound, the recursion first runs on T's
-    leading :data:`_LEVINSON_BLOCK` lags, whose reflection coefficients are
-    the full run's leading ones, and a block that already fails it spares
-    the full run.
+    the Cholesky path, unless the noise floor (``noise`` + jitter) / T_00
+    clears :data:`LEVINSON_MIN_ERROR_RATIO` (``noise`` is WN's variance):
+    E_k >= lambda_min(T) >= ``noise`` + jitter bounds every E_k / E_0.
+    :func:`_levinson`'s checks and the finite checks below guard against
+    rounding.  Every E_k > 0 is what a successful Cholesky at the base
+    jitter means, so jitter escalation is left to that path.
     """
     n = y.size
     column_0 = float(column[0])
     jitter = JITTER_START * (column_0 + float(v @ v) / n)  # K's mean diagonal
     t0 = column_0 + jitter
-    if not math.isfinite(t0):
+    if not (noise + jitter) / t0 >= LEVINSON_MIN_ERROR_RATIO:  # a non-finite t0 fails it too
         return None
-    if n > _LEVINSON_BLOCK and (noise + jitter) / t0 < LEVINSON_MIN_ERROR_RATIO:
-        if _levinson(column[:_LEVINSON_BLOCK], t0) is None:
-            return None
     solved = _levinson(column, t0)
     if solved is None:
         return None
@@ -380,9 +367,7 @@ def _levinson(column: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray] | 
     """The Yule-Walker predictor of the Toeplitz matrix of ``column`` with t0 on its diagonal, and E_k / E_0.
 
     None when a leading minor is singular, some E_k <= 0, or
-    E_k / E_0 falls below :data:`LEVINSON_MIN_ERROR_RATIO`.  Run on a
-    leading block of a column, the E_k / E_0 are the full run's leading
-    ones, bit for bit.
+    E_k / E_0 falls below :data:`LEVINSON_MIN_ERROR_RATIO`.
     """
     m = column.size - 1
     try:

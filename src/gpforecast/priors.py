@@ -161,32 +161,39 @@ def format_priors(priors: PriorSpec) -> str:
 def load_priors(path) -> PriorSpec:
     """Parse a priors file as :func:`format_priors` writes it, one ``name = nu lam`` line per parameter.
 
-    ``#`` starts a comment and blank lines are skipped.  A line without
-    ``=``, a name not in ``PARAM_NAMES``, a name given twice and a value
-    that is not a valid prior's two numbers are errors naming the line;
-    missing entries for known names are reported by name.
+    The file is UTF-8, a byte-order mark allowed, as a CSV is; ``#`` starts
+    a comment and blank lines are skipped.  A byte that is not UTF-8, a
+    line without ``=``, a name not in ``PARAM_NAMES``, a name given twice
+    and a value that is not a valid prior's two numbers are errors naming
+    the line; missing entries for known names are reported by name.
     """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # -sig: a leading byte-order mark is dropped
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        from .bench import not_utf8  # here, as bench imports this module
+
+        raise ValueError(not_utf8(path, err)) from None
     entries: dict[str, LogNormalPrior] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'name = value'")
-            name, _, text = line.partition("=")
-            name, text = name.strip(), text.strip()
-            if name not in PARAM_NAMES:
-                raise ValueError(f"{path}: line {lineno}: unknown name {name!r} (known: {sorted(PARAM_NAMES)})")
-            if name in entries:
-                raise ValueError(f"{path}: line {lineno}: duplicate entry for {name!r}")
-            try:
-                parts = text.split()
-                if len(parts) != 2:
-                    raise ValueError("expected two numbers (nu lam)")
-                entries[name] = LogNormalPrior(nu=float(parts[0]), lam=float(parts[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad value {text!r} for {name}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'name = value'")
+        name, _, text = line.partition("=")
+        name, text = name.strip(), text.strip()
+        if name not in PARAM_NAMES:
+            raise ValueError(f"{path}: line {lineno}: unknown name {name!r} (known: {sorted(PARAM_NAMES)})")
+        if name in entries:
+            raise ValueError(f"{path}: line {lineno}: duplicate entry for {name!r}")
+        try:
+            parts = text.split()
+            if len(parts) != 2:
+                raise ValueError("expected two numbers (nu lam)")
+            entries[name] = LogNormalPrior(nu=float(parts[0]), lam=float(parts[1]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad value {text!r} for {name}: {exc}") from None
     missing = sorted(set(PARAM_NAMES) - set(entries))
     if missing:
         raise ValueError(f"{path}: missing priors for {missing}")

@@ -108,15 +108,38 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize(
         "layout, data, offset",
-        [("long", b"series,step,value\na,0,1.0\r\na,1,\xe9\n", 31), ("wide", b"a\r1.0\r\n\xff\xfe\n", 7)],
+        [
+            ("long", b"series,step,value\na,0,1.0\r\na,1,\xe9\n", 31),
+            ("wide", b"a\r1.0\r\n\xff\xfe\n", 7),
+            ("long", b"\xef\xbb\xbfseries,step,value\r\na,0,1.0\na,1,\xe9\n", 34),
+        ],
     )
     def test_a_file_that_is_not_utf8_names_its_line(self, tmp_path, layout, data, offset):
-        # \r\n and a lone \r each end one line, as the reader counts them
+        # \r\n and a lone \r each end one line, as the reader counts them, and
+        # bytes count from the file's first, a byte-order mark's three included
         path = tmp_path / "latin1.csv"
         path.write_bytes(data)
         with pytest.raises(CsvFormatError) as raised:
             load_csv(path, CsvLayout(layout=layout, steps_per_year=12.0))
         assert str(raised.value).startswith(f"{path}: line 3: byte {offset}, 0x{data[offset]:02x}, is not UTF-8")
+
+    @pytest.mark.parametrize(
+        "layout, text",
+        [
+            ("long", "series,step,value\na,1,2.0\na,0,1.0\nb,0,3.0\n"),
+            ("wide", "a,b\r\n1.0,3.0\r\n2.0,\r\n"),
+        ],
+        ids=["long", "wide"],
+    )
+    def test_a_byte_order_mark_reads_like_the_file_without_it(self, tmp_path, layout, text):
+        # spreadsheet exports write one; it used to stay in the first header cell
+        bare, marked = tmp_path / "bare.csv", tmp_path / "marked.csv"
+        bare.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        csv_layout = CsvLayout(layout=layout, steps_per_year=12.0)
+        expected = load_csv(bare, csv_layout)
+        assert [e.name for e in expected.entries] == ["a", "b"]
+        assert dataset_equal(load_csv(marked, csv_layout), expected)
 
     def test_custom_frequency_requires_test_length(self):
         with pytest.raises(ValueError, match="test length"):
@@ -176,6 +199,19 @@ class TestReadValues:
         assert str(raised.value) == (
             f"{path}: line {good_lines + 1}: byte {4 * good_lines}, 0xff, is not UTF-8 (invalid start byte)"
         )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["".join(f"{10.0 + i}\n" for i in range(48)), "value\n3.0\n1.0\n", "series,step,value\na,1,2.0\na,0,1.0\n"],
+        ids=["bare-numbers", "value-column", "long"],
+    )
+    def test_a_byte_order_mark_reads_like_the_file_without_it(self, tmp_path, text):
+        bare, marked = tmp_path / "bare.csv", tmp_path / "marked.csv"
+        bare.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        expected = read_values(bare)
+        assert expected.size >= 2
+        np.testing.assert_array_equal(read_values(marked), expected)
 
     def test_one_long_series_reads_in_step_order(self, tmp_path):
         path = tmp_path / "long.csv"
@@ -298,23 +334,36 @@ class TestRunBenchmark:
             SeriesEntry(name="good", series=TimeSeries(values=good, steps_per_year=4.0), test_length=8),
             SeriesEntry(name="flat", series=TimeSeries(values=np.ones(52), steps_per_year=4.0), test_length=8),
             SeriesEntry(name="tiny", series=TimeSeries(values=good[:10], steps_per_year=4.0), test_length=8),
+            SeriesEntry(name="none", series=TimeSeries(values=good[:8], steps_per_year=4.0), test_length=8),
         )
         report = run_benchmark(Dataset(entries=entries))
-        assert len(report.scores) + len(report.failures) == 3
-        assert [f.name for f in report.failures] == ["flat", "tiny"]
+        assert len(report.scores) + len(report.failures) == 4
+        assert [f.name for f in report.failures] == ["flat", "tiny", "none"]
         assert "ConstantSeriesError" in report.failures[0].reason
+        # perfbench's classifier matches the two length reasons as written here
+        assert report.failures[1].reason == "ValueError: need at least 8 observations, got 2"
+        assert report.failures[2].reason == "ValueError: test length 8 leaves no training data (length 8)"
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_programming_errors_propagate(self, monkeypatch, parallelism):
+    @pytest.mark.parametrize(
+        "parallelism, error",
+        [
+            pytest.param(1, TypeError, id="1"),
+            pytest.param(2, TypeError, id="2"),
+            # a bare ValueError, such as numpy's shape mismatch, is a bug too
+            pytest.param(1, ValueError, id="1-ValueError"),
+            pytest.param(2, ValueError, id="2-ValueError"),
+        ],
+    )
+    def test_programming_errors_propagate(self, monkeypatch, parallelism, error):
         def broken(*args, **kwargs):
-            raise TypeError("a bug, not a series failure")
+            raise error("a bug, not a series failure")
 
         monkeypatch.setattr(gpforecast.bench, "standardized_posterior", broken)
         entries = tuple(
             SeriesEntry(name=name, series=TimeSeries(values=np.arange(30.0), steps_per_year=12.0), test_length=8)
             for name in ("a", "b")
         )
-        with pytest.raises(TypeError, match="a bug"):
+        with pytest.raises(error, match="a bug"):
             run_benchmark(Dataset(entries=entries), parallelism=parallelism)
 
     def test_original_units_are_an_affine_map_of_standardized_ones(self):

@@ -243,6 +243,24 @@ class TestPriorsCommand:
         assert main(["priors", "--priors", str(custom), "--output", str(out)]) == 0
         assert load_priors(out)["ell_rbf"].nu == 0.9
 
+    def test_a_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        marked = tmp_path / "marked.txt"
+        assert main(["priors", "--output", str(marked)]) == 0
+        text = marked.read_bytes()
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["priors", "--priors", str(marked)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == text
+
+    def test_a_file_that_is_not_utf8_names_the_file_line_and_byte(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        assert main(["priors", "--output", str(bad)]) == 0
+        text = bad.read_bytes()
+        bad.write_bytes(text + b"\xff\n")
+        assert main(["priors", "--priors", str(bad)]) == 1
+        line = text.count(b"\n") + 1
+        expected = f"error: {bad}: line {line}: byte {len(text)}, 0xff, is not UTF-8 (invalid start byte)\n"
+        assert capsys.readouterr().err == expected
+
 
 @pytest.mark.parametrize(
     "argv",

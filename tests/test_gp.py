@@ -389,50 +389,71 @@ class TestRegularGrid:
             fd = oracles.central_difference(lml, np.log(theta.values), h=1e-5)
             assert float(np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(fd)))) <= 1e-5
 
-    def test_leading_levinson_block_gives_the_full_runs_leading_error_ratios_bit_for_bit(self):
-        # a near-noiseless evaluation first runs Levinson on T's leading
-        # 64 lags; its E_k / E_0 are the full run's leading ones, bit for bit,
-        # so a block that fails the conditioning bound means the full run does
-        spec = default_spec("double-seasonal")
-        rng = np.random.default_rng(64)
-        block = gp._LEVINSON_BLOCK
-        outcomes = {"both pass": 0, "both fail": 0, "block passes, full fails": 0}
-        for _ in range(300):
-            n = int(rng.integers(block + 1, 400))
-            theta = oracles.random_hyperparams(spec, PRIORS, rng)
-            theta = oracles.replace(theta, s2_noise=float(10 ** rng.uniform(-9, -1)))
-            lags = np.arange(n) / 1461.0
-            values = theta.values
-            column = grad_gram(spec, values, gp.Differences.of(spec, lags))[-1]
-            t0 = float(column[0]) * (1.0 + JITTER_START)
-            _, phi = gp.levinson(np.concatenate((column[n - 2 : 0 : -1], [t0], column[1 : n - 1])), column[1:])
-            _, phi_block = gp.levinson(
-                np.concatenate((column[block - 2 : 0 : -1], [t0], column[1 : block - 1])), column[1:block]
-            )
-            assert np.array_equal(phi_block, phi[:block])
-            full, leading = gp._levinson(column, t0), gp._levinson(column[:block], t0)
-            if leading is None:
-                assert full is None
-                outcomes["both fail"] += 1
-            elif full is None:
-                outcomes["block passes, full fails"] += 1
-            else:
-                assert np.array_equal(leading[1], full[1][: leading[1].size])
-                outcomes["both pass"] += 1
-        assert min(outcomes.values()) > 0, outcomes
+    @staticmethod
+    def _noise_floor_draws(mode, steps_per_year, seed, count):
+        """``count`` prior draws with s2_noise from 1e-9 to 1 and n from 8 to 400: (series, values, column, t0, floor).
 
-    def test_leading_levinson_block_leaves_every_result_as_it_was(self, monkeypatch):
-        # with and without the leading-block check, each evaluation takes the
-        # same path and gives the same bits, down to near noiseless
-        spec = default_spec("double-seasonal")
-        medians = median_hyperparams(spec, PRIORS)
-        series = prepare_series(spec, TimeSeries(np.random.default_rng(224).standard_normal(224), 1461.0))
-        thetas = [oracles.replace(medians, s2_noise=float(s2)) for s2 in np.logspace(-9, -1, 17)]
-        checked = [log_marginal_likelihood_and_grad(theta.values, series) for theta in thetas]
-        monkeypatch.setattr(gp, "_LEVINSON_BLOCK", 10**9)
-        for theta, (value, grad) in zip(thetas, checked):
-            unchecked_value, unchecked_grad = log_marginal_likelihood_and_grad(theta.values, series)
-            assert value == unchecked_value and np.array_equal(grad, unchecked_grad)
+        t0 is T's diagonal and floor = (s2_noise + jitter) / t0, the bound on
+        every E_k / E_0 that picks the path.
+        """
+        spec = default_spec(mode)
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(8, 401))
+            theta = oracles.random_hyperparams(spec, PRIORS, rng)
+            theta = oracles.replace(theta, s2_noise=float(10 ** rng.uniform(-9, 0)))
+            series = prepare_series(spec, TimeSeries(rng.standard_normal(n), steps_per_year))
+            values = theta.values
+            column = grad_gram(spec, values, series.diffs)[-1]
+            v = math.sqrt(theta.s2_lin) * series.x
+            jitter = JITTER_START * (float(column[0]) + float(v @ v) / n)
+            t0 = float(column[0]) + jitter
+            yield series, values, column, t0, (theta.s2_noise + jitter) / t0
+
+    @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
+    def test_every_evaluation_above_the_noise_floor_passes_levinson(self, mode, steps_per_year):
+        # E_k >= lambda_min(T) >= s2_noise + jitter, so every E_k / E_0 is at
+        # least the floor, to rounding; over 3000 draws (1303 above the floor)
+        # the smallest min E_k / E_0 was 1.018x the floor
+        above = below = 0
+        for _, _, column, t0, floor in self._noise_floor_draws(mode, steps_per_year, int(steps_per_year) + 3, 300):
+            if floor < gp.LEVINSON_MIN_ERROR_RATIO:
+                below += 1
+                continue
+            above += 1
+            solved = gp._levinson(column, t0)
+            assert solved is not None, floor
+            assert float(solved[1].min()) >= floor * (1.0 - 1e-9)
+        assert above >= 50 and below >= 50, (above, below)
+
+    @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
+    def test_below_the_noise_floor_levinson_never_runs(self, mode, steps_per_year, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("levinson called below the noise floor")
+
+        monkeypatch.setattr(gp, "levinson", refuse)
+        below = 0
+        for series, values, _, _, floor in self._noise_floor_draws(mode, steps_per_year, int(steps_per_year) + 4, 60):
+            if floor < gp.LEVINSON_MIN_ERROR_RATIO:
+                below += 1
+                log_marginal_likelihood_and_grad(values, series)
+        assert below >= 10
+
+    @pytest.mark.parametrize(("mode", "steps_per_year"), GRIDS)
+    def test_below_the_noise_floor_the_result_is_the_forced_fallbacks_bit_for_bit(
+        self, mode, steps_per_year, monkeypatch
+    ):
+        below = 0
+        for series, values, _, _, floor in self._noise_floor_draws(mode, steps_per_year, int(steps_per_year) + 5, 60):
+            if floor >= gp.LEVINSON_MIN_ERROR_RATIO:
+                continue
+            below += 1
+            value, grad = log_marginal_likelihood_and_grad(values, series)
+            with monkeypatch.context() as forced:
+                forced.setattr(gp, "LEVINSON_MIN_ERROR_RATIO", 2.0)  # every E_k / E_0 is <= 1
+                forced_value, forced_grad = log_marginal_likelihood_and_grad(values, series)
+            assert value == forced_value and np.array_equal(grad, forced_grad)
+        assert below >= 10
 
     def test_scipy_private_levinson_keeps_its_yule_walker_convention(self):
         # gp imports levinson from scipy.linalg._solve_toeplitz, a private
