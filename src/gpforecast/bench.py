@@ -15,7 +15,8 @@ stripped, errors naming the line.
 
 Each series is split into a training part and a test part of the
 configured length, standardized on the training part, forecast with the
-GP pipeline, and scored in standardized units (original units optional).
+GP pipeline, and scored in standardized units, the only units that pool
+over series of different scales.
 Per-series failures (constant series, too-short series, invalid
 hyperparameters, numerical breakdown) are recorded and reported; they
 never abort the batch and are never silently dropped.  Any other
@@ -322,9 +323,7 @@ class BenchReport:
         }
 
 
-def _score_one(
-    entry: SeriesEntry, mode: str, priors: PriorSpec | None, standardized_units: bool
-) -> SeriesScore | SeriesFailure:
+def _score_one(entry: SeriesEntry, mode: str, priors: PriorSpec | None) -> SeriesScore | SeriesFailure:
     n, train_length = len(entry.series), len(entry.series) - entry.test_length
     if train_length < MIN_SERIES_LENGTH:  # worded as the pipeline's own ValueErrors
         reason = (
@@ -339,12 +338,7 @@ def _score_one(
         posterior, standardizer, result = standardized_posterior(train_ts, entry.test_length, mode=mode, priors=priors)
     except (ConstantSeriesError, InvalidHyperparameterError, IllConditionedModelError) as exc:  # bad data or numerics
         return SeriesFailure(name=entry.name, reason=f"{type(exc).__name__}: {exc}")
-    actual, mean, variance = values[train_length:], posterior.mean, posterior.observation_variance
-    if standardized_units:
-        actual = standardizer.transform(actual)
-    else:
-        mean, variance = standardizer.inverse(mean), standardizer.inverse_variance(variance)
-    report = score(actual, mean, variance)
+    report = score(standardizer.transform(values[train_length:]), posterior.mean, posterior.observation_variance)
     return SeriesScore(name=entry.name, report=report, train_seconds=result.seconds, converged=result.converged)
 
 
@@ -353,19 +347,19 @@ def run_benchmark(
     mode: str = "single-seasonal",
     parallelism: int = 1,
     priors: PriorSpec | None = None,
-    standardized_units: bool = True,
 ) -> BenchReport:
     """Forecast and score every series; aggregate medians over the scored ones.
 
-    Results are joined in input order, so the report content (other than
-    timing) does not depend on ``parallelism``.
+    ``parallelism`` is an integer >= 1; anything else raises ValueError
+    before any work.  Results are joined in input order, so the report
+    content (other than timing) does not depend on ``parallelism``.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    if not (isinstance(parallelism, numbers.Integral) and parallelism >= 1):  # rejects 2.5, NaN, "2"
+        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
     started = time.perf_counter()
 
     def worker(entry: SeriesEntry):
-        return _score_one(entry, mode, priors, standardized_units)
+        return _score_one(entry, mode, priors)
 
     if parallelism == 1 or len(dataset) <= 1:
         outcomes = [worker(entry) for entry in dataset.entries]

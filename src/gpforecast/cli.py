@@ -60,13 +60,7 @@ def _cmd_bench(args) -> int:
         test_length=args.test_length,
     )
     dataset = load_csv(args.data, layout)
-    report = run_benchmark(
-        dataset,
-        mode=args.mode,
-        parallelism=args.parallel,
-        priors=priors,
-        standardized_units=not args.original_units,
-    )
+    report = run_benchmark(dataset, mode=args.mode, parallelism=args.parallel, priors=priors)
     text = emit_report(report, fmt=args.format)
     _write(text, args.output)
     if report.failures and not args.allow_failures:
@@ -94,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--priors", default=None, help="alternative priors file")
     p_fc.set_defaults(func=_cmd_forecast)
 
-    p_b = sub.add_parser("bench", help="run the benchmark over a dataset CSV")
+    p_b = sub.add_parser("bench", help="run the benchmark over a dataset CSV, scored in standardized units")
     p_b.add_argument("data", help="dataset CSV")
     p_b.add_argument("--layout", default="long", choices=["long", "wide"])
     p_b.add_argument("--freq", required=True, help="monthly, quarterly, or steps per year")
@@ -105,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--priors", default=None, help="alternative priors file")
     p_b.add_argument("--output", default=None, help="write the report here instead of stdout")
     p_b.add_argument("--allow-failures", action="store_true", help="exit 0 even if some series fail")
-    p_b.add_argument(
-        "--original-units", action="store_true", help="score in original units instead of standardized"
-    )
     p_b.set_defaults(func=_cmd_bench)
 
     p_p = sub.add_parser("priors", help="print or export the active hyperparameter priors")

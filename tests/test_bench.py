@@ -1,4 +1,3 @@
-import math
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,6 @@ from gpforecast import (
     SeriesEntry,
     SeriesFailure,
     SeriesScore,
-    Standardizer,
     TimeSeries,
     emit_report,
     load_csv,
@@ -366,31 +364,28 @@ class TestRunBenchmark:
         with pytest.raises(error, match="a bug"):
             run_benchmark(Dataset(entries=entries), parallelism=parallelism)
 
-    def test_original_units_are_an_affine_map_of_standardized_ones(self):
-        # the forecast is made in standardized units either way: in the
-        # series' own units MAE and CRPS scale by its training std and the
-        # log-likelihood shifts by -log(std)
+    @pytest.mark.parametrize("parallelism", [float("nan"), 2.5, "2", 0], ids=["nan", "2.5", "str", "0"])
+    def test_a_parallelism_that_is_no_integer_at_least_1_is_rejected_before_any_work(self, monkeypatch, parallelism):
+        # a NaN passed a bare `< 1` check, and a thread pool of NaN workers never starts one
+        monkeypatch.setattr(gpforecast.bench, "standardized_posterior", lambda *args, **kwargs: pytest.fail("work ran"))
+        entries = (SeriesEntry(name="a", series=TimeSeries(values=np.arange(30.0), steps_per_year=12.0), test_length=8),)
+        with pytest.raises(ValueError, match="parallelism must be an integer >= 1"):
+            run_benchmark(Dataset(entries=entries), parallelism=parallelism)
+
+    def test_scores_keep_their_bits_at_scales_whose_variance_has_no_float(self):
+        # scaling by 2^k is exact, and the scores are taken in standardized
+        # units, so they cannot see k, even at 2^+-560 where the variance in
+        # the series' own units, std^2 times the standardized one, under- or
+        # overflows float64
         rng = np.random.default_rng(9)
         t = np.arange(52) / 4.0
-        entries = tuple(
-            SeriesEntry(
-                name=f"s{i}",
-                series=TimeSeries(
-                    values=shift + scale * (0.2 * t + np.sin(2 * np.pi * t) + 0.3 * rng.standard_normal(52)),
-                    steps_per_year=4.0,
-                ),
-                test_length=8,
-            )
-            for i, (scale, shift) in enumerate([(1.0, 0.0), (250.0, -40.0), (3e-3, 7.0)])
-        )
-        standardized = run_benchmark(Dataset(entries=entries))
-        original = run_benchmark(Dataset(entries=entries), standardized_units=False)
-        assert len(standardized.scores) == len(original.scores) == 3
-        for entry, a, b in zip(entries, standardized.scores, original.scores):
-            std = Standardizer.fit(entry.series.values[: -entry.test_length]).std
-            assert b.report.mae == pytest.approx(std * a.report.mae, rel=1e-9)
-            assert b.report.crps == pytest.approx(std * a.report.crps, rel=1e-9)
-            assert b.report.ll == pytest.approx(a.report.ll - math.log(std), rel=1e-9)
+        base = 0.2 * t + np.sin(2 * np.pi * t) + 0.3 * rng.standard_normal(52)
+        views = []
+        for k in (0, -560, 560):
+            entry = SeriesEntry(name="s", series=TimeSeries(values=2.0**k * base, steps_per_year=4.0), test_length=8)
+            views.append(run_benchmark(Dataset(entries=(entry,))).deterministic_view())
+        assert len(views[0]["scores"]) == 1
+        assert views[1] == views[0] and views[2] == views[0]
 
     def test_all_failures_leaves_none_medians(self):
         entries = (

@@ -178,7 +178,7 @@ class TestBenchCommand:
         parsed = parse_machine_report(capsys.readouterr().out)
         assert parsed["aggregate"]["scored"] == 2
 
-    def test_wide_layout_original_units_in_parallel(self, tmp_path, capsys):
+    def test_wide_layout_in_parallel(self, tmp_path, capsys):
         from gpforecast import CsvLayout, emit_report, load_csv, parse_machine_report, run_benchmark
 
         rng = np.random.default_rng(74)
@@ -189,12 +189,12 @@ class TestBenchCommand:
         path = tmp_path / "wide.csv"
         path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
         out = tmp_path / "report.jsonl"
-        flags = ["--freq", "monthly", "--layout", "wide", "--original-units", "--parallel", "2", "--test-length", "6"]
+        flags = ["--freq", "monthly", "--layout", "wide", "--parallel", "2", "--test-length", "6"]
         assert main(["bench", str(path), *flags, "--format", "machine", "--output", str(out)]) == 0
         assert capsys.readouterr().out == ""
 
         dataset = load_csv(path, CsvLayout(layout="wide", steps_per_year=12.0, test_length=6))
-        report = run_benchmark(dataset, parallelism=2, standardized_units=False)
+        report = run_benchmark(dataset, parallelism=2)
         expected = parse_machine_report(emit_report(report, "machine"))
         parsed = parse_machine_report(out.read_text())
         timing = ("train_seconds", "total_seconds")

@@ -247,6 +247,18 @@ class TestForecast:
         assert np.max(np.abs(mean - (a * fc.mean + b)) / np.sqrt(a * a * fc.variance)) <= 1e-6
         assert np.max(np.abs(variance / (a * a * fc.variance) - 1.0)) <= 1e-6
 
+    @pytest.mark.parametrize(("scale", "fault"), [(1e-200, "underflows"), (1e200, "overflows")])
+    def test_a_scale_whose_variance_has_no_float_names_the_training_std(self, scale, fault):
+        # the standardized forecast is fine; std^2 times its variance is not
+        rng = np.random.default_rng(31)
+        t = np.arange(40) / 12.0
+        values = scale * (np.sin(2 * np.pi * t) + 0.3 * rng.standard_normal(40))
+        std = Standardizer.fit(values).std
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match=rf"training std {re.escape(repr(std))} .* {fault} float64"):
+                forecast(TimeSeries(values=values, steps_per_year=12.0), 6)
+
     def test_constant_series_raises(self):
         with pytest.raises(ConstantSeriesError):
             forecast(TimeSeries(values=np.ones(20), steps_per_year=12.0), 3)
