@@ -34,7 +34,6 @@ import math
 import numbers
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,6 +363,8 @@ def run_benchmark(
     if parallelism == 1 or len(dataset) <= 1:
         outcomes = [worker(entry) for entry in dataset.entries]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: a serial run, and a forecast, never need it
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             outcomes = list(pool.map(worker, dataset.entries))
 

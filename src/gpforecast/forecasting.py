@@ -165,15 +165,16 @@ def forecast(
     Returns the forecast in original units together with the training
     result.  Raises :class:`ConstantSeriesError` for constant input, and
     ValueError for a series whose scale puts the variance in its units out
-    of float range; a training run that does not converge proceeds with a
-    warning quoting its ``termination`` (the result carries
-    ``converged=False``).
+    of float64's normal range (subnormal, zero or infinite); a training run
+    that does not converge proceeds with a warning quoting its
+    ``termination`` (the result carries ``converged=False``).
     """
     posterior, standardizer, result = standardized_posterior(ts, horizon, mode=mode, priors=priors)
     if not result.converged:
         warnings.warn(f"training did not converge for series of length {len(ts)}: {result.termination}")
     variance = standardizer.inverse_variance(posterior.observation_variance)
-    if not np.all((variance > 0.0) & (variance < np.inf)):  # the standardized variance is finite and > 0
+    # the standardized variance is finite and > 0; below the smallest normal float64 the product keeps a few digits
+    if not np.all((variance >= np.finfo(float).tiny) & (variance < np.inf)):
         raise ValueError(
             f"training std {standardizer.std!r} is out of scale: the forecast variance in the series' units, "
             f"std^2 times the standardized one, {'overflows' if standardizer.std > 1.0 else 'underflows'} float64"

@@ -76,10 +76,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
-from scipy.linalg._solve_toeplitz import levinson  # private: tests/test_gp.py guards its convention
 
 from .kernels import Differences, HyperParams, KernelSpec, build_cross, build_gram, grad_gram, zero_lag_variance
+from .lapack import LinAlgError, cho_solve, cholesky, levinson, solve_triangular
 
 __all__ = [
     "IllConditionedModelError",
@@ -222,7 +221,7 @@ def _cholesky_solve(column: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> tuple
         np.fill_diagonal(gram, diagonal + jitter)
         try:
             # K is checked finite; Fortran-ordered, LAPACK factorizes it in place
-            lower = cholesky(gram, lower=True, overwrite_a=True, check_finite=False)
+            lower = cholesky(gram, lower=True, overwrite_a=True)
             break
         except LinAlgError:
             mult *= 10.0
@@ -231,7 +230,7 @@ def _cholesky_solve(column: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> tuple
                     f"covariance not positive definite even with jitter {JITTER_MAX:g} * mean(diag)"
                 ) from None
             gram = build_gram(column, v)
-    return lower, jitter, cho_solve((lower, True), rhs, check_finite=False)
+    return lower, jitter, cho_solve((lower, True), rhs)
 
 
 def fit(theta: HyperParams, series: PreparedSeries, horizon: int = 0) -> FitState:
@@ -451,7 +450,7 @@ def predict(state: FitState) -> PredictiveDistribution:
     """
     cross = state.cross
     mean = cross @ state.alpha
-    v = solve_triangular(state.chol_lower, cross.T, lower=True, check_finite=False)
+    v = solve_triangular(state.chol_lower, cross.T, lower=True)
     latent = state.prior_variance - np.sum(v * v, axis=0)
     if np.any(latent < -1e-10):
         raise IllConditionedModelError(

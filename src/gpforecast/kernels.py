@@ -57,7 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import dger
+
+from .lapack import dger
 
 __all__ = [
     "InvalidHyperparameterError",

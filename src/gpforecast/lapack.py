@@ -1,0 +1,98 @@
+"""The compiled LAPACK, BLAS and Levinson routines the package calls, loaded without ``scipy.linalg``'s package init.
+
+``import scipy.linalg`` runs the whole package init, which pulls in
+scipy's array-API layer and, through it, ``numpy.f2py``, ``numpy.testing``
+and ``numpy.ma``: most of a cold start.  The package calls five compiled
+routines from there, so this module loads the three extension modules
+that hold them, ``scipy.linalg._flapack`` (``dpotrf``, ``dpotrs``,
+``dtrtrs``), ``scipy.linalg._fblas`` (``dger``) and
+``scipy.linalg._solve_toeplitz`` (``levinson``), from scipy's ``linalg``
+directory under their full names.  A module already in ``sys.modules``
+is reused, and one loaded here is registered there, so a later
+``import scipy.linalg`` shares the same module objects.  A module that is
+missing raises ImportError naming it; there is no other path.
+
+:func:`cholesky`, :func:`cho_solve` and :func:`solve_triangular` call
+the routines with the arguments scipy's functions of those names pass
+for Fortran-ordered float64 input, so their results are scipy's bit for
+bit, and they keep scipy's ``info`` checks: a factorization or solve
+that fails on the matrix raises :class:`numpy.linalg.LinAlgError`, the
+class ``scipy.linalg`` re-exports, and an illegal argument ValueError.
+They do not check finiteness (scipy's ``check_finite=False``).
+"""
+
+from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from types import ModuleType
+
+import numpy as np
+from numpy.linalg import LinAlgError
+
+__all__ = ["LinAlgError", "cholesky", "cho_solve", "solve_triangular", "dger", "levinson"]
+
+
+def _load(finder: importlib.machinery.FileFinder, name: str) -> ModuleType:
+    fullname = f"scipy.linalg.{name}"
+    module = sys.modules.get(fullname)
+    if module is not None:
+        return module
+    spec = finder.find_spec(fullname)
+    if spec is None:
+        raise ImportError(f"no compiled module {fullname} in {finder.path}", name=fullname)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[fullname]
+        raise
+    return module
+
+
+def _load_all() -> tuple[ModuleType, ModuleType, ModuleType]:
+    scipy = importlib.util.find_spec("scipy")  # locates the package without running its init
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("scipy is not installed", name="scipy")
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    return _load(finder, "_flapack"), _load(finder, "_fblas"), _load(finder, "_solve_toeplitz")
+
+
+_flapack, _fblas, _solve_toeplitz = _load_all()
+dger = _fblas.dger
+levinson = _solve_toeplitz.levinson  # private to scipy: tests/test_gp.py guards its convention
+
+
+def cholesky(a: np.ndarray, lower: bool = False, overwrite_a: bool = False) -> np.ndarray:
+    """The Cholesky factor of a, its other triangle zeroed; in place when ``overwrite_a`` and a is Fortran-ordered."""
+    c, info = _flapack.dpotrf(a, lower=lower, overwrite_a=overwrite_a, clean=True)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
+    return c
+
+
+def cho_solve(c_and_lower: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """A^-1 b from A's Cholesky factor c, given as (c, lower)."""
+    c, lower = c_and_lower
+    x, info = _flapack.dpotrs(c, b, lower=lower, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool = False) -> np.ndarray:
+    """a^-1 b for a triangular, Fortran-ordered a (as :func:`cholesky` returns it; scipy transposes a C-ordered one)."""
+    x, info = _flapack.dtrtrs(a, b, overwrite_b=False, lower=lower, trans=0, unitdiag=False)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x

@@ -247,17 +247,31 @@ class TestForecast:
         assert np.max(np.abs(mean - (a * fc.mean + b)) / np.sqrt(a * a * fc.variance)) <= 1e-6
         assert np.max(np.abs(variance / (a * a * fc.variance) - 1.0)) <= 1e-6
 
-    @pytest.mark.parametrize(("scale", "fault"), [(1e-200, "underflows"), (1e200, "overflows")])
+    @pytest.mark.parametrize(
+        ("scale", "fault"),
+        [(1e-200, "underflows"), (1e-160, "underflows"), (1e-156, "underflows"), (1e200, "overflows")],
+    )
     def test_a_scale_whose_variance_has_no_float_names_the_training_std(self, scale, fault):
-        # the standardized forecast is fine; std^2 times its variance is not
+        # the standardized forecast is fine; std^2 times its variance is not: at
+        # std 1e-160 and 1e-156 it is subnormal, with only a few digits left
         rng = np.random.default_rng(31)
         t = np.arange(40) / 12.0
-        values = scale * (np.sin(2 * np.pi * t) + 0.3 * rng.standard_normal(40))
+        values = np.sin(2 * np.pi * t) + 0.3 * rng.standard_normal(40)
+        values = scale * values / np.std(values)
         std = Standardizer.fit(values).std
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ValueError, match=rf"training std {re.escape(repr(std))} .* {fault} float64"):
                 forecast(TimeSeries(values=values, steps_per_year=12.0), 6)
+
+    def test_a_tiny_scale_whose_variance_stays_normal_forecasts(self):
+        rng = np.random.default_rng(31)
+        values = np.sin(2 * np.pi * np.arange(40) / 12.0) + 0.3 * rng.standard_normal(40)
+        values = 1e-150 * values / np.std(values)  # variance about 1e-300 times the standardized one: normal
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fc, _ = forecast(TimeSeries(values=values, steps_per_year=12.0), 6)
+        assert np.all(fc.variance >= np.finfo(float).tiny)
 
     def test_constant_series_raises(self):
         with pytest.raises(ConstantSeriesError):
@@ -287,20 +301,27 @@ class TestForecast:
         assert [str(w.message) for w in record] == [expected]
         assert not result.converged and result.termination == nonconverging_training
 
-    def test_a_forecast_loads_neither_scipy_optimize_nor_scipy_special(self):
-        # a fresh process, so that no other test's imports count
+    def test_an_import_and_a_forecast_load_none_of_the_modules_they_do_not_need(self):
+        # a fresh process, so that no other test's imports count: training is
+        # in-package, the compiled routines load without scipy.linalg's package
+        # init (which pulls in numpy.f2py), and only a thread pool needs concurrent.futures
         src = str(Path(forecasting.__file__).resolve().parent.parent)
+        unneeded = (
+            "sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))"
+            " or m in ('scipy.linalg', 'numpy.f2py', 'concurrent.futures'))"
+        )
         code = (
             "import sys\n"
             "import numpy as np\n"
             "import gpforecast\n"
+            f"print(*{unneeded})\n"
             "values = 10.0 + np.sin(np.pi * np.arange(48) / 6.0) + 0.02 * np.arange(48)\n"
             "gpforecast.forecast(gpforecast.TimeSeries(values, 12.0), 6)\n"
-            "print(*sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))\n"
+            f"print(*{unneeded})\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert run.stdout.split() == []
+        assert run.stdout.splitlines() == ["", ""]
 
     def test_standardized_posterior_hands_restarts_to_train(self, monkeypatch):
         real_train, handed = forecasting.train, []

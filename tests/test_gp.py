@@ -456,11 +456,12 @@ class TestRegularGrid:
         assert below >= 10
 
     def test_scipy_private_levinson_keeps_its_yule_walker_convention(self):
-        # gp imports levinson from scipy.linalg._solve_toeplitz, a private
-        # module: on the Yule-Walker system T_{n-1} ar = c[1:], given as
-        # (c[n-2], ..., c[1], c[0], ..., c[n-2]), its reflection coefficients
-        # after the first must give the squared Cholesky diagonal of T_n
-        # through c0 prod (1 - phi_j^2), and (1, -ar) / E_{n-1} = T^-1 e_0.
+        # gp takes levinson from gpforecast.lapack, which loads scipy's private
+        # module scipy.linalg._solve_toeplitz: on the Yule-Walker system
+        # T_{n-1} ar = c[1:], given as (c[n-2], ..., c[1], c[0], ..., c[n-2]),
+        # its reflection coefficients after the first must give the squared
+        # Cholesky diagonal of T_n through c0 prod (1 - phi_j^2), and
+        # (1, -ar) / E_{n-1} = T^-1 e_0.
         from scipy.linalg._solve_toeplitz import levinson
 
         assert gp.levinson is levinson
