@@ -74,8 +74,6 @@ class CsvFormatError(ValueError):
 
 # the long layout's columns, which load_csv finds by name in its header
 _LONG_COLUMNS = ("series", "step", "value")
-# the scores of a series, in report order; the aggregate carries the median of each
-_SCORED = ("mae", "crps", "ll")
 
 
 @dataclass(frozen=True)
@@ -297,28 +295,57 @@ class SeriesFailure:
     reason: str
 
 
+# The records of a report, each kind's keys in order after "record", with how the kind's object gives
+# each value and its role: "score", whose median over the scored series the aggregate carries; "timing", a
+# wall-clock measurement, which deterministic_view() leaves out; or "".  A series key ends with its human
+# column: header, alignment and width, and how its value prints.
+_SERIES_RECORD = (  # one per SeriesScore
+    ("series", lambda s: s.name, "", "series", "<16", str),  # a failure record's too
+    ("mae", lambda s: s.report.mae, "score", "mae", ">9", "{:.4f}".format),
+    ("crps", lambda s: s.report.crps, "score", "crps", ">9", "{:.4f}".format),
+    ("ll", lambda s: s.report.ll, "score", "ll", ">10", "{:.4f}".format),
+    ("train_seconds", lambda s: s.train_seconds, "timing", "train_s", ">8", "{:.3f}".format),
+    ("converged", lambda s: s.converged, "", "converged", ">9", lambda v: "yes" if v else "no"),
+)
+_SCORED = tuple((key, get) for key, get, role, *_ in _SERIES_RECORD if role == "score")
+RECORDS = {
+    "series": _SERIES_RECORD,
+    "failure": (_SERIES_RECORD[0], ("reason", lambda f: f.reason, "")),  # one per SeriesFailure
+    "aggregate": (  # one per BenchReport, last
+        ("scored", lambda r: len(r.scores), ""),
+        ("failed", lambda r: len(r.failures), ""),
+        *((f"median_{key}", lambda r, key=key: getattr(r, f"median_{key}"), "") for key, _ in _SCORED),
+        ("total_seconds", lambda r: r.total_seconds, "timing"),
+    ),
+}
+TIMING = frozenset(key for fields in RECORDS.values() for key, _, role, *_ in fields if role == "timing")
+
+
 @dataclass(frozen=True)
 class BenchReport:
     """Scores for every series that ran, failures for every one that did not.
 
     ``count(scores) + count(failures)`` always equals the input series
-    count.  Medians cover only the scored series; ``None`` when nothing
-    scored.
+    count.  ``median_mae``, ``median_crps`` and ``median_ll`` are taken
+    from the scores; ``None`` when nothing scored.
     """
 
     scores: tuple[SeriesScore, ...]
     failures: tuple[SeriesFailure, ...]
-    median_mae: float | None
-    median_crps: float | None
-    median_ll: float | None
     total_seconds: float
 
+    median_mae, median_crps, median_ll = (
+        property(lambda self, get=get: float(np.median([get(s) for s in self.scores])) if self.scores else None)
+        for _, get in _SCORED
+    )
+
     def deterministic_view(self) -> dict:
-        """Everything in the report except wall-clock timing."""
+        """Everything in the report but its :data:`TIMING` keys: each series' and failure's values, and the medians."""
+        kept = {kind: [get for key, get, *_ in fields if key not in TIMING] for kind, fields in RECORDS.items()}
         return {
-            "scores": [(s.name, s.report.mae, s.report.crps, s.report.ll, s.converged) for s in self.scores],
-            "failures": [(f.name, f.reason) for f in self.failures],
-            "medians": (self.median_mae, self.median_crps, self.median_ll),
+            "scores": [tuple(get(s) for get in kept["series"]) for s in self.scores],
+            "failures": [tuple(get(f) for get in kept["failure"]) for f in self.failures],
+            "medians": tuple(getattr(self, f"median_{key}") for key, _ in _SCORED),
         }
 
 
@@ -370,53 +397,26 @@ def run_benchmark(
 
     scores = tuple(o for o in outcomes if isinstance(o, SeriesScore))
     failures = tuple(o for o in outcomes if isinstance(o, SeriesFailure))
-    medians = {
-        f"median_{name}": float(np.median([getattr(s.report, name) for s in scores])) if scores else None
-        for name in _SCORED
-    }
-    return BenchReport(scores=scores, failures=failures, **medians, total_seconds=time.perf_counter() - started)
+    return BenchReport(scores=scores, failures=failures, total_seconds=time.perf_counter() - started)
 
 
 def emit_report(report: BenchReport, fmt: str = "human") -> str:
-    """Render a report as JSON lines or as a fixed-column table.
-
-    Both render the same records: one per scored series, one per failure
-    and the aggregate.  A record's fields are written once, here.
-    """
+    """Render a report's :data:`RECORDS` (each scored series, each failure, the aggregate) as JSON lines or a table."""
     if fmt not in ("human", "machine"):
         raise ValueError(f"format must be 'human' or 'machine', got {fmt!r}")
-    series = [
-        {
-            "record": "series",
-            "series": s.name,
-            **{name: getattr(s.report, name) for name in _SCORED},
-            "train_seconds": s.train_seconds,
-            "converged": s.converged,
-        }
-        for s in report.scores
-    ]
-    failures = [{"record": "failure", "series": f.name, "reason": f.reason} for f in report.failures]
-    aggregate = {
-        "record": "aggregate",
-        "scored": len(report.scores),
-        "failed": len(report.failures),
-        **{f"median_{name}": getattr(report, f"median_{name}") for name in _SCORED},
-        "total_seconds": report.total_seconds,
-    }
+    kinds = (*(("series", s) for s in report.scores), *(("failure", f) for f in report.failures), ("aggregate", report))
+    records = [{"record": kind, **{key: get(o) for key, get, *_ in RECORDS[kind]}} for kind, o in kinds]
     if fmt == "machine":
-        return "\n".join(json.dumps(record) for record in (*series, *failures, aggregate)) + "\n"
-    header = f"{'series':<16} {'mae':>9} {'crps':>9} {'ll':>10} {'train_s':>8} {'converged':>9}"
+        return "\n".join(json.dumps(record) for record in records) + "\n"
+    n, aggregate = len(report.scores), records[-1]
+    header = " ".join(f"{title:{width}}" for *_, title, width, _ in _SERIES_RECORD)
     lines = [header, "-" * len(header)]
-    for r in series:
-        lines.append(
-            f"{r['series']:<16} {r['mae']:>9.4f} {r['crps']:>9.4f} {r['ll']:>10.4f} "
-            f"{r['train_seconds']:>8.3f} {'yes' if r['converged'] else 'no':>9}"
-        )
-    if failures:
-        lines += ["", "failures:"] + [f"  {f['series']}: {f['reason']}" for f in failures]
+    lines += [" ".join(f"{show(r[key]):{width}}" for key, *_, width, show in _SERIES_RECORD) for r in records[:n]]
+    if report.failures:
+        lines += ["", "failures:"] + [f"  {f['series']}: {f['reason']}" for f in records[n:-1]]
     lines += ["", f"aggregate: scored={aggregate['scored']} failed={aggregate['failed']}"]
-    if series:
-        lines += [f"  median_{name:<4} {aggregate[f'median_{name}']:.4f}" for name in _SCORED]
+    if report.scores:
+        lines += [f"  median_{key:<4} {aggregate[f'median_{key}']:.4f}" for key, _ in _SCORED]
     else:
         lines.append("  no series scored")
     lines.append(f"  total_seconds {aggregate['total_seconds']:.3f}")
@@ -424,10 +424,12 @@ def emit_report(report: BenchReport, fmt: str = "human") -> str:
 
 
 def parse_machine_report(text: str) -> dict:
-    """Parse machine-format output back into records (round-trip safe); a malformed line raises ValueError."""
-    series: list[dict] = []
-    failures: list[dict] = []
-    aggregate: dict | None = None
+    """Parse machine-format output back into records (round-trip safe).
+
+    Each record holds exactly the keys :data:`RECORDS` declares for its kind, and one aggregate comes last,
+    counting the records before it; a report that breaks this raises ValueError naming the line.
+    """
+    parsed: dict[str, list[dict]] = {kind: [] for kind in RECORDS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -438,14 +440,17 @@ def parse_machine_report(text: str) -> dict:
         if not isinstance(record, dict):
             raise ValueError(f"machine report line {lineno}: expected a JSON object, got {type(record).__name__}")
         kind = record.get("record")
-        if kind == "series":
-            series.append(record)
-        elif kind == "failure":
-            failures.append(record)
-        elif kind == "aggregate":
-            aggregate = record
-        else:
+        if kind not in RECORDS:
             raise ValueError(f"machine report line {lineno}: unknown record type {kind!r}")
-    if aggregate is None:
+        keys = ["record", *(key for key, *_ in RECORDS[kind])]
+        if record.keys() != set(keys):
+            raise ValueError(f"machine report line {lineno}: a {kind} record has keys {list(record)}, not {keys}")
+        if parsed["aggregate"]:
+            raise ValueError(f"machine report line {lineno}: a {kind} record after the aggregate")
+        held = {"scored": len(parsed["series"]), "failed": len(parsed["failure"])}
+        if kind == "aggregate" and {key: record[key] for key in held} != held:
+            raise ValueError(f"machine report line {lineno}: the aggregate miscounts the records before it, {held}")
+        parsed[kind].append(record)
+    if not parsed["aggregate"]:
         raise ValueError("machine report has no aggregate record")
-    return {"series": series, "failures": failures, "aggregate": aggregate}
+    return {"series": parsed["series"], "failures": parsed["failure"], "aggregate": parsed["aggregate"][0]}

@@ -1,8 +1,11 @@
 """Command-line interface.
 
     gpforecast forecast INPUT.csv --freq monthly --horizon 18 --output out.csv
-    gpforecast bench DATA.csv --freq monthly --parallel 4 --format machine
+    gpforecast bench DATA.csv --freq monthly --format machine
     gpforecast priors --output priors.txt
+
+``bench --parallel N`` scores N series at a time in a thread pool; on a
+2-vCPU host that was measured no faster than serial.
 
 Training takes no settings: every series is trained with one restart
 from the prior medians (SM1's period at the series' own cycle and the

@@ -8,8 +8,11 @@ session here.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +185,22 @@ def speed_run():
     t = np.arange(115) / 12.0
     values = 0.4 * t + np.sin(2.0 * np.pi * t) + 0.3 * rng.standard_normal(115)
     return train(default_spec("single-seasonal"), default_priors(), TimeSeries(oracles.standardize(values), 12.0))
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Loads perfbench's module of a given name from its file, for the test's duration."""
+    folder = Path(__file__).resolve().parent.parent / "perfbench"
+
+    def load(name):
+        monkeypatch.syspath_prepend(str(folder))  # perfbench's modules import each other by bare name
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", folder / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 @pytest.fixture(params=["iteration-limit", "abnormal"])

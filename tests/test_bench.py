@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from gpforecast import (
     run_benchmark,
     score,
     seasonal_naive,
+    standardized_posterior,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -342,6 +344,19 @@ class TestRunBenchmark:
         assert report.failures[1].reason == "ValueError: need at least 8 observations, got 2"
         assert report.failures[2].reason == "ValueError: test length 8 leaves no training data (length 8)"
 
+    def test_the_length_reasons_are_the_pipelines_own_and_perfbench_classifies_them(self, perfbench):
+        values = np.sin(np.arange(10.0))
+        entries = (
+            SeriesEntry(name="tiny", series=TimeSeries(values=values, steps_per_year=4.0), test_length=8),
+            SeriesEntry(name="none", series=TimeSeries(values=values[:8], steps_per_year=4.0), test_length=8),
+        )
+        tiny, none = run_benchmark(Dataset(entries=entries)).failures
+        with pytest.raises(ValueError) as err:
+            standardized_posterior(TimeSeries(values=values[:2], steps_per_year=4.0), 8)
+        assert tiny.reason == "ValueError: " + str(err.value)
+        length_error = perfbench("run").LENGTH_ERROR
+        assert length_error.match(tiny.reason) and length_error.match(none.reason)
+
     @pytest.mark.parametrize(
         "parallelism, error",
         [
@@ -407,15 +422,15 @@ def fixed_report() -> BenchReport:
         scores.append(
             SeriesScore(name=name, report=score(y, mu, sigma2), train_seconds=0.125 * (i + 1), converged=i != 2)
         )
-    report_values = [s.report for s in scores]
     return BenchReport(
         scores=tuple(scores),
         failures=(SeriesFailure(name="flatline", reason="ConstantSeriesError: series is constant"),),
-        median_mae=float(np.median([r.mae for r in report_values])),
-        median_crps=float(np.median([r.crps for r in report_values])),
-        median_ll=float(np.median([r.ll for r in report_values])),
         total_seconds=0.875,
     )
+
+
+def golden_machine_lines() -> list[str]:
+    return (DATA / "golden_report.jsonl").read_text(encoding="utf-8").splitlines()
 
 
 class TestEmitReport:
@@ -448,9 +463,7 @@ class TestEmitReport:
         assert agg["median_mae"] == report.median_mae
 
     def test_empty_report_still_emits_aggregate_marker(self):
-        empty = BenchReport(
-            scores=(), failures=(), median_mae=None, median_crps=None, median_ll=None, total_seconds=0.0
-        )
+        empty = BenchReport(scores=(), failures=(), total_seconds=0.0)
         text = emit_report(empty, fmt="human")
         assert "no series scored" in text
         parsed = parse_machine_report(emit_report(empty, fmt="machine"))
@@ -461,6 +474,42 @@ class TestEmitReport:
         text = emit_report(fixed_report(), fmt="machine")
         with pytest.raises(ValueError, match="machine report line 2: expected a JSON object"):
             parse_machine_report("\n".join([text.splitlines()[0], line, *text.splitlines()[1:]]))
+
+    def test_the_deterministic_view_holds_every_value_but_the_timing(self):
+        report = fixed_report()
+        assert report.deterministic_view() == {
+            "scores": [(s.name, s.report.mae, s.report.crps, s.report.ll, s.converged) for s in report.scores],
+            "failures": [("flatline", "ConstantSeriesError: series is constant")],
+            "medians": tuple(
+                float(np.median([getattr(s.report, key) for s in report.scores])) for key in ("mae", "crps", "ll")
+            ),
+        }
+
+    def test_two_reports_end_to_end_are_rejected(self):
+        lines = golden_machine_lines()
+        with pytest.raises(ValueError, match="machine report line 6: a series record after the aggregate"):
+            parse_machine_report("\n".join(lines + lines))
+
+    @pytest.mark.parametrize(
+        "lineno, edit",
+        [
+            pytest.param(1, lambda r: {"record": "series", "mae": "x"}, id="a-series-record-of-one-score"),
+            pytest.param(1, lambda r: {**r, "iterations": 7}, id="a-series-record-with-a-key-more"),
+            pytest.param(4, lambda r: {"record": "failure", "series": r["series"]}, id="a-failure-without-reason"),
+            pytest.param(5, lambda r: {"record": "aggregate"}, id="a-bare-aggregate"),
+        ],
+    )
+    def test_a_record_without_exactly_its_declared_keys_is_rejected(self, lineno, edit):
+        lines = golden_machine_lines()
+        record = edit(json.loads(lines[lineno - 1]))
+        lines[lineno - 1] = json.dumps(record)
+        with pytest.raises(ValueError, match=f"machine report line {lineno}: a {record['record']} record has keys"):
+            parse_machine_report("\n".join(lines))
+
+    def test_an_aggregate_that_miscounts_the_records_is_rejected(self):
+        lines = golden_machine_lines()
+        with pytest.raises(ValueError, match="machine report line 4: the aggregate miscounts the records before it"):
+            parse_machine_report("\n".join(lines[1:]))
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

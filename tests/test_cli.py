@@ -180,6 +180,7 @@ class TestBenchCommand:
 
     def test_wide_layout_in_parallel(self, tmp_path, capsys):
         from gpforecast import CsvLayout, emit_report, load_csv, parse_machine_report, run_benchmark
+        from gpforecast.bench import TIMING
 
         rng = np.random.default_rng(74)
         t = np.arange(36) / 12.0
@@ -197,10 +198,9 @@ class TestBenchCommand:
         report = run_benchmark(dataset, parallelism=2)
         expected = parse_machine_report(emit_report(report, "machine"))
         parsed = parse_machine_report(out.read_text())
-        timing = ("train_seconds", "total_seconds")
 
         def untimed(record):
-            return {key: value for key, value in record.items() if key not in timing}
+            return {key: value for key, value in record.items() if key not in TIMING}
 
         assert [untimed(r) for r in parsed["series"]] == [untimed(r) for r in expected["series"]]
         assert [r["series"] for r in parsed["series"]] == ["a", "b", "c"]

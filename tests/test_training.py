@@ -1,8 +1,5 @@
-import importlib.util
 import math
-import sys
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -542,10 +539,10 @@ class TestTrain:
         # each restart's start fails, which ends it at once
         assert result.penalty_evals == result.nfev == 3 and result.iterations == 0
 
-    def test_perfbench_tracer_sees_every_evaluation_of_a_clean_run(self, monkeypatch):
+    def test_perfbench_tracer_sees_every_evaluation_of_a_clean_run(self, perfbench):
         # the tracer wraps the likelihood and the priors where training looks
         # them up, so the objective must call them through those names
-        tracing = perfbench_module(monkeypatch, "tracer")
+        tracing = perfbench("tracer")
         ts = TimeSeries(sine_series(36)[1], 12.0)
         with tracing.Tracer() as tracer:
             result = train(FULL_SPEC, PRIORS, ts)
@@ -555,8 +552,8 @@ class TestTrain:
             assert spans[name]["calls"] == result.nfev, name
         assert spans["training.minimize"]["calls"] == 1
 
-    def test_perfbench_tracer_counts_the_failed_evaluations(self, monkeypatch):
-        tracing = perfbench_module(monkeypatch, "tracer")
+    def test_perfbench_tracer_counts_the_failed_evaluations(self, monkeypatch, perfbench):
+        tracing = perfbench("tracer")
         real_at = training.MapObjective.at
         calls = []
 
@@ -584,17 +581,17 @@ class TestTrain:
             (8, "m-quasi-132-c0", 113.77855),
         ],
     )
-    def test_five_restarts_go_on_past_failed_evaluations_on_a_design_series(self, monkeypatch, seed, name, objective):
+    def test_five_restarts_go_on_past_failed_evaluations_on_a_design_series(self, perfbench, seed, name, objective):
         # among the optimum audit's series that meet a failed evaluation, in one
         # of their five restarts; a single restart meets none
-        ts, horizon, mode = design_series(monkeypatch, "monthly-forecast", seed, name)
+        ts, horizon, mode = design_series(perfbench, "monthly-forecast", seed, name)
         _, _, result = standardized_posterior(ts, horizon, mode=mode, restarts=5)
         assert result.penalty_evals >= 1 and result.converged
         assert result.objective == pytest.approx(objective, abs=1e-3)
 
-    def test_a_single_restart_reaches_the_best_of_five_on_a_quasi_periodic_design_series(self, monkeypatch):
+    def test_a_single_restart_reaches_the_best_of_five_on_a_quasi_periodic_design_series(self, perfbench):
         # from the prior medians its single restart ended 4.6 nats below the best of 5
-        ts, horizon, mode = design_series(monkeypatch, "monthly-forecast", 20201, "m-quasi-95-c0")
+        ts, horizon, mode = design_series(perfbench, "monthly-forecast", 20201, "m-quasi-95-c0")
         single, best = (standardized_posterior(ts, horizon, mode=mode, restarts=r)[2] for r in (1, 5))
         assert single.converged and single.objective >= best.objective - 0.1
 
@@ -691,10 +688,10 @@ class TestTrain:
         [start] = train_starts(monkeypatch, spec, TimeSeries(y, steps_per_year))
         assert start.tobytes() == PRIORS.columns(spec)[0].tobytes()
 
-    def test_a_noise_free_design_series_keeps_the_noise_median(self, monkeypatch):
+    def test_a_noise_free_design_series_keeps_the_noise_median(self, monkeypatch, perfbench):
         # h-220-10-c0's high bins read 3.7e-4, below the start's floor of 1.5e-3;
         # started there, its single restart fell 0.17 nats at every audit seed
-        ts, horizon, mode = design_series(monkeypatch, "six-hourly-double", 1, "h-220-10-c0")
+        ts, horizon, mode = design_series(perfbench, "six-hourly-double", 1, "h-220-10-c0")
         starts = record_starts(monkeypatch)
         standardized_posterior(ts, horizon, mode=mode)
         assert starts[0].tobytes() == PRIORS.columns(default_spec(mode))[0].tobytes()
@@ -744,19 +741,9 @@ class TestTrain:
         assert lin > max(variances.values())
 
 
-def perfbench_module(monkeypatch, name):
-    """perfbench's module ``name``, loaded from its file for the test's duration."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-def design_series(monkeypatch, workload_name, seed, name):
+def design_series(perfbench, workload_name, seed, name):
     """One series of a perfbench workload's design, as its forecast trains on it: the series, horizon and mode."""
-    workloads = perfbench_module(monkeypatch, "workloads")
+    workloads = perfbench("workloads")
     workload = workloads.WORKLOADS[workload_name]
     values = dict(workloads.generate(workload.name, seed))[name]
     return TimeSeries(values[: -workload.horizon], workload.steps_per_year), workload.horizon, workload.mode
@@ -808,7 +795,7 @@ class TestMinimizeOracle:
         ids=["monthly-default", "six-hourly-abnormal", "iteration-limit", "rosenbrock-16"],
     )
     def test_minimize_ends_no_worse_than_scipy_lbfgsb_on_strong_wolfe_steps(
-        self, monkeypatch, case, constants, status, message
+        self, monkeypatch, perfbench, case, constants, status, message
     ):
         runs = []  # (evaluations, iterates, own result, scipy's result) of each restart
         own = training.minimize
@@ -841,7 +828,7 @@ class TestMinimizeOracle:
             if case == "monthly":
                 train(FULL_SPEC, PRIORS, TimeSeries(sine_series(36)[1], 12.0))
             else:
-                ts, horizon, mode = design_series(monkeypatch, "six-hourly-double", 1, "h-112-0-c0")
+                ts, horizon, mode = design_series(perfbench, "six-hourly-double", 1, "h-112-0-c0")
                 standardized_posterior(ts, horizon, mode=mode)
         [(evaluations, iterates, ours, theirs)] = runs
         assert ours.fun <= theirs.fun + 1e-3
