@@ -1,17 +1,19 @@
 """Batch benchmarking: CSV input, per-series runs, aggregate report.
 
-``load_csv`` reads a dataset in one of two CSV layouts:
+``load_csv`` reads a dataset in one of two CSV layouts, which the header
+tells apart:
 
-    long  header with series/step/value columns; one observation per row;
-          steps are integer indices, unique per series, without gaps, in
-          any order
-    wide  one column per series, one step per row; shorter series end with
-          empty trailing cells
+    long  a header that names series, step and value, among any other
+          columns; one observation per row; steps are integer indices,
+          unique per series, without gaps, in any order
+    wide  any other header: one column per series, one step per row;
+          shorter series end with empty trailing cells (so no wide file
+          has series named all of series, step and value)
 
 ``read_values`` reads one series (bare numbers, a ``value`` column, or a
-long-layout file of one series).  Every CSV the package takes is read
-here: UTF-8 with or without a byte-order mark, blank rows skipped, cells
-stripped, errors naming the line.
+long-layout file of one series) by the same rule.  Every CSV the package
+takes is read here: UTF-8 with or without a byte-order mark, blank rows
+skipped, cells stripped, errors naming the line.
 
 Each series is split into a training part and a test part of the
 configured length, standardized on the training part, forecast with the
@@ -72,26 +74,29 @@ class CsvFormatError(ValueError):
     """Malformed benchmark CSV; the message names the offending line, or the series and step."""
 
 
-# the long layout's columns, which load_csv finds by name in its header
+# the long layout's columns, which its readers find by name in the header
 _LONG_COLUMNS = ("series", "step", "value")
+
+
+def _is_long(header: list[str]) -> bool:
+    """Whether a header is the long layout's: it names all of series, step and value; any other is wide."""
+    return all(column in header for column in _LONG_COLUMNS)
 
 
 @dataclass(frozen=True)
 class CsvLayout:
-    """How to read a dataset file.
+    """The frequency of a dataset file's series and the length of their test parts.
 
-    ``test_length=None`` picks the conventional split for the frequency
-    (18 monthly steps, 8 quarterly, 42 six-hourly); other frequencies must
-    set it.
+    The file's header gives its layout: long if it names all of series,
+    step and value, wide otherwise.  ``test_length=None`` picks the
+    conventional split for the frequency (18 monthly steps, 8 quarterly,
+    42 six-hourly); other frequencies must set it.
     """
 
-    layout: str = "long"
     steps_per_year: float = MONTHLY
     test_length: int | None = None
 
     def __post_init__(self) -> None:
-        if self.layout not in ("long", "wide"):
-            raise ValueError(f"layout must be 'long' or 'wide', got {self.layout!r}")
         if not np.isfinite(self.steps_per_year) or self.steps_per_year <= 0:
             raise ValueError(f"steps_per_year must be finite and > 0, got {self.steps_per_year!r}")
         length = self.test_length
@@ -123,10 +128,10 @@ class Dataset:
 
 
 def load_csv(path, layout: CsvLayout) -> Dataset:
-    """Parse a dataset file; raises :class:`CsvFormatError` with line numbers."""
+    """Parse a dataset file, long or wide as its header says; raises :class:`CsvFormatError` with line numbers."""
     body = _read_rows(path)
     lineno, header = next(body)
-    per_series = (_read_long if layout.layout == "long" else _read_wide)(path, lineno, header, body)
+    per_series = _read_long(path, header, body) if _is_long(header) else _read_wide(path, lineno, header, body)
     test_length = layout.test_length if layout.test_length is not None else default_horizon(layout.steps_per_year)
     entries = tuple(
         SeriesEntry(
@@ -184,8 +189,8 @@ def read_values(path) -> np.ndarray:
     """One series: bare numbers or a 'value' column in row order, or a long-layout file's one series in step order."""
     body = _read_rows(path)
     lineno, header = next(body)
-    if all(column in header for column in _LONG_COLUMNS):
-        per_series = _read_long(path, lineno, header, body)
+    if _is_long(header):
+        per_series = _read_long(path, header, body)
         if len(per_series) != 1:
             raise CsvFormatError(f"{path}: holds {len(per_series)} series; a forecast reads one")
         return np.array(per_series[0][1])
@@ -200,13 +205,8 @@ def read_values(path) -> np.ndarray:
     return np.array([_parse_value(row[value_idx] if value_idx < len(row) else "", path, n) for n, row in rows])
 
 
-def _read_long(path, lineno: int, header: list[str], body) -> list[tuple[str, list[float]]]:
-    try:
-        s_idx, t_idx, v_idx = (header.index(column) for column in _LONG_COLUMNS)
-    except ValueError:
-        raise CsvFormatError(
-            f"{path}: line {lineno}: header must contain columns {_LONG_COLUMNS}; got {header}"
-        ) from None
+def _read_long(path, header: list[str], body) -> list[tuple[str, list[float]]]:
+    s_idx, t_idx, v_idx = (header.index(column) for column in _LONG_COLUMNS)
     rows: dict[str, dict[int, float]] = {}
     for lineno, row in body:
         if len(row) <= max(s_idx, t_idx, v_idx):
@@ -296,27 +296,35 @@ class SeriesFailure:
 
 
 # The records of a report, each kind's keys in order after "record", with how the kind's object gives
-# each value and its role: "score", whose median over the scored series the aggregate carries; "timing", a
-# wall-clock measurement, which deterministic_view() leaves out; or "".  A series key ends with its human
-# column: header, alignment and width, and how its value prints.
+# each value, its role and its JSON type, one of _JSON_TYPES.  The role is "score", whose median over the
+# scored series the aggregate carries; "timing", a wall-clock measurement, which deterministic_view() leaves
+# out; or "".  A series key ends with its human column: header, alignment and width, and how its value prints.
 _SERIES_RECORD = (  # one per SeriesScore
-    ("series", lambda s: s.name, "", "series", "<16", str),  # a failure record's too
-    ("mae", lambda s: s.report.mae, "score", "mae", ">9", "{:.4f}".format),
-    ("crps", lambda s: s.report.crps, "score", "crps", ">9", "{:.4f}".format),
-    ("ll", lambda s: s.report.ll, "score", "ll", ">10", "{:.4f}".format),
-    ("train_seconds", lambda s: s.train_seconds, "timing", "train_s", ">8", "{:.3f}".format),
-    ("converged", lambda s: s.converged, "", "converged", ">9", lambda v: "yes" if v else "no"),
+    ("series", lambda s: s.name, "", "a string", "series", "<16", str),  # a failure record's too
+    ("mae", lambda s: s.report.mae, "score", "a number", "mae", ">9", "{:.4f}".format),
+    ("crps", lambda s: s.report.crps, "score", "a number", "crps", ">9", "{:.4f}".format),
+    ("ll", lambda s: s.report.ll, "score", "a number", "ll", ">10", "{:.4f}".format),
+    ("train_seconds", lambda s: s.train_seconds, "timing", "a number", "train_s", ">8", "{:.3f}".format),
+    ("converged", lambda s: s.converged, "", "a boolean", "converged", ">9", lambda v: "yes" if v else "no"),
 )
 _SCORED = tuple((key, get) for key, get, role, *_ in _SERIES_RECORD if role == "score")
 RECORDS = {
     "series": _SERIES_RECORD,
-    "failure": (_SERIES_RECORD[0], ("reason", lambda f: f.reason, "")),  # one per SeriesFailure
+    "failure": (_SERIES_RECORD[0], ("reason", lambda f: f.reason, "", "a string")),  # one per SeriesFailure
     "aggregate": (  # one per BenchReport, last
-        ("scored", lambda r: len(r.scores), ""),
-        ("failed", lambda r: len(r.failures), ""),
-        *((f"median_{key}", lambda r, key=key: getattr(r, f"median_{key}"), "") for key, _ in _SCORED),
-        ("total_seconds", lambda r: r.total_seconds, "timing"),
+        ("scored", lambda r: len(r.scores), "", "an integer"),
+        ("failed", lambda r: len(r.failures), "", "an integer"),
+        *((f"median_{key}", lambda r, k=key: getattr(r, f"median_{k}"), "", "a number or null") for key, _ in _SCORED),
+        ("total_seconds", lambda r: r.total_seconds, "timing", "a number"),
     ),
+}
+# each JSON type's values as json.loads gives them back: exact types, so true is no number and 3.0 no integer
+_JSON_TYPES = {
+    "a string": (str,),
+    "a number": (int, float),
+    "an integer": (int,),
+    "a boolean": (bool,),
+    "a number or null": (int, float, type(None)),
 }
 TIMING = frozenset(key for fields in RECORDS.values() for key, _, role, *_ in fields if role == "timing")
 
@@ -426,8 +434,9 @@ def emit_report(report: BenchReport, fmt: str = "human") -> str:
 def parse_machine_report(text: str) -> dict:
     """Parse machine-format output back into records (round-trip safe).
 
-    Each record holds exactly the keys :data:`RECORDS` declares for its kind, and one aggregate comes last,
-    counting the records before it; a report that breaks this raises ValueError naming the line.
+    Each record holds exactly the keys :data:`RECORDS` declares for its kind, each of its declared JSON type,
+    and one aggregate comes last, counting the records before it; a report that breaks this raises
+    ValueError naming the line.
     """
     parsed: dict[str, list[dict]] = {kind: [] for kind in RECORDS}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -445,6 +454,10 @@ def parse_machine_report(text: str) -> dict:
         keys = ["record", *(key for key, *_ in RECORDS[kind])]
         if record.keys() != set(keys):
             raise ValueError(f"machine report line {lineno}: a {kind} record has keys {list(record)}, not {keys}")
+        for key, _, _, json_type, *_ in RECORDS[kind]:
+            if type(record[key]) not in _JSON_TYPES[json_type]:
+                value = json.dumps(record[key])
+                raise ValueError(f"machine report line {lineno}: {kind} key {key!r} holds {value}, not {json_type}")
         if parsed["aggregate"]:
             raise ValueError(f"machine report line {lineno}: a {kind} record after the aggregate")
         held = {"scored": len(parsed["series"]), "failed": len(parsed["failure"])}

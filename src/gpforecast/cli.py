@@ -57,12 +57,7 @@ def _cmd_forecast(args) -> int:
 
 def _cmd_bench(args) -> int:
     priors = load_priors(args.priors) if args.priors else None
-    layout = CsvLayout(
-        layout=args.layout,
-        steps_per_year=parse_frequency(args.freq),
-        test_length=args.test_length,
-    )
-    dataset = load_csv(args.data, layout)
+    dataset = load_csv(args.data, CsvLayout(steps_per_year=parse_frequency(args.freq), test_length=args.test_length))
     report = run_benchmark(dataset, mode=args.mode, parallelism=args.parallel, priors=priors)
     text = emit_report(report, fmt=args.format)
     _write(text, args.output)
@@ -92,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.set_defaults(func=_cmd_forecast)
 
     p_b = sub.add_parser("bench", help="run the benchmark over a dataset CSV, scored in standardized units")
-    p_b.add_argument("data", help="dataset CSV")
-    p_b.add_argument("--layout", default="long", choices=["long", "wide"])
+    p_b.add_argument("data", help="dataset CSV: long if its header names series, step and value, else wide")
     p_b.add_argument("--freq", required=True, help="monthly, quarterly, or steps per year")
     p_b.add_argument("--test-length", type=int, default=None, dest="test_length")
     p_b.add_argument("--mode", default="single-seasonal", choices=list(PERIODIC_TERMS))

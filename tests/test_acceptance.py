@@ -317,7 +317,7 @@ def test_criterion_7_benchmark_beats_seasonal_naive(synthetic_benchmark):
     reason="optional data-gated check: set M3_MONTHLY_CSV to a long-format monthly dataset",
 )
 def test_criterion_7_optional_m3_monthly_reference():
-    layout = CsvLayout(layout="long", steps_per_year=12.0, test_length=18)
+    layout = CsvLayout(steps_per_year=12.0, test_length=18)
     dataset = load_csv(os.environ["M3_MONTHLY_CSV"], layout)
     result = run_benchmark(dataset, parallelism=4)
     assert result.median_mae == pytest.approx(0.48, abs=0.05)

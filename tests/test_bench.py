@@ -44,7 +44,7 @@ def dataset_equal(a: Dataset, b: Dataset) -> bool:
 
 class TestLoadCsv:
     def test_long_fixture_parses_two_series_of_five(self):
-        ds = load_csv(f"{DATA}/long_two_series.csv", CsvLayout(layout="long", steps_per_year=12.0))
+        ds = load_csv(f"{DATA}/long_two_series.csv", CsvLayout(steps_per_year=12.0))
         assert len(ds) == 2
         assert [e.name for e in ds.entries] == ["alpha", "beta"]
         assert all(len(e.series) == 5 for e in ds.entries)
@@ -53,11 +53,11 @@ class TestLoadCsv:
 
     def test_non_numeric_value_names_line_seven(self):
         with pytest.raises(CsvFormatError, match="line 7"):
-            load_csv(f"{DATA}/long_bad_value.csv", CsvLayout(layout="long", steps_per_year=12.0))
+            load_csv(f"{DATA}/long_bad_value.csv", CsvLayout(steps_per_year=12.0))
 
     def test_duplicate_step_rejected(self):
         with pytest.raises(CsvFormatError, match="duplicate step 1"):
-            load_csv(f"{DATA}/long_duplicate_step.csv", CsvLayout(layout="long", steps_per_year=12.0))
+            load_csv(f"{DATA}/long_duplicate_step.csv", CsvLayout(steps_per_year=12.0))
 
     def test_rows_are_sorted_by_step(self, tmp_path):
         path = tmp_path / "shuffled.csv"
@@ -73,7 +73,7 @@ class TestLoadCsv:
             load_csv(path, CsvLayout(steps_per_year=12.0))
 
     def test_wide_fixture_allows_ragged_tails(self):
-        ds = load_csv(f"{DATA}/wide_two_series.csv", CsvLayout(layout="wide", steps_per_year=4.0))
+        ds = load_csv(f"{DATA}/wide_two_series.csv", CsvLayout(steps_per_year=4.0))
         assert [e.name for e in ds.entries] == ["alpha", "beta"]
         assert len(ds.entries[0].series) == 5
         assert len(ds.entries[1].series) == 3
@@ -81,62 +81,60 @@ class TestLoadCsv:
 
     def test_wide_gap_rejected_with_line(self):
         with pytest.raises(CsvFormatError, match="line 4"):
-            load_csv(f"{DATA}/wide_gap.csv", CsvLayout(layout="wide", steps_per_year=4.0))
+            load_csv(f"{DATA}/wide_gap.csv", CsvLayout(steps_per_year=4.0))
 
-    @pytest.mark.parametrize("layout", ["long", "wide"])
     @pytest.mark.parametrize("text", ["", "\n \n,,\n"], ids=["no-lines", "blank-lines"])
-    def test_empty_file_rejected(self, tmp_path, layout, text):
+    def test_empty_file_rejected(self, tmp_path, text):
         path = tmp_path / "empty.csv"
         path.write_text(text)
         with pytest.raises(CsvFormatError, match="file is empty"):
-            load_csv(path, CsvLayout(layout=layout, steps_per_year=12.0))
+            load_csv(path, CsvLayout(steps_per_year=12.0))
 
     @pytest.mark.parametrize(
-        "layout, header, body",
-        [("long", "series,step,value", "a,0,1.0\na,1,2.0\n"), ("wide", " a ", "1.0\n2.0\n")],
+        "header, body",
+        [("series,step,value", "a,0,1.0\na,1,2.0\n"), (" a ", "1.0\n2.0\n")],
+        ids=["long", "wide"],
     )
-    def test_blank_lines_before_the_header_are_skipped(self, tmp_path, layout, header, body):
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path, header, body):
         path = tmp_path / "blank_first.csv"
         path.write_text(f"\n , \n{header}\n{body}")
-        [entry] = load_csv(path, CsvLayout(layout=layout, steps_per_year=12.0)).entries
+        [entry] = load_csv(path, CsvLayout(steps_per_year=12.0)).entries
         assert entry.name == "a"
         np.testing.assert_array_equal(entry.series.values, [1.0, 2.0])
         # a bad header names its own line
         path.write_text(f"\n\nseries,,value\n{body}")
         with pytest.raises(CsvFormatError, match="line 3: "):
-            load_csv(path, CsvLayout(layout=layout, steps_per_year=12.0))
+            load_csv(path, CsvLayout(steps_per_year=12.0))
 
     @pytest.mark.parametrize(
-        "layout, data, offset",
+        "data, offset",
         [
-            ("long", b"series,step,value\na,0,1.0\r\na,1,\xe9\n", 31),
-            ("wide", b"a\r1.0\r\n\xff\xfe\n", 7),
-            ("long", b"\xef\xbb\xbfseries,step,value\r\na,0,1.0\na,1,\xe9\n", 34),
+            (b"series,step,value\na,0,1.0\r\na,1,\xe9\n", 31),
+            (b"a\r1.0\r\n\xff\xfe\n", 7),
+            (b"\xef\xbb\xbfseries,step,value\r\na,0,1.0\na,1,\xe9\n", 34),
         ],
+        ids=["long", "wide", "long-after-a-byte-order-mark"],
     )
-    def test_a_file_that_is_not_utf8_names_its_line(self, tmp_path, layout, data, offset):
+    def test_a_file_that_is_not_utf8_names_its_line(self, tmp_path, data, offset):
         # \r\n and a lone \r each end one line, as the reader counts them, and
         # bytes count from the file's first, a byte-order mark's three included
         path = tmp_path / "latin1.csv"
         path.write_bytes(data)
         with pytest.raises(CsvFormatError) as raised:
-            load_csv(path, CsvLayout(layout=layout, steps_per_year=12.0))
+            load_csv(path, CsvLayout(steps_per_year=12.0))
         assert str(raised.value).startswith(f"{path}: line 3: byte {offset}, 0x{data[offset]:02x}, is not UTF-8")
 
     @pytest.mark.parametrize(
-        "layout, text",
-        [
-            ("long", "series,step,value\na,1,2.0\na,0,1.0\nb,0,3.0\n"),
-            ("wide", "a,b\r\n1.0,3.0\r\n2.0,\r\n"),
-        ],
+        "text",
+        ["series,step,value\na,1,2.0\na,0,1.0\nb,0,3.0\n", "a,b\r\n1.0,3.0\r\n2.0,\r\n"],
         ids=["long", "wide"],
     )
-    def test_a_byte_order_mark_reads_like_the_file_without_it(self, tmp_path, layout, text):
+    def test_a_byte_order_mark_reads_like_the_file_without_it(self, tmp_path, text):
         # spreadsheet exports write one; it used to stay in the first header cell
         bare, marked = tmp_path / "bare.csv", tmp_path / "marked.csv"
         bare.write_bytes(text.encode("utf-8"))
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        csv_layout = CsvLayout(layout=layout, steps_per_year=12.0)
+        csv_layout = CsvLayout(steps_per_year=12.0)
         expected = load_csv(bare, csv_layout)
         assert [e.name for e in expected.entries] == ["a", "b"]
         assert dataset_equal(load_csv(marked, csv_layout), expected)
@@ -152,7 +150,7 @@ class TestLoadCsv:
         assert [e.test_length for e in ds.entries] == [42, 42]
 
     def test_round_trip_through_write_csv(self, tmp_path):
-        layout = CsvLayout(layout="long", steps_per_year=12.0)
+        layout = CsvLayout(steps_per_year=12.0)
         original = load_csv(f"{DATA}/long_two_series.csv", layout)
         path = tmp_path / "written.csv"
         oracles.write_csv(original, path)
@@ -230,6 +228,60 @@ class TestReadValues:
         # rows of two series used to be joined into one series, their steps ignored
         with pytest.raises(CsvFormatError, match="holds 2 series"):
             read_values(f"{DATA}/long_two_series.csv")
+
+
+def write_one_series(path, header: str) -> None:
+    """Series 'a' at steps 2, 0, 1, in that row order, with values 30, 10, 20, each cell under the column that
+    ``header`` names; any column but series, step and note, a misspelt or capitalized one too, holds the value."""
+    rows = []
+    for step in (2, 0, 1):
+        cells = {"series": "a", "step": str(step), "note": "x"}
+        rows.append(",".join(cells.get(name.strip().lower(), repr(10.0 * (step + 1))) for name in header.split(",")))
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+class TestTheHeaderGivesTheLayout:
+    @pytest.mark.parametrize(
+        "header, long",
+        [
+            ("series,step,value", True),
+            (" series , step , value ", True),
+            ("series,step,value,note", True),
+            ("value,series,step", True),
+            ("step,note,value,series", True),
+            ("series,step,vaule", False),
+            ("Series,Step,Value", False),
+            ("series,value", False),
+            ("step,value", False),
+        ],
+    )
+    def test_both_readers_take_the_same_headers_as_long(self, tmp_path, header, long):
+        # long, with any more columns and in any order, load_csv reads the one series 'a' and
+        # read_values its values, each in step order
+        path = tmp_path / "one.csv"
+        write_one_series(path, header)
+
+        def load_csv_reads_long() -> bool:
+            try:
+                entries = load_csv(path, CsvLayout()).entries
+            except CsvFormatError:
+                return False
+            return [(e.name, list(e.series.values)) for e in entries] == [("a", [10.0, 20.0, 30.0])]
+
+        def read_values_reads_long() -> bool:
+            try:
+                return list(read_values(path)) == [10.0, 20.0, 30.0]
+            except CsvFormatError:
+                return False
+
+        assert load_csv_reads_long() == read_values_reads_long() == long
+
+    def test_a_misspelt_long_header_reads_as_wide(self, tmp_path):
+        path = tmp_path / "misspelt.csv"
+        path.write_text("series,step,vaule\na,0,1.0\na,1,2.0\n")
+        with pytest.raises(CsvFormatError) as raised:
+            load_csv(path, CsvLayout(steps_per_year=12.0))
+        assert str(raised.value) == f"{path}: line 2: value 'a' is not numeric"
 
 
 class TestDatasetInvariants:
@@ -510,6 +562,39 @@ class TestEmitReport:
         lines = golden_machine_lines()
         with pytest.raises(ValueError, match="machine report line 4: the aggregate miscounts the records before it"):
             parse_machine_report("\n".join(lines[1:]))
+
+    @pytest.mark.parametrize(
+        "lineno, key, value, json_type",
+        [
+            pytest.param(1, "series", 7, "a string", id="a-series-name-that-is-a-number"),
+            pytest.param(4, "reason", None, "a string", id="a-reason-that-is-null"),
+            pytest.param(1, "mae", "x", "a number", id="a-score-that-is-a-string"),
+            pytest.param(2, "ll", True, "a number", id="a-score-that-is-true"),
+            pytest.param(3, "train_seconds", "0.375", "a number", id="a-timing-that-is-a-string"),
+            pytest.param(5, "total_seconds", False, "a number", id="a-timing-that-is-false"),
+            pytest.param(1, "converged", "maybe", "a boolean", id="a-converged-that-is-a-string"),
+            pytest.param(3, "converged", 0, "a boolean", id="a-converged-that-is-0"),
+            pytest.param(5, "scored", 3.0, "an integer", id="a-count-that-is-a-float"),
+            pytest.param(5, "failed", True, "an integer", id="a-count-that-is-true"),
+            pytest.param(5, "median_ll", True, "a number or null", id="a-median-that-is-true"),
+            pytest.param(5, "median_mae", "0.0658", "a number or null", id="a-median-that-is-a-string"),
+        ],
+    )
+    def test_a_value_not_of_its_declared_json_type_is_rejected(self, lineno, key, value, json_type):
+        lines = golden_machine_lines()
+        record = json.loads(lines[lineno - 1])
+        lines[lineno - 1] = json.dumps({**record, key: value})
+        with pytest.raises(ValueError) as raised:
+            parse_machine_report("\n".join(lines))
+        held = f"{record['record']} key {key!r} holds {json.dumps(value)}, not {json_type}"
+        assert str(raised.value) == f"machine report line {lineno}: {held}"
+
+    def test_a_number_may_be_written_as_a_json_integer(self):
+        lines = golden_machine_lines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "mae": 0, "train_seconds": 1})
+        lines[4] = json.dumps({**json.loads(lines[4]), "median_ll": -1, "total_seconds": 2})
+        parsed = parse_machine_report("\n".join(lines))
+        assert (parsed["series"][0]["mae"], parsed["aggregate"]["median_ll"]) == (0, -1)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

@@ -190,11 +190,11 @@ class TestBenchCommand:
         path = tmp_path / "wide.csv"
         path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
         out = tmp_path / "report.jsonl"
-        flags = ["--freq", "monthly", "--layout", "wide", "--parallel", "2", "--test-length", "6"]
+        flags = ["--freq", "monthly", "--parallel", "2", "--test-length", "6"]
         assert main(["bench", str(path), *flags, "--format", "machine", "--output", str(out)]) == 0
         assert capsys.readouterr().out == ""
 
-        dataset = load_csv(path, CsvLayout(layout="wide", steps_per_year=12.0, test_length=6))
+        dataset = load_csv(path, CsvLayout(steps_per_year=12.0, test_length=6))
         report = run_benchmark(dataset, parallelism=2)
         expected = parse_machine_report(emit_report(report, "machine"))
         parsed = parse_machine_report(out.read_text())
@@ -212,6 +212,13 @@ class TestBenchCommand:
         agg = expected["aggregate"]
         for key in ("median_mae", "median_crps", "median_ll"):
             assert f"  {key:<11} {agg[key]:.4f}" in lines
+
+    def test_no_option_sets_the_layout(self, quarterly_dataset_csv, capsys):
+        # the header gives it: long, as this one names series, step and value
+        with pytest.raises(SystemExit) as raised:
+            main(["bench", str(quarterly_dataset_csv), "--freq", "quarterly", "--layout", "wide"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --layout wide" in capsys.readouterr().err
 
     def test_failures_fail_the_run_unless_allowed(self, tmp_path, capsys):
         lines = ["series,step,value"]

@@ -273,6 +273,24 @@ class TestForecast:
             fc, _ = forecast(TimeSeries(values=values, steps_per_year=12.0), 6)
         assert np.all(fc.variance >= np.finfo(float).tiny)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("r", [1e-10, 1e-12, 1e-14, 1e-15, 3e-16])
+    def test_a_spread_near_machine_epsilon_of_the_mean_forecasts_inside_its_range(self, r, seed):
+        # 1e6 (1 + r e): the std is about r of the mean; at r = 3e-16 the 48 values take only 8 to 11 distinct floats
+        values = 1e6 * (1.0 + r * np.random.default_rng(seed).standard_normal(48))
+        fc, result = forecast(TimeSeries(values=values, steps_per_year=12.0), 18)
+        assert result.converged
+        assert np.all(np.isfinite(fc.mean))
+        assert np.all((values.min() <= fc.mean) & (fc.mean <= values.max()))
+        assert np.all(fc.variance > 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_spread_below_machine_epsilon_of_the_mean_is_a_constant_series(self, seed):
+        values = 1e6 * (1.0 + 1e-17 * np.random.default_rng(seed).standard_normal(48))
+        assert np.all(values == 1e6)  # 1 + 1e-17 e rounds to 1
+        with pytest.raises(ConstantSeriesError):
+            forecast(TimeSeries(values=values, steps_per_year=12.0), 18)
+
     def test_constant_series_raises(self):
         with pytest.raises(ConstantSeriesError):
             forecast(TimeSeries(values=np.ones(20), steps_per_year=12.0), 3)
