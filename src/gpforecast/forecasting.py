@@ -20,6 +20,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +87,7 @@ def parse_frequency(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Standardizer:
+class Standardizer(NamedTuple):
     """Affine map to zero mean, unit variance, fitted on training data only."""
 
     mean: float

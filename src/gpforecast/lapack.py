@@ -12,6 +12,17 @@ is reused, and one loaded here is registered there, so a later
 ``import scipy.linalg`` shares the same module objects.  A module that is
 missing raises ImportError naming it; there is no other path.
 
+``_solve_toeplitz`` is Cython, and its init imports Cython's shared
+``scipy._cyutility`` by that dotted name, which imports the top package
+``scipy`` first and so ran scipy's own package init.  So the loader also
+loads ``scipy._cyutility`` from scipy's directory and, when ``scipy`` is
+not imported yet, registers scipy's package object, created from its
+spec but not executed, under ``"scipy"`` for that one module's load
+only.  A thread that imports scipy for the first time during that load
+could see the unexecuted package.  The real package, which a later
+``import scipy`` makes, finds ``scipy._cyutility`` in ``sys.modules``
+but has no attribute of that name.
+
 :func:`cholesky`, :func:`cho_solve` and :func:`solve_triangular` call
 the routines with the arguments scipy's functions of those names pass
 for Fortran-ordered float64 input, so their results are scipy's bit for
@@ -35,8 +46,7 @@ from numpy.linalg import LinAlgError
 __all__ = ["LinAlgError", "cholesky", "cho_solve", "solve_triangular", "dger", "levinson"]
 
 
-def _load(finder: importlib.machinery.FileFinder, name: str) -> ModuleType:
-    fullname = f"scipy.linalg.{name}"
+def _load(finder: importlib.machinery.FileFinder, fullname: str) -> ModuleType:
     module = sys.modules.get(fullname)
     if module is not None:
         return module
@@ -53,15 +63,29 @@ def _load(finder: importlib.machinery.FileFinder, name: str) -> ModuleType:
     return module
 
 
+def _extensions(path: str) -> importlib.machinery.FileFinder:
+    return importlib.machinery.FileFinder(
+        path, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+
+
 def _load_all() -> tuple[ModuleType, ModuleType, ModuleType]:
     scipy = importlib.util.find_spec("scipy")  # locates the package without running its init
     if scipy is None or not scipy.submodule_search_locations:
         raise ImportError("scipy is not installed", name="scipy")
-    finder = importlib.machinery.FileFinder(
-        os.path.join(scipy.submodule_search_locations[0], "linalg"),
-        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
-    )
-    return _load(finder, "_flapack"), _load(finder, "_fblas"), _load(finder, "_solve_toeplitz")
+    top = _extensions(scipy.submodule_search_locations[0])
+    linalg = _extensions(os.path.join(top.path, "linalg"))
+    flapack, fblas = _load(linalg, "scipy.linalg._flapack"), _load(linalg, "scipy.linalg._fblas")
+    package = None
+    if "scipy" not in sys.modules and top.find_spec("scipy._cyutility") is not None:
+        package = importlib.util.module_from_spec(scipy)  # scipy's package object, its init not run
+        package._cyutility = _load(top, "scipy._cyutility")
+        sys.modules["scipy"] = package
+    try:
+        return flapack, fblas, _load(linalg, "scipy.linalg._solve_toeplitz")
+    finally:
+        if package is not None:
+            del sys.modules["scipy"]
 
 
 _flapack, _fblas, _solve_toeplitz = _load_all()

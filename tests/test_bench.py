@@ -276,12 +276,24 @@ class TestTheHeaderGivesTheLayout:
 
         assert load_csv_reads_long() == read_values_reads_long() == long
 
-    def test_a_misspelt_long_header_reads_as_wide(self, tmp_path):
+    @pytest.mark.parametrize("header", ["series,step,vaule", "Series,Step,Value"])
+    def test_a_misspelt_long_header_reads_as_wide(self, tmp_path, header):
+        # the error says how the header was read, and what a long one names
         path = tmp_path / "misspelt.csv"
-        path.write_text("series,step,vaule\na,0,1.0\na,1,2.0\n")
+        path.write_text(f"{header}\na,0,1.0\na,1,2.0\n")
         with pytest.raises(CsvFormatError) as raised:
             load_csv(path, CsvLayout(steps_per_year=12.0))
-        assert str(raised.value) == f"{path}: line 2: value 'a' is not numeric"
+        assert str(raised.value) == (
+            f"{path}: line 2: value 'a' is not numeric; "
+            "the header was read as wide, and a long header names all of series, step and value"
+        )
+
+    def test_a_wide_files_cell_error_starts_with_the_line_and_the_cell(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0,x\n")
+        with pytest.raises(CsvFormatError) as raised:
+            load_csv(path, CsvLayout(steps_per_year=12.0))
+        assert str(raised.value).startswith(f"{path}: line 3: value 'x' is not numeric; the header was read as wide")
 
 
 class TestDatasetInvariants:

@@ -36,6 +36,21 @@ from gpforecast.gp import JITTER_START, prepare_series
 from gpforecast.kernels import zero_lag_variance
 
 
+# the names the package root loads on first use: bench's and metrics' public names
+LAZY_NAMES = (
+    "BenchReport", "CsvFormatError", "CsvLayout", "Dataset", "SeriesEntry", "SeriesFailure", "SeriesScore",
+    "emit_report", "load_csv", "parse_machine_report", "read_values", "run_benchmark", "seasonal_naive",
+    "ScoreReport", "crps_gaussian", "score",
+)
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports the package from this tree; its stdout."""
+    src = str(Path(forecasting.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
 def handed_grid(monkeypatch, n: int, steps_per_year: float, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """The time points of standardized_posterior's forecast: the grid train prepares and the x* fit lays out.
 
@@ -322,11 +337,12 @@ class TestForecast:
     def test_an_import_and_a_forecast_load_none_of_the_modules_they_do_not_need(self):
         # a fresh process, so that no other test's imports count: training is
         # in-package, the compiled routines load without scipy.linalg's package
-        # init (which pulls in numpy.f2py), and only a thread pool needs concurrent.futures
-        src = str(Path(forecasting.__file__).resolve().parent.parent)
+        # init (which pulls in numpy.f2py) or scipy's own, only a thread pool needs
+        # concurrent.futures, and the CSV and report layer loads on first use
         unneeded = (
-            "sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))"
-            " or m in ('scipy.linalg', 'numpy.f2py', 'concurrent.futures'))"
+            "sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special')) or m in"
+            " ('scipy', 'scipy._lib', 'scipy.linalg', 'numpy.f2py', 'concurrent.futures',"
+            " 'gpforecast.bench', 'gpforecast.metrics', 'csv', 'json'))"
         )
         code = (
             "import sys\n"
@@ -337,9 +353,31 @@ class TestForecast:
             "gpforecast.forecast(gpforecast.TimeSeries(values, 12.0), 6)\n"
             f"print(*{unneeded})\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert run.stdout.splitlines() == ["", ""]
+        assert run_fresh(code).splitlines() == ["", ""]
+
+    def test_the_csv_and_report_names_load_on_first_use(self):
+        # in a fresh process: the modules resolve as attributes, and each name is its
+        # module's own object, listed and bound by a star import
+        code = (
+            "import sys\n"
+            "import gpforecast\n"
+            "bench, metrics = gpforecast.bench, gpforecast.metrics\n"
+            "from gpforecast import *\n"
+            "lazy = {**dict.fromkeys(bench.__all__, bench), **dict.fromkeys(metrics.__all__, metrics)}\n"
+            "print(len(lazy), bench is sys.modules['gpforecast.bench'], metrics is sys.modules['gpforecast.metrics'])\n"
+            "for name, module in lazy.items():\n"
+            "    print(name, getattr(gpforecast, name) is getattr(module, name) is globals()[name],"
+            " name in dir(gpforecast), name in gpforecast.__all__)\n"
+        )
+        lines = run_fresh(code).splitlines()
+        assert lines[0] == "16 True True"
+        assert sorted(lines[1:]) == sorted(f"{name} True True True" for name in LAZY_NAMES)
+
+    def test_an_unknown_name_raises_attribute_error_naming_it(self):
+        import gpforecast
+
+        with pytest.raises(AttributeError, match="module 'gpforecast' has no attribute 'no_such_name'"):
+            gpforecast.no_such_name  # noqa: B018
 
     def test_standardized_posterior_hands_restarts_to_train(self, monkeypatch):
         real_train, handed = forecasting.train, []

@@ -97,7 +97,7 @@ def test_a_missing_compiled_module_raises_import_error_naming_it(tmp_path):
         str(tmp_path), (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
     )
     with pytest.raises(ImportError, match=r"scipy\.linalg\._absent") as raised:
-        lapack._load(finder, "_absent")
+        lapack._load(finder, "scipy.linalg._absent")
     assert raised.value.name == "scipy.linalg._absent"
     assert "scipy.linalg._absent" not in sys.modules
 
@@ -107,13 +107,26 @@ SHARED = (
     "assert lapack.dger is scipy.linalg.blas.dger\n"
     "assert lapack.levinson is toeplitz.levinson\n"
     "print('shared')\n"
+    # Cython-backed scipy functions, which share the Cython utility module the package may have loaded
+    "import numpy as np, scipy.optimize, scipy.special\n"
+    "assert np.allclose(scipy.linalg.solve_toeplitz([4.0, 1.0], [1.0, 2.0]), [2.0 / 15.0, 7.0 / 15.0])\n"
+    "assert np.allclose(scipy.linalg.lu_factor(np.array([[2.0, 1.0], [4.0, 3.0]]))[0], [[4.0, 3.0], [0.5, -0.5]])\n"
+    "assert scipy.special.gamma(5.0) == 24.0\n"
+    "assert abs(scipy.optimize.minimize_scalar(lambda x: (x - 2.0) ** 2).x - 2.0) < 1e-6\n"
+    "print('ran')\n"
 )
 
 
-PACKAGE, SCIPY = "import gpforecast.lapack as lapack\n", "import scipy.linalg\n"
+# the package's loader must not run scipy's package init, which a later import of scipy runs in full
+PACKAGE = "import sys\nimport gpforecast.lapack as lapack\nprint('scipy' in sys.modules)\n"
+SCIPY = "import scipy.linalg\n"
 
 
-@pytest.mark.parametrize("first", [PACKAGE + SCIPY, SCIPY + PACKAGE], ids=["package-first", "scipy-first"])
-def test_the_package_and_scipy_linalg_share_the_compiled_modules(first):
-    assert run_fresh(first + SHARED).split() == ["shared"]
+@pytest.mark.parametrize(
+    ("first", "expected"),
+    [(PACKAGE + SCIPY, ["False", "shared", "ran"]), (SCIPY + PACKAGE, ["True", "shared", "ran"])],
+    ids=["package-first", "scipy-first"],
+)
+def test_the_package_and_scipy_linalg_share_the_compiled_modules(first, expected):
+    assert run_fresh(first + SHARED).split() == expected
 
