@@ -58,7 +58,7 @@ _LAZY = {
     **dict.fromkeys(
         [
             "BenchReport", "CsvFormatError", "CsvLayout", "Dataset", "SeriesEntry", "SeriesFailure", "SeriesScore",
-            "emit_report", "load_csv", "parse_machine_report", "read_values", "run_benchmark", "seasonal_naive",
+            "emit_report", "load_csv", "parse_machine_report", "read_series", "run_benchmark", "seasonal_naive",
         ],
         "bench",
     ),

@@ -10,10 +10,11 @@ tells apart:
           shorter series end with empty trailing cells (so no wide file
           has series named all of series, step and value)
 
-``read_values`` reads one series (bare numbers, a ``value`` column, or a
-long-layout file of one series) by the same rule.  Every CSV the package
-takes is read here: UTF-8 with or without a byte-order mark, blank rows
-skipped, cells stripped, errors naming the line.
+``read_series`` reads one series (bare numbers, a ``value`` column, or a
+long-layout file of one series) by the same rule, with the step of its
+first value.  Every CSV the package takes is read here: UTF-8 with or
+without a byte-order mark, blank rows skipped, cells stripped, errors
+naming the line.
 
 Each series is split into a training part and a test part of the
 configured length, standardized on the training part, forecast with the
@@ -62,7 +63,7 @@ __all__ = [
     "SeriesFailure",
     "BenchReport",
     "load_csv",
-    "read_values",
+    "read_series",
     "seasonal_naive",
     "run_benchmark",
     "emit_report",
@@ -139,7 +140,7 @@ def load_csv(path, layout: CsvLayout) -> Dataset:
             series=TimeSeries(values=np.array(values, dtype=float), steps_per_year=layout.steps_per_year),
             test_length=test_length,
         )
-        for name, values in per_series
+        for name, values, *_ in per_series
     )
     return Dataset(entries=entries)
 
@@ -185,15 +186,17 @@ def not_utf8(path, err: UnicodeDecodeError) -> str:
     return f"{path}: line {line}: byte {err.start}, 0x{bad:02x}, is not UTF-8 ({err.reason})"
 
 
-def read_values(path) -> np.ndarray:
-    """One series: bare numbers or a 'value' column in row order, or a long-layout file's one series in step order."""
+def read_series(path) -> tuple[np.ndarray, int]:
+    """One series: bare numbers or a 'value' column in row order, or a long-layout file's one series in step order;
+    and the step of its first value, the long layout's own or 0 for a file without steps."""
     body = _read_rows(path)
     lineno, header = next(body)
     if _is_long(header):
         per_series = _read_long(path, header, body)
         if len(per_series) != 1:
             raise CsvFormatError(f"{path}: holds {len(per_series)} series; a forecast reads one")
-        return np.array(per_series[0][1])
+        _, values, first_step = per_series[0]
+        return np.array(values), first_step
     try:
         float(header[0])
     except ValueError:
@@ -202,10 +205,11 @@ def read_values(path) -> np.ndarray:
         value_idx, rows = header.index("value"), body
     else:
         value_idx, rows = 0, [(lineno, header), *body]  # bare numbers: the first row is a value
-    return np.array([_parse_value(row[value_idx] if value_idx < len(row) else "", path, n) for n, row in rows])
+    return np.array([_parse_value(row[value_idx] if value_idx < len(row) else "", path, n) for n, row in rows]), 0
 
 
-def _read_long(path, header: list[str], body) -> list[tuple[str, list[float]]]:
+def _read_long(path, header: list[str], body) -> list[tuple[str, list[float], int]]:
+    """Each series' name, its values in step order and its first step."""
     s_idx, t_idx, v_idx = (header.index(column) for column in _LONG_COLUMNS)
     rows: dict[str, dict[int, float]] = {}
     for lineno, row in body:
@@ -229,7 +233,7 @@ def _read_long(path, header: list[str], body) -> list[tuple[str, list[float]]]:
         for expected, step in enumerate(steps, start=steps[0]):
             if step != expected:  # a gap would shift every later value's time and seasonal phase
                 raise CsvFormatError(f"{path}: series {name!r} has no step {expected} (its steps run to {steps[-1]})")
-        per_series.append((name, [series[k] for k in steps]))
+        per_series.append((name, [series[k] for k in steps], steps[0]))
     return per_series
 
 
@@ -283,7 +287,7 @@ def seasonal_naive(ts: TimeSeries, horizon: int) -> Forecast:
     residuals = values[season:] - values[:-season]
     variance = float(np.mean(residuals**2)) if residuals.size else 0.0
     variance = max(variance, 1e-12)
-    return Forecast(horizon=horizon, mean=mean, variance=np.full(horizon, variance))
+    return Forecast(mean=mean, variance=np.full(horizon, variance))
 
 
 class SeriesScore(NamedTuple):
@@ -388,8 +392,11 @@ def run_benchmark(
     """Forecast and score every series; aggregate medians over the scored ones.
 
     ``parallelism`` is an integer >= 1; anything else raises ValueError
-    before any work.  Results are joined in input order, so the report
-    content (other than timing) does not depend on ``parallelism``.
+    before any work.  Above 1 the series run in a thread pool, slower than
+    serial on a 2-vCPU host, which the command line does not offer; it
+    stays for perfbench's cross-path check.  Results are joined in input
+    order, so the report content (other than timing) does not depend on
+    ``parallelism``.
     """
     if not (isinstance(parallelism, numbers.Integral) and parallelism >= 1):  # rejects 2.5, NaN, "2"
         raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")

@@ -4,15 +4,12 @@
     gpforecast bench DATA.csv --freq monthly --format machine
     gpforecast priors --output priors.txt
 
-``bench --parallel N`` scores N series at a time in a thread pool; on a
-2-vCPU host that was measured no faster than serial.
-
 Training takes no settings: every series is trained with one restart
 from the prior medians (SM1's period at the series' own cycle and the
 noise variance at its own level where the priors find them plausible),
 under the fixed stopping rules of
 ``gpforecast.training``.  ``--priors`` swaps in another priors file.
-``gpforecast.bench`` reads every input CSV (``read_values``, ``load_csv``).
+``gpforecast.bench`` reads every input CSV (``read_series``, ``load_csv``).
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import argparse
 import sys
 import warnings
 
-from .bench import CsvLayout, emit_report, load_csv, read_values, run_benchmark
+from .bench import CsvLayout, emit_report, load_csv, read_series, run_benchmark
 from .forecasting import PERIODIC_TERMS, TimeSeries, default_horizon, forecast, parse_frequency
 from .gp import IllConditionedModelError
 from .priors import default_priors, format_priors, load_priors
@@ -39,15 +36,16 @@ def _write(text: str, output: str | None) -> None:
 def _cmd_forecast(args) -> int:
     priors = load_priors(args.priors) if args.priors else None
     steps_per_year = parse_frequency(args.freq)
-    ts = TimeSeries(values=read_values(args.input), steps_per_year=steps_per_year)
+    values, first_step = read_series(args.input)
+    ts = TimeSeries(values=values, steps_per_year=steps_per_year)
     horizon = args.horizon if args.horizon is not None else default_horizon(steps_per_year)
     with warnings.catch_warnings(record=True) as caught:  # printed once each below, not echoed by Python
         warnings.simplefilter("always")
         fc, _ = forecast(ts, horizon, mode=args.mode, priors=priors)
     lines = ["step,mean,variance"]
-    n = len(ts)
+    after = first_step + len(ts)  # the step after the file's last: a file without steps counts from 0
     for i in range(horizon):
-        lines.append(f"{n + i},{float(fc.mean[i])!r},{float(fc.variance[i])!r}")
+        lines.append(f"{after + i},{float(fc.mean[i])!r},{float(fc.variance[i])!r}")
     text = "\n".join(lines) + "\n"
     _write(text, args.output)
     for w in caught:
@@ -58,7 +56,7 @@ def _cmd_forecast(args) -> int:
 def _cmd_bench(args) -> int:
     priors = load_priors(args.priors) if args.priors else None
     dataset = load_csv(args.data, CsvLayout(steps_per_year=parse_frequency(args.freq), test_length=args.test_length))
-    report = run_benchmark(dataset, mode=args.mode, parallelism=args.parallel, priors=priors)
+    report = run_benchmark(dataset, mode=args.mode, priors=priors)
     text = emit_report(report, fmt=args.format)
     _write(text, args.output)
     if report.failures and not args.allow_failures:
@@ -91,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--freq", required=True, help="monthly, quarterly, or steps per year")
     p_b.add_argument("--test-length", type=int, default=None, dest="test_length")
     p_b.add_argument("--mode", default="single-seasonal", choices=list(PERIODIC_TERMS))
-    p_b.add_argument("--parallel", type=int, default=1, help="series-level worker threads")
     p_b.add_argument("--format", default="human", choices=["human", "machine"])
     p_b.add_argument("--priors", default=None, help="alternative priors file")
     p_b.add_argument("--output", default=None, help="write the report here instead of stdout")

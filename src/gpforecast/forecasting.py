@@ -121,15 +121,14 @@ class Standardizer(NamedTuple):
 @dataclass(frozen=True)
 class Forecast:
     """Per-step predictive mean and observation-scale variance, in the
-    units of the original series."""
+    units of the original series: two 1-D arrays of one length, the horizon."""
 
-    horizon: int
     mean: np.ndarray
     variance: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.mean.shape != (self.horizon,) or self.variance.shape != (self.horizon,):
-            raise ValueError("forecast arrays must match the horizon")
+        if self.mean.ndim != 1 or self.variance.shape != self.mean.shape:
+            raise ValueError("forecast mean and variance must be 1-D arrays of one length")
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.variance))):
             raise ValueError("forecast contains non-finite values")
         if np.any(self.variance <= 0):
@@ -179,7 +178,7 @@ def forecast(
             f"training std {standardizer.std!r} is out of scale: the forecast variance in the series' units, "
             f"std^2 times the standardized one, {'overflows' if standardizer.std > 1.0 else 'underflows'} float64"
         )
-    return Forecast(horizon=horizon, mean=standardizer.inverse(posterior.mean), variance=variance), result
+    return Forecast(mean=standardizer.inverse(posterior.mean), variance=variance), result
 
 
 def standardized_posterior(

@@ -219,7 +219,7 @@ def _cholesky_solve(column: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> tuple
         np.fill_diagonal(gram, diagonal + jitter)
         try:
             # K is checked finite; Fortran-ordered, LAPACK factorizes it in place
-            lower = cholesky(gram, lower=True, overwrite_a=True)
+            lower = cholesky(gram)
             break
         except LinAlgError:
             mult *= 10.0
@@ -228,7 +228,7 @@ def _cholesky_solve(column: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> tuple
                     f"covariance not positive definite even with jitter {JITTER_MAX:g} * mean(diag)"
                 ) from None
             gram = build_gram(column, v)
-    return lower, jitter, cho_solve((lower, True), rhs)
+    return lower, jitter, cho_solve(lower, rhs)
 
 
 def fit(theta: HyperParams, series: PreparedSeries, horizon: int = 0) -> FitState:
@@ -448,7 +448,7 @@ def predict(state: FitState) -> PredictiveDistribution:
     """
     cross = state.cross
     mean = cross @ state.alpha
-    v = solve_triangular(state.chol_lower, cross.T, lower=True)
+    v = solve_triangular(state.chol_lower, cross.T)
     latent = state.prior_variance - np.sum(v * v, axis=0)
     if np.any(latent < -1e-10):
         raise IllConditionedModelError(

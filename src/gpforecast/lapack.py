@@ -23,10 +23,12 @@ could see the unexecuted package.  The real package, which a later
 ``import scipy`` makes, finds ``scipy._cyutility`` in ``sys.modules``
 but has no attribute of that name.
 
-:func:`cholesky`, :func:`cho_solve` and :func:`solve_triangular` call
-the routines with the arguments scipy's functions of those names pass
-for Fortran-ordered float64 input, so their results are scipy's bit for
-bit, and they keep scipy's ``info`` checks: a factorization or solve
+:func:`cholesky`, :func:`cho_solve` and :func:`solve_triangular` have
+the one call form the package uses: a lower factor, which ``cholesky``
+computes in place.  They pass the routines the arguments scipy's
+functions of those names pass for Fortran-ordered float64 input with
+``lower=True`` and ``overwrite_a=True``, so their results are scipy's
+bit for bit, and keep scipy's ``info`` checks: a factorization or solve
 that fails on the matrix raises :class:`numpy.linalg.LinAlgError`, the
 class ``scipy.linalg`` re-exports, and an illegal argument ValueError.
 They do not check finiteness (scipy's ``check_finite=False``).
@@ -93,9 +95,9 @@ dger = _fblas.dger
 levinson = _solve_toeplitz.levinson  # private to scipy: tests/test_gp.py guards its convention
 
 
-def cholesky(a: np.ndarray, lower: bool = False, overwrite_a: bool = False) -> np.ndarray:
-    """The Cholesky factor of a, its other triangle zeroed; in place when ``overwrite_a`` and a is Fortran-ordered."""
-    c, info = _flapack.dpotrf(a, lower=lower, overwrite_a=overwrite_a, clean=True)
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a, its upper triangle zeroed, computed in place when a is Fortran-ordered."""
+    c, info = _flapack.dpotrf(a, lower=True, overwrite_a=True, clean=True)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
@@ -103,18 +105,17 @@ def cholesky(a: np.ndarray, lower: bool = False, overwrite_a: bool = False) -> n
     return c
 
 
-def cho_solve(c_and_lower: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
-    """A^-1 b from A's Cholesky factor c, given as (c, lower)."""
-    c, lower = c_and_lower
-    x, info = _flapack.dpotrs(c, b, lower=lower, overwrite_b=False)
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b from A's lower Cholesky factor c, as :func:`cholesky` returns it."""
+    x, info = _flapack.dpotrs(c, b, lower=True, overwrite_b=False)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
 
 
-def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool = False) -> np.ndarray:
-    """a^-1 b for a triangular, Fortran-ordered a (as :func:`cholesky` returns it; scipy transposes a C-ordered one)."""
-    x, info = _flapack.dtrtrs(a, b, overwrite_b=False, lower=lower, trans=0, unitdiag=False)
+def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for a lower-triangular, Fortran-ordered a such as :func:`cholesky` returns (scipy transposes a C one)."""
+    x, info = _flapack.dtrtrs(a, b, overwrite_b=False, lower=True, trans=0, unitdiag=False)
     if info > 0:
         raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:

@@ -19,7 +19,7 @@ from gpforecast import (
     emit_report,
     load_csv,
     parse_machine_report,
-    read_values,
+    read_series,
     run_benchmark,
     score,
     seasonal_naive,
@@ -172,20 +172,22 @@ class TestLoadCsv:
         assert np.array_equal(again.entries[0].series.values, values)
 
 
-class TestReadValues:
+class TestReadSeries:
     def test_bare_numbers_and_a_value_column_read_in_row_order(self, tmp_path):
         bare = tmp_path / "bare.csv"
         bare.write_text("3.0\n1.0\n\n2.0\n")
         column = tmp_path / "column.csv"
         column.write_text("when, value\nx,3.0\ny,1.0\nz,2.0\n")
-        np.testing.assert_array_equal(read_values(bare), [3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(read_values(column), [3.0, 1.0, 2.0])
+        for path in (bare, column):  # no steps: the first value is step 0
+            values, first_step = read_series(path)
+            np.testing.assert_array_equal(values, [3.0, 1.0, 2.0])
+            assert first_step == 0
 
     def test_a_header_without_a_value_column_names_its_line(self, tmp_path):
         path = tmp_path / "no_value.csv"
         path.write_text("\nwhen,amount\nx,1.0\n")
         with pytest.raises(CsvFormatError, match="line 2: header must contain a 'value' column"):
-            read_values(path)
+            read_series(path)
 
     @pytest.mark.parametrize("good_lines", [2, 5000], ids=["first-chunk", "past-the-first-chunk"])
     def test_a_file_that_is_not_utf8_names_its_line(self, tmp_path, good_lines):
@@ -193,7 +195,7 @@ class TestReadValues:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"1.0\n" * good_lines + b"\xff\xfe\n")
         with pytest.raises(CsvFormatError) as raised:
-            read_values(path)
+            read_series(path)
         assert str(raised.value) == (
             f"{path}: line {good_lines + 1}: byte {4 * good_lines}, 0xff, is not UTF-8 (invalid start byte)"
         )
@@ -207,27 +209,31 @@ class TestReadValues:
         bare, marked = tmp_path / "bare.csv", tmp_path / "marked.csv"
         bare.write_bytes(text.encode("utf-8"))
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        expected = read_values(bare)
+        expected, _ = read_series(bare)
         assert expected.size >= 2
-        np.testing.assert_array_equal(read_values(marked), expected)
+        np.testing.assert_array_equal(read_series(marked)[0], expected)
 
     def test_one_long_series_reads_in_step_order(self, tmp_path):
         path = tmp_path / "long.csv"
         path.write_text("step,value,series\n2,30.0,a\n0,10.0,a\n1,20.0,a\n")
-        np.testing.assert_array_equal(read_values(path), [10.0, 20.0, 30.0])
+        np.testing.assert_array_equal(read_series(path)[0], [10.0, 20.0, 30.0])
+        path.write_text("step,value,series\n7,30.0,a\n5,10.0,a\n6,20.0,a\n")
+        values, first_step = read_series(path)
+        np.testing.assert_array_equal(values, [10.0, 20.0, 30.0])
+        assert first_step == 5
 
     def test_long_checks_apply_to_one_series(self, tmp_path):
         with pytest.raises(CsvFormatError, match="duplicate step 1"):
-            read_values(f"{DATA}/long_duplicate_step.csv")
+            read_series(f"{DATA}/long_duplicate_step.csv")
         path = tmp_path / "gap.csv"
         path.write_text("series,step,value\na,0,1.0\na,2,3.0\n")
         with pytest.raises(CsvFormatError, match="series 'a' has no step 1"):
-            read_values(path)
+            read_series(path)
 
     def test_more_than_one_long_series_is_rejected_with_the_count(self):
         # rows of two series used to be joined into one series, their steps ignored
         with pytest.raises(CsvFormatError, match="holds 2 series"):
-            read_values(f"{DATA}/long_two_series.csv")
+            read_series(f"{DATA}/long_two_series.csv")
 
 
 def write_one_series(path, header: str) -> None:
@@ -257,7 +263,7 @@ class TestTheHeaderGivesTheLayout:
     )
     def test_both_readers_take_the_same_headers_as_long(self, tmp_path, header, long):
         # long, with any more columns and in any order, load_csv reads the one series 'a' and
-        # read_values its values, each in step order
+        # read_series its values, each in step order
         path = tmp_path / "one.csv"
         write_one_series(path, header)
 
@@ -268,13 +274,13 @@ class TestTheHeaderGivesTheLayout:
                 return False
             return [(e.name, list(e.series.values)) for e in entries] == [("a", [10.0, 20.0, 30.0])]
 
-        def read_values_reads_long() -> bool:
+        def read_series_reads_long() -> bool:
             try:
-                return list(read_values(path)) == [10.0, 20.0, 30.0]
+                return list(read_series(path)[0]) == [10.0, 20.0, 30.0]
             except CsvFormatError:
                 return False
 
-        assert load_csv_reads_long() == read_values_reads_long() == long
+        assert load_csv_reads_long() == read_series_reads_long() == long
 
     @pytest.mark.parametrize("header", ["series,step,vaule", "Series,Step,Value"])
     def test_a_misspelt_long_header_reads_as_wide(self, tmp_path, header):

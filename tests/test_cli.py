@@ -73,6 +73,20 @@ class TestForecastCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[1].startswith("30,")
 
+    def test_the_step_column_continues_a_long_files_own_steps(self, monthly_series_csv, tmp_path, capsys):
+        values = monthly_series_csv.read_text().split()[1:]
+        long = tmp_path / "long.csv"
+        rows = [f"m,{i},{v}" for i, v in enumerate(values, start=1)]
+        long.write_text("series,step,value\n" + "\n".join(rows) + "\n")
+        outputs = []
+        for path in (monthly_series_csv, long):
+            assert main(["forecast", str(path), "--freq", "monthly", "--horizon", "3"]) == 0
+            outputs.append([line.split(",") for line in capsys.readouterr().out.splitlines()[1:]])
+        # steps 1-48 go on at 49; the value column has no steps, so its 48 rows count from 0
+        assert [row[0] for row in outputs[1]] == ["49", "50", "51"]
+        assert [row[0] for row in outputs[0]] == ["48", "49", "50"]
+        assert [row[1:] for row in outputs[0]] == [row[1:] for row in outputs[1]]
+
     def test_long_file_of_two_series_returns_error(self, tmp_path, capsys):
         path = tmp_path / "two.csv"
         path.write_text("series,step,value\na,1,5.0\na,0,4.0\nb,0,100.0\nb,1,101.0\n")
@@ -190,7 +204,7 @@ class TestBenchCommand:
         path = tmp_path / "wide.csv"
         path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
         out = tmp_path / "report.jsonl"
-        flags = ["--freq", "monthly", "--parallel", "2", "--test-length", "6"]
+        flags = ["--freq", "monthly", "--test-length", "6"]
         assert main(["bench", str(path), *flags, "--format", "machine", "--output", str(out)]) == 0
         assert capsys.readouterr().out == ""
 
@@ -213,12 +227,19 @@ class TestBenchCommand:
         for key in ("median_mae", "median_crps", "median_ll"):
             assert f"  {key:<11} {agg[key]:.4f}" in lines
 
-    def test_no_option_sets_the_layout(self, quarterly_dataset_csv, capsys):
-        # the header gives it: long, as this one names series, step and value
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--layout", "wide"],  # the header gives it: long, as this one names series, step and value
+            ["--parallel", "2"],  # a thread pool was no faster than serial; run_benchmark keeps its parallelism
+        ],
+        ids=["layout", "parallel"],
+    )
+    def test_a_removed_option_is_refused(self, quarterly_dataset_csv, capsys, option):
         with pytest.raises(SystemExit) as raised:
-            main(["bench", str(quarterly_dataset_csv), "--freq", "quarterly", "--layout", "wide"])
+            main(["bench", str(quarterly_dataset_csv), "--freq", "quarterly", *option])
         assert raised.value.code == 2
-        assert "unrecognized arguments: --layout wide" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     def test_failures_fail_the_run_unless_allowed(self, tmp_path, capsys):
         lines = ["series,step,value"]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from gpforecast import (
     ConstantSeriesError,
+    Forecast,
     HyperParams,
     KernelSpec,
     Standardizer,
@@ -39,7 +40,7 @@ from gpforecast.kernels import zero_lag_variance
 # the names the package root loads on first use: bench's and metrics' public names
 LAZY_NAMES = (
     "BenchReport", "CsvFormatError", "CsvLayout", "Dataset", "SeriesEntry", "SeriesFailure", "SeriesScore",
-    "emit_report", "load_csv", "parse_machine_report", "read_values", "run_benchmark", "seasonal_naive",
+    "emit_report", "load_csv", "parse_machine_report", "read_series", "run_benchmark", "seasonal_naive",
     "ScoreReport", "crps_gaussian", "score",
 )
 
@@ -180,10 +181,18 @@ class TestForecast:
 
     def test_forecast_shapes_and_positivity(self, sine_forecast_run):
         fc = sine_forecast_run["forecast"]
-        assert fc.horizon == 18
         assert fc.mean.shape == (18,)
         assert fc.variance.shape == (18,)
         assert np.all(fc.variance > 0)
+
+    @pytest.mark.parametrize(
+        ("mean", "variance"),
+        [(np.ones(3), np.ones(4)), (np.ones((3, 1)), np.ones((3, 1))), (np.ones(()), np.ones(()))],
+        ids=["lengths", "2-d", "0-d"],
+    )
+    def test_a_forecast_is_two_1d_arrays_of_one_length(self, mean, variance):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            Forecast(mean=mean, variance=variance)
 
     def test_noise_series_forecasts_stay_calibrated(self, noise_forecast_runs):
         mean_passes = sum(1 for r in noise_forecast_runs if r["mean_ok"])
@@ -477,6 +486,35 @@ class TestExactlyPeriodicSixHourly:
         fd = oracles.central_difference(objective, u, h=h)
         _, analytic = map_objective(spec, priors, theta, ts)
         assert float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))) <= 1e-4
+
+
+class TestVeryLongHorizons:
+    """A horizon of 10000 steps, far past any training length, forecasts finitely and agrees with the default."""
+
+    def monthly(self):
+        rng = np.random.default_rng(10000)
+        t = np.arange(48) / 12.0
+        values = 10.0 + 0.5 * t + np.sin(2 * np.pi * t) + 0.2 * rng.standard_normal(48)
+        return TimeSeries(values, 12.0), "single-seasonal"
+
+    def six_hourly(self):
+        rng = np.random.default_rng(10001)
+        steps = np.arange(224)
+        values = 3.0 + np.sin(2 * np.pi * steps / 4.0) + 0.5 * np.sin(2 * np.pi * steps / 28.0)
+        return TimeSeries(values + 0.1 * rng.standard_normal(224), SIX_HOURLY), "double-seasonal"
+
+    @pytest.mark.parametrize("series", ["monthly", "six_hourly"])
+    def test_a_10000_step_horizon_is_finite_and_begins_as_the_default_one(self, series):
+        ts, mode = getattr(self, series)()
+        h = default_horizon(ts.steps_per_year)
+        far, _ = forecast(ts, 10000, mode=mode)
+        near, _ = forecast(ts, h, mode=mode)
+        assert far.mean.shape == far.variance.shape == (10000,)
+        assert np.all(np.isfinite(far.mean))
+        assert np.all(np.isfinite(far.variance)) and np.all(far.variance > 0)
+        # the fit is the same; only the cross-covariance's longer product may round differently
+        np.testing.assert_array_less(np.abs(far.mean[:h] - near.mean) / np.sqrt(near.variance), 1e-9)
+        np.testing.assert_allclose(far.variance[:h], near.variance, rtol=1e-12, atol=0)
 
 
 class TestHorizonMonotonicity:

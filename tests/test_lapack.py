@@ -55,15 +55,15 @@ def test_the_wrappers_give_scipys_results_bit_for_bit(mode, steps_per_year, n, h
     gram, rhs = package_system(mode, steps_per_year, n, h)
     assert gram.flags.f_contiguous
     ours, theirs = gram.copy(order="F"), gram.copy(order="F")
-    lower = lapack.cholesky(ours, lower=True, overwrite_a=True)
+    lower = lapack.cholesky(ours)
     expected = scipy.linalg.cholesky(theirs, lower=True, overwrite_a=True, check_finite=False)
     assert np.shares_memory(lower, ours)  # factorized in place
     assert lower.tobytes() == expected.tobytes()
     for b in rhs:
-        solved = lapack.cho_solve((lower, True), b)
+        solved = lapack.cho_solve(lower, b)
         assert solved.shape == b.shape
         assert solved.tobytes() == scipy.linalg.cho_solve((lower, True), b, check_finite=False).tobytes()
-        triangular = lapack.solve_triangular(lower, b, lower=True)
+        triangular = lapack.solve_triangular(lower, b)
         assert triangular.tobytes() == scipy.linalg.solve_triangular(lower, b, lower=True, check_finite=False).tobytes()
     x = np.arange(n, dtype=float) / n
     outer = lapack.dger(1.0, x, x, a=gram.copy(order="F"), overwrite_a=1)
@@ -73,9 +73,9 @@ def test_the_wrappers_give_scipys_results_bit_for_bit(mode, steps_per_year, n, h
 def test_a_matrix_that_is_not_positive_definite_raises_linalg_error():
     assert lapack.LinAlgError is np.linalg.LinAlgError is scipy.linalg.LinAlgError
     with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
-        lapack.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]], order="F"), lower=True)
+        lapack.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]], order="F"))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        lapack.solve_triangular(np.array([[1.0, 0.0], [1.0, 0.0]], order="F"), np.ones(2), lower=True)
+        lapack.solve_triangular(np.array([[1.0, 0.0], [1.0, 0.0]], order="F"), np.ones(2))
 
 
 def test_the_jitter_still_escalates_past_a_failed_factorization():

@@ -188,6 +188,19 @@ def test_check_mode_audits_the_bounds_workloads_and_exits_1_above_a_ceiling(monk
     )
 
 
+@pytest.mark.parametrize("narrowed", [["--limit", "1"], ["--seeds", "11"]], ids=["limit", "seeds"])
+def test_check_mode_refuses_a_narrowed_audit(monkeypatch, tmp_path, capsys, narrowed):
+    tool = load_tool(monkeypatch)
+    monkeypatch.setattr(tool, "audit", lambda *args, **kwargs: pytest.fail("audited"))
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps(bounds()))
+    monkeypatch.setattr(sys, "argv", ["optimum_audit.py", "--check", str(path), *narrowed])
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main()
+    assert exit_info.value.code == 2
+    assert "it takes neither --limit nor --seeds" in capsys.readouterr().err
+
+
 def test_the_committed_bounds_cover_every_workload_with_no_failed_single_restart(monkeypatch):
     tool = load_tool(monkeypatch)
     committed = json.loads((TOOL.parent / "optimum_audit_bounds.json").read_text(encoding="utf-8"))

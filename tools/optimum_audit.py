@@ -36,11 +36,13 @@ by at most 0.1 nats (their best of five rose).  The audit as a gate:
 
     OPENBLAS_NUM_THREADS=1 python tools/optimum_audit.py --check tools/optimum_audit_bounds.json
 
-audits each workload the bounds file names, at its default seeds, and
-exits 1 if one passes a ceiling on its misses, its missed nats or its
-single restarts' failed evaluations, naming the workload and the series
-behind it.  The program is imported from the checkout's ``src``, the
-series from ``perfbench/workloads.py``.
+audits every series of each workload the bounds file names, at its
+default seeds, and exits 1 if one passes a ceiling on its misses, its
+missed nats or its single restarts' failed evaluations, naming the
+workload and the series behind it.  It refuses ``--limit`` and ``--seeds``
+(exit 2): a narrowed audit does not check the ceilings.  The program is
+imported from the checkout's ``src``, the series from
+``perfbench/workloads.py``.
 """
 
 from __future__ import annotations
@@ -201,6 +203,8 @@ def main() -> None:
     parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"), help="compare two --records files")
     parser.add_argument("--check", metavar="BOUNDS", help="audit the workloads of a bounds file; exit 1 above a ceiling")
     args = parser.parse_args()
+    if args.check and (args.limit is not None or args.seeds):
+        parser.error("--check audits every series at the default seeds; it takes neither --limit nor --seeds")
     if args.compare:
         parent, change = ([json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()] for path in args.compare)
         compare(parent, change)
