@@ -6,11 +6,11 @@ hyperparameters plausible, so one MAP optimization run from the prior
 medians is enough.  Forecasts come with calibrated per-step variances and
 are scored with MAE, CRPS, and average log-likelihood by ``score``.
 
-Importing the package loads the forecast path only.  The CSV and
-benchmark layer (``load_csv``, ``run_benchmark``, ``emit_report`` and the
-rest of ``bench``) and the scoring rules (``score``, ``crps_gaussian``,
-``ScoreReport``) load on first use, through the module's ``__getattr__``;
-no forecast calls them.
+Importing the package loads the forecast path only.  The file and
+benchmark layer (``load_csv``, ``load_priors``, ``format_priors``,
+``run_benchmark``, ``emit_report`` and the rest of ``bench``) and the
+scoring rules (``score``, ``crps_gaussian``, ``ScoreReport``) load on
+first use, through the module's ``__getattr__``; no forecast calls them.
 """
 
 import importlib
@@ -39,16 +39,7 @@ from .gp import (
     prepare_series,
 )
 from .kernels import HyperParams, InvalidHyperparameterError, KernelSpec, Term
-from .priors import (
-    LogNormalPrior,
-    PriorSpec,
-    default_priors,
-    format_priors,
-    grad_log_prior,
-    load_priors,
-    log_prior,
-    median_hyperparams,
-)
+from .priors import LogNormalPrior, PriorSpec, default_priors, grad_log_prior, log_prior, median_hyperparams
 from .training import TrainResult, map_objective, train
 
 __version__ = "0.1.0"
@@ -58,7 +49,8 @@ _LAZY = {
     **dict.fromkeys(
         [
             "BenchReport", "CsvFormatError", "CsvLayout", "Dataset", "SeriesEntry", "SeriesFailure", "SeriesScore",
-            "emit_report", "load_csv", "parse_machine_report", "read_series", "run_benchmark", "seasonal_naive",
+            "emit_report", "format_priors", "load_csv", "load_priors", "parse_machine_report", "read_series",
+            "run_benchmark", "seasonal_naive",
         ],
         "bench",
     ),
@@ -71,8 +63,8 @@ __all__ = [
     "FitState", "IllConditionedModelError", "PredictiveDistribution",
     "fit", "log_marginal_likelihood_and_grad", "predict", "prepare_series",
     "HyperParams", "InvalidHyperparameterError", "KernelSpec", "Term",
-    "LogNormalPrior", "PriorSpec", "default_priors", "format_priors", "grad_log_prior", "load_priors", "log_prior",
-    "median_hyperparams", "TrainResult", "map_objective", "train",
+    "LogNormalPrior", "PriorSpec", "default_priors", "grad_log_prior", "log_prior", "median_hyperparams",
+    "TrainResult", "map_objective", "train",
     *_LAZY,
 ]
 

@@ -12,9 +12,10 @@ tells apart:
 
 ``read_series`` reads one series (bare numbers, a ``value`` column, or a
 long-layout file of one series) by the same rule, with the step of its
-first value.  Every CSV the package takes is read here: UTF-8 with or
-without a byte-order mark, blank rows skipped, cells stripped, errors
-naming the line.
+first value, and ``load_priors`` reads a priors file as ``format_priors``
+writes it.  Every file the package reads is read here, by one line
+reader: UTF-8 with or without a byte-order mark, blank lines skipped,
+cells stripped, errors naming the line.
 
 Each series is split into a training part and a test part of the
 configured length, standardized on the training part, forecast with the
@@ -50,9 +51,9 @@ from .forecasting import (
     standardized_posterior,
 )
 from .gp import IllConditionedModelError, TimeSeries
-from .kernels import InvalidHyperparameterError
+from .kernels import PARAM_NAMES, InvalidHyperparameterError
 from .metrics import ScoreReport, score
-from .priors import PriorSpec
+from .priors import LogNormalPrior, PriorSpec
 
 __all__ = [
     "CsvFormatError",
@@ -64,6 +65,8 @@ __all__ = [
     "BenchReport",
     "load_csv",
     "read_series",
+    "format_priors",
+    "load_priors",
     "seasonal_naive",
     "run_benchmark",
     "emit_report",
@@ -156,24 +159,29 @@ def _parse_value(cell: str, path, lineno: int) -> float:
     return value
 
 
+def _lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 text file as they are read, line endings kept; every file the package reads comes here."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: a leading byte-order mark is dropped
+        try:
+            yield from fh
+        except UnicodeDecodeError as err:
+            raise CsvFormatError(_not_utf8(path, err)) from None
+
+
 def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
     """The non-blank rows of a CSV file as they are read, cells stripped, each with the line it ends on."""
     empty = True
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: a leading byte-order mark is dropped
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                cells = [cell.strip() for cell in row]
-                if any(cells):
-                    empty = False
-                    yield reader.line_num, cells
-        except UnicodeDecodeError as err:
-            raise CsvFormatError(not_utf8(path, err)) from None
+    reader = csv.reader(_lines(path))
+    for row in reader:
+        cells = [cell.strip() for cell in row]
+        if any(cells):
+            empty = False
+            yield reader.line_num, cells
     if empty:
         raise CsvFormatError(f"{path}: file is empty")
 
 
-def not_utf8(path, err: UnicodeDecodeError) -> str:
+def _not_utf8(path, err: UnicodeDecodeError) -> str:
     """The message naming the line and byte of a file's first byte that is not UTF-8 (``err`` counts from a chunk)."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -264,6 +272,48 @@ def _read_wide(path, lineno: int, header: list[str], body) -> list[tuple[str, li
                     f"{err}; the header was read as wide, and a long header names all of series, step and value"
                 ) from None
     return [(name, col) for name, col in zip(header, columns)]
+
+
+def format_priors(priors: PriorSpec) -> str:
+    """Priors as ``name = nu lam`` lines (parse back with load_priors)."""
+    lines = ["# lognormal hyperparameter priors: name = nu lam"]
+    lines += [f"{name} = {priors[name].nu!r} {priors[name].lam!r}" for name in priors.entries]
+    return "\n".join(lines) + "\n"
+
+
+def load_priors(path) -> PriorSpec:
+    """Parse a priors file as :func:`format_priors` writes it, one ``name = nu lam`` line per parameter.
+
+    The file is read as a CSV is; ``#`` starts a comment and blank lines
+    are skipped.  A byte that is not UTF-8, a line without ``=``, a name
+    not in ``PARAM_NAMES``, a name given twice and a value that is not a
+    valid prior's two numbers are errors naming the line; missing entries
+    for known names are reported by name.
+    """
+    entries: dict[str, LogNormalPrior] = {}
+    for lineno, raw in enumerate(list(_lines(path)), start=1):  # list: a bad byte fails before any line is parsed
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'name = value'")
+        name, _, text = line.partition("=")
+        name, text = name.strip(), text.strip()
+        if name not in PARAM_NAMES:
+            raise ValueError(f"{path}: line {lineno}: unknown name {name!r} (known: {sorted(PARAM_NAMES)})")
+        if name in entries:
+            raise ValueError(f"{path}: line {lineno}: duplicate entry for {name!r}")
+        try:
+            parts = text.split()
+            if len(parts) != 2:
+                raise ValueError("expected two numbers (nu lam)")
+            entries[name] = LogNormalPrior(nu=float(parts[0]), lam=float(parts[1]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad value {text!r} for {name}: {exc}") from None
+    missing = sorted(set(PARAM_NAMES) - set(entries))
+    if missing:
+        raise ValueError(f"{path}: missing priors for {missing}")
+    return PriorSpec(entries=entries)
 
 
 def seasonal_naive(ts: TimeSeries, horizon: int) -> Forecast:

@@ -9,7 +9,8 @@ from the prior medians (SM1's period at the series' own cycle and the
 noise variance at its own level where the priors find them plausible),
 under the fixed stopping rules of
 ``gpforecast.training``.  ``--priors`` swaps in another priors file.
-``gpforecast.bench`` reads every input CSV (``read_series``, ``load_csv``).
+``gpforecast.bench`` reads every input file (``read_series``, ``load_csv``,
+``load_priors``).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import argparse
 import sys
 import warnings
 
-from .bench import CsvLayout, emit_report, load_csv, read_series, run_benchmark
+from .bench import CsvLayout, emit_report, format_priors, load_csv, load_priors, read_series, run_benchmark
 from .forecasting import PERIODIC_TERMS, TimeSeries, default_horizon, forecast, parse_frequency
 from .gp import IllConditionedModelError
-from .priors import default_priors, format_priors, load_priors
+from .priors import default_priors
 
 
 def _write(text: str, output: str | None) -> None:

@@ -75,7 +75,7 @@ __all__ = [
 
 
 class InvalidHyperparameterError(ValueError):
-    """Raised when hyperparameters are missing, non-positive, or non-finite."""
+    """Raised when hyperparameters are missing, non-positive, or non-finite (a name not the spec's is a ValueError)."""
 
 
 # Parameter names contributed by each term kind, in trainable-vector order.
@@ -197,7 +197,7 @@ class HyperParams:
         names = spec.trainable_names()
         unknown = sorted(set(named) - set(names))
         if unknown:
-            raise InvalidHyperparameterError(f"{unknown} are not among the trainables {names}")
+            raise ValueError(f"{unknown} are not among the trainables {names}")
         return cls(names, tuple(named.get(name) for name in names))
 
     @classmethod
@@ -210,7 +210,7 @@ class HyperParams:
         """``values``, after checking that they were made for ``spec``'s trainables."""
         names = spec.trainable_names()
         if self.names != names:
-            raise InvalidHyperparameterError(f"theta holds {self.names}, but the spec trains {names}")
+            raise ValueError(f"theta holds {self.names}, but the spec trains {names}")
         return self.values
 
     def __getattr__(self, name: str) -> float:

@@ -21,7 +21,8 @@ spec but not executed, under ``"scipy"`` for that one module's load
 only.  A thread that imports scipy for the first time during that load
 could see the unexecuted package.  The real package, which a later
 ``import scipy`` makes, finds ``scipy._cyutility`` in ``sys.modules``
-but has no attribute of that name.
+but has no attribute of that name.  Both are accepted: a program that
+starts threads which import scipy imports this package first.
 
 :func:`cholesky`, :func:`cho_solve` and :func:`solve_triangular` have
 the one call form the package uses: a lower factor, which ``cholesky``

@@ -69,6 +69,9 @@ def score(y, mu, sigma2) -> ScoreReport:
         raise ValueError(f"length mismatch: actuals {y.shape}, forecasts {mu.shape}, variances {sigma2.shape}")
     if y.size < 1:
         raise ValueError("need at least one test step")
+    for name, values in (("actuals", y), ("means", mu)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     if np.any(sigma2 <= 0) or not np.all(np.isfinite(sigma2)):
         raise ValueError("variances must be finite and > 0")
     ll_steps = -0.5 * (_LOG_2PI + np.log(sigma2)) - (y - mu) ** 2 / (2.0 * sigma2)  # log N(y_t; mu_t, sigma2_t)

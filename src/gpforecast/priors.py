@@ -24,10 +24,6 @@ terms and carry no prior.
 over ``u = log(theta)`` and the columns :meth:`PriorSpec.columns` builds
 from the priors of a spec's trainables, so a trainer takes the columns
 once per series.
-
-Priors can be saved to and loaded from a plain-text file (one
-``name = nu lam`` line per parameter) so alternative calibrations can be
-dropped in.
 """
 
 from __future__ import annotations
@@ -46,8 +42,6 @@ __all__ = [
     "log_prior",
     "grad_log_prior",
     "median_hyperparams",
-    "format_priors",
-    "load_priors",
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -149,52 +143,3 @@ def median_hyperparams(spec: KernelSpec, priors: PriorSpec | None = None) -> Hyp
     """
     priors = priors if priors is not None else default_priors()
     return HyperParams.of(spec, **{name: priors[name].median() for name in spec.trainable_names()})
-
-
-def format_priors(priors: PriorSpec) -> str:
-    """Priors as ``name = nu lam`` lines (parse back with load_priors)."""
-    lines = ["# lognormal hyperparameter priors: name = nu lam"]
-    lines += [f"{name} = {priors[name].nu!r} {priors[name].lam!r}" for name in priors.entries]
-    return "\n".join(lines) + "\n"
-
-
-def load_priors(path) -> PriorSpec:
-    """Parse a priors file as :func:`format_priors` writes it, one ``name = nu lam`` line per parameter.
-
-    The file is UTF-8, a byte-order mark allowed, as a CSV is; ``#`` starts
-    a comment and blank lines are skipped.  A byte that is not UTF-8, a
-    line without ``=``, a name not in ``PARAM_NAMES``, a name given twice
-    and a value that is not a valid prior's two numbers are errors naming
-    the line; missing entries for known names are reported by name.
-    """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:  # -sig: a leading byte-order mark is dropped
-            lines = fh.readlines()
-    except UnicodeDecodeError as err:
-        from .bench import not_utf8  # here, as bench imports this module
-
-        raise ValueError(not_utf8(path, err)) from None
-    entries: dict[str, LogNormalPrior] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected 'name = value'")
-        name, _, text = line.partition("=")
-        name, text = name.strip(), text.strip()
-        if name not in PARAM_NAMES:
-            raise ValueError(f"{path}: line {lineno}: unknown name {name!r} (known: {sorted(PARAM_NAMES)})")
-        if name in entries:
-            raise ValueError(f"{path}: line {lineno}: duplicate entry for {name!r}")
-        try:
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValueError("expected two numbers (nu lam)")
-            entries[name] = LogNormalPrior(nu=float(parts[0]), lam=float(parts[1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: bad value {text!r} for {name}: {exc}") from None
-    missing = sorted(set(PARAM_NAMES) - set(entries))
-    if missing:
-        raise ValueError(f"{path}: missing priors for {missing}")
-    return PriorSpec(entries=entries)

@@ -334,11 +334,11 @@ def random_hyperparams(spec, priors, rng, clip_sigmas: float = 2.0):
 
 def replace(theta, **named: float):
     """A copy of the HyperParams ``theta`` with the named trainables set to new values, each checked when made."""
-    from gpforecast.kernels import HyperParams, InvalidHyperparameterError
+    from gpforecast.kernels import HyperParams
 
     unknown = sorted(set(named) - set(theta.names))
     if unknown:
-        raise InvalidHyperparameterError(f"{unknown} are not among the trainables {theta.names}")
+        raise ValueError(f"{unknown} are not among the trainables {theta.names}")
     return HyperParams(theta.names, tuple(named.get(name, value) for name, value in zip(theta.names, theta.values)))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import gpforecast.bench
+import gpforecast.forecasting
 import oracles
 from gpforecast import (
     SIX_HOURLY,
@@ -16,8 +18,10 @@ from gpforecast import (
     SeriesFailure,
     SeriesScore,
     TimeSeries,
+    default_spec,
     emit_report,
     load_csv,
+    median_hyperparams,
     parse_machine_report,
     read_series,
     run_benchmark,
@@ -448,6 +452,21 @@ class TestRunBenchmark:
         )
         with pytest.raises(error, match="a bug"):
             run_benchmark(Dataset(entries=entries), parallelism=parallelism)
+
+    def test_a_theta_made_for_another_spec_propagates(self, monkeypatch):
+        # the trainer hands back the double-seasonal medians for a single-seasonal series: a bug, not bad data
+        real_train = gpforecast.forecasting.train
+
+        def wrong_spec(spec, priors, ts, restarts=1):
+            result = real_train(spec, priors, ts, restarts)
+            return dataclasses.replace(result, theta=median_hyperparams(default_spec("double-seasonal")))
+
+        monkeypatch.setattr(gpforecast.forecasting, "train", wrong_spec)
+        values = np.sin(np.arange(36.0) * np.pi / 6.0)
+        entries = (SeriesEntry(name="s", series=TimeSeries(values=values, steps_per_year=12.0), test_length=8),)
+        with pytest.raises(ValueError, match="spec trains") as raised:
+            run_benchmark(Dataset(entries=entries))
+        assert type(raised.value) is ValueError
 
     @pytest.mark.parametrize("parallelism", [float("nan"), 2.5, "2", 0], ids=["nan", "2.5", "str", "0"])
     def test_a_parallelism_that_is_no_integer_at_least_1_is_rejected_before_any_work(self, monkeypatch, parallelism):

@@ -71,17 +71,16 @@ def test_compare_counts_penalty_evals_differences(tmp_path):
     assert "penalty_evals: 1 differ\n" in run.stdout
 
 
-def test_compare_skips_termination_when_one_digest_lacks_it(tmp_path):
-    # a digest written before termination and penalty_evals were recorded still
-    # compares on the other fields
-    older = {field: value for field, value in RECORD.items() if field not in ("termination", "penalty_evals")}
-    run = compare(tmp_path, dict(RECORD), parent=[older])
-    assert run.returncode == 0, run.stdout + run.stderr
-    assert "termination: skipped, not in both digests\n" in run.stdout
-    assert "penalty_evals: skipped, not in both digests\n" in run.stdout
-    assert "converged: 0 differ\n" in run.stdout
-    changed = compare(tmp_path, {**RECORD, "nfev": 10}, parent=[older])
-    assert changed.returncode == 1, changed.stdout + changed.stderr
+@pytest.mark.parametrize("field", ["termination", "penalty_evals"])
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_compare_fails_when_one_digest_lacks_a_field(tmp_path, field, side):
+    # a digest that dropped a field cannot pass the gate on the others
+    lacking = {key: value for key, value in RECORD.items() if key != field}
+    digests = {"parent": [RECORD, RECORD], "change": [RECORD, RECORD]}
+    digests[side] = [RECORD, lacking]
+    run = compare(tmp_path, digests["change"], parent=digests["parent"])
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert f"{field}: missing from 1 series of the {side} digest" in run.stderr
 
 
 def test_compare_sums_the_optimizer_counts_and_reports_the_objective_moves(tmp_path):

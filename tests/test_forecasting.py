@@ -40,8 +40,8 @@ from gpforecast.kernels import zero_lag_variance
 # the names the package root loads on first use: bench's and metrics' public names
 LAZY_NAMES = (
     "BenchReport", "CsvFormatError", "CsvLayout", "Dataset", "SeriesEntry", "SeriesFailure", "SeriesScore",
-    "emit_report", "load_csv", "parse_machine_report", "read_series", "run_benchmark", "seasonal_naive",
-    "ScoreReport", "crps_gaussian", "score",
+    "emit_report", "format_priors", "load_csv", "load_priors", "parse_machine_report", "read_series",
+    "run_benchmark", "seasonal_naive", "ScoreReport", "crps_gaussian", "score",
 )
 
 
@@ -379,7 +379,7 @@ class TestForecast:
             " name in dir(gpforecast), name in gpforecast.__all__)\n"
         )
         lines = run_fresh(code).splitlines()
-        assert lines[0] == "16 True True"
+        assert lines[0] == "18 True True"
         assert sorted(lines[1:]) == sorted(f"{name} True True True" for name in LAZY_NAMES)
 
     def test_an_unknown_name_raises_attribute_error_naming_it(self):

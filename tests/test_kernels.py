@@ -86,8 +86,8 @@ class TestKernelValues:
         spec = single_term_spec("RBF")
         with pytest.raises(InvalidHyperparameterError):
             HyperParams.of(spec, s2_rbf=-1.0, ell_rbf=1.0)
-        with pytest.raises(InvalidHyperparameterError):
-            covariance(spec, HyperParams(("s2_rbf",), (1.0,)), 0.0, 1.0)
+        with pytest.raises(InvalidHyperparameterError, match="ell_rbf must be set"):
+            HyperParams.of(spec, s2_rbf=1.0)  # a theta of fewer names is another spec's (see below)
         with pytest.raises(InvalidHyperparameterError):
             HyperParams.of(spec, s2_rbf=float("inf"), ell_rbf=1.0)
 
@@ -419,8 +419,9 @@ class TestSpecAndHyperparams:
         assert oracles.replace(MEDIANS, s2_noise=0.25).s2_noise == 0.25
         with pytest.raises(AttributeError, match="s2_per2"):
             MEDIANS.s2_per2  # not a trainable of the single-seasonal spec
-        with pytest.raises(InvalidHyperparameterError, match="s2_per2"):
+        with pytest.raises(ValueError, match="s2_per2") as raised:
             HyperParams.of(FULL_SPEC, s2_per2=1.0)
+        assert type(raised.value) is ValueError  # a caller's bug, which no benchmark records as a series failure
 
     @pytest.mark.parametrize(
         "spec",
@@ -511,5 +512,6 @@ OTHER_SPECS = {
 def test_every_entry_point_rejects_a_theta_made_for_another_spec(entry, other):
     call = ENTRY_POINTS[entry]
     call(DOUBLE_MEDIANS)  # valid for its own spec, so only the mismatch can raise below
-    with pytest.raises(InvalidHyperparameterError, match="spec trains"):
+    with pytest.raises(ValueError, match="spec trains") as raised:
         call(median_hyperparams(OTHER_SPECS[other], PRIORS))
+    assert type(raised.value) is ValueError  # a caller's bug, which no benchmark records as a series failure

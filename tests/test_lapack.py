@@ -108,11 +108,13 @@ SHARED = (
     "assert lapack.levinson is toeplitz.levinson\n"
     "print('shared')\n"
     # Cython-backed scipy functions, which share the Cython utility module the package may have loaded
-    "import numpy as np, scipy.optimize, scipy.special\n"
+    "import numpy as np, scipy.optimize, scipy.signal, scipy.special, scipy.stats\n"
     "assert np.allclose(scipy.linalg.solve_toeplitz([4.0, 1.0], [1.0, 2.0]), [2.0 / 15.0, 7.0 / 15.0])\n"
     "assert np.allclose(scipy.linalg.lu_factor(np.array([[2.0, 1.0], [4.0, 3.0]]))[0], [[4.0, 3.0], [0.5, -0.5]])\n"
     "assert scipy.special.gamma(5.0) == 24.0\n"
     "assert abs(scipy.optimize.minimize_scalar(lambda x: (x - 2.0) ** 2).x - 2.0) < 1e-6\n"
+    "assert abs(scipy.stats.kendalltau([1, 2, 3, 4], [1, 3, 2, 4]).statistic - 2.0 / 3.0) < 1e-12\n"
+    "assert np.allclose(scipy.signal.sosfilt([[1.0, 0.0, 0.0, 1.0, -0.5, 0.0]], [1.0, 0.0, 0.0]), [1.0, 0.5, 0.25])\n"
     "print('ran')\n"
 )
 

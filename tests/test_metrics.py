@@ -158,6 +158,21 @@ class TestLogLikelihood:
         with pytest.raises(ValueError, match="variances must be finite and > 0"):
             score(np.zeros(2), np.zeros(2), np.array([1.0, bad]))
 
+    @pytest.mark.parametrize(
+        "y, mu, name",
+        [
+            ([np.nan, 1.0], [0.0, 0.0], "actuals"),
+            ([np.inf, 1.0], [0.0, 0.0], "actuals"),
+            ([0.0, -np.inf], [0.0, 0.0], "actuals"),
+            ([0.0, 0.0], [np.nan, 1.0], "means"),
+            ([0.0, 0.0], [1.0, np.inf], "means"),
+        ],
+        ids=["nan-actual", "inf-actual", "minus-inf-actual", "nan-mean", "inf-mean"],
+    )
+    def test_rejects_nonfinite_actuals_and_means_by_name(self, y, mu, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            score(np.array(y), np.array(mu), np.ones(2))
+
     def test_rejects_no_test_step(self):
         with pytest.raises(ValueError, match="need at least one test step"):
             score(np.zeros(0), np.zeros(0), np.ones(0))

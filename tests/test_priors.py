@@ -239,6 +239,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 1"):
             load_priors(path)
 
+    def test_a_byte_that_is_not_utf8_fails_before_any_line_is_parsed(self, tmp_path):
+        # the bad byte lies past the reader's first decoded chunk, so a file parsed as read would fail on line 1
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"oops\n" + b"# padding\n" * 2000 + b"\xff\n")
+        with pytest.raises(ValueError, match=r"bad\.txt: line 2002: byte 20005, 0xff, is not UTF-8"):
+            load_priors(path)
+
     def test_missing_entries_rejected(self, tmp_path):
         path = tmp_path / "partial.txt"
         path.write_text("s2_rbf = -1.5 1.0\n")

@@ -159,8 +159,9 @@ class TestMapObjective:
         series = result.series
         assert series.spec == FULL_SPEC and np.array_equal(series.x, x) and np.array_equal(series.y, y)
         other = default_spec("double-seasonal")
-        with pytest.raises(InvalidHyperparameterError, match="spec trains"):
+        with pytest.raises(ValueError, match="spec trains") as raised:
             fit(median_hyperparams(other, PRIORS), series)
+        assert type(raised.value) is ValueError
 
     def test_evaluations_make_no_hyperparams_and_one_pass_over_the_terms(self, monkeypatch):
         # the optimizer's u goes straight to the objective: a HyperParams is

@@ -29,8 +29,7 @@ how many series it rose, how many series' objective fell by more than
 flipped, in each direction.
 It exits 1 unless the two digests agree bit for bit: no series differs
 in those fields, and every series' means and variances are identical.
-A field that one digest lacks (termination or penalty_evals, in a digest
-written before it was recorded) is skipped.
+A field that either digest lacks on any series fails the comparison too.
 """
 
 from __future__ import annotations
@@ -91,12 +90,14 @@ def compare(parent_path: str, change_path: str) -> bool:
     keys = [(r["workload"], r["seed"], r["series"]) for r in parent]
     if keys != [(r["workload"], r["seed"], r["series"]) for r in change]:
         raise SystemExit("the digests hold different series")
+    for field in (*EXACT, *MOVED):
+        for side, records in (("parent", parent), ("change", change)):
+            lacking = sum(field not in r for r in records)
+            if lacking:
+                raise SystemExit(f"{field}: missing from {lacking} series of the {side} digest")
     print(f"{len(parent)} series")
     same = True
     for field in EXACT:
-        if not all(field in r for r in parent + change):
-            print(f"{field}: skipped, not in both digests")
-            continue
         differ = sum(a[field] != b[field] for a, b in zip(parent, change))
         print(f"{field}: {differ} differ")
         same = same and differ == 0
