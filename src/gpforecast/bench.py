@@ -10,12 +10,14 @@ tells apart:
           shorter series end with empty trailing cells (so no wide file
           has series named all of series, step and value)
 
-``read_series`` reads one series (bare numbers, a ``value`` column, or a
-long-layout file of one series) by the same rule, with the step of its
-first value, and ``load_priors`` reads a priors file as ``format_priors``
-writes it.  Every file the package reads is read here, by one line
-reader: UTF-8 with or without a byte-order mark, blank lines skipped,
-cells stripped, errors naming the line.
+``read_series`` reads one series (bare numbers, one per row, a ``value``
+column, or a long-layout file of one series) by the same rule, with the
+step of its first value, and ``load_priors`` reads a priors file as
+``format_priors`` writes it.  Every file the package reads is read here,
+by one line reader: the file is decoded whole as UTF-8, with or without a
+byte-order mark, so a byte that is not UTF-8 is reported before any other
+fault; blank lines are skipped, cells stripped, and errors name the line.
+No row under a header has more cells than the header has columns.
 
 Each series is split into a training part and a test part of the
 configured length, standardized on the training part, forecast with the
@@ -33,6 +35,7 @@ degrees; wall-clock timing fields are measurements and naturally vary.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 import time
@@ -133,8 +136,9 @@ class Dataset:
 
 def load_csv(path, layout: CsvLayout) -> Dataset:
     """Parse a dataset file, long or wide as its header says; raises :class:`CsvFormatError` with line numbers."""
-    body = _read_rows(path)
-    lineno, header = next(body)
+    rows = _read_rows(path)
+    lineno, header = next(rows)
+    body = _below(path, header, rows)
     per_series = _read_long(path, header, body) if _is_long(header) else _read_wide(path, lineno, header, body)
     test_length = layout.test_length if layout.test_length is not None else default_horizon(layout.steps_per_year)
     entries = tuple(
@@ -160,12 +164,17 @@ def _parse_value(cell: str, path, lineno: int) -> float:
 
 
 def _lines(path) -> Iterator[str]:
-    """The lines of a UTF-8 text file as they are read, line endings kept; every file the package reads comes here."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: a leading byte-order mark is dropped
-        try:
-            yield from fh
-        except UnicodeDecodeError as err:
-            raise CsvFormatError(_not_utf8(path, err)) from None
+    """The lines of a UTF-8 text file, line endings kept; every file the package reads comes here, decoded whole,
+    so that a byte that is not UTF-8 fails before any line is parsed.  A leading byte-order mark is dropped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:  # bytes.splitlines ends lines at \n, \r\n or \r, as csv does
+        at = err.start
+        line = len(data[: at + 1].splitlines())
+        raise CsvFormatError(f"{path}: line {line}: byte {at}, 0x{data[at]:02x}, is not UTF-8 ({err.reason})") from None
+    return io.StringIO(text.removeprefix("\ufeff"), newline="")
 
 
 def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
@@ -181,26 +190,21 @@ def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
         raise CsvFormatError(f"{path}: file is empty")
 
 
-def _not_utf8(path, err: UnicodeDecodeError) -> str:
-    """The message naming the line and byte of a file's first byte that is not UTF-8 (``err`` counts from a chunk)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as whole:  # it counts from the file's first byte
-        err = whole
-    before, bad = data[: err.start], err.object[err.start]
-    line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1  # \n, \r\n or \r ends a line
-    return f"{path}: line {line}: byte {err.start}, 0x{bad:02x}, is not UTF-8 ({err.reason})"
+def _below(path, header: list[str], rows) -> Iterator[tuple[int, list[str]]]:
+    """The rows under a header, none with more cells than it has columns: the width rule of every layout."""
+    for lineno, row in rows:
+        if len(row) > len(header):
+            raise CsvFormatError(f"{path}: line {lineno}: more cells than header columns")
+        yield lineno, row
 
 
 def read_series(path) -> tuple[np.ndarray, int]:
-    """One series: bare numbers or a 'value' column in row order, or a long-layout file's one series in step order;
-    and the step of its first value, the long layout's own or 0 for a file without steps."""
-    body = _read_rows(path)
-    lineno, header = next(body)
+    """One series: bare numbers, one per row, or a 'value' column in row order, or a long-layout file's one series
+    in step order; and the step of its first value, the long layout's own or 0 for a file without steps."""
+    rows = _read_rows(path)
+    lineno, header = next(rows)
     if _is_long(header):
-        per_series = _read_long(path, header, body)
+        per_series = _read_long(path, header, _below(path, header, rows))
         if len(per_series) != 1:
             raise CsvFormatError(f"{path}: holds {len(per_series)} series; a forecast reads one")
         _, values, first_step = per_series[0]
@@ -210,10 +214,13 @@ def read_series(path) -> tuple[np.ndarray, int]:
     except ValueError:
         if "value" not in header:
             raise CsvFormatError(f"{path}: line {lineno}: header must contain a 'value' column, got {header}") from None
-        value_idx, rows = header.index("value"), body
-    else:
-        value_idx, rows = 0, [(lineno, header), *body]  # bare numbers: the first row is a value
-    return np.array([_parse_value(row[value_idx] if value_idx < len(row) else "", path, n) for n, row in rows]), 0
+        value_idx, body = header.index("value"), _below(path, header, rows)
+    else:  # bare numbers: the first row is a value, and no row holds more than one
+        value_idx, body = 0, [(lineno, header), *rows]
+        for n, row in body:
+            if len(row) > 1:
+                raise CsvFormatError(f"{path}: line {n}: {len(row)} cells; a file of bare numbers holds one per row")
+    return np.array([_parse_value(row[value_idx] if value_idx < len(row) else "", path, n) for n, row in body]), 0
 
 
 def _read_long(path, header: list[str], body) -> list[tuple[str, list[float], int]]:
@@ -253,8 +260,6 @@ def _read_wide(path, lineno: int, header: list[str], body) -> list[tuple[str, li
     columns: list[list[float]] = [[] for _ in header]
     ended = [False] * len(header)
     for lineno, row in body:
-        if len(row) > len(header):
-            raise CsvFormatError(f"{path}: line {lineno}: more cells than header columns")
         for j, name in enumerate(header):
             cell = row[j] if j < len(row) else ""
             if not cell:
@@ -291,7 +296,7 @@ def load_priors(path) -> PriorSpec:
     for known names are reported by name.
     """
     entries: dict[str, LogNormalPrior] = {}
-    for lineno, raw in enumerate(list(_lines(path)), start=1):  # list: a bad byte fails before any line is parsed
+    for lineno, raw in enumerate(_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -375,7 +380,8 @@ RECORDS = {
         ("total_seconds", lambda r: r.total_seconds, "timing", "a number"),
     ),
 }
-# each JSON type's values as json.loads gives them back: exact types, so true is no number and 3.0 no integer
+# each JSON type's values as json.loads gives them back: exact types, so true is no number and 3.0 no integer;
+# a number is finite too, as emit_report writes it, so NaN and the infinities are none
 _JSON_TYPES = {
     "a string": (str,),
     "a number": (int, float),
@@ -477,7 +483,7 @@ def emit_report(report: BenchReport, fmt: str = "human") -> str:
     if fmt == "machine":
         import json  # imported here: loading a dataset, and a forecast, never need it
 
-        return "\n".join(json.dumps(record) for record in records) + "\n"
+        return "\n".join(json.dumps(record, allow_nan=False) for record in records) + "\n"
     n, aggregate = len(report.scores), records[-1]
     header = " ".join(f"{title:{width}}" for *_, title, width, _ in _SERIES_RECORD)
     lines = [header, "-" * len(header)]
@@ -496,7 +502,8 @@ def emit_report(report: BenchReport, fmt: str = "human") -> str:
 def parse_machine_report(text: str) -> dict:
     """Parse machine-format output back into records (round-trip safe).
 
-    Each record holds exactly the keys :data:`RECORDS` declares for its kind, each of its declared JSON type,
+    Each record holds exactly the keys :data:`RECORDS` declares for its kind, each of its declared JSON type
+    (a number is finite: NaN, Infinity and -Infinity are none),
     and one aggregate comes last, counting the records before it; a report that breaks this raises
     ValueError naming the line.
     """
@@ -519,8 +526,9 @@ def parse_machine_report(text: str) -> dict:
         if record.keys() != set(keys):
             raise ValueError(f"machine report line {lineno}: a {kind} record has keys {list(record)}, not {keys}")
         for key, _, _, json_type, *_ in RECORDS[kind]:
-            if type(record[key]) not in _JSON_TYPES[json_type]:
-                value = json.dumps(record[key])
+            value = record[key]
+            if type(value) not in _JSON_TYPES[json_type] or (type(value) is float and not math.isfinite(value)):
+                value = json.dumps(value)
                 raise ValueError(f"machine report line {lineno}: {kind} key {key!r} holds {value}, not {json_type}")
         if parsed["aggregate"]:
             raise ValueError(f"machine report line {lineno}: a {kind} record after the aggregate")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,10 @@ def dataset_equal(a: Dataset, b: Dataset) -> bool:
         if not np.array_equal(ea.series.values, eb.series.values):
             return False
     return True
+
+
+def load_monthly(path) -> Dataset:
+    return load_csv(path, CsvLayout(steps_per_year=12.0))
 
 
 class TestLoadCsv:
@@ -128,6 +133,53 @@ class TestLoadCsv:
             load_csv(path, CsvLayout(steps_per_year=12.0))
         assert str(raised.value).startswith(f"{path}: line 3: byte {offset}, 0x{data[offset]:02x}, is not UTF-8")
 
+    @pytest.mark.parametrize("read", [read_series, load_monthly], ids=["series", "dataset"])
+    @pytest.mark.parametrize(
+        "data, line, offset",
+        [
+            (b"value\nx\n" + b"1.0\n" * 5000 + b"\xff\n", 5003, 20008),
+            (
+                b"series,step,value\na,0,x\n" + b"".join(b"a,%d,1.0\n" % i for i in range(1, 3000)) + b"\xff\n",
+                3002,
+                31906,
+            ),
+        ],
+        ids=["value-column", "long"],
+    )
+    def test_a_byte_that_is_not_utf8_is_reported_before_any_other_fault(self, tmp_path, read, data, line, offset):
+        # the bad byte lies past the first 8 KiB, which a decoder that streams the file reads
+        # and parses first, so such a reader reported the cell 'x' on line 2
+        path = tmp_path / "two_faults.csv"
+        path.write_bytes(data)
+        with pytest.raises(CsvFormatError) as raised:
+            read(path)
+        assert str(raised.value) == f"{path}: line {line}: byte {offset}, 0xff, is not UTF-8 (invalid start byte)"
+
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (load_monthly, "series,step,value\na,0,1.0\na,1,2.0,x\n"),
+            (read_series, "series,step,value\na,0,1.0\na,1,2.0,x\n"),
+            (load_monthly, "a,b\n1.0,2.0\n3.0,4.0,5.0\n"),
+            (read_series, "when,value\nx,1.0\ny,2.0,z\n"),
+        ],
+        ids=["long", "long-series", "wide", "value-column"],
+    )
+    def test_a_row_with_more_cells_than_its_header_is_rejected(self, tmp_path, read, text):
+        # every layout with a header has one width rule; extra cells used to be dropped unread but in wide files
+        path = tmp_path / "wide_row.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError) as raised:
+            read(path)
+        assert str(raised.value) == f"{path}: line 3: more cells than header columns"
+
+    def test_a_long_row_without_its_columns_names_the_count(self, tmp_path):
+        path = tmp_path / "short_row.csv"
+        path.write_text("series,step,value\na,0,1.0\na,1\n")
+        with pytest.raises(CsvFormatError) as raised:
+            load_monthly(path)
+        assert str(raised.value) == f"{path}: line 3: expected 3 columns, got 2"
+
     @pytest.mark.parametrize(
         "text",
         ["series,step,value\na,1,2.0\na,0,1.0\nb,0,3.0\n", "a,b\r\n1.0,3.0\r\n2.0,\r\n"],
@@ -195,7 +247,7 @@ class TestReadSeries:
 
     @pytest.mark.parametrize("good_lines", [2, 5000], ids=["first-chunk", "past-the-first-chunk"])
     def test_a_file_that_is_not_utf8_names_its_line(self, tmp_path, good_lines):
-        # the reader decodes in chunks, so the offset it reports is found again in the whole file
+        # the offset counts from the file's first byte, also past the 8 KiB a streaming decoder reads first
         path = tmp_path / "bad.csv"
         path.write_bytes(b"1.0\n" * good_lines + b"\xff\xfe\n")
         with pytest.raises(CsvFormatError) as raised:
@@ -216,6 +268,15 @@ class TestReadSeries:
         expected, _ = read_series(bare)
         assert expected.size >= 2
         np.testing.assert_array_equal(read_series(marked)[0], expected)
+
+    @pytest.mark.parametrize("text, line", [("1.0,9\n2.0,9\n3.0,9\n", 1), ("1.0\n2.0\n3.0,9\n", 3)])
+    def test_bare_numbers_hold_one_value_per_row(self, tmp_path, text, line):
+        # a second column used to be dropped unread
+        path = tmp_path / "two_columns.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError) as raised:
+            read_series(path)
+        assert str(raised.value) == f"{path}: line {line}: 2 cells; a file of bare numbers holds one per row"
 
     def test_one_long_series_reads_in_step_order(self, tmp_path):
         path = tmp_path / "long.csv"
@@ -615,6 +676,12 @@ class TestEmitReport:
             pytest.param(5, "failed", True, "an integer", id="a-count-that-is-true"),
             pytest.param(5, "median_ll", True, "a number or null", id="a-median-that-is-true"),
             pytest.param(5, "median_mae", "0.0658", "a number or null", id="a-median-that-is-a-string"),
+            # json.dumps writes these as NaN, Infinity and -Infinity, tokens that json.loads takes but no JSON
+            # standard has, and that emit_report never writes
+            pytest.param(1, "mae", math.nan, "a number", id="a-score-that-is-nan"),
+            pytest.param(3, "train_seconds", math.inf, "a number", id="a-timing-that-is-infinity"),
+            pytest.param(5, "median_mae", math.nan, "a number or null", id="a-median-that-is-nan"),
+            pytest.param(5, "median_ll", -math.inf, "a number or null", id="a-median-that-is-minus-infinity"),
         ],
     )
     def test_a_value_not_of_its_declared_json_type_is_rejected(self, lineno, key, value, json_type):
@@ -625,6 +692,11 @@ class TestEmitReport:
             parse_machine_report("\n".join(lines))
         held = f"{record['record']} key {key!r} holds {json.dumps(value)}, not {json_type}"
         assert str(raised.value) == f"machine report line {lineno}: {held}"
+
+    def test_the_machine_format_writes_no_nan(self):
+        # the writer keeps the reader's rule: a value that is no JSON number is an error, not a NaN token
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report(BenchReport(scores=(), failures=(), total_seconds=math.nan), fmt="machine")
 
     def test_a_number_may_be_written_as_a_json_integer(self):
         lines = golden_machine_lines()
