@@ -13,11 +13,11 @@ tells apart:
 ``read_series`` reads one series (bare numbers, one per row, a ``value``
 column, or a long-layout file of one series) by the same rule, with the
 step of its first value, and ``load_priors`` reads a priors file as
-``format_priors`` writes it.  Every file the package reads is read here,
-by one line reader: the file is decoded whole as UTF-8, with or without a
-byte-order mark, so a byte that is not UTF-8 is reported before any other
-fault; blank lines are skipped, cells stripped, and errors name the line.
-No row under a header has more cells than the header has columns.
+``format_priors`` writes it.  Every file the package reads is read here:
+checked whole as UTF-8, a byte-order mark dropped, before any line is
+parsed, with errors that name the line.  A CSV's first non-blank row is
+data (bare numbers, which ``load_csv`` rejects) if its first cell is a
+number, else a header that names no column twice and no row outgrows.
 
 Each series is split into a training part and a test part of the
 configured length, standardized on the training part, forecast with the
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import numbers
 import time
@@ -136,9 +137,9 @@ class Dataset:
 
 def load_csv(path, layout: CsvLayout) -> Dataset:
     """Parse a dataset file, long or wide as its header says; raises :class:`CsvFormatError` with line numbers."""
-    rows = _read_rows(path)
-    lineno, header = next(rows)
-    body = _below(path, header, rows)
+    lineno, header, body = _table(path)
+    if header is None:
+        raise CsvFormatError(f"{path}: line {lineno}: a number, not a header; a dataset file names its columns")
     per_series = _read_long(path, header, body) if _is_long(header) else _read_wide(path, lineno, header, body)
     test_length = layout.test_length if layout.test_length is not None else default_horizon(layout.steps_per_year)
     entries = tuple(
@@ -164,36 +165,44 @@ def _parse_value(cell: str, path, lineno: int) -> float:
 
 
 def _lines(path) -> Iterator[str]:
-    """The lines of a UTF-8 text file, line endings kept; every file the package reads comes here, decoded whole,
-    so that a byte that is not UTF-8 fails before any line is parsed.  A leading byte-order mark is dropped."""
+    """A UTF-8 file's lines, endings kept, a leading byte-order mark dropped; checked whole, so a byte that is not
+    UTF-8 fails before any line is parsed, then decoded as read, not held as a str of up to 4 bytes a character."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as err:  # bytes.splitlines ends lines at \n, \r\n or \r, as csv does
         at = err.start
         line = len(data[: at + 1].splitlines())
         raise CsvFormatError(f"{path}: line {line}: byte {at}, 0x{data[at]:02x}, is not UTF-8 ({err.reason})") from None
-    return io.StringIO(text.removeprefix("\ufeff"), newline="")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
 
 
-def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank rows of a CSV file as they are read, cells stripped, each with the line it ends on."""
-    empty = True
+def _table(path) -> tuple[int, list[str] | None, Iterator[tuple[int, list[str]]]]:
+    """The first non-blank row's line, the header or ``None`` for bare numbers, and the rows under it, stripped; a
+    first row whose first cell is a number is bare numbers' first, and a header names no column twice."""
     reader = csv.reader(_lines(path))
-    for row in reader:
-        cells = [cell.strip() for cell in row]
-        if any(cells):
-            empty = False
-            yield reader.line_num, cells
-    if empty:
+    stripped = ([cell.strip() for cell in row] for row in reader)
+    rows = ((reader.line_num, cells) for cells in stripped if any(cells))
+    lineno, header = first = next(rows, (0, None))
+    if header is None:
         raise CsvFormatError(f"{path}: file is empty")
+    try:
+        float(header[0])
+    except ValueError:
+        named = [name for name in header if name]  # empty names are trailing commas, given any number of times
+        if len(set(named)) < len(named):
+            raise CsvFormatError(f"{path}: line {lineno}: duplicate column names in header") from None
+        return lineno, header, _below(path, header, rows)
+    return lineno, None, _below(path, None, itertools.chain([first], rows))
 
 
-def _below(path, header: list[str], rows) -> Iterator[tuple[int, list[str]]]:
-    """The rows under a header, none with more cells than it has columns: the width rule of every layout."""
+def _below(path, header: list[str] | None, rows) -> Iterator[tuple[int, list[str]]]:
+    """The rows under a header, none with more cells than it has columns, or bare numbers' rows, one cell each."""
     for lineno, row in rows:
-        if len(row) > len(header):
+        if header is None and len(row) > 1:
+            raise CsvFormatError(f"{path}: line {lineno}: {len(row)} cells; a file of bare numbers holds one per row")
+        if header is not None and len(row) > len(header):
             raise CsvFormatError(f"{path}: line {lineno}: more cells than header columns")
         yield lineno, row
 
@@ -201,25 +210,16 @@ def _below(path, header: list[str], rows) -> Iterator[tuple[int, list[str]]]:
 def read_series(path) -> tuple[np.ndarray, int]:
     """One series: bare numbers, one per row, or a 'value' column in row order, or a long-layout file's one series
     in step order; and the step of its first value, the long layout's own or 0 for a file without steps."""
-    rows = _read_rows(path)
-    lineno, header = next(rows)
-    if _is_long(header):
-        per_series = _read_long(path, header, _below(path, header, rows))
+    lineno, header, body = _table(path)
+    if header is not None and _is_long(header):
+        per_series = _read_long(path, header, body)
         if len(per_series) != 1:
             raise CsvFormatError(f"{path}: holds {len(per_series)} series; a forecast reads one")
         _, values, first_step = per_series[0]
         return np.array(values), first_step
-    try:
-        float(header[0])
-    except ValueError:
-        if "value" not in header:
-            raise CsvFormatError(f"{path}: line {lineno}: header must contain a 'value' column, got {header}") from None
-        value_idx, body = header.index("value"), _below(path, header, rows)
-    else:  # bare numbers: the first row is a value, and no row holds more than one
-        value_idx, body = 0, [(lineno, header), *rows]
-        for n, row in body:
-            if len(row) > 1:
-                raise CsvFormatError(f"{path}: line {n}: {len(row)} cells; a file of bare numbers holds one per row")
+    if header is not None and "value" not in header:
+        raise CsvFormatError(f"{path}: line {lineno}: header must contain a 'value' column, got {header}")
+    value_idx = 0 if header is None else header.index("value")
     return np.array([_parse_value(row[value_idx] if value_idx < len(row) else "", path, n) for n, row in body]), 0
 
 
@@ -255,8 +255,6 @@ def _read_long(path, header: list[str], body) -> list[tuple[str, list[float], in
 def _read_wide(path, lineno: int, header: list[str], body) -> list[tuple[str, list[float]]]:
     if any(not h for h in header):
         raise CsvFormatError(f"{path}: line {lineno}: empty series name in header")
-    if len(set(header)) != len(header):
-        raise CsvFormatError(f"{path}: line {lineno}: duplicate series names in header")
     columns: list[list[float]] = [[] for _ in header]
     ended = [False] * len(header)
     for lineno, row in body:

@@ -125,6 +125,8 @@ class TimeSeries:
             raise ValueError("series contains non-finite values")
         if not np.isfinite(self.steps_per_year) or self.steps_per_year <= 0:
             raise ValueError(f"steps_per_year must be finite and > 0, got {self.steps_per_year!r}")
+        if not math.isfinite(values.size / float(self.steps_per_year)):  # training reads the span in years
+            raise ValueError(f"steps_per_year {self.steps_per_year!r} is too small: the span in years overflows")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:

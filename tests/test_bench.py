@@ -367,6 +367,44 @@ class TestTheHeaderGivesTheLayout:
         assert str(raised.value).startswith(f"{path}: line 3: value 'x' is not numeric; the header was read as wide")
 
 
+class TestTheFirstRow:
+    """One rule for both readers: a first row whose first cell is a number is data, any other is a header."""
+
+    READERS = {"read_series": read_series, "load_csv": load_monthly}
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize(
+        "header, row",
+        [("series,step,value,value", "a,0,1.0,9.0"), ("value,value", "1.0,9.0"), ("a,b,a", "1.0,2.0,3.0")],
+    )
+    def test_a_header_that_names_a_column_twice_is_rejected(self, tmp_path, reader, header, row):
+        # a long or value column given twice used to be read from its first copy, the second dropped unread
+        path = tmp_path / "twice.csv"
+        path.write_text(f"\n{header}\n{row}\n{row}\n")
+        with pytest.raises(CsvFormatError) as raised:
+            self.READERS[reader](path)
+        assert str(raised.value) == f"{path}: line 2: duplicate column names in header"
+
+    def test_repeated_empty_names_are_trailing_commas(self, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text("series,step,value,,\na,1,2.0\na,0,1.0,,\n")
+        np.testing.assert_array_equal(read_series(path)[0], [1.0, 2.0])
+        [entry] = load_monthly(path).entries
+        np.testing.assert_array_equal(entry.series.values, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "text, line", [("10.0\n11.0\n12.0\n", 1), ("\n \n10.0\n11.0\n", 3), ("2019,2020\n1.0,2.0\n", 1)],
+        ids=["bare-numbers", "after-blank-lines", "numeric-first-series-name"],
+    )
+    def test_load_csv_rejects_a_file_without_a_header(self, tmp_path, text, line):
+        # a file of bare numbers used to load as one series named by its first value
+        path = tmp_path / "headless.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError) as raised:
+            load_monthly(path)
+        assert str(raised.value) == f"{path}: line {line}: a number, not a header; a dataset file names its columns"
+
+
 class TestDatasetInvariants:
     def test_duplicate_names_rejected(self):
         entry = SeriesEntry(

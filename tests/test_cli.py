@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -240,6 +241,24 @@ class TestBenchCommand:
             main(["bench", str(quarterly_dataset_csv), "--freq", "quarterly", *option])
         assert raised.value.code == 2
         assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+    def test_a_file_of_bare_numbers_is_an_error_at_its_first_line(self, tmp_path, capsys):
+        # it used to score one series named by its first value, built from the rest
+        path = tmp_path / "bare.csv"
+        path.write_text("".join(f"{10.0 + math.sin(i / 2.0)!r}\n" for i in range(48)))
+        assert main(["bench", str(path), "--freq", "monthly"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: line 1: a number, not a header; a dataset file names its columns\n"
+
+    def test_a_frequency_whose_span_in_years_overflows_is_an_error(
+        self, monthly_series_csv, quarterly_dataset_csv, capsys
+    ):
+        # each used to fail in training as a bare "math domain error", bench's a bug's traceback
+        assert main(["forecast", str(monthly_series_csv), "--freq", "5e-324", "--horizon", "3"]) == 1
+        assert capsys.readouterr().err == "error: steps_per_year 5e-324 is too small: the span in years overflows\n"
+        assert main(["bench", str(quarterly_dataset_csv), "--freq", "1e-308", "--test-length", "6"]) == 1
+        assert capsys.readouterr().err == "error: steps_per_year 1e-308 is too small: the span in years overflows\n"
 
     def test_failures_fail_the_run_unless_allowed(self, tmp_path, capsys):
         lines = ["series,step,value"]

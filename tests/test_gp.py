@@ -105,6 +105,16 @@ class TestRegularGridOnly:
         with pytest.raises(ValueError, match="at least 2 steps"):
             self.ENTRY_POINTS[entry](TimeSeries(np.array([0.5]), 12.0))
 
+    @pytest.mark.parametrize(
+        "steps_per_year", [1e-308, 5e-324, np.float64(5e-324)], ids=["1e-308", "5e-324", "float64-5e-324"]
+    )
+    def test_a_frequency_whose_span_in_years_overflows_is_rejected(self, steps_per_year):
+        # 40 steps at 1e-308 span 4e309 years, which is no float: training's periodogram start took
+        # math.log(0) and raised a bare "math domain error"
+        with pytest.raises(ValueError, match=r"^steps_per_year .* is too small: the span in years overflows$"):
+            TimeSeries(np.sin(np.arange(40) / 2.0), steps_per_year)
+        assert len(TimeSeries(np.sin(np.arange(40) / 2.0), 1e-300)) == 40
+
     @pytest.mark.parametrize("steps_per_year", [12.0, 4.0, 1461.0, 52.18])
     @pytest.mark.parametrize(("n", "h"), [(2, 1), (3, 2), (24, 18), (115, 8), (132, 42), (500, 16)])
     def test_grids_are_arange_over_steps_per_year_bit_for_bit(self, n, h, steps_per_year, monkeypatch):
