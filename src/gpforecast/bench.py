@@ -58,6 +58,7 @@ from .gp import IllConditionedModelError, TimeSeries
 from .kernels import PARAM_NAMES, InvalidHyperparameterError
 from .metrics import ScoreReport, score
 from .priors import LogNormalPrior, PriorSpec
+from .training import TrainResult
 
 __all__ = [
     "CsvFormatError",
@@ -344,10 +345,14 @@ def seasonal_naive(ts: TimeSeries, horizon: int) -> Forecast:
 
 
 class SeriesScore(NamedTuple):
+    """A scored series: its scores and the :class:`TrainResult` of its fit, whose facts the report reads."""
+
     name: str
     report: ScoreReport
-    train_seconds: float
-    converged: bool
+    fit: TrainResult
+
+    train_seconds = property(lambda self: self.fit.seconds)
+    converged = property(lambda self: self.fit.converged)
 
 
 class SeriesFailure(NamedTuple):
@@ -357,8 +362,9 @@ class SeriesFailure(NamedTuple):
 
 # The records of a report, each kind's keys in order after "record", with how the kind's object gives
 # each value, its role and its JSON type, one of _JSON_TYPES.  The role is "score", whose median over the
-# scored series the aggregate carries; "timing", a wall-clock measurement, which deterministic_view() leaves
-# out; or "".  A series key ends with its human column: header, alignment and width, and how its value prints.
+# scored series the aggregate carries; "sum", a count the aggregate sums over them; "timing", a wall-clock
+# measurement, which deterministic_view() leaves out; or "".  A series key ends with its human column:
+# header, alignment and width, and how its value prints.
 _SERIES_RECORD = (  # one per SeriesScore
     ("series", lambda s: s.name, "", "a string", "series", "<16", str),  # a failure record's too
     ("mae", lambda s: s.report.mae, "score", "a number", "mae", ">9", "{:.4f}".format),
@@ -366,8 +372,14 @@ _SERIES_RECORD = (  # one per SeriesScore
     ("ll", lambda s: s.report.ll, "score", "a number", "ll", ">10", "{:.4f}".format),
     ("train_seconds", lambda s: s.train_seconds, "timing", "a number", "train_s", ">8", "{:.3f}".format),
     ("converged", lambda s: s.converged, "", "a boolean", "converged", ">9", lambda v: "yes" if v else "no"),
+    # the fit's optimizer facts, read from its TrainResult
+    ("iterations", lambda s: s.fit.iterations, "sum", "an integer", "iters", ">5", str),
+    ("nfev", lambda s: s.fit.nfev, "sum", "an integer", "nfev", ">5", str),
+    ("penalty_evals", lambda s: s.fit.penalty_evals, "sum", "an integer", "penalty", ">7", str),
+    ("termination", lambda s: s.fit.termination, "", "a string", "termination", "", str),
 )
 _SCORED = tuple((key, get) for key, get, role, *_ in _SERIES_RECORD if role == "score")
+_SUMMED = tuple((key, get) for key, get, role, *_ in _SERIES_RECORD if role == "sum")
 RECORDS = {
     "series": _SERIES_RECORD,
     "failure": (_SERIES_RECORD[0], ("reason", lambda f: f.reason, "", "a string")),  # one per SeriesFailure
@@ -375,6 +387,7 @@ RECORDS = {
         ("scored", lambda r: len(r.scores), "", "an integer"),
         ("failed", lambda r: len(r.failures), "", "an integer"),
         *((f"median_{key}", lambda r, k=key: getattr(r, f"median_{k}"), "", "a number or null") for key, _ in _SCORED),
+        *((key, lambda r, get=get: sum(get(s) for s in r.scores), "", "an integer") for key, get in _SUMMED),
         ("total_seconds", lambda r: r.total_seconds, "timing", "a number"),
     ),
 }
@@ -434,7 +447,7 @@ def _score_one(entry: SeriesEntry, mode: str, priors: PriorSpec | None) -> Serie
     except (ConstantSeriesError, InvalidHyperparameterError, IllConditionedModelError) as exc:  # bad data or numerics
         return SeriesFailure(name=entry.name, reason=f"{type(exc).__name__}: {exc}")
     report = score(standardizer.transform(values[train_length:]), posterior.mean, posterior.observation_variance)
-    return SeriesScore(name=entry.name, report=report, train_seconds=result.seconds, converged=result.converged)
+    return SeriesScore(name=entry.name, report=report, fit=result)
 
 
 def run_benchmark(
@@ -493,6 +506,7 @@ def emit_report(report: BenchReport, fmt: str = "human") -> str:
         lines += [f"  median_{key:<4} {aggregate[f'median_{key}']:.4f}" for key, _ in _SCORED]
     else:
         lines.append("  no series scored")
+    lines.append("  summed " + " ".join(f"{key}={aggregate[key]}" for key, _ in _SUMMED))
     lines.append(f"  total_seconds {aggregate['total_seconds']:.3f}")
     return "\n".join(lines) + "\n"
 

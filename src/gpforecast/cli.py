@@ -7,10 +7,12 @@
 Training takes no settings: every series is trained with one restart
 from the prior medians (SM1's period at the series' own cycle and the
 noise variance at its own level where the priors find them plausible),
-under the fixed stopping rules of
-``gpforecast.training``.  ``--priors`` swaps in another priors file.
+until its quasi-Newton model predicts at most ``DECREASE_TOL`` nats left
+to gain, or one of the other fixed stops of ``gpforecast.training``
+fires.  ``--priors`` swaps in another priors file.
 ``gpforecast.bench`` reads every input file (``read_series``, ``load_csv``,
-``load_priors``).
+``load_priors``).  ``bench`` reports each series' iterations, objective
+evaluations, failed evaluations and stop message, and their sums.
 """
 
 from __future__ import annotations

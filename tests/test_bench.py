@@ -19,6 +19,8 @@ from gpforecast import (
     SeriesFailure,
     SeriesScore,
     TimeSeries,
+    TrainResult,
+    default_priors,
     default_spec,
     emit_report,
     load_csv,
@@ -599,17 +601,34 @@ class TestRunBenchmark:
         assert len(report.failures) == 1
 
 
+FIXED_TERMINATIONS = (
+    "CONVERGENCE: PREDICTED DECREASE OF F <= DECREASE_TOL",
+    "CONVERGENCE: LARGEST GRADIENT COMPONENT <= GRAD_TOL",
+    "ABNORMAL: NO STRONG-WOLFE STEP after a penalty evaluation",
+)
+
+
 def fixed_report() -> BenchReport:
     """Deterministic hand-built report used for formatting tests."""
     rng = np.random.default_rng(123)
+    theta = median_hyperparams(default_spec("single-seasonal"), default_priors())
     scores = []
     for i, name in enumerate(["airline", "retail", "energy"]):
         y = rng.standard_normal(8)
         mu = y + 0.1 * rng.standard_normal(8)
         sigma2 = np.full(8, 0.5 + 0.1 * i)
-        scores.append(
-            SeriesScore(name=name, report=score(y, mu, sigma2), train_seconds=0.125 * (i + 1), converged=i != 2)
+        fit = TrainResult(
+            theta=theta,
+            objective=-10.0 * i,
+            iterations=9 + 3 * i,
+            converged=i != 2,
+            seconds=0.125 * (i + 1),
+            nfev=12 + 4 * i,
+            termination=FIXED_TERMINATIONS[i],
+            penalty_evals=2 * (i == 2),
+            series=None,
         )
+        scores.append(SeriesScore(name=name, report=score(y, mu, sigma2), fit=fit))
     return BenchReport(
         scores=tuple(scores),
         failures=(SeriesFailure(name="flatline", reason="ConstantSeriesError: series is constant"),),
@@ -643,12 +662,15 @@ class TestEmitReport:
             assert record["ll"] == s.report.ll
             assert record["train_seconds"] == s.train_seconds
             assert record["converged"] == s.converged
+            for key in ("iterations", "nfev", "penalty_evals", "termination"):
+                assert record[key] == getattr(s.fit, key)
         assert parsed["failures"] == [
             {"record": "failure", "series": "flatline", "reason": "ConstantSeriesError: series is constant"}
         ]
         agg = parsed["aggregate"]
         assert agg["scored"] == 3 and agg["failed"] == 1
         assert agg["median_mae"] == report.median_mae
+        assert (agg["iterations"], agg["nfev"], agg["penalty_evals"]) == (36, 48, 2)
 
     def test_empty_report_still_emits_aggregate_marker(self):
         empty = BenchReport(scores=(), failures=(), total_seconds=0.0)
@@ -666,7 +688,11 @@ class TestEmitReport:
     def test_the_deterministic_view_holds_every_value_but_the_timing(self):
         report = fixed_report()
         assert report.deterministic_view() == {
-            "scores": [(s.name, s.report.mae, s.report.crps, s.report.ll, s.converged) for s in report.scores],
+            "scores": [
+                (s.name, s.report.mae, s.report.crps, s.report.ll, s.converged)
+                + (s.fit.iterations, s.fit.nfev, s.fit.penalty_evals, s.fit.termination)
+                for s in report.scores
+            ],
             "failures": [("flatline", "ConstantSeriesError: series is constant")],
             "medians": tuple(
                 float(np.median([getattr(s.report, key) for s in report.scores])) for key in ("mae", "crps", "ll")
@@ -682,7 +708,7 @@ class TestEmitReport:
         "lineno, edit",
         [
             pytest.param(1, lambda r: {"record": "series", "mae": "x"}, id="a-series-record-of-one-score"),
-            pytest.param(1, lambda r: {**r, "iterations": 7}, id="a-series-record-with-a-key-more"),
+            pytest.param(1, lambda r: {**r, "objective": 7.5}, id="a-series-record-with-a-key-more"),
             pytest.param(4, lambda r: {"record": "failure", "series": r["series"]}, id="a-failure-without-reason"),
             pytest.param(5, lambda r: {"record": "aggregate"}, id="a-bare-aggregate"),
         ],
@@ -710,6 +736,9 @@ class TestEmitReport:
             pytest.param(5, "total_seconds", False, "a number", id="a-timing-that-is-false"),
             pytest.param(1, "converged", "maybe", "a boolean", id="a-converged-that-is-a-string"),
             pytest.param(3, "converged", 0, "a boolean", id="a-converged-that-is-0"),
+            pytest.param(2, "nfev", 16.0, "an integer", id="an-nfev-that-is-a-float"),
+            pytest.param(3, "termination", None, "a string", id="a-termination-that-is-null"),
+            pytest.param(5, "penalty_evals", False, "an integer", id="a-summed-count-that-is-false"),
             pytest.param(5, "scored", 3.0, "an integer", id="a-count-that-is-a-float"),
             pytest.param(5, "failed", True, "an integer", id="a-count-that-is-true"),
             pytest.param(5, "median_ll", True, "a number or null", id="a-median-that-is-true"),

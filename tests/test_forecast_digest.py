@@ -19,7 +19,7 @@ RECORD = {
     "nfev": 9,
     "penalty_evals": 0,
     "converged": True,
-    "termination": "CONVERGENCE: RELATIVE REDUCTION OF F <= OBJECTIVE_TOL",
+    "termination": "CONVERGENCE: PREDICTED DECREASE OF F <= DECREASE_TOL",
     "mean": [0.1, -0.2],
     "variance": [1.5, 1.75],
 }

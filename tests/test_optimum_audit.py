@@ -142,11 +142,11 @@ def synthetic_records():
     ]
 
 
-def bounds(misses=2, nats=0.75, failed=1):
+def bounds(misses=2, nats=0.75, failed=1, nfev=30):
     return {
         "ceilings": {
-            "monthly-forecast": {"misses": misses, "missed_nats": nats, "single_failed_evaluations": failed},
-            "six-hourly-double": {"misses": 0, "missed_nats": 0.0, "single_failed_evaluations": 0},
+            "monthly-forecast": {"misses": misses, "missed_nats": nats, "single_failed_evaluations": failed, "single_nfev": nfev},
+            "six-hourly-double": {"misses": 0, "missed_nats": 0.0, "single_failed_evaluations": 0, "single_nfev": 10},
         }
     }
 
@@ -155,10 +155,11 @@ def test_check_names_each_ceiling_passed_with_its_workload_and_series(monkeypatc
     tool = load_tool(monkeypatch)
     records = synthetic_records()
     assert tool.check(bounds(), records) == []  # a ceiling is a bound that may be met
-    assert tool.check(bounds(misses=1, nats=0.7, failed=0), records) == [
+    assert tool.check(bounds(misses=1, nats=0.7, failed=0, nfev=29), records) == [
         "monthly-forecast: 2 misses, above the ceiling of 1: seed 1 a, seed 2 b",
         "monthly-forecast: 0.75 missed nats, above the ceiling of 0.7: seed 1 a, seed 2 b",
         "monthly-forecast: 1 single-restart failed evaluations, above the ceiling of 0: seed 2 b",
+        "monthly-forecast: 30 single-restart nfev, above the ceiling of 29",  # summed, so no series is named
     ]
     # a workload of the bounds that no record covers fails, rather than passing with no misses
     assert tool.check(bounds(), records[:3]) == ["six-hourly-double: no series audited"]
@@ -206,5 +207,5 @@ def test_the_committed_bounds_cover_every_workload_with_no_failed_single_restart
     committed = json.loads((TOOL.parent / "optimum_audit_bounds.json").read_text(encoding="utf-8"))
     assert set(committed["ceilings"]) == set(tool.SEEDS)
     for ceiling in committed["ceilings"].values():
-        assert set(ceiling) == {"misses", "missed_nats", "single_failed_evaluations"}
+        assert set(ceiling) == {"misses", "missed_nats", "single_failed_evaluations", "single_nfev"}
         assert ceiling["single_failed_evaluations"] == 0

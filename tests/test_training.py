@@ -465,7 +465,12 @@ class TestTrain:
         ts = TimeSeries(sine_series(36)[1], 12.0)
         clean = train(FULL_SPEC, PRIORS, ts)
         assert clean.converged and clean.penalty_evals == 0
-        assert clean.objective == pytest.approx(71.2501, abs=1e-4)
+        # each run stops where its model predicts at most DECREASE_TOL nats
+        # left to gain, so two runs to the tight optimum, 71.2501, differ by at
+        # most about DECREASE_TOL each way; across 1e-4 to 1e-2 this sweep
+        # read at most 1.09 DECREASE_TOL
+        bound = 2.0 * training.DECREASE_TOL
+        assert 71.2501 - bound <= clean.objective <= 71.2502
         assert clean.termination.startswith("CONVERGENCE") and "penalty" not in clean.termination
         real_at, real_minimize, real_cubic = training.MapObjective.at, training.minimize, training._cubic_minimizer
         calls, at_iterates, interpolated = [], [], []  # evaluations so far, at each iterate, and the cubics' arguments
@@ -494,7 +499,7 @@ class TestTrain:
             monkeypatch.setattr(training.MapObjective, "at", rigged_at(k))
             result = train(FULL_SPEC, PRIORS, ts)
             assert result.penalty_evals == 1, k
-            assert abs(result.objective - clean.objective) <= 1e-4, k
+            assert abs(result.objective - clean.objective) <= bound, k
             # minimize flags the failure only if it came after the iterate before the last
             in_final_iteration = k > (at_iterates[-2] if len(at_iterates) > 1 else 0)
             assert result.converged is not in_final_iteration, k
@@ -584,11 +589,13 @@ class TestTrain:
     )
     def test_five_restarts_go_on_past_failed_evaluations_on_a_design_series(self, perfbench, seed, name, objective):
         # among the optimum audit's series that meet a failed evaluation, in one
-        # of their five restarts; a single restart meets none
+        # of their five restarts; a single restart meets none.  ``objective`` is
+        # the best of five at a DECREASE_TOL of 1e-9, which the default stop
+        # ends within 2 DECREASE_TOL of (1.3e-3 nats at most here)
         ts, horizon, mode = design_series(perfbench, "monthly-forecast", seed, name)
         _, _, result = standardized_posterior(ts, horizon, mode=mode, restarts=5)
         assert result.penalty_evals >= 1 and result.converged
-        assert result.objective == pytest.approx(objective, abs=1e-3)
+        assert objective - 2.0 * training.DECREASE_TOL <= result.objective <= objective + 1e-4
 
     def test_a_single_restart_reaches_the_best_of_five_on_a_quasi_periodic_design_series(self, perfbench):
         # from the prior medians its single restart ended 4.6 nats below the best of 5
@@ -780,20 +787,27 @@ def rosenbrock(u):
     return value, grad
 
 
+# a tight stop: DECREASE_TOL in nats for training.minimize, scipy's relative ftol for L-BFGS-B
+TIGHT_DECREASE, TIGHT_FTOL = 1e-12, 1e-12
+
+
 class TestMinimizeOracle:
-    # training.minimize is L-BFGS with L-BFGS-B's line-search constants and stop tests: it
-    # must end no worse than scipy's L-BFGS-B with the same options, and take
-    # only steps that meet the strong Wolfe conditions
+    # training.minimize is L-BFGS with L-BFGS-B's line-search constants: run to
+    # a tight stop, as scipy's L-BFGS-B is, it must end no worse than scipy's
+    # with the same limits, and take only steps that meet the strong Wolfe
+    # conditions.  Its stop in nats has no counterpart in scipy's relative
+    # ftol, which on Rosenbrock, whose minimum is 0, is a test in absolute
+    # units of f, so the default stop is checked by TestStopDefault instead
     @pytest.mark.parametrize(
         "case, constants, status, message",
         [
-            ("monthly", {}, 0, "CONVERGENCE: RELATIVE REDUCTION OF F <= OBJECTIVE_TOL"),
+            ("monthly", {}, 0, "CONVERGENCE: LARGEST GRADIENT COMPONENT <= GRAD_TOL"),
             # scipy's L-BFGS-B ends this one in an ABNORMAL line-search stop
-            ("six-hourly", {"OBJECTIVE_TOL": 1e-9}, None, None),
+            ("six-hourly", {}, None, None),
             ("monthly", {"MAX_ITERS": 3}, 1, "STOP: ITERATIONS REACHED MAX_ITERS"),
-            ("rosenbrock", {}, 0, "CONVERGENCE: RELATIVE REDUCTION OF F <= OBJECTIVE_TOL"),
+            ("rosenbrock", {}, 0, "CONVERGENCE: PREDICTED DECREASE OF F <= DECREASE_TOL"),
         ],
-        ids=["monthly-default", "six-hourly-abnormal", "iteration-limit", "rosenbrock-16"],
+        ids=["monthly-tight", "six-hourly-abnormal", "iteration-limit", "rosenbrock-16"],
     )
     def test_minimize_ends_no_worse_than_scipy_lbfgsb_on_strong_wolfe_steps(
         self, monkeypatch, perfbench, case, constants, status, message
@@ -813,14 +827,14 @@ class TestMinimizeOracle:
             options = {
                 "maxcor": training.MAX_ITERS,  # so that scipy too keeps every pair
                 "maxiter": training.MAX_ITERS,
-                "ftol": training.OBJECTIVE_TOL,
+                "ftol": TIGHT_FTOL,
                 "gtol": training.GRAD_TOL,
             }
             theirs = scipy.optimize.minimize(fun, u0, jac=True, method="L-BFGS-B", options=options)
             runs.append((evaluations, iterates, result, theirs))
             return result
 
-        for name, value in constants.items():
+        for name, value in {"DECREASE_TOL": TIGHT_DECREASE, **constants}.items():
             monkeypatch.setattr(training, name, value)
         if case == "rosenbrock":
             both(rosenbrock, np.tile([-1.2, 1.0], 8))
@@ -876,7 +890,7 @@ class TestMinimizeOracle:
             evaluations.append((u.copy(), grad if len(evaluations) < 7 else -grad))
             return value, evaluations[-1][1]
 
-        for name, value in {"MAX_ITERS": 200, "OBJECTIVE_TOL": 1e-12, "GRAD_TOL": 1e-9}.items():
+        for name, value in {"MAX_ITERS": 200, "DECREASE_TOL": 1e-12, "GRAD_TOL": 1e-9}.items():
             monkeypatch.setattr(training, name, value)
         result = training.minimize(lying, np.tile([-1.2, 1.0], 2), iterates.append)
         assert (result.status, result.message) == (2, "ABNORMAL: NO STRONG-WOLFE STEP")
@@ -887,6 +901,85 @@ class TestMinimizeOracle:
         last = next(k for k, (u, _) in enumerate(evaluations) if np.array_equal(u, result.x))
         assert result.nfev == len(evaluations) == last + 1 + 2 * training._MAX_TRIALS
         assert np.array_equal(evaluations[last + 1 + training._MAX_TRIALS][0], result.x - evaluations[last][1])
+
+
+class TestStops:
+    # every stop message is reached; the stop in nats reads the model's
+    # predicted decrease -g'd / 2 before each line search, once the model
+    # holds a pair, and costs no evaluation
+    def test_a_start_at_the_minimum_stops_on_the_gradient_at_once(self):
+        centre = np.array([0.5, -2.0, 3.0])
+        result = training.minimize(lambda u: (0.5 * float((u - centre) @ (u - centre)), u - centre), centre.copy())
+        assert (result.status, result.message) == (0, "CONVERGENCE: LARGEST GRADIENT COMPONENT <= GRAD_TOL")
+        assert (result.nit, result.nfev, result.penalty_evals) == (0, 1, 0)
+
+    @staticmethod
+    def searched(monkeypatch, fail=()):
+        """Record each line search's slope g'd and its direction; the searches numbered in ``fail`` find no step."""
+        searches, real = [], training._line_search
+
+        def recording(fun, x, f0, d, slope, step):
+            searches.append((slope, d.copy(), x.copy()))
+            return (None, 0, 0) if len(searches) in fail else real(fun, x, f0, d, slope, step)
+
+        monkeypatch.setattr(training, "_line_search", recording)
+        return searches
+
+    def test_the_stop_fires_at_the_first_iterate_whose_predicted_decrease_is_small(self, monkeypatch):
+        start = np.tile([-1.2, 1.0], 8)
+        monkeypatch.setattr(training, "DECREASE_TOL", 0.0)  # never fires
+        searches = self.searched(monkeypatch)
+        full = training.minimize(rosenbrock, start)
+        assert full.status == 0 and "GRAD_TOL" in full.message and full.nit > 10
+        # a Wolfe step always keeps its pair, so every search after the first holds one
+        predicted = [-0.5 * slope for slope, *_ in searches]
+        for tol in (predicted[len(predicted) // 3], predicted[2 * len(predicted) // 3]):
+            first = next(k for k in range(1, len(predicted)) if predicted[k] <= tol)
+            monkeypatch.setattr(training, "DECREASE_TOL", tol)
+            evaluations, iterates = [], []
+
+            def recorded(u):
+                evaluations.append(u.copy())
+                return rosenbrock(u)
+
+            searches.clear()
+            result = training.minimize(recorded, start, iterates.append)
+            assert (result.status, result.message) == (0, "CONVERGENCE: PREDICTED DECREASE OF F <= DECREASE_TOL")
+            assert result.nit == first == len(searches)  # stopped before the search from iterate `first`
+            assert np.array_equal(result.x, iterates[-1]) and np.array_equal(evaluations[-1], result.x)
+        # at inf it fires at the first iterate, the first point whose model holds a pair
+        monkeypatch.setattr(training, "DECREASE_TOL", math.inf)
+        searches.clear()
+        result = training.minimize(rosenbrock, start)
+        assert (result.status, result.nit) == (0, 1) and len(searches) == 1
+
+    def test_the_stop_never_fires_on_a_steepest_descent_step_after_a_reset(self, monkeypatch):
+        # the second search finds no step, so the model is reset to H = I and
+        # the third runs along -g.  DECREASE_TOL is set to that search's
+        # -g'd / 2 = |g|^2 / 2: the stop must still wait for the next pair.
+        # Rosenbrock scaled by 1e-4 makes g'Hg far larger than g'g, so the
+        # failed second search is not stopped either
+        def scaled(u):
+            value, grad = rosenbrock(u)
+            return 1e-4 * value, 1e-4 * grad
+
+        start = np.tile([-1.2, 1.0], 2)
+        monkeypatch.setattr(training, "DECREASE_TOL", 0.0)
+        searches = self.searched(monkeypatch, fail={2})
+        training.minimize(scaled, start)
+        predicted = [-0.5 * slope for slope, *_ in searches]
+        tol = predicted[2]
+        assert predicted[1] > tol
+        # search k runs from iterate k - 1, the failed second search having made none
+        first = next(k for k in range(3, len(predicted)) if predicted[k] <= tol)
+        monkeypatch.setattr(training, "DECREASE_TOL", tol)
+        searches = self.searched(monkeypatch, fail={2})
+        result = training.minimize(scaled, start)
+        assert (result.status, result.message) == (0, "CONVERGENCE: PREDICTED DECREASE OF F <= DECREASE_TOL")
+        assert result.nit == first - 1 and len(searches) == first
+        (_, _, x), (slope, steepest, same_x) = searches[1:3]
+        g = scaled(x)[1]
+        assert np.array_equal(same_x, x) and np.array_equal(steepest, -g) and slope == -float(g @ g)
 
 
 class TestFailedEvaluations:
@@ -1036,8 +1129,17 @@ class TestSpeed:
 
 
 class TestStopDefault:
-    # the default OBJECTIVE_TOL ends the tight run's optimizer path early: it
-    # must cost no more evaluations and give up almost nothing for them
+    # the default DECREASE_TOL ends the tight run's optimizer path early: it
+    # must cost no more evaluations and give up at most GIVEN_UP nats for
+    # them, whatever n.  The bound is set from more series than these tests
+    # run, at one BLAS thread against a DECREASE_TOL of 1e-9: the default gave
+    # up at most 0.0143 nats and moved the means by at most 4.0e-4
+    # standardized units on 24 seeds of the n = 1461 series below (seeds 0-4:
+    # 0.0108 nats), and at most 0.0120 nats on the 100 digest series
+    # (n <= 336), each with nfev at or below the tight run's
+    GIVEN_UP = 0.02
+    TIGHT = 1e-9
+
     @pytest.mark.parametrize(
         "mode, steps_per_year, noise, n",
         [("single-seasonal", 12.0, 0.1, 132), ("double-seasonal", 1461.0, 0.2, 224), ("double-seasonal", 1461.0, 0.0, 112)],
@@ -1051,18 +1153,8 @@ class TestStopDefault:
         else:
             signal = np.sin(2 * np.pi * i / 4 + 0.7) + 0.8 * np.sin(2 * np.pi * i / 28 + 2.1) + 0.3 * i / n
         ts = TimeSeries(20.0 + 3.0 * (signal + noise * rng.standard_normal(n)), steps_per_year)
-        default_posterior, _, default = standardized_posterior(ts, 18, mode=mode)
-        monkeypatch.setattr(training, "OBJECTIVE_TOL", 1e-12)
-        tight_posterior, _, tight = standardized_posterior(ts, 18, mode=mode)
-        assert tight.objective - 5e-3 <= default.objective <= tight.objective
-        assert default.nfev <= tight.nfev
-        assert np.max(np.abs(default_posterior.mean - tight_posterior.mean)) <= 2e-3
+        self.check(monkeypatch, ts, 18, mode)
 
-    # OBJECTIVE_TOL is relative, so it gives up more nats as the objective
-    # grows with n.  The bounds come from 24 seeds of this series at one BLAS
-    # thread: the default gave up at most 0.031 nats against 1e-9 and moved
-    # the means by at most 6.8e-4 standardized units (seeds 0-4: 0.0063 nats
-    # and 3.6e-4).
     @pytest.mark.parametrize("seed", range(5))
     def test_default_stop_at_a_year_of_six_hourly_steps(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
@@ -1072,9 +1164,12 @@ class TestStopDefault:
         signal = np.sin(2 * np.pi * i / 4 + phases[0]) + rng.uniform(0.5, 1.0) * np.sin(2 * np.pi * i / 28 + phases[1])
         signal = signal + rng.uniform(-0.5, 0.5) * i / n
         ts = TimeSeries(20.0 + 3.0 * (signal + 0.1 * rng.standard_normal(n)), 1461.0)
-        default_posterior, _, default = standardized_posterior(ts, 42, mode="double-seasonal")
-        monkeypatch.setattr(training, "OBJECTIVE_TOL", 1e-9)
-        tight_posterior, _, tight = standardized_posterior(ts, 42, mode="double-seasonal")
-        assert tight.objective - 0.05 <= default.objective <= tight.objective
+        self.check(monkeypatch, ts, 42, "double-seasonal")
+
+    def check(self, monkeypatch, ts, horizon, mode):
+        default_posterior, _, default = standardized_posterior(ts, horizon, mode=mode)
+        monkeypatch.setattr(training, "DECREASE_TOL", self.TIGHT)
+        tight_posterior, _, tight = standardized_posterior(ts, horizon, mode=mode)
+        assert tight.objective - self.GIVEN_UP <= default.objective <= tight.objective
         assert default.nfev <= tight.nfev
         assert np.max(np.abs(default_posterior.mean - tight_posterior.mean)) <= 2e-3

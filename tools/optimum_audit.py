@@ -38,8 +38,9 @@ by at most 0.1 nats (their best of five rose).  The audit as a gate:
 
 audits every series of each workload the bounds file names, at its
 default seeds, and exits 1 if one passes a ceiling on its misses, its
-missed nats or its single restarts' failed evaluations, naming the
-workload and the series behind it.  It refuses ``--limit`` and ``--seeds``
+missed nats, its single restarts' failed evaluations or their nfev,
+naming the workload and the series behind it (for nfev, the workload
+alone).  It refuses ``--limit`` and ``--seeds``
 (exit 2): a narrowed audit does not check the ceilings.  The program is
 imported from the checkout's ``src``, the series from
 ``perfbench/workloads.py``.
@@ -171,8 +172,9 @@ def check(bounds, records) -> list[str]:
     """Each ceiling of ``bounds`` that ``records`` pass, one line naming the workload and its series; empty if none.
 
     ``bounds["ceilings"]`` maps a workload to its ceilings on ``misses``,
-    ``missed_nats`` and ``single_failed_evaluations`` (failed evaluations
-    summed over the single restarts).
+    ``missed_nats``, ``single_failed_evaluations`` (failed evaluations
+    summed over the single restarts) and ``single_nfev`` (their objective
+    evaluations summed).
     """
     failures = []
     for name, ceiling in bounds["ceilings"].items():
@@ -187,10 +189,11 @@ def check(bounds, records) -> list[str]:
             (missed, ceiling["missed_nats"], "missed nats", misses),
             (sum(r["single_penalty_evals"] for r in failed), ceiling["single_failed_evaluations"],
              "single-restart failed evaluations", failed),
+            (sum(r["single_nfev"] for r in chosen), ceiling["single_nfev"], "single-restart nfev", ()),
         ):
             if count > limit:
                 listed = ", ".join(f"seed {r['seed']} {r['series']}" for r in series)
-                failures.append(f"{name}: {count:g} {title}, above the ceiling of {limit:g}: {listed}")
+                failures.append(f"{name}: {count:g} {title}, above the ceiling of {limit:g}" + (listed and f": {listed}"))
     return failures
 
 
