@@ -109,7 +109,7 @@ class CsvLayout:
         if not np.isfinite(self.steps_per_year) or self.steps_per_year <= 0:
             raise ValueError(f"steps_per_year must be finite and > 0, got {self.steps_per_year!r}")
         length = self.test_length
-        if length is not None and not (isinstance(length, numbers.Integral) and length >= 1):  # rejects 2.5, 3.0
+        if not (length is None or isinstance(length, numbers.Integral) and type(length) is not bool and length >= 1):
             raise ValueError(f"test length must be an integer >= 1, got {length!r}")
 
 
@@ -128,9 +128,9 @@ class Dataset:
         names = [e.name for e in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("series names must be unique")
-        for e in self.entries:
-            if not (isinstance(e.test_length, numbers.Integral) and e.test_length >= 1):  # rejects 2.5, 3.0
-                raise ValueError(f"series {e.name!r}: test length must be an integer >= 1, got {e.test_length!r}")
+        for name, _, length in self.entries:
+            if not (isinstance(length, numbers.Integral) and type(length) is not bool and length >= 1):
+                raise ValueError(f"series {name!r}: test length must be an integer >= 1, got {length!r}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -328,7 +328,7 @@ def seasonal_naive(ts: TimeSeries, horizon: int) -> Forecast:
     yields a valid distribution).  ``horizon`` is an integer >= 1; anything
     else raises ValueError.
     """
-    if not (isinstance(horizon, numbers.Integral) and horizon >= 1):  # rejects 2.5, "3"
+    if not (isinstance(horizon, numbers.Integral) and type(horizon) is not bool and horizon >= 1):  # rejects True, 2.5
         raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     season = int(round(ts.steps_per_year))
     if season < 1:
@@ -465,7 +465,7 @@ def run_benchmark(
     order, so the report content (other than timing) does not depend on
     ``parallelism``.
     """
-    if not (isinstance(parallelism, numbers.Integral) and parallelism >= 1):  # rejects 2.5, NaN, "2"
+    if not (isinstance(parallelism, numbers.Integral) and type(parallelism) is not bool and parallelism >= 1):
         raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
     started = time.perf_counter()
 

@@ -194,7 +194,7 @@ def standardized_posterior(
     ``horizon`` is an integer >= 1; anything else raises ValueError before
     any work.  ``restarts`` is handed to :func:`train`.
     """
-    if not (isinstance(horizon, numbers.Integral) and horizon >= 1):  # rejects 2.5, "3"
+    if not (isinstance(horizon, numbers.Integral) and type(horizon) is not bool and horizon >= 1):  # rejects True, 2.5
         raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     n = len(ts)
     if n < MIN_SERIES_LENGTH:

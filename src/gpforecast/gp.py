@@ -245,7 +245,7 @@ def fit(theta: HyperParams, series: PreparedSeries, horizon: int = 0) -> FitStat
     are x bit for bit, gives the Gram's column and the cross-covariance
     (see the module docstring).
     """
-    if not (isinstance(horizon, numbers.Integral) and horizon >= 0):  # rejects -1, 2.5, "3"
+    if not (isinstance(horizon, numbers.Integral) and type(horizon) is not bool and horizon >= 0):  # rejects True, 2.5
         raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
     spec, x, y, lin = series.spec, series.x, series.y, series.spec.lin
     values = theta.for_spec(spec)

@@ -61,11 +61,6 @@ class LogNormalPrior:
     def median(self) -> float:
         return math.exp(self.nu)
 
-    def quantile(self, q: float) -> float:
-        from statistics import NormalDist  # only here, so that importing the package does not load it
-
-        return math.exp(self.nu + math.sqrt(self.lam) * NormalDist().inv_cdf(q))
-
 
 @dataclass(frozen=True)
 class PriorSpec:

@@ -128,14 +128,14 @@ class TrainResult:
     ending in " after a penalty evaluation" if its final iteration met one.
 
     ``series`` is the training series as :func:`train` prepared it, its
-    grid included, for ``gp.fit``; it takes no part in comparisons.
+    grid included, for ``gp.fit``; it and ``seconds`` take no part in comparisons.
     """
 
     theta: HyperParams
     objective: float
     iterations: int
     converged: bool
-    seconds: float
+    seconds: float = field(compare=False)
     nfev: int
     termination: str
     penalty_evals: int
@@ -194,7 +194,7 @@ class MapObjective:
         return value, -grad
 
 
-def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
+def minimize(fun, u0: np.ndarray) -> SimpleNamespace:
     """Minimize ``fun(u) -> (value, gradient)`` from ``u0`` by unbounded L-BFGS.
 
     The inverse Hessian model is L-BFGS's with every curvature pair kept:
@@ -222,18 +222,17 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
     evaluations), ``status`` (0 converged, 1 iteration limit, 2 abnormal)
     and ``message``.  If the final iteration (the evaluations
     since the iterate before the last) met a failure, ``status`` is not 0
-    and ``message`` ends in " after a penalty evaluation".  ``callback(x)``,
-    if given, is called once per iteration.  ``fun`` may keep the points and
-    must not change them; the gradients it returns are kept, not copied.
+    and ``message`` ends in " after a penalty evaluation".  ``fun`` may keep
+    the points and must not change them; the gradients it returns are kept,
+    not copied.
     """
     max_iters, decrease_tol, gtol = MAX_ITERS, DECREASE_TOL, GRAD_TOL
     x = np.array(u0, dtype=float)
-    n = x.size
     f, g = fun(x)
     f, nit, nfev = float(f), 0, 1
     failed, before_last, at_last = int(f == math.inf), 0, 0  # failures in all, by the last two iterates
     # H = gamma P + Q with P and Q stacked in model, so d = -H g = (-gamma, -1) . (Pg, Qg)
-    identity = np.eye(n)
+    identity = np.eye(x.size)
     model, weights = np.array([identity, np.zeros_like(identity)]), np.array([-1.0, -1.0])
     pairs = 0
     status, message = (0, _CONVERGED_GRADIENT) if not failed and np.abs(g).max() <= gtol else (None, "")
@@ -261,13 +260,10 @@ def minimize(fun, u0: np.ndarray, callback=None) -> SimpleNamespace:
         x, f_new, g_new, new_slope, step = found
         nit += 1
         before_last, at_last = at_last, failed
-        if callback is not None:
-            callback(x)
         curvature = (new_slope - slope) * step  # s'y
         if nit >= max_iters:
             status, message = 1, _ITERATION_LIMIT
-        # |g|^2 > n gtol^2 rules the gradient test out for one dot product
-        elif g_new.dot(g_new) <= n * gtol * gtol and np.abs(g_new).max() <= gtol:
+        elif np.abs(g_new).max() <= gtol:
             status, message = 0, _CONVERGED_GRADIENT
         elif curvature > _EPS * -slope * step:  # else skip the update, as L-BFGS-B does
             s, y = d * step, g_new - g
@@ -374,7 +370,7 @@ def train(
     ``theta`` is the prior medians (with a warning), ``objective`` -inf and
     ``converged=False``.
     """
-    if not (isinstance(restarts, numbers.Integral) and restarts >= 1):  # rejects 2.5, NaN, "2"
+    if not (isinstance(restarts, numbers.Integral) and type(restarts) is not bool and restarts >= 1):  # rejects True
         raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     start = time.perf_counter()
     # everything the objective needs that does not depend on theta, once per series

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +24,18 @@ from gpforecast import (
     default_priors,
     default_spec,
     emit_report,
+    fit,
+    forecast,
     load_csv,
     median_hyperparams,
     parse_machine_report,
+    prepare_series,
     read_series,
     run_benchmark,
     score,
     seasonal_naive,
     standardized_posterior,
+    train,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -775,3 +780,37 @@ class TestEmitReport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report(fixed_report(), fmt="xml")
+
+
+COUNTED = TimeSeries(values=np.sin(np.arange(24) / 2.0), steps_per_year=12.0)
+# each count the package checks: a call that passes n as the count, and the message of its check
+COUNT_CHECKS = {
+    "CsvLayout": (lambda n: CsvLayout(test_length=n), "test length must be an integer >= 1"),
+    "Dataset": (
+        lambda n: Dataset(entries=(SeriesEntry("x", COUNTED, n),)),
+        "series 'x': test length must be an integer >= 1",
+    ),
+    "seasonal_naive": (lambda n: seasonal_naive(COUNTED, n), "horizon must be an integer >= 1"),
+    "run_benchmark": (
+        lambda n: run_benchmark(Dataset(entries=(SeriesEntry("x", COUNTED, 8),)), parallelism=n),
+        "parallelism must be an integer >= 1",
+    ),
+    "forecast": (lambda n: forecast(COUNTED, n), "horizon must be an integer >= 1"),
+    "fit": (
+        lambda n: fit(median_hyperparams(default_spec()), prepare_series(default_spec(), COUNTED), n),
+        "horizon must be an integer >= 0",
+    ),
+    "train": (
+        lambda n: train(default_spec(), default_priors(), COUNTED, restarts=n),
+        "restarts must be an integer >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("entry", COUNT_CHECKS)
+def test_a_bool_is_not_a_count(entry, flag):
+    # bool is a numbers.Integral, so True passed each check as 1 and False fit's as 0
+    call, message = COUNT_CHECKS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got {flag!r}")):
+        call(flag)

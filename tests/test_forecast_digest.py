@@ -129,3 +129,12 @@ def test_digest_fails_on_a_runtime_warning(monkeypatch):
     monkeypatch.setattr(gpforecast.forecasting, "standardized_posterior", overflowing)
     with pytest.raises(RuntimeWarning, match="overflow"):
         next(tool.digest())
+
+
+@pytest.mark.parametrize("empty", [("parent", "change"), ("change",)], ids=["both", "change"])
+def test_compare_refuses_a_digest_that_holds_no_series(tmp_path, empty):
+    # two empty digests died on min() of no objective moves
+    digests = {side: [] if side in empty else [RECORD] for side in ("parent", "change")}
+    run = compare(tmp_path, digests["change"], parent=digests["parent"])
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert run.stderr == f"{tmp_path / empty[0]}.jsonl holds no series\n"

@@ -209,3 +209,16 @@ def test_the_committed_bounds_cover_every_workload_with_no_failed_single_restart
     for ceiling in committed["ceilings"].values():
         assert set(ceiling) == {"misses", "missed_nats", "single_failed_evaluations", "single_nfev"}
         assert ceiling["single_failed_evaluations"] == 0
+
+
+@pytest.mark.parametrize("empty", [("parent", "change"), ("change",)], ids=["both", "change"])
+def test_compare_mode_refuses_a_records_file_that_holds_no_series(monkeypatch, tmp_path, empty):
+    # two empty files printed nothing and exited 0: no workload reached the comparison
+    tool = load_tool(monkeypatch)
+    paths = [tmp_path / f"{side}.jsonl" for side in ("parent", "change")]
+    for path in paths:
+        path.write_text("" if path.stem in empty else json.dumps(synthetic_records()[0]) + "\n")
+    monkeypatch.setattr(sys, "argv", ["optimum_audit.py", "--compare", *map(str, paths)])
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main()
+    assert exit_info.value.code == f"{tmp_path / empty[0]}.jsonl holds no series"

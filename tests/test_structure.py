@@ -7,10 +7,11 @@ own guard in test_gp.py).
 
 A module imports its package siblings at its top, never inside a
 function, so the imports form a graph without cycles that reading the
-top of each module shows.  Standard-library imports that stay inside a
-function to keep a cold start small (``json``, ``concurrent.futures``,
-``statistics``) are allowed, and so is the package root's
-``importlib.import_module``, a call rather than an import statement.
+top of each module shows.  The only imports inside a function are the
+standard-library ones that stay there to keep a cold start small,
+``json`` and ``concurrent.futures``, each pinned to its function; the
+package root's ``importlib.import_module`` is a call rather than an
+import statement.
 """
 
 import ast
@@ -44,6 +45,22 @@ def local_imports(source: str) -> list[str]:
     functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     found = {node for function in functions for node in ast.walk(function) if is_internal(node)}
     return [f"line {node.lineno}: {ast.unparse(node)}" for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def function_imports(source: str) -> list[str]:
+    """Each module imported inside a function body, as 'function: module', naming the innermost function."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if function and isinstance(child, ast.Import):
+                found.extend(f"{function}: {alias.name}" for alias in child.names)
+            elif function and isinstance(child, ast.ImportFrom):
+                found.append(f"{function}: {'.' * child.level}{child.module or ''}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(source), None)
+    return found
 
 
 def test_the_package_has_its_modules():
@@ -91,3 +108,29 @@ def test_the_check_finds_package_imports_inside_functions_only():
         "line 10: from gpforecast.priors import PriorSpec",
         "line 12: import gpforecast.metrics",
     ]
+
+
+def test_the_only_imports_inside_functions_are_the_cold_start_ones():
+    found = [f"{path.name} {entry}" for path in MODULES for entry in function_imports(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == [
+        "bench.py emit_report: json",
+        "bench.py parse_machine_report: json",
+        "bench.py run_benchmark: concurrent.futures",
+    ]
+
+
+def test_the_check_lists_every_import_inside_a_function_under_its_innermost_function():
+    source = (
+        "import math\n"
+        "from .kernels import HyperParams\n"
+        "def load(path):\n"
+        "    import json, csv\n"
+        "    def inner():\n"
+        "        from statistics import NormalDist\n"
+        "    return json\n"
+        "class Reader:\n"
+        "    import io\n"
+        "    def read(self):\n"
+        "        from . import bench\n"
+    )
+    assert function_imports(source) == ["load: json", "load: csv", "inner: statistics", "read: ."]

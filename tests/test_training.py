@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -232,6 +233,21 @@ def record_evaluations(monkeypatch):
     return evaluated
 
 
+def record_iterates(monkeypatch, record=lambda x: x):
+    """``record(x)`` of each iterate x that ``training.minimize`` takes, filled as it runs: each line search's step."""
+    real_search = training._line_search
+    recorded = []
+
+    def recording(*args):
+        found, trials, failures = real_search(*args)
+        if found is not None:
+            recorded.append(record(found[0]))
+        return found, trials, failures
+
+    monkeypatch.setattr(training, "_line_search", recording)
+    return recorded
+
+
 def train_evaluations(spec, ts, us):
     """train's objective, a ``MapObjective`` of the prepared series, called at each of ``us``: its (value, gradient)."""
     objective = training.MapObjective(prepare_series(spec, ts), PRIORS.columns(spec))
@@ -242,7 +258,7 @@ def two_loop_deviations(evaluations, iterates):
     """Check a run of ``training.minimize`` against the two-loop recursion over every pair.
 
     ``evaluations`` holds each ``(u, gradient)`` the run evaluated, in order,
-    and ``iterates`` each point its callback saw.  Each curvature pair is
+    and ``iterates`` each iterate it took.  Each curvature pair is
     rebuilt from the iterates and their gradients, skipping the pairs
     L-BFGS-B skips.  Returns, per step, 1 - cos of the angle between the step
     and the reference direction over every pair kept before it, and the
@@ -287,6 +303,13 @@ class TestTrain:
         assert a.theta == b.theta
         assert a.objective == b.objective
         assert a.penalty_evals == 0
+
+    def test_two_trainings_of_one_series_compare_equal(self):
+        # the wall-clock seconds take no part in comparisons, as the prepared series does not
+        ts = TimeSeries(sine_series(24)[1], 12.0)
+        a, b = train(FULL_SPEC, PRIORS, ts), train(FULL_SPEC, PRIORS, ts)
+        assert a == b == dataclasses.replace(a, seconds=a.seconds + 1.0)
+        assert a != dataclasses.replace(a, nfev=a.nfev + 1)
 
     def test_grid_is_laid_out_once_per_train(self, monkeypatch):
         # the lags' arrays are made when train prepares the series, never per evaluation
@@ -395,18 +418,18 @@ class TestTrain:
         # grows past the number of trainables rather than dropping old pairs
         spec = default_spec(mode)
         real_minimize = training.minimize
-        runs = []
+        runs, iterates = [], record_iterates(monkeypatch)
 
         def recording(fun, u0, **kwargs):
-            evaluations, iterates = [], []
+            evaluations, first = [], len(iterates)
 
             def recorded(u):
                 value, grad = fun(u)
                 evaluations.append((u.copy(), grad))
                 return value, grad
 
-            result = real_minimize(recorded, u0, callback=iterates.append, **kwargs)
-            runs.append((np.size(u0), two_loop_deviations(evaluations, iterates)))
+            result = real_minimize(recorded, u0, **kwargs)
+            runs.append((np.size(u0), two_loop_deviations(evaluations, iterates[first:])))
             return result
 
         monkeypatch.setattr(training, "minimize", recording)
@@ -472,8 +495,9 @@ class TestTrain:
         bound = 2.0 * training.DECREASE_TOL
         assert 71.2501 - bound <= clean.objective <= 71.2502
         assert clean.termination.startswith("CONVERGENCE") and "penalty" not in clean.termination
-        real_at, real_minimize, real_cubic = training.MapObjective.at, training.minimize, training._cubic_minimizer
-        calls, at_iterates, interpolated = [], [], []  # evaluations so far, at each iterate, and the cubics' arguments
+        real_at, real_cubic = training.MapObjective.at, training._cubic_minimizer
+        calls, interpolated = [], []  # evaluations so far and the cubics' arguments
+        at_iterates = record_iterates(monkeypatch, lambda x: len(calls))  # evaluations so far at each iterate
 
         def rigged_at(k):
             def rigged(self, theta):
@@ -484,14 +508,10 @@ class TestTrain:
 
             return rigged
 
-        def recording(fun, u0):
-            return real_minimize(fun, u0, callback=lambda u: at_iterates.append(len(calls)))
-
         def checked_cubic(*args):
             interpolated.append(args)
             return real_cubic(*args)
 
-        monkeypatch.setattr(training, "minimize", recording)
         monkeypatch.setattr(training, "_cubic_minimizer", checked_cubic)
         for k in range(2, min(clean.nfev, 20) + 1):
             calls.clear()
@@ -813,17 +833,17 @@ class TestMinimizeOracle:
         self, monkeypatch, perfbench, case, constants, status, message
     ):
         runs = []  # (evaluations, iterates, own result, scipy's result) of each restart
-        own = training.minimize
+        own, iterates = training.minimize, record_iterates(monkeypatch)
 
         def both(fun, u0):
-            evaluations, iterates = [], []
+            evaluations, first = [], len(iterates)
 
             def recorded(u):
                 out = fun(u)
                 evaluations.append((u.copy(), *out))
                 return out
 
-            result = own(recorded, u0, callback=lambda u: iterates.append(u.copy()))
+            result = own(recorded, u0)
             options = {
                 "maxcor": training.MAX_ITERS,  # so that scipy too keeps every pair
                 "maxiter": training.MAX_ITERS,
@@ -831,7 +851,7 @@ class TestMinimizeOracle:
                 "gtol": training.GRAD_TOL,
             }
             theirs = scipy.optimize.minimize(fun, u0, jac=True, method="L-BFGS-B", options=options)
-            runs.append((evaluations, iterates, result, theirs))
+            runs.append((evaluations, iterates[first:], result, theirs))
             return result
 
         for name, value in {"DECREASE_TOL": TIGHT_DECREASE, **constants}.items():
@@ -862,19 +882,19 @@ class TestMinimizeOracle:
             assert f1 <= f0 + training._SUFFICIENT_DECREASE * float(g0 @ s) + 1e-12 * abs(f0)
             assert abs(float(g1 @ s)) <= training._CURVATURE * abs(float(g0 @ s)) * (1.0 + 1e-9)
 
-    def test_each_step_follows_the_two_loop_recursion_over_every_pair(self):
+    def test_each_step_follows_the_two_loop_recursion_over_every_pair(self, monkeypatch):
         # rebuild each curvature pair from the iterates and their gradients,
         # skipping the pairs L-BFGS-B skips, and check that each step is
         # parallel to the reference direction over every pair kept so far:
         # a memory that dropped its oldest pairs would turn away from it
-        evaluations, iterates = [], []
+        evaluations, iterates = [], record_iterates(monkeypatch)
 
         def recorded(u):
             value, grad = rosenbrock(u)
             evaluations.append((u.copy(), grad))
             return value, grad
 
-        result = training.minimize(recorded, np.tile([-1.2, 1.0], 8), iterates.append)
+        result = training.minimize(recorded, np.tile([-1.2, 1.0], 8))
         assert result.status == 0
         deviations, used = two_loop_deviations(evaluations, iterates)
         assert used[-1] > 4 * result.x.size  # far more pairs than a short memory would keep
@@ -883,7 +903,7 @@ class TestMinimizeOracle:
     def test_a_failed_search_resets_the_memory_once_then_stops_abnormal(self, monkeypatch):
         # from the eighth evaluation on the gradient has the wrong sign, so no
         # step meets the Wolfe conditions
-        evaluations, iterates = [], []
+        evaluations, iterates = [], record_iterates(monkeypatch)
 
         def lying(u):
             value, grad = rosenbrock(u)
@@ -892,7 +912,7 @@ class TestMinimizeOracle:
 
         for name, value in {"MAX_ITERS": 200, "DECREASE_TOL": 1e-12, "GRAD_TOL": 1e-9}.items():
             monkeypatch.setattr(training, name, value)
-        result = training.minimize(lying, np.tile([-1.2, 1.0], 2), iterates.append)
+        result = training.minimize(lying, np.tile([-1.2, 1.0], 2))
         assert (result.status, result.message) == (2, "ABNORMAL: NO STRONG-WOLFE STEP")
         assert result.nit == len(iterates) > 1 and result.x is iterates[-1]
         assert result.fun == rosenbrock(result.x)[0]
@@ -928,7 +948,7 @@ class TestStops:
     def test_the_stop_fires_at_the_first_iterate_whose_predicted_decrease_is_small(self, monkeypatch):
         start = np.tile([-1.2, 1.0], 8)
         monkeypatch.setattr(training, "DECREASE_TOL", 0.0)  # never fires
-        searches = self.searched(monkeypatch)
+        searches, iterates = self.searched(monkeypatch), record_iterates(monkeypatch)
         full = training.minimize(rosenbrock, start)
         assert full.status == 0 and "GRAD_TOL" in full.message and full.nit > 10
         # a Wolfe step always keeps its pair, so every search after the first holds one
@@ -936,14 +956,15 @@ class TestStops:
         for tol in (predicted[len(predicted) // 3], predicted[2 * len(predicted) // 3]):
             first = next(k for k in range(1, len(predicted)) if predicted[k] <= tol)
             monkeypatch.setattr(training, "DECREASE_TOL", tol)
-            evaluations, iterates = [], []
+            evaluations = []
 
             def recorded(u):
                 evaluations.append(u.copy())
                 return rosenbrock(u)
 
             searches.clear()
-            result = training.minimize(recorded, start, iterates.append)
+            iterates.clear()
+            result = training.minimize(recorded, start)
             assert (result.status, result.message) == (0, "CONVERGENCE: PREDICTED DECREASE OF F <= DECREASE_TOL")
             assert result.nit == first == len(searches)  # stopped before the search from iterate `first`
             assert np.array_equal(result.x, iterates[-1]) and np.array_equal(evaluations[-1], result.x)
@@ -985,24 +1006,25 @@ class TestStops:
 class TestFailedEvaluations:
     # fun reports a point it cannot evaluate as (inf, None); minimize alone
     # knows what that means
-    def test_a_failed_start_ends_the_run_at_once(self):
+    def test_a_failed_start_ends_the_run_at_once(self, monkeypatch):
         start = np.tile([-1.2, 1.0], 2)
-        evaluations, iterates = [], []
+        evaluations, iterates = [], record_iterates(monkeypatch)
 
         def failing_at_the_start(u):
             evaluations.append(u.copy())
             return (math.inf, None) if np.array_equal(u, start) else rosenbrock(u)
 
-        result = training.minimize(failing_at_the_start, start, iterates.append)
+        result = training.minimize(failing_at_the_start, start)
         assert (result.nit, result.nfev, result.penalty_evals) == (0, 1, 1)
         assert result.status != 0 and result.message.endswith(" after a penalty evaluation")
         assert len(evaluations) == 1 and not iterates
 
-    def test_no_trial_goes_past_a_failed_one_in_its_search(self):
+    def test_no_trial_goes_past_a_failed_one_in_its_search(self, monkeypatch):
         # the minimum at 2 lies beyond a fence at 1.1: every search backs off
         # from the failed steps toward the fence, and a trial short of it whose
         # slope asks for a longer step still never goes past a failed step
-        evaluations, at_iterates = [], [0]
+        evaluations = []
+        at_iterates = record_iterates(monkeypatch, lambda x: len(evaluations))
 
         def fenced(u):
             evaluations.append(float(u[0]))
@@ -1010,7 +1032,7 @@ class TestFailedEvaluations:
                 return math.inf, None
             return float((u[0] - 2.0) ** 2), 2.0 * (u - 2.0)
 
-        result = training.minimize(fenced, np.zeros(1), lambda u: at_iterates.append(len(evaluations)))
+        result = training.minimize(fenced, np.zeros(1))
         failed = [u for u in evaluations if u > 1.1]
         assert result.penalty_evals == len(failed) > 0 and result.nfev == len(evaluations)
         assert result.x[0] <= 1.1 and result.fun == (result.x[0] - 2.0) ** 2
@@ -1019,7 +1041,7 @@ class TestFailedEvaluations:
         # best one, 8 and 9 evaluations in, not after _MAX_TRIALS halvings
         assert (result.status, result.message) == (2, "ABNORMAL: NO STRONG-WOLFE STEP after a penalty evaluation")
         assert result.x[0] == 1.0
-        bounds = [*at_iterates, len(evaluations)]
+        bounds = [0, *at_iterates, len(evaluations)]
         *iterations, tail = [evaluations[begin:end] for begin, end in zip(bounds, bounds[1:])]
         assert len(tail) == 17
         for search in [*iterations, tail[:8], tail[8:]]:

@@ -29,7 +29,8 @@ how many series it rose, how many series' objective fell by more than
 flipped, in each direction.
 It exits 1 unless the two digests agree bit for bit: no series differs
 in those fields, and every series' means and variances are identical.
-A field that either digest lacks on any series fails the comparison too.
+A field that either digest lacks on any series fails the comparison too,
+and so does a digest that holds no series.
 """
 
 from __future__ import annotations
@@ -84,7 +85,10 @@ def compare(parent_path: str, change_path: str) -> bool:
     """Print how the two digests differ; True if they agree bit for bit."""
     def read(path):
         with open(path, encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh]
+            records = [json.loads(line) for line in fh]
+        if not records:
+            raise SystemExit(f"{path} holds no series")
+        return records
 
     parent, change = read(parent_path), read(change_path)
     keys = [(r["workload"], r["seed"], r["series"]) for r in parent]

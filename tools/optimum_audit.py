@@ -32,7 +32,8 @@ change's single restarts against the parent's best of five) and how much
 from the best of five; the largest fall of a single restart, however
 small; then each series whose single restart rose or fell by more than
 0.1 nats against the other side, and last the change's new misses whose single restart moved
-by at most 0.1 nats (their best of five rose).  The audit as a gate:
+by at most 0.1 nats (their best of five rose).  If either file holds
+no series, it exits 1 naming that file.  The audit as a gate:
 
     OPENBLAS_NUM_THREADS=1 python tools/optimum_audit.py --check tools/optimum_audit_bounds.json
 
@@ -88,6 +89,12 @@ def audit(name: str, seeds, limit: int | None = None):
             }
 
 
+def missed(single: dict, best: dict) -> float:
+    """The nats ``single``'s single restart ends below ``best``'s best of RESTARTS if that is a miss, else 0.0."""
+    gap = best["best"] - single["single"]
+    return gap if gap > MISS else 0.0
+
+
 def summed(records, field: str) -> str:
     """``field`` (nfev or penalty_evals) summed over the records, for one restart and for five."""
     single, best = (sum(r[f"{run}_{field}"] for r in records) for run in ("single", "best"))
@@ -97,15 +104,15 @@ def summed(records, field: str) -> str:
 def report(name: str, records) -> None:
     """Print the misses of one workload and its totals."""
     records = list(records)
-    misses = [r for r in records if r["best"] - r["single"] > MISS]
+    misses = [r for r in records if missed(r, r)]
     for r in misses:
         print(
             f"{name} seed {r['seed']} {r['series']}: single {r['single']:.4f},"
-            f" best of {RESTARTS} {r['best']:.4f}, missed {r['best'] - r['single']:.4f}"
+            f" best of {RESTARTS} {r['best']:.4f}, missed {missed(r, r):.4f}"
         )
-    missed = sum(r["best"] - r["single"] for r in misses)
+    nats = sum(missed(r, r) for r in misses)
     print(
-        f"{name}: {len(records)} series, {len(misses)} miss by more than {MISS:g} nats, {missed:.2f} nats in total;"
+        f"{name}: {len(records)} series, {len(misses)} miss by more than {MISS:g} nats, {nats:.2f} nats in total;"
         f" nfev summed {summed(records, 'nfev')}; failed evaluations summed {summed(records, 'penalty_evals')}",
         flush=True,
     )
@@ -120,9 +127,9 @@ def compare(parent, change) -> None:
     if sorted(before) != sorted(key(r) for r in change):
         raise SystemExit("the records hold different series")
 
-    def missed(runs):
+    def tally(runs):
         """Misses and missed nats of (record, record) pairs, the first's single restart against the second's best."""
-        gaps = [b["best"] - s["single"] for s, b in runs if b["best"] - s["single"] > MISS]
+        gaps = [gap for s, b in runs if (gap := missed(s, b))]
         return len(gaps), sum(gaps)
 
     def line(r, a):
@@ -133,9 +140,9 @@ def compare(parent, change) -> None:
 
     for name in dict.fromkeys(r["workload"] for r in change):
         pairs = [(r, before[key(r)]) for r in change if r["workload"] == name]
-        parent_misses, parent_nats = missed([(a, a) for _, a in pairs])
-        change_misses, change_nats = missed([(r, r) for r, _ in pairs])
-        _, crossed_nats = missed(pairs)  # the change's single restarts against the parent's best
+        parent_misses, parent_nats = tally([(a, a) for _, a in pairs])
+        change_misses, change_nats = tally([(r, r) for r, _ in pairs])
+        _, crossed_nats = tally(pairs)  # the change's single restarts against the parent's best
         print(
             f"{name}: {len(pairs)} series; parent {parent_misses} misses, {parent_nats:.2f} nats,"
             f" change {change_misses} misses, {change_nats:.2f} nats"
@@ -155,8 +162,7 @@ def compare(parent, change) -> None:
         fell = [(r, a) for r, a in pairs if a["single"] - r["single"] > MISS]
         rose = [(r, a) for r, a in pairs if r["single"] - a["single"] > MISS]
         unmoved = [
-            (r, a) for r, a in pairs
-            if r["best"] - r["single"] > MISS >= a["best"] - a["single"] and abs(r["single"] - a["single"]) <= MISS
+            (r, a) for r, a in pairs if missed(r, r) and not missed(a, a) and abs(r["single"] - a["single"]) <= MISS
         ]
         for title, chosen in (
             (f"series whose single restart fell by more than {MISS:g} nats", fell),
@@ -181,12 +187,12 @@ def check(bounds, records) -> list[str]:
         chosen = [r for r in records if r["workload"] == name]
         if not chosen:
             failures.append(f"{name}: no series audited")
-        misses = [r for r in chosen if r["best"] - r["single"] > MISS]
-        missed = sum(r["best"] - r["single"] for r in misses)
+        misses = [r for r in chosen if missed(r, r)]
+        nats = sum(missed(r, r) for r in misses)
         failed = [r for r in chosen if r["single_penalty_evals"] > 0]
         for count, limit, title, series in (
             (len(misses), ceiling["misses"], "misses", misses),
-            (missed, ceiling["missed_nats"], "missed nats", misses),
+            (nats, ceiling["missed_nats"], "missed nats", misses),
             (sum(r["single_penalty_evals"] for r in failed), ceiling["single_failed_evaluations"],
              "single-restart failed evaluations", failed),
             (sum(r["single_nfev"] for r in chosen), ceiling["single_nfev"], "single-restart nfev", ()),
@@ -210,6 +216,9 @@ def main() -> None:
         parser.error("--check audits every series at the default seeds; it takes neither --limit nor --seeds")
     if args.compare:
         parent, change = ([json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()] for path in args.compare)
+        for path, records in zip(args.compare, (parent, change)):
+            if not records:
+                raise SystemExit(f"{path} holds no series")
         compare(parent, change)
         return
     bounds = json.loads(Path(args.check).read_text(encoding="utf-8")) if args.check else None
